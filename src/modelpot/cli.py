@@ -104,7 +104,20 @@ def _get_int(cfg, key, default=None):
 
 
 def _split_list(raw):
-    return [s.strip() for s in raw.replace(";", ",").split(",") if s.strip()]
+    """Split at ``,`` or ``;``.  A ``key=value`` segment without ``:``
+    continues the previous item when that item is a tag with options, so
+    ``linear-power:p=2,lambda=1`` stays one tag while the bare options
+    ``height=..,center=..`` still split."""
+    items = []
+    for seg in raw.replace(";", ",").split(","):
+        seg = seg.strip()
+        if not seg:
+            continue
+        if items and "=" in seg and ":" not in seg and ":" in items[-1]:
+            items[-1] += "," + seg
+        else:
+            items.append(seg)
+    return items
 
 
 def _manifold(tag, m):
@@ -246,6 +259,7 @@ def cmd_obstacle(cfg, out_path) -> int:
     lines = ["# command=obstacle",
              f"# energy={prob.energy(sol.values):.12g}",
              f"# stationarity={stat:.6g}",
+             f"# iterations={sol.iterations}",
              f"# obstacle_violation={viol:.6g}",
              f"# min_slackness={slack:.6g}",
              "r,u"]

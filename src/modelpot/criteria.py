@@ -387,10 +387,15 @@ CSV_COLUMNS = ("manifold", "p", "potential", "property", "verdict", "c",
 
 def classification_rows(manifold_name: str, p: float, potential_name: str,
                         cls: Classification):
-    """Flatten a classification into CSV rows (one per tested ``c``)."""
+    """Flatten a classification into CSV rows (one per tested ``c``).
+
+    Option separators inside a tag are written as ``;`` so that the field
+    holds no comma (``linear-power:p=2;lambda=1``); the CLI reads either.
+    """
+    potential_field = potential_name.replace(",", ";")
     rows = []
     for c, dv in zip(cls.c_values_tested, cls.per_c):
-        rows.append((manifold_name, f"{p:g}", potential_name,
+        rows.append((manifold_name, f"{p:g}", potential_field,
                      cls.property.value, dv.verdict.value, f"{c:g}",
                      f"{dv.partial_integral:.12g}",
                      f"{dv.slope_estimate:.6g}"))

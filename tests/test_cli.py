@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from modelpot import cli
+from modelpot import cli, criteria
 
 
 def run_cli(argv, capsys):
@@ -72,6 +72,27 @@ def test_classify_inconclusive_exit_code(tmp_path, capsys):
                          "--set", "m=2"], capsys)
     assert code == 2
     assert "Inconclusive" in out
+
+
+def test_split_list_keeps_tag_options_together():
+    assert cli._split_list("zero,linear-power:p=2,lambda=1,superlinear:q=1") \
+        == ["zero", "linear-power:p=2,lambda=1", "superlinear:q=1"]
+    assert cli._split_list("height=0.8,center=1.4,width=0.1") \
+        == ["height=0.8", "center=1.4", "width=0.1"]
+    assert cli._split_list("4, 8;16,,32") == ["4", "8", "16", "32"]
+
+
+def test_classify_tag_with_comma(capsys):
+    code, out = run_cli(["classify", "--set", "manifold=euclidean",
+                         "--set", "m=2",
+                         "--set", "potential=linear-power:p=2,lambda=1"],
+                        capsys)
+    assert code == 0
+    rows = [ln.split(",") for ln in out.splitlines()[2:]]
+    assert rows
+    assert all(len(r) == len(criteria.CSV_COLUMNS) for r in rows)
+    assert {r[2] for r in rows} == {"linear-power:p=2;lambda=1"}
+    assert {r[3] for r in rows} == {"KL_Holds"}
 
 
 def test_classify_bad_tag_exit_code(capsys):
@@ -174,6 +195,8 @@ def test_obstacle_command(capsys):
     assert code == 0
     lines = out.splitlines()
     assert any(ln.startswith("# energy=") for ln in lines)
+    iters = next(ln for ln in lines if ln.startswith("# iterations="))
+    assert int(iters.split("=")[1]) >= 1
     header = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
     assert lines[header] == "r,u"
     data = np.loadtxt(lines[header + 1:], delimiter=",")

@@ -85,6 +85,17 @@ def test_positive_lambda_pipeline_runs():
     assert obstacle.is_supersolution(rep.w.problem, rep.w, tol=1e-8).ok
 
 
+def test_plane_pipeline_at_p3():
+    eps = 0.1
+    rep = obstacle.khasminskii_construct(
+        EUC2, 3.0, 0.0, K_radius=1.0, Omega_radius=2.0, eps=eps,
+        exhaustion_radii=RADII)
+    assert rep.verdict == "PotentialBuilt"
+    assert sum(rep.budget_used) <= eps + 1e-12
+    assert obstacle.is_supersolution(rep.w.problem, rep.w, tol=1e-8).ok
+    assert np.all(np.diff(rep.w.values) >= -1e-12)
+
+
 def test_construct_validation():
     with pytest.raises(ValueError):
         obstacle.khasminskii_construct(EUC2, 2.0, 0.0, 3.0, 2.0, 0.1, RADII)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from modelpot import core, obstacle
 from oracles import p_harmonic_profile, qp_obstacle_oracle, random_bump_spec
@@ -118,6 +119,31 @@ def test_obstacle_matches_qp_oracle():
     assert np.any(contact)          # the bump is actually active
 
 
+@pytest.mark.parametrize("p", [1.5, 2.5, 3.0])
+def test_obstacle_matches_bound_constrained_oracle(p):
+    # independent minimizer of the same energy at p != 2, where the QP
+    # oracle does not apply: L-BFGS-B with the obstacle as a lower bound
+    prob = make_euclidean_problem(m=3, p=p, lam=0.3, n=31)
+    psi = 0.9 - ((prob.grid[1:-1] - 1.4) / 0.25) ** 2
+    spec = obstacle.ObstacleSpec(psi=psi, theta_left=0.0, theta_right=1.0)
+    sol = obstacle.solve_obstacle(prob, spec)
+
+    def full(x):
+        return np.concatenate([[0.0], x, [1.0]])
+
+    t = (prob.grid[1:-1] - prob.grid[0]) / (prob.grid[-1] - prob.grid[0])
+    ref = minimize(lambda x: prob.energy(full(x)),
+                   np.maximum(t, psi),
+                   jac=lambda x: prob.gradient(full(x))[1:-1],
+                   method="L-BFGS-B", bounds=[(b, None) for b in psi],
+                   options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 10000})
+    assert ref.success
+    assert np.max(np.abs(sol.values[1:-1] - ref.x)) < 1e-6
+    contact = sol.values[1:-1] <= psi + 1e-6
+    assert np.array_equal(contact, ref.x <= psi + 1e-6)
+    assert np.any(contact)          # the bump is actually active
+
+
 def test_obstacle_inactive_when_below_solution():
     prob = make_euclidean_problem(m=3, p=2.0, n=41)
     free = obstacle.solve_dirichlet(prob, 0.0, 1.0)
@@ -152,10 +178,22 @@ def test_obstacle_infeasible_raises():
 
 
 def test_sweep_limit_raises():
+    # the Newton solve needs two steps here, so a budget of one must trip
     prob = make_euclidean_problem(n=101)
     spec = obstacle.ObstacleSpec.dirichlet(prob.n_nodes, 0.0, 1.0)
-    with pytest.raises(obstacle.SweepLimitError):
-        obstacle.solve_obstacle(prob, spec, max_sweeps=3)
+    with pytest.raises(obstacle.SweepLimitError) as info:
+        obstacle.solve_obstacle(prob, spec, max_iter=1)
+    assert math.isfinite(info.value.residual)
+
+
+def test_solver_reports_its_work():
+    prob = make_euclidean_problem(m=2, p=3.0, n=101)
+    sol = obstacle.solve_dirichlet(prob, 0.0, 1.0)
+    assert 1 <= sol.iterations <= 20
+    assert 0.0 <= sol.stationarity <= 1e-8
+    stat, _, _ = obstacle.residual_complementarity(
+        sol, obstacle.ObstacleSpec.dirichlet(prob.n_nodes, 0.0, 1.0))
+    assert sol.stationarity == stat
 
 
 def test_deterministic_solves():
