@@ -269,11 +269,15 @@ def cmd_obstacle(cfg, out_path) -> int:
     return EXIT_OK
 
 
+# each command with the config keys it reads (--tol/--rmax set tol/rmax)
 COMMANDS = {
-    "classify": cmd_classify,
-    "evans": cmd_evans,
-    "khasminskii": cmd_khasminskii,
-    "obstacle": cmd_obstacle,
+    "classify": (cmd_classify, "manifold m operator potential rmax"),
+    "evans": (cmd_evans, "manifold m operator potential R R1 eps rmax "
+              "blowup_threshold nodes_per_window"),
+    "khasminskii": (cmd_khasminskii, "manifold m p lambda K_radius "
+                    "Omega_radius eps radii tol nodes_per_stage"),
+    "obstacle": (cmd_obstacle, "manifold m p lambda r_min r_max n_nodes "
+                 "theta_left theta_right tol obstacle"),
 }
 
 
@@ -303,7 +307,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _merge(args)
-        return COMMANDS[args.command](cfg, args.out)
+        run, keys = COMMANDS[args.command]
+        unread = [key for key in cfg if key not in keys.split()]
+        if unread:
+            raise ConfigError(unread[0], f"not read by {args.command}")
+        return run(cfg, args.out)
     except (ConfigError, ValueError, core.NumericError, OSError,
             criteria.ConsistencyError) as exc:
         log.error("%s", exc)

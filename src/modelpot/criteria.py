@@ -5,22 +5,24 @@ All verdicts reduce to a numerical surrogate for "the integrand is not
 integrable at infinity".  That surrogate is a heuristic (log-log slope fit
 plus tail extrapolation) and owns an explicit ``Inconclusive`` verdict:
 honest reporting beats silent misclassification on integrands like
-``1/(r log^2 r)`` whose slope sits on the critical line.
+``1/(r log^2 r)`` whose slope sits on the critical line.  Profiles and
+integrands take a radius or an array of radii.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.integrate import simpson
 from scipy.interpolate import PchipInterpolator
 
-from .core import (DEFAULT_QUADRATURE, DomainError, ModelManifold,
-                   NumericError, PhiOperator, PotentialB, Quadrature, beta,
-                   log_sphere_volume, phi_inverse, volume_ratio)
+from .core import (DEFAULT_QUADRATURE, POINTS_PER_DECADE, DomainError,
+                   ModelManifold, NumericError, PhiOperator, PotentialB,
+                   Quadrature, log_sphere_volume, phi_inverse, volume_ratio)
 
 
 class Verdict(enum.Enum):
@@ -62,7 +64,6 @@ class DivergenceConfig:
     slope_band: float = 0.01
     tail_rel_tol: float = 0.05
     samples: int = 33
-    quadrature: Quadrature = field(default_factory=Quadrature)
 
 
 DEFAULT_DIVERGENCE = DivergenceConfig()
@@ -105,12 +106,14 @@ class KellerOssermanResult:
     form_simple: Verdict      # via beta(s)**(-1/p)
 
 
-def test_L1_at_infinity(integrand: Callable[[float], float], R0: float,
+def test_L1_at_infinity(integrand: Callable, R0: float,
                         cfg: DivergenceConfig = DEFAULT_DIVERGENCE
                         ) -> DivergenceVerdict:
     """Decide whether ``integral_R0^inf integrand`` diverges.
 
-    Partial integral over ``[R0, r_max]`` plus a log-log slope fit over the
+    ``integrand`` maps an array of radii to values and is sampled once.
+    Partial integral over ``[R0, r_max]`` (Simpson in ``log r`` on
+    ``POINTS_PER_DECADE`` points a decade) plus a log-log slope fit over the
     last decade.  A fitted slope at or above the critical -1 means the
     extrapolated tail is unbounded, which is reported as divergence; slopes
     inside the margin band but below critical stay inconclusive.
@@ -118,29 +121,31 @@ def test_L1_at_infinity(integrand: Callable[[float], float], R0: float,
     if R0 <= 0 or cfg.r_max <= R0:
         raise DomainError("test_L1_at_infinity requires 0 < R0 < r_max")
 
-    def f(r):
-        v = float(integrand(r))
-        if not math.isfinite(v):
-            raise NumericError(f"integrand not finite at r={r:g}")
-        if v < -1e-300:
-            raise NumericError("integrand must be nonnegative")
-        return max(v, 0.0)
-
-    # piecewise-decade partial integral
     edges = [R0]
     while edges[-1] * 10.0 < cfg.r_max:
         edges.append(edges[-1] * 10.0)
     edges.append(cfg.r_max)
+    decades = [np.geomspace(a, b, 2 * math.ceil(
+        0.5 * POINTS_PER_DECADE * math.log10(b / a)) + 1)
+        for a, b in zip(edges[:-1], edges[1:])]
+    rs = np.geomspace(max(cfg.r_max / 10.0, R0), cfg.r_max, cfg.samples)
+    grid = np.concatenate(decades + [rs])
+    vals = np.zeros_like(grid) + integrand(grid)
+    bad = ~np.isfinite(vals) | (vals < -1e-300)
+    if np.any(bad):
+        raise NumericError("integrand must be finite and nonnegative: "
+                           f"f({grid[bad][0]:g}) = {vals[bad][0]:g}")
+    vals = np.maximum(vals, 0.0)
+
     partial = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        partial += cfg.quadrature.integrate(f, a, b)
+    for r in decades:
+        f, vals = vals[:len(r)], vals[len(r):]
+        partial += float(simpson(r * f, x=np.log(r)))
         if partial > cfg.divergence_threshold:
             return DivergenceVerdict(Verdict.DIVERGES, partial,
                                      math.nan, cfg.r_max)
 
     # slope fit on the last decade
-    rs = np.geomspace(max(cfg.r_max / 10.0, R0), cfg.r_max, cfg.samples)
-    vals = np.array([f(r) for r in rs])
     if np.all(vals < 1e-280):
         return DivergenceVerdict(Verdict.CONVERGES, partial, -math.inf,
                                  cfg.r_max)
@@ -167,36 +172,25 @@ def test_L1_at_infinity(integrand: Callable[[float], float], R0: float,
 # the two radial comparison profiles
 
 
-def v_pa(M: ModelManifold, op: PhiOperator, c: float, r: float) -> float:
+def v_pa(M: ModelManifold, op: PhiOperator, c: float, r):
     """``phi**-1(c * g(r)**(1-m))``, the pure-gradient comparison profile."""
-    if r <= 0 or c < 0:
+    if np.any(np.asarray(r) <= 0) or c < 0:
         raise DomainError("v_pa requires r > 0 and c >= 0")
-    if c == 0.0:
-        return 0.0
-    y = c * math.exp(-log_sphere_volume(M, r))
-    return phi_inverse(op, y)
+    return phi_inverse(op, c * np.exp(-log_sphere_volume(M, r)))
 
 
-def v_st(M: ModelManifold, op: PhiOperator, c: float, R: float, r: float,
-         q: Quadrature = DEFAULT_QUADRATURE) -> float:
+def v_st(M: ModelManifold, op: PhiOperator, c: float, R: float, r):
     """``phi**-1(c * g(r)**(1-m) * integral_R^r g**(m-1))``."""
     if R <= 0 or c < 0:
         raise DomainError("v_st requires R > 0 and c >= 0")
-    if r < R:
-        raise DomainError("v_st requires r >= R")
-    if r == R or c == 0.0:
-        return 0.0
-    return phi_inverse(op, c * volume_ratio(M, r, R, q))
+    return phi_inverse(op, c * volume_ratio(M, r, R))
 
 
 DEFAULT_C_VALUES = (1.0, 0.25, 0.0625, 0.015625)
 
 
 def _sweep_c(make_integrand, c_values, R0, cfg):
-    per_c = []
-    for c in c_values:
-        per_c.append(test_L1_at_infinity(make_integrand(c), R0, cfg))
-    return per_c
+    return [test_L1_at_infinity(make_integrand(c), R0, cfg) for c in c_values]
 
 
 def _resolve(per_c, holds: PropertyTag, fails: PropertyTag) -> PropertyTag:
@@ -251,12 +245,10 @@ def classify_KL(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     reduce to the parabolicity test."""
     op_type = classify_operator_type(pot)
     if op_type.tag is OperatorTypeTag.TYPE1:
-        q = cfg.quadrature
-        per_c = _sweep_c(
-            lambda c: (lambda r: v_st(M, op, c, R0, r, q)), c_values, R0, cfg)
-    else:
-        per_c = _sweep_c(lambda c: (lambda r: v_pa(M, op, c, r)),
+        per_c = _sweep_c(lambda c: (lambda r: v_st(M, op, c, R0, r)),
                          c_values, R0, cfg)
+    else:
+        per_c = classify_parabolic(M, op, cfg, c_values, R0).per_c
     prop = _resolve(per_c, PropertyTag.KL_HOLDS, PropertyTag.KL_FAILS)
     return Classification(prop, tuple(c_values), tuple(per_c))
 
@@ -272,14 +264,13 @@ def p_laplacian_criteria(M: ModelManifold, p: float,
     """
     if p <= 1:
         raise DomainError("p_laplacian_criteria requires p > 1")
-    q = cfg.quadrature
     e = 1.0 / (p - 1.0)
 
     def ratio_integrand(r):
-        return volume_ratio(M, r, 0.0, q) ** e
+        return volume_ratio(M, r, 0.0) ** e
 
     def surface_integrand(r):
-        return math.exp(-e * log_sphere_volume(M, r))
+        return np.exp(-e * log_sphere_volume(M, r))
 
     st = test_L1_at_infinity(ratio_integrand, R0, cfg)
     pa = test_L1_at_infinity(surface_integrand, R0, cfg)
@@ -318,10 +309,9 @@ def _kinetic_inverse(op: PhiOperator, y_max: float, q: Quadrature):
     interp = PchipInterpolator(np.log(K[1:]), np.log(t[1:]))
 
     def k_inv(y):
-        if y <= K[1]:
-            # below the table: use the power-law behaviour near zero
-            return t[1] * (y / K[1]) ** (1.0 / op.p)
-        return math.exp(float(interp(math.log(y))))
+        # below the table: use the power-law behaviour near zero
+        return np.where(y <= K[1], t[1] * (y / K[1]) ** (1.0 / op.p),
+                        np.exp(interp(np.log(np.maximum(y, K[1])))))
 
     return k_inv
 
@@ -339,7 +329,7 @@ def keller_osserman(op: PhiOperator, pot: PotentialB,
     if not op.derivative_pinched:
         raise DomainError("keller_osserman requires the derivative-pinched "
                           "operator flag")
-    q = cfg.quadrature
+    q = DEFAULT_QUADRATURE
     s_grid, b_vals = _beta_interpolant(pot, cfg.r_max, q)
     if b_vals[-1] <= 0.0:
         # potential with vanishing antiderivative: both profiles are
@@ -351,17 +341,17 @@ def keller_osserman(op: PhiOperator, pot: PotentialB,
     R0 = max(s0, 2.0 * float(s_grid[pos]))
     k_inv = _kinetic_inverse(op, float(b_vals[-1]) * 1.05, q)
 
-    def f_primitive(s):
-        b = float(beta_i(s))
-        if b <= 0.0:
+    def antiderivative(s):
+        b = beta_i(s)
+        if np.any(b <= 0.0):
             raise NumericError("antiderivative not positive on the test range")
-        return 1.0 / k_inv(b)
+        return b
+
+    def f_primitive(s):
+        return 1.0 / k_inv(antiderivative(s))
 
     def f_simple(s):
-        b = float(beta_i(s))
-        if b <= 0.0:
-            raise NumericError("antiderivative not positive on the test range")
-        return b ** (-1.0 / op.p)
+        return antiderivative(s) ** (-1.0 / op.p)
 
     v1 = test_L1_at_infinity(f_primitive, R0, cfg)
     v2 = test_L1_at_infinity(f_simple, R0, cfg)

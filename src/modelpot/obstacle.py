@@ -435,6 +435,9 @@ def khasminskii_construct(M: ModelManifold, p: float, lam: float,
         raise ValueError("need K_radius < Omega_radius < first radius")
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if nodes_per_stage < 2:
+        raise ValueError(
+            f"nodes_per_stage must be >= 2, got {nodes_per_stage}")
 
     grid = _construct_grid(K_radius, Omega_radius, radii, nodes_per_stage)
     prob = make_problem(M, p, lam, grid)

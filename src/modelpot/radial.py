@@ -188,6 +188,9 @@ def solve_cauchy(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     """
     if R_max <= params.R:
         raise DomainError("R_max must exceed the base radius")
+    if nodes_per_window < 2:
+        raise ValueError(
+            f"nodes_per_window must be >= 2, got {nodes_per_window}")
     base_window = min(1.0, (R_max - params.R) / 16.0)
     window = base_window
     min_window = 1e-8 * params.R

@@ -3,8 +3,26 @@
 import math
 
 import numpy as np
+from scipy.optimize import brentq
 
 from modelpot import obstacle
+
+
+def phi_inverse_brentq(op, y):
+    """Scalar ``phi**-1(y)`` by Brent's method on a bracket widened from the
+    pinching bounds until it holds the root; independent of the bisection
+    in ``core.phi_inverse``."""
+    if y == 0.0:
+        return 0.0
+    pe = 1.0 / (op.p - 1.0)
+    lo = 0.5 * (y / op.a2) ** pe
+    hi = 2.0 * (y / op.a1) ** pe
+    for _ in range(200):      # brentq refuses a bracket that stays bad
+        if float(op.phi(lo)) <= y and float(op.phi(hi)) >= y:
+            break
+        lo, hi = lo * 0.5, hi * 2.0
+    return brentq(lambda t: float(op.phi(t)) - y, lo, hi,
+                  xtol=1e-300, rtol=8.9e-16, maxiter=300)
 
 
 def qp_obstacle_oracle(prob, spec):

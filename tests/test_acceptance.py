@@ -12,7 +12,8 @@ from scipy.integrate import solve_ivp
 import conftest
 from modelpot import cli, core, criteria, obstacle, radial
 from modelpot.criteria import PropertyTag, Verdict
-from oracles import p_harmonic_profile, qp_obstacle_oracle, random_bump_spec
+from oracles import (p_harmonic_profile, phi_inverse_brentq,
+                     qp_obstacle_oracle, random_bump_spec)
 
 
 def report(num, name, ok, detail=""):
@@ -109,7 +110,7 @@ def test_acceptance_04_radial_solver_vs_closed_form():
         y0 = core.sphere_volume(M, 1.0) * float(op.phi(1.0))
         idx = np.linspace(0, len(sol.grid) - 1, 40).astype(int)
         exact = [q.integrate(
-            lambda s: core.phi_inverse(op, y0 / core.sphere_volume(M, s)),
+            lambda s: phi_inverse_brentq(op, y0 / core.sphere_volume(M, s)),
             1.0, r) for r in sol.grid[idx]]
         worst_err = max(worst_err, float(np.max(np.abs(sol.z[idx] - exact))))
     ok = worst_err <= 1e-6 and worst_time < 1.0
@@ -130,7 +131,7 @@ def test_acceptance_05_radial_solver_vs_ode_oracle():
         def rhs(r, y, m=m):
             z, flux = y
             w = r ** (m - 1)
-            return [core.phi_inverse(op, flux / w) / params.c,
+            return [phi_inverse_brentq(op, flux / w) / params.c,
                     w * float(pot(params.c * z))]
 
         ivp = solve_ivp(rhs, (1.0, 10.0),

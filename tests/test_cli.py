@@ -214,6 +214,36 @@ def test_obstacle_bad_shape(capsys):
 
 
 # ---------------------------------------------------------------------------
+# validation of what a command is given
+
+
+@pytest.mark.parametrize("argv,message", [
+    (EVANS_ARGS + ["--set", "nodes_per_window=1"],
+     "nodes_per_window must be >= 2, got 1"),
+    (EVANS_ARGS + ["--set", "nodes_per_window=0"],
+     "nodes_per_window must be >= 2, got 0"),
+    (KHAS_ARGS + ["--set", "m=2", "--set", "nodes_per_stage=1"],
+     "nodes_per_stage must be >= 2, got 1"),
+])
+def test_node_counts_below_two_are_refused(argv, message, capsys):
+    assert cli.main(argv) == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["classify", "--set", "manifold=euclidean",
+      "--set", "operater=p-laplacian:p=3"], "operater"),
+    (["classify", "--set", "manifold=euclidean", "--tol", "1e-3"], "tol"),
+    (EVANS_ARGS + ["--tol", "1e-3"], "tol"),
+    (KHAS_ARGS + ["--set", "m=2", "--rmax", "50"], "rmax"),
+    (OBST_ARGS + ["--rmax", "50"], "rmax"),
+])
+def test_keys_the_command_does_not_read_are_refused(argv, key, capsys):
+    assert cli.main(argv) == 1
+    assert f"config key '{key}'" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
 # determinism
 
 

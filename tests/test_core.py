@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from modelpot import core
+from oracles import phi_inverse_brentq
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +72,44 @@ def test_log_form_survives_overflowing_warping():
     ratio = core.volume_ratio(M, 100.0)
     # integrand mass concentrates on a 1/L'(r) ~ 3.3e-5 wide strip
     assert 0 < ratio < 1e-3
+
+
+RATIO_CLOSED_FORMS = [
+    ("euclidean", 2, 1e4, lambda r, R: (r ** 2 - R ** 2) / (2 * r)),
+    ("euclidean", 3, 1e4, lambda r, R: (r ** 3 - R ** 3) / (3 * r ** 2)),
+    ("hyperbolic", 2, 40.0,
+     lambda r, R: (np.cosh(r) - np.cosh(R)) / np.sinh(r)),
+    ("hyperbolic", 3, 40.0,
+     lambda r, R: (np.sinh(r) * np.cosh(r) - r - np.sinh(R) * np.cosh(R) + R)
+     / (2 * np.sinh(r) ** 2)),
+]
+
+
+@pytest.mark.parametrize("R", [0.0, 1.0])
+@pytest.mark.parametrize("tag,m,r_hi,exact", RATIO_CLOSED_FORMS)
+def test_volume_ratio_table_matches_closed_forms(tag, m, r_hi, exact, R):
+    M = core.manifold_from_tag(tag, m)
+    r = R + np.geomspace(0.01, r_hi, 24)
+    table = core.volume_ratio(M, r, R)
+    assert np.allclose(table, exact(r, R), rtol=1e-9, atol=0.0)
+    # one radius at a time, and out of order, gives the same values
+    assert core.volume_ratio(M, r[7], R) == pytest.approx(table[7], rel=1e-12)
+    assert np.allclose(core.volume_ratio(M, r[::-1], R), table[::-1],
+                       rtol=1e-12, atol=0.0)
+
+
+def test_volume_ratio_table_on_steep_warping():
+    # on r e^{r^3} the integrand exp(L(t) - L(r)) lives within a few
+    # 1/L'(r) of r; the reference integrates that window only
+    M = core.manifold_from_tag("power-exp:alpha=3", 2)
+    r = np.geomspace(1.5, 100.0, 20)
+    table = core.volume_ratio(M, r, 1.0)
+    for ri, vi in zip(r, table):
+        Lr = core.log_sphere_volume(M, ri)
+        lo = max(1.0, ri - 60.0 / (3.0 * ri ** 2))
+        ref, _ = quad(lambda t: math.exp(core.log_sphere_volume(M, t) - Lr),
+                      lo, ri, epsabs=0.0, epsrel=1e-10, limit=200)
+        assert vi == pytest.approx(ref, rel=1e-6)
 
 
 def test_power_exp_derivative_consistency():
@@ -188,9 +228,32 @@ def test_phi_inverse_array_matches_scalar():
     op = core.perturbed_operator(2.5)
     ys = np.geomspace(1e-6, 1e4, 25)
     vec = core.phi_inverse_array(op, ys)
-    scal = np.array([core.phi_inverse(op, y) for y in ys])
+    scal = np.array([phi_inverse_brentq(op, y) for y in ys])
     assert np.allclose(vec, scal, rtol=1e-9, atol=1e-12)
     assert core.phi_inverse_array(op, np.array([0.0]))[0] == 0.0
+
+
+def _jump_operator():
+    """phi(t) = t, then 1e6 t beyond t = 2e3: strictly increasing, and the
+    pinching bounds hold where they are sampled (t <= 1e3) only."""
+    def phi(t):
+        t = np.asarray(t, dtype=float)
+        return np.where(t <= 2e3, t, 1e6 * t)
+
+    return core.PhiOperator(phi=phi, phi_prime=lambda t: np.ones_like(t),
+                            p=2.0, a1=1.0, a2=1.0)
+
+
+@pytest.mark.parametrize("y,message", [
+    (1e7, "bracket misses the root for y=1e+07"),
+    (4e3, "tolerance for y=4000 (residual"),
+])
+def test_phi_inverse_failures_name_y(y, message):
+    op = _jump_operator()
+    assert core.phi_inverse(op, 10.0) == pytest.approx(10.0)
+    with pytest.raises(core.NumericError) as err:
+        core.phi_inverse(op, np.array([1.0, y]))
+    assert message in str(err.value)
 
 
 def test_phi_inverse_rejects_negative():

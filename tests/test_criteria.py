@@ -32,14 +32,14 @@ def test_heuristic_supercritical_power_diverges():
 
 
 def test_heuristic_exponential_converges():
-    v = criteria.test_L1_at_infinity(lambda r: math.exp(-r), 1.0)
+    v = criteria.test_L1_at_infinity(lambda r: np.exp(-r), 1.0)
     assert v.verdict is Verdict.CONVERGES
 
 
 def test_heuristic_blind_spot_is_inconclusive():
     # 1/(r log r): diverges, but the fitted slope -1 - 1/log(r) sits inside
     # the critical band at any finite truncation
-    v = criteria.test_L1_at_infinity(lambda r: 1.0 / (r * math.log(r)), 2.0)
+    v = criteria.test_L1_at_infinity(lambda r: 1.0 / (r * np.log(r)), 2.0)
     assert v.verdict is Verdict.INCONCLUSIVE
     assert -1.15 < v.slope_estimate < -1.01
 
@@ -47,8 +47,19 @@ def test_heuristic_blind_spot_is_inconclusive():
 def test_heuristic_slow_convergence_resolved_by_tail():
     # 1/(r log^2 r) converges; the slope estimate clears the margin
     v = criteria.test_L1_at_infinity(
-        lambda r: 1.0 / (r * math.log(r) ** 2), 2.0)
+        lambda r: 1.0 / (r * np.log(r) ** 2), 2.0)
     assert v.verdict is Verdict.CONVERGES
+
+
+def test_heuristic_partial_integral_matches_closed_forms():
+    v = criteria.test_L1_at_infinity(lambda r: r ** -2.0, 1.0)
+    assert v.partial_integral == pytest.approx(1.0 - 1e-4, rel=1e-9)
+    v = criteria.test_L1_at_infinity(lambda r: np.exp(-r), 1.0)
+    assert v.partial_integral == pytest.approx(math.exp(-1.0), rel=1e-9)
+    cfg = criteria.DivergenceConfig(r_max=3e3)      # a partial last decade
+    v = criteria.test_L1_at_infinity(lambda r: r ** -1.5, 2.0, cfg)
+    exact = 2.0 * (2.0 ** -0.5 - 3e3 ** -0.5)
+    assert v.partial_integral == pytest.approx(exact, rel=1e-9)
 
 
 def test_heuristic_threshold_shortcut():
@@ -151,6 +162,17 @@ def test_classify_inconclusive_on_tabulated_blind_spot():
     assert cls.property is PropertyTag.INCONCLUSIVE
 
 
+def test_classify_KL_on_tabulated_warping():
+    # g = r (1 + r^2)^(1/2) ~ r^2 at m=2: vol(B_r)/vol(dB_r) ~ r/3, so the
+    # Type 1 profile is not integrable for any c
+    r = np.geomspace(1e-3, 2e4, 4000)
+    M = core.tabulated_manifold(r, r * np.sqrt(1.0 + r ** 2), m=2,
+                                monotone=True)
+    cls = criteria.classify_KL(M, core.p_laplacian_operator(2.0),
+                               core.potential_from_tag("superlinear:q=1"))
+    assert cls.property is PropertyTag.KL_HOLDS
+
+
 def test_operator_type_classification():
     t1 = criteria.classify_operator_type(core.linear_power_potential(2.0, 1.0))
     assert t1.tag is criteria.OperatorTypeTag.TYPE1
@@ -206,6 +228,25 @@ def test_hyperbolic_volume_ratio_verdicts():
     st, pa = criteria.p_laplacian_criteria(M, 2.0)
     assert st.verdict is Verdict.DIVERGES
     assert pa.verdict is Verdict.CONVERGES
+
+
+def test_classifiers_sample_without_quadrature(monkeypatch):
+    calls = []
+    integrate = core.Quadrature.integrate
+
+    def counted(self, f, a, b, points=None):
+        calls.append((a, b))
+        return integrate(self, f, a, b, points=points)
+
+    monkeypatch.setattr(core.Quadrature, "integrate", counted)
+    for op in (core.p_laplacian_operator(3.0), core.perturbed_operator(2.0)):
+        pot = core.linear_power_potential(op.p, 1.0)
+        for tag, m in CROSS_CASES:
+            M = core.manifold_from_tag(tag, m)
+            criteria.classify_parabolic(M, op)
+            criteria.classify_KL(M, op, pot)
+            criteria.p_laplacian_criteria(M, op.p)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from modelpot import core, radial
+from oracles import phi_inverse_brentq
 
 
 EUC2 = core.manifold_from_tag("euclidean", 2)
@@ -26,7 +27,7 @@ def pure_gradient_profile(M, op, params, r):
     y0 = wR * float(op.phi(params.c * params.mu))
 
     def slope(s):
-        return core.phi_inverse(op, y0 / core.sphere_volume(M, s))
+        return phi_inverse_brentq(op, y0 / core.sphere_volume(M, s))
 
     return params.theta + q.integrate(slope, params.R, r) / params.c
 
@@ -100,7 +101,7 @@ def test_solve_cauchy_vs_adaptive_ode_oracle(m):
     def rhs(r, y):
         z, q = y
         w = r ** (m - 1)
-        return [core.phi_inverse(LAP2, q / w) / params.c,
+        return [phi_inverse_brentq(LAP2, q / w) / params.c,
                 w * float(pot(params.c * z))]
 
     w0 = params.R ** (m - 1)
