@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, cumulative_trapezoid
 
 from .core import (DomainError, ModelManifold, NumericError, PhiOperator,
                    PotentialB, phi_inverse, phi_inverse_array)
@@ -26,12 +25,38 @@ BLOWUP = "blowup"
 
 
 def _cumint(y, x):
-    """Cumulative integral on a shared grid; higher-order rule when the
-    window has enough nodes (the trapezoid floor keeps 2-node windows
-    working during continuation restarts)."""
-    if len(x) >= 3:
-        return cumulative_simpson(y, x=x, initial=0.0)
-    return cumulative_trapezoid(y, x, initial=0.0)
+    """Cumulative integral of ``y`` from 0 on a strictly increasing grid
+    ``x`` (``ValueError`` otherwise): the rule of
+    ``scipy.integrate.cumulative_simpson(y, x=x, initial=0)``, bit for bit,
+    without its array-API dispatch, which costs more than the rule on a
+    window.  Even sub-intervals integrate the quadratic through the triple
+    they start, odd ones and the last the triple they end.  Two-node grids
+    (continuation restarts) take the trapezoid rule.
+    """
+    h = np.diff(x)
+    if not (h > 0).all():
+        raise ValueError("grid must be strictly increasing")
+    out = np.zeros(len(x))
+    if len(x) < 3:
+        sub = h * (y[1:] + y[:-1]) / 2.0
+    else:
+        sub = np.empty(len(h))
+        sub[:-1:2] = _simpson_first(y, h)[::2]
+        back = _simpson_first(y[::-1], h[::-1])[::-1]
+        sub[1::2] = back[::2]
+        sub[-1] = back[-1]
+    np.cumsum(sub, out=out[1:])
+    return out
+
+
+def _simpson_first(y, h):
+    """Integral over the first sub-interval of every triple of nodes, of
+    the quadratic through the triple (unequal spacing ``h``)."""
+    h1, h2 = h[:-1], h[1:]
+    r31 = h1 / (h1 + h2)
+    r32 = r31 * (h1 / h2)
+    return h1 / 6 * ((3 - r31) * y[:-2] + (3 + r32 + r31) * y[1:-1]
+                     - r32 * y[2:])
 
 
 class PicardNoConvergence(NumericError):
@@ -117,7 +142,8 @@ def volterra_apply(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     ``T(u)(t) = theta + (1/c) * int_R^t phi^-1( w(R) phi(c mu)/w(s)
     + int_R^s (w(tau)/w(s)) B(c u(tau)) dtau ) ds`` with
     ``w = g**(m-1)``; both cumulative integrals use a composite
-    higher-order rule on the shared grid.
+    higher-order rule on the shared grid, which must be strictly
+    increasing (``ValueError`` otherwise).
     """
     grid = np.asarray(grid, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -269,6 +295,8 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
         raise DomainError("need 0 < R < R1 < R_max")
     if eps <= 0:
         raise DomainError("eps must be positive")
+    if not 0.0 < c_min <= 1.0:
+        raise DomainError(f"c_min must lie in (0, 1], got {c_min:.6g}")
     if pot.b1 is None:
         raise DomainError(
             "potential lacks a t**(p-1) upper bound; the uniform sup bound "

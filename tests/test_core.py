@@ -233,6 +233,31 @@ def test_phi_inverse_array_matches_scalar():
     assert core.phi_inverse_array(op, np.array([0.0]))[0] == 0.0
 
 
+@pytest.mark.parametrize("p", [1.3, 2.0, 3.0, 5.0])
+def test_phi_inverse_newton_matches_brentq(p):
+    op = core.perturbed_operator(p)
+    ys = np.concatenate([[0.0], np.logspace(-60, 60, 121)])
+    ref = np.array([phi_inverse_brentq(op, y) for y in ys])
+    vec = core.phi_inverse(op, ys)
+    scal = np.array([core.phi_inverse(op, y) for y in ys])
+    for t in (vec, scal):
+        assert t[0] == 0.0
+        assert np.allclose(t, ref, rtol=1e-12, atol=0.0)
+
+
+def test_phi_inverse_bisects_past_a_wrong_derivative():
+    # phi' a thousand times too small sends every Newton step far past the
+    # root; the bracket must reject those steps and bisect instead
+    true = core.perturbed_operator(3.0)
+    op = core.PhiOperator(phi=true.phi,
+                          phi_prime=lambda t: 1e-3 * true.phi_prime(t),
+                          p=true.p, a1=true.a1, a2=true.a2)
+    ys = np.logspace(-8, 8, 33)
+    t = core.phi_inverse(op, ys)
+    assert np.all(np.abs(op.phi(t) - ys) <= 1e-12 * (1.0 + ys))
+    assert np.allclose(t, core.phi_inverse(true, ys), rtol=1e-12)
+
+
 def _jump_operator():
     """phi(t) = t, then 1e6 t beyond t = 2e3: strictly increasing, and the
     pinching bounds hold where they are sampled (t <= 1e3) only."""

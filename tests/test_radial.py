@@ -6,7 +6,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import (cumulative_simpson, cumulative_trapezoid,
+                             solve_ivp)
 
 from modelpot import core, radial
 from oracles import phi_inverse_brentq
@@ -53,6 +54,35 @@ def test_volterra_apply_validation():
     with pytest.raises(core.DomainError):
         radial.volterra_apply(EUC2, LAP2, ZERO, params, grid,
                               -np.ones_like(grid))
+
+
+@pytest.mark.parametrize("grid", [[1.0, 1.5, 1.5, 2.0], [1.0, 2.0, 1.5, 2.5],
+                                  [2.0, 1.0]])
+def test_volterra_apply_rejects_unsorted_grid(grid):
+    params = radial.CauchyParams(R=1.0, theta=0.0, mu=1.0, c=1.0)
+    grid = np.array(grid)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        radial.volterra_apply(EUC2, LAP2, ZERO, params, grid,
+                              np.zeros_like(grid))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 64, 65, 400])
+@pytest.mark.parametrize("spacing", ["uniform", "random"])
+def test_cumint_is_scipy_cumulative_simpson(n, spacing):
+    rng = np.random.default_rng(n)
+    if spacing == "uniform":
+        x = np.linspace(1.0, 3.0, n)
+    else:
+        x = np.cumsum(rng.uniform(0.01, 1.0, n))
+    y = np.exp(-x) + rng.normal(size=n)
+    assert np.array_equal(radial._cumint(y, x),
+                          cumulative_simpson(y, x=x, initial=0.0))
+
+
+def test_cumint_two_nodes_is_trapezoid():
+    x, y = np.array([1.0, 1.7]), np.array([0.3, -2.0])
+    assert np.array_equal(radial._cumint(y, x),
+                          cumulative_trapezoid(y, x, initial=0.0))
 
 
 def test_cauchy_params_validation():
@@ -210,6 +240,13 @@ def test_evans_for_triple_rejects_bad_inputs():
         # no t**(p-1) bound available
         radial.evans_for_triple(EUC2, LAP2, core.superlinear_potential(5.0),
                                 R=1.0, R1=2.0, eps=0.1, R_max=10.0)
+
+
+@pytest.mark.parametrize("c_min", [2.0, 0.0, -1.0])
+def test_evans_for_triple_rejects_bad_c_min(c_min):
+    with pytest.raises(core.DomainError, match=f"c_min .*got {c_min:.6g}"):
+        radial.evans_for_triple(EUC2, LAP2, ZERO, R=1.0, R1=2.0, eps=0.1,
+                                R_max=10.0, c_min=c_min)
 
 
 def test_evans_failure_on_blowup_potential():
