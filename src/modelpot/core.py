@@ -112,12 +112,15 @@ class ModelManifold:
             )
 
 
-def sphere_volume(M: ModelManifold, r: float) -> float:
-    """Boundary-sphere volume ``g(r)**(m-1)``."""
-    if r <= 0:
+def sphere_volume(M: ModelManifold, r):
+    """Boundary-sphere volume ``g(r)**(m-1)`` at a radius or an array of
+    radii: the weight of every radial flux."""
+    radii = np.asarray(r, dtype=float)
+    if np.any(radii <= 0):
         raise DomainError("sphere_volume requires r > 0")
-    M._check_radius(r)
-    return float(M.g(r)) ** (M.m - 1)
+    M._check_radius(radii)
+    out = np.asarray(M.g(radii), dtype=float) ** (M.m - 1)
+    return float(out) if out.ndim == 0 else out
 
 
 def log_sphere_volume(M: ModelManifold, r):
@@ -396,15 +399,18 @@ def phi_inverse(op: PhiOperator, y, tol: float = 1e-12):
     geometric mean of the two pinching estimates ``(y/a)**(1/(p-1))``;
     every step shrinks the bracket by the sign of ``phi(t) - y`` and takes
     the Newton step only if it lands strictly inside, else bisects; it
-    stops once every step is a few ulp, or after 90 steps.
+    stops once every step is a few ulp, or after 90 steps.  A negative or
+    non-finite ``y`` raises ``DomainError`` naming it, on either branch.
     The bounds are only sampled, so a bracket without the root raises
     ``NumericError``, as does a residual above ``tol * (1 + y)`` (which is
     what a ``phi_prime`` far above ``phi'`` leads to: its short Newton
     steps stay inside the bracket and use up the steps).
     """
     ys = np.asarray(y, dtype=float)
-    if np.any(ys < 0):
-        raise DomainError("phi_inverse requires y >= 0")
+    bad = ~((ys >= 0) & (ys < math.inf))
+    if np.any(bad):
+        raise DomainError(f"phi_inverse requires finite y >= 0, got "
+                          f"y={ys[bad][0]:.6g}")
     if op.phi_inv is not None:
         t = np.asarray(op.phi_inv(ys), dtype=float)
         return float(t) if t.ndim == 0 else t

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .core import DomainError, ModelManifold, NumericError
+from .core import DomainError, ModelManifold, NumericError, sphere_volume
 
 NEG_INF = -math.inf
 
@@ -115,8 +115,8 @@ def make_problem(M: ModelManifold, p: float, lam: float,
     if lam < 0:
         raise ValueError("potential coefficient lambda must be >= 0")
     mid = 0.5 * (grid[:-1] + grid[1:])
-    wn = np.asarray(M.g(grid), dtype=float) ** (M.m - 1)
-    we = np.asarray(M.g(mid), dtype=float) ** (M.m - 1)
+    wn = sphere_volume(M, grid)
+    we = sphere_volume(M, mid)
     if np.any(wn <= 0) or np.any(we <= 0):
         raise ValueError("weights must be positive on the annulus")
     h = np.diff(grid)

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (DomainError, ModelManifold, NumericError, PhiOperator,
-                   PotentialB, phi_inverse, phi_inverse_array)
+                   PotentialB, phi_inverse, phi_inverse_array, sphere_volume)
 
 COMPLETE = "complete"
 BLOWUP = "blowup"
@@ -136,13 +136,16 @@ class EvansResult:
 
 def volterra_apply(M: ModelManifold, op: PhiOperator, pot: PotentialB,
                    params: CauchyParams, grid: np.ndarray,
-                   u: np.ndarray) -> np.ndarray:
-    """One application of the integral-reformulation operator.
+                   u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One application of the integral-reformulation operator: the pair
+    ``(T(u), T(u)')`` on the grid.
 
     ``T(u)(t) = theta + (1/c) * int_R^t phi^-1( w(R) phi(c mu)/w(s)
     + int_R^s (w(tau)/w(s)) B(c u(tau)) dtau ) ds`` with
-    ``w = g**(m-1)``; both cumulative integrals use a composite
-    higher-order rule on the shared grid, which must be strictly
+    ``w = g**(m-1)`` (``sphere_volume``); the slope ``T(u)'`` is the
+    integrand, ``phi^-1`` of the flux identity divided by ``c``, so it is
+    never differentiated numerically.  Both cumulative integrals use a
+    composite higher-order rule on the shared grid, which must be strictly
     increasing (``ValueError`` otherwise).
     """
     grid = np.asarray(grid, dtype=float)
@@ -151,7 +154,7 @@ def volterra_apply(M: ModelManifold, op: PhiOperator, pot: PotentialB,
         raise ValueError("grid and samples must have matching shapes")
     if np.any(u < 0):
         raise DomainError("samples must be nonnegative")
-    w = np.asarray(M.g(grid), dtype=float) ** (M.m - 1)
+    w = sphere_volume(M, grid)
     c = params.c
     with np.errstate(over="ignore", invalid="ignore"):
         head = w[0] * float(op.phi(c * params.mu)) / w
@@ -161,43 +164,34 @@ def volterra_apply(M: ModelManifold, op: PhiOperator, pot: PotentialB,
         # the composite rule can undershoot on steep data; the true flux
         # of a nonnegative source never drops below zero
         slope = phi_inverse_array(op, np.maximum(head + inner, 0.0))
-        return params.theta + np.maximum(_cumint(slope, grid), 0.0) / c
+        return (params.theta + np.maximum(_cumint(slope, grid), 0.0) / c,
+                slope / c)
 
 
 def solve_on_interval(M: ModelManifold, op: PhiOperator, pot: PotentialB,
                       params: CauchyParams, r_end: float,
                       tol: float = 1e-10, max_iter: int = 200,
-                      n_nodes: int = 64) -> np.ndarray:
-    """Fixed-point samples on ``[R, r_end]``; raises on non-convergence."""
+                      n_nodes: int = 64
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fixed point ``(grid, z, zp)`` on ``n_nodes`` uniform nodes of
+    ``[R, r_end]``: the first Picard application, value and slope, that
+    moves the iterate by at most ``tol``; raises on non-convergence."""
     if r_end <= params.R:
         raise DomainError("r_end must exceed the base radius")
     grid = np.linspace(params.R, r_end, n_nodes)
     u = np.full(n_nodes, params.theta)
     for _ in range(max_iter):
-        v = volterra_apply(M, op, pot, params, grid, u)
+        v, vp = volterra_apply(M, op, pot, params, grid, u)
         if not np.all(np.isfinite(v)):
             raise PicardNoConvergence(
                 "iteration produced non-finite values; shrink the interval")
         delta = float(np.max(np.abs(v - u)))
         u = v
         if delta <= tol:
-            return u
+            return grid, u, vp
     raise PicardNoConvergence(
         f"no fixed point within {max_iter} iterations (last change "
         f"{delta:.3e}); shrink the interval")
-
-
-def _window_derivatives(M, op, pot, params, grid, z):
-    """Slope samples from the integrated form of the equation.
-
-    Avoids numerical differentiation of ``z``: the flux ``w phi(c z')``
-    equals its initial value plus the accumulated source term exactly.
-    """
-    w = np.asarray(M.g(grid), dtype=float) ** (M.m - 1)
-    c = params.c
-    inner = _cumint(w * np.asarray(pot(c * z), dtype=float), grid)
-    flux = (w[0] * float(op.phi(c * params.mu)) + inner) / w
-    return phi_inverse_array(op, np.maximum(flux, 0.0)) / c
 
 
 def solve_cauchy(M: ModelManifold, op: PhiOperator, pot: PotentialB,
@@ -208,7 +202,7 @@ def solve_cauchy(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     """March the radial problem to ``R_max`` by window continuation.
 
     Each window is solved by fixed-point iteration; the restart state
-    ``(theta, mu)`` comes from the integrated flux identity.  Windows halve
+    ``(theta, mu)`` is the last node of its value and slope.  Windows halve
     on non-convergence; crossing ``blowup_threshold`` reports a finite
     blow-up radius bracketed by the last grid cell.
     """
@@ -229,9 +223,8 @@ def solve_cauchy(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     while cur.R < R_max:
         r_end = min(cur.R + window, R_max)
         try:
-            grid = np.linspace(cur.R, r_end, nodes_per_window)
-            z = solve_on_interval(M, op, pot, cur, r_end, tol=tol,
-                                  n_nodes=nodes_per_window)
+            grid, z, zp = solve_on_interval(M, op, pot, cur, r_end, tol=tol,
+                                            n_nodes=nodes_per_window)
         except PicardNoConvergence:
             window *= 0.5
             if window < min_window:
@@ -242,7 +235,6 @@ def solve_cauchy(M: ModelManifold, op: PhiOperator, pot: PotentialB,
                 raise NumericError(
                     "window underflow without blow-up signature")
             continue
-        zp = _window_derivatives(M, op, pot, cur, grid, z)
         over = np.nonzero(z > blowup_threshold)[0]
         if len(over) > 0:
             k = int(over[0])
@@ -336,9 +328,8 @@ def non_overlap_mu(M: ModelManifold, op: PhiOperator, w_prime_R: float,
         raise DomainError("need 0 < R < R_hat")
     if w_prime_R <= 0:
         raise DomainError("outer slope must be positive")
-    wR = float(M.g(R)) ** (M.m - 1)
-    wHat = float(M.g(R_hat)) ** (M.m - 1)
-    y = 0.5 * wR * float(op.phi(w_prime_R)) / wHat
+    y = (0.5 * sphere_volume(M, R) * float(op.phi(w_prime_R))
+         / sphere_volume(M, R_hat))
     return phi_inverse(op, y) / c
 
 
@@ -349,7 +340,7 @@ def ode_residual(M: ModelManifold, op: PhiOperator, pot: PotentialB,
         raise DomainError("residual is defined for completed solutions")
     r, z, zp = sol.grid, sol.z, sol.zp
     c = sol.params.c
-    w = np.asarray(M.g(r), dtype=float) ** (M.m - 1)
+    w = sphere_volume(M, r)
     flux = w * np.asarray(op.phi(c * zp), dtype=float)
     dflux = (flux[2:] - flux[:-2]) / (r[2:] - r[:-2])
     rhs = (w * np.asarray(pot(c * z), dtype=float))[1:-1]

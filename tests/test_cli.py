@@ -2,11 +2,12 @@
 and byte-level determinism."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from modelpot import cli, criteria
+from modelpot import cli, core, criteria, obstacle, radial
 
 
 def run_cli(argv, capsys):
@@ -211,6 +212,48 @@ def test_obstacle_bad_shape(capsys):
                        "--set", "r_max=2", "--set", "obstacle=spike"],
                       capsys)
     assert code == 1
+
+
+# ---------------------------------------------------------------------------
+# tabulated warpings are never extrapolated
+
+
+SHORT_TABLE_ERROR = r"radius beyond tabulated range \(max 10\.0\)"
+
+
+def write_short_table(tmp_path):
+    """The plane's warping g(r) = r, tabulated up to r = 10 only."""
+    r = np.linspace(0.01, 10.0, 200)
+    path = tmp_path / "short.csv"
+    np.savetxt(path, np.column_stack([r, r]), delimiter=",", header="r,g",
+               comments="")
+    return path
+
+
+def test_library_refuses_radii_past_the_table(tmp_path):
+    M = core.load_manifold_csv(write_short_table(tmp_path), m=2,
+                               monotone=True)
+    with pytest.raises(core.DomainError, match=SHORT_TABLE_ERROR):
+        obstacle.make_problem(M, 2.0, 0.0, np.linspace(1.0, 16.0, 31))
+    with pytest.raises(core.DomainError, match=SHORT_TABLE_ERROR):
+        radial.evans_for_triple(M, core.p_laplacian_operator(2.0),
+                                core.zero_potential(), R=1.0, R1=2.0,
+                                eps=0.1, R_max=20.0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["khasminskii", "--set", "K_radius=1", "--set", "Omega_radius=2",
+     "--set", "radii=4,8,16,32"],
+    ["obstacle", "--set", "r_min=1", "--set", "r_max=16"],
+])
+def test_cli_refuses_radii_past_the_table(argv, tmp_path, capsys):
+    table = write_short_table(tmp_path)
+    code = cli.main(argv + ["--set", f"manifold=table:{table}",
+                            "--set", "m=2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert re.search(SHORT_TABLE_ERROR, captured.err)
 
 
 # ---------------------------------------------------------------------------

@@ -287,6 +287,17 @@ def test_phi_inverse_rejects_negative():
         core.phi_inverse(op, -1.0)
 
 
+@pytest.mark.parametrize("tag", ["p-laplacian:p=2", "perturbed:p=2"])
+@pytest.mark.parametrize("y", [math.nan, math.inf])
+@pytest.mark.parametrize("as_array", [False, True])
+def test_phi_inverse_refuses_non_finite(tag, y, as_array):
+    # the analytic and the Newton branch alike name the value
+    op = core.operator_from_tag(tag)
+    ys = np.array([1.0, y]) if as_array else y
+    with pytest.raises(core.DomainError, match=f"y={y}"):
+        core.phi_inverse(op, ys)
+
+
 # ---------------------------------------------------------------------------
 # potentials
 

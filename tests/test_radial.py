@@ -41,9 +41,12 @@ def test_volterra_apply_zero_potential_one_step():
     # with B = 0 one application from any iterate is already the solution
     params = radial.CauchyParams(R=1.0, theta=0.0, mu=1.0, c=1.0)
     grid = np.linspace(1.0, 2.0, 400)
-    out = radial.volterra_apply(EUC2, LAP2, ZERO, params, grid,
-                                np.zeros_like(grid))
+    out, slope = radial.volterra_apply(EUC2, LAP2, ZERO, params, grid,
+                                       np.zeros_like(grid))
     assert np.max(np.abs(out - np.log(grid))) < 1e-6
+    # the flux R mu / r is conserved, so the slope needs no quadrature
+    assert np.allclose(slope, params.R * params.mu / grid, rtol=1e-14,
+                       atol=0.0)
 
 
 def test_volterra_apply_validation():
@@ -99,7 +102,7 @@ def test_cauchy_params_validation():
 def test_solve_on_interval_monotone_in_iterates():
     params = radial.CauchyParams(R=1.0, theta=0.5, mu=1.0, c=0.5)
     pot = core.linear_power_potential(2.0, 1.0)
-    z = radial.solve_on_interval(EUC3, LAP2, pot, params, 1.5)
+    _, z, _ = radial.solve_on_interval(EUC3, LAP2, pot, params, 1.5)
     assert z[0] == pytest.approx(0.5)
     assert np.all(np.diff(z) > 0)
 
@@ -141,6 +144,23 @@ def test_solve_cauchy_vs_adaptive_ode_oracle(m):
     assert ivp.success
     err = np.max(np.abs(sol.z - ivp.sol(sol.grid)[0]))
     assert err < 1e-5
+
+
+def test_solve_cauchy_value_is_the_integral_of_its_slope():
+    # z and zp of a window come from one Picard application, so on every
+    # window z - theta is the cumulative Simpson integral of zp
+    pot = core.potential_from_tag("linear-power:p=2,lambda=1")
+    params = radial.CauchyParams(R=1.0, theta=0.2, mu=1.0, c=0.5)
+    sol = radial.solve_cauchy(EUC2, LAP2, pot, params, 10.0,
+                              nodes_per_window=64)
+    assert sol.status == radial.COMPLETE
+    step = 63                        # windows share their end nodes
+    assert (len(sol.grid) - 1) % step == 0
+    for start in range(0, len(sol.grid) - 1, step):
+        window = slice(start, start + step + 1)
+        z, zp = sol.z[window], sol.zp[window]
+        integral = cumulative_simpson(zp, x=sol.grid[window], initial=0.0)
+        np.testing.assert_allclose(z - z[0], integral, rtol=1e-13, atol=0.0)
 
 
 def test_solution_is_increasing_and_flux_consistent():
