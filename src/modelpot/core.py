@@ -133,15 +133,6 @@ def log_sphere_volume(M: ModelManifold, r):
     return float(out) if out.ndim == 0 else out
 
 
-def ball_volume(M: ModelManifold, r: float,
-                q: Quadrature = DEFAULT_QUADRATURE) -> float:
-    """Ball volume ``integral_0^r g(t)**(m-1) dt``."""
-    if r <= 0:
-        raise DomainError("ball_volume requires r > 0")
-    M._check_radius(r)
-    return q.integrate(lambda t: M.g(t) ** (M.m - 1), 0.0, r)
-
-
 # Grid tables are geometric, with this many points per decade; their panel
 # rule is 8-node Gauss-Legendre, mapped to [0, 1].
 POINTS_PER_DECADE = 128
@@ -533,23 +524,3 @@ def potential_from_tag(tag: str) -> PotentialB:
     if mm:
         return superlinear_potential(float(mm.group(1)))
     raise ValueError(f"unknown potential tag {tag!r}")
-
-
-def beta(pot: PotentialB, t: float,
-         q: Quadrature = DEFAULT_QUADRATURE) -> float:
-    """Antiderivative ``integral_0^t B(s) ds``; zero for ``t <= 0``."""
-    if t <= 0:
-        return 0.0
-    return q.integrate(lambda s: float(pot(s)), 0.0, t)
-
-
-def K_mu(op: PhiOperator, mu: float, t: float,
-         q: Quadrature = DEFAULT_QUADRATURE) -> float:
-    """``integral_mu^t s phi'(s) ds`` for ``t >= mu >= 0``."""
-    if mu < 0:
-        raise DomainError("K_mu requires mu >= 0")
-    if t < mu:
-        raise DomainError("K_mu requires t >= mu")
-    if t == mu:
-        return 0.0
-    return q.integrate(lambda s: s * float(op.phi_prime(s)), mu, t)

@@ -1,6 +1,7 @@
 """Independent oracles shared by the unit and acceptance tests."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -117,3 +118,89 @@ def random_bump_spec(prob, rng, theta_left=0.0, theta_right=1.0):
     psi = height - ((grid[1:-1] - center) / width) ** 2
     return obstacle.ObstacleSpec(psi=psi, theta_left=theta_left,
                                  theta_right=theta_right)
+
+
+def unit_solutions(M, p, lam, grid, radii):
+    """Stage 0 of the staged pipeline: the unit boundary-value problems on
+    ``[K, rho_j]``, each extended by 1 to the whole grid."""
+    h_funcs = []
+    for r in radii:
+        k = int(np.searchsorted(grid, r))
+        sub = obstacle.make_problem(M, p, lam, grid[:k + 1])
+        hj = obstacle.solve_dirichlet(sub, 0.0, 1.0).values
+        h_funcs.append(np.concatenate([hj, np.ones(len(grid) - k - 1)]))
+    return h_funcs
+
+
+def stage_candidates(M, p, lam, grid, radii, h_funcs, w, n):
+    """Every stage-``n`` candidate from the profile ``w``: the obstacle
+    problem on ``[K, rho_{j+1}]`` with obstacle ``w + h_j`` and boundary
+    ``n + 1``, extended by ``n + 1``.  Returns ``(increment, profile)`` in
+    ``j`` order; the increment is the rise over ``w`` on ``[K, rho_n]``."""
+    idx_n = int(np.searchsorted(grid, radii[n]))
+    out = []
+    for j in range(len(radii) - 1):
+        k = int(np.searchsorted(grid, radii[j + 1]))
+        sub = obstacle.make_problem(M, p, lam, grid[:k + 1])
+        spec = obstacle.ObstacleSpec(psi=(w + h_funcs[j])[1:k],
+                                     theta_left=0.0,
+                                     theta_right=float(n + 1))
+        s_j = obstacle.solve_obstacle(
+            sub, spec, initial=(n + 1.0) * h_funcs[j + 1][:k + 1]).values
+        full = np.concatenate([s_j, np.full(len(grid) - k - 1, n + 1.0)])
+        out.append((float(np.max((full - w)[:idx_n + 1])), full))
+    return out
+
+
+@dataclass(frozen=True)
+class CandidateSweep:
+    verdict: str
+    n_stages: int
+    budget_used: tuple
+    h_funcs: list
+    w0: np.ndarray            # the stage-0 profile the stages start from
+
+
+def khasminskii_candidate_sweep(M, p, lam, K_radius, Omega_radius, eps,
+                                radii, tol=1e-3, nodes_per_stage=48):
+    """The staged pipeline choosing each stage by sampling: every candidate
+    of ``stage_candidates`` is solved and the first least increment wins
+    (ties within 1e-14).  A reference for ``khasminskii_construct``, whose
+    single whole-grid solve per stage the comparison principle makes the
+    least candidate."""
+    radii = np.asarray(radii, dtype=float)
+    grid = obstacle._construct_grid(K_radius, Omega_radius, radii,
+                                    nodes_per_stage)
+    h_funcs = unit_solutions(M, p, lam, grid, radii)
+    idx_rho1 = int(np.searchsorted(grid, radii[0]))
+    sups = [float(np.max(h[:idx_rho1 + 1])) for h in h_funcs]
+    _, intercept = np.polyfit(1.0 / np.log(radii / K_radius), sups, 1)
+    j_star = next((j for j, s in enumerate(sups) if s <= eps / 2.0),
+                  len(radii) - 1)
+    w0 = h_funcs[j_star]
+    if max(float(intercept), 0.0) > 10.0 * tol:
+        return CandidateSweep("HLimitNonzero", 0, (), h_funcs, w0)
+
+    w = w0
+    increments = [sups[j_star]]
+    for n in range(1, len(radii) - 1):
+        best_inc, best = math.inf, None
+        for inc, full in stage_candidates(M, p, lam, grid, radii, h_funcs,
+                                          w, n):
+            if inc < best_inc - 1e-14:
+                best_inc, best = inc, full
+        if best_inc >= 1.0 + 1e-9:
+            raise obstacle.BudgetError("no admissible stage", best_inc)
+        w = best
+        increments.append(best_inc)
+
+    sigma = 1.0
+    for n, inc in enumerate(increments, start=1):
+        if inc > 0:
+            sigma = min(sigma, (eps / 2.0 ** n) / inc)
+    w_omega = float(np.max(w[:int(np.searchsorted(grid, Omega_radius)) + 1]))
+    if w_omega > 0:
+        sigma = min(sigma, eps / w_omega)
+    return CandidateSweep("PotentialBuilt", len(radii) - 1,
+                          tuple(sigma * inc for inc in increments), h_funcs,
+                          w0)

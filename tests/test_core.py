@@ -43,9 +43,8 @@ def test_quadrature_nonfinite_raises():
 
 def test_euclidean_volumes():
     M = core.manifold_from_tag("euclidean", 3)
-    # vol(dB_r) = r^2, vol(B_r) = r^3/3 (angular factor normalized away)
+    # vol(dB_r) = r^2 (angular factor normalized away)
     assert core.sphere_volume(M, 2.0) == pytest.approx(4.0)
-    assert core.ball_volume(M, 2.0) == pytest.approx(8.0 / 3.0)
     assert core.log_sphere_volume(M, 2.0) == pytest.approx(2 * math.log(2))
     assert core.volume_ratio(M, 2.0) == pytest.approx(2.0 / 3.0)
 
@@ -53,7 +52,6 @@ def test_euclidean_volumes():
 def test_hyperbolic_volumes():
     M = core.manifold_from_tag("hyperbolic", 2)
     assert core.sphere_volume(M, 1.5) == pytest.approx(math.sinh(1.5))
-    assert core.ball_volume(M, 1.5) == pytest.approx(math.cosh(1.5) - 1.0)
     # ratio -> 1 as r -> inf in H^2
     assert core.volume_ratio(M, 40.0) == pytest.approx(1.0, rel=1e-6)
 
@@ -344,16 +342,3 @@ def test_potential_tag_roundtrip():
         == pytest.approx(9.0)
     with pytest.raises(ValueError):
         core.potential_from_tag("step")
-
-
-def test_beta_and_K_mu_closed_forms():
-    pot = core.linear_power_potential(3.0, 1.0)     # B = t^2, beta = t^3/3
-    assert core.beta(pot, 2.0) == pytest.approx(8.0 / 3.0)
-    assert core.beta(pot, -1.0) == 0.0
-    op = core.p_laplacian_operator(3.0)             # s phi' = 2 s^2
-    assert core.K_mu(op, 1.0, 2.0) == pytest.approx(2.0 * 7.0 / 3.0)
-    assert core.K_mu(op, 1.0, 1.0) == 0.0
-    with pytest.raises(core.DomainError):
-        core.K_mu(op, 2.0, 1.0)
-    with pytest.raises(core.DomainError):
-        core.K_mu(op, -1.0, 1.0)

@@ -5,6 +5,8 @@ import pytest
 
 from modelpot import core, obstacle
 
+from oracles import khasminskii_candidate_sweep, stage_candidates
+
 
 EUC2 = core.manifold_from_tag("euclidean", 2)
 EUC3 = core.manifold_from_tag("euclidean", 3)
@@ -107,3 +109,49 @@ def test_construct_validation():
     with pytest.raises(ValueError):
         obstacle.khasminskii_construct(EUC2, 2.0, 0.0, 1.0, 2.0, 0.1,
                                        [8.0, 4.0, 16.0, 32.0])
+
+
+@pytest.mark.parametrize("M, p, lam", [
+    (EUC2, 2.0, 0.0), (EUC2, 2.0, 1.0), (EUC2, 3.0, 0.0), (EUC2, 3.0, 1.0),
+    (EUC3, 2.0, 1.0),   # increments tie across candidates at lambda > 0
+])
+def test_whole_grid_stage_is_the_least_candidate(monkeypatch, M, p, lam):
+    solves, problems = [], []
+    solve, make = obstacle.solve_obstacle, obstacle.make_problem
+
+    def recording_solve(prob, spec, **kwargs):
+        out = solve(prob, spec, **kwargs)
+        solves.append((prob, spec, out.values))
+        return out
+
+    def recording_make(*args):
+        problems.append(args)
+        return make(*args)
+
+    monkeypatch.setattr(obstacle, "solve_obstacle", recording_solve)
+    monkeypatch.setattr(obstacle, "make_problem", recording_make)
+    rep = obstacle.khasminskii_construct(
+        M, p, lam, K_radius=1.0, Omega_radius=2.0, eps=0.1,
+        exhaustion_radii=RADII)
+    monkeypatch.undo()
+    ref = khasminskii_candidate_sweep(M, p, lam, 1.0, 2.0, 0.1, RADII)
+
+    assert rep.verdict == ref.verdict == "PotentialBuilt"
+    assert rep.n_stages == ref.n_stages
+    np.testing.assert_allclose(rep.budget_used, ref.budget_used,
+                               rtol=0, atol=1e-12)
+    # one solve per unit problem and per stage; stages build no sub-problem
+    assert len(solves) == len(RADII) + rep.n_stages - 1
+    assert len(problems) == len(RADII) + 1
+    stages = [(prob, out) for prob, spec, out in solves
+              if spec.theta_right > 1.0]
+    assert len(stages) == rep.n_stages - 1
+    w = ref.w0
+    for n, (prob, w_next) in enumerate(stages, start=1):
+        assert prob.n_nodes == len(rep.grid)
+        idx_n = int(np.searchsorted(rep.grid, RADII[n]))
+        inc = float(np.max((w_next - w)[:idx_n + 1]))
+        for cand_inc, _ in stage_candidates(M, p, lam, rep.grid, RADII,
+                                            ref.h_funcs, w, n):
+            assert inc <= cand_inc + 1e-12
+        w = w_next
