@@ -6,8 +6,9 @@ exhaustion profile), ``khasminskii`` (staged supersolution pipeline) and
 ``key=value`` text (one pair per line, ``#`` comments) merged with
 repeated ``--set key=value`` command-line overrides; later values win.
 
-Exit codes: 0 success, 1 error, 2 any Inconclusive classification,
-3 blow-up in the radial solve, 4 nonzero limit in the staged pipeline.
+Exit codes: 0 success, 1 error, 2 any Inconclusive classification or
+exhaustion test, 3 blow-up in the radial solve, 4 nonzero limit in the
+staged pipeline or no exhaustion for ``evans``.
 Output is CSV with '#'-prefixed ``key=value`` metadata lines before the
 header; identical configs produce byte-identical output.
 """
@@ -30,6 +31,7 @@ EXIT_ERROR = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_BLOWUP = 3
 EXIT_H_LIMIT_NONZERO = 4
+EXIT_NO_EXHAUSTION = 4
 
 
 class ConfigError(ValueError):
@@ -183,6 +185,16 @@ def cmd_evans(cfg, out_path) -> int:
         result = radial.evans_for_triple(
             M, op, pot, R, R1, eps, rmax,
             blowup_threshold=threshold, nodes_per_window=nodes)
+    except radial.NoExhaustion as exc:
+        dv = exc.divergence
+        converges = dv.verdict is criteria.Verdict.CONVERGES
+        status = "no_exhaustion" if converges else "inconclusive"
+        _write(out_path,
+               f"# command=evans\n# status={status}\n"
+               f"# partial_integral={dv.partial_integral:.12g}\n"
+               f"# slope={dv.slope_estimate:.6g}\nr,w\n")
+        log.info("%s", exc)
+        return EXIT_NO_EXHAUSTION if converges else EXIT_INCONCLUSIVE
     except radial.EvansFailure as exc:
         if exc.blowup_radius is not None:
             _write(out_path,

@@ -276,12 +276,15 @@ def tabulated_manifold(r_samples, g_samples, m: int,
                          name=name, r_max_valid=r_hi)
 
 
-def load_manifold_csv(path, m: int, monotone: bool = False) -> ModelManifold:
-    """Load a two-column ``r, g(r)`` CSV (header row required)."""
+def load_manifold_csv(path, m: int) -> ModelManifold:
+    """Load a two-column ``r, g(r)`` CSV (header row required).  The
+    warping is monotone when its samples do not decrease: the PCHIP
+    interpolant of monotone data is monotone."""
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] != 2:
         raise ValueError("manifold CSV must have exactly two columns")
-    return tabulated_manifold(data[:, 0], data[:, 1], m=m, monotone=monotone,
+    return tabulated_manifold(data[:, 0], data[:, 1], m=m,
+                              monotone=bool(np.all(np.diff(data[:, 1]) >= 0)),
                               name=f"table:{path}")
 
 

@@ -4,21 +4,25 @@ The radial problem ``[g^{m-1} phi(c z')]' = g^{m-1} B(c z)`` with
 ``z(R) = theta, z'(R) = mu`` is solved by fixed-point (Picard) iteration of
 its integral reformulation on short windows, continued window by window.
 Solutions either reach the requested radius or blow up at a finite radius,
-which is detected and bracketed.  On top of the solver sit the slope
-selection rules and the small-on-an-annulus construction that produce
-exhaustion potentials for triples of concentric balls.
+which is detected and bracketed.  For ``B = 0`` the flux is constant and
+the solution is one integral, built in one pass.  On top of the solvers
+sit the slope selection rules and the small-on-an-annulus construction
+that produce exhaustion potentials for triples of concentric balls.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .core import (DomainError, ModelManifold, NumericError, PhiOperator,
-                   PotentialB, phi_inverse, phi_inverse_array, sphere_volume)
+                   PotentialB, log_sphere_volume, phi_inverse,
+                   phi_inverse_array, sphere_volume)
+from .criteria import (DEFAULT_DIVERGENCE, DivergenceVerdict, Verdict,
+                       test_L1_at_infinity)
 
 COMPLETE = "complete"
 BLOWUP = "blowup"
@@ -73,6 +77,17 @@ class EvansFailure(NumericError):
         self.blowup_radius = blowup_radius
 
 
+class NoExhaustion(EvansFailure):
+    """For ``B = 0`` the slope integral ``int_R^inf phi^-1(w(R)/w)`` was not
+    found to diverge, so no scale gives an unbounded profile.
+    ``divergence`` is the verdict of the test: ``Converges`` (no
+    exhaustion exists) or ``Inconclusive`` (the test cannot tell)."""
+
+    def __init__(self, message: str, divergence: DivergenceVerdict):
+        super().__init__(message)
+        self.divergence = divergence
+
+
 @dataclass(frozen=True)
 class CauchyParams:
     R: float
@@ -121,6 +136,7 @@ class EvansResult:
     mu_final: float
     sup_on_annulus: float
     K_bound: float
+    exhaustion: Optional[DivergenceVerdict] = None   # B = 0 only
 
     def to_csv(self) -> str:
         head = [f"# c={self.c_final:.12g}",
@@ -260,6 +276,58 @@ def _assemble(grids, zs, zps, params, status, r_reached, rho):
         r_max=float(r_reached), blowup_radius=rho)
 
 
+def _constant_flux_slope(M: ModelManifold, op: PhiOperator,
+                         params: CauchyParams, r) -> np.ndarray:
+    """``z' = phi^-1(phi(c mu) w(R)/w(r))/c``, the slope of the ``B = 0``
+    solution, with the weight ratio taken in log form so that no weight
+    overflows."""
+    ratio = np.exp(log_sphere_volume(M, params.R) - log_sphere_volume(M, r))
+    y = float(op.phi(params.c * params.mu)) * ratio
+    return phi_inverse_array(op, y) / params.c
+
+
+def constant_flux_profile(M: ModelManifold, op: PhiOperator,
+                          params: CauchyParams, R_max: float,
+                          nodes_per_window: int = 64) -> RadialSolution:
+    """The radial solution for ``B = 0`` in one pass, on the nodes that
+    ``solve_cauchy`` uses when no window halves, bit for bit: windows of
+    ``min(1, (R_max - R)/16)`` from ``R``, the last cut at ``R_max``,
+    ``nodes_per_window`` uniform nodes each.
+
+    The flux ``w phi(c z')`` is constant, so the slope is
+    ``_constant_flux_slope`` exactly and ``z = theta + int_R^r z'`` is its
+    cumulative Simpson integral over the whole grid.
+    """
+    if R_max <= params.R:
+        raise DomainError("R_max must exceed the base radius")
+    if nodes_per_window < 2:
+        raise ValueError(
+            f"nodes_per_window must be >= 2, got {nodes_per_window}")
+    base = min(1.0, (R_max - params.R) / 16.0)
+    ends = [params.R]
+    while ends[-1] < R_max:
+        ends.append(min(ends[-1] + base, R_max))
+    windows = np.linspace(ends[:-1], ends[1:], nodes_per_window, axis=1)
+    grid = np.concatenate([[params.R], windows[:, 1:].ravel()])
+    zp = _constant_flux_slope(M, op, params, grid)
+    return RadialSolution(grid=grid, z=params.theta + _cumint(zp, grid),
+                          zp=zp, params=params, status=COMPLETE,
+                          r_max=float(R_max))
+
+
+def _exhaustion_verdict(M: ModelManifold, op: PhiOperator,
+                        R: float) -> DivergenceVerdict:
+    """Whether ``B = 0`` profiles from ``R`` are unbounded: the divergence
+    test on the slope ``_constant_flux_slope`` at ``c = 1``, up to the
+    test's ``r_max`` or the end of a table.  The pinching of ``phi`` makes
+    the verdict the same for every ``c``."""
+    cfg = replace(DEFAULT_DIVERGENCE,
+                  r_max=min(DEFAULT_DIVERGENCE.r_max, M.r_max_valid))
+    params = CauchyParams(R=R, theta=0.0, mu=choose_mu(op, 1.0), c=1.0)
+    return test_L1_at_infinity(
+        lambda r: _constant_flux_slope(M, op, params, r), R, cfg)
+
+
 def choose_mu(op: PhiOperator, c: float) -> float:
     """Largest slope keeping the scaled initial flux below ``c**(p-1)``.
 
@@ -280,8 +348,11 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
 
     Halves the scale ``c`` from 1, picking the matched slope each time,
     until the scaled solution stays below ``eps`` on the annulus.  Requires
-    a monotone warping and a potential with a ``t**(p-1)`` upper bound
-    (otherwise solutions blow up and no scale can be accepted).
+    a monotone warping and a potential with a ``t**(p-1)`` upper bound,
+    ``p`` the operator's (otherwise solutions blow up and no scale can be
+    accepted).  For ``B = 0`` each scale's solution is
+    ``constant_flux_profile``, and the divergence of its slope integral is
+    decided first: ``NoExhaustion`` unless it diverges.
     """
     if not (0 < R < R1 < R_max):
         raise DomainError("need 0 < R < R1 < R_max")
@@ -293,15 +364,34 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
         raise DomainError(
             "potential lacks a t**(p-1) upper bound; the uniform sup bound "
             "does not apply")
+    if pot.homogeneity is not None and pot.homogeneity > op.p - 1.0:
+        raise DomainError(
+            f"potential {pot.name} grows like t**{pot.homogeneity:g}, "
+            f"faster than t**(p-1) = t**{op.p - 1.0:g} of the operator "
+            f"{op.name}; its bound b1 t**(p-1) does not hold")
     if not M.monotone:
         raise DomainError("the construction requires a non-decreasing warping")
+    exhaustion = None
+    if pot.b1 == 0:
+        M._check_radius(R_max)       # a short table fails before its tail
+        exhaustion = _exhaustion_verdict(M, op, R)
+        if exhaustion.verdict is not Verdict.DIVERGES:
+            raise NoExhaustion(
+                "no exhaustion: the divergence test on the B = 0 slope "
+                f"integral says {exhaustion.verdict.value} (partial integral "
+                f"{exhaustion.partial_integral:.6g}, slope "
+                f"{exhaustion.slope_estimate:.6g})", exhaustion)
     c = 1.0
     while c >= c_min:
         mu = choose_mu(op, c)
         params = CauchyParams(R=R, theta=0.0, mu=mu, c=c)
-        sol = solve_cauchy(M, op, pot, params, R_max,
-                           blowup_threshold=blowup_threshold,
-                           nodes_per_window=nodes_per_window)
+        if exhaustion is not None:
+            sol = constant_flux_profile(M, op, params, R_max,
+                                        nodes_per_window=nodes_per_window)
+        else:
+            sol = solve_cauchy(M, op, pot, params, R_max,
+                               blowup_threshold=blowup_threshold,
+                               nodes_per_window=nodes_per_window)
         if sol.status == BLOWUP:
             raise EvansFailure(
                 f"solution blows up at radius {sol.blowup_radius:.6g}; the "
@@ -313,7 +403,8 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
             if np.any(np.diff(sol.z) <= 0):
                 raise NumericError("accepted solution is not increasing")
             return EvansResult(solution=sol, c_final=c, mu_final=mu,
-                               sup_on_annulus=sup, K_bound=K_obs)
+                               sup_on_annulus=sup, K_bound=K_obs,
+                               exhaustion=exhaustion)
         c *= 0.5
     raise EvansFailure(
         "no admissible scale above the floor; observed annulus bound "

@@ -141,10 +141,53 @@ def test_evans_blowup_exit_code(capsys):
 def test_evans_blowup_reported(capsys):
     code, out = run_cli(
         ["evans", "--set", "manifold=euclidean", "--set", "m=2",
-         "--set", "potential=plateau:T=0.001,p=6", "--set", "R=1",
+         "--set", "potential=plateau:T=0.001,p=6",
+         "--set", "operator=p-laplacian:p=6", "--set", "R=1",
          "--set", "R1=2", "--set", "eps=1e-12", "--rmax", "50"], capsys)
+    # B <= t^(p-1) at p = 6: a crossing of the blow-up threshold
     assert code == 3
     assert "blowup_radius" in out
+
+
+def test_evans_no_exhaustion_exit_code(capsys):
+    # R^3 is not 2-parabolic: int r^-2 converges and no profile is
+    # unbounded
+    code, out = run_cli(EVANS_ARGS + ["--set", "m=3"], capsys)
+    assert code == 4
+    lines = out.splitlines()
+    assert lines[:2] == ["# command=evans", "# status=no_exhaustion"]
+    assert lines[2].startswith("# partial_integral=0.9999")
+    assert lines[3:] == ["# slope=-2", "r,w"]
+
+
+def test_evans_inconclusive_exit_code(capsys):
+    code, out = run_cli(
+        EVANS_ARGS + ["--set", "operator=p-laplacian:p=1.95"], capsys)
+    assert code == 2
+    assert "# status=inconclusive\n" in out
+    assert "# slope=-1.05263\n" in out
+
+
+def test_evans_on_a_table(tmp_path, capsys):
+    # a table of non-decreasing samples loads as monotone
+    r = np.linspace(0.01, 100.0, 400)
+    path = tmp_path / "plane.csv"
+    np.savetxt(path, np.column_stack([r, r]), delimiter=",", header="r,g",
+               comments="")
+    code, out = run_cli(EVANS_ARGS + ["--set", f"manifold=table:{path}"],
+                        capsys)
+    assert code == 0
+    assert "# sup_on_annulus=0.0866" in out
+    assert "# status=complete" in out
+
+
+def test_evans_refuses_a_potential_faster_than_the_operator(capsys):
+    code = cli.main(
+        EVANS_ARGS + ["--set", "potential=linear-power:p=3,lambda=1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "grows like t**2, faster than t**(p-1) = t**1" in captured.err
 
 
 def test_evans_invalid_eps(capsys):
@@ -231,8 +274,7 @@ def write_short_table(tmp_path):
 
 
 def test_library_refuses_radii_past_the_table(tmp_path):
-    M = core.load_manifold_csv(write_short_table(tmp_path), m=2,
-                               monotone=True)
+    M = core.load_manifold_csv(write_short_table(tmp_path), m=2)
     with pytest.raises(core.DomainError, match=SHORT_TABLE_ERROR):
         obstacle.make_problem(M, 2.0, 0.0, np.linspace(1.0, 16.0, 31))
     with pytest.raises(core.DomainError, match=SHORT_TABLE_ERROR):

@@ -162,6 +162,15 @@ def test_load_manifold_csv(tmp_path):
     assert core.sphere_volume(M, 2.0) == pytest.approx(4.0, rel=1e-6)
 
 
+def test_load_manifold_csv_infers_monotone(tmp_path):
+    r = np.linspace(0.01, 5.0, 300)
+    for g, monotone in ((r, True), (r * np.exp(-r), False)):
+        path = tmp_path / "warp.csv"
+        np.savetxt(path, np.column_stack([r, g]), delimiter=",",
+                   header="r,g", comments="")
+        assert core.load_manifold_csv(path, m=2).monotone is monotone
+
+
 # ---------------------------------------------------------------------------
 # operators
 

@@ -10,6 +10,7 @@ from scipy.integrate import (cumulative_simpson, cumulative_trapezoid,
                              solve_ivp)
 
 from modelpot import core, radial
+from modelpot.criteria import Verdict
 from oracles import phi_inverse_brentq
 
 
@@ -272,12 +273,140 @@ def test_evans_for_triple_rejects_bad_c_min(c_min):
 def test_evans_failure_on_blowup_potential():
     pot = core.plateau_potential(1e-3, 6.0)
 
-    # plateau potentials have b1 = 1 but this one grows like t^5
+    # B <= t^5 = t^(p-1) at p = 6, so z grows like e^r and crosses the
+    # blow-up threshold before R_max
     with pytest.raises(radial.EvansFailure) as exc_info:
-        radial.evans_for_triple(EUC2, LAP2, pot, R=1.0, R1=2.0, eps=1e-9,
-                                R_max=100.0, c_min=0.5)
+        radial.evans_for_triple(EUC2, core.p_laplacian_operator(6.0), pot,
+                                R=1.0, R1=2.0, eps=1e-9, R_max=100.0,
+                                c_min=0.5)
     assert exc_info.value.blowup_radius is not None or \
         math.isfinite(exc_info.value.observed_sup)
+
+
+@pytest.mark.parametrize("pot,exponents", [
+    (core.linear_power_potential(3.0, 1.0), r"t\*\*2, .* t\*\*1 "),
+    (core.plateau_potential(1e-3, 6.0), r"t\*\*5, .* t\*\*1 "),
+])
+def test_evans_refuses_potentials_growing_faster_than_the_operator(
+        pot, exponents):
+    # b1 bounds B by t^(p-1) for the potential's own p; a p = 2 operator
+    # needs B <= b1 t, and these potentials genuinely blow up
+    with pytest.raises(core.DomainError, match=exponents):
+        radial.evans_for_triple(EUC2, LAP2, pot, R=1.0, R1=2.0, eps=0.1,
+                                R_max=10.0)
+
+
+# ---------------------------------------------------------------------------
+# B = 0: the constant-flux closed form against the Picard march
+
+
+def plane_table(tmp_path):
+    """The plane's warping g(r) = r, tabulated up to r = 100."""
+    r = np.linspace(0.01, 100.0, 400)
+    path = tmp_path / "plane.csv"
+    np.savetxt(path, np.column_stack([r, r]), delimiter=",", header="r,g",
+               comments="")
+    return core.load_manifold_csv(path, m=2)
+
+
+def sqrt_table(tmp_path):
+    """``g = r (1 + r^2)^(-1/4)``, so ``g ~ r^(1/2)``, up to r = 1e4."""
+    r = np.geomspace(1e-3, 1e4, 400)
+    path = tmp_path / "sqrt.csv"
+    np.savetxt(path, np.column_stack([r, r * (1.0 + r * r) ** -0.25]),
+               delimiter=",", header="r,g", comments="")
+    return core.load_manifold_csv(path, m=2)
+
+
+OPERATORS = {"p=2": LAP2, "p=3": LAP3,
+             "perturbed:p=2": core.perturbed_operator(2.0)}
+MANIFOLDS = {"euclidean m=2": lambda tmp: EUC2,
+             "euclidean m=3": lambda tmp: EUC3,
+             "hyperbolic m=2": lambda tmp: core.manifold_from_tag(
+                 "hyperbolic", 2),
+             "table g~r^(1/2)": sqrt_table}
+
+
+@pytest.mark.parametrize("op", OPERATORS.values(), ids=OPERATORS.keys())
+@pytest.mark.parametrize("make", MANIFOLDS.values(), ids=MANIFOLDS.keys())
+def test_constant_flux_profile_is_the_picard_solution(make, op, tmp_path):
+    M = make(tmp_path)
+    params = radial.CauchyParams(R=1.0, theta=0.2, mu=0.7, c=0.5)
+    exact = radial.constant_flux_profile(M, op, params, 30.0)
+    picard = radial.solve_cauchy(M, op, ZERO, params, 30.0)
+    assert exact.status == picard.status == radial.COMPLETE
+    assert exact.r_max == picard.r_max == 30.0
+    assert np.array_equal(exact.grid, picard.grid)
+    np.testing.assert_allclose(exact.zp, picard.zp, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(exact.z, picard.z, rtol=2e-8, atol=0.0)
+
+
+def test_constant_flux_profile_matches_closed_forms():
+    # z = log r on the plane, 1 - 1/r on R^3, 2 (sqrt r - 1) on the plane
+    # at p = 3; the error is the cumulative Simpson rule's, as in Picard's
+    params = radial.CauchyParams(R=1.0, theta=0.0, mu=1.0, c=1.0)
+    for M, op, exact in ((EUC2, LAP2, np.log),
+                         (EUC3, LAP2, lambda r: 1.0 - 1.0 / r),
+                         (EUC2, LAP3, lambda r: 2.0 * (np.sqrt(r) - 1.0))):
+        sol = radial.constant_flux_profile(M, op, params, 60.0)
+        picard = radial.solve_cauchy(M, op, ZERO, params, 60.0)
+        err = np.max(np.abs(sol.z - exact(sol.grid)))
+        assert err < 1e-7
+        assert err == pytest.approx(
+            np.max(np.abs(picard.z - exact(sol.grid))), rel=1e-3)
+
+
+def test_constant_flux_profile_validation():
+    params = radial.CauchyParams(R=1.0, theta=0.0, mu=1.0, c=1.0)
+    with pytest.raises(core.DomainError):
+        radial.constant_flux_profile(EUC2, LAP2, params, 1.0)
+    with pytest.raises(ValueError, match="nodes_per_window must be >= 2"):
+        radial.constant_flux_profile(EUC2, LAP2, params, 10.0,
+                                     nodes_per_window=1)
+
+
+# the 12 manifold cases of the benchmark: B = 0 profiles are unbounded
+# (an exhaustion exists) iff the manifold is p-parabolic, i.e. R^m at
+# p >= m; hyperbolic space never is
+@pytest.mark.parametrize("op", OPERATORS.values(), ids=OPERATORS.keys())
+@pytest.mark.parametrize("tag,m", [("euclidean", 2), ("euclidean", 3),
+                                   ("hyperbolic", 2), ("hyperbolic", 3)])
+def test_evans_exhaustion_verdict(tag, m, op):
+    M = core.manifold_from_tag(tag, m)
+    if tag == "euclidean" and op.p >= m:
+        res = radial.evans_for_triple(M, op, ZERO, R=1.0, R1=2.0, eps=0.1,
+                                      R_max=60.0)
+        assert res.exhaustion.verdict is Verdict.DIVERGES
+        assert res.sup_on_annulus < 0.1
+        assert np.all(np.diff(res.solution.z) > 0)
+    else:
+        with pytest.raises(radial.NoExhaustion) as info:
+            radial.evans_for_triple(M, op, ZERO, R=1.0, R1=2.0, eps=0.1,
+                                    R_max=60.0)
+        assert info.value.divergence.verdict is Verdict.CONVERGES
+        assert isinstance(info.value, radial.EvansFailure)
+
+
+def test_evans_exhaustion_verdict_on_a_short_table(tmp_path):
+    # the divergence test stops at the end of the table, r = 100
+    M = plane_table(tmp_path)
+    assert M.monotone
+    res = radial.evans_for_triple(M, LAP2, ZERO, R=1.0, R1=2.0, eps=0.1,
+                                  R_max=60.0)
+    dv = res.exhaustion
+    assert dv.verdict is Verdict.DIVERGES and dv.r_max == 100.0
+    assert dv.slope_estimate == pytest.approx(-1.0, abs=1e-12)
+    assert res.sup_on_annulus == pytest.approx(0.0866, abs=1e-4)
+    assert res.c_final == 0.125
+
+
+def test_evans_inconclusive_exhaustion_is_not_a_verdict():
+    # int r^(-1/(p-1)) at p = 1.95 decays like r^-1.05, inside the band
+    # around the critical slope -1
+    with pytest.raises(radial.NoExhaustion) as info:
+        radial.evans_for_triple(EUC2, core.p_laplacian_operator(1.95), ZERO,
+                                R=1.0, R1=2.0, eps=0.1, R_max=60.0)
+    assert info.value.divergence.verdict is Verdict.INCONCLUSIVE
 
 
 def test_non_overlap_mu_example():
