@@ -33,34 +33,53 @@ def _cumint(y, x):
     ``x`` (``ValueError`` otherwise): the rule of
     ``scipy.integrate.cumulative_simpson(y, x=x, initial=0)``, bit for bit,
     without its array-API dispatch, which costs more than the rule on a
-    window.  Even sub-intervals integrate the quadratic through the triple
-    they start, odd ones and the last the triple they end.  Two-node grids
-    (continuation restarts) take the trapezoid rule.
+    window.  See ``_CumulativeSimpson``."""
+    return _CumulativeSimpson(x)(y)
+
+
+class _CumulativeSimpson:
+    """``_cumint``'s rule on a fixed grid ``x``, whose coefficients are
+    computed once; applying it to samples ``y`` is one gather, five array
+    operations and one cumulative sum.
+
+    Even sub-intervals (but the last) integrate the quadratic through the
+    triple they start, odd ones and the last the triple they end.  Either
+    way sub-interval ``j`` is ``a ((p y0 + q y1) - s y2)`` with
+    ``h1 = h[j]``, ``h2`` the other spacing of the triple,
+    ``r31 = h1/(h1 + h2)``, ``r32 = r31 (h1/h2)``, ``a = h1/6``,
+    ``p = 3 - r31``, ``q = 3 + r32 + r31``, ``s = r32`` and ``y0, y1, y2``
+    the triple's samples from node ``j`` outwards: scipy's arithmetic, in
+    its order.  Two-node grids (continuation restarts) take the trapezoid
+    rule.
     """
-    h = np.diff(x)
-    if not (h > 0).all():
-        raise ValueError("grid must be strictly increasing")
-    out = np.zeros(len(x))
-    if len(x) < 3:
-        sub = h * (y[1:] + y[:-1]) / 2.0
-    else:
-        sub = np.empty(len(h))
-        sub[:-1:2] = _simpson_first(y, h)[::2]
-        back = _simpson_first(y[::-1], h[::-1])[::-1]
-        sub[1::2] = back[::2]
-        sub[-1] = back[-1]
-    np.cumsum(sub, out=out[1:])
-    return out
 
+    def __init__(self, x):
+        h = np.diff(x)
+        if not (h > 0).all():
+            raise ValueError("grid must be strictly increasing")
+        self.h = h
+        if len(h) < 2:
+            return
+        j = np.arange(len(h))
+        fwd = np.zeros(len(h), dtype=bool)
+        fwd[:-1:2] = True
+        h1, h2 = h, h[np.where(fwd, j + 1, j - 1)]
+        r31 = h1 / (h1 + h2)
+        r32 = r31 * (h1 / h2)
+        self.a, self.p, self.q, self.s = h1 / 6, 3 - r31, 3 + r32 + r31, r32
+        # the triple's nodes from j outwards: (j, j+1, j+2) forward,
+        # (j+1, j, j-1) backward
+        self.nodes = j + np.where(fwd, [[0], [1], [2]], [[1], [0], [-1]])
 
-def _simpson_first(y, h):
-    """Integral over the first sub-interval of every triple of nodes, of
-    the quadratic through the triple (unequal spacing ``h``)."""
-    h1, h2 = h[:-1], h[1:]
-    r31 = h1 / (h1 + h2)
-    r32 = r31 * (h1 / h2)
-    return h1 / 6 * ((3 - r31) * y[:-2] + (3 + r32 + r31) * y[1:-1]
-                     - r32 * y[2:])
+    def __call__(self, y):
+        out = np.zeros(len(self.h) + 1)
+        if len(self.h) < 2:
+            sub = self.h * (y[1:] + y[:-1]) / 2.0
+        else:
+            y0, y1, y2 = y[self.nodes]
+            sub = self.a * ((self.p * y0 + self.q * y1) - self.s * y2)
+        np.cumsum(sub, out=out[1:])
+        return out
 
 
 class PicardNoConvergence(NumericError):
@@ -117,10 +136,7 @@ class RadialSolution:
     blowup_radius: Optional[float] = None
 
     def sup_on(self, a: float, b: float) -> float:
-        mask = (self.grid >= a) & (self.grid <= b)
-        if not np.any(mask):
-            raise DomainError("no solution nodes in the requested interval")
-        return float(np.max(self.z[mask]))
+        return _sup_on(self.grid, self.z, a, b)
 
     def to_csv(self) -> str:
         lines = ["r,z,zp"]
@@ -150,8 +166,25 @@ class EvansResult:
         return "\n".join(head) + "\n"
 
 
+class _Window:
+    """What every Picard application on one window shares: the grid
+    (checked once), the weights ``w = g**(m-1)`` (range-checked by
+    ``sphere_volume``), the head flux ``w(R) phi(c mu)/w`` and the rule of
+    ``_cumint`` on the grid.  Built from the ``M``, ``op`` and ``params``
+    that ``volterra_apply`` is called with."""
+
+    def __init__(self, M: ModelManifold, op: PhiOperator,
+                 params: CauchyParams, grid):
+        self.grid = np.asarray(grid, dtype=float)
+        self.w = sphere_volume(M, self.grid)
+        self.cumint = _CumulativeSimpson(self.grid)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.head = (self.w[0] * float(op.phi(params.c * params.mu))
+                         / self.w)
+
+
 def volterra_apply(M: ModelManifold, op: PhiOperator, pot: PotentialB,
-                   params: CauchyParams, grid: np.ndarray,
+                   params: CauchyParams, grid: np.ndarray | _Window,
                    u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One application of the integral-reformulation operator: the pair
     ``(T(u), T(u)')`` on the grid.
@@ -162,25 +195,26 @@ def volterra_apply(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     integrand, ``phi^-1`` of the flux identity divided by ``c``, so it is
     never differentiated numerically.  Both cumulative integrals use a
     composite higher-order rule on the shared grid, which must be strictly
-    increasing (``ValueError`` otherwise).
+    increasing (``ValueError`` otherwise).  ``grid`` is an array, or the
+    ``_Window`` that ``solve_on_interval`` builds from it once for all of
+    a window's applications; the result is the same bit for bit.
     """
-    grid = np.asarray(grid, dtype=float)
+    win = grid if isinstance(grid, _Window) else _Window(M, op, params, grid)
     u = np.asarray(u, dtype=float)
-    if grid.shape != u.shape:
+    if win.grid.shape != u.shape:
         raise ValueError("grid and samples must have matching shapes")
     if np.any(u < 0):
         raise DomainError("samples must be nonnegative")
-    w = sphere_volume(M, grid)
-    c = params.c
+    w, c = win.w, params.c
     with np.errstate(over="ignore", invalid="ignore"):
-        head = w[0] * float(op.phi(c * params.mu)) / w
-        inner = _cumint(w * np.asarray(pot(c * u), dtype=float), grid) / w
-        if not np.all(np.isfinite(head + inner)):
+        flux = win.head + win.cumint(
+            w * np.asarray(pot(c * u), dtype=float)) / w
+        if not np.all(np.isfinite(flux)):
             raise PicardNoConvergence("flux overflow; shrink the interval")
         # the composite rule can undershoot on steep data; the true flux
         # of a nonnegative source never drops below zero
-        slope = phi_inverse_array(op, np.maximum(head + inner, 0.0))
-        return (params.theta + np.maximum(_cumint(slope, grid), 0.0) / c,
+        slope = phi_inverse_array(op, np.maximum(flux, 0.0))
+        return (params.theta + np.maximum(win.cumint(slope), 0.0) / c,
                 slope / c)
 
 
@@ -195,9 +229,10 @@ def solve_on_interval(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     if r_end <= params.R:
         raise DomainError("r_end must exceed the base radius")
     grid = np.linspace(params.R, r_end, n_nodes)
+    window = _Window(M, op, params, grid)
     u = np.full(n_nodes, params.theta)
     for _ in range(max_iter):
-        v, vp = volterra_apply(M, op, pot, params, grid, u)
+        v, vp = volterra_apply(M, op, pot, params, window, u)
         if not np.all(np.isfinite(v)):
             raise PicardNoConvergence(
                 "iteration produced non-finite values; shrink the interval")
@@ -208,6 +243,65 @@ def solve_on_interval(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     raise PicardNoConvergence(
         f"no fixed point within {max_iter} iterations (last change "
         f"{delta:.3e}); shrink the interval")
+
+
+def _march(M: ModelManifold, op: PhiOperator, pot: PotentialB,
+           params: CauchyParams, R_max: float, blowup_threshold: float,
+           nodes_per_window: int, tol: float = 1e-10):
+    """``solve_cauchy``'s window continuation, lazily: yields the solution
+    in pieces ``(grid, z, zp)``, first the node ``(R, theta, mu)`` and then
+    each accepted window without its first node, and returns
+    ``(status, r_reached, blowup_radius)``."""
+    if R_max <= params.R:
+        raise DomainError("R_max must exceed the base radius")
+    if nodes_per_window < 2:
+        raise ValueError(
+            f"nodes_per_window must be >= 2, got {nodes_per_window}")
+    base_window = min(1.0, (R_max - params.R) / 16.0)
+    window = base_window
+    min_window = 1e-8 * params.R
+
+    yield np.array([params.R]), np.array([params.theta]), \
+        np.array([params.mu])
+    cur = params
+    while cur.R < R_max:
+        r_end = min(cur.R + window, R_max)
+        try:
+            grid, z, zp = solve_on_interval(M, op, pot, cur, r_end, tol=tol,
+                                            n_nodes=nodes_per_window)
+        except PicardNoConvergence:
+            window *= 0.5
+            if window < min_window:
+                if cur.theta > 1e3 * max(1.0, params.theta + 1.0):
+                    return BLOWUP, cur.R, cur.R + 0.5 * window
+                raise NumericError(
+                    "window underflow without blow-up signature")
+            continue
+        over = np.nonzero(z > blowup_threshold)[0]
+        if len(over) > 0:
+            k = int(over[0])
+            cut = max(k, 1)
+            yield grid[1:cut + 1], z[1:cut + 1], zp[1:cut + 1]
+            return BLOWUP, grid[cut], 0.5 * (grid[max(k - 1, 0)] + grid[k])
+        yield grid[1:], z[1:], zp[1:]
+        cur = CauchyParams(r_end, float(z[-1]), float(zp[-1]), params.c)
+        window = min(window * 2.0, base_window)
+    return COMPLETE, R_max, None
+
+
+def _take(march, pieces: list, until: float = math.inf):
+    """Move the pieces of ``march`` onto ``pieces`` until one ends at or
+    past ``until``.  Returns the march's ``(status, r_reached,
+    blowup_radius)`` if it ended, or ``None`` if it stopped at such a
+    piece and can go on."""
+    while True:
+        try:
+            piece = next(march)
+        except StopIteration as end:
+            return end.value
+        pieces.append(piece)
+        if piece[0][-1] >= until:
+            return None
 
 
 def solve_cauchy(M: ModelManifold, op: PhiOperator, pot: PotentialB,
@@ -222,58 +316,28 @@ def solve_cauchy(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     on non-convergence; crossing ``blowup_threshold`` reports a finite
     blow-up radius bracketed by the last grid cell.
     """
-    if R_max <= params.R:
-        raise DomainError("R_max must exceed the base radius")
-    if nodes_per_window < 2:
-        raise ValueError(
-            f"nodes_per_window must be >= 2, got {nodes_per_window}")
-    base_window = min(1.0, (R_max - params.R) / 16.0)
-    window = base_window
-    min_window = 1e-8 * params.R
-
-    grids = [np.array([params.R])]
-    zs = [np.array([params.theta])]
-    zps = [np.array([params.mu])]
-    cur = CauchyParams(params.R, params.theta, params.mu, params.c)
-
-    while cur.R < R_max:
-        r_end = min(cur.R + window, R_max)
-        try:
-            grid, z, zp = solve_on_interval(M, op, pot, cur, r_end, tol=tol,
-                                            n_nodes=nodes_per_window)
-        except PicardNoConvergence:
-            window *= 0.5
-            if window < min_window:
-                if float(zs[-1][-1]) > 1e3 * max(1.0, params.theta + 1.0):
-                    rho = cur.R + 0.5 * window
-                    return _assemble(grids, zs, zps, params, BLOWUP,
-                                     cur.R, rho)
-                raise NumericError(
-                    "window underflow without blow-up signature")
-            continue
-        over = np.nonzero(z > blowup_threshold)[0]
-        if len(over) > 0:
-            k = int(over[0])
-            cut = max(k, 1)
-            rho = 0.5 * (grid[max(k - 1, 0)] + grid[k])
-            grids.append(grid[1:cut + 1])
-            zs.append(z[1:cut + 1])
-            zps.append(zp[1:cut + 1])
-            return _assemble(grids, zs, zps, params, BLOWUP, grid[cut], rho)
-        grids.append(grid[1:])
-        zs.append(z[1:])
-        zps.append(zp[1:])
-        cur = CauchyParams(r_end, float(z[-1]), float(zp[-1]), params.c)
-        window = min(window * 2.0, base_window)
-
-    return _assemble(grids, zs, zps, params, COMPLETE, R_max, None)
+    pieces = []
+    end = _take(_march(M, op, pot, params, R_max, blowup_threshold,
+                       nodes_per_window, tol), pieces)
+    return _assemble(pieces, params, *end)
 
 
-def _assemble(grids, zs, zps, params, status, r_reached, rho):
+def _concat(pieces) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return tuple(np.concatenate(a) for a in zip(*pieces))
+
+
+def _assemble(pieces, params, status, r_reached, rho):
+    grid, z, zp = _concat(pieces)
     return RadialSolution(
-        grid=np.concatenate(grids), z=np.concatenate(zs),
-        zp=np.concatenate(zps), params=params, status=status,
+        grid=grid, z=z, zp=zp, params=params, status=status,
         r_max=float(r_reached), blowup_radius=rho)
+
+
+def _sup_on(grid: np.ndarray, z: np.ndarray, a: float, b: float) -> float:
+    mask = (grid >= a) & (grid <= b)
+    if not np.any(mask):
+        raise DomainError("no solution nodes in the requested interval")
+    return float(np.max(z[mask]))
 
 
 def _constant_flux_slope(M: ModelManifold, op: PhiOperator,
@@ -350,9 +414,12 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     until the scaled solution stays below ``eps`` on the annulus.  Requires
     a monotone warping and a potential with a ``t**(p-1)`` upper bound,
     ``p`` the operator's (otherwise solutions blow up and no scale can be
-    accepted).  For ``B = 0`` each scale's solution is
-    ``constant_flux_profile``, and the divergence of its slope integral is
-    decided first: ``NoExhaustion`` unless it diverges.
+    accepted).  Otherwise each scale is decided by the windows of its
+    ``solve_cauchy`` march that cover the annulus, and only the accepted
+    scale is marched on to ``R_max``; a ``BLOWUP`` there is a threshold
+    crossing and raises ``EvansFailure``.  For ``B = 0`` each scale's
+    solution is ``constant_flux_profile``, and the divergence of its slope
+    integral is decided first: ``NoExhaustion`` unless it diverges.
     """
     if not (0 < R < R1 < R_max):
         raise DomainError("need 0 < R < R1 < R_max")
@@ -388,18 +455,25 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
         if exhaustion is not None:
             sol = constant_flux_profile(M, op, params, R_max,
                                         nodes_per_window=nodes_per_window)
+            K_obs = sol.sup_on(R, R1)
         else:
-            sol = solve_cauchy(M, op, pot, params, R_max,
-                               blowup_threshold=blowup_threshold,
-                               nodes_per_window=nodes_per_window)
-        if sol.status == BLOWUP:
-            raise EvansFailure(
-                f"solution blows up at radius {sol.blowup_radius:.6g}; the "
-                "potential violates the growth condition",
-                blowup_radius=sol.blowup_radius)
-        K_obs = sol.sup_on(R, R1)
+            # the windows that cover [R, R1] decide the scale; only the
+            # accepted one is marched on to R_max
+            march = _march(M, op, pot, params, R_max, blowup_threshold,
+                           nodes_per_window)
+            pieces = []
+            end = _take(march, pieces, R1)
+            if end is not None:
+                raise _threshold_failure(_assemble(pieces, params, *end),
+                                         blowup_threshold)
+            grid, z, _ = _concat(pieces)
+            K_obs = _sup_on(grid, z, R, R1)
         sup = c * K_obs
         if sup < eps:
+            if exhaustion is None:
+                sol = _assemble(pieces, params, *_take(march, pieces))
+                if sol.status == BLOWUP:
+                    raise _threshold_failure(sol, blowup_threshold)
             if np.any(np.diff(sol.z) <= 0):
                 raise NumericError("accepted solution is not increasing")
             return EvansResult(solution=sol, c_final=c, mu_final=mu,
@@ -409,6 +483,19 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     raise EvansFailure(
         "no admissible scale above the floor; observed annulus bound "
         f"{sup:.6g}", observed_sup=sup)
+
+
+def _threshold_failure(sol: RadialSolution,
+                       blowup_threshold: float) -> EvansFailure:
+    """``EvansFailure`` for a ``BLOWUP`` inside ``evans_for_triple``.  The
+    bound ``B <= b1 t**(p-1)`` rules out a finite-radius blow-up there, so
+    the march either crossed the threshold or its windows underflowed."""
+    how = ("crossed" if sol.z[-1] > blowup_threshold
+           else "stalled (window underflow) below")
+    return EvansFailure(
+        f"solution at c={sol.params.c:.6g} {how} the blow-up threshold "
+        f"{blowup_threshold:g} at radius {sol.blowup_radius:.6g}",
+        blowup_radius=sol.blowup_radius)
 
 
 def non_overlap_mu(M: ModelManifold, op: PhiOperator, w_prime_R: float,

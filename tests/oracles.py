@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from modelpot import obstacle
+from modelpot import obstacle, radial
 
 
 def phi_inverse_brentq(op, y):
@@ -24,6 +24,30 @@ def phi_inverse_brentq(op, y):
         lo, hi = lo * 0.5, hi * 2.0
     return brentq(lambda t: float(op.phi(t)) - y, lo, hi,
                   xtol=1e-300, rtol=8.9e-16, maxiter=300)
+
+
+def evans_eager_sweep(M, op, pot, R, R1, eps, R_max, blowup_threshold=1e8,
+                      nodes_per_window=64, c_min=1e-12):
+    """The ``B != 0`` scale sweep of ``radial.evans_for_triple`` with every
+    scale marched to ``R_max`` by a full ``solve_cauchy`` before its sup on
+    the annulus is taken.  Any blow-up status fails the sweep."""
+    c = 1.0
+    while c >= c_min:
+        mu = radial.choose_mu(op, c)
+        params = radial.CauchyParams(R=R, theta=0.0, mu=mu, c=c)
+        sol = radial.solve_cauchy(M, op, pot, params, R_max,
+                                  blowup_threshold=blowup_threshold,
+                                  nodes_per_window=nodes_per_window)
+        if sol.status == radial.BLOWUP:
+            raise radial.EvansFailure(
+                f"blow-up at c={c:g}", blowup_radius=sol.blowup_radius)
+        K_obs = sol.sup_on(R, R1)
+        if c * K_obs < eps:
+            return radial.EvansResult(solution=sol, c_final=c, mu_final=mu,
+                                      sup_on_annulus=c * K_obs,
+                                      K_bound=K_obs)
+        c *= 0.5
+    raise radial.EvansFailure("no admissible scale above the floor")
 
 
 def qp_obstacle_oracle(prob, spec):

@@ -143,10 +143,31 @@ def test_evans_blowup_reported(capsys):
         ["evans", "--set", "manifold=euclidean", "--set", "m=2",
          "--set", "potential=plateau:T=0.001,p=6",
          "--set", "operator=p-laplacian:p=6", "--set", "R=1",
-         "--set", "R1=2", "--set", "eps=1e-12", "--rmax", "50"], capsys)
+         "--set", "R1=2", "--set", "eps=1", "--rmax", "50"], capsys)
     # B <= t^(p-1) at p = 6: a crossing of the blow-up threshold
     assert code == 3
     assert "blowup_radius" in out
+
+
+def test_evans_rejected_scales_are_decided_on_the_annulus(capsys):
+    # no scale is small enough on [1, 2]; the crossings past R1 of the
+    # rejected scales are never reached
+    code = cli.main(
+        ["evans", "--set", "manifold=euclidean", "--set", "m=2",
+         "--set", "potential=plateau:T=0.001,p=6",
+         "--set", "operator=p-laplacian:p=6", "--set", "R=1",
+         "--set", "R1=2", "--set", "eps=1e-12", "--rmax", "50"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    with pytest.raises(radial.EvansFailure) as info:
+        radial.evans_for_triple(
+            core.manifold_from_tag("euclidean", 2),
+            core.p_laplacian_operator(6.0), core.plateau_potential(1e-3, 6.0),
+            R=1.0, R1=2.0, eps=1e-12, R_max=50.0)
+    assert info.value.blowup_radius is None
+    assert ("no admissible scale above the floor; observed annulus bound "
+            f"{info.value.observed_sup:.6g}") in captured.err
 
 
 def test_evans_no_exhaustion_exit_code(capsys):

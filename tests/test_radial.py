@@ -11,7 +11,7 @@ from scipy.integrate import (cumulative_simpson, cumulative_trapezoid,
 
 from modelpot import core, radial
 from modelpot.criteria import Verdict
-from oracles import phi_inverse_brentq
+from oracles import evans_eager_sweep, phi_inverse_brentq
 
 
 EUC2 = core.manifold_from_tag("euclidean", 2)
@@ -281,6 +281,92 @@ def test_evans_failure_on_blowup_potential():
                                 c_min=0.5)
     assert exc_info.value.blowup_radius is not None or \
         math.isfinite(exc_info.value.observed_sup)
+
+
+def test_evans_blowup_names_scale_threshold_and_radius():
+    # eps = 1 accepts c = 1 on [1, 2], whose march then crosses 1e8
+    with pytest.raises(radial.EvansFailure) as info:
+        radial.evans_for_triple(EUC2, core.p_laplacian_operator(6.0),
+                                core.plateau_potential(1e-3, 6.0), R=1.0,
+                                R1=2.0, eps=1.0, R_max=50.0)
+    rho = info.value.blowup_radius
+    assert 26.0 < rho < 26.5
+    assert str(info.value) == ("solution at c=1 crossed the blow-up "
+                               f"threshold 1e+08 at radius {rho:.6g}")
+
+
+# B != 0: each scale decided on the annulus against the eager sweep
+EAGER_CASES = {
+    "plane p=2 linear-power": (EUC2, LAP2,
+                               core.linear_power_potential(2.0, 1.0), 40.0,
+                               1e16),
+    "plane p=2 plateau": (EUC2, LAP2, core.plateau_potential(1.0, 2.0),
+                          40.0, 1e16),
+    "plane p=3 linear-power": (EUC2, LAP3,
+                               core.linear_power_potential(3.0, 1.0), 20.0,
+                               1e8),
+    "hyperbolic m=2 p=2 linear-power": (
+        core.manifold_from_tag("hyperbolic", 2), LAP2,
+        core.linear_power_potential(2.0, 1.0), 20.0, 1e8),
+}
+
+
+@pytest.mark.parametrize("M,op,pot,R_max,threshold", EAGER_CASES.values(),
+                         ids=EAGER_CASES.keys())
+def test_evans_scale_sweep_is_the_eager_sweep(monkeypatch, M, op, pot,
+                                              R_max, threshold):
+    R1 = 2.0
+    windows = []       # (c, r_end, converged) of every window solve
+    solve = radial.solve_on_interval
+
+    def recording(M_, op_, pot_, params, r_end, **kw):
+        try:
+            out = solve(M_, op_, pot_, params, r_end, **kw)
+        except radial.PicardNoConvergence:
+            windows.append((params.c, r_end, False))
+            raise
+        windows.append((params.c, r_end, True))
+        return out
+
+    monkeypatch.setattr(radial, "solve_on_interval", recording)
+    res = radial.evans_for_triple(M, op, pot, R=1.0, R1=R1, eps=0.1,
+                                  R_max=R_max, blowup_threshold=threshold)
+    monkeypatch.undo()
+    eager = evans_eager_sweep(M, op, pot, R=1.0, R1=R1, eps=0.1,
+                              R_max=R_max, blowup_threshold=threshold)
+    assert res.solution.status == eager.solution.status == radial.COMPLETE
+    for name in ("grid", "z", "zp"):
+        assert np.array_equal(getattr(res.solution, name),
+                              getattr(eager.solution, name)), name
+    assert (res.c_final, res.mu_final, res.sup_on_annulus) == \
+        (eager.c_final, eager.mu_final, eager.sup_on_annulus)
+    # every rejected scale stops at its first window ending at or past R1
+    scales = sorted({c for c, _, _ in windows}, reverse=True)
+    assert scales[-1] == res.c_final and len(scales) > 1
+    for c in scales:
+        mine = [w for w in windows if w[0] == c]
+        ends = [r for _, r, ok in mine if ok]
+        assert mine[-1][2]          # the last window solve converged
+        if c == res.c_final:
+            assert ends[-1] == R_max
+        else:
+            assert ends[-1] >= R1
+            assert all(r < R1 for r in ends[:-1])
+
+
+def test_evans_crossing_past_the_annulus_of_a_rejected_scale():
+    # at threshold 1e8 the rejected scales c = 1, 1/2 of the plateau cross
+    # it only past R1; the accepted c = 1/8 stays below it up to R_max
+    pot = core.plateau_potential(1.0, 2.0)
+    with pytest.raises(radial.EvansFailure):
+        evans_eager_sweep(EUC2, LAP2, pot, R=1.0, R1=2.0, eps=0.1,
+                          R_max=40.0)
+    low = radial.evans_for_triple(EUC2, LAP2, pot, R=1.0, R1=2.0, eps=0.1,
+                                  R_max=40.0)
+    high = radial.evans_for_triple(EUC2, LAP2, pot, R=1.0, R1=2.0, eps=0.1,
+                                   R_max=40.0, blowup_threshold=1e16)
+    assert low.c_final == high.c_final == 0.125
+    assert np.array_equal(low.solution.z, high.solution.z)
 
 
 @pytest.mark.parametrize("pot,exponents", [
