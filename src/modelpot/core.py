@@ -160,9 +160,15 @@ def volume_ratio(M: ModelManifold, r, R: float = 0.0):
     lo = R if R > 0 else float(np.min(radii, where=radii > 0,
                                       initial=_ORIGIN_PANEL))
     n = math.ceil(POINTS_PER_DECADE * math.log10(max(top, lo) / lo))
-    grid = lo * 10.0 ** (np.arange(n) / POINTS_PER_DECADE)
-    grid = np.unique(np.concatenate([[lo], grid[grid < top],
-                                     radii[radii > 0]]))
+    own = lo * 10.0 ** (np.arange(1, n) / POINTS_PER_DECADE)
+    asked = np.unique(radii[radii > 0])
+    # a node of the own grid within relative 1e-9 of a requested radius
+    # gives way to it, rather than leave a sliver panel beside it
+    i = np.searchsorted(asked, own)
+    gap = np.minimum(np.abs(own - asked[np.maximum(i - 1, 0)]),
+                     np.abs(asked[np.minimum(i, len(asked) - 1)] - own))
+    grid = np.unique(np.concatenate(
+        [[lo], own[(own < top) & (gap > 1e-9 * own)], asked]))
     L = log_sphere_volume(M, grid)
     rho = np.zeros(len(grid))
     if R == 0:

@@ -20,9 +20,10 @@ import numpy as np
 from scipy.integrate import simpson
 from scipy.interpolate import PchipInterpolator
 
-from .core import (DEFAULT_QUADRATURE, POINTS_PER_DECADE, DomainError,
-                   ModelManifold, NumericError, PhiOperator, PotentialB,
-                   Quadrature, log_sphere_volume, phi_inverse, volume_ratio)
+from .core import (_GL_NODES, _GL_WEIGHTS, DEFAULT_QUADRATURE,
+                   POINTS_PER_DECADE, DomainError, ModelManifold,
+                   NumericError, PhiOperator, PotentialB, Quadrature,
+                   log_sphere_volume, phi_inverse, volume_ratio)
 
 
 class Verdict(enum.Enum):
@@ -245,7 +246,17 @@ def classify_KL(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     reduce to the parabolicity test."""
     op_type = classify_operator_type(pot)
     if op_type.tag is OperatorTypeTag.TYPE1:
-        per_c = _sweep_c(lambda c: (lambda r: v_st(M, op, c, R0, r)),
+        # v_st for every c from one volume-ratio table: each c samples the
+        # same radii, so the table is built for the first and reused
+        tables = {}
+
+        def ratio(r):
+            key = np.asarray(r, dtype=float).tobytes()
+            if key not in tables:
+                tables[key] = volume_ratio(M, r, R0)
+            return tables[key]
+
+        per_c = _sweep_c(lambda c: (lambda r: phi_inverse(op, c * ratio(r))),
                          c_values, R0, cfg)
     else:
         per_c = classify_parabolic(M, op, cfg, c_values, R0).per_c
@@ -287,23 +298,37 @@ def p_laplacian_criteria(M: ModelManifold, p: float,
 KO_DIVERGENCE = DivergenceConfig(r_max=1e6, tail_rel_tol=0.5)
 
 
+def _cumulative_table(f, x, q: Quadrature):
+    """``integral_0^x f`` at the nodes ``x`` of a log grid with ``x[0] = 0``.
+
+    ``f`` is called once, on the 8 Gauss-Legendre nodes of every panel after
+    the first, as one array.  The head panel ``[0, x[1]]`` is the one
+    adaptive ``q`` call: power integrands such as ``t**0.5`` are singular
+    at 0, where the 8-node rule is off by 2.5e-4 relative.
+    """
+    a, h = x[1:-1], np.diff(x[1:])
+    panels = h * (f(a[:, None] + h[:, None] * _GL_NODES) @ _GL_WEIGHTS)
+    head = q.integrate(f, 0.0, float(x[1]))
+    return np.cumsum(np.concatenate([[0.0, head], panels]))
+
+
 def _beta_interpolant(pot: PotentialB, s_max: float, q: Quadrature):
-    """Cumulative antiderivative of the potential on a log grid."""
+    """``beta(s) = integral_0^s B`` on a 400-node log grid to ``s_max``:
+    8-node Gauss-Legendre panels, and an adaptive head panel at 0, where
+    power potentials such as ``t**0.5`` are not smooth."""
     s = np.concatenate([[0.0], np.geomspace(1e-6, s_max, 400)])
-    incr = np.array([q.integrate(lambda t: float(pot(t)), a, b)
-                     for a, b in zip(s[:-1], s[1:])])
-    vals = np.concatenate([[0.0], np.cumsum(incr)])
-    return s, vals
+    return s, _cumulative_table(pot, s, q)
 
 
 def _kinetic_inverse(op: PhiOperator, y_max: float, q: Quadrature):
-    """Inverse of ``t -> integral_0^t s phi'(s) ds`` via a monotone table."""
+    """Inverse of ``K(t) = integral_0^t s phi'(s) ds`` via a monotone table
+    of ``K`` on a 600-node log grid: 8-node Gauss-Legendre panels, and an
+    adaptive head panel at 0, where ``s phi'(s) ~ s**(p-1)`` is not smooth
+    for ``p < 2``."""
     # K(t) grows like t**p: size the grid so the table covers y_max
     t_hi = 4.0 * max(1.0, (op.a2 * op.p * y_max) ** (1.0 / op.p))
     t = np.concatenate([[0.0], np.geomspace(1e-8, t_hi, 600)])
-    incr = np.array([q.integrate(lambda s: s * float(op.phi_prime(s)), a, b)
-                     for a, b in zip(t[:-1], t[1:])])
-    K = np.concatenate([[0.0], np.cumsum(incr)])
+    K = _cumulative_table(lambda s: s * op.phi_prime(s), t, q)
     if K[-1] < y_max:
         raise NumericError("kinetic primitive table does not cover the range")
     interp = PchipInterpolator(np.log(K[1:]), np.log(t[1:]))

@@ -110,6 +110,24 @@ def test_volume_ratio_table_on_steep_warping():
         assert vi == pytest.approx(ref, rel=1e-6)
 
 
+def test_volume_ratio_nodes_near_requested_radii_give_way(monkeypatch):
+    # radii one rounding away from the table's own nodes replace them
+    # rather than sit beside them: 256 radii on [1, 100] make 257 nodes
+    seen = []
+    log_sphere_volume = core.log_sphere_volume
+
+    def spy(M, r):
+        seen.append(np.shape(r))
+        return log_sphere_volume(M, r)
+
+    monkeypatch.setattr(core, "log_sphere_volume", spy)
+    M = core.manifold_from_tag("euclidean", 2)
+    r = 10.0 ** (np.arange(1, 257) / core.POINTS_PER_DECADE) * (1 + 1e-12)
+    table = core.volume_ratio(M, r, 1.0)
+    assert seen[0] == (257,)
+    assert np.allclose(table, (r ** 2 - 1.0) / (2.0 * r), rtol=1e-9, atol=0.0)
+
+
 def test_power_exp_derivative_consistency():
     M = core.manifold_from_tag("power-exp:alpha=2", 2)
     for r in (0.5, 1.0, 2.0):

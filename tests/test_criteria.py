@@ -249,6 +249,29 @@ def test_classifiers_sample_without_quadrature(monkeypatch):
     assert calls == []
 
 
+def test_classifier_volume_ratio_node_counts(monkeypatch):
+    # nodes of the volume-ratio table: the test's radii plus the table's own
+    # grid where it is not within rounding of them; Type 1 classify_KL
+    # builds one table for all its c
+    seen = []
+    log_sphere_volume = core.log_sphere_volume
+
+    def spy(M, r):
+        seen.append(np.shape(r))
+        return log_sphere_volume(M, r)
+
+    monkeypatch.setattr(core, "log_sphere_volume", spy)
+    M = core.manifold_from_tag("euclidean", 2)
+    op = core.p_laplacian_operator(2.0)
+    pot = core.linear_power_potential(2.0, 1.0)
+    criteria.p_laplacian_criteria(M, 2.0, R0=1.0)
+    assert seen[0] == (897,)
+    for R0, nodes in ((1.0, 513), (2.0, 596)):
+        seen.clear()
+        criteria.classify_KL(M, op, pot, R0=R0)
+        assert [s for s in seen if len(s) == 1] == [(nodes,)]
+
+
 # ---------------------------------------------------------------------------
 # growth condition
 
@@ -284,6 +307,53 @@ def test_keller_osserman_analytic_oracle():
         pot = core.superlinear_potential(q)
         res = criteria.keller_osserman(op, pot)
         assert res.verdict == ("NotKO_holds" if q <= p - 1 else "NotKO_fails")
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_growth_tables_match_closed_forms(p):
+    q = core.DEFAULT_QUADRATURE
+    s, beta = criteria._beta_interpolant(core.linear_power_potential(p, 2.0),
+                                         1e6, q)
+    assert np.allclose(beta[s >= 1.0], 2.0 * s[s >= 1.0] ** p / p,
+                       rtol=1e-12, atol=0.0)
+    # K(t) = (p-1) t^p / p is a line in log-log, which the monotone
+    # interpolant of the inverse table reproduces between nodes too
+    k_inv = criteria._kinetic_inverse(core.p_laplacian_operator(p), 1e6, q)
+    t = np.geomspace(1.0, 100.0, 57)
+    assert np.allclose(k_inv((p - 1.0) * t ** p / p), t, rtol=1e-12, atol=0.0)
+
+
+def test_keller_osserman_integrates_only_its_head_panels(monkeypatch):
+    calls = []
+    integrate = core.Quadrature.integrate
+
+    def counted(self, f, a, b, points=None):
+        calls.append((a, b))
+        return integrate(self, f, a, b, points=points)
+
+    monkeypatch.setattr(core.Quadrature, "integrate", counted)
+    for op in (core.p_laplacian_operator(1.5), core.perturbed_operator(3.0)):
+        for pot in (core.linear_power_potential(op.p, 1.0),
+                    core.superlinear_potential(op.p + 0.5),
+                    core.plateau_potential(1.0, op.p), core.zero_potential()):
+            calls.clear()
+            criteria.keller_osserman(op, pot)
+            assert 1 <= len(calls) <= 2
+            assert all(a == 0.0 for a, _ in calls)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 5.0])
+def test_keller_osserman_perturbed_grid(p):
+    op = core.perturbed_operator(p)
+    for pot, q in [(core.linear_power_potential(p, 1.0), p - 1.0),
+                   (core.superlinear_potential(p + 0.5), p + 0.5),
+                   (core.superlinear_potential((p - 1.0) / 2.0),
+                    (p - 1.0) / 2.0),
+                   (core.plateau_potential(1.0, p), p - 1.0)]:
+        res = criteria.keller_osserman(op, pot)
+        assert res.verdict == ("NotKO_holds" if q <= p - 1.0
+                               else "NotKO_fails"), pot.name
+        assert res.form_primitive is res.form_simple, pot.name
 
 
 # ---------------------------------------------------------------------------
