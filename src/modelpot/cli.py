@@ -10,7 +10,8 @@ Exit codes: 0 success, 1 error, 2 any Inconclusive classification or
 exhaustion test, 3 blow-up in the radial solve, 4 nonzero limit in the
 staged pipeline or no exhaustion for ``evans``.
 Output is CSV with '#'-prefixed ``key=value`` metadata lines before the
-header; identical configs produce byte-identical output.
+header; identical configs produce byte-identical output.  This module
+alone knows that format.
 """
 
 from __future__ import annotations
@@ -136,6 +137,32 @@ def _write(out_path, text):
         sys.stdout.write(text)
 
 
+def _profile_csv(meta, column, r=(), values=()) -> str:
+    """``# key=value`` lines for the ``meta`` items, the header
+    ``r,<column>`` and one ``%.12g`` row per node of a radial profile."""
+    rows = [f"{a:.12g},{b:.12g}" for a, b in
+            zip(np.asarray(r, dtype=float).tolist(),
+                np.asarray(values, dtype=float).tolist())]
+    return "\n".join([f"# {item}" for item in meta] + [f"r,{column}"]
+                     + rows) + "\n"
+
+
+CSV_COLUMNS = ("manifold", "p", "potential", "property", "verdict", "c",
+               "partial_integral", "slope")
+
+
+def _classification_rows(manifold_name, p, potential_name, cls):
+    """One CSV row per tested ``c``.  Option separators inside a tag are
+    written as ``;`` so that the field holds no comma
+    (``linear-power:p=2;lambda=1``); ``_split_list`` reads either."""
+    potential_field = potential_name.replace(",", ";")
+    return [",".join((manifold_name, f"{p:g}", potential_field,
+                      cls.property.value, dv.verdict.value, f"{c:g}",
+                      f"{dv.partial_integral:.12g}",
+                      f"{dv.slope_estimate:.6g}"))
+            for c, dv in zip(cls.c_values_tested, cls.per_c)]
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -149,7 +176,7 @@ def cmd_classify(cfg, out_path) -> int:
     if rmax is not None:
         div_cfg = criteria.DivergenceConfig(r_max=rmax)
 
-    lines = ["# command=classify", ",".join(criteria.CSV_COLUMNS)]
+    lines = ["# command=classify", ",".join(CSV_COLUMNS)]
     any_inconclusive = False
     for man_tag in manifolds:
         M = _manifold(man_tag, m)
@@ -163,9 +190,7 @@ def cmd_classify(cfg, out_path) -> int:
                     cls = criteria.classify_KL(M, op, pot, div_cfg)
                 if cls.property is criteria.PropertyTag.INCONCLUSIVE:
                     any_inconclusive = True
-                for row in criteria.classification_rows(
-                        M.name, op.p, pot.name, cls):
-                    lines.append(",".join(row))
+                lines += _classification_rows(M.name, op.p, pot.name, cls)
     _write(out_path, "\n".join(lines) + "\n")
     return EXIT_INCONCLUSIVE if any_inconclusive else EXIT_OK
 
@@ -189,21 +214,26 @@ def cmd_evans(cfg, out_path) -> int:
         dv = exc.divergence
         converges = dv.verdict is criteria.Verdict.CONVERGES
         status = "no_exhaustion" if converges else "inconclusive"
-        _write(out_path,
-               f"# command=evans\n# status={status}\n"
-               f"# partial_integral={dv.partial_integral:.12g}\n"
-               f"# slope={dv.slope_estimate:.6g}\nr,w\n")
+        _write(out_path, _profile_csv(
+            ["command=evans", f"status={status}",
+             f"partial_integral={dv.partial_integral:.12g}",
+             f"slope={dv.slope_estimate:.6g}"], "w"))
         log.info("%s", exc)
         return EXIT_NO_EXHAUSTION if converges else EXIT_INCONCLUSIVE
     except radial.EvansFailure as exc:
         if exc.blowup_radius is not None:
-            _write(out_path,
-                   f"# command=evans\n# status=blowup\n"
-                   f"# blowup_radius={exc.blowup_radius:.12g}\nr,w\n")
+            _write(out_path, _profile_csv(
+                ["command=evans", "status=blowup",
+                 f"blowup_radius={exc.blowup_radius:.12g}"], "w"))
             log.error("%s", exc)
             return EXIT_BLOWUP
         raise
-    _write(out_path, "# command=evans\n" + result.to_csv())
+    sol = result.solution
+    _write(out_path, _profile_csv(
+        ["command=evans", f"c={result.c_final:.12g}",
+         f"mu={result.mu_final:.12g}",
+         f"sup_on_annulus={result.sup_on_annulus:.12g}",
+         f"status={sol.status}"], "w", sol.grid, result.c_final * sol.z))
     return EXIT_OK
 
 
@@ -227,7 +257,12 @@ def cmd_khasminskii(cfg, out_path) -> int:
     report = obstacle.khasminskii_construct(
         M, p, lam, K_radius, Omega_radius, eps, radii,
         tol=tol, nodes_per_stage=nodes)
-    _write(out_path, "# command=khasminskii\n" + report.to_csv())
+    _write(out_path, _profile_csv(
+        ["command=khasminskii", f"verdict={report.verdict}",
+         f"n_stages={report.n_stages}",
+         f"h_limit_sup={report.h_limit_sup:.12g}",
+         "budget_used=" + ",".join(f"{b:.12g}" for b in report.budget_used)],
+        "w", report.grid, report.w.values))
     return EXIT_H_LIMIT_NONZERO if report.verdict == "HLimitNonzero" \
         else EXIT_OK
 
@@ -236,8 +271,8 @@ def _parse_obstacle_shape(raw, grid):
     if raw == "none":
         return np.full(len(grid) - 2, obstacle.NEG_INF)
     if raw.startswith("bump:"):
-        opts = dict(kv.split("=", 1) for kv in _split_list(raw[5:]))
         try:
+            opts = dict(kv.split("=", 1) for kv in _split_list(raw[5:]))
             height = float(opts["height"])
             center = float(opts["center"])
             width = float(opts["width"])
@@ -268,16 +303,11 @@ def cmd_obstacle(cfg, out_path) -> int:
                                  theta_right=theta_right)
     sol = obstacle.solve_obstacle(prob, spec, tol=tol)
     stat, viol, slack = obstacle.residual_complementarity(sol, spec)
-    lines = ["# command=obstacle",
-             f"# energy={prob.energy(sol.values):.12g}",
-             f"# stationarity={stat:.6g}",
-             f"# iterations={sol.iterations}",
-             f"# obstacle_violation={viol:.6g}",
-             f"# min_slackness={slack:.6g}",
-             "r,u"]
-    for r, v in zip(grid, sol.values):
-        lines.append(f"{r:.12g},{v:.12g}")
-    _write(out_path, "\n".join(lines) + "\n")
+    _write(out_path, _profile_csv(
+        ["command=obstacle", f"energy={prob.energy(sol.values):.12g}",
+         f"stationarity={stat:.6g}", f"iterations={sol.iterations}",
+         f"obstacle_violation={viol:.6g}", f"min_slackness={slack:.6g}"],
+        "u", grid, sol.values))
     return EXIT_OK
 
 

@@ -237,12 +237,13 @@ def manifold_from_tag(tag: str, m: int) -> ModelManifold:
 
 
 def tabulated_manifold(r_samples, g_samples, m: int,
-                       monotone: bool = False,
                        name: str = "tabulated") -> ModelManifold:
     """Manifold from sampled ``(r, g(r))`` pairs, monotone-cubic interpolated.
 
-    Evaluation beyond the table raises ``DomainError``: silently extending
-    the warping would corrupt every downstream criterion.
+    The warping is monotone when its samples do not decrease: the PCHIP
+    interpolant of monotone data is monotone.  Evaluation beyond the table
+    raises ``DomainError``: silently extending the warping would corrupt
+    every downstream criterion.
     """
     r_samples = np.asarray(r_samples, dtype=float)
     g_samples = np.asarray(g_samples, dtype=float)
@@ -266,8 +267,6 @@ def tabulated_manifold(r_samples, g_samples, m: int,
     interp = PchipInterpolator(r_samples, g_samples)
     deriv = interp.derivative()
     r_hi = float(r_samples[-1])
-    if monotone and np.any(deriv(r_samples) < -1e-12):
-        raise ValueError("monotone flag set but g' < 0 somewhere in the table")
 
     def g(r):
         return interp(r)
@@ -278,19 +277,18 @@ def tabulated_manifold(r_samples, g_samples, m: int,
     def lg(r):
         return np.log(interp(r))
 
-    return ModelManifold(m=m, g=g, g_prime=gp, log_g=lg, monotone=monotone,
+    return ModelManifold(m=m, g=g, g_prime=gp, log_g=lg,
+                         monotone=bool(np.all(np.diff(g_samples) >= 0)),
                          name=name, r_max_valid=r_hi)
 
 
 def load_manifold_csv(path, m: int) -> ModelManifold:
-    """Load a two-column ``r, g(r)`` CSV (header row required).  The
-    warping is monotone when its samples do not decrease: the PCHIP
-    interpolant of monotone data is monotone."""
+    """Load a two-column ``r, g(r)`` CSV (header row required) as a
+    ``tabulated_manifold``."""
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] != 2:
         raise ValueError("manifold CSV must have exactly two columns")
     return tabulated_manifold(data[:, 0], data[:, 1], m=m,
-                              monotone=bool(np.all(np.diff(data[:, 1]) >= 0)),
                               name=f"table:{path}")
 
 
@@ -389,9 +387,10 @@ def operator_from_tag(tag: str) -> PhiOperator:
 
 
 _EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
-def phi_inverse(op: PhiOperator, y, tol: float = 1e-12):
+def phi_inverse(op: PhiOperator, y):
     """Solve ``phi(t) = y`` for ``t >= 0`` at a value or an array of values:
     the operator's analytic inverse if it has one, else a vectorized
     safeguarded Newton iteration (rtsafe, Press et al., Numerical Recipes
@@ -401,9 +400,12 @@ def phi_inverse(op: PhiOperator, y, tol: float = 1e-12):
     the Newton step only if it lands strictly inside, else bisects; it
     stops once every step is a few ulp, or after 90 steps.  A negative or
     non-finite ``y`` raises ``DomainError`` naming it, on either branch.
+    For ``y > 0`` the upper end of the bracket is floored at the least
+    normal double ``tiny``: where ``(y/a1)**(1/(p-1))`` underflows,
+    ``phi(tiny) >= a1 tiny**(p-1) > y``, so the root stays inside.
     The bounds are only sampled, so a bracket without the root raises
-    ``NumericError``, as does a residual above ``tol * (1 + y)`` (which is
-    what a ``phi_prime`` far above ``phi'`` leads to: its short Newton
+    ``NumericError``, as does a residual above ``1e-12 * (1 + y)`` (which
+    is what a ``phi_prime`` far above ``phi'`` leads to: its short Newton
     steps stay inside the bracket and use up the steps).
     """
     ys = np.asarray(y, dtype=float)
@@ -415,7 +417,8 @@ def phi_inverse(op: PhiOperator, y, tol: float = 1e-12):
         t = np.asarray(op.phi_inv(ys), dtype=float)
         return float(t) if t.ndim == 0 else t
     e = 1.0 / (op.p - 1.0)
-    lo, hi = 0.25 * (ys / op.a2) ** e, 4.0 * (ys / op.a1) ** e
+    lo = 0.25 * (ys / op.a2) ** e
+    hi = np.maximum(4.0 * (ys / op.a1) ** e, np.where(ys > 0, _TINY, 0.0))
     miss = (op.phi(lo) > ys) | (op.phi(hi) < ys)
     if np.any(miss):
         raise NumericError("phi_inverse: the pinching bracket misses the "
@@ -435,7 +438,7 @@ def phi_inverse(op: PhiOperator, y, tol: float = 1e-12):
             if done:
                 break
     resid = np.abs(op.phi(t) - ys)
-    over = resid > tol * (1.0 + ys)
+    over = resid > 1e-12 * (1.0 + ys)
     if np.any(over):
         raise NumericError(f"phi_inverse did not reach its tolerance for "
                            f"y={ys[over][0]:.6g} (residual "

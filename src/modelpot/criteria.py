@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import simpson
@@ -22,8 +22,8 @@ from scipy.interpolate import PchipInterpolator
 
 from .core import (_GL_NODES, _GL_WEIGHTS, DEFAULT_QUADRATURE,
                    POINTS_PER_DECADE, DomainError, ModelManifold,
-                   NumericError, PhiOperator, PotentialB, Quadrature,
-                   log_sphere_volume, phi_inverse, volume_ratio)
+                   NumericError, PhiOperator, PotentialB, log_sphere_volume,
+                   phi_inverse, volume_ratio)
 
 
 class Verdict(enum.Enum):
@@ -49,22 +49,25 @@ class ConsistencyError(RuntimeError):
     """Two formulations that must agree produced different verdicts."""
 
 
+# Bounds of the improper-integral heuristic: a partial integral above
+# DIVERGENCE_THRESHOLD diverges; SLOPE_SAMPLES radii on the last decade give
+# the log-log slope; a slope above -1 - SLOPE_BAND counts as critical (pure
+# 1/r-type integrands fit to -1 up to rounding); and slopes within
+# SLOPE_MARGIN below -1 stay inconclusive.
+DIVERGENCE_THRESHOLD = 1e6
+SLOPE_SAMPLES = 33
+SLOPE_BAND = 0.01
+SLOPE_MARGIN = 0.15
+
+
 @dataclass(frozen=True)
 class DivergenceConfig:
-    """Tuning of the improper-integral heuristic.
-
-    ``slope_margin`` is the half-width of the inconclusive band around the
-    critical slope -1; ``slope_band`` is the small tolerance by which a
-    fitted slope may undershoot -1 and still count as critical (pure
-    ``1/r``-type integrands fit to -1 up to rounding).
-    """
+    """Truncation radius of the improper-integral heuristic, and the
+    largest share of the partial integral its extrapolated tail may add
+    for a ``Converges`` verdict."""
 
     r_max: float = 1e4
-    divergence_threshold: float = 1e6
-    slope_margin: float = 0.15
-    slope_band: float = 0.01
     tail_rel_tol: float = 0.05
-    samples: int = 33
 
 
 DEFAULT_DIVERGENCE = DivergenceConfig()
@@ -129,7 +132,7 @@ def test_L1_at_infinity(integrand: Callable, R0: float,
     decades = [np.geomspace(a, b, 2 * math.ceil(
         0.5 * POINTS_PER_DECADE * math.log10(b / a)) + 1)
         for a, b in zip(edges[:-1], edges[1:])]
-    rs = np.geomspace(max(cfg.r_max / 10.0, R0), cfg.r_max, cfg.samples)
+    rs = np.geomspace(max(cfg.r_max / 10.0, R0), cfg.r_max, SLOPE_SAMPLES)
     grid = np.concatenate(decades + [rs])
     vals = np.zeros_like(grid) + integrand(grid)
     bad = ~np.isfinite(vals) | (vals < -1e-300)
@@ -142,7 +145,7 @@ def test_L1_at_infinity(integrand: Callable, R0: float,
     for r in decades:
         f, vals = vals[:len(r)], vals[len(r):]
         partial += float(simpson(r * f, x=np.log(r)))
-        if partial > cfg.divergence_threshold:
+        if partial > DIVERGENCE_THRESHOLD:
             return DivergenceVerdict(Verdict.DIVERGES, partial,
                                      math.nan, cfg.r_max)
 
@@ -151,19 +154,19 @@ def test_L1_at_infinity(integrand: Callable, R0: float,
         return DivergenceVerdict(Verdict.CONVERGES, partial, -math.inf,
                                  cfg.r_max)
     mask = vals > 0
-    if mask.sum() < cfg.samples // 2:
+    if mask.sum() < SLOPE_SAMPLES // 2:
         return DivergenceVerdict(Verdict.INCONCLUSIVE, partial, math.nan,
                                  cfg.r_max)
     slope = float(np.polyfit(np.log(rs[mask]), np.log(vals[mask]), 1)[0])
     f_end = float(vals[-1])
 
-    if slope >= -1.0 - cfg.slope_band:
+    if slope >= -1.0 - SLOPE_BAND:
         # extrapolated power-law tail is not integrable
         return DivergenceVerdict(Verdict.DIVERGES, partial, slope, cfg.r_max)
     tail = f_end * cfg.r_max / (-1.0 - slope)
-    if partial + tail > cfg.divergence_threshold:
+    if partial + tail > DIVERGENCE_THRESHOLD:
         return DivergenceVerdict(Verdict.DIVERGES, partial, slope, cfg.r_max)
-    if slope <= -1.0 - cfg.slope_margin and \
+    if slope <= -1.0 - SLOPE_MARGIN and \
             tail <= cfg.tail_rel_tol * (1.0 + partial):
         return DivergenceVerdict(Verdict.CONVERGES, partial, slope, cfg.r_max)
     return DivergenceVerdict(Verdict.INCONCLUSIVE, partial, slope, cfg.r_max)
@@ -190,8 +193,9 @@ def v_st(M: ModelManifold, op: PhiOperator, c: float, R: float, r):
 DEFAULT_C_VALUES = (1.0, 0.25, 0.0625, 0.015625)
 
 
-def _sweep_c(make_integrand, c_values, R0, cfg):
-    return [test_L1_at_infinity(make_integrand(c), R0, cfg) for c in c_values]
+def _sweep_c(make_integrand, R0, cfg):
+    return [test_L1_at_infinity(make_integrand(c), R0, cfg)
+            for c in DEFAULT_C_VALUES]
 
 
 def _resolve(per_c, holds: PropertyTag, fails: PropertyTag) -> PropertyTag:
@@ -205,27 +209,21 @@ def _resolve(per_c, holds: PropertyTag, fails: PropertyTag) -> PropertyTag:
 
 def classify_parabolic(M: ModelManifold, op: PhiOperator,
                        cfg: DivergenceConfig = DEFAULT_DIVERGENCE,
-                       c_values: Sequence[float] = DEFAULT_C_VALUES,
                        R0: float = 1.0) -> Classification:
     """Parabolic iff the pure-gradient profile is non-integrable for every
-    sampled ``c`` (the "for every c small enough" quantifier is sampled on a
-    decreasing grid; for homogeneous ``phi`` one sample would suffice)."""
-    per_c = _sweep_c(lambda c: (lambda r: v_pa(M, op, c, r)),
-                     c_values, R0, cfg)
+    sampled ``c`` (the "for every c small enough" quantifier is sampled on
+    the decreasing grid ``DEFAULT_C_VALUES``; for homogeneous ``phi`` one
+    sample would suffice)."""
+    per_c = _sweep_c(lambda c: (lambda r: v_pa(M, op, c, r)), R0, cfg)
     prop = _resolve(per_c, PropertyTag.PARABOLIC, PropertyTag.NON_PARABOLIC)
-    return Classification(prop, tuple(c_values), tuple(per_c))
+    return Classification(prop, DEFAULT_C_VALUES, tuple(per_c))
 
 
-def classify_operator_type(pot: PotentialB,
-                           probe_grid: Optional[Sequence[float]] = None
-                           ) -> OperatorType:
-    """Type1 iff the potential is positive at every probe point; otherwise
-    Type2 with the zero-interval endpoint resolved to probe resolution."""
-    if probe_grid is None:
-        probe_grid = np.geomspace(1e-6, 10.0, 200)
-    probes = np.asarray(probe_grid, dtype=float)
-    if probes[0] > 1e-6 or probes[-1] < 10.0:
-        raise DomainError("probe grid must span at least [1e-6, 10]")
+def classify_operator_type(pot: PotentialB) -> OperatorType:
+    """Type1 iff the potential is positive at every one of 200 geometric
+    probe points on ``[1e-6, 10]``; otherwise Type2 with the zero-interval
+    endpoint resolved to probe resolution."""
+    probes = np.geomspace(1e-6, 10.0, 200)
     vals = np.array([float(pot(t)) for t in probes])
     if np.all(vals > 0):
         return OperatorType(OperatorTypeTag.TYPE1)
@@ -239,7 +237,6 @@ def classify_operator_type(pot: PotentialB,
 
 def classify_KL(M: ModelManifold, op: PhiOperator, pot: PotentialB,
                 cfg: DivergenceConfig = DEFAULT_DIVERGENCE,
-                c_values: Sequence[float] = DEFAULT_C_VALUES,
                 R0: float = 1.0) -> Classification:
     """Liouville/potential property via the type dispatch: strictly positive
     potentials test the volume-ratio profile, potentials vanishing near zero
@@ -257,11 +254,11 @@ def classify_KL(M: ModelManifold, op: PhiOperator, pot: PotentialB,
             return tables[key]
 
         per_c = _sweep_c(lambda c: (lambda r: phi_inverse(op, c * ratio(r))),
-                         c_values, R0, cfg)
+                         R0, cfg)
     else:
-        per_c = classify_parabolic(M, op, cfg, c_values, R0).per_c
+        per_c = classify_parabolic(M, op, cfg, R0).per_c
     prop = _resolve(per_c, PropertyTag.KL_HOLDS, PropertyTag.KL_FAILS)
-    return Classification(prop, tuple(c_values), tuple(per_c))
+    return Classification(prop, DEFAULT_C_VALUES, tuple(per_c))
 
 
 def p_laplacian_criteria(M: ModelManifold, p: float,
@@ -298,29 +295,30 @@ def p_laplacian_criteria(M: ModelManifold, p: float,
 KO_DIVERGENCE = DivergenceConfig(r_max=1e6, tail_rel_tol=0.5)
 
 
-def _cumulative_table(f, x, q: Quadrature):
+def _cumulative_table(f, x):
     """``integral_0^x f`` at the nodes ``x`` of a log grid with ``x[0] = 0``.
 
     ``f`` is called once, on the 8 Gauss-Legendre nodes of every panel after
     the first, as one array.  The head panel ``[0, x[1]]`` is the one
-    adaptive ``q`` call: power integrands such as ``t**0.5`` are singular
-    at 0, where the 8-node rule is off by 2.5e-4 relative.
+    adaptive ``DEFAULT_QUADRATURE`` call: power integrands such as
+    ``t**0.5`` are singular at 0, where the 8-node rule is off by 2.5e-4
+    relative.
     """
     a, h = x[1:-1], np.diff(x[1:])
     panels = h * (f(a[:, None] + h[:, None] * _GL_NODES) @ _GL_WEIGHTS)
-    head = q.integrate(f, 0.0, float(x[1]))
+    head = DEFAULT_QUADRATURE.integrate(f, 0.0, float(x[1]))
     return np.cumsum(np.concatenate([[0.0, head], panels]))
 
 
-def _beta_interpolant(pot: PotentialB, s_max: float, q: Quadrature):
+def _beta_interpolant(pot: PotentialB, s_max: float):
     """``beta(s) = integral_0^s B`` on a 400-node log grid to ``s_max``:
     8-node Gauss-Legendre panels, and an adaptive head panel at 0, where
     power potentials such as ``t**0.5`` are not smooth."""
     s = np.concatenate([[0.0], np.geomspace(1e-6, s_max, 400)])
-    return s, _cumulative_table(pot, s, q)
+    return s, _cumulative_table(pot, s)
 
 
-def _kinetic_inverse(op: PhiOperator, y_max: float, q: Quadrature):
+def _kinetic_inverse(op: PhiOperator, y_max: float):
     """Inverse of ``K(t) = integral_0^t s phi'(s) ds`` via a monotone table
     of ``K`` on a 600-node log grid: 8-node Gauss-Legendre panels, and an
     adaptive head panel at 0, where ``s phi'(s) ~ s**(p-1)`` is not smooth
@@ -328,7 +326,7 @@ def _kinetic_inverse(op: PhiOperator, y_max: float, q: Quadrature):
     # K(t) grows like t**p: size the grid so the table covers y_max
     t_hi = 4.0 * max(1.0, (op.a2 * op.p * y_max) ** (1.0 / op.p))
     t = np.concatenate([[0.0], np.geomspace(1e-8, t_hi, 600)])
-    K = _cumulative_table(lambda s: s * op.phi_prime(s), t, q)
+    K = _cumulative_table(lambda s: s * op.phi_prime(s), t)
     if K[-1] < y_max:
         raise NumericError("kinetic primitive table does not cover the range")
     interp = PchipInterpolator(np.log(K[1:]), np.log(t[1:]))
@@ -341,21 +339,20 @@ def _kinetic_inverse(op: PhiOperator, y_max: float, q: Quadrature):
     return k_inv
 
 
-def keller_osserman(op: PhiOperator, pot: PotentialB,
-                    cfg: DivergenceConfig = KO_DIVERGENCE,
-                    s0: float = 1.0) -> KellerOssermanResult:
+def keller_osserman(op: PhiOperator, pot: PotentialB) -> KellerOssermanResult:
     """Growth verdict in both equivalent forms, with a cross-check.
 
     ``NotKO_holds`` means the reciprocal profiles are non-integrable, so
     radial solutions exist globally; ``NotKO_fails`` signals finite-radius
     blow-up.  Both the kinetic-primitive form and the ``beta**(-1/p)`` form
-    are evaluated; a hard disagreement raises ``ConsistencyError``.
+    are evaluated on ``[max(1, 2 s_+), KO_DIVERGENCE.r_max]``, ``s_+`` the
+    first table node where ``beta > 0``; a hard disagreement raises
+    ``ConsistencyError``.
     """
     if not op.derivative_pinched:
         raise DomainError("keller_osserman requires the derivative-pinched "
                           "operator flag")
-    q = DEFAULT_QUADRATURE
-    s_grid, b_vals = _beta_interpolant(pot, cfg.r_max, q)
+    s_grid, b_vals = _beta_interpolant(pot, KO_DIVERGENCE.r_max)
     if b_vals[-1] <= 0.0:
         # potential with vanishing antiderivative: both profiles are
         # infinite, trivially non-integrable
@@ -363,8 +360,8 @@ def keller_osserman(op: PhiOperator, pot: PotentialB,
                                     Verdict.DIVERGES)
     beta_i = PchipInterpolator(s_grid, b_vals)
     pos = np.nonzero(b_vals > 0)[0][0]
-    R0 = max(s0, 2.0 * float(s_grid[pos]))
-    k_inv = _kinetic_inverse(op, float(b_vals[-1]) * 1.05, q)
+    R0 = max(1.0, 2.0 * float(s_grid[pos]))
+    k_inv = _kinetic_inverse(op, float(b_vals[-1]) * 1.05)
 
     def antiderivative(s):
         b = beta_i(s)
@@ -378,8 +375,8 @@ def keller_osserman(op: PhiOperator, pot: PotentialB,
     def f_simple(s):
         return antiderivative(s) ** (-1.0 / op.p)
 
-    v1 = test_L1_at_infinity(f_primitive, R0, cfg)
-    v2 = test_L1_at_infinity(f_simple, R0, cfg)
+    v1 = test_L1_at_infinity(f_primitive, R0, KO_DIVERGENCE)
+    v2 = test_L1_at_infinity(f_simple, R0, KO_DIVERGENCE)
     if {v1.verdict, v2.verdict} == {Verdict.DIVERGES, Verdict.CONVERGES}:
         raise ConsistencyError(
             "the two growth-condition forms disagree: "
@@ -392,38 +389,3 @@ def keller_osserman(op: PhiOperator, pot: PotentialB,
         verdict = "Inconclusive"
     return KellerOssermanResult(verdict, v1.verdict, v2.verdict)
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-CSV_COLUMNS = ("manifold", "p", "potential", "property", "verdict", "c",
-               "partial_integral", "slope")
-
-
-def classification_rows(manifold_name: str, p: float, potential_name: str,
-                        cls: Classification):
-    """Flatten a classification into CSV rows (one per tested ``c``).
-
-    Option separators inside a tag are written as ``;`` so that the field
-    holds no comma (``linear-power:p=2;lambda=1``); the CLI reads either.
-    """
-    potential_field = potential_name.replace(",", ";")
-    rows = []
-    for c, dv in zip(cls.c_values_tested, cls.per_c):
-        rows.append((manifold_name, f"{p:g}", potential_field,
-                     cls.property.value, dv.verdict.value, f"{c:g}",
-                     f"{dv.partial_integral:.12g}",
-                     f"{dv.slope_estimate:.6g}"))
-    return rows
-
-
-def classification_text(manifold_name: str, p: float, potential_name: str,
-                        cls: Classification) -> str:
-    """Flat key=value rendering of a classification record."""
-    lines = [f"manifold={manifold_name}", f"p={p:g}",
-             f"potential={potential_name}", f"property={cls.property.value}"]
-    for c, dv in zip(cls.c_values_tested, cls.per_c):
-        lines.append(f"c={c:g} verdict={dv.verdict.value} "
-                     f"partial_integral={dv.partial_integral:.12g} "
-                     f"slope={dv.slope_estimate:.6g}")
-    return "\n".join(lines)

@@ -262,17 +262,17 @@ def solve_obstacle(prob: DiscreteProblem, spec: ObstacleSpec,
 
 
 def solve_dirichlet(prob: DiscreteProblem, theta_left: float,
-                    theta_right: float, tol: float = 1e-10,
-                    max_iter: int = 200, initial=None) -> DiscreteFunction:
-    """Unconstrained boundary-value problem (obstacle disabled)."""
+                    theta_right: float, initial=None) -> DiscreteFunction:
+    """Unconstrained boundary-value problem (obstacle disabled), solved by
+    ``solve_obstacle`` with its default tolerance and step budget."""
     spec = ObstacleSpec.dirichlet(prob.n_nodes, theta_left, theta_right)
-    return solve_obstacle(prob, spec, tol=tol, max_iter=max_iter,
-                          initial=initial)
+    return solve_obstacle(prob, spec, initial=initial)
 
 
-def residual_complementarity(u, spec: ObstacleSpec, contact_tol: float = 1e-9):
-    """KKT measures: (max stationarity defect off the contact set,
-    max obstacle violation, min slackness product with capped gap)."""
+def residual_complementarity(u, spec: ObstacleSpec):
+    """KKT measures: (max stationarity defect off the contact set, max
+    obstacle violation, min slackness product with capped gap).  A node
+    within 1e-9 of the obstacle is on the contact set."""
     uf = u if isinstance(u, DiscreteFunction) else None
     if uf is None:
         raise TypeError("residual_complementarity expects a DiscreteFunction")
@@ -281,7 +281,7 @@ def residual_complementarity(u, spec: ObstacleSpec, contact_tol: float = 1e-9):
     psi = np.asarray(spec.psi, dtype=float)
     res = prob.residual(vals)[1:-1]
     inner = vals[1:-1]
-    off_contact = inner > psi + contact_tol
+    off_contact = inner > psi + 1e-9
     stationarity = float(np.max(np.abs(res[off_contact]))) \
         if np.any(off_contact) else 0.0
     violation = float(np.max(np.maximum(psi - inner, 0.0)))
@@ -318,36 +318,34 @@ def is_subsolution(prob: DiscreteProblem, u, tol: float = 1e-8
                               float(res[worst]))
 
 
-def comparison_check(prob: DiscreteProblem, w, s, tol: float = 1e-8,
-                     check_inputs: bool = True) -> bool:
+def comparison_check(prob: DiscreteProblem, w, s, tol: float = 1e-8) -> bool:
     """Ordered boundary data and super/sub structure force ``w >= s``.
 
     Used as a property-test oracle: a failure indicates a solver bug, not
     an unfortunate input.
     """
     wv, sv = _values(w), _values(s)
-    if check_inputs:
-        cw = is_supersolution(prob, wv, tol=max(tol, 1e-6))
-        cs = is_subsolution(prob, sv, tol=max(tol, 1e-6))
-        if not cw.ok:
-            raise DomainError(
-                f"first argument is not a supersolution (node "
-                f"{cw.worst_node}, residual {cw.worst_residual:.3e})")
-        if not cs.ok:
-            raise DomainError(
-                f"second argument is not a subsolution (node "
-                f"{cs.worst_node}, residual {cs.worst_residual:.3e})")
+    cw = is_supersolution(prob, wv, tol=max(tol, 1e-6))
+    cs = is_subsolution(prob, sv, tol=max(tol, 1e-6))
+    if not cw.ok:
+        raise DomainError(
+            f"first argument is not a supersolution (node "
+            f"{cw.worst_node}, residual {cw.worst_residual:.3e})")
+    if not cs.ok:
+        raise DomainError(
+            f"second argument is not a subsolution (node "
+            f"{cs.worst_node}, residual {cs.worst_residual:.3e})")
     if wv[0] < sv[0] - tol or wv[-1] < sv[-1] - tol:
         raise DomainError("boundary values are not ordered")
     return bool(np.all(wv >= sv - tol))
 
 
-def pasting_min(prob: DiscreteProblem, w1, w2, start: int,
-                tol: float = 1e-8) -> DiscreteFunction:
+def pasting_min(prob: DiscreteProblem, w1, w2, start: int
+                ) -> DiscreteFunction:
     """Pointwise minimum of a global supersolution and one living on the
     subgrid ``start .. start+len(w2)-1``, extended by the global one.
 
-    Junction values must agree to ``tol``; the kinks introduced by the min
+    Junction values must agree to 1e-8; the kinks introduced by the min
     keep the supersolution sign of the defect, which callers verify with a
     relaxed tolerance.
     """
@@ -356,11 +354,11 @@ def pasting_min(prob: DiscreteProblem, w1, w2, start: int,
     stop = start + len(w2v)
     if start < 0 or stop > prob.n_nodes:
         raise ValueError("subinterval out of range")
-    if start > 0 and abs(w1v[start] - w2v[0]) > tol:
+    if start > 0 and abs(w1v[start] - w2v[0]) > 1e-8:
         raise DomainError(
             f"junction mismatch at node {start}: "
             f"{w1v[start]:.6g} vs {w2v[0]:.6g}")
-    if stop < prob.n_nodes and abs(w1v[stop - 1] - w2v[-1]) > tol:
+    if stop < prob.n_nodes and abs(w1v[stop - 1] - w2v[-1]) > 1e-8:
         raise DomainError(
             f"junction mismatch at node {stop - 1}: "
             f"{w1v[stop - 1]:.6g} vs {w2v[-1]:.6g}")
@@ -382,17 +380,6 @@ class KhasminskiiReport:
     verdict: str                     # PotentialBuilt | HLimitNonzero
     grid: np.ndarray = None
     stage_sups: tuple = ()
-
-    def to_csv(self) -> str:
-        lines = [f"# verdict={self.verdict}",
-                 f"# n_stages={self.n_stages}",
-                 f"# h_limit_sup={self.h_limit_sup:.12g}",
-                 "# budget_used=" + ",".join(f"{b:.12g}"
-                                             for b in self.budget_used),
-                 "r,w"]
-        for r, v in zip(self.grid, self.w.values):
-            lines.append(f"{r:.12g},{v:.12g}")
-        return "\n".join(lines) + "\n"
 
 
 def _construct_grid(K_radius, Omega_radius, radii, nodes_per_stage):

@@ -138,12 +138,6 @@ class RadialSolution:
     def sup_on(self, a: float, b: float) -> float:
         return _sup_on(self.grid, self.z, a, b)
 
-    def to_csv(self) -> str:
-        lines = ["r,z,zp"]
-        for r, z, zp in zip(self.grid, self.z, self.zp):
-            lines.append(f"{r:.12g},{z:.12g},{zp:.12g}")
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class EvansResult:
@@ -153,17 +147,6 @@ class EvansResult:
     sup_on_annulus: float
     K_bound: float
     exhaustion: Optional[DivergenceVerdict] = None   # B = 0 only
-
-    def to_csv(self) -> str:
-        head = [f"# c={self.c_final:.12g}",
-                f"# mu={self.mu_final:.12g}",
-                f"# sup_on_annulus={self.sup_on_annulus:.12g}",
-                f"# status={self.solution.status}",
-                "r,w"]
-        c = self.c_final
-        for r, z in zip(self.solution.grid, self.solution.z):
-            head.append(f"{r:.12g},{c * z:.12g}")
-        return "\n".join(head) + "\n"
 
 
 class _Window:
@@ -218,36 +201,41 @@ def volterra_apply(M: ModelManifold, op: PhiOperator, pot: PotentialB,
                 slope / c)
 
 
+# A Picard iterate has converged once an application moves it by at most
+# PICARD_TOL; a window that has not within PICARD_MAX_ITER applications fails.
+PICARD_TOL = 1e-10
+PICARD_MAX_ITER = 200
+
+
 def solve_on_interval(M: ModelManifold, op: PhiOperator, pot: PotentialB,
-                      params: CauchyParams, r_end: float,
-                      tol: float = 1e-10, max_iter: int = 200,
-                      n_nodes: int = 64
+                      params: CauchyParams, r_end: float, n_nodes: int = 64
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fixed point ``(grid, z, zp)`` on ``n_nodes`` uniform nodes of
     ``[R, r_end]``: the first Picard application, value and slope, that
-    moves the iterate by at most ``tol``; raises on non-convergence."""
+    moves the iterate by at most ``PICARD_TOL``; raises on
+    non-convergence."""
     if r_end <= params.R:
         raise DomainError("r_end must exceed the base radius")
     grid = np.linspace(params.R, r_end, n_nodes)
     window = _Window(M, op, params, grid)
     u = np.full(n_nodes, params.theta)
-    for _ in range(max_iter):
+    for _ in range(PICARD_MAX_ITER):
         v, vp = volterra_apply(M, op, pot, params, window, u)
         if not np.all(np.isfinite(v)):
             raise PicardNoConvergence(
                 "iteration produced non-finite values; shrink the interval")
         delta = float(np.max(np.abs(v - u)))
         u = v
-        if delta <= tol:
+        if delta <= PICARD_TOL:
             return grid, u, vp
     raise PicardNoConvergence(
-        f"no fixed point within {max_iter} iterations (last change "
+        f"no fixed point within {PICARD_MAX_ITER} iterations (last change "
         f"{delta:.3e}); shrink the interval")
 
 
 def _march(M: ModelManifold, op: PhiOperator, pot: PotentialB,
            params: CauchyParams, R_max: float, blowup_threshold: float,
-           nodes_per_window: int, tol: float = 1e-10):
+           nodes_per_window: int):
     """``solve_cauchy``'s window continuation, lazily: yields the solution
     in pieces ``(grid, z, zp)``, first the node ``(R, theta, mu)`` and then
     each accepted window without its first node, and returns
@@ -267,7 +255,7 @@ def _march(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     while cur.R < R_max:
         r_end = min(cur.R + window, R_max)
         try:
-            grid, z, zp = solve_on_interval(M, op, pot, cur, r_end, tol=tol,
+            grid, z, zp = solve_on_interval(M, op, pot, cur, r_end,
                                             n_nodes=nodes_per_window)
         except PicardNoConvergence:
             window *= 0.5
@@ -307,8 +295,7 @@ def _take(march, pieces: list, until: float = math.inf):
 def solve_cauchy(M: ModelManifold, op: PhiOperator, pot: PotentialB,
                  params: CauchyParams, R_max: float,
                  blowup_threshold: float = 1e8,
-                 nodes_per_window: int = 64,
-                 tol: float = 1e-10) -> RadialSolution:
+                 nodes_per_window: int = 64) -> RadialSolution:
     """March the radial problem to ``R_max`` by window continuation.
 
     Each window is solved by fixed-point iteration; the restart state
@@ -318,7 +305,7 @@ def solve_cauchy(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     """
     pieces = []
     end = _take(_march(M, op, pot, params, R_max, blowup_threshold,
-                       nodes_per_window, tol), pieces)
+                       nodes_per_window), pieces)
     return _assemble(pieces, params, *end)
 
 

@@ -58,7 +58,10 @@ def test_classify_parabolic_plane(capsys):
     assert lines[0].startswith("#")
     assert lines[1] == "manifold,p,potential,property,verdict,c," \
                        "partial_integral,slope"
-    assert all("Parabolic" in ln for ln in lines[2:])
+    rows = [ln.split(",") for ln in lines[2:]]
+    assert len(rows) == len(criteria.DEFAULT_C_VALUES)
+    assert all(len(r) == len(cli.CSV_COLUMNS) for r in rows)
+    assert {r[3] for r in rows} == {"Parabolic"}
 
 
 def test_classify_inconclusive_exit_code(tmp_path, capsys):
@@ -91,9 +94,25 @@ def test_classify_tag_with_comma(capsys):
     assert code == 0
     rows = [ln.split(",") for ln in out.splitlines()[2:]]
     assert rows
-    assert all(len(r) == len(criteria.CSV_COLUMNS) for r in rows)
+    assert all(len(r) == len(cli.CSV_COLUMNS) for r in rows)
     assert {r[2] for r in rows} == {"linear-power:p=2;lambda=1"}
     assert {r[3] for r in rows} == {"KL_Holds"}
+
+
+def test_classify_with_an_underflowing_phi_inverse_bracket(capsys):
+    # perturbed p=1.5 on the hyperbolic plane: phi^-1 meets y ~ 1e-165,
+    # where the bracket of the Newton iteration underflows
+    argv = ["--set", "manifold=hyperbolic", "--set", "m=2",
+            "--set", "operator=perturbed:p=1.5"]
+    code, out = run_cli(["classify"] + argv, capsys)
+    assert code == 0
+    assert {ln.split(",")[3] for ln in out.splitlines()[2:]} \
+        == {"NonParabolic"}
+    code, out = run_cli(["evans"] + argv + ["--set", "R=1", "--set", "R1=2",
+                                            "--set", "eps=0.1",
+                                            "--rmax", "60"], capsys)
+    assert code == 4
+    assert "# status=no_exhaustion\n" in out
 
 
 def test_classify_bad_tag_exit_code(capsys):
@@ -230,7 +249,16 @@ KHAS_ARGS = ["khasminskii", "--set", "manifold=euclidean",
 def test_khasminskii_plane_exit_zero(capsys):
     code, out = run_cli(KHAS_ARGS + ["--set", "m=2"], capsys)
     assert code == 0
-    assert "# verdict=PotentialBuilt" in out
+    lines = out.splitlines()
+    assert lines[:2] == ["# command=khasminskii", "# verdict=PotentialBuilt"]
+    header = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+    assert lines[header] == "r,w"
+    rep = obstacle.khasminskii_construct(
+        core.manifold_from_tag("euclidean", 2), 2.0, 0.0, K_radius=1.0,
+        Omega_radius=2.0, eps=0.1, exhaustion_radii=[4, 8, 16, 32])
+    data = np.loadtxt(lines[header + 1:], delimiter=",")
+    assert np.allclose(data[:, 0], rep.grid, rtol=1e-11, atol=0.0)
+    assert np.allclose(data[:, 1], rep.w.values, rtol=1e-11, atol=1e-300)
 
 
 def test_khasminskii_m3_exit_four(capsys):
@@ -271,11 +299,12 @@ def test_obstacle_command(capsys):
 
 
 def test_obstacle_bad_shape(capsys):
-    code, _ = run_cli(["obstacle", "--set", "manifold=euclidean",
-                       "--set", "m=3", "--set", "r_min=1",
-                       "--set", "r_max=2", "--set", "obstacle=spike"],
-                      capsys)
-    assert code == 1
+    for shape in ("spike", "bump:height"):
+        assert cli.main(["obstacle", "--set", "manifold=euclidean",
+                         "--set", "m=3", "--set", "r_min=1",
+                         "--set", "r_max=2",
+                         "--set", f"obstacle={shape}"]) == 1
+        assert "config key 'obstacle'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -152,7 +152,7 @@ def test_manifold_validation():
 
 def test_tabulated_manifold_matches_source():
     r = np.linspace(0.0, 10.0, 400)
-    M = core.tabulated_manifold(r[1:], np.sinh(r[1:]), m=2, monotone=True)
+    M = core.tabulated_manifold(r[1:], np.sinh(r[1:]), m=2)
     for x in (0.5, 2.0, 7.5):
         assert float(M.g(x)) == pytest.approx(math.sinh(x), rel=1e-5)
         assert float(M.g_prime(x)) == pytest.approx(math.cosh(x), rel=1e-3)
@@ -187,6 +187,7 @@ def test_load_manifold_csv_infers_monotone(tmp_path):
         np.savetxt(path, np.column_stack([r, g]), delimiter=",",
                    header="r,g", comments="")
         assert core.load_manifold_csv(path, m=2).monotone is monotone
+        assert core.tabulated_manifold(r, g, m=2).monotone is monotone
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +269,19 @@ def test_phi_inverse_newton_matches_brentq(p):
     for t in (vec, scal):
         assert t[0] == 0.0
         assert np.allclose(t, ref, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("p", [1.26, 1.3, 1.5, 1.9, 2.0, 2.5, 5.0])
+def test_phi_inverse_with_an_underflowing_bracket(p):
+    # for p < 2 the bracket end 4 (y/a1)**(1/(p-1)) underflows to 0 at small
+    # y; floored at the least normal double it still holds the root
+    op = core.perturbed_operator(p)
+    ys = np.concatenate([[0.0], np.logspace(-323, 60, 384)])
+    t = core.phi_inverse(op, ys)
+    assert t[0] == 0.0
+    assert np.all(np.abs(op.phi(t) - ys) <= 1e-12 * (1.0 + ys))
+    if p == 1.5:
+        assert core.phi_inverse(op, 1e-170) == 0.0
 
 
 def test_phi_inverse_bisects_past_a_wrong_derivative():

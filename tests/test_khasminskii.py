@@ -70,15 +70,6 @@ def test_stage_zero_solutions_decrease(plane_report):
     assert all(sups[i + 1] <= sups[i] + 1e-9 for i in range(len(sups) - 1))
 
 
-def test_report_csv_shape(plane_report):
-    text = plane_report.to_csv()
-    lines = text.splitlines()
-    assert lines[0] == "# verdict=PotentialBuilt"
-    header = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
-    assert lines[header] == "r,w"
-    assert len(lines) - header - 1 == len(plane_report.grid)
-
-
 def test_positive_lambda_pipeline_runs():
     rep = obstacle.khasminskii_construct(
         EUC2, 2.0, 0.5, K_radius=1.0, Omega_radius=2.0, eps=0.1,

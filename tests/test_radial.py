@@ -515,13 +515,3 @@ def test_non_overlap_solutions_stay_ordered():
     inner = radial.solve_cauchy(EUC2, LAP2, ZERO, params_in, 20.0)
     z_out_on_inner = np.interp(inner.grid, out.grid, out.z)
     assert np.all(inner.z <= z_out_on_inner + 1e-9)
-
-
-def test_solution_csv_round_trip():
-    params = radial.CauchyParams(R=1.0, theta=0.0, mu=1.0, c=1.0)
-    sol = radial.solve_cauchy(EUC2, LAP2, ZERO, params, 3.0)
-    text = sol.to_csv()
-    assert text.splitlines()[0] == "r,z,zp"
-    data = np.loadtxt(text.splitlines()[1:], delimiter=",")
-    assert np.allclose(data[:, 0], sol.grid)
-    assert np.allclose(data[:, 1], sol.z)
