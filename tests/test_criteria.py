@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from modelpot import core, criteria
+from modelpot import cli, core, criteria
 from modelpot.criteria import PropertyTag, Verdict
 
 
@@ -352,3 +352,25 @@ def test_keller_osserman_perturbed_grid(p):
         assert res.verdict == ("NotKO_holds" if q <= p - 1.0
                                else "NotKO_fails"), pot.name
         assert res.form_primitive is res.form_simple, pot.name
+
+
+# ---------------------------------------------------------------------------
+# serialization
+
+
+def test_classification_rows_and_text(capsys):
+    M = core.manifold_from_tag("euclidean", 2)
+    op = core.p_laplacian_operator(2.0)
+    cls = criteria.classify_parabolic(M, op)
+    rows = cli._classification_rows("euclidean", 2.0, "zero", cls)
+    assert len(rows) == len(cls.c_values_tested)
+    fields = [r.split(",") for r in rows]
+    assert all(len(f) == len(cli.CSV_COLUMNS) for f in fields)
+    assert {f[3] for f in fields} == {"Parabolic"}
+    assert [float(f[5]) for f in fields] == list(cls.c_values_tested)
+    # the classify command writes the same rows under its header
+    assert cli.main(["classify", "--set", "manifold=euclidean",
+                     "--set", "m=2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["# command=classify", ",".join(cli.CSV_COLUMNS)]
+    assert lines[2:] == rows

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from modelpot import core, obstacle
+from modelpot import cli, core, obstacle
 
 from oracles import khasminskii_candidate_sweep, stage_candidates
 
@@ -68,6 +68,20 @@ def test_space_detects_nonzero_limit():
 def test_stage_zero_solutions_decrease(plane_report):
     sups = plane_report.stage_sups
     assert all(sups[i + 1] <= sups[i] + 1e-9 for i in range(len(sups) - 1))
+
+
+def test_report_csv_shape(plane_report, monkeypatch, capsys):
+    # the khasminskii command writes the report of the pipeline it runs
+    monkeypatch.setattr(obstacle, "khasminskii_construct",
+                        lambda *args, **kwargs: plane_report)
+    assert cli.main(["khasminskii", "--set", "manifold=euclidean",
+                     "--set", "m=2", "--set", "K_radius=1",
+                     "--set", "Omega_radius=2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["# command=khasminskii", "# verdict=PotentialBuilt"]
+    header = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+    assert lines[header] == "r,w"
+    assert len(lines) - header - 1 == len(plane_report.grid)
 
 
 def test_positive_lambda_pipeline_runs():
