@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: ``classify`` (integral-criteria sweeps), ``evans`` (radial
+Commands: ``classify`` (integral-criteria sweeps), ``evans`` (radial
 exhaustion profile), ``khasminskii`` (staged supersolution pipeline) and
 ``obstacle`` (single constrained solve).  Configuration is flat
 ``key=value`` text (one pair per line, ``#`` comments) merged with
@@ -140,11 +140,11 @@ def _write(out_path, text):
 def _profile_csv(meta, column, r=(), values=()) -> str:
     """``# key=value`` lines for the ``meta`` items, the header
     ``r,<column>`` and one ``%.12g`` row per node of a radial profile."""
-    rows = [f"{a:.12g},{b:.12g}" for a, b in
-            zip(np.asarray(r, dtype=float).tolist(),
-                np.asarray(values, dtype=float).tolist())]
-    return "\n".join([f"# {item}" for item in meta] + [f"r,{column}"]
-                     + rows) + "\n"
+    pairs = np.column_stack((np.asarray(r, dtype=float),
+                             np.asarray(values, dtype=float)))
+    head = "".join(f"# {item}\n" for item in meta) + f"r,{column}\n"
+    return head + ("%.12g,%.12g\n" * len(pairs)) % tuple(
+        pairs.ravel().tolist())
 
 
 CSV_COLUMNS = ("manifold", "p", "potential", "property", "verdict", "c",
@@ -323,30 +323,26 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="modelpot",
-        description="Classification and potential construction on "
-                    "rotationally symmetric manifolds.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", help="key=value config file")
-        cmd.add_argument("--out", help="output CSV path (default stdout)")
-        cmd.add_argument("--tol", type=float, help="tolerance override")
-        cmd.add_argument("--rmax", type=float,
-                         help="outer radius / truncation override")
-        cmd.add_argument("--set", action="append", metavar="KEY=VALUE",
-                         help="config override (repeatable, last wins)")
-    return parser
+# built once: each option's help formatter asks for the terminal size
+PARSER = argparse.ArgumentParser(
+    prog="modelpot",
+    description="Classification and potential construction on "
+                "rotationally symmetric manifolds.")
+PARSER.add_argument("command", choices=tuple(COMMANDS))
+PARSER.add_argument("--config", help="key=value config file")
+PARSER.add_argument("--out", help="output CSV path (default stdout)")
+PARSER.add_argument("--tol", type=float, help="tolerance override")
+PARSER.add_argument("--rmax", type=float,
+                    help="outer radius / truncation override")
+PARSER.add_argument("--set", action="append", metavar="KEY=VALUE",
+                    help="config override (repeatable, last wins)")
 
 
 def main(argv=None) -> int:
     logging.basicConfig(
         level=os.environ.get("MODELPOT_LOG", "WARNING").upper(),
         format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         cfg = _merge(args)
         run, keys = COMMANDS[args.command]

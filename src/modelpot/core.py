@@ -296,6 +296,15 @@ def load_manifold_csv(path, m: int) -> ModelManifold:
 # gradient nonlinearities
 
 
+def _on_samples(f, t, name):
+    """``f`` called once on the sample array ``t``: one value per sample."""
+    vals = np.asarray(f(t), dtype=float)
+    if vals.shape != t.shape:
+        raise ValueError(f"{name} must give one value per sample of an "
+                         f"array argument, got shape {vals.shape}")
+    return vals
+
+
 @dataclass(frozen=True)
 class PhiOperator:
     """Monotone nonlinearity ``phi`` with two-sided ``t**(p-1)`` pinching.
@@ -323,7 +332,7 @@ class PhiOperator:
         if self.a1 <= 0 or self.a2 <= 0:
             raise ValueError("ellipticity constants must be positive")
         t = np.logspace(-6, 3, 61)
-        ph = np.array([float(self.phi(x)) for x in t])
+        ph = _on_samples(self.phi, t, "phi")
         tp = t ** (self.p - 1.0)
         if np.any(ph < self.a1 * tp * (1 - 1e-9)) or \
            np.any(ph > self.a2 * tp * (1 + 1e-9)):
@@ -331,7 +340,7 @@ class PhiOperator:
         if np.any(np.diff(ph) <= 0):
             raise ValueError("phi must be strictly increasing")
         if self.derivative_pinched:
-            dp = np.array([float(self.phi_prime(x)) for x in t])
+            dp = _on_samples(self.phi_prime, t, "phi'")
             lo = tp / self.a2
             hi = self.a1 + self.a2 * tp
             if np.any(t * dp < lo * (1 - 1e-9)) or \
@@ -470,7 +479,7 @@ class PotentialB:
 
     def __post_init__(self):
         t = np.linspace(0.0, 10.0, 101)
-        vals = np.array([float(self.B(x)) for x in t])
+        vals = _on_samples(self.B, t, "potential")
         if abs(vals[0]) > 0:
             raise ValueError("potential must satisfy B(0)=0")
         if np.any(np.diff(vals) < -1e-12):

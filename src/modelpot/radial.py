@@ -202,7 +202,7 @@ def volterra_apply(M: ModelManifold, op: PhiOperator, pot: PotentialB,
 
 
 # A Picard iterate has converged once an application moves it by at most
-# PICARD_TOL; a window that has not within PICARD_MAX_ITER applications fails.
+# PICARD_TOL; a window fails at a growing increment or PICARD_MAX_ITER.
 PICARD_TOL = 1e-10
 PICARD_MAX_ITER = 200
 
@@ -212,25 +212,27 @@ def solve_on_interval(M: ModelManifold, op: PhiOperator, pot: PotentialB,
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fixed point ``(grid, z, zp)`` on ``n_nodes`` uniform nodes of
     ``[R, r_end]``: the first Picard application, value and slope, that
-    moves the iterate by at most ``PICARD_TOL``; raises on
-    non-convergence."""
+    moves the iterate by at most ``PICARD_TOL``; raises at a growing
+    increment, where the iteration does not contract, or at the cap."""
     if r_end <= params.R:
         raise DomainError("r_end must exceed the base radius")
     grid = np.linspace(params.R, r_end, n_nodes)
     window = _Window(M, op, params, grid)
-    u = np.full(n_nodes, params.theta)
-    for _ in range(PICARD_MAX_ITER):
+    u, delta = np.full(n_nodes, params.theta), math.inf
+    for k in range(1, PICARD_MAX_ITER + 1):
         v, vp = volterra_apply(M, op, pot, params, window, u)
         if not np.all(np.isfinite(v)):
             raise PicardNoConvergence(
                 "iteration produced non-finite values; shrink the interval")
-        delta = float(np.max(np.abs(v - u)))
+        last, delta = delta, float(np.max(np.abs(v - u)))
         u = v
         if delta <= PICARD_TOL:
             return grid, u, vp
+        if delta > last:
+            break
     raise PicardNoConvergence(
-        f"no fixed point within {PICARD_MAX_ITER} iterations (last change "
-        f"{delta:.3e}); shrink the interval")
+        f"no fixed point: Picard increment {last:.3e}, then {delta:.3e} at "
+        f"application {k}; shrink the interval")
 
 
 def _march(M: ModelManifold, op: PhiOperator, pot: PotentialB,
@@ -252,6 +254,7 @@ def _march(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     yield np.array([params.R]), np.array([params.theta]), \
         np.array([params.mu])
     cur = params
+    halved = False
     while cur.R < R_max:
         r_end = min(cur.R + window, R_max)
         try:
@@ -259,6 +262,7 @@ def _march(M: ModelManifold, op: PhiOperator, pot: PotentialB,
                                             n_nodes=nodes_per_window)
         except PicardNoConvergence:
             window *= 0.5
+            halved = True
             if window < min_window:
                 if cur.theta > 1e3 * max(1.0, params.theta + 1.0):
                     return BLOWUP, cur.R, cur.R + 0.5 * window
@@ -273,7 +277,8 @@ def _march(M: ModelManifold, op: PhiOperator, pot: PotentialB,
             return BLOWUP, grid[cut], 0.5 * (grid[max(k - 1, 0)] + grid[k])
         yield grid[1:], z[1:], zp[1:]
         cur = CauchyParams(r_end, float(z[-1]), float(zp[-1]), params.c)
-        window = min(window * 2.0, base_window)
+        window = window if halved else min(window * 2.0, base_window)
+        halved = False
     return COMPLETE, R_max, None
 
 
@@ -300,8 +305,9 @@ def solve_cauchy(M: ModelManifold, op: PhiOperator, pot: PotentialB,
 
     Each window is solved by fixed-point iteration; the restart state
     ``(theta, mu)`` is the last node of its value and slope.  Windows halve
-    on non-convergence; crossing ``blowup_threshold`` reports a finite
-    blow-up radius bracketed by the last grid cell.
+    on non-convergence and double, up to the first width, after one that
+    did not; crossing ``blowup_threshold`` reports a finite blow-up radius
+    bracketed by the last grid cell.
     """
     pieces = []
     end = _take(_march(M, op, pot, params, R_max, blowup_threshold,

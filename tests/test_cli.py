@@ -394,3 +394,52 @@ def test_byte_identical_reruns(argv, tmp_path, capsys):
     assert cli.main(argv + ["--out", str(out1)]) == \
         cli.main(argv + ["--out", str(out2)])
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["classify", "--set", "manifold=euclidean", "--set", "m=2"], 0),
+    (EVANS_ARGS, 0),
+    (KHAS_ARGS + ["--set", "m=2"], 0),
+    (OBST_ARGS, 0),
+])
+def test_options_may_come_before_the_command(argv, code, tmp_path):
+    before, after = tmp_path / "before.csv", tmp_path / "after.csv"
+    assert cli.main(argv[1:] + [argv[0], "--out", str(before)]) == code
+    assert cli.main(argv + ["--out", str(after)]) == code
+    assert before.read_bytes() == after.read_bytes()
+
+
+def test_unknown_command_exits_two(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["frobnicate", "--set", "manifold=euclidean"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and "frobnicate" in err
+
+
+def test_one_help_lists_every_command_and_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "{" + ",".join(cli.COMMANDS) + "}" in out
+    for option in ("--config", "--out", "--tol", "--rmax", "--set"):
+        assert option in out
+
+
+# ---------------------------------------------------------------------------
+# the profile writer
+
+
+@pytest.mark.parametrize("r,values", [
+    ([-0.0, 5e-324, 1e308, math.nan, math.inf, 2.0],
+     [2.0, -math.inf, -0.0, 1 / 3, 5e-324, math.nan]),
+    (np.geomspace(1.0, 1e4, 257), np.sqrt(np.geomspace(1.0, 1e4, 257))),
+    ([], []),
+])
+def test_profile_csv_is_the_per_row_format(r, values):
+    rows = [f"{a:.12g},{b:.12g}" for a, b in zip(r, values)]
+    expected = "\n".join(["# command=evans", "# status=complete", "r,w"]
+                         + rows) + "\n"
+    assert cli._profile_csv(["command=evans", "status=complete"], "w",
+                            r, values) == expected

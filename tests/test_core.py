@@ -227,10 +227,37 @@ def test_operator_invalid_constants():
     with pytest.raises(ValueError):
         core.PhiOperator(phi=lambda t: t, phi_prime=lambda t: 1.0,
                          p=1.0, a1=1.0, a2=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="two-sided"):
         # wrong pinching: phi = t but claimed p = 3
         core.PhiOperator(phi=lambda t: t, phi_prime=lambda t: 1.0,
                          p=3.0, a1=1.0, a2=1.0)
+
+
+def test_operator_validation_calls_phi_once_on_an_array():
+    with pytest.raises(ValueError, match="phi must give one value per "
+                                         "sample.*shape \\(\\)"):
+        core.PhiOperator(phi=lambda t: 1.0, phi_prime=lambda t: 0.0,
+                         p=2.0, a1=1.0, a2=1.0)
+    with pytest.raises(ValueError, match="phi' must give one value"):
+        core.PhiOperator(phi=lambda t: t, phi_prime=lambda t: 1.0,
+                         p=2.0, a1=1.0, a2=1.0, derivative_pinched=True)
+
+
+def test_derivative_pinching_is_sampled():
+    true = core.perturbed_operator(3.0)
+    calls = []
+
+    def phi_prime(t):
+        calls.append(np.shape(t))
+        return 1e-3 * true.phi_prime(t)
+
+    with pytest.raises(ValueError, match="derivative pinching"):
+        core.PhiOperator(phi=true.phi, phi_prime=phi_prime, p=true.p,
+                         a1=true.a1, a2=true.a2, derivative_pinched=True)
+    assert calls == [(61,)]
+    core.PhiOperator(phi=true.phi, phi_prime=phi_prime, p=true.p,
+                     a1=true.a1, a2=true.a2)
+    assert calls == [(61,)]
 
 
 @settings(deadline=None, max_examples=200)
@@ -361,10 +388,12 @@ def test_potential_negative_argument_clamped():
 
 
 def test_potential_validation():
-    with pytest.raises(ValueError):
-        core.PotentialB(B=lambda t: t - 1.0)          # B(0) != 0
-    with pytest.raises(ValueError):
-        core.PotentialB(B=lambda t: np.sin(np.asarray(t)))  # not monotone
+    with pytest.raises(ValueError, match="B\\(0\\)=0"):
+        core.PotentialB(B=lambda t: t - 1.0)
+    with pytest.raises(ValueError, match="non-decreasing"):
+        core.PotentialB(B=lambda t: np.sin(np.asarray(t)))
+    with pytest.raises(ValueError, match="potential must give one value"):
+        core.PotentialB(B=lambda t: 0.0)
     with pytest.raises(ValueError):
         core.plateau_potential(-1.0, 2.0)
     with pytest.raises(ValueError):

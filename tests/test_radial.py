@@ -206,6 +206,51 @@ def test_blowup_radius_stable_under_grid_halving():
     assert abs(rhos[1] - rhos[0]) <= 0.02 * rhos[0]
 
 
+def test_window_fails_at_the_first_growing_increment():
+    # [1, 2] reaches past the blow-up radius ~1.807: the iterates diverge
+    # and the window is refused with both increments named, not iterated
+    # until the flux overflows
+    params = radial.CauchyParams(R=1.0, theta=1.0, mu=1.0, c=1.0)
+    with pytest.raises(radial.PicardNoConvergence,
+                       match="increment 1.097e.00, then 2.308e.00 at "
+                             "application 2;"):
+        radial.solve_on_interval(EUC2, LAP2, core.superlinear_potential(5.0),
+                                 params, 2.0)
+
+
+@pytest.mark.parametrize("threshold", [1e8, 1e16, 1e50])
+def test_blowup_march_work_counts(monkeypatch, threshold):
+    # failing windows stop at their first growing increment, and a window
+    # accepted right after a halving is not doubled: 218 Picard
+    # applications and 27 failed windows (435 and 42 when windows iterated
+    # until the flux overflowed and always doubled)
+    counts = {"applications": 0, "failed": 0, "accepted": 0}
+    apply, solve = radial.volterra_apply, radial.solve_on_interval
+
+    def counted_apply(*args):
+        counts["applications"] += 1
+        return apply(*args)
+
+    def counted_solve(*args, **kwargs):
+        try:
+            out = solve(*args, **kwargs)
+        except radial.PicardNoConvergence:
+            counts["failed"] += 1
+            raise
+        counts["accepted"] += 1
+        return out
+
+    monkeypatch.setattr(radial, "volterra_apply", counted_apply)
+    monkeypatch.setattr(radial, "solve_on_interval", counted_solve)
+    params = radial.CauchyParams(R=1.0, theta=1.0, mu=1.0, c=1.0)
+    sol = radial.solve_cauchy(EUC2, LAP2, core.superlinear_potential(5.0),
+                              params, 100.0, blowup_threshold=threshold)
+    assert counts == {"applications": 218, "failed": 27, "accepted": 15}
+    assert sol.status == radial.BLOWUP
+    assert sol.blowup_radius == 1.80695616081357
+    assert len(sol.grid) == 946
+
+
 def test_no_blowup_for_subcritical_potential():
     pot = core.linear_power_potential(2.0, 1.0)
     for c in (1.0, 0.5, 0.25):
