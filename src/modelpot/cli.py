@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Commands: ``classify`` (integral-criteria sweeps), ``evans`` (radial
+Commands: ``classify`` (integral criteria), ``evans`` (radial
 exhaustion profile), ``khasminskii`` (staged supersolution pipeline) and
 ``obstacle`` (single constrained solve).  Configuration is flat
 ``key=value`` text (one pair per line, ``#`` comments) merged with
@@ -147,20 +147,20 @@ def _profile_csv(meta, column, r=(), values=()) -> str:
         pairs.ravel().tolist())
 
 
-CSV_COLUMNS = ("manifold", "p", "potential", "property", "verdict", "c",
+CSV_COLUMNS = ("manifold", "p", "potential", "property", "verdict",
                "partial_integral", "slope")
 
 
-def _classification_rows(manifold_name, p, potential_name, cls):
-    """One CSV row per tested ``c``.  Option separators inside a tag are
-    written as ``;`` so that the field holds no comma
-    (``linear-power:p=2;lambda=1``); ``_split_list`` reads either."""
-    potential_field = potential_name.replace(",", ";")
-    return [",".join((manifold_name, f"{p:g}", potential_field,
-                      cls.property.value, dv.verdict.value, f"{c:g}",
-                      f"{dv.partial_integral:.12g}",
-                      f"{dv.slope_estimate:.6g}"))
-            for c, dv in zip(cls.c_values_tested, cls.per_c)]
+def _classification_row(manifold_name, p, potential_name, cls):
+    """The CSV row of a classification and the test that decided it.
+    Option separators inside a tag are written as ``;`` so that the field
+    holds no comma (``linear-power:p=2;lambda=1``); ``_split_list`` reads
+    either."""
+    dv = cls.divergence
+    return ",".join((manifold_name, f"{p:g}",
+                     potential_name.replace(",", ";"), cls.property.value,
+                     dv.verdict.value, f"{dv.partial_integral:.12g}",
+                     f"{dv.slope_estimate:.6g}"))
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +190,8 @@ def cmd_classify(cfg, out_path) -> int:
                     cls = criteria.classify_KL(M, op, pot, div_cfg)
                 if cls.property is criteria.PropertyTag.INCONCLUSIVE:
                     any_inconclusive = True
-                lines += _classification_rows(M.name, op.p, pot.name, cls)
+                lines.append(
+                    _classification_row(M.name, op.p, pot.name, cls))
     _write(out_path, "\n".join(lines) + "\n")
     return EXIT_INCONCLUSIVE if any_inconclusive else EXIT_OK
 

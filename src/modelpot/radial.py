@@ -22,7 +22,7 @@ from .core import (DomainError, ModelManifold, NumericError, PhiOperator,
                    PotentialB, log_sphere_volume, phi_inverse,
                    phi_inverse_array, sphere_volume)
 from .criteria import (DEFAULT_DIVERGENCE, DivergenceVerdict, Verdict,
-                       test_L1_at_infinity)
+                       classify_parabolic)
 
 COMPLETE = "complete"
 BLOWUP = "blowup"
@@ -97,8 +97,8 @@ class EvansFailure(NumericError):
 
 
 class NoExhaustion(EvansFailure):
-    """For ``B = 0`` the slope integral ``int_R^inf phi^-1(w(R)/w)`` was not
-    found to diverge, so no scale gives an unbounded profile.
+    """For ``B = 0`` the parabolicity test from ``R`` did not find the
+    slope integral to diverge, so no scale gives an unbounded profile.
     ``divergence`` is the verdict of the test: ``Converges`` (no
     exhaustion exists) or ``Inconclusive`` (the test cannot tell)."""
 
@@ -372,19 +372,6 @@ def constant_flux_profile(M: ModelManifold, op: PhiOperator,
                           r_max=float(R_max))
 
 
-def _exhaustion_verdict(M: ModelManifold, op: PhiOperator,
-                        R: float) -> DivergenceVerdict:
-    """Whether ``B = 0`` profiles from ``R`` are unbounded: the divergence
-    test on the slope ``_constant_flux_slope`` at ``c = 1``, up to the
-    test's ``r_max`` or the end of a table.  The pinching of ``phi`` makes
-    the verdict the same for every ``c``."""
-    cfg = replace(DEFAULT_DIVERGENCE,
-                  r_max=min(DEFAULT_DIVERGENCE.r_max, M.r_max_valid))
-    params = CauchyParams(R=R, theta=0.0, mu=choose_mu(op, 1.0), c=1.0)
-    return test_L1_at_infinity(
-        lambda r: _constant_flux_slope(M, op, params, r), R, cfg)
-
-
 def choose_mu(op: PhiOperator, c: float) -> float:
     """Largest slope keeping the scaled initial flux below ``c**(p-1)``.
 
@@ -411,8 +398,11 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     ``solve_cauchy`` march that cover the annulus, and only the accepted
     scale is marched on to ``R_max``; a ``BLOWUP`` there is a threshold
     crossing and raises ``EvansFailure``.  For ``B = 0`` each scale's
-    solution is ``constant_flux_profile``, and the divergence of its slope
-    integral is decided first: ``NoExhaustion`` unless it diverges.
+    solution is ``constant_flux_profile``, whose slope is ``v_pa`` up to
+    scale, and ``classify_parabolic`` from ``R`` decides first whether its
+    integral diverges (up to its ``r_max`` or the end of a table):
+    ``NoExhaustion`` unless it does.  The pinching of ``phi`` makes that
+    verdict the same for every scale.
     """
     if not (0 < R < R1 < R_max):
         raise DomainError("need 0 < R < R1 < R_max")
@@ -434,11 +424,13 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     exhaustion = None
     if pot.b1 == 0:
         M._check_radius(R_max)       # a short table fails before its tail
-        exhaustion = _exhaustion_verdict(M, op, R)
+        cfg = replace(DEFAULT_DIVERGENCE,
+                      r_max=min(DEFAULT_DIVERGENCE.r_max, M.r_max_valid))
+        exhaustion = classify_parabolic(M, op, cfg, R).divergence
         if exhaustion.verdict is not Verdict.DIVERGES:
             raise NoExhaustion(
-                "no exhaustion: the divergence test on the B = 0 slope "
-                f"integral says {exhaustion.verdict.value} (partial integral "
+                "no exhaustion: the parabolicity test says "
+                f"{exhaustion.verdict.value} (partial integral "
                 f"{exhaustion.partial_integral:.6g}, slope "
                 f"{exhaustion.slope_estimate:.6g})", exhaustion)
     c = 1.0
@@ -489,19 +481,6 @@ def _threshold_failure(sol: RadialSolution,
         f"solution at c={sol.params.c:.6g} {how} the blow-up threshold "
         f"{blowup_threshold:g} at radius {sol.blowup_radius:.6g}",
         blowup_radius=sol.blowup_radius)
-
-
-def non_overlap_mu(M: ModelManifold, op: PhiOperator, w_prime_R: float,
-                   R: float, R_hat: float, c: float) -> float:
-    """Slope making an inner solution started at ``R_hat`` stay below an
-    outer solution started at ``R`` (strict flux comparison, factor 1/2)."""
-    if not (0 < R < R_hat):
-        raise DomainError("need 0 < R < R_hat")
-    if w_prime_R <= 0:
-        raise DomainError("outer slope must be positive")
-    y = (0.5 * sphere_volume(M, R) * float(op.phi(w_prime_R))
-         / sphere_volume(M, R_hat))
-    return phi_inverse(op, y) / c
 
 
 def ode_residual(M: ModelManifold, op: PhiOperator, pot: PotentialB,

@@ -1,12 +1,13 @@
 """Independent oracles shared by the unit and acceptance tests."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
 
-from modelpot import obstacle, radial
+from modelpot import criteria, obstacle, radial
+from modelpot.criteria import OperatorTypeTag, PropertyTag, Verdict
 
 
 def phi_inverse_brentq(op, y):
@@ -24,6 +25,60 @@ def phi_inverse_brentq(op, y):
         lo, hi = lo * 0.5, hi * 2.0
     return brentq(lambda t: float(op.phi(t)) - y, lo, hi,
                   xtol=1e-300, rtol=8.9e-16, maxiter=300)
+
+
+# the scales of the comparison profiles, largest first
+C_SWEEP = (1.0, 0.25, 0.0625, 0.015625)
+# the warpings and operators on which the one-scale classifiers and the
+# Evans exhaustion test are checked against the oracles below
+WARPINGS = (("euclidean", 2), ("euclidean", 3), ("euclidean", 4),
+            ("hyperbolic", 2), ("hyperbolic", 3),
+            ("power-exp:alpha=2.2", 2), ("power-exp:alpha=3", 2))
+OPERATOR_TAGS = tuple(f"{kind}:p={p:g}" for kind in ("p-laplacian",
+                                                    "perturbed")
+                      for p in (1.5, 2.0, 3.0))
+
+
+def classify_c_sweep(M, op, pot=None, cfg=criteria.DEFAULT_DIVERGENCE,
+                     R0=1.0):
+    """The property by the rule that samples the scale ``c``: the
+    divergence test on the comparison profile at every ``c`` of
+    ``C_SWEEP``.  It holds if every scale diverges, fails if the smallest
+    converges, and is Inconclusive otherwise.  ``pot=None`` asks for
+    parabolicity (``v_pa``); a potential asks for the Liouville property,
+    which tests ``v_st`` for a Type 1 potential and ``v_pa`` otherwise."""
+    if pot is None:
+        holds, fails = PropertyTag.PARABOLIC, PropertyTag.NON_PARABOLIC
+    else:
+        holds, fails = PropertyTag.KL_HOLDS, PropertyTag.KL_FAILS
+    if pot is not None and \
+            criteria.classify_operator_type(pot).tag is OperatorTypeTag.TYPE1:
+        def profile(c, r):
+            return criteria.v_st(M, op, c, R0, r)
+    else:
+        def profile(c, r):
+            return criteria.v_pa(M, op, c, r)
+    verdicts = [criteria.test_L1_at_infinity(
+        lambda r, c=c: profile(c, r), R0, cfg).verdict for c in C_SWEEP]
+    if all(v is Verdict.DIVERGES for v in verdicts):
+        return holds
+    if verdicts[-1] is Verdict.CONVERGES:
+        return fails
+    return PropertyTag.INCONCLUSIVE
+
+
+def exhaustion_at_unit_scale(M, op, R):
+    """Whether ``B = 0`` profiles from ``R`` are unbounded, decided on the
+    slope of ``radial.constant_flux_profile`` at ``c = 1``,
+    ``phi^-1(w(R)/w)``: the divergence test up to its ``r_max`` or the
+    end of a table."""
+    cfg = replace(criteria.DEFAULT_DIVERGENCE,
+                  r_max=min(criteria.DEFAULT_DIVERGENCE.r_max,
+                            M.r_max_valid))
+    params = radial.CauchyParams(R=R, theta=0.0,
+                                 mu=radial.choose_mu(op, 1.0), c=1.0)
+    return criteria.test_L1_at_infinity(
+        lambda r: radial._constant_flux_slope(M, op, params, r), R, cfg)
 
 
 def evans_eager_sweep(M, op, pot, R, R1, eps, R_max, blowup_threshold=1e8,

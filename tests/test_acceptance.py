@@ -47,17 +47,17 @@ def test_acceptance_01_classifier_truth_table():
         M = core.manifold_from_tag(tag, m)
         cls = criteria.classify_parabolic(M, core.p_laplacian_operator(p))
         ok &= cls.property is expected
-        ok &= all(slope_is_conclusive(dv) for dv in cls.per_c)
+        ok &= slope_is_conclusive(cls.divergence)
     op2 = core.p_laplacian_operator(2.0)
     pot = core.linear_power_potential(2.0, 1.0)
     kl1 = criteria.classify_KL(core.manifold_from_tag("euclidean", 3),
                                op2, pot)
     ok &= kl1.property is PropertyTag.KL_HOLDS
-    ok &= all(slope_is_conclusive(dv) for dv in kl1.per_c)
+    ok &= slope_is_conclusive(kl1.divergence)
     kl2 = criteria.classify_KL(core.manifold_from_tag("power-exp:alpha=3", 2),
                                op2, pot)
     ok &= kl2.property is PropertyTag.KL_FAILS
-    ok &= all(slope_is_conclusive(dv) for dv in kl2.per_c)
+    ok &= slope_is_conclusive(kl2.divergence)
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 10.0
     report(1, "classifier truth table", ok, f"{elapsed:.1f}s")
@@ -72,9 +72,9 @@ def test_acceptance_02_criteria_cross_consistency():
         for tag, m in cases:
             M = core.manifold_from_tag(tag, m)
             st, pa = criteria.p_laplacian_criteria(M, p)
-            gen_pa = criteria.classify_parabolic(M, op).per_c[0].verdict
+            gen_pa = criteria.classify_parabolic(M, op).divergence.verdict
             pot = core.linear_power_potential(p, 1.0)
-            gen_st = criteria.classify_KL(M, op, pot).per_c[0].verdict
+            gen_st = criteria.classify_KL(M, op, pot).divergence.verdict
             mism += (gen_pa is not pa.verdict) + (gen_st is not st.verdict)
     report(2, "criteria cross-consistency", mism == 0,
            f"{mism} mismatches over 24 comparisons")

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from modelpot import cli, core, criteria, obstacle, radial
+from modelpot import cli, core, obstacle, radial
 
 
 def run_cli(argv, capsys):
@@ -56,10 +56,10 @@ def test_classify_parabolic_plane(capsys):
     assert code == 0
     lines = out.splitlines()
     assert lines[0].startswith("#")
-    assert lines[1] == "manifold,p,potential,property,verdict,c," \
+    assert lines[1] == "manifold,p,potential,property,verdict," \
                        "partial_integral,slope"
     rows = [ln.split(",") for ln in lines[2:]]
-    assert len(rows) == len(criteria.DEFAULT_C_VALUES)
+    assert len(rows) == 1
     assert all(len(r) == len(cli.CSV_COLUMNS) for r in rows)
     assert {r[3] for r in rows} == {"Parabolic"}
 
@@ -196,7 +196,7 @@ def test_evans_no_exhaustion_exit_code(capsys):
     assert code == 4
     lines = out.splitlines()
     assert lines[:2] == ["# command=evans", "# status=no_exhaustion"]
-    assert lines[2].startswith("# partial_integral=0.9999")
+    assert lines[2].startswith("# partial_integral=0.0156234375")
     assert lines[3:] == ["# slope=-2", "r,w"]
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from modelpot import cli, core, criteria
 from modelpot.criteria import PropertyTag, Verdict
+from oracles import OPERATOR_TAGS, WARPINGS, classify_c_sweep
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +123,7 @@ def test_classify_parabolic_slope_margins():
     M = core.manifold_from_tag("euclidean", 3)
     op = core.p_laplacian_operator(2.0)
     cls = criteria.classify_parabolic(M, op)
-    for dv in cls.per_c:
-        assert abs(dv.slope_estimate - (-1.0)) >= 0.15
+    assert abs(cls.divergence.slope_estimate - (-1.0)) >= 0.15
 
 
 def test_classify_KL_linear_potential_holds():
@@ -183,11 +183,25 @@ def test_operator_type_classification():
     assert tz.T == math.inf
 
 
-def test_classification_invariants():
-    with pytest.raises(ValueError):
-        criteria.Classification(PropertyTag.PARABOLIC, (), ())
-    with pytest.raises(ValueError):
-        criteria.Classification(PropertyTag.PARABOLIC, (0.1, 1.0), (None,) * 2)
+@pytest.mark.parametrize("T", [1.0, 1e-3])
+def test_operator_type_probes_in_one_call(T):
+    # one call of B on the 200 probes; T is the last probe where the
+    # plateau potential still vanishes, as probing one point at a time gives
+    base = core.plateau_potential(T, 2.0)
+    calls = []
+
+    def B(t):
+        calls.append(np.shape(t))
+        return base.B(t)
+
+    pot = core.PotentialB(B=B, b1=base.b1, name=base.name)
+    calls.clear()
+    res = criteria.classify_operator_type(pot)
+    assert calls == [(200,)]
+    probes = np.geomspace(1e-6, 10.0, 200)
+    zero = [t for t in probes if float(base(t)) == 0.0]
+    assert res.tag is criteria.OperatorTypeTag.TYPE2
+    assert res.T == zero[-1] and res.T < T < probes[len(zero)]
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +218,7 @@ def test_cross_consistency_parabolic_form(tag, m, p):
     M = core.manifold_from_tag(tag, m)
     op = core.p_laplacian_operator(p)
     _, pa = criteria.p_laplacian_criteria(M, p)
-    generic = criteria.classify_parabolic(M, op).per_c[0].verdict
+    generic = criteria.classify_parabolic(M, op).divergence.verdict
     assert generic is pa.verdict
 
 
@@ -215,8 +229,32 @@ def test_cross_consistency_stochastic_form(tag, m, p):
     op = core.p_laplacian_operator(p)
     st, _ = criteria.p_laplacian_criteria(M, p)
     pot = core.linear_power_potential(p, 1.0)   # strictly positive: Type1
-    generic = criteria.classify_KL(M, op, pot).per_c[0].verdict
+    generic = criteria.classify_KL(M, op, pot).divergence.verdict
     assert generic is st.verdict
+
+
+def test_one_scale_keeps_the_property_of_the_c_sweep():
+    # 7 warpings x 6 operators x 4 potentials, and the benchmark's table
+    # g = r (1 + r^2)^(-1/4) ~ r^(1/2): each property at PROFILE_C is the
+    # one the sweep over four scales gives
+    r = np.geomspace(1e-3, 1e4, 400)
+    table = core.tabulated_manifold(r, r * (1.0 + r * r) ** -0.25, m=2)
+    manifolds = [core.manifold_from_tag(tag, m) for tag, m in WARPINGS]
+    cases, wrong = 0, []
+    for M in manifolds + [table]:
+        for op in map(core.operator_from_tag, OPERATOR_TAGS):
+            for pot in (None, core.plateau_potential(1.0, op.p),
+                        core.linear_power_potential(op.p, 1.0),
+                        core.superlinear_potential(op.p + 0.5)):
+                cls = criteria.classify_parabolic(M, op) if pot is None \
+                    else criteria.classify_KL(M, op, pot)
+                expected = classify_c_sweep(M, op, pot)
+                cases += 1
+                if cls.property is not expected:
+                    wrong.append((M.name, M.m, op.name, pot and pot.name,
+                                  cls.property.value, expected.value))
+    assert cases == 7 * 6 * 4 + 6 * 4
+    assert wrong == []
 
 
 def test_hyperbolic_volume_ratio_verdicts():
@@ -251,7 +289,7 @@ def test_classifiers_sample_without_quadrature(monkeypatch):
 def test_classifier_volume_ratio_node_counts(monkeypatch):
     # nodes of the volume-ratio table: the test's radii plus the table's own
     # grid where it is not within rounding of them; Type 1 classify_KL
-    # builds one table for all its c
+    # builds one table
     seen = []
     log_sphere_volume = core.log_sphere_volume
 
@@ -362,15 +400,13 @@ def test_classification_rows_and_text(capsys):
     M = core.manifold_from_tag("euclidean", 2)
     op = core.p_laplacian_operator(2.0)
     cls = criteria.classify_parabolic(M, op)
-    rows = cli._classification_rows("euclidean", 2.0, "zero", cls)
-    assert len(rows) == len(cls.c_values_tested)
-    fields = [r.split(",") for r in rows]
-    assert all(len(f) == len(cli.CSV_COLUMNS) for f in fields)
-    assert {f[3] for f in fields} == {"Parabolic"}
-    assert [float(f[5]) for f in fields] == list(cls.c_values_tested)
-    # the classify command writes the same rows under its header
+    row = cli._classification_row("euclidean", 2.0, "zero", cls)
+    fields = row.split(",")
+    assert len(fields) == len(cli.CSV_COLUMNS)
+    assert fields[3] == "Parabolic"
+    # the classify command writes the same row under its header
     assert cli.main(["classify", "--set", "manifold=euclidean",
                      "--set", "m=2"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[:2] == ["# command=classify", ",".join(cli.CSV_COLUMNS)]
-    assert lines[2:] == rows
+    assert lines[2:] == [row]

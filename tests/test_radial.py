@@ -11,7 +11,8 @@ from scipy.integrate import (cumulative_simpson, cumulative_trapezoid,
 
 from modelpot import core, radial
 from modelpot.criteria import Verdict
-from oracles import evans_eager_sweep, phi_inverse_brentq
+from oracles import (OPERATOR_TAGS, WARPINGS, evans_eager_sweep,
+                     exhaustion_at_unit_scale, phi_inverse_brentq)
 
 
 EUC2 = core.manifold_from_tag("euclidean", 2)
@@ -518,6 +519,26 @@ def test_evans_exhaustion_verdict(tag, m, op):
         assert isinstance(info.value, radial.EvansFailure)
 
 
+@pytest.mark.parametrize("R", [0.5, 1.0, 3.0])
+def test_evans_exhaustion_matches_the_unit_scale_test(R):
+    # the parabolicity test that evans_for_triple asks gives the verdict of
+    # the slope test at c = 1 on 7 warpings x 6 operators
+    wrong = []
+    for tag, m in WARPINGS:
+        M = core.manifold_from_tag(tag, m)
+        for op in map(core.operator_from_tag, OPERATOR_TAGS):
+            expected = exhaustion_at_unit_scale(M, op, R).verdict
+            try:
+                got = radial.evans_for_triple(M, op, ZERO, R=R, R1=R + 1.0,
+                                              eps=0.1, R_max=60.0).exhaustion
+            except radial.NoExhaustion as exc:
+                got = exc.divergence
+            if got.verdict is not expected:
+                wrong.append((M.name, m, op.name, got.verdict.value,
+                              expected.value))
+    assert wrong == []
+
+
 def test_evans_exhaustion_verdict_on_a_short_table(tmp_path):
     # the divergence test stops at the end of the table, r = 100
     M = plane_table(tmp_path)
@@ -538,25 +559,3 @@ def test_evans_inconclusive_exhaustion_is_not_a_verdict():
         radial.evans_for_triple(EUC2, core.p_laplacian_operator(1.95), ZERO,
                                 R=1.0, R1=2.0, eps=0.1, R_max=60.0)
     assert info.value.divergence.verdict is Verdict.INCONCLUSIVE
-
-
-def test_non_overlap_mu_example():
-    # equal radii and factor 1/2: mu = phi^-1(phi(1)/2)/c
-    mu = radial.non_overlap_mu(EUC2, LAP2, w_prime_R=1.0, R=1.0,
-                               R_hat=2.0, c=1.0)
-    assert mu == pytest.approx(0.25)
-    with pytest.raises(core.DomainError):
-        radial.non_overlap_mu(EUC2, LAP2, 1.0, R=2.0, R_hat=1.0, c=1.0)
-
-
-def test_non_overlap_solutions_stay_ordered():
-    # outer solution from R with slope 1; inner from R_hat with the
-    # non-overlap slope stays strictly below it up to R_max
-    params_out = radial.CauchyParams(R=1.0, theta=0.0, mu=1.0, c=1.0)
-    out = radial.solve_cauchy(EUC2, LAP2, ZERO, params_out, 20.0)
-    mu_in = radial.non_overlap_mu(EUC2, LAP2, 1.0, R=1.0, R_hat=2.0, c=1.0)
-    theta_in = float(np.interp(2.0, out.grid, out.z))
-    params_in = radial.CauchyParams(R=2.0, theta=theta_in, mu=mu_in, c=1.0)
-    inner = radial.solve_cauchy(EUC2, LAP2, ZERO, params_in, 20.0)
-    z_out_on_inner = np.interp(inner.grid, out.grid, out.z)
-    assert np.all(inner.z <= z_out_on_inner + 1e-9)
