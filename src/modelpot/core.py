@@ -418,8 +418,10 @@ def phi_inverse(op: PhiOperator, y):
     steps stay inside the bracket and use up the steps).
     """
     ys = np.asarray(y, dtype=float)
-    bad = ~((ys >= 0) & (ys < math.inf))
-    if np.any(bad):
+    # two reductions decide the domain (a NaN fails both); the mask is
+    # built only to name the first offending y
+    if ys.size and not (ys.min() >= 0 and ys.max() < math.inf):
+        bad = ~((ys >= 0) & (ys < math.inf))
         raise DomainError(f"phi_inverse requires finite y >= 0, got "
                           f"y={ys[bad][0]:.6g}")
     if op.phi_inv is not None:

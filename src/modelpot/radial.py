@@ -12,6 +12,7 @@ that produce exhaustion potentials for triples of concentric balls.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -37,10 +38,30 @@ def _cumint(y, x):
     return _CumulativeSimpson(x)(y)
 
 
+@functools.lru_cache(maxsize=32)
+def _simpson_indices(n_sub: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index arrays of ``_CumulativeSimpson`` on ``n_sub >= 2``
+    sub-intervals, which depend on nothing else: for each sub-interval
+    ``j`` the other spacing of its triple, and the triple's nodes from
+    ``j`` outwards, ``(j, j+1, j+2)`` forward and ``(j+1, j, j-1)``
+    backward.  Built on first use and read-only, since every grid of that
+    size shares them."""
+    j = np.arange(n_sub)
+    fwd = np.zeros(n_sub, dtype=bool)
+    fwd[:-1:2] = True
+    other = np.where(fwd, j + 1, j - 1)
+    nodes = j + np.where(fwd, [[0], [1], [2]], [[1], [0], [-1]])
+    other.flags.writeable = False
+    nodes.flags.writeable = False
+    return other, nodes
+
+
 class _CumulativeSimpson:
-    """``_cumint``'s rule on a fixed grid ``x``, whose coefficients are
-    computed once; applying it to samples ``y`` is one gather, five array
-    operations and one cumulative sum.
+    """``_cumint``'s rule on a fixed grid ``x``.  Building it takes the
+    spacings, their check and the coefficient arithmetic; the index arrays
+    come from ``_simpson_indices``, cached per node count.  Applying it to
+    samples ``y`` is one gather, five array operations and one cumulative
+    sum.
 
     Even sub-intervals (but the last) integrate the quadratic through the
     triple they start, odd ones and the last the triple they end.  Either
@@ -60,16 +81,11 @@ class _CumulativeSimpson:
         self.h = h
         if len(h) < 2:
             return
-        j = np.arange(len(h))
-        fwd = np.zeros(len(h), dtype=bool)
-        fwd[:-1:2] = True
-        h1, h2 = h, h[np.where(fwd, j + 1, j - 1)]
+        other, self.nodes = _simpson_indices(len(h))
+        h1, h2 = h, h[other]
         r31 = h1 / (h1 + h2)
         r32 = r31 * (h1 / h2)
         self.a, self.p, self.q, self.s = h1 / 6, 3 - r31, 3 + r32 + r31, r32
-        # the triple's nodes from j outwards: (j, j+1, j+2) forward,
-        # (j+1, j, j-1) backward
-        self.nodes = j + np.where(fwd, [[0], [1], [2]], [[1], [0], [-1]])
 
     def __call__(self, y):
         out = np.zeros(len(self.h) + 1)
@@ -78,7 +94,8 @@ class _CumulativeSimpson:
         else:
             y0, y1, y2 = y[self.nodes]
             sub = self.a * ((self.p * y0 + self.q * y1) - self.s * y2)
-        np.cumsum(sub, out=out[1:])
+        # the ufunc loop of np.cumsum, without its dispatch
+        np.add.accumulate(sub, out=out[1:])
         return out
 
 
@@ -150,20 +167,44 @@ class EvansResult:
 
 
 class _Window:
-    """What every Picard application on one window shares: the grid
-    (checked once), the weights ``w = g**(m-1)`` (range-checked by
-    ``sphere_volume``), the head flux ``w(R) phi(c mu)/w`` and the rule of
-    ``_cumint`` on the grid.  Built from the ``M``, ``op`` and ``params``
-    that ``volterra_apply`` is called with."""
+    """Everything the Picard applications on one window share, built once
+    per window from the ``M``, ``op``, ``pot``, ``params`` and grid that
+    ``volterra_apply`` is called with: the grid, checked to be
+    one-dimensional and strictly increasing; the weights
+    ``w = g**(m-1)``, range-checked by ``sphere_volume``; the head flux
+    ``w(R) phi(c mu)/w``; the rule of ``_cumint`` on the grid; and the
+    application's constants ``op``, ``pot``, ``c`` and ``theta``."""
 
-    def __init__(self, M: ModelManifold, op: PhiOperator,
+    def __init__(self, M: ModelManifold, op: PhiOperator, pot: PotentialB,
                  params: CauchyParams, grid):
         self.grid = np.asarray(grid, dtype=float)
+        if self.grid.ndim != 1:
+            raise ValueError("grid must be one-dimensional")
         self.w = sphere_volume(M, self.grid)
         self.cumint = _CumulativeSimpson(self.grid)
+        self.op, self.pot = op, pot
+        self.c, self.theta = params.c, params.theta
         with np.errstate(over="ignore", invalid="ignore"):
             self.head = (self.w[0] * float(op.phi(params.c * params.mu))
                          / self.w)
+
+    def apply(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``volterra_apply`` on this window, for a float array ``u``; the
+        caller holds ``np.errstate(over="ignore", invalid="ignore")``.
+        Each check is one reduction."""
+        if u.shape != self.grid.shape:
+            raise ValueError("grid and samples must have matching shapes")
+        if u.min() < 0:
+            raise DomainError("samples must be nonnegative")
+        w, c = self.w, self.c
+        flux = self.head + self.cumint(w * self.pot(c * u)) / w
+        if not np.isfinite(flux).all():
+            raise PicardNoConvergence("flux overflow; shrink the interval")
+        # the composite rule can undershoot on steep data; the true flux
+        # of a nonnegative source never drops below zero
+        slope = phi_inverse_array(self.op, np.maximum(flux, 0.0))
+        return (self.theta + np.maximum(self.cumint(slope), 0.0) / c,
+                slope / c)
 
 
 def volterra_apply(M: ModelManifold, op: PhiOperator, pot: PotentialB,
@@ -178,27 +219,22 @@ def volterra_apply(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     integrand, ``phi^-1`` of the flux identity divided by ``c``, so it is
     never differentiated numerically.  Both cumulative integrals use a
     composite higher-order rule on the shared grid, which must be strictly
-    increasing (``ValueError`` otherwise).  ``grid`` is an array, or the
-    ``_Window`` that ``solve_on_interval`` builds from it once for all of
-    a window's applications; the result is the same bit for bit.
+    increasing (``ValueError`` otherwise).
+
+    ``grid`` is an array, or the ``_Window`` that ``solve_on_interval``
+    builds from one for all of a window's applications; the result is the
+    same bit for bit.  On a window the application is one lean pass: the
+    window's own ``op``, ``pot`` and ``params`` apply, ``u`` must be a
+    float array, and the caller holds the ``np.errstate`` (as
+    ``solve_on_interval`` does once per window).  Its checks (the shape,
+    ``u >= 0`` and a finite flux, else ``PicardNoConvergence``) are one
+    reduction each.
     """
-    win = grid if isinstance(grid, _Window) else _Window(M, op, params, grid)
-    u = np.asarray(u, dtype=float)
-    if win.grid.shape != u.shape:
-        raise ValueError("grid and samples must have matching shapes")
-    if np.any(u < 0):
-        raise DomainError("samples must be nonnegative")
-    w, c = win.w, params.c
+    if isinstance(grid, _Window):
+        return grid.apply(u)
+    win = _Window(M, op, pot, params, grid)
     with np.errstate(over="ignore", invalid="ignore"):
-        flux = win.head + win.cumint(
-            w * np.asarray(pot(c * u), dtype=float)) / w
-        if not np.all(np.isfinite(flux)):
-            raise PicardNoConvergence("flux overflow; shrink the interval")
-        # the composite rule can undershoot on steep data; the true flux
-        # of a nonnegative source never drops below zero
-        slope = phi_inverse_array(op, np.maximum(flux, 0.0))
-        return (params.theta + np.maximum(win.cumint(slope), 0.0) / c,
-                slope / c)
+        return win.apply(np.asarray(u, dtype=float))
 
 
 # A Picard iterate has converged once an application moves it by at most
@@ -213,23 +249,26 @@ def solve_on_interval(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     """Fixed point ``(grid, z, zp)`` on ``n_nodes`` uniform nodes of
     ``[R, r_end]``: the first Picard application, value and slope, that
     moves the iterate by at most ``PICARD_TOL``; raises at a growing
-    increment, where the iteration does not contract, or at the cap."""
+    increment, where the iteration does not contract, or at the cap.
+    The window is built once and the whole iteration runs under one
+    ``np.errstate``; each application goes through ``volterra_apply``."""
     if r_end <= params.R:
         raise DomainError("r_end must exceed the base radius")
     grid = np.linspace(params.R, r_end, n_nodes)
-    window = _Window(M, op, params, grid)
+    window = _Window(M, op, pot, params, grid)
     u, delta = np.full(n_nodes, params.theta), math.inf
-    for k in range(1, PICARD_MAX_ITER + 1):
-        v, vp = volterra_apply(M, op, pot, params, window, u)
-        if not np.all(np.isfinite(v)):
-            raise PicardNoConvergence(
-                "iteration produced non-finite values; shrink the interval")
-        last, delta = delta, float(np.max(np.abs(v - u)))
-        u = v
-        if delta <= PICARD_TOL:
-            return grid, u, vp
-        if delta > last:
-            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, PICARD_MAX_ITER + 1):
+            v, vp = volterra_apply(M, op, pot, params, window, u)
+            if not np.isfinite(v).all():
+                raise PicardNoConvergence("iteration produced non-finite "
+                                          "values; shrink the interval")
+            last, delta = delta, float(np.abs(v - u).max())
+            u = v
+            if delta <= PICARD_TOL:
+                return grid, u, vp
+            if delta > last:
+                break
     raise PicardNoConvergence(
         f"no fixed point: Picard increment {last:.3e}, then {delta:.3e} at "
         f"application {k}; shrink the interval")

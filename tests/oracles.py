@@ -7,6 +7,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from modelpot import criteria, obstacle, radial
+from modelpot.core import DomainError, phi_inverse_array, sphere_volume
 from modelpot.criteria import OperatorTypeTag, PropertyTag, Verdict
 
 
@@ -103,6 +104,63 @@ def evans_eager_sweep(M, op, pot, R, R1, eps, R_max, blowup_threshold=1e8,
                                       K_bound=K_obs)
         c *= 0.5
     raise radial.EvansFailure("no admissible scale above the floor")
+
+
+class _ReferenceSimpson:
+    """The cumulative Simpson rule of ``radial`` before its index arrays
+    were cached per node count, verbatim."""
+
+    def __init__(self, x):
+        h = np.diff(x)
+        if not (h > 0).all():
+            raise ValueError("grid must be strictly increasing")
+        self.h = h
+        if len(h) < 2:
+            return
+        j = np.arange(len(h))
+        fwd = np.zeros(len(h), dtype=bool)
+        fwd[:-1:2] = True
+        h1, h2 = h, h[np.where(fwd, j + 1, j - 1)]
+        r31 = h1 / (h1 + h2)
+        r32 = r31 * (h1 / h2)
+        self.a, self.p, self.q, self.s = h1 / 6, 3 - r31, 3 + r32 + r31, r32
+        self.nodes = j + np.where(fwd, [[0], [1], [2]], [[1], [0], [-1]])
+
+    def __call__(self, y):
+        out = np.zeros(len(self.h) + 1)
+        if len(self.h) < 2:
+            sub = self.h * (y[1:] + y[:-1]) / 2.0
+        else:
+            y0, y1, y2 = y[self.nodes]
+            sub = self.a * ((self.p * y0 + self.q * y1) - self.s * y2)
+        np.cumsum(sub, out=out[1:])
+        return out
+
+
+def volterra_apply_reference(M, op, pot, params, grid, u):
+    """One Picard application ``(T(u), T(u)')`` as ``radial.volterra_apply``
+    computed it with every check and ``np.errstate`` inside each call,
+    verbatim: the oracle that the lean window pass must match bit for
+    bit."""
+    grid = np.asarray(grid, dtype=float)
+    w = sphere_volume(M, grid)
+    cumint = _ReferenceSimpson(grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        head = w[0] * float(op.phi(params.c * params.mu)) / w
+    u = np.asarray(u, dtype=float)
+    if grid.shape != u.shape:
+        raise ValueError("grid and samples must have matching shapes")
+    if np.any(u < 0):
+        raise DomainError("samples must be nonnegative")
+    c = params.c
+    with np.errstate(over="ignore", invalid="ignore"):
+        flux = head + cumint(w * np.asarray(pot(c * u), dtype=float)) / w
+        if not np.all(np.isfinite(flux)):
+            raise radial.PicardNoConvergence(
+                "flux overflow; shrink the interval")
+        slope = phi_inverse_array(op, np.maximum(flux, 0.0))
+        return (params.theta + np.maximum(cumint(slope), 0.0) / c,
+                slope / c)
 
 
 def qp_obstacle_oracle(prob, spec):

@@ -364,6 +364,23 @@ def test_phi_inverse_refuses_non_finite(tag, y, as_array):
         core.phi_inverse(op, ys)
 
 
+@pytest.mark.parametrize("tag", ["p-laplacian:p=2", "perturbed:p=2"])
+@pytest.mark.parametrize("y,named", [(math.nan, "nan"), (-1.0, "-1"),
+                                     (math.inf, "inf"), (-math.inf, "-inf")])
+@pytest.mark.parametrize("as_array", [False, True])
+def test_phi_inverse_domain_errors_name_y(tag, y, named, as_array):
+    # the analytic branch (p-laplacian) and the Newton branch (perturbed)
+    # give one message, naming the first offending y
+    op = core.operator_from_tag(tag)
+    ys = np.array([1.0, y, -2.0]) if as_array else y
+    with pytest.raises(core.DomainError) as err:
+        core.phi_inverse(op, ys)
+    assert str(err.value) == \
+        f"phi_inverse requires finite y >= 0, got y={named}"
+    empty = core.phi_inverse(op, np.array([]))
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+
+
 # ---------------------------------------------------------------------------
 # potentials
 

@@ -6,13 +6,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import (cumulative_simpson, cumulative_trapezoid,
                              solve_ivp)
 
 from modelpot import core, radial
 from modelpot.criteria import Verdict
 from oracles import (OPERATOR_TAGS, WARPINGS, evans_eager_sweep,
-                     exhaustion_at_unit_scale, phi_inverse_brentq)
+                     exhaustion_at_unit_scale, phi_inverse_brentq,
+                     volterra_apply_reference)
 
 
 EUC2 = core.manifold_from_tag("euclidean", 2)
@@ -59,6 +62,10 @@ def test_volterra_apply_validation():
     with pytest.raises(core.DomainError):
         radial.volterra_apply(EUC2, LAP2, ZERO, params, grid,
                               -np.ones_like(grid))
+    square = grid.reshape(2, 4)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        radial.volterra_apply(EUC2, LAP2, ZERO, params, square,
+                              np.zeros_like(square))
 
 
 @pytest.mark.parametrize("grid", [[1.0, 1.5, 1.5, 2.0], [1.0, 2.0, 1.5, 2.5],
@@ -74,20 +81,73 @@ def test_volterra_apply_rejects_unsorted_grid(grid):
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 64, 65, 400])
 @pytest.mark.parametrize("spacing", ["uniform", "random"])
 def test_cumint_is_scipy_cumulative_simpson(n, spacing):
+    # the sizes interleave, so that the index arrays cached for one node
+    # count are reused after grids of other counts
     rng = np.random.default_rng(n)
-    if spacing == "uniform":
-        x = np.linspace(1.0, 3.0, n)
-    else:
-        x = np.cumsum(rng.uniform(0.01, 1.0, n))
-    y = np.exp(-x) + rng.normal(size=n)
-    assert np.array_equal(radial._cumint(y, x),
-                          cumulative_simpson(y, x=x, initial=0.0))
+    for size in (n, 64, n, 3, 400, n + 1, n):
+        if spacing == "uniform":
+            x = np.linspace(1.0, 3.0, size)
+        else:
+            x = np.cumsum(rng.uniform(0.01, 1.0, size))
+        y = np.exp(-x) + rng.normal(size=size)
+        assert np.array_equal(radial._cumint(y, x),
+                              cumulative_simpson(y, x=x, initial=0.0))
+
+
+def test_simpson_index_cache_is_read_only():
+    radial._cumint(np.ones(64), np.linspace(1.0, 2.0, 64))
+    other, nodes = radial._simpson_indices(63)
+    assert radial._simpson_indices(63)[1] is nodes
+    for cached in (other, nodes):
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = 0
 
 
 def test_cumint_two_nodes_is_trapezoid():
     x, y = np.array([1.0, 1.7]), np.array([0.3, -2.0])
     assert np.array_equal(radial._cumint(y, x),
                           cumulative_trapezoid(y, x, initial=0.0))
+
+
+_ORACLE_OPERATORS = {tag: core.operator_from_tag(tag) for tag in (
+    "p-laplacian:p=1.5", "p-laplacian:p=2", "p-laplacian:p=3",
+    "perturbed:p=2")}
+_ORACLE_POTENTIALS = {tag: core.potential_from_tag(tag) for tag in (
+    "zero", "linear-power:p=2,lambda=1", "plateau:T=1,p=2",
+    "superlinear:q=5")}
+
+
+@settings(deadline=None, max_examples=200)
+@given(n=st.sampled_from([2, 3, 4, 5, 8, 17, 64, 65]),
+       data=st.data(),
+       manifold=st.sampled_from([("euclidean", 2), ("euclidean", 3),
+                                 ("hyperbolic", 2)]),
+       op_tag=st.sampled_from(sorted(_ORACLE_OPERATORS)),
+       pot_tag=st.sampled_from(sorted(_ORACLE_POTENTIALS)),
+       c=st.sampled_from([1.0, 2.0 ** -4, 0.3]),
+       R=st.floats(0.5, 3.0), theta=st.floats(0.0, 2.0),
+       mu=st.floats(0.01, 3.0))
+def test_volterra_apply_is_the_reference_bit_for_bit(n, data, manifold,
+                                                     op_tag, pot_tag, c, R,
+                                                     theta, mu):
+    # the lean window pass, on a _Window and on a raw grid, against the
+    # application with its checks and errstate inside every call
+    spacing = data.draw(st.lists(st.floats(0.01, 1.0), min_size=n - 1,
+                                 max_size=n - 1))
+    grid = R + np.concatenate([[0.0], np.cumsum(spacing)])
+    u = np.array(data.draw(st.lists(st.floats(0.0, 5.0), min_size=n,
+                                    max_size=n)))
+    M = core.manifold_from_tag(*manifold)
+    op, pot = _ORACLE_OPERATORS[op_tag], _ORACLE_POTENTIALS[pot_tag]
+    params = radial.CauchyParams(R=R, theta=theta, mu=mu, c=c)
+    want = volterra_apply_reference(M, op, pot, params, grid, u)
+    window = radial._Window(M, op, pot, params, grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        on_window = radial.volterra_apply(M, op, pot, params, window, u)
+    on_grid = radial.volterra_apply(M, op, pot, params, grid, list(u))
+    for got in (on_window, on_grid):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_cauchy_params_validation():
