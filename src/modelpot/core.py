@@ -4,15 +4,15 @@ Everything downstream (integral classifiers, the radial solver, the
 discrete variational-inequality pipeline) consumes the three immutable
 descriptors defined here:
 
-* ``ModelManifold``   -- dimension ``m`` and warping function ``g`` of the
-  metric ``dr^2 + g(r)^2 dtheta^2``;
+* ``ModelManifold``   -- dimension ``m`` and warping ``g`` of the metric
+  ``dr^2 + g(r)^2 dtheta^2``, held as ``log g``;
 * ``PhiOperator``     -- the gradient nonlinearity ``phi`` pinched between
   multiples of ``t**(p-1)``;
 * ``PotentialB``      -- the non-decreasing zero-order term ``B``.
 
-All quantities with a growth problem (volumes on fast-growing warpings)
-are exposed both directly and in log form, so callers can stay in the
-floating-point range at large radii.
+Every weight comes from ``log g``: ``log_sphere_volume`` gives
+``(m-1) log g`` at any radius, and ``sphere_volume`` is its ``exp``, which
+refuses by name a weight that would overflow a double.
 """
 
 from __future__ import annotations
@@ -88,14 +88,14 @@ DEFAULT_QUADRATURE = Quadrature()
 class ModelManifold:
     """``R^m`` with metric ``dr^2 + g(r)^2 dtheta^2``.
 
-    ``log_g`` is an overflow-safe evaluation of ``log g(r)``; presets supply
-    closed forms so volume ratios stay computable at radii where ``g`` itself
-    overflows a double.
+    The warping enters every criterion and construction only through the
+    sphere volume ``g**(m-1)``, so it is held once, as ``log_g``, an
+    overflow-safe evaluation of ``log g(r)``; presets supply closed forms so
+    volume ratios stay computable at radii where ``g`` itself overflows a
+    double.
     """
 
     m: int
-    g: Callable[[float], float]
-    g_prime: Callable[[float], float]
     log_g: Callable[[float], float]
     monotone: bool = False
     name: str = "custom"
@@ -112,24 +112,35 @@ class ModelManifold:
             )
 
 
-def sphere_volume(M: ModelManifold, r):
-    """Boundary-sphere volume ``g(r)**(m-1)`` at a radius or an array of
-    radii: the weight of every radial flux."""
+def log_sphere_volume(M: ModelManifold, r):
+    """``log vol(dB_r) = (m-1) log g(r)`` at a radius or an array of radii,
+    safe for warpings that overflow ``g`` itself."""
     radii = np.asarray(r, dtype=float)
     if np.any(radii <= 0):
-        raise DomainError("sphere_volume requires r > 0")
+        raise DomainError("the sphere volume requires r > 0")
     M._check_radius(radii)
-    out = np.asarray(M.g(radii), dtype=float) ** (M.m - 1)
+    out = (M.m - 1) * np.asarray(M.log_g(radii), dtype=float)
     return float(out) if out.ndim == 0 else out
 
 
-def log_sphere_volume(M: ModelManifold, r):
-    """``log vol(dB_r)``, safe for warpings that overflow ``g`` itself."""
-    radii = np.asarray(r, dtype=float)
-    if np.any(radii <= 0):
-        raise DomainError("log_sphere_volume requires r > 0")
-    M._check_radius(radii)
-    out = (M.m - 1) * np.asarray(M.log_g(radii), dtype=float)
+# the largest L whose exp(L) is a finite double
+_LOG_DBL_MAX = math.log(np.finfo(float).max)
+
+
+def sphere_volume(M: ModelManifold, r):
+    """Boundary-sphere volume ``g(r)**(m-1) = exp(L)``, ``L`` from
+    ``log_sphere_volume``, at a radius or an array of radii: the weight of
+    every radial flux.  Where ``L`` passes ``log(DBL_MAX)`` the weight would
+    overflow a double; ``DomainError`` then names the largest ``L`` and
+    its radius."""
+    L = np.asarray(log_sphere_volume(M, r))
+    if L.size and L.max() > _LOG_DBL_MAX:
+        i = np.argmax(L)
+        raise DomainError(
+            f"the sphere volume overflows a double: (m-1) log g = "
+            f"{L.flat[i]:.6g} > log(DBL_MAX) = {_LOG_DBL_MAX:.6g} at "
+            f"r={np.asarray(r, dtype=float).flat[i]:.6g}")
+    out = np.exp(L)
     return float(out) if out.ndim == 0 else out
 
 
@@ -190,11 +201,6 @@ def volume_ratio(M: ModelManifold, r, R: float = 0.0):
     return float(out) if out.ndim == 0 else out
 
 
-def _preset_euclidean():
-    return (lambda r: r, lambda r: np.ones_like(np.asarray(r, dtype=float)),
-            np.log)
-
-
 def _log_sinh(r):
     r = np.asarray(r, dtype=float)
     # sinh r = e^r (1 - e^{-2r}) / 2, stable for all r > 0
@@ -207,32 +213,23 @@ def manifold_from_tag(tag: str, m: int) -> ModelManifold:
     Tags: ``euclidean``, ``hyperbolic``, ``power-exp:alpha=A``.
     """
     if tag == "euclidean":
-        g, gp, lg = _preset_euclidean()
-        return ModelManifold(m=m, g=g, g_prime=gp, log_g=lg,
-                             monotone=True, name="euclidean")
+        return ModelManifold(m=m, log_g=np.log, monotone=True,
+                             name="euclidean")
     if tag == "hyperbolic":
-        return ModelManifold(
-            m=m, g=np.sinh, g_prime=np.cosh, log_g=_log_sinh,
-            monotone=True, name="hyperbolic")
+        return ModelManifold(m=m, log_g=_log_sinh, monotone=True,
+                             name="hyperbolic")
     mm = re.fullmatch(r"power-exp:alpha=([0-9.eE+-]+)", tag)
     if mm:
         alpha = float(mm.group(1))
         if alpha <= 0:
             raise ValueError("power-exp preset requires alpha > 0")
 
-        def g(r):
-            return r * np.exp(np.asarray(r, dtype=float) ** alpha)
-
-        def gp(r):
-            r = np.asarray(r, dtype=float)
-            return np.exp(r ** alpha) * (1.0 + alpha * r ** alpha)
-
         def lg(r):
             r = np.asarray(r, dtype=float)
             return np.log(r) + r ** alpha
 
-        return ModelManifold(m=m, g=g, g_prime=gp, log_g=lg,
-                             monotone=True, name=f"power-exp:alpha={alpha:g}")
+        return ModelManifold(m=m, log_g=lg, monotone=True,
+                             name=f"power-exp:alpha={alpha:g}")
     raise ValueError(f"unknown manifold tag {tag!r}")
 
 
@@ -265,21 +262,13 @@ def tabulated_manifold(r_samples, g_samples, m: int,
         raise ValueError(
             f"tabulated warping has g'(0) ~= {slope0:.4f}, expected 1 (5% tol)")
     interp = PchipInterpolator(r_samples, g_samples)
-    deriv = interp.derivative()
-    r_hi = float(r_samples[-1])
-
-    def g(r):
-        return interp(r)
-
-    def gp(r):
-        return deriv(r)
 
     def lg(r):
         return np.log(interp(r))
 
-    return ModelManifold(m=m, g=g, g_prime=gp, log_g=lg,
+    return ModelManifold(m=m, log_g=lg,
                          monotone=bool(np.all(np.diff(g_samples) >= 0)),
-                         name=name, r_max_valid=r_hi)
+                         name=name, r_max_valid=float(r_samples[-1]))
 
 
 def load_manifold_csv(path, m: int) -> ModelManifold:
@@ -455,10 +444,6 @@ def phi_inverse(op: PhiOperator, y):
                            f"y={ys[over][0]:.6g} (residual "
                            f"{resid[over][0]:.3e})")
     return float(t) if t.ndim == 0 else t
-
-
-# the name the radial solver's array callers use
-phi_inverse_array = phi_inverse
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,10 @@ from typing import Optional
 import numpy as np
 
 from .core import (DomainError, ModelManifold, NumericError, PhiOperator,
-                   PotentialB, log_sphere_volume, phi_inverse,
-                   phi_inverse_array, sphere_volume)
+                   PotentialB, log_sphere_volume, phi_inverse, sphere_volume)
+# the array calls of the Picard windows, under a name of their own so that
+# a profile can tell them from the scalar calls
+from .core import phi_inverse as phi_inverse_array
 from .criteria import (DEFAULT_DIVERGENCE, DivergenceVerdict, Verdict,
                        classify_parabolic)
 
@@ -171,7 +173,8 @@ class _Window:
     per window from the ``M``, ``op``, ``pot``, ``params`` and grid that
     ``volterra_apply`` is called with: the grid, checked to be
     one-dimensional and strictly increasing; the weights
-    ``w = g**(m-1)``, range-checked by ``sphere_volume``; the head flux
+    ``w = g**(m-1)`` from ``sphere_volume``, which refuses radii out of
+    range and weights that overflow a double; the head flux
     ``w(R) phi(c mu)/w``; the rule of ``_cumint`` on the grid; and the
     application's constants ``op``, ``pot``, ``c`` and ``theta``."""
 

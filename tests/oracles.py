@@ -7,7 +7,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from modelpot import criteria, obstacle, radial
-from modelpot.core import DomainError, phi_inverse_array, sphere_volume
+from modelpot.core import DomainError, phi_inverse, sphere_volume
 from modelpot.criteria import OperatorTypeTag, PropertyTag, Verdict
 
 
@@ -158,7 +158,7 @@ def volterra_apply_reference(M, op, pot, params, grid, u):
         if not np.all(np.isfinite(flux)):
             raise radial.PicardNoConvergence(
                 "flux overflow; shrink the interval")
-        slope = phi_inverse_array(op, np.maximum(flux, 0.0))
+        slope = phi_inverse(op, np.maximum(flux, 0.0))
         return (params.theta + np.maximum(cumint(slope), 0.0) / c,
                 slope / c)
 

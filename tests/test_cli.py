@@ -3,6 +3,7 @@ and byte-level determinism."""
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -346,6 +347,36 @@ def test_cli_refuses_radii_past_the_table(argv, tmp_path, capsys):
     assert code == 1
     assert captured.out == ""
     assert re.search(SHORT_TABLE_ERROR, captured.err)
+
+
+# ---------------------------------------------------------------------------
+# weights that overflow a double are refused by name
+
+
+EVANS_STEEP = ["evans", "--set", "m=2",
+               "--set", "potential=linear-power:p=2,lambda=1",
+               "--set", "R=1", "--set", "R1=2", "--set", "eps=0.1"]
+KHAS_STEEP = ["khasminskii", "--set", "m=2", "--set", "K_radius=1",
+              "--set", "Omega_radius=2"]
+
+
+@pytest.mark.parametrize("argv,alpha,where", [
+    (EVANS_STEEP + ["--rmax", "12"], "3", "= 793.678 > .* at r=9.25"),
+    (EVANS_STEEP + ["--rmax", "25"], "2.2", "= 731.221 > .* at r=20"),
+    (KHAS_STEEP, "2.2", "= 2051.47 > .* at r=32"),
+    (KHAS_STEEP, "3", "= 32771.5 > .* at r=32"),
+])
+def test_cli_refuses_overflowing_weights(argv, alpha, where, capsys):
+    # g^(m-1) = r e^{r^alpha} passes the largest double inside the run;
+    # the error names (m-1) log g and its radius, and nothing overflows
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code = cli.main(argv + ["--set",
+                                f"manifold=power-exp:alpha={alpha}"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert re.search(r"\(m-1\) log g " + where, err)
+    assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
 
 
 # ---------------------------------------------------------------------------

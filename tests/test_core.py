@@ -128,14 +128,6 @@ def test_volume_ratio_nodes_near_requested_radii_give_way(monkeypatch):
     assert np.allclose(table, (r ** 2 - 1.0) / (2.0 * r), rtol=1e-9, atol=0.0)
 
 
-def test_power_exp_derivative_consistency():
-    M = core.manifold_from_tag("power-exp:alpha=2", 2)
-    for r in (0.5, 1.0, 2.0):
-        h = 1e-6 * r
-        fd = (float(M.g(r + h)) - float(M.g(r - h))) / (2 * h)
-        assert float(M.g_prime(r)) == pytest.approx(fd, rel=1e-7)
-
-
 def test_manifold_validation():
     with pytest.raises(ValueError):
         core.manifold_from_tag("euclidean", 1)
@@ -154,8 +146,7 @@ def test_tabulated_manifold_matches_source():
     r = np.linspace(0.0, 10.0, 400)
     M = core.tabulated_manifold(r[1:], np.sinh(r[1:]), m=2)
     for x in (0.5, 2.0, 7.5):
-        assert float(M.g(x)) == pytest.approx(math.sinh(x), rel=1e-5)
-        assert float(M.g_prime(x)) == pytest.approx(math.cosh(x), rel=1e-3)
+        assert math.exp(M.log_g(x)) == pytest.approx(math.sinh(x), rel=1e-5)
 
 
 def test_tabulated_manifold_extrapolation_guard():
@@ -163,6 +154,33 @@ def test_tabulated_manifold_extrapolation_guard():
     M = core.tabulated_manifold(r[1:], r[1:], m=2)
     with pytest.raises(core.DomainError):
         core.sphere_volume(M, 6.0)
+
+
+def test_sphere_volume_is_exp_of_log():
+    r = np.linspace(0.0, 5.0, 100)
+    table = core.tabulated_manifold(r[1:], np.sinh(r[1:]), m=3)
+    radii = np.array([0.01, 0.5, 2.0, 4.75])
+    for M in (core.manifold_from_tag("euclidean", 3),
+              core.manifold_from_tag("hyperbolic", 4),
+              core.manifold_from_tag("power-exp:alpha=2", 2), table):
+        assert np.array_equal(core.sphere_volume(M, radii),
+                              np.exp(core.log_sphere_volume(M, radii)))
+        assert core.sphere_volume(M, 2.0) == \
+            np.exp(core.log_sphere_volume(M, 2.0))
+        for bad in (0.0, -1.0, np.array([1.0, 0.0])):
+            with pytest.raises(core.DomainError, match="r > 0"):
+                core.sphere_volume(M, bad)
+    with pytest.raises(core.DomainError, match="tabulated range"):
+        core.sphere_volume(table, np.array([1.0, 5.5]))
+
+
+def test_sphere_volume_refuses_overflow_by_name():
+    M = core.manifold_from_tag("power-exp:alpha=3", 2)
+    # (m-1) log g = log r + r^3 passes log(DBL_MAX) ~ 709.78 near r = 8.9
+    assert math.isfinite(core.sphere_volume(M, 8.8))
+    with pytest.raises(core.DomainError,
+                       match=r"\(m-1\) log g = 1002\.3.* at r=10$"):
+        core.sphere_volume(M, np.array([8.8, 10.0, 9.0]))
 
 
 def test_tabulated_manifold_origin_slope_check():
@@ -280,10 +298,10 @@ def test_phi_inverse_analytic_branch(y, p):
 def test_phi_inverse_array_matches_scalar():
     op = core.perturbed_operator(2.5)
     ys = np.geomspace(1e-6, 1e4, 25)
-    vec = core.phi_inverse_array(op, ys)
+    vec = core.phi_inverse(op, ys)
     scal = np.array([phi_inverse_brentq(op, y) for y in ys])
     assert np.allclose(vec, scal, rtol=1e-9, atol=1e-12)
-    assert core.phi_inverse_array(op, np.array([0.0]))[0] == 0.0
+    assert core.phi_inverse(op, np.array([0.0]))[0] == 0.0
 
 
 @pytest.mark.parametrize("p", [1.3, 2.0, 3.0, 5.0])
