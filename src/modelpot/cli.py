@@ -7,8 +7,8 @@ exhaustion profile), ``khasminskii`` (staged supersolution pipeline) and
 repeated ``--set key=value`` command-line overrides; later values win.
 
 Exit codes: 0 success, 1 error, 2 any Inconclusive classification or
-exhaustion test, 3 blow-up in the radial solve, 4 nonzero limit in the
-staged pipeline or no exhaustion for ``evans``.
+exhaustion test, 4 nonzero limit in the staged pipeline or no exhaustion
+for ``evans``.
 Output is CSV with '#'-prefixed ``key=value`` metadata lines before the
 header; identical configs produce byte-identical output.  This module
 alone knows that format.
@@ -30,7 +30,6 @@ log = logging.getLogger("modelpot")
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INCONCLUSIVE = 2
-EXIT_BLOWUP = 3
 EXIT_H_LIMIT_NONZERO = 4
 EXIT_NO_EXHAUSTION = 4
 
@@ -205,12 +204,13 @@ def cmd_evans(cfg, out_path) -> int:
     R1 = _get_float(cfg, "R1", required=True, positive=True)
     eps = _get_float(cfg, "eps", required=True, positive=True)
     rmax = _get_float(cfg, "rmax", 100.0, positive=True)
-    threshold = _get_float(cfg, "blowup_threshold", 1e8, positive=True)
+    # read and checked, with no effect: under B <= b1 t**(p-1) no profile
+    # blows up
+    _get_float(cfg, "blowup_threshold", positive=True)
     nodes = _get_int(cfg, "nodes_per_window", 64)
     try:
-        result = radial.evans_for_triple(
-            M, op, pot, R, R1, eps, rmax,
-            blowup_threshold=threshold, nodes_per_window=nodes)
+        result = radial.evans_for_triple(M, op, pot, R, R1, eps, rmax,
+                                         nodes_per_window=nodes)
     except radial.NoExhaustion as exc:
         dv = exc.divergence
         converges = dv.verdict is criteria.Verdict.CONVERGES
@@ -221,14 +221,6 @@ def cmd_evans(cfg, out_path) -> int:
              f"slope={dv.slope_estimate:.6g}"], "w"))
         log.info("%s", exc)
         return EXIT_NO_EXHAUSTION if converges else EXIT_INCONCLUSIVE
-    except radial.EvansFailure as exc:
-        if exc.blowup_radius is not None:
-            _write(out_path, _profile_csv(
-                ["command=evans", "status=blowup",
-                 f"blowup_radius={exc.blowup_radius:.12g}"], "w"))
-            log.error("%s", exc)
-            return EXIT_BLOWUP
-        raise
     sol = result.solution
     _write(out_path, _profile_csv(
         ["command=evans", f"c={result.c_final:.12g}",

@@ -101,6 +101,14 @@ class DiscreteProblem:
         residual >= 0 at supersolution nodes."""
         return self.gradient(u) / self.dr
 
+    def leading(self, k: int) -> "DiscreteProblem":
+        """The problem on nodes ``0..k``, with these weights; node ``k`` is
+        its end node."""
+        return DiscreteProblem(
+            self.grid[:k + 1], self.p, self.lam, self.node_weights[:k + 1],
+            self.edge_weights[:k], self.h[:k],
+            np.append(self.dr[:k], 0.5 * self.h[k - 1]))
+
 
 def make_problem(M: ModelManifold, p: float, lam: float,
                  grid: Sequence[float]) -> DiscreteProblem:
@@ -444,7 +452,7 @@ def khasminskii_construct(M: ModelManifold, p: float, lam: float,
     prev = None
     for r in radii:
         k = idx_of[float(r)]
-        sub = make_problem(M, p, lam, grid[:k + 1])
+        sub = prob.leading(k)
         guess = None if prev is None else prev[:k + 1]
         hj = solve_dirichlet(sub, 0.0, 1.0, initial=guess).values
         full = np.concatenate([hj, np.ones(len(grid) - k - 1)])

@@ -29,6 +29,8 @@ from .criteria import (DEFAULT_DIVERGENCE, DivergenceVerdict, Verdict,
 
 COMPLETE = "complete"
 BLOWUP = "blowup"
+# evans_for_triple halves the scale c from 1 while c >= EVANS_C_MIN
+EVANS_C_MIN = 1e-12
 
 
 def _cumint(y, x):
@@ -106,13 +108,12 @@ class PicardNoConvergence(NumericError):
 
 
 class EvansFailure(NumericError):
-    """The small-annulus construction could not accept any scale."""
+    """The small-annulus construction accepted no scale, or its march
+    stalled before ``R_max``."""
 
-    def __init__(self, message: str, observed_sup: float = math.nan,
-                 blowup_radius: Optional[float] = None):
+    def __init__(self, message: str, observed_sup: float = math.nan):
         super().__init__(message)
         self.observed_sup = observed_sup
-        self.blowup_radius = blowup_radius
 
 
 class NoExhaustion(EvansFailure):
@@ -200,7 +201,8 @@ class _Window:
         if u.min() < 0:
             raise DomainError("samples must be nonnegative")
         w, c = self.w, self.c
-        flux = self.head + self.cumint(w * self.pot(c * u)) / w
+        # c > 0 and u >= 0: the samples need no clamp at zero
+        flux = self.head + self.cumint(w * self.pot.B(c * u)) / w
         if not np.isfinite(flux).all():
             raise PicardNoConvergence("flux overflow; shrink the interval")
         # the composite rule can undershoot on steep data; the true flux
@@ -427,19 +429,18 @@ def choose_mu(op: PhiOperator, c: float) -> float:
 
 def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
                      R: float, R1: float, eps: float, R_max: float,
-                     blowup_threshold: float = 1e8,
-                     nodes_per_window: int = 64,
-                     c_min: float = 1e-12) -> EvansResult:
+                     nodes_per_window: int = 64) -> EvansResult:
     """Exhaustion solution small on the annulus ``[R, R1]``.
 
-    Halves the scale ``c`` from 1, picking the matched slope each time,
-    until the scaled solution stays below ``eps`` on the annulus.  Requires
-    a monotone warping and a potential with a ``t**(p-1)`` upper bound,
-    ``p`` the operator's (otherwise solutions blow up and no scale can be
-    accepted).  Otherwise each scale is decided by the windows of its
-    ``solve_cauchy`` march that cover the annulus, and only the accepted
-    scale is marched on to ``R_max``; a ``BLOWUP`` there is a threshold
-    crossing and raises ``EvansFailure``.  For ``B = 0`` each scale's
+    Halves the scale ``c`` from 1 (down to ``EVANS_C_MIN``), picking the
+    matched slope each time, until the scaled solution stays below ``eps``
+    on the annulus.  Requires a monotone warping and a potential with a
+    ``t**(p-1)`` upper bound, ``p`` the operator's (otherwise solutions
+    blow up and no scale can be accepted).  Under that bound no solution
+    blows up, so the ``solve_cauchy`` march has no threshold: its windows
+    that cover the annulus decide each scale, only the accepted scale is
+    marched on to ``R_max``, and a stall (window underflow) before
+    ``R_max`` raises ``EvansFailure``.  For ``B = 0`` each scale's
     solution is ``constant_flux_profile``, whose slope is ``v_pa`` up to
     scale, and ``classify_parabolic`` from ``R`` decides first whether its
     integral diverges (up to its ``r_max`` or the end of a table):
@@ -450,8 +451,6 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
         raise DomainError("need 0 < R < R1 < R_max")
     if eps <= 0:
         raise DomainError("eps must be positive")
-    if not 0.0 < c_min <= 1.0:
-        raise DomainError(f"c_min must lie in (0, 1], got {c_min:.6g}")
     if pot.b1 is None:
         raise DomainError(
             "potential lacks a t**(p-1) upper bound; the uniform sup bound "
@@ -476,7 +475,7 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
                 f"{exhaustion.partial_integral:.6g}, slope "
                 f"{exhaustion.slope_estimate:.6g})", exhaustion)
     c = 1.0
-    while c >= c_min:
+    while c >= EVANS_C_MIN:
         mu = choose_mu(op, c)
         params = CauchyParams(R=R, theta=0.0, mu=mu, c=c)
         if exhaustion is not None:
@@ -486,13 +485,12 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
         else:
             # the windows that cover [R, R1] decide the scale; only the
             # accepted one is marched on to R_max
-            march = _march(M, op, pot, params, R_max, blowup_threshold,
+            march = _march(M, op, pot, params, R_max, math.inf,
                            nodes_per_window)
             pieces = []
             end = _take(march, pieces, R1)
             if end is not None:
-                raise _threshold_failure(_assemble(pieces, params, *end),
-                                         blowup_threshold)
+                raise _stalled(_assemble(pieces, params, *end))
             grid, z, _ = _concat(pieces)
             K_obs = _sup_on(grid, z, R, R1)
         sup = c * K_obs
@@ -500,7 +498,7 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
             if exhaustion is None:
                 sol = _assemble(pieces, params, *_take(march, pieces))
                 if sol.status == BLOWUP:
-                    raise _threshold_failure(sol, blowup_threshold)
+                    raise _stalled(sol)
             if np.any(np.diff(sol.z) <= 0):
                 raise NumericError("accepted solution is not increasing")
             return EvansResult(solution=sol, c_final=c, mu_final=mu,
@@ -512,17 +510,12 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
         f"{sup:.6g}", observed_sup=sup)
 
 
-def _threshold_failure(sol: RadialSolution,
-                       blowup_threshold: float) -> EvansFailure:
-    """``EvansFailure`` for a ``BLOWUP`` inside ``evans_for_triple``.  The
-    bound ``B <= b1 t**(p-1)`` rules out a finite-radius blow-up there, so
-    the march either crossed the threshold or its windows underflowed."""
-    how = ("crossed" if sol.z[-1] > blowup_threshold
-           else "stalled (window underflow) below")
+def _stalled(sol: RadialSolution) -> EvansFailure:
+    """``EvansFailure`` for a march of ``evans_for_triple`` that ended
+    before ``R_max``.  It has no threshold, so its windows underflowed."""
     return EvansFailure(
-        f"solution at c={sol.params.c:.6g} {how} the blow-up threshold "
-        f"{blowup_threshold:g} at radius {sol.blowup_radius:.6g}",
-        blowup_radius=sol.blowup_radius)
+        f"the march at c={sol.params.c:.6g} stalled (window underflow) at "
+        f"radius {sol.r_max:.6g}, where z = {sol.z[-1]:.6g}")
 
 
 def ode_residual(M: ModelManifold, op: PhiOperator, pot: PotentialB,

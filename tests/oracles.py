@@ -96,7 +96,7 @@ def evans_eager_sweep(M, op, pot, R, R1, eps, R_max, blowup_threshold=1e8,
                                   nodes_per_window=nodes_per_window)
         if sol.status == radial.BLOWUP:
             raise radial.EvansFailure(
-                f"blow-up at c={c:g}", blowup_radius=sol.blowup_radius)
+                f"blow-up at c={c:g}, radius {sol.blowup_radius:g}")
         K_obs = sol.sup_on(R, R1)
         if c * K_obs < eps:
             return radial.EvansResult(solution=sol, c_final=c, mu_final=mu,

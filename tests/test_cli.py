@@ -164,9 +164,26 @@ def test_evans_blowup_reported(capsys):
          "--set", "potential=plateau:T=0.001,p=6",
          "--set", "operator=p-laplacian:p=6", "--set", "R=1",
          "--set", "R1=2", "--set", "eps=1", "--rmax", "50"], capsys)
-    # B <= t^(p-1) at p = 6: a crossing of the blow-up threshold
-    assert code == 3
-    assert "blowup_radius" in out
+    # B <= t^(p-1) at p = 6 rules out blow-up, and the plane is
+    # 6-parabolic: an exhaustion exists, and no threshold crossing is
+    # reported as a blow-up
+    assert code == 0
+    assert "# status=complete\n" in out
+    assert "blowup" not in out
+
+
+def test_evans_blowup_threshold_has_no_effect(capsys):
+    # the benchmark's linear-power plane job: its march crosses 1e8 at
+    # r ~ 21.7, which is no blow-up under B <= b1 t**(p-1)
+    args = ["evans", "--set", "manifold=euclidean", "--set", "m=2",
+            "--set", "potential=linear-power:p=2,lambda=1", "--set", "R=1",
+            "--set", "R1=2", "--set", "eps=0.1", "--rmax", "40"]
+    outs = [run_cli(args + ["--set", f"blowup_threshold={t}"], capsys)
+            for t in ("1e8", "1e16")]
+    assert outs[0] == outs[1]
+    assert outs[0][0] == 0 and "# status=complete\n" in outs[0][1]
+    code, out = run_cli(args + ["--set", "blowup_threshold=-1"], capsys)
+    assert code == 1 and out == ""
 
 
 def test_evans_rejected_scales_are_decided_on_the_annulus(capsys):
@@ -185,7 +202,6 @@ def test_evans_rejected_scales_are_decided_on_the_annulus(capsys):
             core.manifold_from_tag("euclidean", 2),
             core.p_laplacian_operator(6.0), core.plateau_potential(1e-3, 6.0),
             R=1.0, R1=2.0, eps=1e-12, R_max=50.0)
-    assert info.value.blowup_radius is None
     assert ("no admissible scale above the floor; observed annulus bound "
             f"{info.value.observed_sup:.6g}") in captured.err
 

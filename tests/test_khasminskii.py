@@ -145,9 +145,10 @@ def test_whole_grid_stage_is_the_least_candidate(monkeypatch, M, p, lam):
     assert rep.n_stages == ref.n_stages
     np.testing.assert_allclose(rep.budget_used, ref.budget_used,
                                rtol=0, atol=1e-12)
-    # one solve per unit problem and per stage; stages build no sub-problem
+    # one solve per unit problem and per stage; only the master problem is
+    # built, and the unit problems are its leading slices
     assert len(solves) == len(RADII) + rep.n_stages - 1
-    assert len(problems) == len(RADII) + 1
+    assert len(problems) == 1
     stages = [(prob, out) for prob, spec, out in solves
               if spec.theta_right > 1.0]
     assert len(stages) == rep.n_stages - 1

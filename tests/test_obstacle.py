@@ -38,6 +38,20 @@ def test_make_problem_validation():
         obstacle.make_problem(EUC3, 2.0, 0.0, np.array([1.0, 2.0]))
 
 
+@pytest.mark.parametrize("tag,m", [("euclidean", 3), ("hyperbolic", 2)])
+def test_leading_slice_is_the_prefix_problem(tag, m):
+    # the same arrays, bit for bit, as building the problem on the prefix
+    M = core.manifold_from_tag(tag, m)
+    prob = obstacle.make_problem(M, 3.0, 0.5, np.geomspace(1.0, 32.0, 40))
+    for k in (2, 17, 39):
+        sub, ref = prob.leading(k), obstacle.make_problem(
+            M, 3.0, 0.5, prob.grid[:k + 1])
+        assert (sub.p, sub.lam) == (ref.p, ref.lam)
+        for name in ("grid", "node_weights", "edge_weights", "h", "dr"):
+            assert np.array_equal(getattr(sub, name), getattr(ref, name)), \
+                name
+
+
 def test_energy_and_gradient_consistent():
     prob = make_euclidean_problem(p=3.0, lam=0.5)
     rng = np.random.default_rng(7)

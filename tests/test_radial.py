@@ -2,8 +2,6 @@
 construction: closed forms, an independent adaptive-ODE oracle, blow-up
 detection and the slope-selection rules."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -369,36 +367,29 @@ def test_evans_for_triple_rejects_bad_inputs():
                                 R=1.0, R1=2.0, eps=0.1, R_max=10.0)
 
 
-@pytest.mark.parametrize("c_min", [2.0, 0.0, -1.0])
-def test_evans_for_triple_rejects_bad_c_min(c_min):
-    with pytest.raises(core.DomainError, match=f"c_min .*got {c_min:.6g}"):
-        radial.evans_for_triple(EUC2, LAP2, ZERO, R=1.0, R1=2.0, eps=0.1,
-                                R_max=10.0, c_min=c_min)
-
-
-def test_evans_failure_on_blowup_potential():
-    pot = core.plateau_potential(1e-3, 6.0)
-
-    # B <= t^5 = t^(p-1) at p = 6, so z grows like e^r and crosses the
-    # blow-up threshold before R_max
-    with pytest.raises(radial.EvansFailure) as exc_info:
-        radial.evans_for_triple(EUC2, core.p_laplacian_operator(6.0), pot,
-                                R=1.0, R1=2.0, eps=1e-9, R_max=100.0,
-                                c_min=0.5)
-    assert exc_info.value.blowup_radius is not None or \
-        math.isfinite(exc_info.value.observed_sup)
-
-
 def test_evans_blowup_names_scale_threshold_and_radius():
-    # eps = 1 accepts c = 1 on [1, 2], whose march then crosses 1e8
+    # B <= t^5 = t^(p-1) at p = 6 rules out a finite-radius blow-up: eps = 1
+    # accepts c = 1 on [1, 2], whose march passes z = 1e8 near r = 26.3
+    # and runs on to R_max
+    res = radial.evans_for_triple(EUC2, core.p_laplacian_operator(6.0),
+                                  core.plateau_potential(1e-3, 6.0), R=1.0,
+                                  R1=2.0, eps=1.0, R_max=50.0)
+    sol = res.solution
+    assert res.c_final == 1.0 and sol.status == radial.COMPLETE
+    assert sol.grid[-1] == sol.r_max == 50.0
+    assert np.all(np.diff(sol.z) > 0) and sol.z[-1] > 1e8
+
+
+def test_evans_stall_names_scale_radius_and_value():
+    # z grows like e^r on the plane; near r = 709 the windows underflow
+    # before a double overflows, and that stall is not a blow-up
     with pytest.raises(radial.EvansFailure) as info:
-        radial.evans_for_triple(EUC2, core.p_laplacian_operator(6.0),
-                                core.plateau_potential(1e-3, 6.0), R=1.0,
-                                R1=2.0, eps=1.0, R_max=50.0)
-    rho = info.value.blowup_radius
-    assert 26.0 < rho < 26.5
-    assert str(info.value) == ("solution at c=1 crossed the blow-up "
-                               f"threshold 1e+08 at radius {rho:.6g}")
+        radial.evans_for_triple(EUC2, LAP2,
+                                core.linear_power_potential(2.0, 1.0),
+                                R=1.0, R1=2.0, eps=0.1, R_max=750.0)
+    assert str(info.value) == ("the march at c=0.0625 stalled (window "
+                               "underflow) at radius 709.185, where "
+                               "z = 6.23968e+305")
 
 
 # B != 0: each scale decided on the annulus against the eager sweep
@@ -436,7 +427,7 @@ def test_evans_scale_sweep_is_the_eager_sweep(monkeypatch, M, op, pot,
 
     monkeypatch.setattr(radial, "solve_on_interval", recording)
     res = radial.evans_for_triple(M, op, pot, R=1.0, R1=R1, eps=0.1,
-                                  R_max=R_max, blowup_threshold=threshold)
+                                  R_max=R_max)
     monkeypatch.undo()
     eager = evans_eager_sweep(M, op, pot, R=1.0, R1=R1, eps=0.1,
                               R_max=R_max, blowup_threshold=threshold)
@@ -462,17 +453,18 @@ def test_evans_scale_sweep_is_the_eager_sweep(monkeypatch, M, op, pot,
 
 def test_evans_crossing_past_the_annulus_of_a_rejected_scale():
     # at threshold 1e8 the rejected scales c = 1, 1/2 of the plateau cross
-    # it only past R1; the accepted c = 1/8 stays below it up to R_max
+    # it only past R1, which fails the eager sweep; the annulus decides
+    # them first, and the accepted c = 1/8 is the eager sweep's at 1e16
     pot = core.plateau_potential(1.0, 2.0)
     with pytest.raises(radial.EvansFailure):
         evans_eager_sweep(EUC2, LAP2, pot, R=1.0, R1=2.0, eps=0.1,
                           R_max=40.0)
-    low = radial.evans_for_triple(EUC2, LAP2, pot, R=1.0, R1=2.0, eps=0.1,
+    res = radial.evans_for_triple(EUC2, LAP2, pot, R=1.0, R1=2.0, eps=0.1,
                                   R_max=40.0)
-    high = radial.evans_for_triple(EUC2, LAP2, pot, R=1.0, R1=2.0, eps=0.1,
-                                   R_max=40.0, blowup_threshold=1e16)
-    assert low.c_final == high.c_final == 0.125
-    assert np.array_equal(low.solution.z, high.solution.z)
+    high = evans_eager_sweep(EUC2, LAP2, pot, R=1.0, R1=2.0, eps=0.1,
+                             R_max=40.0, blowup_threshold=1e16)
+    assert res.c_final == high.c_final == 0.125
+    assert np.array_equal(res.solution.z, high.solution.z)
 
 
 @pytest.mark.parametrize("pot,exponents", [
