@@ -25,7 +25,7 @@ from .core import (DomainError, ModelManifold, NumericError, PhiOperator,
 # a profile can tell them from the scalar calls
 from .core import phi_inverse as phi_inverse_array
 from .criteria import (DEFAULT_DIVERGENCE, DivergenceVerdict, Verdict,
-                       classify_parabolic)
+                       classify_KL)
 
 COMPLETE = "complete"
 BLOWUP = "blowup"
@@ -117,8 +117,8 @@ class EvansFailure(NumericError):
 
 
 class NoExhaustion(EvansFailure):
-    """For ``B = 0`` the parabolicity test from ``R`` did not find the
-    slope integral to diverge, so no scale gives an unbounded profile.
+    """The Liouville test (``classify_KL``) from ``R`` did not find its
+    profile's integral to diverge, so no scale gives an exhaustion.
     ``divergence`` is the verdict of the test: ``Converges`` (no
     exhaustion exists) or ``Inconclusive`` (the test cannot tell)."""
 
@@ -161,12 +161,14 @@ class RadialSolution:
 
 @dataclass(frozen=True)
 class EvansResult:
+    """The accepted profile and scale, and the Liouville test
+    (``classify_KL``) whose divergence admitted it."""
     solution: RadialSolution
     c_final: float
     mu_final: float
     sup_on_annulus: float
     K_bound: float
-    exhaustion: Optional[DivergenceVerdict] = None   # B = 0 only
+    exhaustion: DivergenceVerdict
 
 
 class _Window:
@@ -432,20 +434,19 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
                      nodes_per_window: int = 64) -> EvansResult:
     """Exhaustion solution small on the annulus ``[R, R1]``.
 
-    Halves the scale ``c`` from 1 (down to ``EVANS_C_MIN``), picking the
-    matched slope each time, until the scaled solution stays below ``eps``
-    on the annulus.  Requires a monotone warping and a potential with a
-    ``t**(p-1)`` upper bound, ``p`` the operator's (otherwise solutions
-    blow up and no scale can be accepted).  Under that bound no solution
-    blows up, so the ``solve_cauchy`` march has no threshold: its windows
-    that cover the annulus decide each scale, only the accepted scale is
-    marched on to ``R_max``, and a stall (window underflow) before
-    ``R_max`` raises ``EvansFailure``.  For ``B = 0`` each scale's
-    solution is ``constant_flux_profile``, whose slope is ``v_pa`` up to
-    scale, and ``classify_parabolic`` from ``R`` decides first whether its
-    integral diverges (up to its ``r_max`` or the end of a table):
-    ``NoExhaustion`` unless it does.  The pinching of ``phi`` makes that
-    verdict the same for every scale.
+    An exhaustion exists iff the Liouville property holds, so
+    ``classify_KL`` from ``R`` (up to its ``r_max`` or the end of a table)
+    decides first: ``NoExhaustion`` unless its profile's integral
+    diverges, a verdict that the pinching of ``phi`` makes the same for
+    every scale.  Then halves the scale ``c`` from 1 (down to
+    ``EVANS_C_MIN``), picking the matched slope each time, until the scaled
+    solution stays below ``eps`` on the annulus.  Requires a monotone
+    warping and a potential with a ``t**(p-1)`` upper bound, ``p`` the
+    operator's, under which no solution blows up: the ``solve_cauchy``
+    march has no threshold, its windows that cover the annulus decide each
+    scale, only the accepted scale is marched on to ``R_max``, and a stall
+    (window underflow) before ``R_max`` raises ``EvansFailure``.  For
+    ``B = 0`` each scale's solution is ``constant_flux_profile``.
     """
     if not (0 < R < R1 < R_max):
         raise DomainError("need 0 < R < R1 < R_max")
@@ -462,23 +463,20 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
             f"{op.name}; its bound b1 t**(p-1) does not hold")
     if not M.monotone:
         raise DomainError("the construction requires a non-decreasing warping")
-    exhaustion = None
-    if pot.b1 == 0:
-        M._check_radius(R_max)       # a short table fails before its tail
-        cfg = replace(DEFAULT_DIVERGENCE,
-                      r_max=min(DEFAULT_DIVERGENCE.r_max, M.r_max_valid))
-        exhaustion = classify_parabolic(M, op, cfg, R).divergence
-        if exhaustion.verdict is not Verdict.DIVERGES:
-            raise NoExhaustion(
-                "no exhaustion: the parabolicity test says "
-                f"{exhaustion.verdict.value} (partial integral "
-                f"{exhaustion.partial_integral:.6g}, slope "
-                f"{exhaustion.slope_estimate:.6g})", exhaustion)
+    M._check_radius(R_max)           # a short table fails before its tail
+    cfg = replace(DEFAULT_DIVERGENCE,
+                  r_max=min(DEFAULT_DIVERGENCE.r_max, M.r_max_valid))
+    dv = classify_KL(M, op, pot, cfg, R).divergence
+    if dv.verdict is not Verdict.DIVERGES:
+        raise NoExhaustion(
+            f"no exhaustion: the Liouville test says {dv.verdict.value} "
+            f"(partial integral {dv.partial_integral:.6g}, slope "
+            f"{dv.slope_estimate:.6g})", dv)
     c = 1.0
     while c >= EVANS_C_MIN:
         mu = choose_mu(op, c)
         params = CauchyParams(R=R, theta=0.0, mu=mu, c=c)
-        if exhaustion is not None:
+        if pot.b1 == 0:
             sol = constant_flux_profile(M, op, params, R_max,
                                         nodes_per_window=nodes_per_window)
             K_obs = sol.sup_on(R, R1)
@@ -495,7 +493,7 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
             K_obs = _sup_on(grid, z, R, R1)
         sup = c * K_obs
         if sup < eps:
-            if exhaustion is None:
+            if pot.b1 != 0:
                 sol = _assemble(pieces, params, *_take(march, pieces))
                 if sol.status == BLOWUP:
                     raise _stalled(sol)
@@ -503,7 +501,7 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
                 raise NumericError("accepted solution is not increasing")
             return EvansResult(solution=sol, c_final=c, mu_final=mu,
                                sup_on_annulus=sup, K_bound=K_obs,
-                               exhaustion=exhaustion)
+                               exhaustion=dv)
         c *= 0.5
     raise EvansFailure(
         "no admissible scale above the floor; observed annulus bound "

@@ -86,7 +86,8 @@ def evans_eager_sweep(M, op, pot, R, R1, eps, R_max, blowup_threshold=1e8,
                       nodes_per_window=64, c_min=1e-12):
     """The ``B != 0`` scale sweep of ``radial.evans_for_triple`` with every
     scale marched to ``R_max`` by a full ``solve_cauchy`` before its sup on
-    the annulus is taken.  Any blow-up status fails the sweep."""
+    the annulus is taken.  Any blow-up status fails the sweep.  It asks no
+    Liouville test, so its ``exhaustion`` is ``None``."""
     c = 1.0
     while c >= c_min:
         mu = radial.choose_mu(op, c)
@@ -101,7 +102,7 @@ def evans_eager_sweep(M, op, pot, R, R1, eps, R_max, blowup_threshold=1e8,
         if c * K_obs < eps:
             return radial.EvansResult(solution=sol, c_final=c, mu_final=mu,
                                       sup_on_annulus=c * K_obs,
-                                      K_bound=K_obs)
+                                      K_bound=K_obs, exhaustion=None)
         c *= 0.5
     raise radial.EvansFailure("no admissible scale above the floor")
 

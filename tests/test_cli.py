@@ -217,6 +217,24 @@ def test_evans_no_exhaustion_exit_code(capsys):
     assert lines[3:] == ["# slope=-2", "r,w"]
 
 
+def test_evans_refuses_where_classify_says_kl_fails(capsys):
+    # the plateau's profiles on R^3 are bounded, so no exhaustion exists;
+    # evans reports the Liouville test of classify's row
+    triple = ["--set", "manifold=euclidean", "--set", "m=3",
+              "--set", "potential=plateau:T=1,p=2"]
+    code, out = run_cli(["evans"] + triple + [
+        "--set", "R=1", "--set", "R1=2", "--set", "eps=0.1", "--rmax", "15"],
+        capsys)
+    assert code == 4
+    assert out.splitlines() == [
+        "# command=evans", "# status=no_exhaustion",
+        "# partial_integral=0.0156234375091", "# slope=-2", "r,w"]
+    code, row = run_cli(["classify"] + triple, capsys)
+    assert code == 0
+    assert row.splitlines()[2].endswith(
+        ",KL_Fails,Converges,0.0156234375091,-2")
+
+
 def test_evans_inconclusive_exit_code(capsys):
     code, out = run_cli(
         EVANS_ARGS + ["--set", "operator=p-laplacian:p=1.95"], capsys)
@@ -374,11 +392,12 @@ EVANS_STEEP = ["evans", "--set", "m=2",
                "--set", "R=1", "--set", "R1=2", "--set", "eps=0.1"]
 KHAS_STEEP = ["khasminskii", "--set", "m=2", "--set", "K_radius=1",
               "--set", "Omega_radius=2"]
+OBSTACLE_STEEP = ["obstacle", "--set", "m=2", "--set", "r_min=1"]
 
 
 @pytest.mark.parametrize("argv,alpha,where", [
-    (EVANS_STEEP + ["--rmax", "12"], "3", "= 793.678 > .* at r=9.25"),
-    (EVANS_STEEP + ["--rmax", "25"], "2.2", "= 731.221 > .* at r=20"),
+    (OBSTACLE_STEEP + ["--set", "r_max=12"], "3", "= 1730.48 > .* at r=12"),
+    (OBSTACLE_STEEP + ["--set", "r_max=25"], "2.2", "= 1193 > .* at r=25"),
     (KHAS_STEEP, "2.2", "= 2051.47 > .* at r=32"),
     (KHAS_STEEP, "3", "= 32771.5 > .* at r=32"),
 ])
@@ -392,6 +411,22 @@ def test_cli_refuses_overflowing_weights(argv, alpha, where, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert re.search(r"\(m-1\) log g " + where, err)
+    assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("alpha,rmax", [("3", "12"), ("2.2", "25")])
+def test_cli_evans_on_overflowing_warpings_has_no_exhaustion(alpha, rmax,
+                                                            capsys):
+    # KL fails on r e^{r^alpha} at p = 2, so the Liouville test refuses
+    # the run before any weight past the largest double is formed
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code, out = run_cli(EVANS_STEEP + [
+            "--rmax", rmax, "--set", f"manifold=power-exp:alpha={alpha}"],
+            capsys)
+    assert code == 4
+    assert out.splitlines()[:2] == ["# command=evans",
+                                    "# status=no_exhaustion"]
     assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
 
 

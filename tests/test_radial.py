@@ -2,6 +2,8 @@
 construction: closed forms, an independent adaptive-ODE oracle, blow-up
 detection and the slope-selection rules."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import (cumulative_simpson, cumulative_trapezoid,
                              solve_ivp)
 
-from modelpot import core, radial
+from modelpot import core, criteria, radial
 from modelpot.criteria import Verdict
 from oracles import (OPERATOR_TAGS, WARPINGS, evans_eager_sweep,
                      exhaustion_at_unit_scale, phi_inverse_brentq,
@@ -611,3 +613,41 @@ def test_evans_inconclusive_exhaustion_is_not_a_verdict():
         radial.evans_for_triple(EUC2, core.p_laplacian_operator(1.95), ZERO,
                                 R=1.0, R1=2.0, eps=0.1, R_max=60.0)
     assert info.value.divergence.verdict is Verdict.INCONCLUSIVE
+
+
+# the paper's theorem: an exhaustion exists iff the Liouville property
+# holds, so evans answers where classify does; R_max stays below the
+# weight overflow of r e^{r^alpha}
+KL_WARPINGS = [("euclidean", 2, 40.0), ("euclidean", 3, 40.0),
+               ("hyperbolic", 2, 40.0), ("hyperbolic", 3, 40.0),
+               ("power-exp:alpha=2.2", 2, 18.0),
+               ("power-exp:alpha=3", 2, 8.0)]
+
+
+def test_evans_answers_where_classify_does():
+    counts = Counter()
+    for tag, m, R_max in KL_WARPINGS:
+        M = core.manifold_from_tag(tag, m)
+        for p in (2, 3):
+            op = core.p_laplacian_operator(float(p))
+            for pot_tag in (f"linear-power:p={p},lambda=1",
+                            f"plateau:T=1,p={p}"):
+                pot = core.potential_from_tag(pot_tag)
+                kl = criteria.classify_KL(M, op, pot).property
+                case = (tag, m, p, pot_tag, kl.value)
+                counts[kl] += 1
+                if kl is criteria.PropertyTag.KL_HOLDS:
+                    sol = radial.evans_for_triple(
+                        M, op, pot, R=1.0, R1=2.0, eps=0.1,
+                        R_max=R_max).solution
+                    assert sol.status == radial.COMPLETE, case
+                    assert sol.r_max == R_max, case
+                    assert np.all(np.diff(sol.z) > 0), case
+                else:
+                    with pytest.raises(radial.NoExhaustion) as info:
+                        radial.evans_for_triple(M, op, pot, R=1.0, R1=2.0,
+                                                eps=0.1, R_max=R_max)
+                    assert info.value.divergence.verdict is \
+                        Verdict.CONVERGES, case
+    assert counts == {criteria.PropertyTag.KL_HOLDS: 13,
+                      criteria.PropertyTag.KL_FAILS: 11}
