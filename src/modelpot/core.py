@@ -13,6 +13,11 @@ descriptors defined here:
 Every weight comes from ``log g``: ``log_sphere_volume`` gives
 ``(m-1) log g`` at any radius, and ``sphere_volume`` is its ``exp``, which
 refuses by name a weight that would overflow a double.
+
+No module of the package imports scipy at load: the few functions that
+use it (adaptive quadrature, monotone-cubic tables, the banded obstacle
+solve) import it when called, so that ``import modelpot`` costs little
+more than ``import numpy``.
 """
 
 from __future__ import annotations
@@ -24,8 +29,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.interpolate import PchipInterpolator
 
 
 class DomainError(ValueError):
@@ -60,6 +63,7 @@ class Quadrature:
             raise ValueError("quadrature tolerances must be positive")
 
     def integrate(self, f, a: float, b: float, points=None) -> float:
+        from scipy.integrate import IntegrationWarning, quad
         if a == b:
             return 0.0
         kwargs = {"epsabs": self.abs_tol, "epsrel": self.rel_tol, "limit": 200}
@@ -261,6 +265,7 @@ def tabulated_manifold(r_samples, g_samples, m: int,
     if abs(slope0 - 1.0) > 0.05:
         raise ValueError(
             f"tabulated warping has g'(0) ~= {slope0:.4f}, expected 1 (5% tol)")
+    from scipy.interpolate import PchipInterpolator
     interp = PchipInterpolator(r_samples, g_samples)
 
     def lg(r):

@@ -12,13 +12,12 @@ integrands take a radius or an array of radii.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.interpolate import PchipInterpolator
 
 from .core import (_GL_NODES, _GL_WEIGHTS, DEFAULT_QUADRATURE,
                    POINTS_PER_DECADE, DomainError, ModelManifold,
@@ -102,30 +101,68 @@ class KellerOssermanResult:
     form_simple: Verdict      # via beta(s)**(-1/p)
 
 
+def _ratio(a, b):
+    """``a / b``, and 0 where ``b == 0``: scipy's guarded division."""
+    return np.divide(a, b, out=np.zeros_like(b), where=b != 0)
+
+
+@functools.lru_cache(maxsize=64)
+def _decade_rule(R0: float, r_max: float):
+    """The sampling grid of ``test_L1_at_infinity`` on ``[R0, r_max]`` and
+    its Simpson rule in ``log r``, which depend on nothing else.
+
+    Returns ``(grid, bounds, weights)``.  ``grid`` holds every decade, a
+    ``geomspace`` on ``POINTS_PER_DECADE`` points a decade rounded up to an
+    odd count (the last decade may be partial), and then the
+    ``SLOPE_SAMPLES`` radii of the last decade; decade ``k`` is
+    ``grid[bounds[k]:bounds[k + 1]]``.  ``weights[k]`` are the coefficients
+    of scipy's ``_basic_simpson`` on that decade's ``log r``: with ``h0``,
+    ``h1`` the spacings of each triple, ``hsum/6``, ``2 - 1/(h0/h1)``,
+    ``hsum (hsum/hprod)`` and ``2 - h0/h1``.  Built on first use and
+    read-only, since every test with these bounds shares them.
+    """
+    edges = [R0]
+    while edges[-1] * 10.0 < r_max:
+        edges.append(edges[-1] * 10.0)
+    edges.append(r_max)
+    decades = [np.geomspace(a, b, 2 * math.ceil(
+        0.5 * POINTS_PER_DECADE * math.log10(b / a)) + 1)
+        for a, b in zip(edges[:-1], edges[1:])]
+    rs = np.geomspace(max(r_max / 10.0, R0), r_max, SLOPE_SAMPLES)
+    grid = np.concatenate(decades + [rs])
+    bounds = (0, *np.cumsum([len(r) for r in decades]).tolist())
+    weights = []
+    for r in decades:
+        h = np.diff(np.log(r))
+        h0, h1 = h[0::2], h[1::2]
+        hsum, h0divh1 = h0 + h1, _ratio(h0, h1)
+        weights.append((hsum / 6.0, 2.0 - _ratio(1.0, h0divh1),
+                        hsum * _ratio(hsum, h0 * h1), 2.0 - h0divh1))
+    for cached in [grid, *(w for ws in weights for w in ws)]:
+        cached.flags.writeable = False
+    return grid, bounds, tuple(weights)
+
+
 def test_L1_at_infinity(integrand: Callable, R0: float,
                         cfg: DivergenceConfig = DEFAULT_DIVERGENCE
                         ) -> DivergenceVerdict:
     """Decide whether ``integral_R0^inf integrand`` diverges.
 
-    ``integrand`` maps an array of radii to values and is sampled once.
-    Partial integral over ``[R0, r_max]`` (Simpson in ``log r`` on
-    ``POINTS_PER_DECADE`` points a decade) plus a log-log slope fit over the
-    last decade.  A fitted slope at or above the critical -1 means the
+    ``integrand`` maps an array of radii to values and is sampled once, on
+    the grid of ``_decade_rule``, cached per ``(R0, r_max)``.  Partial
+    integral over ``[R0, r_max]`` (Simpson in ``log r`` on
+    ``POINTS_PER_DECADE`` points a decade: the rule of
+    ``scipy.integrate.simpson(r * f, x=log r)``, bit for bit, as one
+    ``np.sum`` a decade, summed decade by decade with an early exit past
+    ``DIVERGENCE_THRESHOLD``) plus a log-log slope fit over the last
+    decade.  A fitted slope at or above the critical -1 means the
     extrapolated tail is unbounded, which is reported as divergence; slopes
     inside the margin band but below critical stay inconclusive.
     """
     if R0 <= 0 or cfg.r_max <= R0:
         raise DomainError("test_L1_at_infinity requires 0 < R0 < r_max")
 
-    edges = [R0]
-    while edges[-1] * 10.0 < cfg.r_max:
-        edges.append(edges[-1] * 10.0)
-    edges.append(cfg.r_max)
-    decades = [np.geomspace(a, b, 2 * math.ceil(
-        0.5 * POINTS_PER_DECADE * math.log10(b / a)) + 1)
-        for a, b in zip(edges[:-1], edges[1:])]
-    rs = np.geomspace(max(cfg.r_max / 10.0, R0), cfg.r_max, SLOPE_SAMPLES)
-    grid = np.concatenate(decades + [rs])
+    grid, bounds, weights = _decade_rule(R0, cfg.r_max)
     vals = np.zeros_like(grid) + integrand(grid)
     bad = ~np.isfinite(vals) | (vals < -1e-300)
     if np.any(bad):
@@ -133,10 +170,14 @@ def test_L1_at_infinity(integrand: Callable, R0: float,
                            f"f({grid[bad][0]:g}) = {vals[bad][0]:g}")
     vals = np.maximum(vals, 0.0)
 
+    n = bounds[-1]
+    y = grid[:n] * vals[:n]
+    rs, vals = grid[n:], vals[n:]
     partial = 0.0
-    for r in decades:
-        f, vals = vals[:len(r)], vals[len(r):]
-        partial += float(simpson(r * f, x=np.log(r)))
+    for lo, hi, (w, c0, c1, c2) in zip(bounds[:-1], bounds[1:], weights):
+        d = y[lo:hi]
+        partial += float(np.sum(
+            w * (d[:-2:2] * c0 + d[1:-1:2] * c1 + d[2::2] * c2)))
         if partial > DIVERGENCE_THRESHOLD:
             return DivergenceVerdict(Verdict.DIVERGES, partial,
                                      math.nan, cfg.r_max)
@@ -240,30 +281,6 @@ def classify_KL(M: ModelManifold, op: PhiOperator, pot: PotentialB,
         _property(dv, PropertyTag.KL_HOLDS, PropertyTag.KL_FAILS), dv)
 
 
-def p_laplacian_criteria(M: ModelManifold, p: float,
-                         cfg: DivergenceConfig = DEFAULT_DIVERGENCE,
-                         R0: float = 1.0):
-    """Volume-form specializations for ``phi(t) = t**(p-1)``.
-
-    Returns ``(stochastic_type, parabolic_type)`` verdicts for the
-    integrands ``(vol(B_r)/vol(dB_r))**(1/(p-1))`` and
-    ``vol(dB_r)**(-1/(p-1))``.
-    """
-    if p <= 1:
-        raise DomainError("p_laplacian_criteria requires p > 1")
-    e = 1.0 / (p - 1.0)
-
-    def ratio_integrand(r):
-        return volume_ratio(M, r, 0.0) ** e
-
-    def surface_integrand(r):
-        return np.exp(-e * log_sphere_volume(M, r))
-
-    st = test_L1_at_infinity(ratio_integrand, R0, cfg)
-    pa = test_L1_at_infinity(surface_integrand, R0, cfg)
-    return st, pa
-
-
 # ---------------------------------------------------------------------------
 # the growth condition on the potential
 
@@ -279,9 +296,9 @@ def _cumulative_table(f, x):
 
     ``f`` is called once, on the 8 Gauss-Legendre nodes of every panel after
     the first, as one array.  The head panel ``[0, x[1]]`` is the one
-    adaptive ``DEFAULT_QUADRATURE`` call: power integrands such as
-    ``t**0.5`` are singular at 0, where the 8-node rule is off by 2.5e-4
-    relative.
+    adaptive ``DEFAULT_QUADRATURE`` call, which loads ``scipy.integrate``
+    on first use: power integrands such as ``t**0.5`` are singular at 0,
+    where the 8-node rule is off by 2.5e-4 relative.
     """
     a, h = x[1:-1], np.diff(x[1:])
     panels = h * (f(a[:, None] + h[:, None] * _GL_NODES) @ _GL_WEIGHTS)
@@ -308,6 +325,7 @@ def _kinetic_inverse(op: PhiOperator, y_max: float):
     K = _cumulative_table(lambda s: s * op.phi_prime(s), t)
     if K[-1] < y_max:
         raise NumericError("kinetic primitive table does not cover the range")
+    from scipy.interpolate import PchipInterpolator
     interp = PchipInterpolator(np.log(K[1:]), np.log(t[1:]))
 
     def k_inv(y):
@@ -337,6 +355,7 @@ def keller_osserman(op: PhiOperator, pot: PotentialB) -> KellerOssermanResult:
         # infinite, trivially non-integrable
         return KellerOssermanResult("NotKO_holds", Verdict.DIVERGES,
                                     Verdict.DIVERGES)
+    from scipy.interpolate import PchipInterpolator
     beta_i = PchipInterpolator(s_grid, b_vals)
     pos = np.nonzero(b_vals > 0)[0][0]
     R0 = max(1.0, 2.0 * float(s_grid[pos]))

@@ -23,9 +23,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
 
-from .core import DomainError, ModelManifold, NumericError, sphere_volume
+from .core import ModelManifold, NumericError, sphere_volume
 
 NEG_INF = -math.inf
 
@@ -222,6 +221,7 @@ def solve_obstacle(prob: DiscreteProblem, spec: ObstacleSpec,
     Termination requires both a small maximal update and a small
     complementarity residual; ``max_iter`` bounds the Newton steps.
     """
+    from scipy.linalg import solve_banded
     psi = _check_spec(prob, spec)
     if initial is None:
         t = (prob.grid - prob.grid[0]) / (prob.grid[-1] - prob.grid[0])
@@ -316,63 +316,6 @@ def is_supersolution(prob: DiscreteProblem, u, tol: float = 1e-8
     worst = int(np.argmin(res))
     return SupersolutionCheck(bool(res[worst] >= -tol), worst + 1,
                               float(res[worst]))
-
-
-def is_subsolution(prob: DiscreteProblem, u, tol: float = 1e-8
-                   ) -> SupersolutionCheck:
-    res = prob.residual(_values(u))[1:-1]
-    worst = int(np.argmax(res))
-    return SupersolutionCheck(bool(res[worst] <= tol), worst + 1,
-                              float(res[worst]))
-
-
-def comparison_check(prob: DiscreteProblem, w, s, tol: float = 1e-8) -> bool:
-    """Ordered boundary data and super/sub structure force ``w >= s``.
-
-    Used as a property-test oracle: a failure indicates a solver bug, not
-    an unfortunate input.
-    """
-    wv, sv = _values(w), _values(s)
-    cw = is_supersolution(prob, wv, tol=max(tol, 1e-6))
-    cs = is_subsolution(prob, sv, tol=max(tol, 1e-6))
-    if not cw.ok:
-        raise DomainError(
-            f"first argument is not a supersolution (node "
-            f"{cw.worst_node}, residual {cw.worst_residual:.3e})")
-    if not cs.ok:
-        raise DomainError(
-            f"second argument is not a subsolution (node "
-            f"{cs.worst_node}, residual {cs.worst_residual:.3e})")
-    if wv[0] < sv[0] - tol or wv[-1] < sv[-1] - tol:
-        raise DomainError("boundary values are not ordered")
-    return bool(np.all(wv >= sv - tol))
-
-
-def pasting_min(prob: DiscreteProblem, w1, w2, start: int
-                ) -> DiscreteFunction:
-    """Pointwise minimum of a global supersolution and one living on the
-    subgrid ``start .. start+len(w2)-1``, extended by the global one.
-
-    Junction values must agree to 1e-8; the kinks introduced by the min
-    keep the supersolution sign of the defect, which callers verify with a
-    relaxed tolerance.
-    """
-    w1v = _values(w1)
-    w2v = _values(w2)
-    stop = start + len(w2v)
-    if start < 0 or stop > prob.n_nodes:
-        raise ValueError("subinterval out of range")
-    if start > 0 and abs(w1v[start] - w2v[0]) > 1e-8:
-        raise DomainError(
-            f"junction mismatch at node {start}: "
-            f"{w1v[start]:.6g} vs {w2v[0]:.6g}")
-    if stop < prob.n_nodes and abs(w1v[stop - 1] - w2v[-1]) > 1e-8:
-        raise DomainError(
-            f"junction mismatch at node {stop - 1}: "
-            f"{w1v[stop - 1]:.6g} vs {w2v[-1]:.6g}")
-    out = w1v.copy()
-    out[start:stop] = np.minimum(w1v[start:stop], w2v)
-    return DiscreteFunction(out, prob)
 
 
 # ---------------------------------------------------------------------------

@@ -514,17 +514,3 @@ def _stalled(sol: RadialSolution) -> EvansFailure:
     return EvansFailure(
         f"the march at c={sol.params.c:.6g} stalled (window underflow) at "
         f"radius {sol.r_max:.6g}, where z = {sol.z[-1]:.6g}")
-
-
-def ode_residual(M: ModelManifold, op: PhiOperator, pot: PotentialB,
-                 sol: RadialSolution) -> float:
-    """Max normalized defect of the flux-form equation at interior nodes."""
-    if sol.status != COMPLETE:
-        raise DomainError("residual is defined for completed solutions")
-    r, z, zp = sol.grid, sol.z, sol.zp
-    c = sol.params.c
-    w = sphere_volume(M, r)
-    flux = w * np.asarray(op.phi(c * zp), dtype=float)
-    dflux = (flux[2:] - flux[:-2]) / (r[2:] - r[:-2])
-    rhs = (w * np.asarray(pot(c * z), dtype=float))[1:-1]
-    return float(np.max(np.abs(dflux - rhs) / (1.0 + rhs)))

@@ -7,7 +7,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from modelpot import criteria, obstacle, radial
-from modelpot.core import DomainError, phi_inverse, sphere_volume
+from modelpot.core import (DomainError, log_sphere_volume, phi_inverse,
+                           sphere_volume, volume_ratio)
 from modelpot.criteria import OperatorTypeTag, PropertyTag, Verdict
 
 
@@ -342,3 +343,96 @@ def khasminskii_candidate_sweep(M, p, lam, K_radius, Omega_radius, eps,
     return CandidateSweep("PotentialBuilt", len(radii) - 1,
                           tuple(sigma * inc for inc in increments), h_funcs,
                           w0)
+
+
+# ---------------------------------------------------------------------------
+# cross-checks that no command runs
+
+
+def p_laplacian_criteria(M, p, cfg=criteria.DEFAULT_DIVERGENCE, R0=1.0):
+    """Volume-form specializations for ``phi(t) = t**(p-1)``.
+
+    Returns ``(stochastic_type, parabolic_type)`` verdicts for the
+    integrands ``(vol(B_r)/vol(dB_r))**(1/(p-1))`` and
+    ``vol(dB_r)**(-1/(p-1))``.
+    """
+    if p <= 1:
+        raise DomainError("p_laplacian_criteria requires p > 1")
+    e = 1.0 / (p - 1.0)
+
+    def ratio_integrand(r):
+        return volume_ratio(M, r, 0.0) ** e
+
+    def surface_integrand(r):
+        return np.exp(-e * log_sphere_volume(M, r))
+
+    st = criteria.test_L1_at_infinity(ratio_integrand, R0, cfg)
+    pa = criteria.test_L1_at_infinity(surface_integrand, R0, cfg)
+    return st, pa
+
+
+def ode_residual(M, op, pot, sol):
+    """Max normalized defect of the flux-form equation at interior nodes."""
+    if sol.status != radial.COMPLETE:
+        raise DomainError("residual is defined for completed solutions")
+    r, z, zp = sol.grid, sol.z, sol.zp
+    c = sol.params.c
+    w = sphere_volume(M, r)
+    flux = w * np.asarray(op.phi(c * zp), dtype=float)
+    dflux = (flux[2:] - flux[:-2]) / (r[2:] - r[:-2])
+    rhs = (w * np.asarray(pot(c * z), dtype=float))[1:-1]
+    return float(np.max(np.abs(dflux - rhs) / (1.0 + rhs)))
+
+
+def is_subsolution(prob, u, tol=1e-8):
+    res = prob.residual(obstacle._values(u))[1:-1]
+    worst = int(np.argmax(res))
+    return obstacle.SupersolutionCheck(bool(res[worst] <= tol), worst + 1,
+                                       float(res[worst]))
+
+
+def comparison_check(prob, w, s, tol=1e-8):
+    """Ordered boundary data and super/sub structure force ``w >= s``.
+
+    A failure indicates a solver bug, not an unfortunate input.
+    """
+    wv, sv = obstacle._values(w), obstacle._values(s)
+    cw = obstacle.is_supersolution(prob, wv, tol=max(tol, 1e-6))
+    cs = is_subsolution(prob, sv, tol=max(tol, 1e-6))
+    if not cw.ok:
+        raise DomainError(
+            f"first argument is not a supersolution (node "
+            f"{cw.worst_node}, residual {cw.worst_residual:.3e})")
+    if not cs.ok:
+        raise DomainError(
+            f"second argument is not a subsolution (node "
+            f"{cs.worst_node}, residual {cs.worst_residual:.3e})")
+    if wv[0] < sv[0] - tol or wv[-1] < sv[-1] - tol:
+        raise DomainError("boundary values are not ordered")
+    return bool(np.all(wv >= sv - tol))
+
+
+def pasting_min(prob, w1, w2, start):
+    """Pointwise minimum of a global supersolution and one living on the
+    subgrid ``start .. start+len(w2)-1``, extended by the global one.
+
+    Junction values must agree to 1e-8; the kinks introduced by the min
+    keep the supersolution sign of the defect, which callers verify with a
+    relaxed tolerance.
+    """
+    w1v = obstacle._values(w1)
+    w2v = obstacle._values(w2)
+    stop = start + len(w2v)
+    if start < 0 or stop > prob.n_nodes:
+        raise ValueError("subinterval out of range")
+    if start > 0 and abs(w1v[start] - w2v[0]) > 1e-8:
+        raise DomainError(
+            f"junction mismatch at node {start}: "
+            f"{w1v[start]:.6g} vs {w2v[0]:.6g}")
+    if stop < prob.n_nodes and abs(w1v[stop - 1] - w2v[-1]) > 1e-8:
+        raise DomainError(
+            f"junction mismatch at node {stop - 1}: "
+            f"{w1v[stop - 1]:.6g} vs {w2v[-1]:.6g}")
+    out = w1v.copy()
+    out[start:stop] = np.minimum(w1v[start:stop], w2v)
+    return obstacle.DiscreteFunction(out, prob)

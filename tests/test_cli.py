@@ -1,9 +1,14 @@
 """End-to-end tests of the command-line front end: exit codes, CSV shape
 and byte-level determinism."""
 
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -525,3 +530,49 @@ def test_profile_csv_is_the_per_row_format(r, values):
                          + rows) + "\n"
     assert cli._profile_csv(["command=evans", "status=complete"], "w",
                             r, values) == expected
+
+
+# ---------------------------------------------------------------------------
+# only tables, keller_osserman and the obstacle solver load scipy
+
+
+SCIPY_PARTS = ("scipy.integrate", "scipy.interpolate", "scipy.linalg")
+# prints the SCIPY_PARTS in sys.modules after `import modelpot`, then the
+# exit code and the SCIPY_PARTS after each `cli.main(argv)`, in turn
+LOADED_SCRIPT = f"""
+import json, os, sys
+import modelpot
+def loaded():
+    return [name for name in {SCIPY_PARTS!r} if name in sys.modules]
+seen = [loaded()]
+from modelpot import cli
+for argv in json.loads(sys.argv[1]):
+    seen.append([cli.main(argv + ["--out", os.devnull])] + loaded())
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_loads_only_for_tables_and_the_obstacle_solver(tmp_path):
+    r = np.linspace(0.01, 100.0, 400)
+    table = tmp_path / "plane.csv"
+    np.savetxt(table, np.column_stack([r, r]), delimiter=",", header="r,g",
+               comments="")
+    plane = ["--set", "manifold=euclidean", "--set", "m=2"]
+    linear = ["--set", "potential=linear-power:p=2,lambda=1"]
+    evans = ["evans", *plane, "--set", "R=1", "--set", "R1=2",
+             "--set", "eps=0.1", "--rmax", "40"]
+    runs = [["classify", *plane], ["classify", *plane, *linear],
+            evans, evans + linear,
+            ["obstacle", *plane, "--set", "r_min=1", "--set", "r_max=10"],
+            ["classify", "--set", f"manifold=table:{table}",
+             "--rmax", "50"]]
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", LOADED_SCRIPT,
+                           json.dumps(runs)], env=env, capture_output=True,
+                          text=True, check=True)
+    seen = json.loads(proc.stdout)
+    assert seen[:5] == [[], [0], [0], [0], [0]]
+    assert seen[5] == [0, "scipy.linalg"]
+    assert seen[6][0] == 0 and "scipy.interpolate" in seen[6]

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 from modelpot import cli, core, criteria
 from modelpot.criteria import PropertyTag, Verdict
-from oracles import OPERATOR_TAGS, WARPINGS, classify_c_sweep
+from oracles import (OPERATOR_TAGS, WARPINGS, classify_c_sweep,
+                     p_laplacian_criteria)
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +77,37 @@ def test_heuristic_validation():
         criteria.test_L1_at_infinity(lambda r: 1.0, 0.0)
     with pytest.raises(core.NumericError):
         criteria.test_L1_at_infinity(lambda r: -1.0, 1.0)
+
+
+@pytest.mark.parametrize("r_max", [1e3, 3e3, 1e4, 9999.0])
+@pytest.mark.parametrize("R0", [0.5, 1.0, 2.0, 3.7])
+def test_decade_rule_is_scipy_simpson(R0, r_max):
+    # every pair but (1, 1e3) and (1, 1e4) ends on a partial decade
+    grid, bounds, weights = criteria._decade_rule(R0, r_max)
+    assert criteria._decade_rule(R0, r_max)[0] is grid
+    assert grid[0] == R0 and grid[bounds[-1] - 1] == r_max
+    cfg = criteria.DivergenceConfig(r_max=r_max)
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        f = rng.uniform(0.0, 1.0, grid.size) * grid ** rng.uniform(-3, -1)
+        partial = 0.0
+        for lo, hi, (w, c0, c1, c2) in zip(bounds[:-1], bounds[1:], weights):
+            r = grid[lo:hi]
+            y = r * f[lo:hi]
+            expected = simpson(y, x=np.log(r))
+            assert np.sum(w * (y[:-2:2] * c0 + y[1:-1:2] * c1
+                               + y[2::2] * c2)) == expected
+            partial += float(expected)
+        dv = criteria.test_L1_at_infinity(lambda r: f, R0, cfg)
+        assert dv.partial_integral == partial
+
+
+def test_decade_rule_cache_is_read_only():
+    grid, _, weights = criteria._decade_rule(1.0, 1e4)
+    for cached in (grid, *(w for ws in weights for w in ws)):
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +250,7 @@ CROSS_CASES = [("euclidean", 2), ("euclidean", 3),
 def test_cross_consistency_parabolic_form(tag, m, p):
     M = core.manifold_from_tag(tag, m)
     op = core.p_laplacian_operator(p)
-    _, pa = criteria.p_laplacian_criteria(M, p)
+    _, pa = p_laplacian_criteria(M, p)
     generic = criteria.classify_parabolic(M, op).divergence.verdict
     assert generic is pa.verdict
 
@@ -227,7 +260,7 @@ def test_cross_consistency_parabolic_form(tag, m, p):
 def test_cross_consistency_stochastic_form(tag, m, p):
     M = core.manifold_from_tag(tag, m)
     op = core.p_laplacian_operator(p)
-    st, _ = criteria.p_laplacian_criteria(M, p)
+    st, _ = p_laplacian_criteria(M, p)
     pot = core.linear_power_potential(p, 1.0)   # strictly positive: Type1
     generic = criteria.classify_KL(M, op, pot).divergence.verdict
     assert generic is st.verdict
@@ -262,7 +295,7 @@ def test_hyperbolic_volume_ratio_verdicts():
     # even though the surface form converges (stochastically complete but
     # non-parabolic)
     M = core.manifold_from_tag("hyperbolic", 3)
-    st, pa = criteria.p_laplacian_criteria(M, 2.0)
+    st, pa = p_laplacian_criteria(M, 2.0)
     assert st.verdict is Verdict.DIVERGES
     assert pa.verdict is Verdict.CONVERGES
 
@@ -282,7 +315,7 @@ def test_classifiers_sample_without_quadrature(monkeypatch):
             M = core.manifold_from_tag(tag, m)
             criteria.classify_parabolic(M, op)
             criteria.classify_KL(M, op, pot)
-            criteria.p_laplacian_criteria(M, op.p)
+            p_laplacian_criteria(M, op.p)
     assert calls == []
 
 
@@ -301,7 +334,7 @@ def test_classifier_volume_ratio_node_counts(monkeypatch):
     M = core.manifold_from_tag("euclidean", 2)
     op = core.p_laplacian_operator(2.0)
     pot = core.linear_power_potential(2.0, 1.0)
-    criteria.p_laplacian_criteria(M, 2.0, R0=1.0)
+    p_laplacian_criteria(M, 2.0, R0=1.0)
     assert seen[0] == (897,)
     for R0, nodes in ((1.0, 513), (2.0, 596)):
         seen.clear()

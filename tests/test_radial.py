@@ -14,8 +14,8 @@ from scipy.integrate import (cumulative_simpson, cumulative_trapezoid,
 from modelpot import core, criteria, radial
 from modelpot.criteria import Verdict
 from oracles import (OPERATOR_TAGS, WARPINGS, evans_eager_sweep,
-                     exhaustion_at_unit_scale, phi_inverse_brentq,
-                     volterra_apply_reference)
+                     exhaustion_at_unit_scale, ode_residual,
+                     phi_inverse_brentq, volterra_apply_reference)
 
 
 EUC2 = core.manifold_from_tag("euclidean", 2)
@@ -231,13 +231,13 @@ def test_solution_is_increasing_and_flux_consistent():
     sol = radial.solve_cauchy(EUC3, LAP2, pot, params, 8.0)
     assert np.all(np.diff(sol.z) > 0)
     assert np.all(sol.zp > 0)
-    assert radial.ode_residual(EUC3, LAP2, pot, sol) < 1e-3
+    assert ode_residual(EUC3, LAP2, pot, sol) < 1e-3
 
 
 def test_ode_residual_small_for_zero_potential():
     params = radial.CauchyParams(R=1.0, theta=0.0, mu=1.0, c=1.0)
     sol = radial.solve_cauchy(EUC2, LAP2, ZERO, params, 10.0)
-    assert radial.ode_residual(EUC2, LAP2, ZERO, sol) < 1e-9
+    assert ode_residual(EUC2, LAP2, ZERO, sol) < 1e-9
 
 
 # ---------------------------------------------------------------------------
