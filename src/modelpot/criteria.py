@@ -12,7 +12,6 @@ integrands take a radius or an array of radii.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -106,7 +105,6 @@ def _ratio(a, b):
     return np.divide(a, b, out=np.zeros_like(b), where=b != 0)
 
 
-@functools.lru_cache(maxsize=64)
 def _decade_rule(R0: float, r_max: float):
     """The sampling grid of ``test_L1_at_infinity`` on ``[R0, r_max]`` and
     its Simpson rule in ``log r``, which depend on nothing else.
@@ -118,8 +116,7 @@ def _decade_rule(R0: float, r_max: float):
     ``grid[bounds[k]:bounds[k + 1]]``.  ``weights[k]`` are the coefficients
     of scipy's ``_basic_simpson`` on that decade's ``log r``: with ``h0``,
     ``h1`` the spacings of each triple, ``hsum/6``, ``2 - 1/(h0/h1)``,
-    ``hsum (hsum/hprod)`` and ``2 - h0/h1``.  Built on first use and
-    read-only, since every test with these bounds shares them.
+    ``hsum (hsum/hprod)`` and ``2 - h0/h1``.
     """
     edges = [R0]
     while edges[-1] * 10.0 < r_max:
@@ -138,8 +135,6 @@ def _decade_rule(R0: float, r_max: float):
         hsum, h0divh1 = h0 + h1, _ratio(h0, h1)
         weights.append((hsum / 6.0, 2.0 - _ratio(1.0, h0divh1),
                         hsum * _ratio(hsum, h0 * h1), 2.0 - h0divh1))
-    for cached in [grid, *(w for ws in weights for w in ws)]:
-        cached.flags.writeable = False
     return grid, bounds, tuple(weights)
 
 
@@ -149,7 +144,7 @@ def test_L1_at_infinity(integrand: Callable, R0: float,
     """Decide whether ``integral_R0^inf integrand`` diverges.
 
     ``integrand`` maps an array of radii to values and is sampled once, on
-    the grid of ``_decade_rule``, cached per ``(R0, r_max)``.  Partial
+    the grid of ``_decade_rule``, built from ``(R0, r_max)``.  Partial
     integral over ``[R0, r_max]`` (Simpson in ``log r`` on
     ``POINTS_PER_DECADE`` points a decade: the rule of
     ``scipy.integrate.simpson(r * f, x=log r)``, bit for bit, as one
