@@ -10,8 +10,9 @@ Exit codes: 0 success, 1 error, 2 any Inconclusive classification or
 exhaustion test, 4 nonzero limit in the staged pipeline or no exhaustion
 for ``evans``.
 Output is CSV with '#'-prefixed ``key=value`` metadata lines before the
-header; identical configs produce byte-identical output.  This module
-alone knows that format.
+header; identical configs produce byte-identical output.  ``evans``
+names in ``# reason=`` the branch of the Liouville test that decided.
+This module alone knows that format.
 """
 
 from __future__ import annotations
@@ -218,7 +219,7 @@ def cmd_evans(cfg, out_path) -> int:
         _write(out_path, _profile_csv(
             ["command=evans", f"status={status}",
              f"partial_integral={dv.partial_integral:.12g}",
-             f"slope={dv.slope_estimate:.6g}"], "w"))
+             f"slope={dv.slope_estimate:.6g}", f"reason={dv.reason}"], "w"))
         log.info("%s", exc)
         return EXIT_NO_EXHAUSTION if converges else EXIT_INCONCLUSIVE
     sol = result.solution
@@ -226,7 +227,8 @@ def cmd_evans(cfg, out_path) -> int:
         ["command=evans", f"c={result.c_final:.12g}",
          f"mu={result.mu_final:.12g}",
          f"sup_on_annulus={result.sup_on_annulus:.12g}",
-         f"status={sol.status}"], "w", sol.grid, result.c_final * sol.z))
+         f"status={sol.status}", f"reason={result.exhaustion.reason}"], "w",
+        sol.grid, result.c_final * sol.z))
     return EXIT_OK
 
 

@@ -14,10 +14,10 @@ Every weight comes from ``log g``: ``log_sphere_volume`` gives
 ``(m-1) log g`` at any radius, and ``sphere_volume`` is its ``exp``, which
 refuses by name a weight that would overflow a double.
 
-No module of the package imports scipy at load: the few functions that
-use it (adaptive quadrature, monotone-cubic tables, the banded obstacle
-solve) import it when called, so that ``import modelpot`` costs little
-more than ``import numpy``.
+No module of the package imports scipy at load: the two functions that
+use it (adaptive quadrature and the tridiagonal obstacle solve) import it
+when called, so that ``import modelpot`` costs little more than ``import
+numpy``.  Monotone-cubic tables are ``pchip``, in numpy.
 """
 
 from __future__ import annotations
@@ -237,6 +237,69 @@ def manifold_from_tag(tag: str, m: int) -> ModelManifold:
     raise ValueError(f"unknown manifold tag {tag!r}")
 
 
+def _pchip_slopes(h, m):
+    """Node derivatives of the monotone cubic on spacings ``h`` and secant
+    slopes ``m``: the weighted harmonic mean of Fritsch & Butland (SIAM J.
+    Sci. Stat. Comput. 5, 1984) inside, zero at a local extremum, and the
+    shape-preserving one-sided three-point rule at the ends (Moler,
+    Numerical Computing with MATLAB, 3.6), in scipy's arithmetic."""
+    if len(m) == 1:
+        return np.array([m[0], m[0]])
+    w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+    extremum = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) \
+        | (m[:-1] == 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+    # both ends at once: (h0, h1, m0, m1) from the first and last intervals
+    h0, h1 = h[[0, -1]], h[[1, -2]]
+    m0, m1 = m[[0, -1]], m[[1, -2]]
+    end = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    end = np.where(np.sign(end) != np.sign(m0), 0.0, np.where(
+        (np.sign(m0) != np.sign(m1)) & (np.abs(end) > 3.0 * np.abs(m0)),
+        3.0 * m0, end))
+    return np.concatenate([end[:1], np.where(extremum, 0.0, inner),
+                           end[1:]])
+
+
+def pchip(x, y):
+    """The monotone piecewise cubic Hermite interpolant of ``(x, y)``
+    (Fritsch & Carlson, SIAM J. Numer. Anal. 17, 1980), as a function of a
+    value or an array of values: scipy's ``PchipInterpolator``, bit for bit.
+
+    Each interval holds ``(t/h, (m - d0)/h - t, d0, y0)``, ``t = (d0 + d1 -
+    2m)/h``, evaluated at ``s = x - x_i`` in the order of scipy's
+    ``evaluate_poly1``.  A query selects the interval ``[x_i, x_{i+1})``
+    that holds it, or the first or last interval, which extrapolate: ``i``
+    counts the interior nodes at or below it.  ``ValueError`` unless
+    ``x`` and ``y`` are 1-D, of one length of at least 2 and finite, and
+    ``x`` strictly increases.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.ndim != 1 or y.shape != x.shape:
+        raise ValueError("pchip needs 1-D x and y of equal length")
+    if len(x) < 2:
+        raise ValueError("pchip needs at least 2 points")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("pchip needs finite x and y")
+    h = np.diff(x)
+    if np.any(h <= 0):
+        raise ValueError("pchip needs strictly increasing x")
+    m = np.diff(y) / h
+    d = _pchip_slopes(h, m)
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    c0, c1, c2, c3 = t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]
+    inner, left = x[1:-1], x[:-1]
+
+    def interpolant(q):
+        i = np.searchsorted(inner, q, side="right")
+        s = q - left.take(i)
+        s2 = s * s
+        return (((0.0 + c3.take(i)) + c2.take(i) * s) + c1.take(i) * s2
+                + c0.take(i) * (s2 * s))
+
+    return interpolant
+
+
 def tabulated_manifold(r_samples, g_samples, m: int,
                        name: str = "tabulated") -> ModelManifold:
     """Manifold from sampled ``(r, g(r))`` pairs, monotone-cubic interpolated.
@@ -265,8 +328,7 @@ def tabulated_manifold(r_samples, g_samples, m: int,
     if abs(slope0 - 1.0) > 0.05:
         raise ValueError(
             f"tabulated warping has g'(0) ~= {slope0:.4f}, expected 1 (5% tol)")
-    from scipy.interpolate import PchipInterpolator
-    interp = PchipInterpolator(r_samples, g_samples)
+    interp = pchip(r_samples, g_samples)
 
     def lg(r):
         return np.log(interp(r))
@@ -461,13 +523,16 @@ class PotentialB:
 
     ``b1`` bounds ``B(t) <= b1 * t**(p-1)`` when the potential admits one
     (required by the uniform-bound step of the radial construction);
-    ``homogeneity`` records the growth exponent for presets that have one.
+    ``homogeneity`` records the growth exponent for presets that have one;
+    ``kink`` a point ``t > 0`` where ``B`` is not smooth, which tables of
+    ``B`` take as a node.
     """
 
     B: Callable[[float], float]
     b1: Optional[float] = None
     homogeneity: Optional[float] = None
     name: str = "custom"
+    kink: Optional[float] = None
 
     def __post_init__(self):
         t = np.linspace(0.0, 10.0, 101)
@@ -510,7 +575,7 @@ def plateau_potential(T: float, p: float) -> PotentialB:
         return np.maximum(np.asarray(t, dtype=float) - T, 0.0) ** (p - 1.0)
 
     return PotentialB(B=B, b1=1.0, homogeneity=p - 1.0,
-                      name=f"plateau:T={T:g},p={p:g}")
+                      name=f"plateau:T={T:g},p={p:g}", kink=T)
 
 
 def superlinear_potential(q: float) -> PotentialB:

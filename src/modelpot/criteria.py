@@ -12,6 +12,7 @@ integrands take a radius or an array of radii.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -21,7 +22,7 @@ import numpy as np
 from .core import (_GL_NODES, _GL_WEIGHTS, DEFAULT_QUADRATURE,
                    POINTS_PER_DECADE, DomainError, ModelManifold,
                    NumericError, PhiOperator, PotentialB, log_sphere_volume,
-                   phi_inverse, volume_ratio)
+                   phi_inverse, pchip, volume_ratio)
 
 
 class Verdict(enum.Enum):
@@ -73,10 +74,30 @@ DEFAULT_DIVERGENCE = DivergenceConfig()
 
 @dataclass(frozen=True)
 class DivergenceVerdict:
+    """The verdict of ``test_L1_at_infinity``, and ``reason``, the branch
+    that gave it:
+
+    * ``partial_above_threshold`` -- Diverges: the partial integral passed
+      ``DIVERGENCE_THRESHOLD`` (the slope is not fitted: NaN);
+    * ``tail_underflow`` -- Converges: the integrand underflows on the
+      last decade (slope ``-inf``);
+    * ``few_positive_samples`` -- Inconclusive: too few positive samples
+      on the last decade to fit a slope (NaN);
+    * ``critical_slope`` -- Diverges: the fitted slope is at or above
+      ``-1 - SLOPE_BAND``;
+    * ``tail_above_threshold`` -- Diverges: partial integral plus the
+      extrapolated tail passes ``DIVERGENCE_THRESHOLD``;
+    * ``tail_within_tolerance`` -- Converges: the slope clears the margin
+      and the tail is within ``tail_rel_tol``;
+    * ``slope_or_tail_undecided`` -- Inconclusive: the slope lies in the
+      margin, or the tail is too large a share.
+    """
+
     verdict: Verdict
     partial_integral: float
     slope_estimate: float
     r_max: float
+    reason: str
 
 
 @dataclass(frozen=True)
@@ -109,55 +130,58 @@ def _decade_rule(R0: float, r_max: float):
     """The sampling grid of ``test_L1_at_infinity`` on ``[R0, r_max]`` and
     its Simpson rule in ``log r``, which depend on nothing else.
 
-    Returns ``(grid, bounds, weights)``.  ``grid`` holds every decade, a
+    Returns ``(grid, blocks)``.  ``grid`` holds every decade, a
     ``geomspace`` on ``POINTS_PER_DECADE`` points a decade rounded up to an
     odd count (the last decade may be partial), and then the
-    ``SLOPE_SAMPLES`` radii of the last decade; decade ``k`` is
-    ``grid[bounds[k]:bounds[k + 1]]``.  ``weights[k]`` are the coefficients
-    of scipy's ``_basic_simpson`` on that decade's ``log r``: with ``h0``,
-    ``h1`` the spacings of each triple, ``hsum/6``, ``2 - 1/(h0/h1)``,
-    ``hsum (hsum/hprod)`` and ``2 - h0/h1``.
+    ``SLOPE_SAMPLES`` radii of the last decade.  Adjacent decades of one
+    count form a block, a row a decade, built by one ``geomspace``: the
+    full decades are one block and a partial last decade another.
+    ``blocks`` gives, block by block in decade order, the coefficients of
+    scipy's ``_basic_simpson`` on each row's ``log r``, as ``(rows,
+    triples)`` arrays: with ``h0``, ``h1`` the spacings of each triple,
+    ``hsum/6``, ``2 - 1/(h0/h1)``, ``hsum (hsum/hprod)`` and ``2 - h0/h1``.
     """
+    if R0 <= 0 or r_max <= R0:
+        raise DomainError("test_L1_at_infinity requires 0 < R0 < r_max")
     edges = [R0]
     while edges[-1] * 10.0 < r_max:
         edges.append(edges[-1] * 10.0)
     edges.append(r_max)
-    decades = [np.geomspace(a, b, 2 * math.ceil(
-        0.5 * POINTS_PER_DECADE * math.log10(b / a)) + 1)
-        for a, b in zip(edges[:-1], edges[1:])]
-    rs = np.geomspace(max(r_max / 10.0, R0), r_max, SLOPE_SAMPLES)
-    grid = np.concatenate(decades + [rs])
-    bounds = (0, *np.cumsum([len(r) for r in decades]).tolist())
-    weights = []
-    for r in decades:
-        h = np.diff(np.log(r))
-        h0, h1 = h[0::2], h[1::2]
+    counts = [2 * math.ceil(0.5 * POINTS_PER_DECADE * math.log10(b / a)) + 1
+              for a, b in zip(edges[:-1], edges[1:])]
+    radii, blocks, k = [], [], 0
+    for n, run in itertools.groupby(counts):
+        j = k + len(list(run))
+        r = np.geomspace(edges[k:j], edges[k + 1:j + 1], n, axis=1)
+        h = np.diff(np.log(r), axis=1)
+        h0, h1 = h[:, 0::2], h[:, 1::2]
         hsum, h0divh1 = h0 + h1, _ratio(h0, h1)
-        weights.append((hsum / 6.0, 2.0 - _ratio(1.0, h0divh1),
-                        hsum * _ratio(hsum, h0 * h1), 2.0 - h0divh1))
-    return grid, bounds, tuple(weights)
+        radii.append(r.ravel())
+        blocks.append((hsum / 6.0, 2.0 - _ratio(1.0, h0divh1),
+                       hsum * _ratio(hsum, h0 * h1), 2.0 - h0divh1))
+        k = j
+    rs = np.geomspace(max(r_max / 10.0, R0), r_max, SLOPE_SAMPLES)
+    return np.concatenate(radii + [rs]), tuple(blocks)
 
 
 def test_L1_at_infinity(integrand: Callable, R0: float,
-                        cfg: DivergenceConfig = DEFAULT_DIVERGENCE
-                        ) -> DivergenceVerdict:
+                        cfg: DivergenceConfig = DEFAULT_DIVERGENCE,
+                        rule=None) -> DivergenceVerdict:
     """Decide whether ``integral_R0^inf integrand`` diverges.
 
     ``integrand`` maps an array of radii to values and is sampled once, on
-    the grid of ``_decade_rule``, built from ``(R0, r_max)``.  Partial
-    integral over ``[R0, r_max]`` (Simpson in ``log r`` on
-    ``POINTS_PER_DECADE`` points a decade: the rule of
+    the grid of ``rule``, which is ``_decade_rule(R0, cfg.r_max)`` unless
+    the caller built it.  Partial integral over ``[R0, r_max]`` (Simpson
+    in ``log r`` on ``POINTS_PER_DECADE`` points a decade: the rule of
     ``scipy.integrate.simpson(r * f, x=log r)``, bit for bit, as one
-    ``np.sum`` a decade, summed decade by decade with an early exit past
-    ``DIVERGENCE_THRESHOLD``) plus a log-log slope fit over the last
-    decade.  A fitted slope at or above the critical -1 means the
+    ``np.sum`` a row of each block, added decade by decade with an early
+    exit past ``DIVERGENCE_THRESHOLD``) plus a log-log slope fit over the
+    last decade.  A fitted slope at or above the critical -1 means the
     extrapolated tail is unbounded, which is reported as divergence; slopes
-    inside the margin band but below critical stay inconclusive.
+    inside the margin band but below critical stay inconclusive.  The
+    verdict's ``reason`` names the branch that decided.
     """
-    if R0 <= 0 or cfg.r_max <= R0:
-        raise DomainError("test_L1_at_infinity requires 0 < R0 < r_max")
-
-    grid, bounds, weights = _decade_rule(R0, cfg.r_max)
+    grid, blocks = _decade_rule(R0, cfg.r_max) if rule is None else rule
     vals = np.zeros_like(grid) + integrand(grid)
     bad = ~np.isfinite(vals) | (vals < -1e-300)
     if np.any(bad):
@@ -165,39 +189,42 @@ def test_L1_at_infinity(integrand: Callable, R0: float,
                            f"f({grid[bad][0]:g}) = {vals[bad][0]:g}")
     vals = np.maximum(vals, 0.0)
 
-    n = bounds[-1]
-    y = grid[:n] * vals[:n]
+    partial, n = 0.0, 0
+
+    def verdict(v, slope, reason):
+        return DivergenceVerdict(v, partial, slope, cfg.r_max, reason)
+
+    for w, c0, c1, c2 in blocks:
+        size = w.shape[0] * (2 * w.shape[1] + 1)
+        d = (grid[n:n + size] * vals[n:n + size]).reshape(w.shape[0], -1)
+        n += size
+        for row in np.sum(w * (d[:, :-2:2] * c0 + d[:, 1:-1:2] * c1
+                               + d[:, 2::2] * c2), axis=1).tolist():
+            partial += row
+            if partial > DIVERGENCE_THRESHOLD:
+                return verdict(Verdict.DIVERGES, math.nan,
+                               "partial_above_threshold")
     rs, vals = grid[n:], vals[n:]
-    partial = 0.0
-    for lo, hi, (w, c0, c1, c2) in zip(bounds[:-1], bounds[1:], weights):
-        d = y[lo:hi]
-        partial += float(np.sum(
-            w * (d[:-2:2] * c0 + d[1:-1:2] * c1 + d[2::2] * c2)))
-        if partial > DIVERGENCE_THRESHOLD:
-            return DivergenceVerdict(Verdict.DIVERGES, partial,
-                                     math.nan, cfg.r_max)
 
     # slope fit on the last decade
     if np.all(vals < 1e-280):
-        return DivergenceVerdict(Verdict.CONVERGES, partial, -math.inf,
-                                 cfg.r_max)
+        return verdict(Verdict.CONVERGES, -math.inf, "tail_underflow")
     mask = vals > 0
     if mask.sum() < SLOPE_SAMPLES // 2:
-        return DivergenceVerdict(Verdict.INCONCLUSIVE, partial, math.nan,
-                                 cfg.r_max)
+        return verdict(Verdict.INCONCLUSIVE, math.nan, "few_positive_samples")
     slope = float(np.polyfit(np.log(rs[mask]), np.log(vals[mask]), 1)[0])
     f_end = float(vals[-1])
 
     if slope >= -1.0 - SLOPE_BAND:
         # extrapolated power-law tail is not integrable
-        return DivergenceVerdict(Verdict.DIVERGES, partial, slope, cfg.r_max)
+        return verdict(Verdict.DIVERGES, slope, "critical_slope")
     tail = f_end * cfg.r_max / (-1.0 - slope)
     if partial + tail > DIVERGENCE_THRESHOLD:
-        return DivergenceVerdict(Verdict.DIVERGES, partial, slope, cfg.r_max)
+        return verdict(Verdict.DIVERGES, slope, "tail_above_threshold")
     if slope <= -1.0 - SLOPE_MARGIN and \
             tail <= cfg.tail_rel_tol * (1.0 + partial):
-        return DivergenceVerdict(Verdict.CONVERGES, partial, slope, cfg.r_max)
-    return DivergenceVerdict(Verdict.INCONCLUSIVE, partial, slope, cfg.r_max)
+        return verdict(Verdict.CONVERGES, slope, "tail_within_tolerance")
+    return verdict(Verdict.INCONCLUSIVE, slope, "slope_or_tail_undecided")
 
 
 # ---------------------------------------------------------------------------
@@ -286,27 +313,36 @@ def classify_KL(M: ModelManifold, op: PhiOperator, pot: PotentialB,
 KO_DIVERGENCE = DivergenceConfig(r_max=1e6, tail_rel_tol=0.5)
 
 
-def _cumulative_table(f, x):
+def _cumulative_table(f, x, kinks=()):
     """``integral_0^x f`` at the nodes ``x`` of a log grid with ``x[0] = 0``.
 
     ``f`` is called once, on the 8 Gauss-Legendre nodes of every panel after
-    the first, as one array.  The head panel ``[0, x[1]]`` is the one
-    adaptive ``DEFAULT_QUADRATURE`` call, which loads ``scipy.integrate``
-    on first use: power integrands such as ``t**0.5`` are singular at 0,
-    where the 8-node rule is off by 2.5e-4 relative.
+    the first, as one array.  The head panel ``[0, x[1]]``, and the panel
+    that starts at each of the ``kinks`` (nodes of ``x``), are adaptive
+    ``DEFAULT_QUADRATURE`` calls, which load ``scipy.integrate`` on first
+    use: power integrands such as ``t**0.5`` are singular at 0, where the
+    8-node rule is off by 2.5e-4 relative, and ``(t - T)**0.5`` at ``T``.
     """
     a, h = x[1:-1], np.diff(x[1:])
     panels = h * (f(a[:, None] + h[:, None] * _GL_NODES) @ _GL_WEIGHTS)
+    for t in kinks:
+        i = int(np.searchsorted(a, t))
+        panels[i] = DEFAULT_QUADRATURE.integrate(f, t, float(x[i + 2]))
     head = DEFAULT_QUADRATURE.integrate(f, 0.0, float(x[1]))
     return np.cumsum(np.concatenate([[0.0, head], panels]))
 
 
 def _beta_interpolant(pot: PotentialB, s_max: float):
-    """``beta(s) = integral_0^s B`` on a 400-node log grid to ``s_max``:
-    8-node Gauss-Legendre panels, and an adaptive head panel at 0, where
-    power potentials such as ``t**0.5`` are not smooth."""
+    """``beta(s) = integral_0^s B`` on a 400-node log grid to ``s_max``,
+    with the potential's kink as one more node: 8-node Gauss-Legendre
+    panels, and adaptive panels at 0 and at the kink, where power
+    potentials such as ``t**0.5`` and ``max(t - T, 0)**0.5`` are not
+    smooth."""
     s = np.concatenate([[0.0], np.geomspace(1e-6, s_max, 400)])
-    return s, _cumulative_table(pot, s)
+    kinks = (pot.kink,) if pot.kink is not None and 0 < pot.kink < s_max \
+        else ()
+    s = np.unique(np.concatenate([s, kinks]))
+    return s, _cumulative_table(pot, s, kinks)
 
 
 def _kinetic_inverse(op: PhiOperator, y_max: float):
@@ -320,8 +356,7 @@ def _kinetic_inverse(op: PhiOperator, y_max: float):
     K = _cumulative_table(lambda s: s * op.phi_prime(s), t)
     if K[-1] < y_max:
         raise NumericError("kinetic primitive table does not cover the range")
-    from scipy.interpolate import PchipInterpolator
-    interp = PchipInterpolator(np.log(K[1:]), np.log(t[1:]))
+    interp = pchip(np.log(K[1:]), np.log(t[1:]))
 
     def k_inv(y):
         # below the table: use the power-law behaviour near zero
@@ -338,8 +373,9 @@ def keller_osserman(op: PhiOperator, pot: PotentialB) -> KellerOssermanResult:
     radial solutions exist globally; ``NotKO_fails`` signals finite-radius
     blow-up.  Both the kinetic-primitive form and the ``beta**(-1/p)`` form
     are evaluated on ``[max(1, 2 s_+), KO_DIVERGENCE.r_max]``, ``s_+`` the
-    first table node where ``beta > 0``; a hard disagreement raises
-    ``ConsistencyError``.
+    first table node where ``beta > 0``: one divergence rule, and ``beta``
+    interpolated once on its grid, serve both tests.  A hard disagreement
+    raises ``ConsistencyError``.
     """
     if not op.derivative_pinched:
         raise DomainError("keller_osserman requires the derivative-pinched "
@@ -350,26 +386,17 @@ def keller_osserman(op: PhiOperator, pot: PotentialB) -> KellerOssermanResult:
         # infinite, trivially non-integrable
         return KellerOssermanResult("NotKO_holds", Verdict.DIVERGES,
                                     Verdict.DIVERGES)
-    from scipy.interpolate import PchipInterpolator
-    beta_i = PchipInterpolator(s_grid, b_vals)
     pos = np.nonzero(b_vals > 0)[0][0]
     R0 = max(1.0, 2.0 * float(s_grid[pos]))
     k_inv = _kinetic_inverse(op, float(b_vals[-1]) * 1.05)
-
-    def antiderivative(s):
-        b = beta_i(s)
-        if np.any(b <= 0.0):
-            raise NumericError("antiderivative not positive on the test range")
-        return b
-
-    def f_primitive(s):
-        return 1.0 / k_inv(antiderivative(s))
-
-    def f_simple(s):
-        return antiderivative(s) ** (-1.0 / op.p)
-
-    v1 = test_L1_at_infinity(f_primitive, R0, KO_DIVERGENCE)
-    v2 = test_L1_at_infinity(f_simple, R0, KO_DIVERGENCE)
+    rule = _decade_rule(R0, KO_DIVERGENCE.r_max)
+    beta = pchip(s_grid, b_vals)(rule[0])
+    if np.any(beta <= 0.0):
+        raise NumericError("antiderivative not positive on the test range")
+    v1 = test_L1_at_infinity(lambda s: 1.0 / k_inv(beta), R0, KO_DIVERGENCE,
+                             rule)
+    v2 = test_L1_at_infinity(lambda s: beta ** (-1.0 / op.p), R0,
+                             KO_DIVERGENCE, rule)
     if {v1.verdict, v2.verdict} == {Verdict.DIVERGES, Verdict.CONVERGES}:
         raise ConsistencyError(
             "the two growth-condition forms disagree: "

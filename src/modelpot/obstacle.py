@@ -205,6 +205,25 @@ def _hessian_bands(prob, u):
     return k, diag
 
 
+def _solve_tridiagonal(off, diag, rhs):
+    """Solve the symmetric tridiagonal system with diagonal ``diag`` and
+    off-diagonal ``off`` by LAPACK ``dgtsv``: what ``solve_banded((1, 1),
+    ...)`` runs, bit for bit, without its validation (and, as it does, a
+    1x1 system by one division).  Its errors stay: ``ValueError`` for a
+    non-finite entry, ``LinAlgError`` for a zero pivot."""
+    from scipy.linalg import LinAlgError
+    from scipy.linalg.lapack import dgtsv
+    if not (np.isfinite(off).all() and np.isfinite(diag).all()
+            and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if len(diag) == 1:
+        return rhs / diag
+    x, info = dgtsv(off, diag, off, rhs)[3:]
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    return x
+
+
 def solve_obstacle(prob: DiscreteProblem, spec: ObstacleSpec,
                    tol: float = 1e-10, max_iter: int = 200,
                    initial=None) -> DiscreteFunction:
@@ -221,7 +240,6 @@ def solve_obstacle(prob: DiscreteProblem, spec: ObstacleSpec,
     Termination requires both a small maximal update and a small
     complementarity residual; ``max_iter`` bounds the Newton steps.
     """
-    from scipy.linalg import solve_banded
     psi = _check_spec(prob, spec)
     if initial is None:
         t = (prob.grid - prob.grid[0]) / (prob.grid[-1] - prob.grid[0])
@@ -240,11 +258,7 @@ def solve_obstacle(prob: DiscreteProblem, spec: ObstacleSpec,
         k, diag = _hessian_bands(prob, u)
         active = g > diag * (x - psi)
         coupling = -k[1:-1] * ~(active[:-1] | active[1:])
-        bands = np.zeros((3, len(x)))
-        bands[0, 1:] = coupling
-        bands[1] = diag
-        bands[2, :-1] = coupling
-        d = solve_banded((1, 1), bands, g)
+        d = _solve_tridiagonal(coupling, diag, g)
 
         alpha = 1.0
         trial = u.copy()

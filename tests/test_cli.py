@@ -148,6 +148,8 @@ def test_evans_log_profile(capsys):
     lines = out.splitlines()
     meta = [ln for ln in lines if ln.startswith("#")]
     assert any("sup_on_annulus" in ln for ln in meta)
+    # the Liouville test that admitted the profile: c/r, on the critical line
+    assert meta[-2:] == ["# status=complete", "# reason=critical_slope"]
     data = np.loadtxt([ln for ln in lines if not ln.startswith("#")][1:],
                       delimiter=",")
     c = float(next(ln for ln in meta if "# c=" in ln).split("=")[1])
@@ -219,7 +221,8 @@ def test_evans_no_exhaustion_exit_code(capsys):
     lines = out.splitlines()
     assert lines[:2] == ["# command=evans", "# status=no_exhaustion"]
     assert lines[2].startswith("# partial_integral=0.0156234375")
-    assert lines[3:] == ["# slope=-2", "r,w"]
+    assert lines[3:] == ["# slope=-2", "# reason=tail_within_tolerance",
+                         "r,w"]
 
 
 def test_evans_refuses_where_classify_says_kl_fails(capsys):
@@ -233,7 +236,8 @@ def test_evans_refuses_where_classify_says_kl_fails(capsys):
     assert code == 4
     assert out.splitlines() == [
         "# command=evans", "# status=no_exhaustion",
-        "# partial_integral=0.0156234375091", "# slope=-2", "r,w"]
+        "# partial_integral=0.0156234375091", "# slope=-2",
+        "# reason=tail_within_tolerance", "r,w"]
     code, row = run_cli(["classify"] + triple, capsys)
     assert code == 0
     assert row.splitlines()[2].endswith(
@@ -245,7 +249,7 @@ def test_evans_inconclusive_exit_code(capsys):
         EVANS_ARGS + ["--set", "operator=p-laplacian:p=1.95"], capsys)
     assert code == 2
     assert "# status=inconclusive\n" in out
-    assert "# slope=-1.05263\n" in out
+    assert "# slope=-1.05263\n# reason=slope_or_tail_undecided\n" in out
 
 
 def test_evans_on_a_table(tmp_path, capsys):
@@ -533,10 +537,11 @@ def test_profile_csv_is_the_per_row_format(r, values):
 
 
 # ---------------------------------------------------------------------------
-# only tables, keller_osserman and the obstacle solver load scipy
+# only keller_osserman and the obstacle solver load scipy
 
 
-SCIPY_PARTS = ("scipy.integrate", "scipy.interpolate", "scipy.linalg")
+SCIPY_PARTS = ("scipy", "scipy.integrate", "scipy.interpolate",
+               "scipy.linalg")
 # prints the SCIPY_PARTS in sys.modules after `import modelpot`, then the
 # exit code and the SCIPY_PARTS after each `cli.main(argv)`, in turn
 LOADED_SCRIPT = f"""
@@ -552,7 +557,8 @@ print(json.dumps(seen))
 """
 
 
-def test_scipy_loads_only_for_tables_and_the_obstacle_solver(tmp_path):
+def test_scipy_loads_only_for_the_obstacle_solver(tmp_path):
+    # a table is a numpy monotone cubic: classify on one loads no scipy
     r = np.linspace(0.01, 100.0, 400)
     table = tmp_path / "plane.csv"
     np.savetxt(table, np.column_stack([r, r]), delimiter=",", header="r,g",
@@ -563,9 +569,8 @@ def test_scipy_loads_only_for_tables_and_the_obstacle_solver(tmp_path):
              "--set", "eps=0.1", "--rmax", "40"]
     runs = [["classify", *plane], ["classify", *plane, *linear],
             evans, evans + linear,
-            ["obstacle", *plane, "--set", "r_min=1", "--set", "r_max=10"],
-            ["classify", "--set", f"manifold=table:{table}",
-             "--rmax", "50"]]
+            ["classify", "--set", f"manifold=table:{table}", "--rmax", "50"],
+            ["obstacle", *plane, "--set", "r_min=1", "--set", "r_max=10"]]
     src = str(Path(cli.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
@@ -573,6 +578,5 @@ def test_scipy_loads_only_for_tables_and_the_obstacle_solver(tmp_path):
                            json.dumps(runs)], env=env, capture_output=True,
                           text=True, check=True)
     seen = json.loads(proc.stdout)
-    assert seen[:5] == [[], [0], [0], [0], [0]]
-    assert seen[5] == [0, "scipy.linalg"]
-    assert seen[6][0] == 0 and "scipy.interpolate" in seen[6]
+    assert seen[:6] == [[], [0], [0], [0], [0], [0]]
+    assert seen[6] == [0, "scipy", "scipy.linalg"]

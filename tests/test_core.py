@@ -149,6 +149,51 @@ def test_tabulated_manifold_matches_source():
         assert math.exp(M.log_g(x)) == pytest.approx(math.sinh(x), rel=1e-5)
 
 
+def _pchip_data(rng, n, kind):
+    x = np.cumsum(rng.uniform(1e-3, 2.0, n)) + rng.normal()
+    if kind == "monotone":
+        y = np.cumsum(rng.uniform(0.0, 1.0, n))
+        y[rng.integers(1, n, size=n // 4)] = y[0]   # flat stretches
+        y = np.maximum.accumulate(y)
+    elif kind == "oscillating":
+        y = np.sin(rng.uniform(0.5, 5.0) * x) + 0.1 * rng.normal(size=n)
+    else:
+        y = rng.uniform(0.1, 5.0, n)
+    return x, y
+
+
+@pytest.mark.parametrize("kind", ["monotone", "oscillating", "positive"])
+def test_pchip_is_scipy_pchip(kind):
+    from scipy.interpolate import PchipInterpolator
+    rng = np.random.default_rng(11)
+    for n in [2, 3, 4, 5, *rng.integers(6, 601, size=40)]:
+        x, y = _pchip_data(rng, int(n), kind)
+        # inside the range, on the nodes and outside it, as an array and
+        # one value at a time
+        q = np.concatenate([x, rng.uniform(x[0] - 3.0, x[-1] + 3.0, 300)])
+        mine, theirs = core.pchip(x, y), PchipInterpolator(x, y)
+        assert np.array_equal(mine(q), theirs(q))
+        for v in (x[0], x[-1], x[0] - 1.0, x[-1] + 1.0, 0.5 * (x[0] + x[1])):
+            assert mine(v) == theirs(v)
+
+
+@pytest.mark.parametrize("x,y,message", [
+    (np.zeros((2, 2)), np.zeros((2, 2)), "1-D"),
+    ([0.0, 1.0, 2.0], [0.0, 1.0], "equal length"),
+    ([0.0], [1.0], "at least 2"),
+    ([0.0, math.inf], [0.0, 1.0], "finite"),
+    ([0.0, 1.0], [0.0, math.nan], "finite"),
+    ([0.0, 1.0, 1.0], [0.0, 1.0, 2.0], "strictly increasing"),
+    ([1.0, 0.0], [0.0, 1.0], "strictly increasing"),
+])
+def test_pchip_refuses_what_scipy_refuses(x, y, message):
+    from scipy.interpolate import PchipInterpolator
+    with pytest.raises(ValueError):
+        PchipInterpolator(x, y)
+    with pytest.raises(ValueError, match=message):
+        core.pchip(x, y)
+
+
 def test_tabulated_manifold_extrapolation_guard():
     r = np.linspace(0.0, 5.0, 100)
     M = core.tabulated_manifold(r[1:], r[1:], m=2)

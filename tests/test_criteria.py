@@ -1,5 +1,6 @@
 """Tests for the integral classifiers and the blow-up growth condition."""
 
+import itertools
 import math
 
 import numpy as np
@@ -83,22 +84,54 @@ def test_heuristic_validation():
 @pytest.mark.parametrize("R0", [0.5, 1.0, 2.0, 3.7])
 def test_decade_rule_is_scipy_simpson(R0, r_max):
     # every pair but (1, 1e3) and (1, 1e4) ends on a partial decade
-    grid, bounds, weights = criteria._decade_rule(R0, r_max)
-    assert grid[0] == R0 and grid[bounds[-1] - 1] == r_max
+    grid, blocks = criteria._decade_rule(R0, r_max)
+    edges = [R0]
+    while edges[-1] * 10.0 < r_max:
+        edges.append(edges[-1] * 10.0)
+    edges.append(r_max)
+    decades = [np.geomspace(a, b, 2 * math.ceil(
+        0.5 * core.POINTS_PER_DECADE * math.log10(b / a)) + 1)
+        for a, b in zip(edges[:-1], edges[1:])]
+    rs = np.geomspace(max(r_max / 10.0, R0), r_max, criteria.SLOPE_SAMPLES)
+    assert np.array_equal(grid, np.concatenate(decades + [rs]))
+    # a block a run of decades of one count, a row a decade: the full
+    # decades are one block
+    runs = [len(list(g)) for _, g in itertools.groupby(map(len, decades))]
+    assert [len(w) for w, *_ in blocks] == runs and len(runs) <= 2
+    rows = [row for block in blocks for row in zip(*block)]
     cfg = criteria.DivergenceConfig(r_max=r_max)
     rng = np.random.default_rng(7)
     for _ in range(3):
         f = rng.uniform(0.0, 1.0, grid.size) * grid ** rng.uniform(-3, -1)
-        partial = 0.0
-        for lo, hi, (w, c0, c1, c2) in zip(bounds[:-1], bounds[1:], weights):
-            r = grid[lo:hi]
-            y = r * f[lo:hi]
+        partial, lo = 0.0, 0
+        for r, (w, c0, c1, c2) in zip(decades, rows):
+            y = r * f[lo:lo + len(r)]
+            lo += len(r)
             expected = simpson(y, x=np.log(r))
             assert np.sum(w * (y[:-2:2] * c0 + y[1:-1:2] * c1
                                + y[2::2] * c2)) == expected
             partial += float(expected)
         dv = criteria.test_L1_at_infinity(lambda r: f, R0, cfg)
         assert dv.partial_integral == partial
+
+
+@pytest.mark.parametrize("f,R0,verdict,reason", [
+    (lambda r: 1e6, 1.0, Verdict.DIVERGES,
+     "partial_above_threshold"),
+    (lambda r: np.exp(-r), 1.0, Verdict.CONVERGES, "tail_underflow"),
+    (lambda r: np.where(r < 2e3, r ** -2.0, 0.0), 1.0, Verdict.INCONCLUSIVE,
+     "few_positive_samples"),
+    (lambda r: 1.0 / r, 1.0, Verdict.DIVERGES, "critical_slope"),
+    # partial 7.2e5 below the threshold, plus a tail of 4.8e5 above it
+    (lambda r: 1.2e5 * r ** -1.1, 1.0, Verdict.DIVERGES,
+     "tail_above_threshold"),
+    (lambda r: r ** -2.0, 1.0, Verdict.CONVERGES, "tail_within_tolerance"),
+    (lambda r: 1.0 / (r * np.log(r)), 2.0, Verdict.INCONCLUSIVE,
+     "slope_or_tail_undecided"),
+])
+def test_divergence_reason_names_the_branch(f, R0, verdict, reason):
+    dv = criteria.test_L1_at_infinity(f, R0)
+    assert (dv.verdict, dv.reason) == (verdict, reason)
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +403,36 @@ def test_keller_osserman_analytic_oracle():
         assert res.verdict == ("NotKO_holds" if q <= p - 1 else "NotKO_fails")
 
 
+def test_keller_osserman_builds_one_rule(monkeypatch):
+    # both forms share one divergence rule, and the test still runs twice
+    built, tested = [], []
+    decade_rule, test = criteria._decade_rule, criteria.test_L1_at_infinity
+    monkeypatch.setattr(criteria, "_decade_rule",
+                        lambda *a: built.append(a) or decade_rule(*a))
+    monkeypatch.setattr(criteria, "test_L1_at_infinity",
+                        lambda *a: tested.append(a) or test(*a))
+    op = core.p_laplacian_operator(2.0)
+    for pot in (core.linear_power_potential(2.0, 1.0),
+                core.superlinear_potential(1.5),
+                core.plateau_potential(1.0, 2.0)):
+        built.clear()
+        tested.clear()
+        criteria.keller_osserman(op, pot)
+        assert len(built) == 1 and len(tested) == 2
+        assert all(args[3] is tested[0][3] for args in tested)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_plateau_beta_table_has_its_kink_as_a_node(p):
+    # beta(s) = (s - T)**p / p past the kink T = 1; the panel that starts
+    # there is adaptive, as the head panel is
+    s, beta = criteria._beta_interpolant(core.plateau_potential(1.0, p), 1e6)
+    assert 1.0 in s
+    far = s >= 2.0
+    assert np.allclose(beta[far], (s[far] - 1.0) ** p / p, rtol=1e-12,
+                       atol=0.0)
+
+
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_growth_tables_match_closed_forms(p):
     s, beta = criteria._beta_interpolant(core.linear_power_potential(p, 2.0),
@@ -384,6 +447,8 @@ def test_growth_tables_match_closed_forms(p):
 
 
 def test_keller_osserman_integrates_only_its_head_panels(monkeypatch):
+    # head panels at 0 of the beta and kinetic tables, and the plateau's
+    # panel at its kink T = 1; a zero potential stops after its beta table
     calls = []
     integrate = core.Quadrature.integrate
 
@@ -398,8 +463,9 @@ def test_keller_osserman_integrates_only_its_head_panels(monkeypatch):
                     core.plateau_potential(1.0, op.p), core.zero_potential()):
             calls.clear()
             criteria.keller_osserman(op, pot)
-            assert 1 <= len(calls) <= 2
-            assert all(a == 0.0 for a, _ in calls)
+            starts = {"plateau": [1.0, 0.0, 0.0], "zero": [0.0]}.get(
+                pot.name.split(":")[0], [0.0, 0.0])
+            assert [a for a, _ in calls] == starts, pot.name
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 5.0])

@@ -211,6 +211,37 @@ def test_solver_reports_its_work():
     assert sol.stationarity == stat
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 99, 400])
+def test_tridiagonal_solve_is_solve_banded(n):
+    # the Newton step's system: diagonally dominant or not, with decoupled
+    # rows where the active set cuts the coupling
+    from scipy.linalg import solve_banded
+    rng = np.random.default_rng(n)
+    for dominant in (True, False):
+        off = -rng.uniform(0.1, 2.0, n - 1) * (rng.uniform(size=n - 1) > 0.2)
+        diag = rng.uniform(0.5, 3.0, n) + (4.0 if dominant else 0.0)
+        rhs = rng.normal(size=n)
+        bands = np.zeros((3, n))
+        bands[0, 1:], bands[1], bands[2, :-1] = off, diag, off
+        assert np.array_equal(obstacle._solve_tridiagonal(off, diag, rhs),
+                              solve_banded((1, 1), bands, rhs))
+
+
+def test_tridiagonal_solve_errors():
+    from scipy.linalg import LinAlgError
+    system = (np.full(3, -1.0), np.full(4, 2.0), np.ones(4))
+    for i in range(3):
+        for value in (math.nan, math.inf):
+            args = [a.copy() for a in system]
+            args[i][1] = value
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                obstacle._solve_tridiagonal(*args)
+    # a zero pivot: the first row vanishes
+    with pytest.raises(LinAlgError, match="singular matrix"):
+        obstacle._solve_tridiagonal(np.zeros(3), np.array([0.0, 1, 1, 1]),
+                                    np.ones(4))
+
+
 def test_deterministic_solves():
     prob = make_euclidean_problem(m=3, p=2.5, n=61)
     spec = random_bump_spec(prob, np.random.default_rng(11))
