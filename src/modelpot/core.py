@@ -51,22 +51,20 @@ class QuadratureError(NumericError):
 # quadrature
 
 
-@dataclass(frozen=True)
+# the absolute and relative tolerances of every adaptive quadrature
+QUAD_ABS_TOL = 1e-10
+QUAD_REL_TOL = 1e-8
+
+
 class Quadrature:
-    """Adaptive panel-refinement quadrature over finite intervals."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("quadrature tolerances must be positive")
+    """Adaptive panel-refinement quadrature over finite intervals.  A class,
+    not a function, so that a tracer can wrap ``Quadrature.integrate``."""
 
     def integrate(self, f, a: float, b: float, points=None) -> float:
         from scipy.integrate import IntegrationWarning, quad
         if a == b:
             return 0.0
-        kwargs = {"epsabs": self.abs_tol, "epsrel": self.rel_tol, "limit": 200}
+        kwargs = {"epsabs": QUAD_ABS_TOL, "epsrel": QUAD_REL_TOL, "limit": 200}
         if points is not None:
             kwargs["points"] = [x for x in points if a < x < b]
         with warnings.catch_warnings():
@@ -76,7 +74,7 @@ class Quadrature:
             raise QuadratureError("non-finite quadrature result", err)
         # quad may miss the requested tolerance on hard integrands; accept a
         # generous slack because classifier margins dominate quadrature error.
-        if err > 1e4 * max(self.abs_tol, self.rel_tol * abs(val)):
+        if err > 1e4 * max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(val)):
             raise QuadratureError("quadrature did not converge", err)
         return val
 
@@ -339,8 +337,18 @@ def tabulated_manifold(r_samples, g_samples, m: int,
 
 
 def load_manifold_csv(path, m: int) -> ModelManifold:
-    """Load a two-column ``r, g(r)`` CSV (header row required) as a
-    ``tabulated_manifold``."""
+    """Load a two-column ``r, g(r)`` CSV as a ``tabulated_manifold``.  Its
+    first line is a header, and is skipped: a first line that reads as two
+    numbers raises ``ValueError`` rather than lose that sample."""
+    with open(path) as fh:
+        first = fh.readline().strip()
+    try:
+        _r, _g = map(float, first.split(","))
+    except ValueError:
+        pass
+    else:
+        raise ValueError(f"{path}, line 1: {first!r} is a sample; the "
+                         "manifold CSV needs a header line")
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] != 2:
         raise ValueError("manifold CSV must have exactly two columns")
@@ -519,7 +527,11 @@ def phi_inverse(op: PhiOperator, y):
 
 @dataclass(frozen=True)
 class PotentialB:
-    """Non-decreasing zero-order term, zero on the negative half-line.
+    """Non-decreasing zero-order term ``B`` on ``[0, inf)``, ``B(0) = 0``.
+
+    ``B`` is read for ``t >= 0`` only, and the package calls it only there:
+    at ``c z`` for a profile ``z >= 0``, at the nodes of the table of
+    ``integral_0^s B``, and at the one probe of the operator type.
 
     ``b1`` bounds ``B(t) <= b1 * t**(p-1)`` when the potential admits one
     (required by the uniform-bound step of the radial construction);
@@ -543,10 +555,6 @@ class PotentialB:
             raise ValueError("potential must be non-decreasing (sampled)")
         if np.any(vals < -1e-15):
             raise ValueError("potential must be nonnegative on [0, inf)")
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.where(t > 0, self.B(np.maximum(t, 0.0)), 0.0)
 
 
 def zero_potential() -> PotentialB:

@@ -107,12 +107,6 @@ class Classification:
 
 
 @dataclass(frozen=True)
-class OperatorType:
-    tag: OperatorTypeTag
-    T: float = 0.0  # right endpoint of the initial zero-interval (Type2)
-
-
-@dataclass(frozen=True)
 class KellerOssermanResult:
     """Verdicts of both equivalent forms of the growth condition."""
 
@@ -272,20 +266,14 @@ def classify_parabolic(M: ModelManifold, op: PhiOperator,
         _property(dv, PropertyTag.PARABOLIC, PropertyTag.NON_PARABOLIC), dv)
 
 
-def classify_operator_type(pot: PotentialB) -> OperatorType:
-    """Type1 iff the potential is positive at every one of 200 geometric
-    probe points on ``[1e-6, 10]``, evaluated as one array; otherwise Type2
-    with the zero-interval endpoint resolved to probe resolution."""
-    probes = np.geomspace(1e-6, 10.0, 200)
-    vals = pot(probes)
-    if np.all(vals > 0):
-        return OperatorType(OperatorTypeTag.TYPE1)
-    positive = np.nonzero(vals > 0)[0]
-    if len(positive) == 0:
-        return OperatorType(OperatorTypeTag.TYPE2, T=math.inf)
-    first = positive[0]
-    T = float(probes[first - 1]) if first > 0 else 0.0
-    return OperatorType(OperatorTypeTag.TYPE2, T=T)
+def classify_operator_type(pot: PotentialB) -> OperatorTypeTag:
+    """Type1 iff ``B(1e-6) > 0``, from one call of ``B`` on a one-element
+    array; otherwise Type2: ``B`` vanishes on ``[0, 1e-6]``.  ``B`` does not
+    decrease, so this is the verdict of any probe grid that starts at
+    ``1e-6``."""
+    if pot.B(np.array([1e-6]))[0] > 0:
+        return OperatorTypeTag.TYPE1
+    return OperatorTypeTag.TYPE2
 
 
 def classify_KL(M: ModelManifold, op: PhiOperator, pot: PotentialB,
@@ -294,7 +282,7 @@ def classify_KL(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     """Liouville/potential property via the type dispatch: strictly positive
     potentials test the volume-ratio profile, potentials vanishing near zero
     reduce to the parabolicity test."""
-    if classify_operator_type(pot).tag is OperatorTypeTag.TYPE1:
+    if classify_operator_type(pot) is OperatorTypeTag.TYPE1:
         dv = test_L1_at_infinity(lambda r: v_st(M, op, PROFILE_C, R0, r),
                                  R0, cfg)
     else:
@@ -342,7 +330,7 @@ def _beta_interpolant(pot: PotentialB, s_max: float):
     kinks = (pot.kink,) if pot.kink is not None and 0 < pot.kink < s_max \
         else ()
     s = np.unique(np.concatenate([s, kinks]))
-    return s, _cumulative_table(pot, s, kinks)
+    return s, _cumulative_table(pot.B, s, kinks)
 
 
 def _kinetic_inverse(op: PhiOperator, y_max: float):

@@ -318,9 +318,6 @@ class SupersolutionCheck:
     worst_node: int
     worst_residual: float
 
-    def __bool__(self):
-        return self.ok
-
 
 def is_supersolution(prob: DiscreteProblem, u, tol: float = 1e-8
                      ) -> SupersolutionCheck:

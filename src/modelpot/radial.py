@@ -74,8 +74,8 @@ class _CumulativeSimpson:
     ``r31 = h1/(h1 + h2)``, ``r32 = r31 (h1/h2)``, ``a = h1/6``,
     ``p = 3 - r31``, ``q = 3 + r32 + r31``, ``s = r32`` and ``y0, y1, y2``
     the triple's samples from node ``j`` outwards: scipy's arithmetic, in
-    its order.  Two-node grids (continuation restarts) take the trapezoid
-    rule.
+    its order.  Two-node grids (``nodes_per_window=2``) take the
+    trapezoid rule.
     """
 
     def __init__(self, x):
@@ -167,7 +167,6 @@ class EvansResult:
     c_final: float
     mu_final: float
     sup_on_annulus: float
-    K_bound: float
     exhaustion: DivergenceVerdict
 
 
@@ -500,8 +499,7 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
             if np.any(np.diff(sol.z) <= 0):
                 raise NumericError("accepted solution is not increasing")
             return EvansResult(solution=sol, c_final=c, mu_final=mu,
-                               sup_on_annulus=sup, K_bound=K_obs,
-                               exhaustion=dv)
+                               sup_on_annulus=sup, exhaustion=dv)
         c *= 0.5
     raise EvansFailure(
         "no admissible scale above the floor; observed annulus bound "

@@ -54,7 +54,7 @@ def classify_c_sweep(M, op, pot=None, cfg=criteria.DEFAULT_DIVERGENCE,
     else:
         holds, fails = PropertyTag.KL_HOLDS, PropertyTag.KL_FAILS
     if pot is not None and \
-            criteria.classify_operator_type(pot).tag is OperatorTypeTag.TYPE1:
+            criteria.classify_operator_type(pot) is OperatorTypeTag.TYPE1:
         def profile(c, r):
             return criteria.v_st(M, op, c, R0, r)
     else:
@@ -67,6 +67,14 @@ def classify_c_sweep(M, op, pot=None, cfg=criteria.DEFAULT_DIVERGENCE,
     if verdicts[-1] is Verdict.CONVERGES:
         return fails
     return PropertyTag.INCONCLUSIVE
+
+
+def operator_type_scan(pot):
+    """The operator type by a scan: Type1 iff ``B`` is positive at all 200
+    points of ``geomspace(1e-6, 10, 200)``, evaluated as one array."""
+    if np.all(pot.B(np.geomspace(1e-6, 10.0, 200)) > 0):
+        return OperatorTypeTag.TYPE1
+    return OperatorTypeTag.TYPE2
 
 
 def exhaustion_at_unit_scale(M, op, R):
@@ -103,7 +111,7 @@ def evans_eager_sweep(M, op, pot, R, R1, eps, R_max, blowup_threshold=1e8,
         if c * K_obs < eps:
             return radial.EvansResult(solution=sol, c_final=c, mu_final=mu,
                                       sup_on_annulus=c * K_obs,
-                                      K_bound=K_obs, exhaustion=None)
+                                      exhaustion=None)
         c *= 0.5
     raise radial.EvansFailure("no admissible scale above the floor")
 
@@ -156,7 +164,7 @@ def volterra_apply_reference(M, op, pot, params, grid, u):
         raise DomainError("samples must be nonnegative")
     c = params.c
     with np.errstate(over="ignore", invalid="ignore"):
-        flux = head + cumint(w * np.asarray(pot(c * u), dtype=float)) / w
+        flux = head + cumint(w * np.asarray(pot.B(c * u), dtype=float)) / w
         if not np.all(np.isfinite(flux)):
             raise radial.PicardNoConvergence(
                 "flux overflow; shrink the interval")
@@ -380,7 +388,7 @@ def ode_residual(M, op, pot, sol):
     w = sphere_volume(M, r)
     flux = w * np.asarray(op.phi(c * zp), dtype=float)
     dflux = (flux[2:] - flux[:-2]) / (r[2:] - r[:-2])
-    rhs = (w * np.asarray(pot(c * z), dtype=float))[1:-1]
+    rhs = (w * np.asarray(pot.B(c * z), dtype=float))[1:-1]
     return float(np.max(np.abs(dflux - rhs) / (1.0 + rhs)))
 
 

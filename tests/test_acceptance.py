@@ -133,7 +133,7 @@ def test_acceptance_05_radial_solver_vs_ode_oracle():
             z, flux = y
             w = r ** (m - 1)
             return [phi_inverse_brentq(op, flux / w) / params.c,
-                    w * float(pot(params.c * z))]
+                    w * float(pot.B(params.c * z))]
 
         ivp = solve_ivp(rhs, (1.0, 10.0),
                         [params.theta, float(op.phi(params.c * params.mu))],

@@ -1,5 +1,6 @@
 """Tests for the integral classifiers and the blow-up growth condition."""
 
+import dataclasses
 import itertools
 import math
 
@@ -7,10 +8,10 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from modelpot import cli, core, criteria
-from modelpot.criteria import PropertyTag, Verdict
+from modelpot import cli, core, criteria, radial
+from modelpot.criteria import OperatorTypeTag, PropertyTag, Verdict
 from oracles import (OPERATOR_TAGS, WARPINGS, classify_c_sweep,
-                     p_laplacian_criteria)
+                     operator_type_scan, p_laplacian_criteria)
 
 
 # ---------------------------------------------------------------------------
@@ -231,34 +232,79 @@ def test_classify_KL_on_tabulated_warping():
 
 def test_operator_type_classification():
     t1 = criteria.classify_operator_type(core.linear_power_potential(2.0, 1.0))
-    assert t1.tag is criteria.OperatorTypeTag.TYPE1
+    assert t1 is OperatorTypeTag.TYPE1
     t2 = criteria.classify_operator_type(core.plateau_potential(1.0, 2.0))
-    assert t2.tag is criteria.OperatorTypeTag.TYPE2
-    assert t2.T == pytest.approx(1.0, rel=0.1)
+    assert t2 is OperatorTypeTag.TYPE2
     tz = criteria.classify_operator_type(core.zero_potential())
-    assert tz.tag is criteria.OperatorTypeTag.TYPE2
-    assert tz.T == math.inf
+    assert tz is OperatorTypeTag.TYPE2
+
+
+def _recording(base):
+    """``base`` with a ``B`` that records every argument it is called
+    with, as a float array."""
+    args = []
+
+    def B(t):
+        args.append(np.asarray(t, dtype=float))
+        return base.B(t)
+
+    pot = dataclasses.replace(base, B=B)
+    args.clear()
+    return pot, args
 
 
 @pytest.mark.parametrize("T", [1.0, 1e-3])
 def test_operator_type_probes_in_one_call(T):
-    # one call of B on the 200 probes; T is the last probe where the
-    # plateau potential still vanishes, as probing one point at a time gives
-    base = core.plateau_potential(T, 2.0)
-    calls = []
-
-    def B(t):
-        calls.append(np.shape(t))
-        return base.B(t)
-
-    pot = core.PotentialB(B=B, b1=base.b1, name=base.name)
-    calls.clear()
+    # one call of B, on one probe, with the verdict of the 200-probe scan
+    pot, args = _recording(core.plateau_potential(T, 2.0))
     res = criteria.classify_operator_type(pot)
-    assert calls == [(200,)]
-    probes = np.geomspace(1e-6, 10.0, 200)
-    zero = [t for t in probes if float(base(t)) == 0.0]
-    assert res.tag is criteria.OperatorTypeTag.TYPE2
-    assert res.T == zero[-1] and res.T < T < probes[len(zero)]
+    assert [a.shape for a in args] == [(1,)]
+    assert res is OperatorTypeTag.TYPE2 is operator_type_scan(pot)
+
+
+PRESET_TAGS = ("zero", "linear-power:p=2,lambda=1",
+               "linear-power:p=1.5,lambda=0.01", "linear-power:p=3,lambda=2",
+               "plateau:T=1,p=2", "plateau:T=0.001,p=6",
+               "plateau:T=1e-07,p=2", "superlinear:q=5",
+               "superlinear:q=0.5")
+CUSTOM = tuple(
+    core.PotentialB(B=lambda t, T=T: np.maximum(t - T, 0.0),
+                    name=f"zero on [0, {T:g}]")
+    for T in (1e-7, 5e-7, 1e-3, 1.0, 20.0)) + (
+    core.PotentialB(B=lambda t: t ** 60, name="t**60"),  # 0 at 1e-6
+    core.PotentialB(B=lambda t: t ** 0.1, name="t**0.1"))
+
+
+@pytest.mark.parametrize("pot", [core.potential_from_tag(tag)
+                                 for tag in PRESET_TAGS] + list(CUSTOM),
+                         ids=lambda pot: pot.name)
+def test_one_probe_type_is_the_scan(pot):
+    recorded, args = _recording(pot)
+    assert criteria.classify_operator_type(recorded) \
+        is operator_type_scan(pot)
+    assert [a.shape for a in args] == [(1,)]
+
+
+@pytest.mark.parametrize("tag", ["zero", "linear-power:p=2,lambda=1",
+                                 "plateau:T=1,p=2", "superlinear:q=5"])
+def test_the_potential_is_read_at_nonnegative_arguments(tag):
+    # every argument B receives is finite and >= 0: B is never asked
+    # below 0, where a potential is not defined
+    pot, args = _recording(core.potential_from_tag(tag))
+    M, op = core.manifold_from_tag("euclidean", 2), \
+        core.p_laplacian_operator(2.0)
+    criteria.classify_KL(M, op, pot)
+    criteria.keller_osserman(op, pot)
+    if tag.startswith("superlinear"):
+        with pytest.raises(core.DomainError):   # no t**(p-1) bound
+            radial.evans_for_triple(M, op, pot, R=1.0, R1=2.0, eps=0.1,
+                                    R_max=40.0)
+    else:
+        radial.evans_for_triple(M, op, pot, R=1.0, R1=2.0, eps=0.1,
+                                R_max=40.0)
+    seen = np.concatenate([a.ravel() for a in args])
+    assert len(args) > 2 and seen.size > 1000
+    assert np.all(np.isfinite(seen)) and seen.min() >= 0.0
 
 
 # ---------------------------------------------------------------------------

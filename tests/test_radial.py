@@ -197,7 +197,7 @@ def test_solve_cauchy_vs_adaptive_ode_oracle(m):
         z, q = y
         w = r ** (m - 1)
         return [phi_inverse_brentq(LAP2, q / w) / params.c,
-                w * float(pot(params.c * z))]
+                w * float(pot.B(params.c * z))]
 
     w0 = params.R ** (m - 1)
     ivp = solve_ivp(rhs, (1.0, 10.0),
