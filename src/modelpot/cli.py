@@ -257,7 +257,7 @@ def cmd_khasminskii(cfg, out_path) -> int:
          f"n_stages={report.n_stages}",
          f"h_limit_sup={report.h_limit_sup:.12g}",
          "budget_used=" + ",".join(f"{b:.12g}" for b in report.budget_used)],
-        "w", report.grid, report.w.values))
+        "w", report.w.problem.grid, report.w.values))
     return EXIT_H_LIMIT_NONZERO if report.verdict == "HLimitNonzero" \
         else EXIT_OK
 
@@ -297,7 +297,8 @@ def cmd_obstacle(cfg, out_path) -> int:
     spec = obstacle.ObstacleSpec(psi=psi, theta_left=theta_left,
                                  theta_right=theta_right)
     sol = obstacle.solve_obstacle(prob, spec, tol=tol)
-    stat, viol, slack = obstacle.residual_complementarity(sol, spec)
+    stat, viol, slack = obstacle.residual_complementarity(
+        prob, sol.values, spec)
     _write(out_path, _profile_csv(
         ["command=obstacle", f"energy={prob.energy(sol.values):.12g}",
          f"stationarity={stat:.6g}", f"iterations={sol.iterations}",

@@ -313,6 +313,9 @@ def tabulated_manifold(r_samples, g_samples, m: int,
         raise ValueError("r and g samples must be 1-D arrays of equal length")
     if not np.all(np.diff(r_samples) > 0):
         raise ValueError("r samples must be strictly increasing")
+    if r_samples[0] < 0:
+        raise ValueError(f"r sample 0 is {r_samples[0]:g}; the warping is "
+                         "tabulated on r >= 0")
     if r_samples[0] > 0:
         r_samples = np.concatenate([[0.0], r_samples])
         g_samples = np.concatenate([[0.0], g_samples])

@@ -115,11 +115,6 @@ class KellerOssermanResult:
     form_simple: Verdict      # via beta(s)**(-1/p)
 
 
-def _ratio(a, b):
-    """``a / b``, and 0 where ``b == 0``: scipy's guarded division."""
-    return np.divide(a, b, out=np.zeros_like(b), where=b != 0)
-
-
 def _decade_rule(R0: float, r_max: float):
     """The sampling grid of ``test_L1_at_infinity`` on ``[R0, r_max]`` and
     its Simpson rule in ``log r``, which depend on nothing else.
@@ -134,6 +129,8 @@ def _decade_rule(R0: float, r_max: float):
     scipy's ``_basic_simpson`` on each row's ``log r``, as ``(rows,
     triples)`` arrays: with ``h0``, ``h1`` the spacings of each triple,
     ``hsum/6``, ``2 - 1/(h0/h1)``, ``hsum (hsum/hprod)`` and ``2 - h0/h1``.
+    An interval so short that nodes coincide (a few ulps) raises
+    ``DomainError``; on every other the spacings are positive.
     """
     if R0 <= 0 or r_max <= R0:
         raise DomainError("test_L1_at_infinity requires 0 < R0 < r_max")
@@ -148,11 +145,14 @@ def _decade_rule(R0: float, r_max: float):
         j = k + len(list(run))
         r = np.geomspace(edges[k:j], edges[k + 1:j + 1], n, axis=1)
         h = np.diff(np.log(r), axis=1)
+        if not (h > 0).all():
+            raise DomainError(f"[{R0:.17g}, {r_max:.17g}] is too short to "
+                              "sample: nodes of its grid coincide")
         h0, h1 = h[:, 0::2], h[:, 1::2]
-        hsum, h0divh1 = h0 + h1, _ratio(h0, h1)
+        hsum, h0divh1 = h0 + h1, h0 / h1
         radii.append(r.ravel())
-        blocks.append((hsum / 6.0, 2.0 - _ratio(1.0, h0divh1),
-                       hsum * _ratio(hsum, h0 * h1), 2.0 - h0divh1))
+        blocks.append((hsum / 6.0, 2.0 - 1.0 / h0divh1,
+                       hsum * (hsum / (h0 * h1)), 2.0 - h0divh1))
         k = j
     rs = np.geomspace(max(r_max / 10.0, R0), r_max, SLOPE_SAMPLES)
     return np.concatenate(radii + [rs]), tuple(blocks)

@@ -27,6 +27,8 @@ import numpy as np
 from .core import ModelManifold, NumericError, sphere_volume
 
 NEG_INF = -math.inf
+# solve_obstacle stops after MAX_NEWTON_STEPS steps with SweepLimitError
+MAX_NEWTON_STEPS = 200
 
 
 class ConstraintError(ValueError):
@@ -168,10 +170,6 @@ class ObstacleSpec:
                             theta_left, theta_right)
 
 
-def _values(u):
-    return np.asarray(getattr(u, "values", u), dtype=float)
-
-
 def _check_spec(prob: DiscreteProblem, spec: ObstacleSpec):
     psi = np.asarray(spec.psi, dtype=float)
     if len(psi) != prob.n_nodes - 2:
@@ -225,8 +223,7 @@ def _solve_tridiagonal(off, diag, rhs):
 
 
 def solve_obstacle(prob: DiscreteProblem, spec: ObstacleSpec,
-                   tol: float = 1e-10, max_iter: int = 200,
-                   initial=None) -> DiscreteFunction:
+                   tol: float = 1e-10, initial=None) -> DiscreteFunction:
     """Minimize the energy over ``{u >= psi, boundary = theta}``.
 
     Projected Newton on the tridiagonal Hessian (Bertsekas, SIAM J.
@@ -238,21 +235,23 @@ def solve_obstacle(prob: DiscreteProblem, spec: ObstacleSpec,
     backtracking search on the energy along the projected arc keeps every
     step a descent step; at p = 2 a fixed active set is solved in one step.
     Termination requires both a small maximal update and a small
-    complementarity residual; ``max_iter`` bounds the Newton steps.
+    complementarity residual; ``MAX_NEWTON_STEPS`` bounds the Newton
+    steps.  ``initial``, an array of node values, replaces the linear
+    start.
     """
     psi = _check_spec(prob, spec)
     if initial is None:
         t = (prob.grid - prob.grid[0]) / (prob.grid[-1] - prob.grid[0])
         u = spec.theta_left + t * (spec.theta_right - spec.theta_left)
     else:
-        u = _values(initial).copy()
+        u = np.array(initial, dtype=float)
     u[0] = spec.theta_left
     u[-1] = spec.theta_right
     u[1:-1] = np.maximum(u[1:-1], psi)
 
     energy = prob.energy(u)
     step = math.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_NEWTON_STEPS + 1):
         x = u[1:-1]
         g = prob.gradient(u)[1:-1]
         k, diag = _hessian_bands(prob, u)
@@ -272,14 +271,13 @@ def solve_obstacle(prob: DiscreteProblem, spec: ObstacleSpec,
         step = float(np.max(np.abs(trial - u)))
         u, energy = trial, energy_trial
         if step <= tol:
-            stat, viol, _ = residual_complementarity(
-                DiscreteFunction(u, prob), spec)
+            stat, viol, _ = residual_complementarity(prob, u, spec)
             if stat <= 1e-8 and viol <= 1e-12:
                 return DiscreteFunction(u, prob, iterations=it,
                                         stationarity=stat)
-    stat, viol, _ = residual_complementarity(DiscreteFunction(u, prob), spec)
+    stat, viol, _ = residual_complementarity(prob, u, spec)
     raise SweepLimitError(
-        f"no convergence in {max_iter} Newton steps (last update "
+        f"no convergence in {MAX_NEWTON_STEPS} Newton steps (last update "
         f"{step:.3e})", stat)
 
 
@@ -291,18 +289,15 @@ def solve_dirichlet(prob: DiscreteProblem, theta_left: float,
     return solve_obstacle(prob, spec, initial=initial)
 
 
-def residual_complementarity(u, spec: ObstacleSpec):
-    """KKT measures: (max stationarity defect off the contact set, max
-    obstacle violation, min slackness product with capped gap).  A node
-    within 1e-9 of the obstacle is on the contact set."""
-    uf = u if isinstance(u, DiscreteFunction) else None
-    if uf is None:
-        raise TypeError("residual_complementarity expects a DiscreteFunction")
-    prob = uf.problem
-    vals = uf.values
+def residual_complementarity(prob: DiscreteProblem, u, spec: ObstacleSpec):
+    """KKT measures of the node values ``u``: (max stationarity defect off
+    the contact set, max obstacle violation, min slackness product with
+    capped gap).  A node within 1e-9 of the obstacle is on the contact
+    set."""
+    u = np.asarray(u, dtype=float)
     psi = np.asarray(spec.psi, dtype=float)
-    res = prob.residual(vals)[1:-1]
-    inner = vals[1:-1]
+    res = prob.residual(u)[1:-1]
+    inner = u[1:-1]
     off_contact = inner > psi + 1e-9
     stationarity = float(np.max(np.abs(res[off_contact]))) \
         if np.any(off_contact) else 0.0
@@ -321,9 +316,10 @@ class SupersolutionCheck:
 
 def is_supersolution(prob: DiscreteProblem, u, tol: float = 1e-8
                      ) -> SupersolutionCheck:
-    """Discrete supersolution test: Euler-Lagrange defect has the
-    nonnegative sign (up to ``tol``) at every interior node."""
-    res = prob.residual(_values(u))[1:-1]
+    """Discrete supersolution test of the node values ``u``: the
+    Euler-Lagrange defect has the nonnegative sign (up to ``tol``) at every
+    interior node."""
+    res = prob.residual(u)[1:-1]
     worst = int(np.argmin(res))
     return SupersolutionCheck(bool(res[worst] >= -tol), worst + 1,
                               float(res[worst]))
@@ -340,21 +336,17 @@ class KhasminskiiReport:
     budget_used: tuple
     h_limit_sup: float
     verdict: str                     # PotentialBuilt | HLimitNonzero
-    grid: np.ndarray = None
     stage_sups: tuple = ()
 
 
 def _construct_grid(K_radius, Omega_radius, radii, nodes_per_stage):
-    """Geometric master grid containing every control radius exactly."""
-    pts = [np.array([K_radius, Omega_radius])]
-    anchors = [Omega_radius] + list(radii)
-    lo = K_radius
-    for hi in anchors:
-        seg = np.geomspace(lo, hi, nodes_per_stage)
-        pts.append(seg)
-        lo = hi
-    grid = np.unique(np.concatenate(pts))
-    return grid
+    """Geometric master grid containing every control radius exactly: a
+    ``geomspace`` from each control radius to the next, whose ends are
+    exactly those radii."""
+    ends = [K_radius, Omega_radius] + list(radii)
+    return np.unique(np.concatenate(
+        [np.geomspace(lo, hi, nodes_per_stage)
+         for lo, hi in zip(ends[:-1], ends[1:])]))
 
 
 def khasminskii_construct(M: ModelManifold, p: float, lam: float,
@@ -396,16 +388,15 @@ def khasminskii_construct(M: ModelManifold, p: float, lam: float,
 
     grid = _construct_grid(K_radius, Omega_radius, radii, nodes_per_stage)
     prob = make_problem(M, p, lam, grid)
-    idx_of = {float(r): int(np.searchsorted(grid, r)) for r in radii}
+    idx = np.searchsorted(grid, radii)
     idx_omega = int(np.searchsorted(grid, Omega_radius))
 
     # stage 0: unit boundary-value problems on [K, rho_j], extended by 1
     h_funcs = []
     sups = []
-    idx_rho1 = idx_of[float(radii[0])]
+    idx_rho1 = idx[0]
     prev = None
-    for r in radii:
-        k = idx_of[float(r)]
+    for k in idx:
         sub = prob.leading(k)
         guess = None if prev is None else prev[:k + 1]
         hj = solve_dirichlet(sub, 0.0, 1.0, initial=guess).values
@@ -428,7 +419,7 @@ def khasminskii_construct(M: ModelManifold, p: float, lam: float,
         return KhasminskiiReport(
             w=DiscreteFunction(h_funcs[-1], prob), n_stages=0,
             budget_used=(), h_limit_sup=h_limit_sup,
-            verdict="HLimitNonzero", grid=grid, stage_sups=tuple(sups))
+            verdict="HLimitNonzero", stage_sups=tuple(sups))
 
     # inductive stages at natural (unit-increment) scale
     n_stages = len(radii) - 1
@@ -445,7 +436,7 @@ def khasminskii_construct(M: ModelManifold, p: float, lam: float,
         # without the obstacle, so it bounds the solution below
         w_next = solve_obstacle(prob, spec,
                                 initial=(n + 1.0) * h_funcs[-1]).values
-        inc = float(np.max((w_next - w_nat)[:idx_of[float(radii[n])] + 1]))
+        inc = float(np.max((w_next - w_nat)[:idx[n] + 1]))
         if inc >= 1.0 + 1e-9:
             raise BudgetError(
                 "no admissible stage within the available exhaustion radii",
@@ -473,4 +464,4 @@ def khasminskii_construct(M: ModelManifold, p: float, lam: float,
     return KhasminskiiReport(
         w=DiscreteFunction(w_final, prob), n_stages=n_stages,
         budget_used=budget, h_limit_sup=h_limit_sup,
-        verdict="PotentialBuilt", grid=grid, stage_sups=tuple(sups))
+        verdict="PotentialBuilt", stage_sups=tuple(sups))

@@ -33,15 +33,6 @@ BLOWUP = "blowup"
 EVANS_C_MIN = 1e-12
 
 
-def _cumint(y, x):
-    """Cumulative integral of ``y`` from 0 on a strictly increasing grid
-    ``x`` (``ValueError`` otherwise): the rule of
-    ``scipy.integrate.cumulative_simpson(y, x=x, initial=0)``, bit for bit,
-    without its array-API dispatch, which costs more than the rule on a
-    window.  See ``_CumulativeSimpson``."""
-    return _CumulativeSimpson(x)(y)
-
-
 @functools.lru_cache(maxsize=32)
 def _simpson_indices(n_sub: int) -> tuple[np.ndarray, np.ndarray]:
     """The index arrays of ``_CumulativeSimpson`` on ``n_sub >= 2``
@@ -61,11 +52,14 @@ def _simpson_indices(n_sub: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _CumulativeSimpson:
-    """``_cumint``'s rule on a fixed grid ``x``.  Building it takes the
-    spacings, their check and the coefficient arithmetic; the index arrays
-    come from ``_simpson_indices``, cached per node count.  Applying it to
-    samples ``y`` is one gather, five array operations and one cumulative
-    sum.
+    """Cumulative integral from 0 on a strictly increasing grid ``x``
+    (``ValueError`` otherwise): ``_CumulativeSimpson(x)(y)`` is
+    ``scipy.integrate.cumulative_simpson(y, x=x, initial=0)``, bit for bit,
+    without its array-API dispatch, which costs more than the rule on a
+    window.  Building it takes the spacings, their check and the
+    coefficient arithmetic; the index arrays come from
+    ``_simpson_indices``, cached per node count.  Applying it to samples
+    ``y`` is one gather, five array operations and one cumulative sum.
 
     Even sub-intervals (but the last) integrate the quadratic through the
     triple they start, odd ones and the last the triple they end.  Either
@@ -177,8 +171,8 @@ class _Window:
     one-dimensional and strictly increasing; the weights
     ``w = g**(m-1)`` from ``sphere_volume``, which refuses radii out of
     range and weights that overflow a double; the head flux
-    ``w(R) phi(c mu)/w``; the rule of ``_cumint`` on the grid; and the
-    application's constants ``op``, ``pot``, ``c`` and ``theta``."""
+    ``w(R) phi(c mu)/w``; the ``_CumulativeSimpson`` rule of the grid; and
+    the application's constants ``op``, ``pot``, ``c`` and ``theta``."""
 
     def __init__(self, M: ModelManifold, op: PhiOperator, pot: PotentialB,
                  params: CauchyParams, grid):
@@ -280,6 +274,18 @@ def solve_on_interval(M: ModelManifold, op: PhiOperator, pot: PotentialB,
         f"application {k}; shrink the interval")
 
 
+def _base_window(params: CauchyParams, R_max: float,
+                 nodes_per_window: int) -> float:
+    """The march's first window width, ``min(1, (R_max - R)/16)``, once
+    ``R_max > R`` and ``nodes_per_window >= 2`` are checked."""
+    if R_max <= params.R:
+        raise DomainError("R_max must exceed the base radius")
+    if nodes_per_window < 2:
+        raise ValueError(
+            f"nodes_per_window must be >= 2, got {nodes_per_window}")
+    return min(1.0, (R_max - params.R) / 16.0)
+
+
 def _march(M: ModelManifold, op: PhiOperator, pot: PotentialB,
            params: CauchyParams, R_max: float, blowup_threshold: float,
            nodes_per_window: int):
@@ -287,12 +293,7 @@ def _march(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     in pieces ``(grid, z, zp)``, first the node ``(R, theta, mu)`` and then
     each accepted window without its first node, and returns
     ``(status, r_reached, blowup_radius)``."""
-    if R_max <= params.R:
-        raise DomainError("R_max must exceed the base radius")
-    if nodes_per_window < 2:
-        raise ValueError(
-            f"nodes_per_window must be >= 2, got {nodes_per_window}")
-    base_window = min(1.0, (R_max - params.R) / 16.0)
+    base_window = _base_window(params, R_max, nodes_per_window)
     window = base_window
     min_window = 1e-8 * params.R
 
@@ -393,26 +394,22 @@ def constant_flux_profile(M: ModelManifold, op: PhiOperator,
                           nodes_per_window: int = 64) -> RadialSolution:
     """The radial solution for ``B = 0`` in one pass, on the nodes that
     ``solve_cauchy`` uses when no window halves, bit for bit: windows of
-    ``min(1, (R_max - R)/16)`` from ``R``, the last cut at ``R_max``,
+    the ``_base_window`` width from ``R``, the last cut at ``R_max``,
     ``nodes_per_window`` uniform nodes each.
 
     The flux ``w phi(c z')`` is constant, so the slope is
     ``_constant_flux_slope`` exactly and ``z = theta + int_R^r z'`` is its
     cumulative Simpson integral over the whole grid.
     """
-    if R_max <= params.R:
-        raise DomainError("R_max must exceed the base radius")
-    if nodes_per_window < 2:
-        raise ValueError(
-            f"nodes_per_window must be >= 2, got {nodes_per_window}")
-    base = min(1.0, (R_max - params.R) / 16.0)
+    base = _base_window(params, R_max, nodes_per_window)
     ends = [params.R]
     while ends[-1] < R_max:
         ends.append(min(ends[-1] + base, R_max))
     windows = np.linspace(ends[:-1], ends[1:], nodes_per_window, axis=1)
     grid = np.concatenate([[params.R], windows[:, 1:].ravel()])
     zp = _constant_flux_slope(M, op, params, grid)
-    return RadialSolution(grid=grid, z=params.theta + _cumint(zp, grid),
+    return RadialSolution(grid=grid,
+                          z=params.theta + _CumulativeSimpson(grid)(zp),
                           zp=zp, params=params, status=COMPLETE,
                           r_max=float(R_max))
 

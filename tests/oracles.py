@@ -393,20 +393,20 @@ def ode_residual(M, op, pot, sol):
 
 
 def is_subsolution(prob, u, tol=1e-8):
-    res = prob.residual(obstacle._values(u))[1:-1]
+    res = prob.residual(u)[1:-1]
     worst = int(np.argmax(res))
     return obstacle.SupersolutionCheck(bool(res[worst] <= tol), worst + 1,
                                        float(res[worst]))
 
 
 def comparison_check(prob, w, s, tol=1e-8):
-    """Ordered boundary data and super/sub structure force ``w >= s``.
+    """Ordered boundary data and super/sub structure force ``w >= s``, for
+    node value arrays ``w`` and ``s``.
 
     A failure indicates a solver bug, not an unfortunate input.
     """
-    wv, sv = obstacle._values(w), obstacle._values(s)
-    cw = obstacle.is_supersolution(prob, wv, tol=max(tol, 1e-6))
-    cs = is_subsolution(prob, sv, tol=max(tol, 1e-6))
+    cw = obstacle.is_supersolution(prob, w, tol=max(tol, 1e-6))
+    cs = is_subsolution(prob, s, tol=max(tol, 1e-6))
     if not cw.ok:
         raise DomainError(
             f"first argument is not a supersolution (node "
@@ -415,32 +415,31 @@ def comparison_check(prob, w, s, tol=1e-8):
         raise DomainError(
             f"second argument is not a subsolution (node "
             f"{cs.worst_node}, residual {cs.worst_residual:.3e})")
-    if wv[0] < sv[0] - tol or wv[-1] < sv[-1] - tol:
+    if w[0] < s[0] - tol or w[-1] < s[-1] - tol:
         raise DomainError("boundary values are not ordered")
-    return bool(np.all(wv >= sv - tol))
+    return bool(np.all(w >= s - tol))
 
 
 def pasting_min(prob, w1, w2, start):
-    """Pointwise minimum of a global supersolution and one living on the
-    subgrid ``start .. start+len(w2)-1``, extended by the global one.
+    """Pointwise minimum of a global supersolution ``w1`` and one ``w2``
+    living on the subgrid ``start .. start+len(w2)-1``, extended by the
+    global one: node value arrays in, node value array out.
 
     Junction values must agree to 1e-8; the kinks introduced by the min
     keep the supersolution sign of the defect, which callers verify with a
     relaxed tolerance.
     """
-    w1v = obstacle._values(w1)
-    w2v = obstacle._values(w2)
-    stop = start + len(w2v)
+    stop = start + len(w2)
     if start < 0 or stop > prob.n_nodes:
         raise ValueError("subinterval out of range")
-    if start > 0 and abs(w1v[start] - w2v[0]) > 1e-8:
+    if start > 0 and abs(w1[start] - w2[0]) > 1e-8:
         raise DomainError(
             f"junction mismatch at node {start}: "
-            f"{w1v[start]:.6g} vs {w2v[0]:.6g}")
-    if stop < prob.n_nodes and abs(w1v[stop - 1] - w2v[-1]) > 1e-8:
+            f"{w1[start]:.6g} vs {w2[0]:.6g}")
+    if stop < prob.n_nodes and abs(w1[stop - 1] - w2[-1]) > 1e-8:
         raise DomainError(
             f"junction mismatch at node {stop - 1}: "
-            f"{w1v[stop - 1]:.6g} vs {w2v[-1]:.6g}")
-    out = w1v.copy()
-    out[start:stop] = np.minimum(w1v[start:stop], w2v)
-    return obstacle.DiscreteFunction(out, prob)
+            f"{w1[stop - 1]:.6g} vs {w2[-1]:.6g}")
+    out = w1.copy()
+    out[start:stop] = np.minimum(w1[start:stop], w2)
+    return out

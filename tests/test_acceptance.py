@@ -246,7 +246,7 @@ def test_acceptance_09_structural_property_suite():
                                        spec.theta_right + shift)
         sub = obstacle.solve_dirichlet(prob, spec.theta_left,
                                        spec.theta_right)
-        if not comparison_check(prob, sup, sub, tol=1e-7):
+        if not comparison_check(prob, sup.values, sub.values, tol=1e-7):
             failures["comparison"] += 1
 
         # (b) minimality against randomized feasible competitors
@@ -257,7 +257,8 @@ def test_acceptance_09_structural_property_suite():
             failures["minimality"] += 1
 
         # (c) off-contact stationarity
-        stat, viol, _ = obstacle.residual_complementarity(sol, spec)
+        stat, viol, _ = obstacle.residual_complementarity(prob, sol.values,
+                                                        spec)
         if stat > 1e-8 or viol > 0.0:
             failures["stationarity"] += 1
 
@@ -289,7 +290,8 @@ def test_acceptance_10_staged_pipeline_dichotomy():
         K_radius=1.0, Omega_radius=2.0, eps=eps, exhaustion_radii=radii)
     built = rep2.verdict == "PotentialBuilt"
     budget_ok = sum(rep2.budget_used) <= eps + 1e-12
-    small_ok = float(np.max(rep2.w.values[rep2.grid <= 2.0])) <= eps + 1e-12
+    on_omega = rep2.w.problem.grid <= 2.0
+    small_ok = float(np.max(rep2.w.values[on_omega])) <= eps + 1e-12
     rep3 = obstacle.khasminskii_construct(
         core.manifold_from_tag("euclidean", 3), 2.0, 0.0,
         K_radius=1.0, Omega_radius=2.0, eps=eps, exhaustion_radii=radii)

@@ -265,6 +265,29 @@ def test_evans_on_a_table(tmp_path, capsys):
     assert "# status=complete" in out
 
 
+def test_classify_refuses_a_table_with_a_negative_radius(tmp_path, capsys):
+    r = np.array([-1.0, 0.5, 1.0, 2.0, 5.0])
+    path = tmp_path / "negative.csv"
+    np.savetxt(path, np.column_stack([r, np.maximum(r, 0.0)]),
+               delimiter=",", header="r,g", comments="")
+    code = cli.main(["classify", "--set", f"manifold=table:{path}",
+                     "--rmax", "4"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "r sample 0 is -1;" in captured.err
+
+
+def test_classify_refuses_an_interval_of_a_few_ulps(capsys):
+    # the plane is parabolic; on [1, 1 + 1 ulp] no verdict can be sampled
+    code = cli.main(["classify", "--set", "manifold=euclidean",
+                     "--rmax", repr(1.0 + 3e-16)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "too short to sample" in captured.err
+
+
 def test_evans_refuses_a_potential_faster_than_the_operator(capsys):
     code = cli.main(
         EVANS_ARGS + ["--set", "potential=linear-power:p=3,lambda=1"])
@@ -301,7 +324,7 @@ def test_khasminskii_plane_exit_zero(capsys):
         core.manifold_from_tag("euclidean", 2), 2.0, 0.0, K_radius=1.0,
         Omega_radius=2.0, eps=0.1, exhaustion_radii=[4, 8, 16, 32])
     data = np.loadtxt(lines[header + 1:], delimiter=",")
-    assert np.allclose(data[:, 0], rep.grid, rtol=1e-11, atol=0.0)
+    assert np.allclose(data[:, 0], rep.w.problem.grid, rtol=1e-11, atol=0.0)
     assert np.allclose(data[:, 1], rep.w.values, rtol=1e-11, atol=1e-300)
 
 

@@ -227,6 +227,14 @@ def test_tabulated_manifold_origin_slope_check():
         core.tabulated_manifold(r, 2.0 * r, m=2)
 
 
+def test_tabulated_manifold_refuses_a_negative_first_radius():
+    # g(0) = 0 and slope 1 pass, but the cubic through r = -1 would give
+    # g(1e-9) ~ 0.249 and a volume ratio at r = 1 of 0.551, not 0.5
+    r = [-1.0, 0.5, 1.0, 2.0, 5.0]
+    with pytest.raises(ValueError, match=r"r sample 0 is -1;"):
+        core.tabulated_manifold(r, [0.0, 0.5, 1.0, 2.0, 5.0], m=2)
+
+
 def test_load_manifold_csv(tmp_path):
     r = np.linspace(0.01, 5.0, 300)
     path = tmp_path / "warp.csv"

@@ -79,6 +79,12 @@ def test_heuristic_validation():
         criteria.test_L1_at_infinity(lambda r: 1.0, 0.0)
     with pytest.raises(core.NumericError):
         criteria.test_L1_at_infinity(lambda r: -1.0, 1.0)
+    # a few ulps hold fewer distinct radii than the rule has nodes, whose
+    # spacings would vanish and be divided by
+    with pytest.raises(core.DomainError, match="too short to sample"):
+        criteria.test_L1_at_infinity(
+            lambda r: 1.0 / r, 1e3,
+            criteria.DivergenceConfig(r_max=1e3 * (1.0 + 3e-16)))
 
 
 @pytest.mark.parametrize("r_max", [1e3, 3e3, 1e4, 9999.0])

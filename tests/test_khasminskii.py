@@ -35,7 +35,7 @@ def test_plane_budget_and_smallness(plane_report):
         assert used <= eps / 2 ** n + 1e-12
     assert sum(rep.budget_used) <= eps + 1e-12
     # final profile small on the control annulus, zero at the core boundary
-    on_omega = rep.grid <= 2.0
+    on_omega = rep.w.problem.grid <= 2.0
     assert np.max(rep.w.values[on_omega]) <= eps + 1e-12
     assert rep.w.values[0] == 0.0
 
@@ -43,7 +43,7 @@ def test_plane_budget_and_smallness(plane_report):
 def test_plane_profile_is_supersolution_and_monotone(plane_report):
     rep = plane_report
     prob = rep.w.problem
-    assert obstacle.is_supersolution(prob, rep.w, tol=1e-8).ok
+    assert obstacle.is_supersolution(prob, rep.w.values, tol=1e-8).ok
     assert np.all(np.diff(rep.w.values) >= -1e-12)
 
 
@@ -81,7 +81,7 @@ def test_report_csv_shape(plane_report, monkeypatch, capsys):
     assert lines[:2] == ["# command=khasminskii", "# verdict=PotentialBuilt"]
     header = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
     assert lines[header] == "r,w"
-    assert len(lines) - header - 1 == len(plane_report.grid)
+    assert len(lines) - header - 1 == len(plane_report.w.problem.grid)
 
 
 def test_positive_lambda_pipeline_runs():
@@ -89,7 +89,7 @@ def test_positive_lambda_pipeline_runs():
         EUC2, 2.0, 0.5, K_radius=1.0, Omega_radius=2.0, eps=0.1,
         exhaustion_radii=RADII)
     assert rep.verdict == "PotentialBuilt"
-    assert obstacle.is_supersolution(rep.w.problem, rep.w, tol=1e-8).ok
+    assert obstacle.is_supersolution(rep.w.problem, rep.w.values, tol=1e-8).ok
 
 
 def test_plane_pipeline_at_p3():
@@ -99,7 +99,7 @@ def test_plane_pipeline_at_p3():
         exhaustion_radii=RADII)
     assert rep.verdict == "PotentialBuilt"
     assert sum(rep.budget_used) <= eps + 1e-12
-    assert obstacle.is_supersolution(rep.w.problem, rep.w, tol=1e-8).ok
+    assert obstacle.is_supersolution(rep.w.problem, rep.w.values, tol=1e-8).ok
     assert np.all(np.diff(rep.w.values) >= -1e-12)
 
 
@@ -154,10 +154,10 @@ def test_whole_grid_stage_is_the_least_candidate(monkeypatch, M, p, lam):
     assert len(stages) == rep.n_stages - 1
     w = ref.w0
     for n, (prob, w_next) in enumerate(stages, start=1):
-        assert prob.n_nodes == len(rep.grid)
-        idx_n = int(np.searchsorted(rep.grid, RADII[n]))
+        assert prob.n_nodes == len(rep.w.problem.grid)
+        idx_n = int(np.searchsorted(rep.w.problem.grid, RADII[n]))
         inc = float(np.max((w_next - w)[:idx_n + 1]))
-        for cand_inc, _ in stage_candidates(M, p, lam, rep.grid, RADII,
-                                            ref.h_funcs, w, n):
+        for cand_inc, _ in stage_candidates(M, p, lam, rep.w.problem.grid,
+                                            RADII, ref.h_funcs, w, n):
             assert inc <= cand_inc + 1e-12
         w = w_next

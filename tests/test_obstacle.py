@@ -173,11 +173,12 @@ def test_obstacle_solution_above_obstacle_and_stationary():
     rng = np.random.default_rng(3)
     spec = random_bump_spec(prob, rng)
     sol = obstacle.solve_obstacle(prob, spec)
-    stat, viol, slack = obstacle.residual_complementarity(sol, spec)
+    stat, viol, slack = obstacle.residual_complementarity(prob, sol.values,
+                                                          spec)
     assert viol == 0.0
     assert stat <= 1e-8
     assert slack >= -1e-6
-    assert obstacle.is_supersolution(prob, sol, tol=1e-6).ok
+    assert obstacle.is_supersolution(prob, sol.values, tol=1e-6).ok
 
 
 def test_obstacle_infeasible_raises():
@@ -192,12 +193,13 @@ def test_obstacle_infeasible_raises():
                                         0.0, 1.0))
 
 
-def test_sweep_limit_raises():
+def test_sweep_limit_raises(monkeypatch):
     # the Newton solve needs two steps here, so a budget of one must trip
     prob = make_euclidean_problem(n=101)
     spec = obstacle.ObstacleSpec.dirichlet(prob.n_nodes, 0.0, 1.0)
+    monkeypatch.setattr(obstacle, "MAX_NEWTON_STEPS", 1)
     with pytest.raises(obstacle.SweepLimitError) as info:
-        obstacle.solve_obstacle(prob, spec, max_iter=1)
+        obstacle.solve_obstacle(prob, spec)
     assert math.isfinite(info.value.residual)
 
 
@@ -207,8 +209,23 @@ def test_solver_reports_its_work():
     assert 1 <= sol.iterations <= 20
     assert 0.0 <= sol.stationarity <= 1e-8
     stat, _, _ = obstacle.residual_complementarity(
-        sol, obstacle.ObstacleSpec.dirichlet(prob.n_nodes, 0.0, 1.0))
+        prob, sol.values,
+        obstacle.ObstacleSpec.dirichlet(prob.n_nodes, 0.0, 1.0))
     assert sol.stationarity == stat
+
+
+def test_predicates_take_problem_and_values():
+    # both gates read a solved obstacle problem as (prob, values, ...), the
+    # form the solver's own stopping test uses
+    prob = make_euclidean_problem(m=2, p=3.0, n=81)
+    spec = random_bump_spec(prob, np.random.default_rng(11))
+    sol = obstacle.solve_obstacle(prob, spec)
+    stat, viol, slack = obstacle.residual_complementarity(prob, sol.values,
+                                                          spec)
+    assert stat == sol.stationarity
+    assert viol == 0.0 and slack >= -1e-6
+    check = obstacle.is_supersolution(prob, sol.values, tol=1e-6)
+    assert check.ok and 1 <= check.worst_node <= prob.n_nodes - 2
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 99, 400])
@@ -258,9 +275,10 @@ def test_comparison_check_basic():
     prob = make_euclidean_problem()
     big = obstacle.solve_dirichlet(prob, 0.5, 1.5)
     small = obstacle.solve_dirichlet(prob, 0.0, 1.0)
-    assert comparison_check(prob, big, small)
+    assert comparison_check(prob, big.values, small.values)
     with pytest.raises(core.DomainError):
-        comparison_check(prob, small, big)  # boundary not ordered
+        # boundary not ordered
+        comparison_check(prob, small.values, big.values)
 
 
 def test_comparison_check_rejects_bad_supersolution():
@@ -270,7 +288,7 @@ def test_comparison_check_rejects_bad_supersolution():
         + 0.2 * rng.standard_normal(prob.n_nodes)
     sub = obstacle.solve_dirichlet(prob, 0.0, 1.0)
     with pytest.raises(core.DomainError):
-        comparison_check(prob, wiggly, sub)
+        comparison_check(prob, wiggly, sub.values)
 
 
 def test_pasting_min_supersolution():
@@ -282,7 +300,7 @@ def test_pasting_min_supersolution():
     spec = obstacle.ObstacleSpec(psi=psi, theta_left=w1.values[i],
                                  theta_right=w1.values[j])
     w2 = obstacle.solve_obstacle(sub, spec)
-    pasted = pasting_min(prob, w1, w2.values, i)
+    pasted = pasting_min(prob, w1.values, w2.values, i)
     assert obstacle.is_supersolution(prob, pasted, tol=1e-6).ok
 
 
@@ -291,7 +309,7 @@ def test_pasting_min_junction_mismatch():
     w1 = obstacle.solve_dirichlet(prob, 0.0, 1.0)
     w2 = w1.values[10:20] + 0.5
     with pytest.raises(core.DomainError):
-        pasting_min(prob, w1, w2, 10)
+        pasting_min(prob, w1.values, w2, 10)
 
 
 def test_discrete_function_validation():

@@ -90,12 +90,12 @@ def test_cumint_is_scipy_cumulative_simpson(n, spacing):
         else:
             x = np.cumsum(rng.uniform(0.01, 1.0, size))
         y = np.exp(-x) + rng.normal(size=size)
-        assert np.array_equal(radial._cumint(y, x),
+        assert np.array_equal(radial._CumulativeSimpson(x)(y),
                               cumulative_simpson(y, x=x, initial=0.0))
 
 
 def test_simpson_index_cache_is_read_only():
-    radial._cumint(np.ones(64), np.linspace(1.0, 2.0, 64))
+    radial._CumulativeSimpson(np.linspace(1.0, 2.0, 64))(np.ones(64))
     other, nodes = radial._simpson_indices(63)
     assert radial._simpson_indices(63)[1] is nodes
     for cached in (other, nodes):
@@ -106,7 +106,7 @@ def test_simpson_index_cache_is_read_only():
 
 def test_cumint_two_nodes_is_trapezoid():
     x, y = np.array([1.0, 1.7]), np.array([0.3, -2.0])
-    assert np.array_equal(radial._cumint(y, x),
+    assert np.array_equal(radial._CumulativeSimpson(x)(y),
                           cumulative_trapezoid(y, x, initial=0.0))
 
 
