@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 
@@ -91,6 +92,8 @@ def _get_float(cfg, key, default=None, required=False, positive=False):
         val = float(raw)
     except ValueError:
         raise ConfigError(key, f"not a number: {raw!r}") from None
+    if not math.isfinite(val):
+        raise ConfigError(key, f"not a finite number: {raw!r}")
     if positive and val <= 0:
         raise ConfigError(key, "must be positive")
     return val
@@ -247,6 +250,8 @@ def cmd_khasminskii(cfg, out_path) -> int:
     except ValueError:
         raise ConfigError("radii", f"not a number list: {raw_radii!r}") \
             from None
+    if not all(map(math.isfinite, radii)):
+        raise ConfigError("radii", f"not a finite number list: {raw_radii!r}")
     tol = _get_float(cfg, "tol", 1e-3, positive=True)
     nodes = _get_int(cfg, "nodes_per_stage", 48)
     report = obstacle.khasminskii_construct(

@@ -22,6 +22,7 @@ numpy``.  Monotone-cubic tables are ``pchip``, in numpy.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import warnings
@@ -80,6 +81,73 @@ class Quadrature:
 
 
 DEFAULT_QUADRATURE = Quadrature()
+
+
+@functools.lru_cache(maxsize=32)
+def _simpson_indices(n_sub: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index arrays of ``_CumulativeSimpson`` on ``n_sub >= 2``
+    sub-intervals, which depend on nothing else: for each sub-interval
+    ``j`` the other spacing of its triple, and the triple's nodes from
+    ``j`` outwards, ``(j, j+1, j+2)`` forward and ``(j+1, j, j-1)``
+    backward.  Built on first use and read-only, since every grid of that
+    size shares them."""
+    j = np.arange(n_sub)
+    fwd = np.zeros(n_sub, dtype=bool)
+    fwd[:-1:2] = True
+    other = np.where(fwd, j + 1, j - 1)
+    nodes = j + np.where(fwd, [[0], [1], [2]], [[1], [0], [-1]])
+    other.flags.writeable = False
+    nodes.flags.writeable = False
+    return other, nodes
+
+
+class _CumulativeSimpson:
+    """Cumulative integral from 0 on a strictly increasing grid ``x``
+    (``ValueError`` otherwise), the one Simpson rule of the package: the
+    radial windows and the divergence test both use it.
+    ``_CumulativeSimpson(x)(y)`` is
+    ``scipy.integrate.cumulative_simpson(y, x=x, initial=0)``, bit for bit,
+    without its array-API dispatch, which costs more than the rule on a
+    window.  Building it takes the spacings, their check and the
+    coefficient arithmetic; the index arrays come from
+    ``_simpson_indices``, cached per node count.  Applying it to samples
+    ``y`` is one gather, five array operations and one cumulative sum.
+
+    Even sub-intervals (but the last) integrate the quadratic through the
+    triple they start, odd ones and the last the triple they end.  Either
+    way sub-interval ``j`` is ``a ((p y0 + q y1) - s y2)`` with
+    ``h1 = h[j]``, ``h2`` the other spacing of the triple,
+    ``r31 = h1/(h1 + h2)``, ``r32 = r31 (h1/h2)``, ``a = h1/6``,
+    ``p = 3 - r31``, ``q = 3 + r32 + r31``, ``s = r32`` and ``y0, y1, y2``
+    the triple's samples from node ``j`` outwards: scipy's arithmetic, in
+    its order.  Two-node grids (``nodes_per_window=2``, or a divergence
+    test on an interval shorter than one table step) take the trapezoid
+    rule.
+    """
+
+    def __init__(self, x):
+        h = np.diff(x)
+        if not (h > 0).all():
+            raise ValueError("grid must be strictly increasing")
+        self.h = h
+        if len(h) < 2:
+            return
+        other, self.nodes = _simpson_indices(len(h))
+        h1, h2 = h, h[other]
+        r31 = h1 / (h1 + h2)
+        r32 = r31 * (h1 / h2)
+        self.a, self.p, self.q, self.s = h1 / 6, 3 - r31, 3 + r32 + r31, r32
+
+    def __call__(self, y):
+        out = np.zeros(len(self.h) + 1)
+        if len(self.h) < 2:
+            sub = self.h * (y[1:] + y[:-1]) / 2.0
+        else:
+            y0, y1, y2 = y[self.nodes]
+            sub = self.a * ((self.p * y0 + self.q * y1) - self.s * y2)
+        # the ufunc loop of np.cumsum, without its dispatch
+        np.add.accumulate(sub, out=out[1:])
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +223,17 @@ _GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS
 _ORIGIN_PANEL = 1e-3
 
 
+def geometric_grid(lo: float, hi: float) -> np.ndarray:
+    """The table nodes ``lo * 10**(k/POINTS_PER_DECADE)``, ``k >= 0``, that
+    lie below ``hi`` and not within relative 1e-9 of it, then ``hi``
+    (``0 < lo <= hi``): the grid of ``volume_ratio`` and of the
+    divergence test.  A node that close to ``hi`` would leave a sliver
+    panel beside it."""
+    n = math.ceil(POINTS_PER_DECADE * math.log10(hi / lo))
+    nodes = lo * 10.0 ** (np.arange(n) / POINTS_PER_DECADE)
+    return np.append(nodes[(nodes < hi) & (hi - nodes > 1e-9 * nodes)], hi)
+
+
 def volume_ratio(M: ModelManifold, r, R: float = 0.0):
     """``rho(r) = g(r)**(1-m) * integral_R^r g(t)**(m-1) dt`` at a radius or
     an array of radii, from one pass of the exact recurrence
@@ -172,16 +251,15 @@ def volume_ratio(M: ModelManifold, r, R: float = 0.0):
     top = float(np.max(radii, initial=R))
     lo = R if R > 0 else float(np.min(radii, where=radii > 0,
                                       initial=_ORIGIN_PANEL))
-    n = math.ceil(POINTS_PER_DECADE * math.log10(max(top, lo) / lo))
-    own = lo * 10.0 ** (np.arange(1, n) / POINTS_PER_DECADE)
+    # lo is a node anyway; a node of the own grid within relative 1e-9 of
+    # a requested radius gives way to it, rather than leave a sliver
+    # panel beside it
+    own = geometric_grid(lo, max(top, lo))[1:]
     asked = np.unique(radii[radii > 0])
-    # a node of the own grid within relative 1e-9 of a requested radius
-    # gives way to it, rather than leave a sliver panel beside it
     i = np.searchsorted(asked, own)
     gap = np.minimum(np.abs(own - asked[np.maximum(i - 1, 0)]),
                      np.abs(asked[np.minimum(i, len(asked) - 1)] - own))
-    grid = np.unique(np.concatenate(
-        [[lo], own[(own < top) & (gap > 1e-9 * own)], asked]))
+    grid = np.unique(np.concatenate([[lo], own[gap > 1e-9 * own], asked]))
     L = log_sphere_volume(M, grid)
     rho = np.zeros(len(grid))
     if R == 0:

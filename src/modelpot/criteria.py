@@ -12,7 +12,6 @@ integrands take a radius or an array of radii.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -20,9 +19,9 @@ from typing import Callable
 import numpy as np
 
 from .core import (_GL_NODES, _GL_WEIGHTS, DEFAULT_QUADRATURE,
-                   POINTS_PER_DECADE, DomainError, ModelManifold,
-                   NumericError, PhiOperator, PotentialB, log_sphere_volume,
-                   phi_inverse, pchip, volume_ratio)
+                   DomainError, ModelManifold, NumericError, PhiOperator,
+                   PotentialB, _CumulativeSimpson, geometric_grid,
+                   log_sphere_volume, phi_inverse, pchip, volume_ratio)
 
 
 class Verdict(enum.Enum):
@@ -77,8 +76,9 @@ class DivergenceVerdict:
     """The verdict of ``test_L1_at_infinity``, and ``reason``, the branch
     that gave it:
 
-    * ``partial_above_threshold`` -- Diverges: the partial integral passed
-      ``DIVERGENCE_THRESHOLD`` (the slope is not fitted: NaN);
+    * ``partial_above_threshold`` -- Diverges: the partial integral over
+      all of ``[R0, r_max]`` passed ``DIVERGENCE_THRESHOLD`` (the slope is
+      not fitted: NaN);
     * ``tail_underflow`` -- Converges: the integrand underflows on the
       last decade (slope ``-inf``);
     * ``few_positive_samples`` -- Inconclusive: too few positive samples
@@ -115,47 +115,25 @@ class KellerOssermanResult:
     form_simple: Verdict      # via beta(s)**(-1/p)
 
 
-def _decade_rule(R0: float, r_max: float):
+def _divergence_rule(R0: float, r_max: float):
     """The sampling grid of ``test_L1_at_infinity`` on ``[R0, r_max]`` and
     its Simpson rule in ``log r``, which depend on nothing else.
 
-    Returns ``(grid, blocks)``.  ``grid`` holds every decade, a
-    ``geomspace`` on ``POINTS_PER_DECADE`` points a decade rounded up to an
-    odd count (the last decade may be partial), and then the
-    ``SLOPE_SAMPLES`` radii of the last decade.  Adjacent decades of one
-    count form a block, a row a decade, built by one ``geomspace``: the
-    full decades are one block and a partial last decade another.
-    ``blocks`` gives, block by block in decade order, the coefficients of
-    scipy's ``_basic_simpson`` on each row's ``log r``, as ``(rows,
-    triples)`` arrays: with ``h0``, ``h1`` the spacings of each triple,
-    ``hsum/6``, ``2 - 1/(h0/h1)``, ``hsum (hsum/hprod)`` and ``2 - h0/h1``.
-    An interval so short that nodes coincide (a few ulps) raises
-    ``DomainError``; on every other the spacings are positive.
+    Returns ``(grid, simpson)``.  ``grid`` holds ``geometric_grid(R0,
+    r_max)``, which the volume-ratio table from ``R0`` shares, and then the
+    ``SLOPE_SAMPLES`` radii of the last decade; ``simpson`` is the
+    ``_CumulativeSimpson`` rule on the ``log r`` of the first part.
+    ``DomainError`` unless ``0 < R0 < r_max < inf``, or if ``r_max`` lies
+    within relative 1e-9 of ``R0``, where the grid is one node.
     """
-    if R0 <= 0 or r_max <= R0:
-        raise DomainError("test_L1_at_infinity requires 0 < R0 < r_max")
-    edges = [R0]
-    while edges[-1] * 10.0 < r_max:
-        edges.append(edges[-1] * 10.0)
-    edges.append(r_max)
-    counts = [2 * math.ceil(0.5 * POINTS_PER_DECADE * math.log10(b / a)) + 1
-              for a, b in zip(edges[:-1], edges[1:])]
-    radii, blocks, k = [], [], 0
-    for n, run in itertools.groupby(counts):
-        j = k + len(list(run))
-        r = np.geomspace(edges[k:j], edges[k + 1:j + 1], n, axis=1)
-        h = np.diff(np.log(r), axis=1)
-        if not (h > 0).all():
-            raise DomainError(f"[{R0:.17g}, {r_max:.17g}] is too short to "
-                              "sample: nodes of its grid coincide")
-        h0, h1 = h[:, 0::2], h[:, 1::2]
-        hsum, h0divh1 = h0 + h1, h0 / h1
-        radii.append(r.ravel())
-        blocks.append((hsum / 6.0, 2.0 - 1.0 / h0divh1,
-                       hsum * (hsum / (h0 * h1)), 2.0 - h0divh1))
-        k = j
+    if not 0 < R0 < r_max < math.inf:
+        raise DomainError("test_L1_at_infinity requires 0 < R0 < r_max < inf")
+    nodes = geometric_grid(R0, r_max)
+    if len(nodes) < 2:
+        raise DomainError(f"[{R0:.17g}, {r_max:.17g}] is too short to "
+                          "sample: its ends are within relative 1e-9")
     rs = np.geomspace(max(r_max / 10.0, R0), r_max, SLOPE_SAMPLES)
-    return np.concatenate(radii + [rs]), tuple(blocks)
+    return np.concatenate([nodes, rs]), _CumulativeSimpson(np.log(nodes))
 
 
 def test_L1_at_infinity(integrand: Callable, R0: float,
@@ -164,40 +142,33 @@ def test_L1_at_infinity(integrand: Callable, R0: float,
     """Decide whether ``integral_R0^inf integrand`` diverges.
 
     ``integrand`` maps an array of radii to values and is sampled once, on
-    the grid of ``rule``, which is ``_decade_rule(R0, cfg.r_max)`` unless
-    the caller built it.  Partial integral over ``[R0, r_max]`` (Simpson
-    in ``log r`` on ``POINTS_PER_DECADE`` points a decade: the rule of
-    ``scipy.integrate.simpson(r * f, x=log r)``, bit for bit, as one
-    ``np.sum`` a row of each block, added decade by decade with an early
-    exit past ``DIVERGENCE_THRESHOLD``) plus a log-log slope fit over the
-    last decade.  A fitted slope at or above the critical -1 means the
-    extrapolated tail is unbounded, which is reported as divergence; slopes
-    inside the margin band but below critical stay inconclusive.  The
-    verdict's ``reason`` names the branch that decided.
+    the grid of ``rule``, which is ``_divergence_rule(R0, cfg.r_max)``
+    unless the caller built it.  The partial integral over all of ``[R0,
+    r_max]`` is the last value of the cumulative Simpson rule in ``log r``
+    on the table nodes (``scipy.integrate.cumulative_simpson(r * f, x=log
+    r)``, bit for bit); a log-log slope is fitted over the last decade.  A
+    partial integral past ``DIVERGENCE_THRESHOLD`` diverges.  A fitted
+    slope at or above the critical -1 means the extrapolated tail is
+    unbounded, which is reported as divergence; slopes inside the margin
+    band but below critical stay inconclusive.  The verdict's ``reason``
+    names the branch that decided.
     """
-    grid, blocks = _decade_rule(R0, cfg.r_max) if rule is None else rule
+    grid, simpson = _divergence_rule(R0, cfg.r_max) if rule is None \
+        else rule
     vals = np.zeros_like(grid) + integrand(grid)
     bad = ~np.isfinite(vals) | (vals < -1e-300)
     if np.any(bad):
         raise NumericError("integrand must be finite and nonnegative: "
                            f"f({grid[bad][0]:g}) = {vals[bad][0]:g}")
     vals = np.maximum(vals, 0.0)
-
-    partial, n = 0.0, 0
+    n = len(grid) - SLOPE_SAMPLES
+    partial = float(simpson(grid[:n] * vals[:n])[-1])
 
     def verdict(v, slope, reason):
         return DivergenceVerdict(v, partial, slope, cfg.r_max, reason)
 
-    for w, c0, c1, c2 in blocks:
-        size = w.shape[0] * (2 * w.shape[1] + 1)
-        d = (grid[n:n + size] * vals[n:n + size]).reshape(w.shape[0], -1)
-        n += size
-        for row in np.sum(w * (d[:, :-2:2] * c0 + d[:, 1:-1:2] * c1
-                               + d[:, 2::2] * c2), axis=1).tolist():
-            partial += row
-            if partial > DIVERGENCE_THRESHOLD:
-                return verdict(Verdict.DIVERGES, math.nan,
-                               "partial_above_threshold")
+    if partial > DIVERGENCE_THRESHOLD:
+        return verdict(Verdict.DIVERGES, math.nan, "partial_above_threshold")
     rs, vals = grid[n:], vals[n:]
 
     # slope fit on the last decade
@@ -377,7 +348,7 @@ def keller_osserman(op: PhiOperator, pot: PotentialB) -> KellerOssermanResult:
     pos = np.nonzero(b_vals > 0)[0][0]
     R0 = max(1.0, 2.0 * float(s_grid[pos]))
     k_inv = _kinetic_inverse(op, float(b_vals[-1]) * 1.05)
-    rule = _decade_rule(R0, KO_DIVERGENCE.r_max)
+    rule = _divergence_rule(R0, KO_DIVERGENCE.r_max)
     beta = pchip(s_grid, b_vals)(rule[0])
     if np.any(beta <= 0.0):
         raise NumericError("antiderivative not positive on the test range")

@@ -380,8 +380,10 @@ def khasminskii_construct(M: ModelManifold, p: float, lam: float,
         raise ValueError("exhaustion radii must be increasing")
     if not (0 < K_radius < Omega_radius < radii[0]):
         raise ValueError("need K_radius < Omega_radius < first radius")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    for name, value in (("eps", eps), ("tol", tol)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got "
+                             f"{value:g}")
     if nodes_per_stage < 2:
         raise ValueError(
             f"nodes_per_stage must be >= 2, got {nodes_per_stage}")

@@ -12,7 +12,6 @@ that produce exhaustion potentials for triples of concentric balls.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -20,7 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .core import (DomainError, ModelManifold, NumericError, PhiOperator,
-                   PotentialB, log_sphere_volume, phi_inverse, sphere_volume)
+                   PotentialB, _CumulativeSimpson, log_sphere_volume,
+                   phi_inverse, sphere_volume)
 # the array calls of the Picard windows, under a name of their own so that
 # a profile can tell them from the scalar calls
 from .core import phi_inverse as phi_inverse_array
@@ -31,70 +31,6 @@ COMPLETE = "complete"
 BLOWUP = "blowup"
 # evans_for_triple halves the scale c from 1 while c >= EVANS_C_MIN
 EVANS_C_MIN = 1e-12
-
-
-@functools.lru_cache(maxsize=32)
-def _simpson_indices(n_sub: int) -> tuple[np.ndarray, np.ndarray]:
-    """The index arrays of ``_CumulativeSimpson`` on ``n_sub >= 2``
-    sub-intervals, which depend on nothing else: for each sub-interval
-    ``j`` the other spacing of its triple, and the triple's nodes from
-    ``j`` outwards, ``(j, j+1, j+2)`` forward and ``(j+1, j, j-1)``
-    backward.  Built on first use and read-only, since every grid of that
-    size shares them."""
-    j = np.arange(n_sub)
-    fwd = np.zeros(n_sub, dtype=bool)
-    fwd[:-1:2] = True
-    other = np.where(fwd, j + 1, j - 1)
-    nodes = j + np.where(fwd, [[0], [1], [2]], [[1], [0], [-1]])
-    other.flags.writeable = False
-    nodes.flags.writeable = False
-    return other, nodes
-
-
-class _CumulativeSimpson:
-    """Cumulative integral from 0 on a strictly increasing grid ``x``
-    (``ValueError`` otherwise): ``_CumulativeSimpson(x)(y)`` is
-    ``scipy.integrate.cumulative_simpson(y, x=x, initial=0)``, bit for bit,
-    without its array-API dispatch, which costs more than the rule on a
-    window.  Building it takes the spacings, their check and the
-    coefficient arithmetic; the index arrays come from
-    ``_simpson_indices``, cached per node count.  Applying it to samples
-    ``y`` is one gather, five array operations and one cumulative sum.
-
-    Even sub-intervals (but the last) integrate the quadratic through the
-    triple they start, odd ones and the last the triple they end.  Either
-    way sub-interval ``j`` is ``a ((p y0 + q y1) - s y2)`` with
-    ``h1 = h[j]``, ``h2`` the other spacing of the triple,
-    ``r31 = h1/(h1 + h2)``, ``r32 = r31 (h1/h2)``, ``a = h1/6``,
-    ``p = 3 - r31``, ``q = 3 + r32 + r31``, ``s = r32`` and ``y0, y1, y2``
-    the triple's samples from node ``j`` outwards: scipy's arithmetic, in
-    its order.  Two-node grids (``nodes_per_window=2``) take the
-    trapezoid rule.
-    """
-
-    def __init__(self, x):
-        h = np.diff(x)
-        if not (h > 0).all():
-            raise ValueError("grid must be strictly increasing")
-        self.h = h
-        if len(h) < 2:
-            return
-        other, self.nodes = _simpson_indices(len(h))
-        h1, h2 = h, h[other]
-        r31 = h1 / (h1 + h2)
-        r32 = r31 * (h1 / h2)
-        self.a, self.p, self.q, self.s = h1 / 6, 3 - r31, 3 + r32 + r31, r32
-
-    def __call__(self, y):
-        out = np.zeros(len(self.h) + 1)
-        if len(self.h) < 2:
-            sub = self.h * (y[1:] + y[:-1]) / 2.0
-        else:
-            y0, y1, y2 = y[self.nodes]
-            sub = self.a * ((self.p * y0 + self.q * y1) - self.s * y2)
-        # the ufunc loop of np.cumsum, without its dispatch
-        np.add.accumulate(sub, out=out[1:])
-        return out
 
 
 class PicardNoConvergence(NumericError):
@@ -277,9 +213,10 @@ def solve_on_interval(M: ModelManifold, op: PhiOperator, pot: PotentialB,
 def _base_window(params: CauchyParams, R_max: float,
                  nodes_per_window: int) -> float:
     """The march's first window width, ``min(1, (R_max - R)/16)``, once
-    ``R_max > R`` and ``nodes_per_window >= 2`` are checked."""
-    if R_max <= params.R:
-        raise DomainError("R_max must exceed the base radius")
+    ``R < R_max < inf`` and ``nodes_per_window >= 2`` are checked."""
+    if not params.R < R_max < math.inf:
+        raise DomainError("R_max must be finite and exceed the base radius, "
+                          f"got {R_max:g}")
     if nodes_per_window < 2:
         raise ValueError(
             f"nodes_per_window must be >= 2, got {nodes_per_window}")
@@ -446,8 +383,8 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     """
     if not (0 < R < R1 < R_max):
         raise DomainError("need 0 < R < R1 < R_max")
-    if eps <= 0:
-        raise DomainError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise DomainError(f"eps must be positive and finite, got {eps:g}")
     if pot.b1 is None:
         raise DomainError(
             "potential lacks a t**(p-1) upper bound; the uniform sup bound "

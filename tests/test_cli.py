@@ -492,6 +492,26 @@ def test_keys_the_command_does_not_read_are_refused(argv, key, capsys):
     assert f"config key '{key}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,key", [
+    (["classify", "--set", "manifold=euclidean", "--rmax", "inf"], "rmax"),
+    (["classify", "--set", "manifold=euclidean", "--rmax", "1e400"], "rmax"),
+    # an infinite march, not an error, before the check
+    (EVANS_ARGS + ["--rmax", "inf"], "rmax"),
+    (EVANS_ARGS + ["--set", "R1=nan"], "R1"),
+    # nan passes every comparison with the limit: PotentialBuilt, exit 0,
+    # where the theory says HLimitNonzero
+    (KHAS_ARGS + ["--set", "m=3", "--set", "tol=nan"], "tol"),
+    (KHAS_ARGS + ["--set", "m=2", "--set", "eps=nan"], "eps"),
+    (KHAS_ARGS + ["--set", "m=2", "--set", "radii=4,8,16,inf"], "radii"),
+    (OBST_ARGS + ["--set", "r_max=inf"], "r_max"),
+])
+def test_non_finite_numbers_are_refused_by_name(argv, key, capsys):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"config key '{key}': not a finite number" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # determinism
 

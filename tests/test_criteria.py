@@ -1,12 +1,11 @@
 """Tests for the integral classifiers and the blow-up growth condition."""
 
 import dataclasses
-import itertools
 import math
 
 import numpy as np
 import pytest
-from scipy.integrate import simpson
+from scipy.integrate import cumulative_simpson
 
 from modelpot import cli, core, criteria, radial
 from modelpot.criteria import OperatorTypeTag, PropertyTag, Verdict
@@ -79,6 +78,10 @@ def test_heuristic_validation():
         criteria.test_L1_at_infinity(lambda r: 1.0, 0.0)
     with pytest.raises(core.NumericError):
         criteria.test_L1_at_infinity(lambda r: -1.0, 1.0)
+    for r_max in (math.inf, math.nan):
+        with pytest.raises(core.DomainError, match="r_max < inf"):
+            criteria.test_L1_at_infinity(
+                lambda r: 1.0 / r, 1.0, criteria.DivergenceConfig(r_max=r_max))
     # a few ulps hold fewer distinct radii than the rule has nodes, whose
     # spacings would vanish and be divided by
     with pytest.raises(core.DomainError, match="too short to sample"):
@@ -90,36 +93,23 @@ def test_heuristic_validation():
 @pytest.mark.parametrize("r_max", [1e3, 3e3, 1e4, 9999.0])
 @pytest.mark.parametrize("R0", [0.5, 1.0, 2.0, 3.7])
 def test_decade_rule_is_scipy_simpson(R0, r_max):
-    # every pair but (1, 1e3) and (1, 1e4) ends on a partial decade
-    grid, blocks = criteria._decade_rule(R0, r_max)
-    edges = [R0]
-    while edges[-1] * 10.0 < r_max:
-        edges.append(edges[-1] * 10.0)
-    edges.append(r_max)
-    decades = [np.geomspace(a, b, 2 * math.ceil(
-        0.5 * core.POINTS_PER_DECADE * math.log10(b / a)) + 1)
-        for a, b in zip(edges[:-1], edges[1:])]
+    # the divergence rule: the table nodes of [R0, r_max], then the slope
+    # samples; every pair but (1, 1e3) and (1, 1e4) ends on a short last
+    # interval.  The partial integral is scipy's cumulative Simpson rule in
+    # log r, bit for bit
+    grid, _ = criteria._divergence_rule(R0, r_max)
+    nodes = core.geometric_grid(R0, r_max)
     rs = np.geomspace(max(r_max / 10.0, R0), r_max, criteria.SLOPE_SAMPLES)
-    assert np.array_equal(grid, np.concatenate(decades + [rs]))
-    # a block a run of decades of one count, a row a decade: the full
-    # decades are one block
-    runs = [len(list(g)) for _, g in itertools.groupby(map(len, decades))]
-    assert [len(w) for w, *_ in blocks] == runs and len(runs) <= 2
-    rows = [row for block in blocks for row in zip(*block)]
+    assert np.array_equal(grid, np.concatenate([nodes, rs]))
+    assert nodes[0] == R0 and nodes[-1] == r_max
     cfg = criteria.DivergenceConfig(r_max=r_max)
     rng = np.random.default_rng(7)
     for _ in range(3):
         f = rng.uniform(0.0, 1.0, grid.size) * grid ** rng.uniform(-3, -1)
-        partial, lo = 0.0, 0
-        for r, (w, c0, c1, c2) in zip(decades, rows):
-            y = r * f[lo:lo + len(r)]
-            lo += len(r)
-            expected = simpson(y, x=np.log(r))
-            assert np.sum(w * (y[:-2:2] * c0 + y[1:-1:2] * c1
-                               + y[2::2] * c2)) == expected
-            partial += float(expected)
+        y = nodes * f[:nodes.size]
+        expected = cumulative_simpson(y, x=np.log(nodes), initial=0.0)[-1]
         dv = criteria.test_L1_at_infinity(lambda r: f, R0, cfg)
-        assert dv.partial_integral == partial
+        assert dv.partial_integral == expected
 
 
 @pytest.mark.parametrize("f,R0,verdict,reason", [
@@ -396,9 +386,9 @@ def test_classifiers_sample_without_quadrature(monkeypatch):
 
 
 def test_classifier_volume_ratio_node_counts(monkeypatch):
-    # nodes of the volume-ratio table: the test's radii plus the table's own
-    # grid where it is not within rounding of them; Type 1 classify_KL
-    # builds one table
+    # nodes of the volume-ratio table: the test's radii, whose grid is the
+    # table's own, so that only its slope samples add nodes; Type 1
+    # classify_KL builds one table
     seen = []
     log_sphere_volume = core.log_sphere_volume
 
@@ -412,7 +402,7 @@ def test_classifier_volume_ratio_node_counts(monkeypatch):
     pot = core.linear_power_potential(2.0, 1.0)
     p_laplacian_criteria(M, 2.0, R0=1.0)
     assert seen[0] == (897,)
-    for R0, nodes in ((1.0, 513), (2.0, 596)):
+    for R0, nodes in ((1.0, 513), (2.0, 507)):
         seen.clear()
         criteria.classify_KL(M, op, pot, R0=R0)
         assert [s for s in seen if len(s) == 1] == [(nodes,)]
@@ -458,9 +448,9 @@ def test_keller_osserman_analytic_oracle():
 def test_keller_osserman_builds_one_rule(monkeypatch):
     # both forms share one divergence rule, and the test still runs twice
     built, tested = [], []
-    decade_rule, test = criteria._decade_rule, criteria.test_L1_at_infinity
-    monkeypatch.setattr(criteria, "_decade_rule",
-                        lambda *a: built.append(a) or decade_rule(*a))
+    rule, test = criteria._divergence_rule, criteria.test_L1_at_infinity
+    monkeypatch.setattr(criteria, "_divergence_rule",
+                        lambda *a: built.append(a) or rule(*a))
     monkeypatch.setattr(criteria, "test_L1_at_infinity",
                         lambda *a: tested.append(a) or test(*a))
     op = core.p_laplacian_operator(2.0)

@@ -2,6 +2,7 @@
 construction: closed forms, an independent adaptive-ODE oracle, blow-up
 detection and the slope-selection rules."""
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -90,14 +91,14 @@ def test_cumint_is_scipy_cumulative_simpson(n, spacing):
         else:
             x = np.cumsum(rng.uniform(0.01, 1.0, size))
         y = np.exp(-x) + rng.normal(size=size)
-        assert np.array_equal(radial._CumulativeSimpson(x)(y),
+        assert np.array_equal(core._CumulativeSimpson(x)(y),
                               cumulative_simpson(y, x=x, initial=0.0))
 
 
 def test_simpson_index_cache_is_read_only():
-    radial._CumulativeSimpson(np.linspace(1.0, 2.0, 64))(np.ones(64))
-    other, nodes = radial._simpson_indices(63)
-    assert radial._simpson_indices(63)[1] is nodes
+    core._CumulativeSimpson(np.linspace(1.0, 2.0, 64))(np.ones(64))
+    other, nodes = core._simpson_indices(63)
+    assert core._simpson_indices(63)[1] is nodes
     for cached in (other, nodes):
         assert not cached.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -106,7 +107,7 @@ def test_simpson_index_cache_is_read_only():
 
 def test_cumint_two_nodes_is_trapezoid():
     x, y = np.array([1.0, 1.7]), np.array([0.3, -2.0])
-    assert np.array_equal(radial._CumulativeSimpson(x)(y),
+    assert np.array_equal(core._CumulativeSimpson(x)(y),
                           cumulative_trapezoid(y, x, initial=0.0))
 
 
@@ -360,9 +361,10 @@ def test_evans_for_triple_rejects_bad_inputs():
     with pytest.raises(core.DomainError):
         radial.evans_for_triple(EUC2, LAP2, ZERO, R=2.0, R1=1.0, eps=0.1,
                                 R_max=10.0)
-    with pytest.raises(core.DomainError):
-        radial.evans_for_triple(EUC2, LAP2, ZERO, R=1.0, R1=2.0, eps=-1.0,
-                                R_max=10.0)
+    for eps in (-1.0, math.inf, math.nan):
+        with pytest.raises(core.DomainError, match="eps must be positive"):
+            radial.evans_for_triple(EUC2, LAP2, ZERO, R=1.0, R1=2.0,
+                                    eps=eps, R_max=10.0)
     with pytest.raises(core.DomainError):
         # no t**(p-1) bound available
         radial.evans_for_triple(EUC2, LAP2, core.superlinear_potential(5.0),
@@ -540,6 +542,18 @@ def test_constant_flux_profile_matches_closed_forms():
         assert err < 1e-7
         assert err == pytest.approx(
             np.max(np.abs(picard.z - exact(sol.grid))), rel=1e-3)
+
+
+@pytest.mark.parametrize("R_max", [math.inf, math.nan])
+def test_a_march_to_a_non_finite_radius_is_refused(R_max):
+    # an infinite R_max used to march forever with B = 0, and to stop at
+    # the blow-up threshold, reported as a blow-up, with B != 0
+    params = radial.CauchyParams(R=1.0, theta=1.0, mu=1.0, c=1.0)
+    with pytest.raises(core.DomainError, match="R_max must be finite"):
+        radial._base_window(params, R_max, 64)
+    with pytest.raises(core.DomainError, match="R_max must be finite"):
+        radial.solve_cauchy(EUC2, LAP2, core.linear_power_potential(2.0, 1.0),
+                            params, R_max)
 
 
 def test_constant_flux_profile_validation():
