@@ -79,8 +79,8 @@ class DivergenceVerdict:
     * ``partial_above_threshold`` -- Diverges: the partial integral over
       all of ``[R0, r_max]`` passed ``DIVERGENCE_THRESHOLD`` (the slope is
       not fitted: NaN);
-    * ``tail_underflow`` -- Converges: the integrand underflows on the
-      last decade (slope ``-inf``);
+    * ``tail_underflow`` -- Converges: the integrand has underflowed by
+      ``r_max``, its last sample (slope ``-inf``);
     * ``few_positive_samples`` -- Inconclusive: too few positive samples
       on the last decade to fit a slope (NaN);
     * ``critical_slope`` -- Diverges: the fitted slope is at or above
@@ -172,7 +172,7 @@ def test_L1_at_infinity(integrand: Callable, R0: float,
     rs, vals = grid[n:], vals[n:]
 
     # slope fit on the last decade
-    if np.all(vals < 1e-280):
+    if vals[-1] < 1e-280:
         return verdict(Verdict.CONVERGES, -math.inf, "tail_underflow")
     mask = vals > 0
     if mask.sum() < SLOPE_SAMPLES // 2:

@@ -239,6 +239,8 @@ def solve_obstacle(prob: DiscreteProblem, spec: ObstacleSpec,
     steps.  ``initial``, an array of node values, replaces the linear
     start.
     """
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol:g}")
     psi = _check_spec(prob, spec)
     if initial is None:
         t = (prob.grid - prob.grid[0]) / (prob.grid[-1] - prob.grid[0])

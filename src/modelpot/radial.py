@@ -102,13 +102,12 @@ class EvansResult:
 
 class _Window:
     """Everything the Picard applications on one window share, built once
-    per window from the ``M``, ``op``, ``pot``, ``params`` and grid that
-    ``volterra_apply`` is called with: the grid, checked to be
-    one-dimensional and strictly increasing; the weights
-    ``w = g**(m-1)`` from ``sphere_volume``, which refuses radii out of
-    range and weights that overflow a double; the head flux
-    ``w(R) phi(c mu)/w``; the ``_CumulativeSimpson`` rule of the grid; and
-    the application's constants ``op``, ``pot``, ``c`` and ``theta``."""
+    per window: the grid, checked to be one-dimensional and strictly
+    increasing; the weights ``w = g**(m-1)`` from ``sphere_volume``, which
+    refuses radii out of range and weights that overflow a double; the
+    head flux ``w(R) phi(c mu)/w``; the ``_CumulativeSimpson`` rule of the
+    grid; and the application's constants ``op``, ``pot``, ``c`` and
+    ``theta``."""
 
     def __init__(self, M: ModelManifold, op: PhiOperator, pot: PotentialB,
                  params: CauchyParams, grid):
@@ -123,54 +122,39 @@ class _Window:
             self.head = (self.w[0] * float(op.phi(params.c * params.mu))
                          / self.w)
 
-    def apply(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``volterra_apply`` on this window, for a float array ``u``; the
-        caller holds ``np.errstate(over="ignore", invalid="ignore")``.
-        Each check is one reduction."""
-        if u.shape != self.grid.shape:
-            raise ValueError("grid and samples must have matching shapes")
-        if u.min() < 0:
-            raise DomainError("samples must be nonnegative")
-        w, c = self.w, self.c
-        # c > 0 and u >= 0: the samples need no clamp at zero
-        flux = self.head + self.cumint(w * self.pot.B(c * u)) / w
-        if not np.isfinite(flux).all():
-            raise PicardNoConvergence("flux overflow; shrink the interval")
-        # the composite rule can undershoot on steep data; the true flux
-        # of a nonnegative source never drops below zero
-        slope = phi_inverse_array(self.op, np.maximum(flux, 0.0))
-        return (self.theta + np.maximum(self.cumint(slope), 0.0) / c,
-                slope / c)
 
-
-def volterra_apply(M: ModelManifold, op: PhiOperator, pot: PotentialB,
-                   params: CauchyParams, grid: np.ndarray | _Window,
+def volterra_apply(window: _Window,
                    u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One application of the integral-reformulation operator: the pair
-    ``(T(u), T(u)')`` on the grid.
+    """One application of the integral-reformulation operator on a
+    ``_Window``: the pair ``(T(u), T(u)')`` on its grid.
 
     ``T(u)(t) = theta + (1/c) * int_R^t phi^-1( w(R) phi(c mu)/w(s)
     + int_R^s (w(tau)/w(s)) B(c u(tau)) dtau ) ds`` with
     ``w = g**(m-1)`` (``sphere_volume``); the slope ``T(u)'`` is the
     integrand, ``phi^-1`` of the flux identity divided by ``c``, so it is
-    never differentiated numerically.  Both cumulative integrals use a
-    composite higher-order rule on the shared grid, which must be strictly
-    increasing (``ValueError`` otherwise).
+    never differentiated numerically.  Both cumulative integrals use the
+    window's composite higher-order rule.
 
-    ``grid`` is an array, or the ``_Window`` that ``solve_on_interval``
-    builds from one for all of a window's applications; the result is the
-    same bit for bit.  On a window the application is one lean pass: the
-    window's own ``op``, ``pot`` and ``params`` apply, ``u`` must be a
-    float array, and the caller holds the ``np.errstate`` (as
-    ``solve_on_interval`` does once per window).  Its checks (the shape,
+    ``u`` is a float array on the window's grid; the caller holds
+    ``np.errstate(over="ignore", invalid="ignore")``, as
+    ``solve_on_interval`` does once per window.  The checks (the shape,
     ``u >= 0`` and a finite flux, else ``PicardNoConvergence``) are one
     reduction each.
     """
-    if isinstance(grid, _Window):
-        return grid.apply(u)
-    win = _Window(M, op, pot, params, grid)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return win.apply(np.asarray(u, dtype=float))
+    if u.shape != window.grid.shape:
+        raise ValueError("grid and samples must have matching shapes")
+    if u.min() < 0:
+        raise DomainError("samples must be nonnegative")
+    w, c = window.w, window.c
+    # c > 0 and u >= 0: the samples need no clamp at zero
+    flux = window.head + window.cumint(w * window.pot.B(c * u)) / w
+    if not np.isfinite(flux).all():
+        raise PicardNoConvergence("flux overflow; shrink the interval")
+    # the composite rule can undershoot on steep data; the true flux
+    # of a nonnegative source never drops below zero
+    slope = phi_inverse_array(window.op, np.maximum(flux, 0.0))
+    return (window.theta + np.maximum(window.cumint(slope), 0.0) / c,
+            slope / c)
 
 
 # A Picard iterate has converged once an application moves it by at most
@@ -195,7 +179,7 @@ def solve_on_interval(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     u, delta = np.full(n_nodes, params.theta), math.inf
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, PICARD_MAX_ITER + 1):
-            v, vp = volterra_apply(M, op, pot, params, window, u)
+            v, vp = volterra_apply(window, u)
             if not np.isfinite(v).all():
                 raise PicardNoConvergence("iteration produced non-finite "
                                           "values; shrink the interval")
@@ -351,6 +335,18 @@ def constant_flux_profile(M: ModelManifold, op: PhiOperator,
                           r_max=float(R_max))
 
 
+def _constant_flux_march(M: ModelManifold, op: PhiOperator,
+                         params: CauchyParams, R_max: float,
+                         nodes_per_window: int):
+    """``constant_flux_profile`` in the pieces of ``_march``: yields the
+    profile's node at ``R``, then the rest of it as one piece, and returns
+    ``(COMPLETE, R_max, None)``."""
+    sol = constant_flux_profile(M, op, params, R_max, nodes_per_window)
+    yield sol.grid[:1], sol.z[:1], sol.zp[:1]
+    yield sol.grid[1:], sol.z[1:], sol.zp[1:]
+    return COMPLETE, R_max, None
+
+
 def choose_mu(op: PhiOperator, c: float) -> float:
     """Largest slope keeping the scaled initial flux below ``c**(p-1)``.
 
@@ -375,11 +371,11 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     ``EVANS_C_MIN``), picking the matched slope each time, until the scaled
     solution stays below ``eps`` on the annulus.  Requires a monotone
     warping and a potential with a ``t**(p-1)`` upper bound, ``p`` the
-    operator's, under which no solution blows up: the ``solve_cauchy``
-    march has no threshold, its windows that cover the annulus decide each
-    scale, only the accepted scale is marched on to ``R_max``, and a stall
-    (window underflow) before ``R_max`` raises ``EvansFailure``.  For
-    ``B = 0`` each scale's solution is ``constant_flux_profile``.
+    operator's, under which no solution blows up.  Each scale runs one
+    march, the exact ``_constant_flux_march`` for ``B = 0`` or else the
+    ``solve_cauchy`` march with no threshold: its pieces that cover the
+    annulus decide the scale, only the accepted scale is marched on to
+    ``R_max``, and a stall (window underflow) raises ``EvansFailure``.
     """
     if not (0 < R < R1 < R_max):
         raise DomainError("need 0 < R < R1 < R_max")
@@ -409,27 +405,22 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     while c >= EVANS_C_MIN:
         mu = choose_mu(op, c)
         params = CauchyParams(R=R, theta=0.0, mu=mu, c=c)
-        if pot.b1 == 0:
-            sol = constant_flux_profile(M, op, params, R_max,
-                                        nodes_per_window=nodes_per_window)
-            K_obs = sol.sup_on(R, R1)
-        else:
-            # the windows that cover [R, R1] decide the scale; only the
-            # accepted one is marched on to R_max
+        if pot.b1 != 0:
             march = _march(M, op, pot, params, R_max, math.inf,
                            nodes_per_window)
-            pieces = []
-            end = _take(march, pieces, R1)
-            if end is not None:
-                raise _stalled(_assemble(pieces, params, *end))
-            grid, z, _ = _concat(pieces)
-            K_obs = _sup_on(grid, z, R, R1)
-        sup = c * K_obs
+        else:
+            march = _constant_flux_march(M, op, params, R_max,
+                                         nodes_per_window)
+        pieces = []
+        end = _take(march, pieces, R1)
+        if end is not None:
+            raise _stalled(_assemble(pieces, params, *end))
+        grid, z, _ = _concat(pieces)
+        sup = c * _sup_on(grid, z, R, R1)
         if sup < eps:
-            if pot.b1 != 0:
-                sol = _assemble(pieces, params, *_take(march, pieces))
-                if sol.status == BLOWUP:
-                    raise _stalled(sol)
+            sol = _assemble(pieces, params, *_take(march, pieces))
+            if sol.status == BLOWUP:
+                raise _stalled(sol)
             if np.any(np.diff(sol.z) <= 0):
                 raise NumericError("accepted solution is not increasing")
             return EvansResult(solution=sol, c_final=c, mu_final=mu,

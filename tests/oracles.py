@@ -40,6 +40,14 @@ OPERATOR_TAGS = tuple(f"{kind}:p={p:g}" for kind in ("p-laplacian",
                                                     "perturbed")
                       for p in (1.5, 2.0, 3.0))
 
+# the paper's theorem as a matrix: the warpings on which classify, evans and
+# khasminskii must answer alike, each with an evans R_max below the weight
+# overflow of r e^{r^alpha}
+KL_WARPINGS = [("euclidean", 2, 40.0), ("euclidean", 3, 40.0),
+               ("hyperbolic", 2, 40.0), ("hyperbolic", 3, 40.0),
+               ("power-exp:alpha=2.2", 2, 18.0),
+               ("power-exp:alpha=3", 2, 8.0)]
+
 
 def classify_c_sweep(M, op, pot=None, cfg=criteria.DEFAULT_DIVERGENCE,
                      R0=1.0):

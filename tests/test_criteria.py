@@ -116,8 +116,12 @@ def test_decade_rule_is_scipy_simpson(R0, r_max):
     (lambda r: 1e6, 1.0, Verdict.DIVERGES,
      "partial_above_threshold"),
     (lambda r: np.exp(-r), 1.0, Verdict.CONVERGES, "tail_underflow"),
-    (lambda r: np.where(r < 2e3, r ** -2.0, 0.0), 1.0, Verdict.INCONCLUSIVE,
-     "few_positive_samples"),
+    # an integrand that reaches zero before r_max has no tail to extrapolate
+    (lambda r: np.where(r < 2e3, r ** -2.0, 0.0), 2.0, Verdict.CONVERGES,
+     "tail_underflow"),
+    # zeros inside the last decade, but not at r_max: no slope to fit
+    (lambda r: np.where((r > 1.5e3) & (r < 9e3), 0.0, r ** -2.0), 1.0,
+     Verdict.INCONCLUSIVE, "few_positive_samples"),
     (lambda r: 1.0 / r, 1.0, Verdict.DIVERGES, "critical_slope"),
     # partial 7.2e5 below the threshold, plus a tail of 4.8e5 above it
     (lambda r: 1.2e5 * r ** -1.1, 1.0, Verdict.DIVERGES,

@@ -1,13 +1,15 @@
 """Tests for the staged small-supersolution pipeline."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from modelpot import cli, core, obstacle
+from modelpot import cli, core, criteria, obstacle
+from modelpot.criteria import PropertyTag
 
-from oracles import khasminskii_candidate_sweep, stage_candidates
+from oracles import KL_WARPINGS, khasminskii_candidate_sweep, stage_candidates
 
 
 EUC2 = core.manifold_from_tag("euclidean", 2)
@@ -168,3 +170,34 @@ def test_whole_grid_stage_is_the_least_candidate(monkeypatch, M, p, lam):
                                             RADII, ref.h_funcs, w, n):
             assert inc <= cand_inc + 1e-12
         w = w_next
+
+
+def test_khasminskii_answers_where_classify_does():
+    # the khasminskii column of the paper's theorem: a potential exists iff
+    # the manifold is parabolic (lambda = 0) or KL holds (lambda = 1).  An
+    # opposite verdict or an untyped error fails; the typed errors of the
+    # absolute stopping gates and of weights past a double are counted,
+    # and their counts are upper bounds to be tightened as they fall
+    outcomes = Counter()
+    for tag, m, _ in KL_WARPINGS:
+        M = core.manifold_from_tag(tag, m)
+        for p in (2.0, 3.0):
+            op = core.p_laplacian_operator(p)
+            parabolic = criteria.classify_parabolic(M, op).property
+            kl = criteria.classify_KL(M, op, core.potential_from_tag(
+                f"linear-power:p={p:g},lambda=1")).property
+            for lam, exists in ((0.0, parabolic is PropertyTag.PARABOLIC),
+                                (1.0, kl is PropertyTag.KL_HOLDS)):
+                for radii in ([3.0, 4.0, 5.0, 6.0], RADII):
+                    try:
+                        rep = obstacle.khasminskii_construct(
+                            M, p, lam, 1.0, 2.0, 0.1, radii)
+                    except (obstacle.SweepLimitError, core.DomainError) as e:
+                        outcomes[type(e).__name__] += 1
+                        continue
+                    built = rep.verdict == "PotentialBuilt"
+                    outcomes["agree" if built == exists else "opposite"] += 1
+    assert sum(outcomes.values()) == 48
+    assert outcomes["opposite"] == 0
+    assert outcomes["SweepLimitError"] <= 15
+    assert outcomes["DomainError"] <= 8

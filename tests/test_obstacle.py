@@ -193,6 +193,17 @@ def test_obstacle_infeasible_raises():
                                         0.0, 1.0))
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+def test_solve_obstacle_names_a_bad_tol(tol):
+    # tol=nan used to accept no step (step <= nan is false), and this
+    # converged solve ran out of Newton steps with "last update 0.000e+00"
+    prob = obstacle.make_problem(EUC2, 2.0, 0.0, np.geomspace(1.0, 2.0, 21))
+    spec = obstacle.ObstacleSpec.dirichlet(prob.n_nodes, 0.0, 1.0)
+    with pytest.raises(ValueError,
+                       match=f"tol must be positive and finite, got {tol:g}"):
+        obstacle.solve_obstacle(prob, spec, tol=tol)
+
+
 def test_sweep_limit_raises(monkeypatch):
     # the Newton solve needs two steps here, so a budget of one must trip
     prob = make_euclidean_problem(n=101)

@@ -14,7 +14,7 @@ from scipy.integrate import (cumulative_simpson, cumulative_trapezoid,
 
 from modelpot import core, criteria, radial
 from modelpot.criteria import Verdict
-from oracles import (OPERATOR_TAGS, WARPINGS, evans_eager_sweep,
+from oracles import (KL_WARPINGS, OPERATOR_TAGS, WARPINGS, evans_eager_sweep,
                      exhaustion_at_unit_scale, ode_residual,
                      phi_inverse_brentq, volterra_apply_reference)
 
@@ -43,12 +43,20 @@ def pure_gradient_profile(M, op, params, r):
 # the integral operator and single-window iteration
 
 
+def window_apply(M, op, pot, params, grid, u):
+    """``volterra_apply`` on a window built from ``grid``, under the
+    ``np.errstate`` that ``solve_on_interval`` holds."""
+    window = radial._Window(M, op, pot, params, grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return radial.volterra_apply(window, u)
+
+
 def test_volterra_apply_zero_potential_one_step():
     # with B = 0 one application from any iterate is already the solution
     params = radial.CauchyParams(R=1.0, theta=0.0, mu=1.0, c=1.0)
     grid = np.linspace(1.0, 2.0, 400)
-    out, slope = radial.volterra_apply(EUC2, LAP2, ZERO, params, grid,
-                                       np.zeros_like(grid))
+    out, slope = window_apply(EUC2, LAP2, ZERO, params, grid,
+                              np.zeros_like(grid))
     assert np.max(np.abs(out - np.log(grid))) < 1e-6
     # the flux R mu / r is conserved, so the slope needs no quadrature
     assert np.allclose(slope, params.R * params.mu / grid, rtol=1e-14,
@@ -59,24 +67,21 @@ def test_volterra_apply_validation():
     params = radial.CauchyParams(R=1.0, theta=0.0, mu=1.0, c=1.0)
     grid = np.linspace(1.0, 2.0, 8)
     with pytest.raises(ValueError):
-        radial.volterra_apply(EUC2, LAP2, ZERO, params, grid, np.zeros(5))
+        window_apply(EUC2, LAP2, ZERO, params, grid, np.zeros(5))
     with pytest.raises(core.DomainError):
-        radial.volterra_apply(EUC2, LAP2, ZERO, params, grid,
-                              -np.ones_like(grid))
-    square = grid.reshape(2, 4)
+        window_apply(EUC2, LAP2, ZERO, params, grid, -np.ones_like(grid))
+    # a window refuses a grid that is not one-dimensional when it is built
     with pytest.raises(ValueError, match="one-dimensional"):
-        radial.volterra_apply(EUC2, LAP2, ZERO, params, square,
-                              np.zeros_like(square))
+        radial._Window(EUC2, LAP2, ZERO, params, grid.reshape(2, 4))
 
 
 @pytest.mark.parametrize("grid", [[1.0, 1.5, 1.5, 2.0], [1.0, 2.0, 1.5, 2.5],
                                   [2.0, 1.0]])
 def test_volterra_apply_rejects_unsorted_grid(grid):
+    # the window's Simpson rule refuses the grid when the window is built
     params = radial.CauchyParams(R=1.0, theta=0.0, mu=1.0, c=1.0)
-    grid = np.array(grid)
     with pytest.raises(ValueError, match="strictly increasing"):
-        radial.volterra_apply(EUC2, LAP2, ZERO, params, grid,
-                              np.zeros_like(grid))
+        radial._Window(EUC2, LAP2, ZERO, params, np.array(grid))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 64, 65, 400])
@@ -132,8 +137,8 @@ _ORACLE_POTENTIALS = {tag: core.potential_from_tag(tag) for tag in (
 def test_volterra_apply_is_the_reference_bit_for_bit(n, data, manifold,
                                                      op_tag, pot_tag, c, R,
                                                      theta, mu):
-    # the lean window pass, on a _Window and on a raw grid, against the
-    # application with its checks and errstate inside every call
+    # the lean window pass against the application with its checks and
+    # errstate inside every call
     spacing = data.draw(st.lists(st.floats(0.01, 1.0), min_size=n - 1,
                                  max_size=n - 1))
     grid = R + np.concatenate([[0.0], np.cumsum(spacing)])
@@ -143,12 +148,8 @@ def test_volterra_apply_is_the_reference_bit_for_bit(n, data, manifold,
     op, pot = _ORACLE_OPERATORS[op_tag], _ORACLE_POTENTIALS[pot_tag]
     params = radial.CauchyParams(R=R, theta=theta, mu=mu, c=c)
     want = volterra_apply_reference(M, op, pot, params, grid, u)
-    window = radial._Window(M, op, pot, params, grid)
-    with np.errstate(over="ignore", invalid="ignore"):
-        on_window = radial.volterra_apply(M, op, pot, params, window, u)
-    on_grid = radial.volterra_apply(M, op, pot, params, grid, list(u))
-    for got in (on_window, on_grid):
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    got = window_apply(M, op, pot, params, grid, u)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_cauchy_params_validation():
@@ -630,12 +631,7 @@ def test_evans_inconclusive_exhaustion_is_not_a_verdict():
 
 
 # the paper's theorem: an exhaustion exists iff the Liouville property
-# holds, so evans answers where classify does; R_max stays below the
-# weight overflow of r e^{r^alpha}
-KL_WARPINGS = [("euclidean", 2, 40.0), ("euclidean", 3, 40.0),
-               ("hyperbolic", 2, 40.0), ("hyperbolic", 3, 40.0),
-               ("power-exp:alpha=2.2", 2, 18.0),
-               ("power-exp:alpha=3", 2, 8.0)]
+# holds, so evans answers where classify does
 
 
 def test_evans_answers_where_classify_does():
