@@ -351,6 +351,32 @@ def _construct_grid(K_radius, Omega_radius, radii, nodes_per_stage):
          for lo, hi in zip(ends[:-1], ends[1:])]))
 
 
+def _unit_solutions(prob: DiscreteProblem, idx) -> list:
+    """Stage 0: for each end node ``k`` of ``idx``, the unit solution
+    ``h_j`` (0 at the first node, 1 at node ``k``) of the leading problem
+    on nodes ``0..k``, extended by 1 past it.  At lambda = 0 the minimizer
+    has a constant edge flux ``w_e s_e^(p-1)``, so ``h_j`` is the
+    cumulative sum of ``h_e w_e^(-1/(p-1))`` over its value at ``k``, with
+    no solve.  For lambda > 0 each is a Newton solve, warm-started from the
+    previous one."""
+    n = prob.n_nodes
+    if prob.lam == 0:
+        with np.errstate(over="ignore"):
+            S = np.append(0.0, np.cumsum(
+                prob.h * prob.edge_weights ** (-1.0 / (prob.p - 1.0))))
+        if not 0.0 < S[idx[0]] <= S[idx[-1]] < math.inf:
+            raise NumericError(
+                f"the unit solutions need a positive finite sum of "
+                f"h_e w_e^(-1/(p-1)), got {S[idx[-1]]:.3e}")
+        return [np.append(S[:k + 1] / S[k], np.ones(n - k - 1)) for k in idx]
+    h_funcs = []
+    for k in idx:
+        guess = h_funcs[-1][:k + 1] if h_funcs else None
+        hj = solve_dirichlet(prob.leading(k), 0.0, 1.0, initial=guess).values
+        h_funcs.append(np.append(hj, np.ones(n - k - 1)))
+    return h_funcs
+
+
 def khasminskii_construct(M: ModelManifold, p: float, lam: float,
                           K_radius: float, Omega_radius: float, eps: float,
                           exhaustion_radii: Sequence[float],
@@ -358,9 +384,10 @@ def khasminskii_construct(M: ModelManifold, p: float, lam: float,
                           nodes_per_stage: int = 48) -> KhasminskiiReport:
     """Build a small exhaustion supersolution or detect that none exists.
 
-    Stage 0 solves the unit boundary-value problems ``h_j`` on the annuli
-    ``[K, rho_j]`` (extended by 1) and extrapolates the sup of their
-    decreasing limit near the core; a nonzero limit means the
+    Stage 0 takes the unit boundary-value problems ``h_j`` on the annuli
+    ``[K, rho_j]`` (extended by 1) from ``_unit_solutions`` (at lambda = 0
+    one cumulative sum, for lambda > 0 Newton solves) and extrapolates the
+    sup of their decreasing limit near the core; a nonzero limit means the
     bounded-Liouville property fails at this desk scale.  Otherwise stage
     ``n`` raises the potential by one level with a single obstacle solve on
     the whole grid ``[K, rho_N]``: obstacle ``w + h_{N-1}``, boundary
@@ -395,22 +422,12 @@ def khasminskii_construct(M: ModelManifold, p: float, lam: float,
     idx = np.searchsorted(grid, radii)
     idx_omega = int(np.searchsorted(grid, Omega_radius))
 
-    # stage 0: unit boundary-value problems on [K, rho_j], extended by 1
-    h_funcs = []
-    sups = []
+    h_funcs = _unit_solutions(prob, idx)
+    if any(np.any(b > a + 1e-9) for a, b in zip(h_funcs, h_funcs[1:])):
+        raise NumericError("unit solutions failed to decrease with the "
+                           "domain; comparison violated")
     idx_rho1 = idx[0]
-    prev = None
-    for k in idx:
-        sub = prob.leading(k)
-        guess = None if prev is None else prev[:k + 1]
-        hj = solve_dirichlet(sub, 0.0, 1.0, initial=guess).values
-        full = np.concatenate([hj, np.ones(len(grid) - k - 1)])
-        if prev is not None and np.any(full > prev + 1e-9):
-            raise NumericError("unit solutions failed to decrease with the "
-                               "domain; comparison violated")
-        h_funcs.append(full)
-        sups.append(float(np.max(full[:idx_rho1 + 1])))
-        prev = full
+    sups = [float(np.max(h[:idx_rho1 + 1])) for h in h_funcs]
 
     # extrapolate the sup of the decreasing limit: for vanishing limits the
     # sups decay linearly in 1/log(rho_j / K), so the fitted intercept

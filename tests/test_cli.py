@@ -334,6 +334,16 @@ def test_khasminskii_m3_exit_four(capsys):
     assert "# verdict=HLimitNonzero" in out
 
 
+def test_khasminskii_hyperbolic_default_radii_exit_four(capsys):
+    # the hyperbolic plane is not parabolic; its weights reach sinh(32) on
+    # the default radii, where stage 0 used to end in SweepLimitError
+    code, out = run_cli(["khasminskii", "--set", "manifold=hyperbolic",
+                         "--set", "m=2", "--set", "K_radius=1",
+                         "--set", "Omega_radius=2"], capsys)
+    assert code == 4
+    assert "# verdict=HLimitNonzero" in out.splitlines()
+
+
 def test_khasminskii_bad_radii_order(capsys):
     code, _ = run_cli(["khasminskii", "--set", "manifold=euclidean",
                        "--set", "m=2", "--set", "K_radius=3",
