@@ -551,9 +551,11 @@ def phi_inverse(op: PhiOperator, y):
     9.4) on the bracket the pinching bounds give.  It starts from the
     geometric mean of the two pinching estimates ``(y/a)**(1/(p-1))``;
     every step shrinks the bracket by the sign of ``phi(t) - y`` and takes
-    the Newton step only if it lands strictly inside, else bisects; it
-    stops once every step is a few ulp, or after 90 steps.  A negative or
-    non-finite ``y`` raises ``DomainError`` naming it, on either branch.
+    the Newton step only if it lands strictly inside, else bisects.  Each
+    element stops at its own first step within 4 ulps, or after 90 steps,
+    so the result is elementwise: a value's ``phi^-1`` is the same alone
+    or in any array, bit for bit.  A negative or non-finite ``y`` raises
+    ``DomainError`` naming it, on either branch.
     For ``y > 0`` the upper end of the bracket is floored at the least
     normal double ``tiny``: where ``(y/a1)**(1/(p-1))`` underflows,
     ``phi(tiny) >= a1 tiny**(p-1) > y``, so the root stays inside.
@@ -580,6 +582,7 @@ def phi_inverse(op: PhiOperator, y):
         raise NumericError("phi_inverse: the pinching bracket misses the "
                            f"root for y={ys[miss][0]:.6g}")
     t = (ys / math.sqrt(op.a1 * op.a2)) ** e
+    moving = np.ones(ys.shape, dtype=bool)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for _ in range(90):
             f = op.phi(t) - ys
@@ -589,9 +592,11 @@ def phi_inverse(op: PhiOperator, y):
             close = np.abs(newton - t) <= ulps
             step = np.where(close | ((newton > lo) & (newton < hi)), newton,
                             0.5 * (lo + hi))
-            done = (np.abs(step - t) <= ulps).all()
-            t = step
-            if done:
+            # an element stops at its own first step within 4 ulps, so
+            # its value does not depend on the array it sits in
+            t, moving = (np.where(moving, step, t),
+                         moving & ~(np.abs(step - t) <= ulps))
+            if not moving.any():
                 break
     resid = np.abs(op.phi(t) - ys)
     over = resid > 1e-12 * (1.0 + ys)

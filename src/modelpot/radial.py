@@ -37,6 +37,10 @@ class PicardNoConvergence(NumericError):
     """Fixed-point iteration failed on the requested interval."""
 
 
+class FluxOverflow(PicardNoConvergence):
+    """A Picard application's flux overflowed a double."""
+
+
 class EvansFailure(NumericError):
     """The small-annulus construction accepted no scale, or its march
     stalled before ``R_max``."""
@@ -138,7 +142,7 @@ def volterra_apply(window: _Window,
     ``u`` is a float array on the window's grid; the caller holds
     ``np.errstate(over="ignore", invalid="ignore")``, as
     ``solve_on_interval`` does once per window.  The checks (the shape,
-    ``u >= 0`` and a finite flux, else ``PicardNoConvergence``) are one
+    ``u >= 0`` and a finite flux, else ``FluxOverflow``) are one
     reduction each.
     """
     if u.shape != window.grid.shape:
@@ -149,7 +153,7 @@ def volterra_apply(window: _Window,
     # c > 0 and u >= 0: the samples need no clamp at zero
     flux = window.head + window.cumint(w * window.pot.B(c * u)) / w
     if not np.isfinite(flux).all():
-        raise PicardNoConvergence("flux overflow; shrink the interval")
+        raise FluxOverflow("flux overflow; shrink the interval")
     # the composite rule can undershoot on steep data; the true flux
     # of a nonnegative source never drops below zero
     slope = phi_inverse_array(window.op, np.maximum(flux, 0.0))
@@ -213,7 +217,9 @@ def _march(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     """``solve_cauchy``'s window continuation, lazily: yields the solution
     in pieces ``(grid, z, zp)``, first the node ``(R, theta, mu)`` and then
     each accepted window without its first node, and returns
-    ``(status, r_reached, blowup_radius)``."""
+    ``(status, r_reached, blowup_radius, failure)``: ``failure`` is the
+    ``PicardNoConvergence`` of the last window if its halving underflowed,
+    else ``None``."""
     base_window = _base_window(params, R_max, nodes_per_window)
     window = base_window
     min_window = 1e-8 * params.R
@@ -227,12 +233,12 @@ def _march(M: ModelManifold, op: PhiOperator, pot: PotentialB,
         try:
             grid, z, zp = solve_on_interval(M, op, pot, cur, r_end,
                                             n_nodes=nodes_per_window)
-        except PicardNoConvergence:
+        except PicardNoConvergence as failure:
             window *= 0.5
             halved = True
             if window < min_window:
                 if cur.theta > 1e3 * max(1.0, params.theta + 1.0):
-                    return BLOWUP, cur.R, cur.R + 0.5 * window
+                    return BLOWUP, cur.R, cur.R + 0.5 * window, failure
                 raise NumericError(
                     "window underflow without blow-up signature")
             continue
@@ -241,19 +247,20 @@ def _march(M: ModelManifold, op: PhiOperator, pot: PotentialB,
             k = int(over[0])
             cut = max(k, 1)
             yield grid[1:cut + 1], z[1:cut + 1], zp[1:cut + 1]
-            return BLOWUP, grid[cut], 0.5 * (grid[max(k - 1, 0)] + grid[k])
+            return (BLOWUP, grid[cut],
+                    0.5 * (grid[max(k - 1, 0)] + grid[k]), None)
         yield grid[1:], z[1:], zp[1:]
         cur = CauchyParams(r_end, float(z[-1]), float(zp[-1]), params.c)
         window = window if halved else min(window * 2.0, base_window)
         halved = False
-    return COMPLETE, R_max, None
+    return COMPLETE, R_max, None, None
 
 
 def _take(march, pieces: list, until: float = math.inf):
     """Move the pieces of ``march`` onto ``pieces`` until one ends at or
     past ``until``.  Returns the march's ``(status, r_reached,
-    blowup_radius)`` if it ended, or ``None`` if it stopped at such a
-    piece and can go on."""
+    blowup_radius, failure)`` if it ended, or ``None`` if it stopped at
+    such a piece and can go on."""
     while True:
         try:
             piece = next(march)
@@ -279,15 +286,16 @@ def solve_cauchy(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     pieces = []
     end = _take(_march(M, op, pot, params, R_max, blowup_threshold,
                        nodes_per_window), pieces)
-    return _assemble(pieces, params, *end)
+    return _assemble(pieces, params, end)
 
 
 def _concat(pieces) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(np.concatenate(a) for a in zip(*pieces))
 
 
-def _assemble(pieces, params, status, r_reached, rho):
+def _assemble(pieces, params, end) -> RadialSolution:
     grid, z, zp = _concat(pieces)
+    status, r_reached, rho, _ = end
     return RadialSolution(
         grid=grid, z=z, zp=zp, params=params, status=status,
         r_max=float(r_reached), blowup_radius=rho)
@@ -310,41 +318,69 @@ def _constant_flux_slope(M: ModelManifold, op: PhiOperator,
     return phi_inverse_array(op, y) / params.c
 
 
+def _constant_flux_grid(params: CauchyParams, R_max: float,
+                        nodes_per_window: int,
+                        until: float = math.inf) -> np.ndarray:
+    """The nodes that ``solve_cauchy`` uses when no window halves: windows
+    of the ``_base_window`` width from ``R``, the last cut at ``R_max``,
+    ``nodes_per_window`` uniform nodes each.  Only the windows up to the
+    first end at or past ``until`` are built, and the one after it."""
+    base = _base_window(params, R_max, nodes_per_window)
+    ends = [params.R]
+    while ends[-1] < min(until, R_max):
+        ends.append(min(ends[-1] + base, R_max))
+    if ends[-1] < R_max:
+        ends.append(min(ends[-1] + base, R_max))
+    windows = np.linspace(ends[:-1], ends[1:], nodes_per_window, axis=1)
+    return np.concatenate([[params.R], windows[:, 1:].ravel()])
+
+
+def _constant_flux_values(M: ModelManifold, op: PhiOperator,
+                          params: CauchyParams, grid: np.ndarray):
+    """``(z, zp)`` of the ``B = 0`` solution on ``grid``.  The flux
+    ``w phi(c z')`` is constant, so the slope is ``_constant_flux_slope``
+    exactly and ``z = theta + int_R^r z'`` is its cumulative Simpson
+    integral.  The slope is elementwise and the rule's sub-interval ``j``
+    reads nodes ``j - 1`` to ``j + 2`` only, so on a prefix of a grid both
+    are the whole grid's, bit for bit, at every node but the last."""
+    zp = _constant_flux_slope(M, op, params, grid)
+    return params.theta + _CumulativeSimpson(grid)(zp), zp
+
+
 def constant_flux_profile(M: ModelManifold, op: PhiOperator,
                           params: CauchyParams, R_max: float,
                           nodes_per_window: int = 64) -> RadialSolution:
-    """The radial solution for ``B = 0`` in one pass, on the nodes that
-    ``solve_cauchy`` uses when no window halves, bit for bit: windows of
-    the ``_base_window`` width from ``R``, the last cut at ``R_max``,
-    ``nodes_per_window`` uniform nodes each.
-
-    The flux ``w phi(c z')`` is constant, so the slope is
-    ``_constant_flux_slope`` exactly and ``z = theta + int_R^r z'`` is its
-    cumulative Simpson integral over the whole grid.
-    """
-    base = _base_window(params, R_max, nodes_per_window)
-    ends = [params.R]
-    while ends[-1] < R_max:
-        ends.append(min(ends[-1] + base, R_max))
-    windows = np.linspace(ends[:-1], ends[1:], nodes_per_window, axis=1)
-    grid = np.concatenate([[params.R], windows[:, 1:].ravel()])
-    zp = _constant_flux_slope(M, op, params, grid)
-    return RadialSolution(grid=grid,
-                          z=params.theta + _CumulativeSimpson(grid)(zp),
-                          zp=zp, params=params, status=COMPLETE,
-                          r_max=float(R_max))
+    """The radial solution for ``B = 0`` in one pass, with no Picard
+    iteration, on the nodes that ``solve_cauchy`` uses when no window
+    halves (``_constant_flux_grid``), bit for bit."""
+    grid = _constant_flux_grid(params, R_max, nodes_per_window)
+    z, zp = _constant_flux_values(M, op, params, grid)
+    return RadialSolution(grid=grid, z=z, zp=zp, params=params,
+                          status=COMPLETE, r_max=float(R_max))
 
 
 def _constant_flux_march(M: ModelManifold, op: PhiOperator,
-                         params: CauchyParams, R_max: float,
+                         params: CauchyParams, R_max: float, R1: float,
                          nodes_per_window: int):
-    """``constant_flux_profile`` in the pieces of ``_march``: yields the
-    profile's node at ``R``, then the rest of it as one piece, and returns
-    ``(COMPLETE, R_max, None)``."""
-    sol = constant_flux_profile(M, op, params, R_max, nodes_per_window)
-    yield sol.grid[:1], sol.z[:1], sol.zp[:1]
-    yield sol.grid[1:], sol.z[1:], sol.zp[1:]
-    return COMPLETE, R_max, None
+    """``constant_flux_profile`` in the pieces of ``_march``, the annulus
+    ``[R, R1]`` first: yields the node at ``R``, then the windows up to
+    the first window end at or past ``R1``, and returns
+    ``(COMPLETE, R_max, None, None)``.  Those two pieces are evaluated on
+    their own nodes plus the next one, which gives every kept Simpson
+    sub-interval the whole grid's triple, so a scale that the annulus
+    rejects costs only its annulus.  A march taken further builds the
+    rest with ``constant_flux_profile``."""
+    grid = _constant_flux_grid(params, R_max, nodes_per_window, R1)
+    # window ends are every (nodes_per_window - 1)-th node
+    step = nodes_per_window - 1
+    cut = math.ceil(np.searchsorted(grid, R1) / step) * step + 1
+    z, zp = _constant_flux_values(M, op, params, grid[:cut + 1])
+    yield grid[:1], z[:1], zp[:1]
+    yield grid[1:cut], z[1:cut], zp[1:cut]
+    if cut < len(grid):
+        sol = constant_flux_profile(M, op, params, R_max, nodes_per_window)
+        yield sol.grid[cut:], sol.z[cut:], sol.zp[cut:]
+    return COMPLETE, R_max, None, None
 
 
 def choose_mu(op: PhiOperator, c: float) -> float:
@@ -374,8 +410,11 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     operator's, under which no solution blows up.  Each scale runs one
     march, the exact ``_constant_flux_march`` for ``B = 0`` or else the
     ``solve_cauchy`` march with no threshold: its pieces that cover the
-    annulus decide the scale, only the accepted scale is marched on to
-    ``R_max``, and a stall (window underflow) raises ``EvansFailure``.
+    annulus decide the scale (for ``B = 0``, only the nodes of the windows
+    that cover it, plus one, are evaluated), and only the accepted scale
+    is marched on to ``R_max``.  A march that stalls (window underflow)
+    raises ``DomainError`` naming the flux if its last window failed on a
+    flux that overflowed a double, else ``EvansFailure``.
     """
     if not (0 < R < R1 < R_max):
         raise DomainError("need 0 < R < R1 < R_max")
@@ -409,18 +448,19 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
             march = _march(M, op, pot, params, R_max, math.inf,
                            nodes_per_window)
         else:
-            march = _constant_flux_march(M, op, params, R_max,
+            march = _constant_flux_march(M, op, params, R_max, R1,
                                          nodes_per_window)
         pieces = []
         end = _take(march, pieces, R1)
         if end is not None:
-            raise _stalled(_assemble(pieces, params, *end))
+            raise _stalled(params, pieces, end)
         grid, z, _ = _concat(pieces)
         sup = c * _sup_on(grid, z, R, R1)
         if sup < eps:
-            sol = _assemble(pieces, params, *_take(march, pieces))
-            if sol.status == BLOWUP:
-                raise _stalled(sol)
+            end = _take(march, pieces)
+            if end[0] == BLOWUP:
+                raise _stalled(params, pieces, end)
+            sol = _assemble(pieces, params, end)
             if np.any(np.diff(sol.z) <= 0):
                 raise NumericError("accepted solution is not increasing")
             return EvansResult(solution=sol, c_final=c, mu_final=mu,
@@ -431,9 +471,16 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
         f"{sup:.6g}", observed_sup=sup)
 
 
-def _stalled(sol: RadialSolution) -> EvansFailure:
-    """``EvansFailure`` for a march of ``evans_for_triple`` that ended
-    before ``R_max``.  It has no threshold, so its windows underflowed."""
-    return EvansFailure(
-        f"the march at c={sol.params.c:.6g} stalled (window underflow) at "
-        f"radius {sol.r_max:.6g}, where z = {sol.z[-1]:.6g}")
+def _stalled(params: CauchyParams, pieces: list, end) -> Exception:
+    """The error for a march of ``evans_for_triple`` that ended before
+    ``R_max``.  It has no threshold, so its windows underflowed: on a flux
+    past the largest double (``DomainError``), or else (``EvansFailure``).
+    """
+    _, r_reached, _, failure = end
+    where = f"radius {r_reached:.6g}, where z = {pieces[-1][1][-1]:.6g}"
+    if isinstance(failure, FluxOverflow):
+        return DomainError(
+            f"the flux w phi(c z') of the march at c={params.c:.6g} "
+            f"overflows a double past {where}; take a smaller R_max")
+    return EvansFailure(f"the march at c={params.c:.6g} stalled (window "
+                        f"underflow) at {where}")

@@ -101,17 +101,22 @@ def exhaustion_at_unit_scale(M, op, R):
 
 def evans_eager_sweep(M, op, pot, R, R1, eps, R_max, blowup_threshold=1e8,
                       nodes_per_window=64, c_min=1e-12):
-    """The ``B != 0`` scale sweep of ``radial.evans_for_triple`` with every
-    scale marched to ``R_max`` by a full ``solve_cauchy`` before its sup on
-    the annulus is taken.  Any blow-up status fails the sweep.  It asks no
+    """The scale sweep of ``radial.evans_for_triple`` with every scale
+    built to ``R_max`` before its sup on the annulus is taken: by
+    ``constant_flux_profile`` for ``B = 0``, else by a full
+    ``solve_cauchy``.  Any blow-up status fails the sweep.  It asks no
     Liouville test, so its ``exhaustion`` is ``None``."""
     c = 1.0
     while c >= c_min:
         mu = radial.choose_mu(op, c)
         params = radial.CauchyParams(R=R, theta=0.0, mu=mu, c=c)
-        sol = radial.solve_cauchy(M, op, pot, params, R_max,
-                                  blowup_threshold=blowup_threshold,
-                                  nodes_per_window=nodes_per_window)
+        if pot.b1 == 0:
+            sol = radial.constant_flux_profile(M, op, params, R_max,
+                                               nodes_per_window)
+        else:
+            sol = radial.solve_cauchy(M, op, pot, params, R_max,
+                                      blowup_threshold=blowup_threshold,
+                                      nodes_per_window=nodes_per_window)
         if sol.status == radial.BLOWUP:
             raise radial.EvansFailure(
                 f"blow-up at c={c:g}, radius {sol.blowup_radius:g}")

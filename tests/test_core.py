@@ -372,6 +372,18 @@ def test_phi_inverse_newton_matches_brentq(p):
         assert np.allclose(t, ref, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.5])
+def test_phi_inverse_is_the_same_in_any_batch(p):
+    # each element stops at its own first step within 4 ulps, so its value
+    # does not depend on the array it is solved in
+    op = core.perturbed_operator(p)
+    ys = 10.0 ** np.random.default_rng(1).uniform(-12.0, 8.0, 500)
+    batch = core.phi_inverse(op, ys)
+    alone = np.array([core.phi_inverse(op, y) for y in ys])
+    assert np.array_equal(batch, alone)
+    assert np.array_equal(core.phi_inverse(op, ys[::-1]), alone[::-1])
+
+
 @pytest.mark.parametrize("p", [1.26, 1.3, 1.5, 1.9, 2.0, 2.5, 5.0])
 def test_phi_inverse_with_an_underflowing_bracket(p):
     # for p < 2 the bracket end 4 (y/a1)**(1/(p-1)) underflows to 0 at small

@@ -297,7 +297,9 @@ def test_blowup_march_work_counts(monkeypatch, threshold):
     def counted_solve(*args, **kwargs):
         try:
             out = solve(*args, **kwargs)
-        except radial.PicardNoConvergence:
+        except radial.PicardNoConvergence as err:
+            # a blow-up: no fixed point, never a flux past a double
+            assert not isinstance(err, radial.FluxOverflow)
             counts["failed"] += 1
             raise
         counts["accepted"] += 1
@@ -387,14 +389,47 @@ def test_evans_blowup_names_scale_threshold_and_radius():
 
 def test_evans_stall_names_scale_radius_and_value():
     # z grows like e^r on the plane; near r = 709 the windows underflow
-    # before a double overflows, and that stall is not a blow-up
-    with pytest.raises(radial.EvansFailure) as info:
+    # on a flux past the largest double, which is named, not a blow-up
+    with pytest.raises(core.DomainError) as info:
         radial.evans_for_triple(EUC2, LAP2,
                                 core.linear_power_potential(2.0, 1.0),
                                 R=1.0, R1=2.0, eps=0.1, R_max=750.0)
-    assert str(info.value) == ("the march at c=0.0625 stalled (window "
-                               "underflow) at radius 709.185, where "
-                               "z = 6.23968e+305")
+    assert str(info.value) == ("the flux w phi(c z') of the march at "
+                               "c=0.0625 overflows a double past radius "
+                               "709.185, where z = 6.23968e+305; take a "
+                               "smaller R_max")
+
+
+@pytest.mark.parametrize("p,lam,R_max,message,overflows", [
+    (3.0, 1.0, 700.0, "c=0.0625 overflows a double past radius 448.809, "
+     "where z = 3.97183e+153", 27),
+    (2.0, 10.0, 300.0, "c=0.03125 overflows a double past radius 224.967, "
+     "where z = 3.934e+305", 26),
+], ids=["p=3 lambda=1", "p=2 lambda=10"])
+def test_evans_names_a_flux_overflow(monkeypatch, p, lam, R_max, message,
+                                     overflows):
+    # the march of the accepted scale outgrows a double before R_max; its
+    # last windows fail on the flux and halve until they underflow
+    failures = Counter()
+    solve = radial.solve_on_interval
+
+    def recording(*args, **kwargs):
+        try:
+            return solve(*args, **kwargs)
+        except radial.PicardNoConvergence as err:
+            failures[type(err)] += 1
+            raise
+
+    monkeypatch.setattr(radial, "solve_on_interval", recording)
+    with pytest.raises(core.DomainError) as info:
+        radial.evans_for_triple(EUC2, core.p_laplacian_operator(p),
+                                core.linear_power_potential(p, lam), R=1.0,
+                                R1=2.0, eps=0.1, R_max=R_max)
+    assert not isinstance(info.value, radial.EvansFailure)
+    assert str(info.value) == (f"the flux w phi(c z') of the march at "
+                               f"{message}; take a smaller R_max")
+    assert issubclass(radial.FluxOverflow, radial.PicardNoConvergence)
+    assert failures[radial.FluxOverflow] == overflows
 
 
 # B != 0: each scale decided on the annulus against the eager sweep
@@ -514,6 +549,8 @@ MANIFOLDS = {"euclidean m=2": lambda tmp: EUC2,
              "hyperbolic m=2": lambda tmp: core.manifold_from_tag(
                  "hyperbolic", 2),
              "table g~r^(1/2)": sqrt_table}
+# the warpings of the B = 0 scale sweep against the eager sweep
+EXACT_SWEEP = ("euclidean m=2", "euclidean m=3", "table g~r^(1/2)")
 
 
 @pytest.mark.parametrize("op", OPERATORS.values(), ids=OPERATORS.keys())
@@ -528,6 +565,50 @@ def test_constant_flux_profile_is_the_picard_solution(make, op, tmp_path):
     assert np.array_equal(exact.grid, picard.grid)
     np.testing.assert_allclose(exact.zp, picard.zp, rtol=1e-13, atol=0.0)
     np.testing.assert_allclose(exact.z, picard.z, rtol=2e-8, atol=0.0)
+
+
+@pytest.mark.parametrize("R1", [2.0, 5.0])
+@pytest.mark.parametrize("op", OPERATORS.values(), ids=OPERATORS.keys())
+@pytest.mark.parametrize("make", [MANIFOLDS[k] for k in EXACT_SWEEP],
+                         ids=EXACT_SWEEP)
+def test_evans_zero_potential_sweep_is_the_eager_sweep(monkeypatch, make, op,
+                                                       R1, tmp_path):
+    # the B = 0 twin of test_evans_scale_sweep_is_the_eager_sweep: a
+    # rejected scale evaluates the slope on the nodes of the windows that
+    # cover [R, R1] plus one; with R_max = 60 each window is 1 wide
+    M, R, R_max, n = make(tmp_path), 1.0, 60.0, 64
+    annulus_nodes = math.ceil(R1 - R) * (n - 1) + 1
+    evaluated = []          # (c, nodes) of every slope evaluation
+    slope = radial._constant_flux_slope
+
+    def recording(M_, op_, params, r):
+        evaluated.append((params.c, len(r)))
+        return slope(M_, op_, params, r)
+
+    monkeypatch.setattr(radial, "_constant_flux_slope", recording)
+    try:
+        res = radial.evans_for_triple(M, op, ZERO, R=R, R1=R1, eps=0.1,
+                                      R_max=R_max, nodes_per_window=n)
+    except radial.NoExhaustion:
+        # R^3 at p = 2: the Liouville test refuses before any build
+        assert M is EUC3 and op.p == 2.0
+        assert evaluated == []
+        return
+    monkeypatch.undo()
+    eager = evans_eager_sweep(M, op, ZERO, R=R, R1=R1, eps=0.1, R_max=R_max,
+                              nodes_per_window=n)
+    assert res.solution.status == eager.solution.status == radial.COMPLETE
+    for name in ("grid", "z", "zp"):
+        assert np.array_equal(getattr(res.solution, name),
+                              getattr(eager.solution, name)), name
+    assert (res.c_final, res.mu_final, res.sup_on_annulus) == \
+        (eager.c_final, eager.mu_final, eager.sup_on_annulus)
+    rejected = [nodes for c, nodes in evaluated if c > res.c_final]
+    assert rejected and all(nodes <= annulus_nodes + 1 for nodes in rejected)
+    assert len(rejected) == round(math.log2(1.0 / res.c_final))
+    # the accepted scale: its annulus, then the whole profile
+    assert [nodes for c, nodes in evaluated if c == res.c_final] == \
+        [annulus_nodes + 1, len(eager.solution.grid)]
 
 
 def test_constant_flux_profile_matches_closed_forms():
