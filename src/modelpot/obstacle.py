@@ -10,10 +10,12 @@ convex finite-difference functional
 
 Strict convexity (p > 1, lambda >= 0) makes the constrained minimizer
 unique and turns minimality, comparison and pasting into checkable
-node-wise statements.  The solver is projected Newton with a primal-dual
-active set: the Hessian of ``J`` is tridiagonal, so each step is one banded
-solve, and a backtracking search on ``J`` makes it globally convergent for
-every ``p``.
+node-wise statements.  At lambda = 0 the minimizer is exact: the least
+concave majorant of the obstacle in the p-harmonic coordinate ``S``, one
+hull pass with no iteration and no scipy.  For lambda > 0 the solver is
+projected Newton with a primal-dual active set: the Hessian of ``J`` is
+tridiagonal, so each step is one banded solve, and a backtracking search
+on ``J`` makes it globally convergent for every ``p``.
 """
 
 from __future__ import annotations
@@ -226,7 +228,71 @@ def solve_obstacle(prob: DiscreteProblem, spec: ObstacleSpec,
                    tol: float = 1e-10, initial=None) -> DiscreteFunction:
     """Minimize the energy over ``{u >= psi, boundary = theta}``.
 
-    Projected Newton on the tridiagonal Hessian (Bertsekas, SIAM J.
+    At lambda = 0 the minimizer is exact and takes no Newton step: in the
+    p-harmonic coordinate ``S_i = sum_{e<i} h_e w_e^(-1/(p-1))`` the
+    energy is ``sum dS |du/dS|^p / p``, whose KKT conditions make the
+    minimizer concave in ``S``, affine off the contact set and equal to
+    ``psi`` where its slope drops.  So it is the least concave majorant of
+    the boundary points and the points ``(S_i, psi_i)``
+    (``_concave_majorant``), and ``tol`` and ``initial`` act only for
+    lambda > 0, where the minimizer is ``_projected_newton``'s.
+    """
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol:g}")
+    psi = _check_spec(prob, spec)
+    if prob.lam == 0:
+        return _concave_majorant(prob, spec, psi)
+    return _projected_newton(prob, spec, tol, initial)
+
+
+def _concave_majorant(prob: DiscreteProblem, spec: ObstacleSpec,
+                      psi: np.ndarray) -> DiscreteFunction:
+    """The lambda = 0 minimizer: the upper hull of the finite points
+    ``(S_i, theta_left | psi_i | theta_right)`` in one monotone-chain pass,
+    then its chords at the nodes.  It passes the Newton solve's KKT gate
+    or is refused."""
+    # S from w_e / min w: no term exceeds h_e, so S cannot overflow, and a
+    # term below the rounding of S is refused by name
+    w = prob.edge_weights
+    S = np.append(0.0, np.cumsum(
+        prob.h * (w / np.min(w)) ** (-1.0 / (prob.p - 1.0))))
+    steps = np.diff(S)
+    if not np.all(steps > 0.0):
+        i = int(np.argmin(steps))
+        raise NumericError(
+            f"the p-harmonic coordinate S must increase strictly, but its "
+            f"step at edge {i} is {steps[i]:.3e} (S = {S[i]:.3e})")
+    y = np.concatenate(([spec.theta_left], psi, [spec.theta_right]))
+    xs, ys = S.tolist(), y.tolist()
+    hull = []
+    for i in np.flatnonzero(np.isfinite(y)).tolist():
+        x, v = xs[i], ys[i]
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            # drop b unless it lies strictly above the chord from a to i
+            if ((xs[b] - xs[a]) * (v - ys[a])
+                    - (ys[b] - ys[a]) * (x - xs[a])) < 0.0:
+                break
+            hull.pop()
+        hull.append(i)
+    u = np.empty_like(y)
+    for a, b in zip(hull[:-1], hull[1:]):
+        slope = (ys[b] - ys[a]) / (xs[b] - xs[a])
+        u[a:b] = ys[a] + slope * (S[a:b] - xs[a])
+    u[-1] = spec.theta_right
+    u[1:-1] = np.maximum(u[1:-1], psi)
+    stat, viol, _ = residual_complementarity(prob, u, spec)
+    if not (stat <= 1e-8 and viol <= 1e-12):
+        raise NumericError(
+            f"the concave majorant fails the KKT gate: stationarity "
+            f"{stat:.3e} (gate 1e-8), obstacle violation {viol:.3e} "
+            f"(gate 1e-12)")
+    return DiscreteFunction(u, prob, iterations=0, stationarity=stat)
+
+
+def _projected_newton(prob: DiscreteProblem, spec: ObstacleSpec,
+                      tol: float = 1e-10, initial=None) -> DiscreteFunction:
+    """Projected Newton on the tridiagonal Hessian (Bertsekas, SIAM J.
     Control Optim. 20, 1982) with the primal-dual active-set prediction of
     Hintermueller, Ito & Kunisch (SIAM J. Optim. 13, 2002): a node whose
     gradient pushes it into the obstacle by more than its diagonal Newton
@@ -237,11 +303,10 @@ def solve_obstacle(prob: DiscreteProblem, spec: ObstacleSpec,
     Termination requires both a small maximal update and a small
     complementarity residual; ``MAX_NEWTON_STEPS`` bounds the Newton
     steps.  ``initial``, an array of node values, replaces the linear
-    start.
+    start.  It solves every lambda >= 0, and checks the lambda = 0
+    majorant by an independent route.
     """
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol:g}")
-    psi = _check_spec(prob, spec)
+    psi = np.asarray(spec.psi, dtype=float)
     if initial is None:
         t = (prob.grid - prob.grid[0]) / (prob.grid[-1] - prob.grid[0])
         u = spec.theta_left + t * (spec.theta_right - spec.theta_left)

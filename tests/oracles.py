@@ -7,8 +7,9 @@ import numpy as np
 from scipy.optimize import brentq
 
 from modelpot import criteria, obstacle, radial
-from modelpot.core import (DomainError, log_sphere_volume, phi_inverse,
-                           sphere_volume, volume_ratio)
+from modelpot.core import (DomainError, log_sphere_volume,
+                           manifold_from_tag, phi_inverse, sphere_volume,
+                           volume_ratio)
 from modelpot.criteria import OperatorTypeTag, PropertyTag, Verdict
 
 
@@ -456,3 +457,71 @@ def pasting_min(prob, w1, w2, start):
     out = w1.copy()
     out[start:stop] = np.minimum(w1[start:stop], w2)
     return out
+
+
+def structural_property_failures(seed, lam_scale, n_trials=1000):
+    """Failures of comparison, minimality, off-contact stationarity and
+    pasting over ``n_trials`` trials on a pool of 100 randomized p = 2
+    obstacle problems on euclidean m = 2, 3, with lambda drawn from
+    ``lam_scale * U(0, 1)``."""
+    rng = np.random.default_rng(seed)
+    M = {2: manifold_from_tag("euclidean", 2),
+         3: manifold_from_tag("euclidean", 3)}
+    failures = {"comparison": 0, "minimality": 0, "stationarity": 0,
+                "pasting": 0}
+
+    # pools of randomized solved problems, reused across the four suites
+    pool = []
+    for _ in range(100):
+        m = int(rng.choice([2, 3]))
+        lam = lam_scale * float(rng.uniform(0.0, 1.0))
+        n = int(rng.integers(14, 24))
+        lo = float(rng.uniform(0.5, 1.5))
+        hi = lo + float(rng.uniform(0.5, 1.5))
+        prob = obstacle.make_problem(M[m], 2.0, lam,
+                                     np.linspace(lo, hi, n))
+        tl = float(rng.uniform(0.0, 0.5))
+        tr = float(rng.uniform(0.5, 1.5))
+        spec = random_bump_spec(prob, rng, tl, tr)
+        sol = obstacle.solve_obstacle(prob, spec)
+        pool.append((M[m], prob, spec, sol))
+
+    for k in range(n_trials):
+        manifold, prob, spec, sol = pool[k % len(pool)]
+
+        # (a) comparison on ordered boundary data
+        shift = float(rng.uniform(0.05, 0.5))
+        sup = obstacle.solve_dirichlet(prob, spec.theta_left + shift,
+                                       spec.theta_right + shift)
+        sub = obstacle.solve_dirichlet(prob, spec.theta_left,
+                                       spec.theta_right)
+        if not comparison_check(prob, sup.values, sub.values, tol=1e-7):
+            failures["comparison"] += 1
+
+        # (b) minimality against randomized feasible competitors
+        bump = np.abs(rng.standard_normal(prob.n_nodes)) * 0.2
+        bump[0] = bump[-1] = 0.0
+        competitor = np.maximum(sol.values + bump, sol.values)
+        if prob.energy(sol.values) > prob.energy(competitor) + 1e-12:
+            failures["minimality"] += 1
+
+        # (c) off-contact stationarity
+        stat, viol, _ = obstacle.residual_complementarity(prob, sol.values,
+                                                        spec)
+        if stat > 1e-8 or viol > 0.0:
+            failures["stationarity"] += 1
+
+        # (d) pasted minima stay supersolutions
+        i = int(rng.integers(1, prob.n_nodes // 2))
+        j = int(rng.integers(i + 3, prob.n_nodes - 1))
+        subp = obstacle.make_problem(manifold, prob.p, prob.lam,
+                                     prob.grid[i:j + 1])
+        psi2 = sol.values[i + 1:j] + rng.uniform(0.0, 0.2)
+        spec2 = obstacle.ObstacleSpec(psi=psi2,
+                                      theta_left=float(sol.values[i]),
+                                      theta_right=float(sol.values[j]))
+        w2 = obstacle.solve_obstacle(subp, spec2)
+        pasted = pasting_min(prob, sol.values, w2.values, i)
+        if not obstacle.is_supersolution(prob, pasted, tol=1e-6).ok:
+            failures["pasting"] += 1
+    return failures

@@ -12,9 +12,9 @@ from scipy.integrate import solve_ivp
 import conftest
 from modelpot import cli, core, criteria, obstacle, radial
 from modelpot.criteria import PropertyTag, Verdict
-from oracles import (comparison_check, p_harmonic_profile,
-                     p_laplacian_criteria, pasting_min, phi_inverse_brentq,
-                     qp_obstacle_oracle, random_bump_spec)
+from oracles import (p_harmonic_profile, p_laplacian_criteria,
+                     phi_inverse_brentq, qp_obstacle_oracle,
+                     structural_property_failures)
 
 
 def report(num, name, ok, detail=""):
@@ -214,68 +214,8 @@ def test_acceptance_08_obstacle_solver_vs_brute_force():
 
 
 def test_acceptance_09_structural_property_suite():
-    rng = np.random.default_rng(20260824)
-    M = {2: core.manifold_from_tag("euclidean", 2),
-         3: core.manifold_from_tag("euclidean", 3)}
-    failures = {"comparison": 0, "minimality": 0, "stationarity": 0,
-                "pasting": 0}
     n_trials = 1000
-
-    # pools of randomized solved problems, reused across the four suites
-    pool = []
-    for _ in range(100):
-        m = int(rng.choice([2, 3]))
-        lam = float(rng.uniform(0.0, 1.0))
-        n = int(rng.integers(14, 24))
-        lo = float(rng.uniform(0.5, 1.5))
-        hi = lo + float(rng.uniform(0.5, 1.5))
-        prob = obstacle.make_problem(M[m], 2.0, lam,
-                                     np.linspace(lo, hi, n))
-        tl = float(rng.uniform(0.0, 0.5))
-        tr = float(rng.uniform(0.5, 1.5))
-        spec = random_bump_spec(prob, rng, tl, tr)
-        sol = obstacle.solve_obstacle(prob, spec)
-        pool.append((M[m], prob, spec, sol))
-
-    for k in range(n_trials):
-        manifold, prob, spec, sol = pool[k % len(pool)]
-
-        # (a) comparison on ordered boundary data
-        shift = float(rng.uniform(0.05, 0.5))
-        sup = obstacle.solve_dirichlet(prob, spec.theta_left + shift,
-                                       spec.theta_right + shift)
-        sub = obstacle.solve_dirichlet(prob, spec.theta_left,
-                                       spec.theta_right)
-        if not comparison_check(prob, sup.values, sub.values, tol=1e-7):
-            failures["comparison"] += 1
-
-        # (b) minimality against randomized feasible competitors
-        bump = np.abs(rng.standard_normal(prob.n_nodes)) * 0.2
-        bump[0] = bump[-1] = 0.0
-        competitor = np.maximum(sol.values + bump, sol.values)
-        if prob.energy(sol.values) > prob.energy(competitor) + 1e-12:
-            failures["minimality"] += 1
-
-        # (c) off-contact stationarity
-        stat, viol, _ = obstacle.residual_complementarity(prob, sol.values,
-                                                        spec)
-        if stat > 1e-8 or viol > 0.0:
-            failures["stationarity"] += 1
-
-        # (d) pasted minima stay supersolutions
-        i = int(rng.integers(1, prob.n_nodes // 2))
-        j = int(rng.integers(i + 3, prob.n_nodes - 1))
-        subp = obstacle.make_problem(manifold, prob.p, prob.lam,
-                                     prob.grid[i:j + 1])
-        psi2 = sol.values[i + 1:j] + rng.uniform(0.0, 0.2)
-        spec2 = obstacle.ObstacleSpec(psi=psi2,
-                                      theta_left=float(sol.values[i]),
-                                      theta_right=float(sol.values[j]))
-        w2 = obstacle.solve_obstacle(subp, spec2)
-        pasted = pasting_min(prob, sol.values, w2.values, i)
-        if not obstacle.is_supersolution(prob, pasted, tol=1e-6).ok:
-            failures["pasting"] += 1
-
+    failures = structural_property_failures(20260824, 1.0, n_trials)
     total = sum(failures.values())
     report(9, "structural property suite", total == 0,
            f"{n_trials} trials/property, failures {failures}")

@@ -365,14 +365,20 @@ def test_obstacle_command(capsys):
     assert code == 0
     lines = out.splitlines()
     assert any(ln.startswith("# energy=") for ln in lines)
-    iters = next(ln for ln in lines if ln.startswith("# iterations="))
-    assert int(iters.split("=")[1]) >= 1
+    # lambda = 0: the exact concave majorant, no Newton step
+    assert "# iterations=0" in lines
     header = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
     assert lines[header] == "r,u"
     data = np.loadtxt(lines[header + 1:], delimiter=",")
     assert len(data) == 61
     # solution clears the bump apex
     assert np.max(data[:, 1]) >= 0.8 - 1e-8
+    # lambda > 0 is a projected Newton solve
+    code, out = run_cli(OBST_ARGS + ["--set", "lambda=1"], capsys)
+    assert code == 0
+    iters = next(ln for ln in out.splitlines()
+                 if ln.startswith("# iterations="))
+    assert int(iters.split("=")[1]) >= 1
 
 
 def test_obstacle_bad_shape(capsys):
@@ -623,7 +629,11 @@ def test_scipy_loads_only_for_the_obstacle_solver(tmp_path):
     runs = [["classify", *plane], ["classify", *plane, *linear],
             evans, evans + linear,
             ["classify", "--set", f"manifold=table:{table}", "--rmax", "50"],
-            ["obstacle", *plane, "--set", "r_min=1", "--set", "r_max=10"]]
+            ["obstacle", *plane, "--set", "r_min=1", "--set", "r_max=10"],
+            ["khasminskii", *plane, "--set", "K_radius=1",
+             "--set", "Omega_radius=2"],
+            ["obstacle", *plane, "--set", "r_min=1", "--set", "r_max=10",
+             "--set", "lambda=1"]]
     src = str(Path(cli.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
@@ -631,5 +641,7 @@ def test_scipy_loads_only_for_the_obstacle_solver(tmp_path):
                            json.dumps(runs)], env=env, capture_output=True,
                           text=True, check=True)
     seen = json.loads(proc.stdout)
-    assert seen[:6] == [[], [0], [0], [0], [0], [0]]
-    assert seen[6] == [0, "scipy", "scipy.linalg"]
+    # the lambda = 0 obstacle and khasminskii runs are exact majorants;
+    # only the lambda > 0 Newton solve loads scipy.linalg
+    assert seen[:8] == [[], [0], [0], [0], [0], [0], [0], [0]]
+    assert seen[8] == [0, "scipy", "scipy.linalg"]

@@ -85,14 +85,16 @@ def test_zero_lambda_unit_solutions_are_the_newton_solutions(tag, m, p,
                                                              radii):
     # at lambda = 0 stage 0 takes every h_j from one cumulative sum: it is
     # the Newton solution of its unit problem to rounding, and it passes
-    # the solver's stationarity gate
+    # the solver's stationarity gate (solve_dirichlet is itself a closed
+    # form at lambda = 0, so the reference is the Newton route)
     grid = obstacle._construct_grid(1.0, 2.0, radii, 48)
     prob = obstacle.make_problem(core.manifold_from_tag(tag, m), p, 0.0,
                                  grid)
     idx = np.searchsorted(grid, radii)
     for k, h in zip(idx, obstacle._unit_solutions(prob, idx)):
         sub = prob.leading(k)
-        newton = obstacle.solve_dirichlet(sub, 0.0, 1.0).values
+        newton = obstacle._projected_newton(
+            sub, obstacle.ObstacleSpec.dirichlet(k + 1, 0.0, 1.0)).values
         np.testing.assert_allclose(h[:k + 1], newton, rtol=0, atol=1e-14)
         assert np.all(h[k:] == 1.0)
         stat, _, _ = obstacle.residual_complementarity(

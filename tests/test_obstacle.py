@@ -9,7 +9,8 @@ from scipy.optimize import minimize
 
 from modelpot import core, obstacle
 from oracles import (comparison_check, p_harmonic_profile, pasting_min,
-                     qp_obstacle_oracle, random_bump_spec)
+                     qp_obstacle_oracle, random_bump_spec,
+                     structural_property_failures)
 
 
 EUC2 = core.manifold_from_tag("euclidean", 2)
@@ -134,11 +135,14 @@ def test_obstacle_matches_qp_oracle():
     assert np.any(contact)          # the bump is actually active
 
 
-@pytest.mark.parametrize("p", [1.5, 2.5, 3.0])
-def test_obstacle_matches_bound_constrained_oracle(p):
+@pytest.mark.parametrize("p,lam", [
+    pytest.param(p, 0.3, id=f"{p}") for p in (1.5, 2.5, 3.0)
+] + [pytest.param(3.0, 0.0, id="3.0-lambda0")])
+def test_obstacle_matches_bound_constrained_oracle(p, lam):
     # independent minimizer of the same energy at p != 2, where the QP
-    # oracle does not apply: L-BFGS-B with the obstacle as a lower bound
-    prob = make_euclidean_problem(m=3, p=p, lam=0.3, n=31)
+    # oracle does not apply: L-BFGS-B with the obstacle as a lower bound;
+    # at lambda = 0 it checks the concave majorant
+    prob = make_euclidean_problem(m=3, p=p, lam=lam, n=31)
     psi = 0.9 - ((prob.grid[1:-1] - 1.4) / 0.25) ** 2
     spec = obstacle.ObstacleSpec(psi=psi, theta_left=0.0, theta_right=1.0)
     sol = obstacle.solve_obstacle(prob, spec)
@@ -157,6 +161,72 @@ def test_obstacle_matches_bound_constrained_oracle(p):
     contact = sol.values[1:-1] <= psi + 1e-6
     assert np.array_equal(contact, ref.x <= psi + 1e-6)
     assert np.any(contact)          # the bump is actually active
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 6.0])
+def test_majorant_is_the_newton_solution(m, p):
+    # at lambda = 0 the solve is the least concave majorant in S; projected
+    # Newton reaches the same minimizer and the same contact set
+    rng = np.random.default_rng(int(10 * p) + m)
+    active = 0
+    for n in (21, 81) * 4:
+        prob = make_euclidean_problem(m=m, p=p, n=n)
+        spec = random_bump_spec(prob, rng)
+        sol = obstacle.solve_obstacle(prob, spec)
+        ref = obstacle._projected_newton(prob, spec)
+        assert sol.iterations == 0 and ref.iterations >= 1
+        np.testing.assert_allclose(sol.values, ref.values, rtol=0,
+                                   atol=1e-12)
+        contact = sol.values[1:-1] <= spec.psi + 1e-9
+        assert np.array_equal(contact, ref.values[1:-1] <= spec.psi + 1e-9)
+        active += bool(np.any(contact))
+    assert active >= 2              # the bumps are actually active
+
+
+def test_zero_lambda_structural_properties():
+    # acceptance test A9's four properties with every lambda = 0, so that
+    # every solve in them is a concave majorant
+    assert structural_property_failures(20260824, 0.0) == {
+        "comparison": 0, "minimality": 0, "stationarity": 0, "pasting": 0}
+
+
+def test_majorant_on_tiny_weights():
+    # w_e = r^4 ~ 1e-36 at p = 1.1: w_e^(-1/(p-1)) overflows, but S is
+    # built from w_e / min w, and the solve gives Newton's profile to the
+    # Newton step tolerance 1e-10 (Newton stops 2.5e-13 off the exact
+    # majorant here, after 43 steps)
+    M = core.manifold_from_tag("euclidean", 5)
+    prob = obstacle.make_problem(M, 1.1, 0.0, np.geomspace(1e-9, 2e-9, 101))
+    psi = 0.8 - ((prob.grid[1:-1] - 1.4e-9) / 1e-10) ** 2
+    spec = obstacle.ObstacleSpec(psi=psi, theta_left=0.0, theta_right=1.0)
+    sol = obstacle.solve_obstacle(prob, spec)
+    ref = obstacle._projected_newton(prob, spec)
+    np.testing.assert_allclose(sol.values, ref.values, rtol=0, atol=1e-10)
+    assert np.max(sol.values) >= 0.8
+
+
+def test_majorant_refuses_a_repeated_coordinate():
+    # edge weights rising by 1e8 a node at p = 1.1 add terms below the
+    # rounding of S: a named error, not NaN node values
+    M = core.manifold_from_tag("euclidean", 5)
+    prob = obstacle.make_problem(M, 1.1, 0.0, np.geomspace(1.0, 1e8, 5))
+    spec = obstacle.ObstacleSpec.dirichlet(prob.n_nodes, 0.0, 1.0)
+    with pytest.raises(core.NumericError,
+                       match="p-harmonic coordinate S must increase"):
+        obstacle.solve_obstacle(prob, spec)
+
+
+def test_majorant_keeps_the_kkt_gate(monkeypatch):
+    # the majorant passes the gate the Newton solve stops on, or is refused
+    # with the failing measure and its value
+    prob = make_euclidean_problem(n=21)
+    spec = obstacle.ObstacleSpec.dirichlet(prob.n_nodes, 0.0, 1.0)
+    monkeypatch.setattr(obstacle, "residual_complementarity",
+                        lambda *args: (2e-8, 0.0, 0.0))
+    with pytest.raises(core.NumericError,
+                       match=r"stationarity 2\.000e-08 \(gate 1e-8\)"):
+        obstacle.solve_obstacle(prob, spec)
 
 
 def test_obstacle_inactive_when_below_solution():
@@ -206,7 +276,8 @@ def test_solve_obstacle_names_a_bad_tol(tol):
 
 def test_sweep_limit_raises(monkeypatch):
     # the Newton solve needs two steps here, so a budget of one must trip
-    prob = make_euclidean_problem(n=101)
+    # (lambda > 0: at lambda = 0 the solve takes no Newton step)
+    prob = make_euclidean_problem(lam=1.0, n=101)
     spec = obstacle.ObstacleSpec.dirichlet(prob.n_nodes, 0.0, 1.0)
     monkeypatch.setattr(obstacle, "MAX_NEWTON_STEPS", 1)
     with pytest.raises(obstacle.SweepLimitError) as info:
@@ -215,14 +286,19 @@ def test_sweep_limit_raises(monkeypatch):
 
 
 def test_solver_reports_its_work():
-    prob = make_euclidean_problem(m=2, p=3.0, n=101)
-    sol = obstacle.solve_dirichlet(prob, 0.0, 1.0)
-    assert 1 <= sol.iterations <= 20
-    assert 0.0 <= sol.stationarity <= 1e-8
-    stat, _, _ = obstacle.residual_complementarity(
-        prob, sol.values,
-        obstacle.ObstacleSpec.dirichlet(prob.n_nodes, 0.0, 1.0))
-    assert sol.stationarity == stat
+    # Newton steps for lambda > 0; the lambda = 0 majorant takes none
+    for lam in (0.0, 0.5):
+        prob = make_euclidean_problem(m=2, p=3.0, lam=lam, n=101)
+        sol = obstacle.solve_dirichlet(prob, 0.0, 1.0)
+        if lam == 0:
+            assert sol.iterations == 0
+        else:
+            assert 1 <= sol.iterations <= 20
+        assert 0.0 <= sol.stationarity <= 1e-8
+        stat, _, _ = obstacle.residual_complementarity(
+            prob, sol.values,
+            obstacle.ObstacleSpec.dirichlet(prob.n_nodes, 0.0, 1.0))
+        assert sol.stationarity == stat
 
 
 def test_predicates_take_problem_and_values():
