@@ -4,13 +4,11 @@ iteration (in one constant-flux pass for a zero potential), and discrete
 obstacle-problem constructions of small supersolutions."""
 
 from .core import (
-    DEFAULT_QUADRATURE,
     DomainError,
     ModelManifold,
     NumericError,
     PhiOperator,
     PotentialB,
-    Quadrature,
     QuadratureError,
     linear_power_potential,
     load_manifold_csv,

@@ -48,12 +48,11 @@ class ConsistencyError(RuntimeError):
 
 
 # Bounds of the improper-integral heuristic: a partial integral above
-# DIVERGENCE_THRESHOLD diverges; SLOPE_SAMPLES radii on the last decade give
+# DIVERGENCE_THRESHOLD diverges; the table nodes of the last decade give
 # the log-log slope; a slope above -1 - SLOPE_BAND counts as critical (pure
 # 1/r-type integrands fit to -1 up to rounding); and slopes within
 # SLOPE_MARGIN below -1 stay inconclusive.
 DIVERGENCE_THRESHOLD = 1e6
-SLOPE_SAMPLES = 33
 SLOPE_BAND = 0.01
 SLOPE_MARGIN = 0.15
 
@@ -81,8 +80,8 @@ class DivergenceVerdict:
       not fitted: NaN);
     * ``tail_underflow`` -- Converges: the integrand has underflowed by
       ``r_max``, its last sample (slope ``-inf``);
-    * ``few_positive_samples`` -- Inconclusive: too few positive samples
-      on the last decade to fit a slope (NaN);
+    * ``few_positive_samples`` -- Inconclusive: fewer than half of the
+      last decade's nodes, or than 2, are positive: no slope fit (NaN);
     * ``critical_slope`` -- Diverges: the fitted slope is at or above
       ``-1 - SLOPE_BAND``;
     * ``tail_above_threshold`` -- Diverges: partial integral plus the
@@ -119,21 +118,19 @@ def _divergence_rule(R0: float, r_max: float):
     """The sampling grid of ``test_L1_at_infinity`` on ``[R0, r_max]`` and
     its Simpson rule in ``log r``, which depend on nothing else.
 
-    Returns ``(grid, simpson)``.  ``grid`` holds ``geometric_grid(R0,
-    r_max)``, which the volume-ratio table from ``R0`` shares, and then the
-    ``SLOPE_SAMPLES`` radii of the last decade; ``simpson`` is the
-    ``_CumulativeSimpson`` rule on the ``log r`` of the first part.
-    ``DomainError`` unless ``0 < R0 < r_max < inf``, or if ``r_max`` lies
-    within relative 1e-9 of ``R0``, where the grid is one node.
+    Returns ``(grid, simpson)``: ``grid`` is ``geometric_grid(R0, r_max)``,
+    which the volume-ratio table from ``R0`` shares, and ``simpson`` the
+    ``_CumulativeSimpson`` rule on its ``log r``.  ``DomainError`` unless
+    ``0 < R0 < r_max < inf``, or if ``r_max`` lies within relative 1e-9 of
+    ``R0``, where the grid is one node.
     """
     if not 0 < R0 < r_max < math.inf:
         raise DomainError("test_L1_at_infinity requires 0 < R0 < r_max < inf")
-    nodes = geometric_grid(R0, r_max)
-    if len(nodes) < 2:
+    grid = geometric_grid(R0, r_max)
+    if len(grid) < 2:
         raise DomainError(f"[{R0:.17g}, {r_max:.17g}] is too short to "
                           "sample: its ends are within relative 1e-9")
-    rs = np.geomspace(max(r_max / 10.0, R0), r_max, SLOPE_SAMPLES)
-    return np.concatenate([nodes, rs]), _CumulativeSimpson(np.log(nodes))
+    return grid, _CumulativeSimpson(np.log(grid))
 
 
 def test_L1_at_infinity(integrand: Callable, R0: float,
@@ -146,12 +143,13 @@ def test_L1_at_infinity(integrand: Callable, R0: float,
     unless the caller built it.  The partial integral over all of ``[R0,
     r_max]`` is the last value of the cumulative Simpson rule in ``log r``
     on the table nodes (``scipy.integrate.cumulative_simpson(r * f, x=log
-    r)``, bit for bit); a log-log slope is fitted over the last decade.  A
-    partial integral past ``DIVERGENCE_THRESHOLD`` diverges.  A fitted
-    slope at or above the critical -1 means the extrapolated tail is
-    unbounded, which is reported as divergence; slopes inside the margin
-    band but below critical stay inconclusive.  The verdict's ``reason``
-    names the branch that decided.
+    r)``, bit for bit); a log-log slope is fitted on the last decade's
+    nodes, those at or past ``r_max / 10``.  A partial integral past
+    ``DIVERGENCE_THRESHOLD`` diverges.  A fitted slope at or above the
+    critical -1 means the extrapolated tail is unbounded, which is
+    reported as divergence; slopes inside the margin band but below
+    critical stay inconclusive.  The verdict's ``reason`` names the branch
+    that decided.
     """
     grid, simpson = _divergence_rule(R0, cfg.r_max) if rule is None \
         else rule
@@ -161,21 +159,21 @@ def test_L1_at_infinity(integrand: Callable, R0: float,
         raise NumericError("integrand must be finite and nonnegative: "
                            f"f({grid[bad][0]:g}) = {vals[bad][0]:g}")
     vals = np.maximum(vals, 0.0)
-    n = len(grid) - SLOPE_SAMPLES
-    partial = float(simpson(grid[:n] * vals[:n])[-1])
+    partial = float(simpson(grid * vals)[-1])
 
     def verdict(v, slope, reason):
         return DivergenceVerdict(v, partial, slope, cfg.r_max, reason)
 
     if partial > DIVERGENCE_THRESHOLD:
         return verdict(Verdict.DIVERGES, math.nan, "partial_above_threshold")
-    rs, vals = grid[n:], vals[n:]
-
-    # slope fit on the last decade
     if vals[-1] < 1e-280:
         return verdict(Verdict.CONVERGES, -math.inf, "tail_underflow")
+
+    # slope fit on the last decade, never on a single point
+    decade = grid >= cfg.r_max / 10.0
+    rs, vals = grid[decade], vals[decade]
     mask = vals > 0
-    if mask.sum() < SLOPE_SAMPLES // 2:
+    if mask.sum() < max(len(rs) / 2, 2):
         return verdict(Verdict.INCONCLUSIVE, math.nan, "few_positive_samples")
     slope = float(np.polyfit(np.log(rs[mask]), np.log(vals[mask]), 1)[0])
     f_end = float(vals[-1])

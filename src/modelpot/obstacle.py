@@ -118,6 +118,9 @@ def make_problem(M: ModelManifold, p: float, lam: float,
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 3:
         raise ValueError("grid must be 1-D with at least 3 nodes")
+    if not np.isfinite(grid).all():      # a NaN passes the order check
+        bad = grid[~np.isfinite(grid)][0]
+        raise ValueError(f"grid must be finite, got {bad:g}")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
     if not 1.1 <= p <= 10.0:
@@ -245,17 +248,22 @@ def solve_obstacle(prob: DiscreteProblem, spec: ObstacleSpec,
     return _projected_newton(prob, spec, tol, initial)
 
 
+def _p_harmonic_coordinate(prob: DiscreteProblem) -> np.ndarray:
+    """``S_i = sum_{e<i} h_e (w_e / min w)^(-1/(p-1))``: no term exceeds
+    ``h_e``, so the p-harmonic coordinate in these units cannot overflow."""
+    w = prob.edge_weights
+    return np.append(0.0, np.cumsum(
+        prob.h * (w / np.min(w)) ** (-1.0 / (prob.p - 1.0))))
+
+
 def _concave_majorant(prob: DiscreteProblem, spec: ObstacleSpec,
                       psi: np.ndarray) -> DiscreteFunction:
     """The lambda = 0 minimizer: the upper hull of the finite points
     ``(S_i, theta_left | psi_i | theta_right)`` in one monotone-chain pass,
     then its chords at the nodes.  It passes the Newton solve's KKT gate
     or is refused."""
-    # S from w_e / min w: no term exceeds h_e, so S cannot overflow, and a
-    # term below the rounding of S is refused by name
-    w = prob.edge_weights
-    S = np.append(0.0, np.cumsum(
-        prob.h * (w / np.min(w)) ** (-1.0 / (prob.p - 1.0))))
+    # the hull divides by the steps of S, which rounding can zero
+    S = _p_harmonic_coordinate(prob)
     steps = np.diff(S)
     if not np.all(steps > 0.0):
         i = int(np.argmin(steps))
@@ -420,19 +428,16 @@ def _unit_solutions(prob: DiscreteProblem, idx) -> list:
     """Stage 0: for each end node ``k`` of ``idx``, the unit solution
     ``h_j`` (0 at the first node, 1 at node ``k``) of the leading problem
     on nodes ``0..k``, extended by 1 past it.  At lambda = 0 the minimizer
-    has a constant edge flux ``w_e s_e^(p-1)``, so ``h_j`` is the
-    cumulative sum of ``h_e w_e^(-1/(p-1))`` over its value at ``k``, with
-    no solve.  For lambda > 0 each is a Newton solve, warm-started from the
-    previous one."""
+    has a constant edge flux ``w_e s_e^(p-1)``, so ``h_j`` is ``S[:k+1] /
+    S[k]`` (``_p_harmonic_coordinate``), with no solve.  For lambda > 0
+    each is a Newton solve, warm-started from the previous one."""
     n = prob.n_nodes
     if prob.lam == 0:
-        with np.errstate(over="ignore"):
-            S = np.append(0.0, np.cumsum(
-                prob.h * prob.edge_weights ** (-1.0 / (prob.p - 1.0))))
-        if not 0.0 < S[idx[0]] <= S[idx[-1]] < math.inf:
+        S = _p_harmonic_coordinate(prob)
+        if not S[idx[0]] > 0.0:
             raise NumericError(
-                f"the unit solutions need a positive finite sum of "
-                f"h_e w_e^(-1/(p-1)), got {S[idx[-1]]:.3e}")
+                f"the unit solutions need a positive p-harmonic coordinate "
+                f"at node {idx[0]}, got {S[idx[0]]:.3e}")
         return [np.append(S[:k + 1] / S[k], np.ones(n - k - 1)) for k in idx]
     h_funcs = []
     for k in idx:
@@ -451,7 +456,7 @@ def khasminskii_construct(M: ModelManifold, p: float, lam: float,
 
     Stage 0 takes the unit boundary-value problems ``h_j`` on the annuli
     ``[K, rho_j]`` (extended by 1) from ``_unit_solutions`` (at lambda = 0
-    one cumulative sum, for lambda > 0 Newton solves) and extrapolates the
+    ratios of one ``S``, for lambda > 0 Newton solves) and extrapolates the
     sup of their decreasing limit near the core; a nonzero limit means the
     bounded-Liouville property fails at this desk scale.  Otherwise stage
     ``n`` raises the potential by one level with a single obstacle solve on
@@ -470,6 +475,9 @@ def khasminskii_construct(M: ModelManifold, p: float, lam: float,
     radii = np.asarray(exhaustion_radii, dtype=float)
     if len(radii) < 4:
         raise ValueError("need at least 4 exhaustion radii")
+    if not np.isfinite(radii).all():
+        bad = radii[~np.isfinite(radii)][0]
+        raise ValueError(f"exhaustion radii must be finite, got {bad:g}")
     if np.any(np.diff(radii) <= 0):
         raise ValueError("exhaustion radii must be increasing")
     if not (0 < K_radius < Omega_radius < radii[0]):

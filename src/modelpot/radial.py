@@ -319,32 +319,17 @@ def _constant_flux_slope(M: ModelManifold, op: PhiOperator,
 
 
 def _constant_flux_grid(params: CauchyParams, R_max: float,
-                        nodes_per_window: int,
-                        until: float = math.inf) -> np.ndarray:
+                        nodes_per_window: int) -> np.ndarray:
     """The nodes that ``solve_cauchy`` uses when no window halves: windows
     of the ``_base_window`` width from ``R``, the last cut at ``R_max``,
-    ``nodes_per_window`` uniform nodes each.  Only the windows up to the
-    first end at or past ``until`` are built, and the one after it."""
+    ``nodes_per_window`` uniform nodes each.  They depend on ``R`` but not
+    on the scale ``c``."""
     base = _base_window(params, R_max, nodes_per_window)
     ends = [params.R]
-    while ends[-1] < min(until, R_max):
-        ends.append(min(ends[-1] + base, R_max))
-    if ends[-1] < R_max:
+    while ends[-1] < R_max:
         ends.append(min(ends[-1] + base, R_max))
     windows = np.linspace(ends[:-1], ends[1:], nodes_per_window, axis=1)
     return np.concatenate([[params.R], windows[:, 1:].ravel()])
-
-
-def _constant_flux_values(M: ModelManifold, op: PhiOperator,
-                          params: CauchyParams, grid: np.ndarray):
-    """``(z, zp)`` of the ``B = 0`` solution on ``grid``.  The flux
-    ``w phi(c z')`` is constant, so the slope is ``_constant_flux_slope``
-    exactly and ``z = theta + int_R^r z'`` is its cumulative Simpson
-    integral.  The slope is elementwise and the rule's sub-interval ``j``
-    reads nodes ``j - 1`` to ``j + 2`` only, so on a prefix of a grid both
-    are the whole grid's, bit for bit, at every node but the last."""
-    zp = _constant_flux_slope(M, op, params, grid)
-    return params.theta + _CumulativeSimpson(grid)(zp), zp
 
 
 def constant_flux_profile(M: ModelManifold, op: PhiOperator,
@@ -352,35 +337,39 @@ def constant_flux_profile(M: ModelManifold, op: PhiOperator,
                           nodes_per_window: int = 64) -> RadialSolution:
     """The radial solution for ``B = 0`` in one pass, with no Picard
     iteration, on the nodes that ``solve_cauchy`` uses when no window
-    halves (``_constant_flux_grid``), bit for bit."""
+    halves (``_constant_flux_grid``), bit for bit.  The flux ``w phi(c
+    z')`` is constant, so the slope is ``_constant_flux_slope`` exactly and
+    ``z = theta + int_R^r z'`` is its cumulative Simpson integral."""
     grid = _constant_flux_grid(params, R_max, nodes_per_window)
-    z, zp = _constant_flux_values(M, op, params, grid)
+    zp = _constant_flux_slope(M, op, params, grid)
+    z = params.theta + _CumulativeSimpson(grid)(zp)
     return RadialSolution(grid=grid, z=z, zp=zp, params=params,
                           status=COMPLETE, r_max=float(R_max))
 
 
 def _constant_flux_march(M: ModelManifold, op: PhiOperator,
-                         params: CauchyParams, R_max: float, R1: float,
+                         params: CauchyParams, grid: np.ndarray, R1: float,
                          nodes_per_window: int):
-    """``constant_flux_profile`` in the pieces of ``_march``, the annulus
-    ``[R, R1]`` first: yields the node at ``R``, then the windows up to
-    the first window end at or past ``R1``, and returns
-    ``(COMPLETE, R_max, None, None)``.  Those two pieces are evaluated on
-    their own nodes plus the next one, which gives every kept Simpson
-    sub-interval the whole grid's triple, so a scale that the annulus
-    rejects costs only its annulus.  A march taken further builds the
-    rest with ``constant_flux_profile``."""
-    grid = _constant_flux_grid(params, R_max, nodes_per_window, R1)
+    """``constant_flux_profile`` on its ``grid`` as a march of
+    ``(grid, z, zp)`` pieces, like ``_march``: the nodes up to the first
+    window end at or past ``R1``, then the rest; returns ``(COMPLETE,
+    R_max, None, None)``.  The first piece is evaluated on its nodes plus
+    the next one, which gives every kept Simpson sub-interval the whole
+    grid's triple, so a rejected scale costs only its annulus.  Going on
+    evaluates the other nodes (the slope is elementwise) and takes one
+    Simpson pass over the grid, the same on the annulus bit for bit."""
     # window ends are every (nodes_per_window - 1)-th node
     step = nodes_per_window - 1
     cut = math.ceil(np.searchsorted(grid, R1) / step) * step + 1
-    z, zp = _constant_flux_values(M, op, params, grid[:cut + 1])
-    yield grid[:1], z[:1], zp[:1]
-    yield grid[1:cut], z[1:cut], zp[1:cut]
+    zp = _constant_flux_slope(M, op, params, grid[:cut + 1])
+    z = params.theta + _CumulativeSimpson(grid[:cut + 1])(zp)
+    yield grid[:cut], z[:cut], zp[:cut]
     if cut < len(grid):
-        sol = constant_flux_profile(M, op, params, R_max, nodes_per_window)
-        yield sol.grid[cut:], sol.z[cut:], sol.zp[cut:]
-    return COMPLETE, R_max, None, None
+        zp = np.concatenate(
+            [zp, _constant_flux_slope(M, op, params, grid[cut + 1:])])
+        z = params.theta + _CumulativeSimpson(grid)(zp)
+        yield grid[cut:], z[cut:], zp[cut:]
+    return COMPLETE, float(grid[-1]), None, None
 
 
 def choose_mu(op: PhiOperator, c: float) -> float:
@@ -410,11 +399,13 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     operator's, under which no solution blows up.  Each scale runs one
     march, the exact ``_constant_flux_march`` for ``B = 0`` or else the
     ``solve_cauchy`` march with no threshold: its pieces that cover the
-    annulus decide the scale (for ``B = 0``, only the nodes of the windows
-    that cover it, plus one, are evaluated), and only the accepted scale
-    is marched on to ``R_max``.  A march that stalls (window underflow)
-    raises ``DomainError`` naming the flux if its last window failed on a
-    flux that overflowed a double, else ``EvansFailure``.
+    annulus decide the scale (for ``B = 0``, on one grid for all scales,
+    only the nodes of the windows that cover it, plus one, are evaluated,
+    and the accepted scale then evaluates the others), and only the
+    accepted scale is marched on to ``R_max``.  A march that stalls
+    (window underflow) raises ``DomainError`` naming the flux if its last
+    window failed on a flux that overflowed a double, else
+    ``EvansFailure``.
     """
     if not (0 < R < R1 < R_max):
         raise DomainError("need 0 < R < R1 < R_max")
@@ -440,7 +431,7 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
             f"no exhaustion: the Liouville test says {dv.verdict.value} "
             f"(partial integral {dv.partial_integral:.6g}, slope "
             f"{dv.slope_estimate:.6g})", dv)
-    c = 1.0
+    c, flux_grid = 1.0, None
     while c >= EVANS_C_MIN:
         mu = choose_mu(op, c)
         params = CauchyParams(R=R, theta=0.0, mu=mu, c=c)
@@ -448,7 +439,10 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
             march = _march(M, op, pot, params, R_max, math.inf,
                            nodes_per_window)
         else:
-            march = _constant_flux_march(M, op, params, R_max, R1,
+            if flux_grid is None:
+                flux_grid = _constant_flux_grid(params, R_max,
+                                                nodes_per_window)
+            march = _constant_flux_march(M, op, params, flux_grid, R1,
                                          nodes_per_window)
         pieces = []
         end = _take(march, pieces, R1)

@@ -102,13 +102,23 @@ def test_zero_lambda_unit_solutions_are_the_newton_solutions(tag, m, p,
         assert stat <= 1e-8
 
 
-def test_zero_lambda_unit_solutions_refuse_an_overflowing_sum():
-    # w_e^(-1/(p-1)) passes the largest double for a core this small at
-    # p = 1.1: a named error, not a NaN profile or a warning
-    with pytest.raises(core.NumericError, match="positive finite sum"):
-        obstacle.khasminskii_construct(
-            core.manifold_from_tag("euclidean", 5), 1.1, 0.0, 1e-9, 2e-9,
-            0.1, [4e-9, 8e-9, 16e-9, 32e-9])
+def test_zero_lambda_unit_solutions_on_a_tiny_core():
+    # h_e w_e^(-1/(p-1)) passes the largest double for a core this small
+    # at p = 1.1, but S in units of the least weight does not: every h_j
+    # is 1 but near K, so the limit is nonzero.  Newton stops once its
+    # update is at most 1e-10 and lands within 1e-9 of the exact h_j
+    M = core.manifold_from_tag("euclidean", 5)
+    radii = [4e-9, 8e-9, 16e-9, 32e-9]
+    rep = obstacle.khasminskii_construct(M, 1.1, 0.0, 1e-9, 2e-9, 0.1, radii)
+    assert rep.verdict == "HLimitNonzero"
+    assert rep.h_limit_sup == pytest.approx(1.0, abs=1e-12)
+    prob = rep.w.problem
+    idx = np.searchsorted(prob.grid, radii)
+    for k, h in zip(idx, obstacle._unit_solutions(prob, idx)):
+        newton = obstacle._projected_newton(
+            prob.leading(k),
+            obstacle.ObstacleSpec.dirichlet(k + 1, 0.0, 1.0)).values
+        np.testing.assert_allclose(h[:k + 1], newton, rtol=0, atol=1e-9)
 
 
 def test_stage_zero_solutions_decrease(plane_report):
@@ -165,6 +175,14 @@ def test_construct_validation():
     with pytest.raises(ValueError):
         obstacle.khasminskii_construct(EUC2, 2.0, 0.0, 1.0, 2.0, 0.1,
                                        [8.0, 4.0, 16.0, 32.0])
+    # a nan radius used to reach np.polyfit (LinAlgError), an infinite one
+    # the sphere volume at r = inf
+    for radii, bad in (([4.0, math.nan, 16.0, 32.0], "nan"),
+                       ([4.0, 8.0, 16.0, math.inf], "inf")):
+        with pytest.raises(ValueError, match=f"radii must be finite, got "
+                                             f"{bad}"):
+            obstacle.khasminskii_construct(EUC2, 2.0, 0.0, 1.0, 2.0, 0.1,
+                                           radii)
 
 
 @pytest.mark.parametrize("M, p, lam", [

@@ -38,6 +38,11 @@ def test_make_problem_validation():
         obstacle.make_problem(EUC3, 2.0, 0.0, grid[::-1])
     with pytest.raises(ValueError):
         obstacle.make_problem(EUC3, 2.0, 0.0, np.array([1.0, 2.0]))
+    # a nan passes the ordering check
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"grid must be finite, got "
+                                             f"{bad:g}"):
+            obstacle.make_problem(EUC3, 2.0, 0.0, np.append(grid, bad))
 
 
 @pytest.mark.parametrize("tag,m", [("euclidean", 3), ("hyperbolic", 2)])

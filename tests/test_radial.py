@@ -606,9 +606,10 @@ def test_evans_zero_potential_sweep_is_the_eager_sweep(monkeypatch, make, op,
     rejected = [nodes for c, nodes in evaluated if c > res.c_final]
     assert rejected and all(nodes <= annulus_nodes + 1 for nodes in rejected)
     assert len(rejected) == round(math.log2(1.0 / res.c_final))
-    # the accepted scale: its annulus, then the whole profile
+    # the accepted scale: its annulus plus one, then the other nodes, so
+    # each node once
     assert [nodes for c, nodes in evaluated if c == res.c_final] == \
-        [annulus_nodes + 1, len(eager.solution.grid)]
+        [annulus_nodes + 1, len(eager.solution.grid) - annulus_nodes - 1]
 
 
 def test_constant_flux_profile_matches_closed_forms():
