@@ -46,7 +46,6 @@ from .criteria import (
     v_st,
 )
 from .obstacle import (
-    BudgetError,
     ConstraintError,
     DiscreteFunction,
     DiscreteProblem,

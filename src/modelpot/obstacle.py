@@ -45,14 +45,6 @@ class SweepLimitError(NumericError):
         self.residual = residual
 
 
-class BudgetError(NumericError):
-    """The staged construction ran out of exhaustion radii."""
-
-    def __init__(self, message, smallest_increment):
-        super().__init__(message)
-        self.smallest_increment = smallest_increment
-
-
 def _signed_power(t, e):
     """Signed power sign(t) |t|^e, safe at t = 0 for e < 1."""
     t = np.asarray(t, dtype=float)
@@ -459,16 +451,27 @@ def khasminskii_construct(M: ModelManifold, p: float, lam: float,
     ratios of one ``S``, for lambda > 0 Newton solves) and extrapolates the
     sup of their decreasing limit near the core; a nonzero limit means the
     bounded-Liouville property fails at this desk scale.  Otherwise stage
-    ``n`` raises the potential by one level with a single obstacle solve on
-    the whole grid ``[K, rho_N]``: obstacle ``w + h_{N-1}``, boundary
-    ``n + 1``.  Among the exhaustion radii this one gives the least
-    increment, by comparison: a solve on a shorter ``[K, rho_{j+1}]`` with
-    obstacle ``w + h_j`` extended by the constant ``n + 1`` is a
-    supersolution above the whole-grid obstacle (``h_j >= h_{N-1}`` and
-    ``w + h_{N-1} <= n + 1``), and the whole-grid solution is the least
-    such supersolution, so it lies below every candidate.  The whole
-    profile is rescaled at the end so that the per-stage increments fit the
-    geometric budget (the operator and potential are both
+    ``n`` raises the potential by one level, ``w_n = w_{n-1} + h_{N-1}``
+    from ``w_0 = h_{j*}``, the first ``h_j`` with sup at most ``eps/2`` (or
+    ``h_N``).  This is the obstacle problem's own solution on the whole grid
+    ``[K, rho_N]`` with obstacle ``w_{n-1} + h_{N-1}`` and boundary ``n +
+    1`` (by comparison the least increment among the exhaustion radii),
+    because that obstacle is already a supersolution:
+
+    - on nodes ``0..k_{j*}``, ``h_{j*} = h_{N-1} / h_{N-1}(rho_{j*})``: the
+      leading problem has a unique minimizer and its discrete
+      Euler-Lagrange equations are (p-1)-homogeneous, so the obstacle is a
+      multiple of ``h_{N-1}`` there and solves the equation;
+    - past ``rho_{j*}`` it is ``1 + n h_{N-1}``, whose defect is
+      ``lambda w_i dr_i ((1 + n h)^(p-1) - (n h)^(p-1)) >= 0``;
+    - at both kinks, ``rho_{j*}`` and ``rho_{N-1}``, the edge flux drops;
+    - the default ``j* = N`` is the same argument with the roles of
+      ``h_{N-1}`` and ``h_N`` swapped.
+
+    One obstacle solve above the last stage, which returns it up to
+    rounding, makes the profile the least supersolution above it.  The
+    whole profile is rescaled at the end so that the per-stage increments
+    fit the geometric budget (the operator and potential are both
     (p-1)-homogeneous, so scaling preserves the supersolution property
     exactly).
     """
@@ -520,23 +523,18 @@ def khasminskii_construct(M: ModelManifold, p: float, lam: float,
     target = eps / 2.0
     j_star = next((j for j, s in enumerate(sups) if s <= target),
                   len(radii) - 1)
-    w_nat = h_funcs[j_star].copy()
+    w_nat = h_funcs[j_star]
     increments = [float(np.max(w_nat[:idx_rho1 + 1]))]
 
     for n in range(1, n_stages):
-        spec = ObstacleSpec(psi=(w_nat + h_funcs[-2])[1:-1],
-                            theta_left=0.0, theta_right=float(n + 1))
-        # (p-1)-homogeneity: (n+1) h_N solves the same boundary problem
-        # without the obstacle, so it bounds the solution below
-        w_next = solve_obstacle(prob, spec,
-                                initial=(n + 1.0) * h_funcs[-1]).values
-        inc = float(np.max((w_next - w_nat)[:idx[n] + 1]))
-        if inc >= 1.0 + 1e-9:
-            raise BudgetError(
-                "no admissible stage within the available exhaustion radii",
-                smallest_increment=inc)
+        w_next = w_nat + h_funcs[-2]
+        increments.append(float(np.max((w_next - w_nat)[:idx[n] + 1])))
         w_nat = w_next
-        increments.append(inc)
+    # the stages are supersolutions in exact arithmetic; the least
+    # supersolution above the last one lifts its rounding off the gate
+    w_nat = solve_obstacle(prob, ObstacleSpec(w_nat[1:-1], 0.0,
+                                              float(n_stages)),
+                           initial=w_nat).values
 
     # rescale so every stage increment fits its geometric budget and the
     # profile is below eps on the control annulus

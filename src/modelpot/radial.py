@@ -198,17 +198,16 @@ def solve_on_interval(M: ModelManifold, op: PhiOperator, pot: PotentialB,
         f"application {k}; shrink the interval")
 
 
-def _base_window(params: CauchyParams, R_max: float,
-                 nodes_per_window: int) -> float:
+def _base_window(R: float, R_max: float, nodes_per_window: int) -> float:
     """The march's first window width, ``min(1, (R_max - R)/16)``, once
     ``R < R_max < inf`` and ``nodes_per_window >= 2`` are checked."""
-    if not params.R < R_max < math.inf:
+    if not R < R_max < math.inf:
         raise DomainError("R_max must be finite and exceed the base radius, "
                           f"got {R_max:g}")
     if nodes_per_window < 2:
         raise ValueError(
             f"nodes_per_window must be >= 2, got {nodes_per_window}")
-    return min(1.0, (R_max - params.R) / 16.0)
+    return min(1.0, (R_max - R) / 16.0)
 
 
 def _march(M: ModelManifold, op: PhiOperator, pot: PotentialB,
@@ -220,7 +219,7 @@ def _march(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     ``(status, r_reached, blowup_radius, failure)``: ``failure`` is the
     ``PicardNoConvergence`` of the last window if its halving underflowed,
     else ``None``."""
-    base_window = _base_window(params, R_max, nodes_per_window)
+    base_window = _base_window(params.R, R_max, nodes_per_window)
     window = base_window
     min_window = 1e-8 * params.R
 
@@ -318,18 +317,18 @@ def _constant_flux_slope(M: ModelManifold, op: PhiOperator,
     return phi_inverse_array(op, y) / params.c
 
 
-def _constant_flux_grid(params: CauchyParams, R_max: float,
+def _constant_flux_grid(R: float, R_max: float,
                         nodes_per_window: int) -> np.ndarray:
     """The nodes that ``solve_cauchy`` uses when no window halves: windows
     of the ``_base_window`` width from ``R``, the last cut at ``R_max``,
     ``nodes_per_window`` uniform nodes each.  They depend on ``R`` but not
     on the scale ``c``."""
-    base = _base_window(params, R_max, nodes_per_window)
-    ends = [params.R]
+    base = _base_window(R, R_max, nodes_per_window)
+    ends = [R]
     while ends[-1] < R_max:
         ends.append(min(ends[-1] + base, R_max))
     windows = np.linspace(ends[:-1], ends[1:], nodes_per_window, axis=1)
-    return np.concatenate([[params.R], windows[:, 1:].ravel()])
+    return np.concatenate([[R], windows[:, 1:].ravel()])
 
 
 def constant_flux_profile(M: ModelManifold, op: PhiOperator,
@@ -340,7 +339,7 @@ def constant_flux_profile(M: ModelManifold, op: PhiOperator,
     halves (``_constant_flux_grid``), bit for bit.  The flux ``w phi(c
     z')`` is constant, so the slope is ``_constant_flux_slope`` exactly and
     ``z = theta + int_R^r z'`` is its cumulative Simpson integral."""
-    grid = _constant_flux_grid(params, R_max, nodes_per_window)
+    grid = _constant_flux_grid(params.R, R_max, nodes_per_window)
     zp = _constant_flux_slope(M, op, params, grid)
     z = params.theta + _CumulativeSimpson(grid)(zp)
     return RadialSolution(grid=grid, z=z, zp=zp, params=params,
@@ -431,7 +430,9 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
             f"no exhaustion: the Liouville test says {dv.verdict.value} "
             f"(partial integral {dv.partial_integral:.6g}, slope "
             f"{dv.slope_estimate:.6g})", dv)
-    c, flux_grid = 1.0, None
+    if pot.b1 == 0:
+        flux_grid = _constant_flux_grid(R, R_max, nodes_per_window)
+    c = 1.0
     while c >= EVANS_C_MIN:
         mu = choose_mu(op, c)
         params = CauchyParams(R=R, theta=0.0, mu=mu, c=c)
@@ -439,9 +440,6 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
             march = _march(M, op, pot, params, R_max, math.inf,
                            nodes_per_window)
         else:
-            if flux_grid is None:
-                flux_grid = _constant_flux_grid(params, R_max,
-                                                nodes_per_window)
             march = _constant_flux_march(M, op, params, flux_grid, R1,
                                          nodes_per_window)
         pieces = []

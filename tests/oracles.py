@@ -327,8 +327,8 @@ def khasminskii_candidate_sweep(M, p, lam, K_radius, Omega_radius, eps,
     """The staged pipeline choosing each stage by sampling: every candidate
     of ``stage_candidates`` is solved and the first least increment wins
     (ties within 1e-14).  A reference for ``khasminskii_construct``, whose
-    single whole-grid solve per stage the comparison principle makes the
-    least candidate."""
+    closed-form stage ``w + h_{N-1}`` solves the whole-grid candidate, the
+    least one by the comparison principle."""
     radii = np.asarray(radii, dtype=float)
     grid = obstacle._construct_grid(K_radius, Omega_radius, radii,
                                     nodes_per_stage)
@@ -350,8 +350,9 @@ def khasminskii_candidate_sweep(M, p, lam, K_radius, Omega_radius, eps,
                                           w, n):
             if inc < best_inc - 1e-14:
                 best_inc, best = inc, full
-        if best_inc >= 1.0 + 1e-9:
-            raise obstacle.BudgetError("no admissible stage", best_inc)
+        # the closed-form stage rises by max h_{N-1} <= 1, a bound on
+        # the least candidate
+        assert best_inc < 1.0 + 1e-9
         w = best
         increments.append(best_inc)
 

@@ -194,9 +194,8 @@ def test_whole_grid_stage_is_the_least_candidate(monkeypatch, M, p, lam):
     solve, make = obstacle.solve_obstacle, obstacle.make_problem
 
     def recording_solve(prob, spec, **kwargs):
-        out = solve(prob, spec, **kwargs)
-        solves.append((prob, spec, out.values))
-        return out
+        solves.append((prob, spec))
+        return solve(prob, spec, **kwargs)
 
     def recording_make(*args):
         problems.append(args)
@@ -214,24 +213,64 @@ def test_whole_grid_stage_is_the_least_candidate(monkeypatch, M, p, lam):
     assert rep.n_stages == ref.n_stages
     np.testing.assert_allclose(rep.budget_used, ref.budget_used,
                                rtol=0, atol=1e-12)
-    # one solve per stage, and per unit problem when lambda > 0 (at
-    # lambda = 0 they are one cumulative sum); only the master problem is
-    # built, and the unit problems are its leading slices
+    # one solve above the last stage, and one per unit problem when
+    # lambda > 0 (at lambda = 0 they are one cumulative sum); only the
+    # master problem is built, and the unit problems are its leading slices
     unit_solves = 0 if lam == 0 else len(RADII)
-    assert len(solves) == unit_solves + rep.n_stages - 1
+    assert len(solves) == unit_solves + 1
     assert len(problems) == 1
-    stages = [(prob, out) for prob, spec, out in solves
-              if spec.theta_right > 1.0]
-    assert len(stages) == rep.n_stages - 1
-    w = ref.w0
-    for n, (prob, w_next) in enumerate(stages, start=1):
-        assert prob.n_nodes == len(rep.w.problem.grid)
-        idx_n = int(np.searchsorted(rep.w.problem.grid, RADII[n]))
+    last_prob, last_spec = solves[-1]
+    assert last_prob.n_nodes == len(rep.w.problem.grid)
+    assert last_spec.theta_right == rep.n_stages
+    # every closed-form stage w_n = w_0 + n h_{N-1} rises by no more than
+    # any candidate of the sampling reference
+    grid = rep.w.problem.grid
+    for n in range(1, rep.n_stages):
+        w, w_next = (ref.w0 + k * ref.h_funcs[-2] for k in (n - 1, n))
+        idx_n = int(np.searchsorted(grid, RADII[n]))
         inc = float(np.max((w_next - w)[:idx_n + 1]))
-        for cand_inc, _ in stage_candidates(M, p, lam, rep.w.problem.grid,
-                                            RADII, ref.h_funcs, w, n):
+        for cand_inc, _ in stage_candidates(M, p, lam, grid, RADII,
+                                            ref.h_funcs, w, n):
             assert inc <= cand_inc + 1e-12
-        w = w_next
+
+
+@pytest.mark.parametrize("tag, m, stages", [("euclidean", 2, 30),
+                                            ("euclidean", 3, 24),
+                                            ("hyperbolic", 2, 10)])
+def test_stage_obstacle_is_its_own_solution(tag, m, stages):
+    # h_{j*} + n h_{N-1} is a discrete supersolution for every p > 1 and
+    # lambda >= 0 ((p-1)-homogeneity on [K, rho_{j*}], a nonnegative
+    # potential defect past it, dropping fluxes at the kinks), so the
+    # whole-grid obstacle problem of each stage returns its obstacle.  On
+    # radii 3..6 every run takes j* = N; radii 4..32 add j* < N.  Only the
+    # runs that reach the stages count, at least ``stages`` stages a warping
+    M = core.manifold_from_tag(tag, m)
+    checked = 0
+    for radii in ([3.0, 4.0, 5.0, 6.0], RADII):
+        for p in (1.5, 2.0, 3.0):
+            for lam in (0.0, 0.25, 1.0):
+                try:
+                    rep = obstacle.khasminskii_construct(M, p, lam, 1.0, 2.0,
+                                                         0.1, radii)
+                except core.NumericError:
+                    continue
+                if rep.verdict != "PotentialBuilt":
+                    continue
+                prob = rep.w.problem
+                idx = np.searchsorted(prob.grid, radii)
+                h_funcs = obstacle._unit_solutions(prob, idx)
+                j_star = next((j for j, s in enumerate(rep.stage_sups)
+                               if s <= 0.05), len(radii) - 1)
+                for n in range(1, len(radii) - 1):
+                    psi = h_funcs[j_star] + n * h_funcs[-2]
+                    assert obstacle.is_supersolution(prob, psi,
+                                                     tol=1e-8).ok
+                    out = obstacle.solve_obstacle(
+                        prob, obstacle.ObstacleSpec(psi[1:-1], 0.0, n + 1.0),
+                        initial=psi).values
+                    np.testing.assert_allclose(out, psi, rtol=1e-15, atol=0)
+                    checked += 1
+    assert checked >= stages
 
 
 def test_khasminskii_answers_where_classify_does():

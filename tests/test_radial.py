@@ -633,7 +633,7 @@ def test_a_march_to_a_non_finite_radius_is_refused(R_max):
     # the blow-up threshold, reported as a blow-up, with B != 0
     params = radial.CauchyParams(R=1.0, theta=1.0, mu=1.0, c=1.0)
     with pytest.raises(core.DomainError, match="R_max must be finite"):
-        radial._base_window(params, R_max, 64)
+        radial._base_window(params.R, R_max, 64)
     with pytest.raises(core.DomainError, match="R_max must be finite"):
         radial.solve_cauchy(EUC2, LAP2, core.linear_power_potential(2.0, 1.0),
                             params, R_max)
