@@ -6,9 +6,9 @@ exhaustion profile), ``khasminskii`` (staged supersolution pipeline) and
 ``key=value`` text (one pair per line, ``#`` comments) merged with
 repeated ``--set key=value`` command-line overrides; later values win.
 
-Exit codes: 0 success, 1 error, 2 any Inconclusive classification or
-exhaustion test, 4 nonzero limit in the staged pipeline or no exhaustion
-for ``evans``.
+Exit codes: 0 success, 1 error, 2 any Inconclusive classification,
+exhaustion test or staged verdict, 4 nonzero limit in the staged pipeline
+or no exhaustion for ``evans``.
 Output is CSV with '#'-prefixed ``key=value`` metadata lines before the
 header; identical configs produce byte-identical output.  ``evans``
 names in ``# reason=`` the branch of the Liouville test that decided.
@@ -263,8 +263,8 @@ def cmd_khasminskii(cfg, out_path) -> int:
          f"h_limit_sup={report.h_limit_sup:.12g}",
          "budget_used=" + ",".join(f"{b:.12g}" for b in report.budget_used)],
         "w", report.w.problem.grid, report.w.values))
-    return EXIT_H_LIMIT_NONZERO if report.verdict == "HLimitNonzero" \
-        else EXIT_OK
+    return {"HLimitNonzero": EXIT_H_LIMIT_NONZERO,
+            "Inconclusive": EXIT_INCONCLUSIVE}.get(report.verdict, EXIT_OK)
 
 
 def _parse_obstacle_shape(raw, grid):

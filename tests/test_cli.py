@@ -344,6 +344,18 @@ def test_khasminskii_hyperbolic_default_radii_exit_four(capsys):
     assert "# verdict=HLimitNonzero" in out.splitlines()
 
 
+def test_khasminskii_positive_lambda_limit_exit_two(capsys):
+    # KL holds on r e^(r^3) at p = 3, but on radii 3..6 the stage-0 sups
+    # fit a limit of 0.187; at lambda > 0 the 1/log fit models no known
+    # decay, so that is Inconclusive (exit 2), not HLimitNonzero
+    code, out = run_cli(["khasminskii", "--set", "manifold=power-exp:alpha=3",
+                         "--set", "m=2", "--set", "p=3", "--set", "lambda=1",
+                         "--set", "K_radius=1", "--set", "Omega_radius=2",
+                         "--set", "radii=3,4,5,6"], capsys)
+    assert code == 2
+    assert "# verdict=Inconclusive" in out.splitlines()
+
+
 def test_khasminskii_bad_radii_order(capsys):
     code, _ = run_cli(["khasminskii", "--set", "manifold=euclidean",
                        "--set", "m=2", "--set", "K_radius=3",
@@ -632,6 +644,8 @@ def test_scipy_loads_only_for_the_obstacle_solver(tmp_path):
             ["obstacle", *plane, "--set", "r_min=1", "--set", "r_max=10"],
             ["khasminskii", *plane, "--set", "K_radius=1",
              "--set", "Omega_radius=2"],
+            ["khasminskii", *plane, "--set", "K_radius=1",
+             "--set", "Omega_radius=2", "--set", "lambda=1"],
             ["obstacle", *plane, "--set", "r_min=1", "--set", "r_max=10",
              "--set", "lambda=1"]]
     src = str(Path(cli.__file__).parents[1])
@@ -641,7 +655,8 @@ def test_scipy_loads_only_for_the_obstacle_solver(tmp_path):
                            json.dumps(runs)], env=env, capture_output=True,
                           text=True, check=True)
     seen = json.loads(proc.stdout)
-    # the lambda = 0 obstacle and khasminskii runs are exact majorants;
-    # only the lambda > 0 Newton solve loads scipy.linalg
-    assert seen[:8] == [[], [0], [0], [0], [0], [0], [0], [0]]
-    assert seen[8] == [0, "scipy", "scipy.linalg"]
+    # the lambda = 0 obstacle run is an exact majorant and khasminskii
+    # makes no solve at any lambda; only the lambda > 0 Newton solve of
+    # obstacle loads scipy.linalg
+    assert seen[:9] == [[], [0], [0], [0], [0], [0], [0], [0], [0]]
+    assert seen[9] == [0, "scipy", "scipy.linalg"]

@@ -45,20 +45,6 @@ def test_make_problem_validation():
             obstacle.make_problem(EUC3, 2.0, 0.0, np.append(grid, bad))
 
 
-@pytest.mark.parametrize("tag,m", [("euclidean", 3), ("hyperbolic", 2)])
-def test_leading_slice_is_the_prefix_problem(tag, m):
-    # the same arrays, bit for bit, as building the problem on the prefix
-    M = core.manifold_from_tag(tag, m)
-    prob = obstacle.make_problem(M, 3.0, 0.5, np.geomspace(1.0, 32.0, 40))
-    for k in (2, 17, 39):
-        sub, ref = prob.leading(k), obstacle.make_problem(
-            M, 3.0, 0.5, prob.grid[:k + 1])
-        assert (sub.p, sub.lam) == (ref.p, ref.lam)
-        for name in ("grid", "node_weights", "edge_weights", "h", "dr"):
-            assert np.array_equal(getattr(sub, name), getattr(ref, name)), \
-                name
-
-
 def test_energy_and_gradient_consistent():
     prob = make_euclidean_problem(p=3.0, lam=0.5)
     rng = np.random.default_rng(7)
@@ -253,7 +239,7 @@ def test_obstacle_solution_above_obstacle_and_stationary():
     assert viol == 0.0
     assert stat <= 1e-8
     assert slack >= -1e-6
-    assert obstacle.is_supersolution(prob, sol.values, tol=1e-6).ok
+    assert obstacle.is_supersolution(prob, sol.values, tol=1e-10).ok
 
 
 def test_obstacle_infeasible_raises():
@@ -316,7 +302,7 @@ def test_predicates_take_problem_and_values():
                                                           spec)
     assert stat == sol.stationarity
     assert viol == 0.0 and slack >= -1e-6
-    check = obstacle.is_supersolution(prob, sol.values, tol=1e-6)
+    check = obstacle.is_supersolution(prob, sol.values, tol=1e-10)
     assert check.ok and 1 <= check.worst_node <= prob.n_nodes - 2
 
 
@@ -393,7 +379,7 @@ def test_pasting_min_supersolution():
                                  theta_right=w1.values[j])
     w2 = obstacle.solve_obstacle(sub, spec)
     pasted = pasting_min(prob, w1.values, w2.values, i)
-    assert obstacle.is_supersolution(prob, pasted, tol=1e-6).ok
+    assert obstacle.is_supersolution(prob, pasted, tol=1e-10).ok
 
 
 def test_pasting_min_junction_mismatch():

@@ -1,7 +1,7 @@
-"""The theory table as a guard on the classifiers: on whole families of
-manifolds and potentials whose answers follow from closed forms
-(``perfbench/theory.py``), no verdict is ever wrong, and the
-Inconclusive ones stay few.
+"""The theory table as a guard on the classifiers and on the staged
+pipeline at lambda > 0: on whole families of manifolds and potentials
+whose answers follow from closed forms (``perfbench/theory.py``), no
+verdict is ever wrong, and the Inconclusive ones stay few.
 
 The grids cross each critical line and hold both of its sides: the
 parabolicity exponent ``k (m-1)/(p-1) = 1`` of the power tables, ``alpha
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from modelpot import core, criteria
+from modelpot import core, criteria, obstacle
 
 
 def _load_theory():
@@ -36,9 +36,16 @@ POWERS_P = (1.5, 2.0, 3.0, 4.0)
 ALPHAS = [round(1.2 + 0.2 * i, 1) for i in range(15)]     # 1.2 .. 4.0
 KO_Q = (0.25, 0.5, 0.75, 0.9, 1.0, 1.1, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
 
+# the staged pipeline at lambda > 0 on the power tables: each family's
+# lambda and exhaustion radii
+KHASMINSKII = {"khasminskii:lambda=1": (1.0, [4.0, 8.0, 16.0, 32.0]),
+               "khasminskii:lambda=0.25": (0.25, [3.0, 4.0, 5.0, 6.0])}
+
 # the largest Inconclusive count of each family; a wrong verdict is
 # never allowed
-INCONCLUSIVE_BOUND = {"power": 14, "power-exp": 4, "hyperbolic": 0, "ko": 2}
+INCONCLUSIVE_BOUND = {"power": 14, "power-exp": 4, "hyperbolic": 0, "ko": 2,
+                      "khasminskii:lambda=1": 0,
+                      "khasminskii:lambda=0.25": 73}
 
 
 def _power_table(k: float, m: int) -> core.ModelManifold:
@@ -56,6 +63,16 @@ def _kl_potentials(p: float):
              theory.Potential(f"linear-power:p={p:g},lambda=1", p - 1.0)))
 
 
+def _khasminskii_verdict(M, p, lam, radii) -> str:
+    """The staged pipeline's verdict, or the name of the error it ends
+    in (which no family expects)."""
+    try:
+        return obstacle.khasminskii_construct(M, p, lam, 1.0, 2.0, 0.1,
+                                              radii).verdict
+    except (core.NumericError, ValueError) as exc:
+        return type(exc).__name__
+
+
 def theory_cases():
     """``(family, case, expected, got)`` for every case of the table."""
     for k in POWERS_K:
@@ -68,6 +85,13 @@ def theory_cases():
                 yield ("power", f"k={k:g} m={m} p={p:g}",
                        theory.classify_property(truth, p, theory.ZERO),
                        cls.property.value)
+                B = theory.Potential(f"linear-power:p={p:g},lambda=1", p - 1)
+                for family, (lam, radii) in KHASMINSKII.items():
+                    yield (family, f"k={k:g} m={m} p={p:g}",
+                           "PotentialBuilt"
+                           if theory.exhaustion_exists(truth, p, B)
+                           else "HLimitNonzero",
+                           _khasminskii_verdict(M, p, lam, radii))
     for alpha in ALPHAS:
         for m in (2, 3):
             M = core.manifold_from_tag(f"power-exp:alpha={alpha:g}", m)
@@ -102,7 +126,8 @@ def theory_cases():
 def test_theory_table_has_no_wrong_verdict():
     cases = list(theory_cases())
     assert Counter(family for family, *_ in cases) == {
-        "power": 348, "power-exp": 180, "hyperbolic": 24, "ko": 48}
+        "power": 348, "power-exp": 180, "hyperbolic": 24, "ko": 48,
+        "khasminskii:lambda=1": 348, "khasminskii:lambda=0.25": 348}
     wrong = [(family, case, expected, got)
              for family, case, expected, got in cases
              if got != "Inconclusive" and got != expected]
