@@ -14,10 +14,10 @@ Every weight comes from ``log g``: ``log_sphere_volume`` gives
 ``(m-1) log g`` at any radius, and ``sphere_volume`` is its ``exp``, which
 refuses by name a weight that would overflow a double.
 
-No module of the package imports scipy at load: the two functions that
-use it (adaptive quadrature and the tridiagonal obstacle solve) import it
-when called, so that ``import modelpot`` costs little more than ``import
-numpy``.  Monotone-cubic tables are ``pchip``, in numpy.
+The package runs on numpy alone, so that every command costs little more
+than ``import numpy``: monotone-cubic tables are ``pchip``, and the one
+quadrature of non-smooth integrands, ``Quadrature``, is Gauss-Legendre on
+panels graded toward the singular end.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 import math
 import re
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -41,43 +40,42 @@ class NumericError(RuntimeError):
 
 
 class QuadratureError(NumericError):
-    """Adaptive quadrature did not converge; carries the achieved estimate."""
-
-    def __init__(self, message: str, achieved: float):
-        super().__init__(f"{message} (achieved error estimate {achieved:.3e})")
-        self.achieved = achieved
+    """Quadrature of a non-smooth integrand did not reach its tolerance."""
 
 
 # ---------------------------------------------------------------------------
 # quadrature
 
 
-# the absolute and relative tolerances of every adaptive quadrature
-QUAD_ABS_TOL = 1e-10
-QUAD_REL_TOL = 1e-8
+# the graded rule's panels: [a + L 2^(-k-1), a + L 2^(-k)], k < GRADED_PANELS
+GRADED_PANELS = 48
 
 
 class Quadrature:
-    """Adaptive panel-refinement quadrature over finite intervals.  A class,
-    not a function, so that a tracer can wrap ``Quadrature.integrate``."""
+    """Quadrature graded toward the left end of a finite interval, for
+    integrands that are powers of the distance to it.  A class, not a
+    function, so that a tracer can wrap ``Quadrature.integrate``."""
 
     def integrate(self, f, a: float, b: float, points=None) -> float:
-        from scipy.integrate import IntegrationWarning, quad
+        """``integral_a^b f`` by the 8-node Gauss-Legendre rule on the
+        panels ``[a + L 2^(-k-1), a + L 2^(-k)]``, ``L = b - a``, ``k <
+        GRADED_PANELS``, from one call of ``f``.  ``QuadratureError`` unless
+        the innermost panel is within 1e-14 of the total (``1/(t - a)``,
+        whose panels are all ``log 2``, is not); no split ``points``."""
+        if points is not None:
+            raise ValueError("Quadrature.integrate takes no split points")
         if a == b:
             return 0.0
-        kwargs = {"epsabs": QUAD_ABS_TOL, "epsrel": QUAD_REL_TOL, "limit": 200}
-        if points is not None:
-            kwargs["points"] = [x for x in points if a < x < b]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IntegrationWarning)
-            val, err = quad(f, a, b, **kwargs)
-        if not math.isfinite(val):
-            raise QuadratureError("non-finite quadrature result", err)
-        # quad may miss the requested tolerance on hard integrands; accept a
-        # generous slack because classifier margins dominate quadrature error.
-        if err > 1e4 * max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(val)):
-            raise QuadratureError("quadrature did not converge", err)
-        return val
+        width = (b - a) * 0.5 ** np.arange(1, GRADED_PANELS + 1)
+        nodes = a + width[:, None] * (1.0 + _GL_NODES)
+        panels = width * (np.asarray(f(nodes), dtype=float) @ _GL_WEIGHTS)
+        total = math.fsum(panels)
+        if not (math.isfinite(total)
+                and abs(panels[-1]) <= 1e-14 * abs(total)):
+            raise QuadratureError(
+                f"the innermost graded panel, {panels[-1]:.3e}, is not "
+                f"within 1e-14 of the total, {total:.3e}")
+        return total
 
 
 DEFAULT_QUADRATURE = Quadrature()

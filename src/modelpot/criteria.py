@@ -275,10 +275,10 @@ def _cumulative_table(f, x, kinks=()):
 
     ``f`` is called once, on the 8 Gauss-Legendre nodes of every panel after
     the first, as one array.  The head panel ``[0, x[1]]``, and the panel
-    that starts at each of the ``kinks`` (nodes of ``x``), are adaptive
-    ``DEFAULT_QUADRATURE`` calls, which load ``scipy.integrate`` on first
-    use: power integrands such as ``t**0.5`` are singular at 0, where the
-    8-node rule is off by 2.5e-4 relative, and ``(t - T)**0.5`` at ``T``.
+    that starts at each of the ``kinks`` (nodes of ``x``), are
+    ``DEFAULT_QUADRATURE`` calls, graded toward their left end: power
+    integrands such as ``t**0.5`` are singular at 0, where one 8-node panel
+    is off by 2.5e-4 relative, and ``(t - T)**0.5`` at ``T``.
     """
     a, h = x[1:-1], np.diff(x[1:])
     panels = h * (f(a[:, None] + h[:, None] * _GL_NODES) @ _GL_WEIGHTS)
@@ -292,9 +292,8 @@ def _cumulative_table(f, x, kinks=()):
 def _beta_interpolant(pot: PotentialB, s_max: float):
     """``beta(s) = integral_0^s B`` on a 400-node log grid to ``s_max``,
     with the potential's kink as one more node: 8-node Gauss-Legendre
-    panels, and adaptive panels at 0 and at the kink, where power
-    potentials such as ``t**0.5`` and ``max(t - T, 0)**0.5`` are not
-    smooth."""
+    panels, graded ones at 0 and at the kink, where power potentials such
+    as ``t**0.5`` and ``max(t - T, 0)**0.5`` are not smooth."""
     s = np.concatenate([[0.0], np.geomspace(1e-6, s_max, 400)])
     kinks = (pot.kink,) if pot.kink is not None and 0 < pot.kink < s_max \
         else ()
@@ -304,8 +303,8 @@ def _beta_interpolant(pot: PotentialB, s_max: float):
 
 def _kinetic_inverse(op: PhiOperator, y_max: float):
     """Inverse of ``K(t) = integral_0^t s phi'(s) ds`` via a monotone table
-    of ``K`` on a 600-node log grid: 8-node Gauss-Legendre panels, and an
-    adaptive head panel at 0, where ``s phi'(s) ~ s**(p-1)`` is not smooth
+    of ``K`` on a 600-node log grid: 8-node Gauss-Legendre panels, and a
+    graded head panel at 0, where ``s phi'(s) ~ s**(p-1)`` is not smooth
     for ``p < 2``."""
     # K(t) grows like t**p: size the grid so the table covers y_max
     t_hi = 4.0 * max(1.0, (op.a2 * op.p * y_max) ** (1.0 / op.p))

@@ -12,10 +12,11 @@ Strict convexity (p > 1, lambda >= 0) makes the constrained minimizer
 unique and turns minimality, comparison and pasting into checkable
 node-wise statements.  At lambda = 0 the minimizer is exact: the least
 concave majorant of the obstacle in the p-harmonic coordinate ``S``, one
-hull pass with no iteration and no scipy.  For lambda > 0 the solver is
+hull pass with no iteration.  For lambda > 0 the solver is
 projected Newton with a primal-dual active set: the Hessian of ``J`` is
-tridiagonal, so each step is one banded solve, and a backtracking search
-on ``J`` makes it globally convergent for every ``p``.
+tridiagonal and diagonally dominant, so each step is one elimination
+without pivoting, and a backtracking search on ``J`` makes it globally
+convergent for every ``p``.  Both routes end on one scale-free KKT gate.
 
 The staged construction makes no solve: one forward sweep gives its
 unit solutions, and its final check is a componentwise backward error,
@@ -205,21 +206,31 @@ def _hessian_bands(prob, u):
 
 def _solve_tridiagonal(off, diag, rhs):
     """Solve the symmetric tridiagonal system with diagonal ``diag`` and
-    off-diagonal ``off`` by LAPACK ``dgtsv``: what ``solve_banded((1, 1),
-    ...)`` runs, bit for bit, without its validation (and, as it does, a
-    1x1 system by one division).  Its errors stay: ``ValueError`` for a
-    non-finite entry, ``LinAlgError`` for a zero pivot."""
-    from scipy.linalg import LinAlgError
-    from scipy.linalg.lapack import dgtsv
-    if not (np.isfinite(off).all() and np.isfinite(diag).all()
-            and np.isfinite(rhs).all()):
-        raise ValueError("array must not contain infs or NaNs")
-    if len(diag) == 1:
-        return rhs / diag
-    x, info = dgtsv(off, diag, off, rhs)[3:]
-    if info > 0:
-        raise LinAlgError("singular matrix")
-    return x
+    off-diagonal ``off`` by elimination without pivoting, in LAPACK
+    ``dgtsv``'s arithmetic: stable on the diagonally dominant Newton
+    Hessian (Higham, Accuracy and Stability of Numerical Algorithms, 9.6).
+    ``NumericError`` names a non-finite entry or a pivot that is not
+    positive, and its row."""
+    for name, a in (("off-diagonal", off), ("diagonal", diag),
+                    ("right-hand side", rhs)):
+        if not np.isfinite(a).all():
+            i = int(np.argmin(np.isfinite(a)))
+            raise NumericError(f"the Newton system's {name} is not finite "
+                               f"at row {i}: {a[i]}")
+    du, d, b = off.tolist(), diag.tolist(), rhs.tolist()
+    last = len(du)
+    for i in range(last + 1):
+        if not d[i] > 0.0:
+            raise NumericError(f"the Newton system's pivot at row {i} is "
+                               f"{d[i]:.3e}, not positive")
+        if i < last:
+            fact = du[i] / d[i]
+            d[i + 1] -= fact * du[i]
+            b[i + 1] -= fact * b[i]
+    b[-1] /= d[-1]
+    for i in range(last - 1, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1]) / d[i]
+    return np.array(b)
 
 
 def solve_obstacle(prob: DiscreteProblem, spec: ObstacleSpec,
@@ -284,12 +295,10 @@ def _concave_majorant(prob: DiscreteProblem, spec: ObstacleSpec,
         u[a:b] = ys[a] + slope * (S[a:b] - xs[a])
     u[-1] = spec.theta_right
     u[1:-1] = np.maximum(u[1:-1], psi)
-    stat, viol, _ = residual_complementarity(prob, u, spec)
-    if not (stat <= 1e-8 and viol <= 1e-12):
-        raise NumericError(
-            f"the concave majorant fails the KKT gate: stationarity "
-            f"{stat:.3e} (gate 1e-8), obstacle violation {viol:.3e} "
-            f"(gate 1e-12)")
+    failure, stat = _kkt_gate(prob, u, psi)
+    if failure:
+        raise NumericError(f"the concave majorant fails the KKT gate: "
+                           f"{failure}")
     return DiscreteFunction(u, prob, iterations=0, stationarity=stat)
 
 
@@ -303,11 +312,11 @@ def _projected_newton(prob: DiscreteProblem, spec: ObstacleSpec,
     obstacle; the other nodes take the Newton step of the free block.  A
     backtracking search on the energy along the projected arc keeps every
     step a descent step; at p = 2 a fixed active set is solved in one step.
-    Termination requires both a small maximal update and a small
-    complementarity residual; ``MAX_NEWTON_STEPS`` bounds the Newton
-    steps.  ``initial``, an array of node values, replaces the linear
-    start.  It solves every lambda >= 0, and checks the lambda = 0
-    majorant by an independent route.
+    It stops on a maximal update within ``tol`` that passes the KKT gate
+    ``_kkt_gate``; ``MAX_NEWTON_STEPS`` bounds the Newton steps.
+    ``initial``, an array of node values, replaces the linear start.  It
+    solves every lambda >= 0, and checks the lambda = 0 majorant by an
+    independent route.
     """
     psi = np.asarray(spec.psi, dtype=float)
     if initial is None:
@@ -341,14 +350,13 @@ def _projected_newton(prob: DiscreteProblem, spec: ObstacleSpec,
         step = float(np.max(np.abs(trial - u)))
         u, energy = trial, energy_trial
         if step <= tol:
-            stat, viol, _ = residual_complementarity(prob, u, spec)
-            if stat <= 1e-8 and viol <= 1e-12:
+            failure, stat = _kkt_gate(prob, u, psi)
+            if not failure:
                 return DiscreteFunction(u, prob, iterations=it,
                                         stationarity=stat)
-    stat, viol, _ = residual_complementarity(prob, u, spec)
     raise SweepLimitError(
         f"no convergence in {MAX_NEWTON_STEPS} Newton steps (last update "
-        f"{step:.3e})", stat)
+        f"{step:.3e})", _kkt_gate(prob, u, psi)[1])
 
 
 def solve_dirichlet(prob: DiscreteProblem, theta_left: float,
@@ -377,6 +385,53 @@ def residual_complementarity(prob: DiscreteProblem, u, spec: ObstacleSpec):
     return stationarity, violation, slackness
 
 
+def _gradient_ratio(prob: DiscreteProblem, u, nodes: float = 0.0):
+    """``dJ/du_i`` at the interior nodes, and its ratio to the size of its
+    terms, ``|flux_{i-1}| + |flux_i| + lambda w_i dr_i |u_i|^(p-1)`` (0
+    where that vanishes, and with it the gradient): a componentwise
+    backward error (Oettli-Prager), which scaling ``u`` or the weights
+    leaves unchanged.  With ``nodes``, each flux counts that many times its
+    change under a unit relative change of its node values as well,
+    ``(p-1) (|u_i| + |u_{i+1}|) / |u_{i+1} - u_i|`` times the flux."""
+    flux, pot = prob._terms(u)
+    grad = (flux[:-1] - flux[1:]) + pot[1:-1]
+    edge = np.abs(flux)
+    if nodes:
+        du, au = np.abs(np.diff(u)), np.abs(u)
+        edge *= 1.0 + nodes * (prob.p - 1.0) * np.divide(
+            au[:-1] + au[1:], du, out=np.zeros_like(du), where=du > 0)
+    size = edge[:-1] + edge[1:] + np.abs(pot[1:-1])
+    return grad, np.divide(grad, size, out=np.zeros_like(grad),
+                           where=size > 0)
+
+
+def _kkt_gate(prob: DiscreteProblem, u, psi):
+    """The KKT gate of both obstacle routes: what the node values ``u``
+    fail (``""`` if nothing), and the stationarity of
+    ``residual_complementarity``, from the same terms.  ``u`` passes where
+    ``_gradient_ratio`` with ``nodes = 1e-3`` (a change of 1e-10 in the
+    terms, 1e-13 in the node values) is within 1e-10 in size off the
+    contact set (the nodes within 1e-9 of ``psi``) and above -1e-10 on it,
+    and ``u`` lies at most 1e-12 below ``psi``.  The node values count
+    because their rounding moves a flux by ``(p-1) u / du`` of it, 1.8e11
+    at p = 1.1 on a 1e-9 core; elsewhere a minimizer's ratio is rounding,
+    <= 4.3e-14 on the benchmark's majorants."""
+    inner = u[1:-1]
+    grad, ratio = _gradient_ratio(prob, u, nodes=1e-3)
+    off = inner > psi + 1e-9
+    stationarity = float(np.max(np.abs(grad[off] / prob.dr[1:-1][off]),
+                                initial=0.0))
+    defect = np.where(off, np.abs(ratio), -ratio)
+    i = int(np.argmax(defect))
+    violation = float(np.max(psi - inner))
+    if not defect[i] <= 1e-10:
+        return (f"KKT defect {defect[i]:.3e} at node {i + 1} (gate 1e-10)",
+                stationarity)
+    if not violation <= 1e-12:
+        return f"obstacle violation {violation:.3e} (gate 1e-12)", stationarity
+    return "", stationarity
+
+
 @dataclass(frozen=True)
 class SupersolutionCheck:
     ok: bool
@@ -386,16 +441,11 @@ class SupersolutionCheck:
 
 def is_supersolution(prob: DiscreteProblem, u, tol: float = 1e-8
                      ) -> SupersolutionCheck:
-    """Discrete supersolution test of the node values ``u``, as a
-    componentwise backward error (Oettli-Prager): at every interior node
-    ``dJ/du_i >= -tol (|flux_{i-1}| + |flux_i| + lambda w_i dr_i
-    |u_i|^(p-1))``, so that scaling ``u`` or the weights leaves it
-    unchanged.  ``worst_residual`` is the least ratio of ``dJ/du_i`` to
-    that sum (0 where the sum vanishes, since the gradient then does)."""
-    flux, pot = prob._terms(u)
-    grad = (flux[:-1] - flux[1:]) + pot[1:-1]
-    size = np.abs(flux[:-1]) + np.abs(flux[1:]) + np.abs(pot[1:-1])
-    ratio = np.divide(grad, size, out=np.zeros_like(grad), where=size > 0)
+    """Discrete supersolution test of the node values ``u``: at every
+    interior node ``_gradient_ratio >= -tol``, that is ``dJ/du_i >= -tol
+    (|flux_{i-1}| + |flux_i| + lambda w_i dr_i |u_i|^(p-1))``.
+    ``worst_residual`` is the least ratio."""
+    ratio = _gradient_ratio(prob, u)[1]
     worst = int(np.argmin(ratio))
     return SupersolutionCheck(bool(ratio[worst] >= -tol), worst + 1,
                               float(ratio[worst]))

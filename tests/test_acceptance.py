@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 
 import conftest
 from modelpot import cli, core, criteria, obstacle, radial
@@ -98,7 +98,6 @@ def test_acceptance_03_growth_condition_two_forms():
 
 
 def test_acceptance_04_radial_solver_vs_closed_form():
-    q = core.Quadrature()
     worst_err, worst_time = 0.0, 0.0
     for op in (core.p_laplacian_operator(2.0), core.p_laplacian_operator(3.0),
                core.perturbed_operator(2.0)):
@@ -110,9 +109,10 @@ def test_acceptance_04_radial_solver_vs_closed_form():
         worst_time = max(worst_time, time.perf_counter() - t0)
         y0 = core.sphere_volume(M, 1.0) * float(op.phi(1.0))
         idx = np.linspace(0, len(sol.grid) - 1, 40).astype(int)
-        exact = [q.integrate(
+        exact = [quad(
             lambda s: phi_inverse_brentq(op, y0 / core.sphere_volume(M, s)),
-            1.0, r) for r in sol.grid[idx]]
+            1.0, r, epsabs=1e-10, epsrel=1e-8, limit=200)[0]
+            for r in sol.grid[idx]]
         worst_err = max(worst_err, float(np.max(np.abs(sol.z[idx] - exact))))
     ok = worst_err <= 1e-6 and worst_time < 1.0
     report(4, "radial solver vs closed form", ok,

@@ -393,6 +393,19 @@ def test_obstacle_command(capsys):
     assert int(iters.split("=")[1]) >= 1
 
 
+def test_obstacle_on_hyperbolic_m3(capsys):
+    # weights up to sinh(10)^2: the absolute stationarity gate ended this
+    # solve in SweepLimitError after 200 steps at 1.7e-7, with updates of
+    # 1e-16; the scale-free gate stops it as a minimizer
+    code, out = run_cli(["obstacle", "--set", "manifold=hyperbolic",
+                         "--set", "m=3", "--set", "lambda=1",
+                         "--set", "r_min=1", "--set", "r_max=10"], capsys)
+    assert code == 0
+    iters = next(ln for ln in out.splitlines()
+                 if ln.startswith("# iterations="))
+    assert 1 <= int(iters.split("=")[1]) < obstacle.MAX_NEWTON_STEPS
+
+
 def test_obstacle_bad_shape(capsys):
     for shape in ("spike", "bump:height"):
         assert cli.main(["obstacle", "--set", "manifold=euclidean",
@@ -608,7 +621,7 @@ def test_profile_csv_is_the_per_row_format(r, values):
 
 
 # ---------------------------------------------------------------------------
-# only keller_osserman and the obstacle solver load scipy
+# no command loads scipy
 
 
 SCIPY_PARTS = ("scipy", "scipy.integrate", "scipy.interpolate",
@@ -628,7 +641,7 @@ print(json.dumps(seen))
 """
 
 
-def test_scipy_loads_only_for_the_obstacle_solver(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     # a table is a numpy monotone cubic: classify on one loads no scipy
     r = np.linspace(0.01, 100.0, 400)
     table = tmp_path / "plane.csv"
@@ -655,8 +668,7 @@ def test_scipy_loads_only_for_the_obstacle_solver(tmp_path):
                            json.dumps(runs)], env=env, capture_output=True,
                           text=True, check=True)
     seen = json.loads(proc.stdout)
-    # the lambda = 0 obstacle run is an exact majorant and khasminskii
-    # makes no solve at any lambda; only the lambda > 0 Newton solve of
-    # obstacle loads scipy.linalg
-    assert seen[:9] == [[], [0], [0], [0], [0], [0], [0], [0], [0]]
-    assert seen[9] == [0, "scipy", "scipy.linalg"]
+    # the lambda = 0 obstacle run is an exact majorant, khasminskii makes
+    # no solve at any lambda, and the lambda > 0 Newton step eliminates in
+    # Python: no run loads scipy
+    assert seen == [[], [0], [0], [0], [0], [0], [0], [0], [0], [0]]

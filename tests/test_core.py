@@ -30,6 +30,41 @@ def test_quadrature_nonfinite_raises():
         core.Quadrature().integrate(lambda t: 1.0 / t, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("x", [1e-8, 1e-6, 1.0, 3.0])
+@pytest.mark.parametrize("q", [0.05, 0.1, 0.25, 0.5, 1.0, 4.5])
+def test_quadrature_power_head_panel(x, q):
+    # the head panels of keller_osserman's tables: t**q on [0, x], which
+    # the graded panels integrate to rounding (measured <= 5.4e-15)
+    exact = x ** (q + 1.0) / (q + 1.0)
+    got = core.Quadrature().integrate(lambda t: t ** q, 0.0, x)
+    assert abs(got - exact) <= 1e-14 * exact
+
+
+@pytest.mark.parametrize("T, p", [(0.5, 1.1), (1.0, 1.5), (2.0, 3.0)])
+def test_quadrature_kink_panel(T, p):
+    # the kink panel of a plateau potential, max(t - T, 0)**(p - 1) from T
+    f = core.plateau_potential(T, p).B
+    exact = 0.7 ** p / p
+    got = core.Quadrature().integrate(f, T, T + 0.7)
+    assert abs(got - exact) <= 1e-14 * exact
+
+
+def test_quadrature_refuses_split_points():
+    with pytest.raises(ValueError, match="no split points"):
+        core.Quadrature().integrate(lambda t: t, 0.0, 1.0, points=[0.5])
+
+
+def test_quadrature_calls_the_integrand_once():
+    calls = []
+
+    def f(t):
+        calls.append(np.shape(t))
+        return t
+
+    assert core.Quadrature().integrate(f, 0.0, 2.0) == pytest.approx(2.0)
+    assert calls == [(core.GRADED_PANELS, 8)]
+
+
 # ---------------------------------------------------------------------------
 # manifolds
 

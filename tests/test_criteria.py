@@ -478,7 +478,7 @@ def test_keller_osserman_builds_one_rule(monkeypatch):
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_plateau_beta_table_has_its_kink_as_a_node(p):
     # beta(s) = (s - T)**p / p past the kink T = 1; the panel that starts
-    # there is adaptive, as the head panel is
+    # there is graded, as the head panel is
     s, beta = criteria._beta_interpolant(core.plateau_potential(1.0, p), 1e6)
     assert 1.0 in s
     far = s >= 2.0

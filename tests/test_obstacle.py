@@ -2,6 +2,7 @@
 convergence order, structural properties and error paths."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -213,11 +214,34 @@ def test_majorant_keeps_the_kkt_gate(monkeypatch):
     # with the failing measure and its value
     prob = make_euclidean_problem(n=21)
     spec = obstacle.ObstacleSpec.dirichlet(prob.n_nodes, 0.0, 1.0)
-    monkeypatch.setattr(obstacle, "residual_complementarity",
-                        lambda *args: (2e-8, 0.0, 0.0))
-    with pytest.raises(core.NumericError,
-                       match=r"stationarity 2\.000e-08 \(gate 1e-8\)"):
+    ratio = np.zeros(prob.n_nodes - 2)
+    ratio[2] = 2e-10
+    monkeypatch.setattr(obstacle, "_gradient_ratio",
+                        lambda *args, **kwargs: (ratio, ratio))
+    with pytest.raises(core.NumericError, match=r"KKT defect 2\.000e-10 "
+                                                r"at node 3 \(gate 1e-10\)"):
         obstacle.solve_obstacle(prob, spec)
+
+
+def test_kkt_gate_reads_the_residual_sign_on_the_contact_set():
+    # u = psi at every interior node, on a convex obstacle: no node is off
+    # the contact set and none lies below psi, so the absolute measures of
+    # residual_complementarity see nothing, but the gradient pushes every
+    # node off the obstacle (its ratio is about -0.5 at p = 2)
+    prob = make_euclidean_problem(m=2, p=2.0, n=21)
+    u = (prob.grid - 1.0) ** 2
+    spec = obstacle.ObstacleSpec(u[1:-1], u[0], u[-1])
+    stat, viol, _ = obstacle.residual_complementarity(prob, u, spec)
+    assert stat == 0.0 and viol == 0.0
+    assert re.fullmatch(r"KKT defect 5\.\d\d\de-01 at node 1 \(gate 1e-10\)",
+                        obstacle._kkt_gate(prob, u, spec.psi)[0])
+    # the minimizer clears psi and passes, with the reported stationarity
+    for lam in (0.0, 1.0):
+        prob = make_euclidean_problem(m=2, p=2.0, lam=lam, n=21)
+        sol = obstacle.solve_obstacle(prob, spec)
+        assert np.all(sol.values[1:-1] > spec.psi)
+        assert obstacle._kkt_gate(prob, sol.values, spec.psi) == (
+            "", sol.stationarity)
 
 
 def test_obstacle_inactive_when_below_solution():
@@ -308,33 +332,108 @@ def test_predicates_take_problem_and_values():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 99, 400])
 def test_tridiagonal_solve_is_solve_banded(n):
-    # the Newton step's system: diagonally dominant or not, with decoupled
-    # rows where the active set cuts the coupling
+    # the Newton step's system, diagonally dominant with decoupled rows
+    # where the active set cuts the coupling: elimination without pivoting
+    # is dgtsv's arithmetic, bit for bit
     from scipy.linalg import solve_banded
     rng = np.random.default_rng(n)
-    for dominant in (True, False):
-        off = -rng.uniform(0.1, 2.0, n - 1) * (rng.uniform(size=n - 1) > 0.2)
-        diag = rng.uniform(0.5, 3.0, n) + (4.0 if dominant else 0.0)
-        rhs = rng.normal(size=n)
-        bands = np.zeros((3, n))
-        bands[0, 1:], bands[1], bands[2, :-1] = off, diag, off
-        assert np.array_equal(obstacle._solve_tridiagonal(off, diag, rhs),
-                              solve_banded((1, 1), bands, rhs))
+    off = -rng.uniform(0.1, 2.0, n - 1) * (rng.uniform(size=n - 1) > 0.2)
+    diag = rng.uniform(0.5, 3.0, n) + 4.0
+    rhs = rng.normal(size=n)
+    bands = np.zeros((3, n))
+    bands[0, 1:], bands[1], bands[2, :-1] = off, diag, off
+    assert np.array_equal(obstacle._solve_tridiagonal(off, diag, rhs),
+                          solve_banded((1, 1), bands, rhs))
+    # a system that is not positive definite (pivots 2, 1.5, 0.5 - 1/1.5):
+    # its first non-positive pivot is refused by row, where pivoting
+    # would go on
+    if n >= 3:
+        diag = np.full(n, 2.0)
+        diag[2] = 0.5
+        with pytest.raises(core.NumericError,
+                           match=r"pivot at row 2 is -1\.667e-01"):
+            obstacle._solve_tridiagonal(np.full(n - 1, -1.0), diag,
+                                        np.ones(n))
 
 
 def test_tridiagonal_solve_errors():
-    from scipy.linalg import LinAlgError
     system = (np.full(3, -1.0), np.full(4, 2.0), np.ones(4))
-    for i in range(3):
+    for i, name in enumerate(("off-diagonal", "diagonal",
+                              "right-hand side")):
         for value in (math.nan, math.inf):
             args = [a.copy() for a in system]
             args[i][1] = value
-            with pytest.raises(ValueError, match="infs or NaNs"):
+            with pytest.raises(core.NumericError,
+                               match=f"{name} is not finite at row 1: "
+                                     f"{value}"):
                 obstacle._solve_tridiagonal(*args)
     # a zero pivot: the first row vanishes
-    with pytest.raises(LinAlgError, match="singular matrix"):
+    with pytest.raises(core.NumericError,
+                       match=r"pivot at row 0 is 0\.000e\+00"):
         obstacle._solve_tridiagonal(np.zeros(3), np.array([0.0, 1, 1, 1]),
                                     np.ones(4))
+
+
+def _newton_systems(monkeypatch):
+    """The (off, diag, rhs, x) of every Newton system solved while the
+    fixture is in force."""
+    seen = []
+    solve = obstacle._solve_tridiagonal
+
+    def spy(off, diag, rhs):
+        x = solve(off, diag, rhs)
+        seen.append((off, diag, rhs, x))
+        return x
+
+    monkeypatch.setattr(obstacle, "_solve_tridiagonal", spy)
+    return seen
+
+
+@pytest.mark.parametrize("tag, m, p, lam", [
+    ("euclidean", 2, 1.5, 10.0), ("euclidean", 3, 3.0, 1.0),
+    ("hyperbolic", 2, 6.0, 0.25), ("hyperbolic", 3, 2.0, 1.0)])
+def test_newton_systems_are_dgtsv(tag, m, p, lam, monkeypatch):
+    # every Newton system of a lambda > 0 solve is solved as LAPACK's
+    # dgtsv solves it: the Hessian is diagonally dominant, so dgtsv never
+    # interchanges rows and the arithmetic is the same
+    from scipy.linalg.lapack import dgtsv
+    seen = _newton_systems(monkeypatch)
+    M = core.manifold_from_tag(tag, m)
+    prob = obstacle.make_problem(M, p, lam, np.geomspace(1.0, 10.0, 101))
+    r = prob.grid[1:-1]
+    spec = obstacle.ObstacleSpec(0.8 - ((r - 5.0) / 2.0) ** 2, 0.0, 1.0)
+    obstacle.solve_obstacle(prob, spec)
+    assert seen
+    for off, diag, rhs, x in seen:
+        assert np.array_equal(x, dgtsv(off, diag, off, rhs)[3])
+
+
+def test_newton_solves_a_tiny_core_without_pivoting(monkeypatch):
+    # the unit problems on a 1e-9 core at p = 1.1, lambda = 0 (the Newton
+    # reference of the closed-form stage 0): 188 of their 331 systems
+    # have an eliminated pivot one ulp short of its off-diagonal entry,
+    # where dgtsv interchanges rows and a guard |d| >= |dl| would refuse.
+    # The pivots stay positive, and each solve has the componentwise
+    # backward error of stable elimination (Higham, 9.6): |b - A x| <= 4
+    # eps (|A| |x| + |b|)
+    seen = _newton_systems(monkeypatch)
+    M = core.manifold_from_tag("euclidean", 5)
+    grid = obstacle._construct_grid(1e-9, 2e-9, [4e-9, 8e-9, 16e-9, 32e-9],
+                                    48)
+    for k in np.searchsorted(grid, [4e-9, 8e-9, 16e-9, 32e-9]):
+        obstacle._projected_newton(
+            obstacle.make_problem(M, 1.1, 0.0, grid[:k + 1]),
+            obstacle.ObstacleSpec.dirichlet(k + 1, 0.0, 1.0))
+    assert len(seen) > 100
+    eps = np.finfo(float).eps
+    for off, diag, rhs, x in seen:
+        ax = diag * x
+        ax[:-1] += off * x[1:]
+        ax[1:] += off * x[:-1]
+        size = diag * np.abs(x) + np.abs(rhs)
+        size[:-1] -= off * np.abs(x[1:])
+        size[1:] -= off * np.abs(x[:-1])
+        assert np.all(np.abs(rhs - ax) <= 4 * eps * size)
 
 
 def test_deterministic_solves():

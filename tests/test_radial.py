@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import (cumulative_simpson, cumulative_trapezoid,
+from scipy.integrate import (cumulative_simpson, cumulative_trapezoid, quad,
                              solve_ivp)
 
 from modelpot import core, criteria, radial
@@ -29,14 +29,15 @@ ZERO = core.zero_potential()
 def pure_gradient_profile(M, op, params, r):
     """Closed-form solution for a vanishing potential: the flux is
     conserved, so z(r) = theta + (1/c) int_R^r phi^-1(w(R) phi(c mu)/w)."""
-    q = core.Quadrature()
     wR = core.sphere_volume(M, params.R)
     y0 = wR * float(op.phi(params.c * params.mu))
 
     def slope(s):
         return phi_inverse_brentq(op, y0 / core.sphere_volume(M, s))
 
-    return params.theta + q.integrate(slope, params.R, r) / params.c
+    integral = quad(slope, params.R, r, epsabs=1e-10, epsrel=1e-8,
+                    limit=200)[0]
+    return params.theta + integral / params.c
 
 
 # ---------------------------------------------------------------------------
