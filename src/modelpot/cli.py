@@ -302,12 +302,12 @@ def cmd_obstacle(cfg, out_path) -> int:
     spec = obstacle.ObstacleSpec(psi=psi, theta_left=theta_left,
                                  theta_right=theta_right)
     sol = obstacle.solve_obstacle(prob, spec, tol=tol)
-    stat, viol, slack = obstacle.residual_complementarity(
-        prob, sol.values, spec)
     _write(out_path, _profile_csv(
         ["command=obstacle", f"energy={prob.energy(sol.values):.12g}",
-         f"stationarity={stat:.6g}", f"iterations={sol.iterations}",
-         f"obstacle_violation={viol:.6g}", f"min_slackness={slack:.6g}"],
+         f"stationarity={sol.stationarity:.6g}",
+         f"iterations={sol.iterations}",
+         f"obstacle_violation={sol.obstacle_violation:.6g}",
+         f"min_slackness={sol.min_slackness:.6g}"],
         "u", grid, sol.values))
     return EXIT_OK
 

@@ -143,7 +143,10 @@ class DiscreteFunction:
     values: np.ndarray
     problem: DiscreteProblem
     iterations: int = 0              # Newton steps of the solve
-    stationarity: float = math.nan   # final KKT stationarity defect
+    # the final KKT measures of residual_complementarity, from the gate
+    stationarity: float = math.nan
+    obstacle_violation: float = math.nan
+    min_slackness: float = math.nan
 
     def __post_init__(self):
         if len(self.values) != self.problem.n_nodes:
@@ -295,11 +298,12 @@ def _concave_majorant(prob: DiscreteProblem, spec: ObstacleSpec,
         u[a:b] = ys[a] + slope * (S[a:b] - xs[a])
     u[-1] = spec.theta_right
     u[1:-1] = np.maximum(u[1:-1], psi)
-    failure, stat = _kkt_gate(prob, u, psi)
+    failure, stat, viol, slack = _kkt_gate(prob, u, psi)
     if failure:
         raise NumericError(f"the concave majorant fails the KKT gate: "
                            f"{failure}")
-    return DiscreteFunction(u, prob, iterations=0, stationarity=stat)
+    return DiscreteFunction(u, prob, iterations=0, stationarity=stat,
+                            obstacle_violation=viol, min_slackness=slack)
 
 
 def _projected_newton(prob: DiscreteProblem, spec: ObstacleSpec,
@@ -350,10 +354,12 @@ def _projected_newton(prob: DiscreteProblem, spec: ObstacleSpec,
         step = float(np.max(np.abs(trial - u)))
         u, energy = trial, energy_trial
         if step <= tol:
-            failure, stat = _kkt_gate(prob, u, psi)
+            failure, stat, viol, slack = _kkt_gate(prob, u, psi)
             if not failure:
                 return DiscreteFunction(u, prob, iterations=it,
-                                        stationarity=stat)
+                                        stationarity=stat,
+                                        obstacle_violation=viol,
+                                        min_slackness=slack)
     raise SweepLimitError(
         f"no convergence in {MAX_NEWTON_STEPS} Newton steps (last update "
         f"{step:.3e})", _kkt_gate(prob, u, psi)[1])
@@ -407,8 +413,9 @@ def _gradient_ratio(prob: DiscreteProblem, u, nodes: float = 0.0):
 
 def _kkt_gate(prob: DiscreteProblem, u, psi):
     """The KKT gate of both obstacle routes: what the node values ``u``
-    fail (``""`` if nothing), and the stationarity of
-    ``residual_complementarity``, from the same terms.  ``u`` passes where
+    fail (``""`` if nothing), then the three measures of
+    ``residual_complementarity`` (stationarity, violation, slackness),
+    bit for bit, from the same terms.  ``u`` passes where
     ``_gradient_ratio`` with ``nodes = 1e-3`` (a change of 1e-10 in the
     terms, 1e-13 in the node values) is within 1e-10 in size off the
     contact set (the nodes within 1e-9 of ``psi``) and above -1e-10 on it,
@@ -419,17 +426,19 @@ def _kkt_gate(prob: DiscreteProblem, u, psi):
     inner = u[1:-1]
     grad, ratio = _gradient_ratio(prob, u, nodes=1e-3)
     off = inner > psi + 1e-9
-    stationarity = float(np.max(np.abs(grad[off] / prob.dr[1:-1][off]),
-                                initial=0.0))
+    res = grad / prob.dr[1:-1]
+    stationarity = float(np.max(np.abs(res[off]), initial=0.0))
+    violation = float(np.max(np.maximum(psi - inner, 0.0)))
+    gap = np.minimum(np.maximum(inner - psi, 0.0), 1.0)
+    slackness = float(np.min(gap * res))
     defect = np.where(off, np.abs(ratio), -ratio)
     i = int(np.argmax(defect))
-    violation = float(np.max(psi - inner))
+    failure = ""
     if not defect[i] <= 1e-10:
-        return (f"KKT defect {defect[i]:.3e} at node {i + 1} (gate 1e-10)",
-                stationarity)
-    if not violation <= 1e-12:
-        return f"obstacle violation {violation:.3e} (gate 1e-12)", stationarity
-    return "", stationarity
+        failure = f"KKT defect {defect[i]:.3e} at node {i + 1} (gate 1e-10)"
+    elif not violation <= 1e-12:
+        failure = f"obstacle violation {violation:.3e} (gate 1e-12)"
+    return failure, stationarity, violation, slackness
 
 
 @dataclass(frozen=True)

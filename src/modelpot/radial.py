@@ -162,7 +162,9 @@ def volterra_apply(window: _Window,
 
 
 # A Picard iterate has converged once an application moves it by at most
-# PICARD_TOL; a window fails at a growing increment or PICARD_MAX_ITER.
+# PICARD_TOL of its largest value, which is scale-free: an absolute bound
+# sits below an ulp of a large profile and above all of a tiny one.  A
+# window fails at a growing increment or PICARD_MAX_ITER.
 PICARD_TOL = 1e-10
 PICARD_MAX_ITER = 200
 
@@ -171,10 +173,13 @@ def solve_on_interval(M: ModelManifold, op: PhiOperator, pot: PotentialB,
                       params: CauchyParams, r_end: float, n_nodes: int = 64
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fixed point ``(grid, z, zp)`` on ``n_nodes`` uniform nodes of
-    ``[R, r_end]``: the first Picard application, value and slope, that
-    moves the iterate by at most ``PICARD_TOL``; raises at a growing
-    increment, where the iteration does not contract, or at the cap.
-    The window is built once and the whole iteration runs under one
+    ``[R, r_end]``: the first Picard application, value and slope, whose
+    increment ``max|v - u|`` is at most ``PICARD_TOL * max(v)`` (``v >=
+    theta >= 0``, so that is ``max|v|``), so that scaling the data scales
+    the answer; raises at a growing increment, where the iteration does
+    not contract, or at the cap.  The increment is also the finiteness
+    check: ``u`` is finite, so it is finite exactly when ``v`` is.  The
+    window is built once and the whole iteration runs under one
     ``np.errstate``; each application goes through ``volterra_apply``."""
     if r_end <= params.R:
         raise DomainError("r_end must exceed the base radius")
@@ -184,12 +189,12 @@ def solve_on_interval(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, PICARD_MAX_ITER + 1):
             v, vp = volterra_apply(window, u)
-            if not np.isfinite(v).all():
+            last, delta = delta, float(np.abs(v - u).max())
+            if not math.isfinite(delta):
                 raise PicardNoConvergence("iteration produced non-finite "
                                           "values; shrink the interval")
-            last, delta = delta, float(np.abs(v - u).max())
             u = v
-            if delta <= PICARD_TOL:
+            if delta <= PICARD_TOL * v.max():
                 return grid, u, vp
             if delta > last:
                 break

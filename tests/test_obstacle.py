@@ -235,13 +235,13 @@ def test_kkt_gate_reads_the_residual_sign_on_the_contact_set():
     assert stat == 0.0 and viol == 0.0
     assert re.fullmatch(r"KKT defect 5\.\d\d\de-01 at node 1 \(gate 1e-10\)",
                         obstacle._kkt_gate(prob, u, spec.psi)[0])
-    # the minimizer clears psi and passes, with the reported stationarity
+    # the minimizer clears psi and passes, with the reported measures
     for lam in (0.0, 1.0):
         prob = make_euclidean_problem(m=2, p=2.0, lam=lam, n=21)
         sol = obstacle.solve_obstacle(prob, spec)
         assert np.all(sol.values[1:-1] > spec.psi)
         assert obstacle._kkt_gate(prob, sol.values, spec.psi) == (
-            "", sol.stationarity)
+            "", sol.stationarity, sol.obstacle_violation, sol.min_slackness)
 
 
 def test_obstacle_inactive_when_below_solution():
@@ -310,10 +310,11 @@ def test_solver_reports_its_work():
         else:
             assert 1 <= sol.iterations <= 20
         assert 0.0 <= sol.stationarity <= 1e-8
-        stat, _, _ = obstacle.residual_complementarity(
+        # the gate's measures are residual_complementarity's, bit for bit
+        assert (sol.stationarity, sol.obstacle_violation,
+                sol.min_slackness) == obstacle.residual_complementarity(
             prob, sol.values,
             obstacle.ObstacleSpec.dirichlet(prob.n_nodes, 0.0, 1.0))
-        assert sol.stationarity == stat
 
 
 def test_predicates_take_problem_and_values():
@@ -324,7 +325,8 @@ def test_predicates_take_problem_and_values():
     sol = obstacle.solve_obstacle(prob, spec)
     stat, viol, slack = obstacle.residual_complementarity(prob, sol.values,
                                                           spec)
-    assert stat == sol.stationarity
+    assert (stat, viol, slack) == (sol.stationarity, sol.obstacle_violation,
+                                   sol.min_slackness)
     assert viol == 0.0 and slack >= -1e-6
     check = obstacle.is_supersolution(prob, sol.values, tol=1e-10)
     assert check.ok and 1 <= check.worst_node <= prob.n_nodes - 2

@@ -228,6 +228,32 @@ def test_solve_cauchy_value_is_the_integral_of_its_slope():
         np.testing.assert_allclose(z - z[0], integral, rtol=1e-13, atol=0.0)
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_solve_cauchy_is_scale_covariant(p):
+    # B = t^(p-1) and phi = t^(p-1) are both (p-1)-homogeneous and theta = 0,
+    # so z(mu) = mu z(1) exactly, and a scale-free Picard stop keeps that
+    # on the same grid.  Each window's fixed point is its last application,
+    # a few ulps from the scaled one; ~10 applications of 4 ulps each give
+    # 40 eps ~ 9e-15, and 1e-13 leaves a margin.  An absolute stop of 1e-10
+    # took the mu = 1e-12 profile's first iterate (0.58 off at p = 2)
+    M, op = EUC2, core.p_laplacian_operator(p)
+    pot = core.linear_power_potential(p, 1.0)
+
+    def profile(mu):
+        params = radial.CauchyParams(R=1.0, theta=0.0, mu=mu, c=1.0)
+        sol = radial.solve_cauchy(M, op, pot, params, 10.0,
+                                  blowup_threshold=math.inf)
+        assert sol.status == radial.COMPLETE
+        return sol
+
+    unit = profile(1.0)
+    for mu in (1e3, 1e-3, 1e-6, 1e-9, 1e-12):
+        sol = profile(mu)
+        assert np.array_equal(sol.grid, unit.grid), mu
+        np.testing.assert_allclose(sol.z / mu, unit.z, rtol=1e-13, atol=0.0,
+                                   err_msg=f"mu={mu:g}")
+
+
 def test_solution_is_increasing_and_flux_consistent():
     pot = core.linear_power_potential(2.0, 0.5)
     params = radial.CauchyParams(R=1.0, theta=0.0, mu=0.7, c=1.0)
@@ -284,10 +310,12 @@ def test_window_fails_at_the_first_growing_increment():
 
 @pytest.mark.parametrize("threshold", [1e8, 1e16, 1e50])
 def test_blowup_march_work_counts(monkeypatch, threshold):
-    # failing windows stop at their first growing increment, and a window
-    # accepted right after a halving is not doubled: 218 Picard
-    # applications and 27 failed windows (435 and 42 when windows iterated
-    # until the flux overflowed and always doubled)
+    # failing windows stop at their first growing increment, a window
+    # accepted right after a halving is not doubled, and the Picard stop
+    # reads the increment relative to the iterate: 199 Picard applications
+    # and 27 failed windows (218 with an absolute stop of 1e-10, 435 and
+    # 42 when windows iterated until the flux overflowed and always
+    # doubled)
     counts = {"applications": 0, "failed": 0, "accepted": 0}
     apply, solve = radial.volterra_apply, radial.solve_on_interval
 
@@ -311,7 +339,7 @@ def test_blowup_march_work_counts(monkeypatch, threshold):
     params = radial.CauchyParams(R=1.0, theta=1.0, mu=1.0, c=1.0)
     sol = radial.solve_cauchy(EUC2, LAP2, core.superlinear_potential(5.0),
                               params, 100.0, blowup_threshold=threshold)
-    assert counts == {"applications": 218, "failed": 27, "accepted": 15}
+    assert counts == {"applications": 199, "failed": 27, "accepted": 15}
     assert sol.status == radial.BLOWUP
     assert sol.blowup_radius == 1.80695616081357
     assert len(sol.grid) == 946
