@@ -124,7 +124,8 @@ class _CumulativeSimpson:
     """
 
     def __init__(self, x):
-        h = np.diff(x)
+        # np.diff of a 1-D array, bit for bit, without its dispatch
+        h = x[1:] - x[:-1]
         if not (h > 0).all():
             raise ValueError("grid must be strictly increasing")
         self.h = h
@@ -174,7 +175,9 @@ class ModelManifold:
             raise ValueError("dimension m must be >= 2")
 
     def _check_radius(self, r):
-        if np.any(np.asarray(r) > self.r_max_valid):
+        # no radius passes an infinite table end, so only a table scans
+        if self.r_max_valid < math.inf and \
+                (np.asarray(r) > self.r_max_valid).any():
             raise DomainError(
                 f"radius beyond tabulated range (max {self.r_max_valid})"
             )
@@ -184,7 +187,7 @@ def log_sphere_volume(M: ModelManifold, r):
     """``log vol(dB_r) = (m-1) log g(r)`` at a radius or an array of radii,
     safe for warpings that overflow ``g`` itself."""
     radii = np.asarray(r, dtype=float)
-    if np.any(radii <= 0):
+    if (radii <= 0).any():
         raise DomainError("the sphere volume requires r > 0")
     M._check_radius(radii)
     out = (M.m - 1) * np.asarray(M.log_g(radii), dtype=float)
@@ -544,24 +547,9 @@ _TINY = np.finfo(float).tiny
 
 def phi_inverse(op: PhiOperator, y):
     """Solve ``phi(t) = y`` for ``t >= 0`` at a value or an array of values:
-    the operator's analytic inverse if it has one, else a vectorized
-    safeguarded Newton iteration (rtsafe, Press et al., Numerical Recipes
-    9.4) on the bracket the pinching bounds give.  It starts from the
-    geometric mean of the two pinching estimates ``(y/a)**(1/(p-1))``;
-    every step shrinks the bracket by the sign of ``phi(t) - y`` and takes
-    the Newton step only if it lands strictly inside, else bisects.  Each
-    element stops at its own first step within 4 ulps, or after 90 steps,
-    so the result is elementwise: a value's ``phi^-1`` is the same alone
-    or in any array, bit for bit.  A negative or non-finite ``y`` raises
-    ``DomainError`` naming it, on either branch.
-    For ``y > 0`` the upper end of the bracket is floored at the least
-    normal double ``tiny``: where ``(y/a1)**(1/(p-1))`` underflows,
-    ``phi(tiny) >= a1 tiny**(p-1) > y``, so the root stays inside.
-    The bounds are only sampled, so a bracket without the root raises
-    ``NumericError``, as does a residual above ``1e-12 * (1 + y)`` (which
-    is what a ``phi_prime`` far above ``phi'`` leads to: its short Newton
-    steps stay inside the bracket and use up the steps).
-    """
+    check the domain, then solve (``_phi_inverse_in_domain``).  A negative
+    or non-finite ``y`` raises ``DomainError`` naming it, on either branch
+    of the solve."""
     ys = np.asarray(y, dtype=float)
     # two reductions decide the domain (a NaN fails both); the mask is
     # built only to name the first offending y
@@ -569,6 +557,29 @@ def phi_inverse(op: PhiOperator, y):
         bad = ~((ys >= 0) & (ys < math.inf))
         raise DomainError(f"phi_inverse requires finite y >= 0, got "
                           f"y={ys[bad][0]:.6g}")
+    return _phi_inverse_in_domain(op, ys)
+
+
+def _phi_inverse_in_domain(op: PhiOperator, ys: np.ndarray):
+    """``phi_inverse`` of a float array ``ys`` already known to be finite
+    and ``>= 0``, with no domain check: the operator's analytic inverse if
+    it has one, else a vectorized safeguarded Newton iteration (rtsafe,
+    Press et al., Numerical Recipes 9.4) on the bracket the pinching bounds
+    give.  It starts from the geometric mean of the two pinching estimates
+    ``(y/a)**(1/(p-1))``; every step shrinks the bracket by the sign of
+    ``phi(t) - y`` and takes the Newton step only if it lands strictly
+    inside, else bisects.  Each element stops at its own first step within
+    4 ulps, or after 90 steps, so the result is elementwise: a value's
+    ``phi^-1`` is the same alone or in any array, bit for bit.
+    For ``y > 0`` the upper end of the bracket is floored at the least
+    normal double ``tiny``: where ``(y/a1)**(1/(p-1))`` underflows,
+    ``phi(tiny) >= a1 tiny**(p-1) > y``, so the root stays inside.
+    The bounds are only sampled, so a bracket without the root raises
+    ``NumericError``, as does a residual above ``1e-12 * (1 + y)`` (which
+    is what a ``phi_prime`` far above ``phi'`` leads to: its short Newton
+    steps stay inside the bracket and use up the steps).  A 0-d ``ys``
+    gives a float.
+    """
     if op.phi_inv is not None:
         t = np.asarray(op.phi_inv(ys), dtype=float)
         return float(t) if t.ndim == 0 else t

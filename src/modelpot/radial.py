@@ -21,9 +21,10 @@ import numpy as np
 from .core import (DomainError, ModelManifold, NumericError, PhiOperator,
                    PotentialB, _CumulativeSimpson, log_sphere_volume,
                    phi_inverse, sphere_volume)
-# the array calls of the Picard windows, under a name of their own so that
-# a profile can tell them from the scalar calls
-from .core import phi_inverse as phi_inverse_array
+# the phi^-1 of the Picard applications, under a name of their own so that
+# a profile counts them: the solve alone, since an application's finite,
+# clamped flux is in [0, inf).  Every other call here is checked.
+from .core import _phi_inverse_in_domain as phi_inverse_array
 from .criteria import (DEFAULT_DIVERGENCE, DivergenceVerdict, Verdict,
                        classify_KL)
 
@@ -143,7 +144,8 @@ def volterra_apply(window: _Window,
     ``np.errstate(over="ignore", invalid="ignore")``, as
     ``solve_on_interval`` does once per window.  The checks (the shape,
     ``u >= 0`` and a finite flux, else ``FluxOverflow``) are one
-    reduction each.
+    reduction each; the finite flux, clamped at zero, is in ``phi^-1``'s
+    domain, which is therefore not checked again.
     """
     if u.shape != window.grid.shape:
         raise ValueError("grid and samples must have matching shapes")
@@ -183,13 +185,16 @@ def solve_on_interval(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     ``np.errstate``; each application goes through ``volterra_apply``."""
     if r_end <= params.R:
         raise DomainError("r_end must exceed the base radius")
+    if n_nodes < 2:
+        raise ValueError(f"n_nodes must be >= 2, got {n_nodes}")
     grid = np.linspace(params.R, r_end, n_nodes)
     window = _Window(M, op, pot, params, grid)
     u, delta = np.full(n_nodes, params.theta), math.inf
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, PICARD_MAX_ITER + 1):
             v, vp = volterra_apply(window, u)
-            last, delta = delta, float(np.abs(v - u).max())
+            d = v - u
+            last, delta = delta, float(np.abs(d, out=d).max())
             if not math.isfinite(delta):
                 raise PicardNoConvergence("iteration produced non-finite "
                                           "values; shrink the interval")
@@ -246,7 +251,9 @@ def _march(M: ModelManifold, op: PhiOperator, pot: PotentialB,
                 raise NumericError(
                     "window underflow without blow-up signature")
             continue
-        over = np.nonzero(z > blowup_threshold)[0]
+        # no z passes an infinite threshold (every evans march)
+        over = (np.nonzero(z > blowup_threshold)[0]
+                if blowup_threshold < math.inf else ())
         if len(over) > 0:
             k = int(over[0])
             cut = max(k, 1)
@@ -316,10 +323,13 @@ def _constant_flux_slope(M: ModelManifold, op: PhiOperator,
                          params: CauchyParams, r) -> np.ndarray:
     """``z' = phi^-1(phi(c mu) w(R)/w(r))/c``, the slope of the ``B = 0``
     solution, with the weight ratio taken in log form so that no weight
-    overflows."""
-    ratio = np.exp(log_sphere_volume(M, params.R) - log_sphere_volume(M, r))
-    y = float(op.phi(params.c * params.mu)) * ratio
-    return phi_inverse_array(op, y) / params.c
+    overflows.  The ratio itself can, where ``w`` decreases: the checked
+    ``phi_inverse`` then refuses its ``y = inf`` with ``DomainError``."""
+    with np.errstate(over="ignore"):
+        ratio = np.exp(log_sphere_volume(M, params.R)
+                       - log_sphere_volume(M, r))
+        y = float(op.phi(params.c * params.mu)) * ratio
+    return phi_inverse(op, y) / params.c
 
 
 def _constant_flux_grid(R: float, R_max: float,

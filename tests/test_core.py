@@ -241,10 +241,14 @@ def test_sphere_volume_is_exp_of_log():
         assert core.sphere_volume(M, 2.0) == \
             np.exp(core.log_sphere_volume(M, 2.0))
         for bad in (0.0, -1.0, np.array([1.0, 0.0])):
-            with pytest.raises(core.DomainError, match="r > 0"):
-                core.sphere_volume(M, bad)
-    with pytest.raises(core.DomainError, match="tabulated range"):
-        core.sphere_volume(table, np.array([1.0, 5.5]))
+            for volume in (core.sphere_volume, core.log_sphere_volume):
+                with pytest.raises(core.DomainError, match="r > 0"):
+                    volume(M, bad)
+    for bad in (5.5, np.array([1.0, 5.5])):
+        for volume in (core.sphere_volume, core.log_sphere_volume):
+            with pytest.raises(core.DomainError,
+                               match=r"tabulated range \(max 5\.0\)"):
+                volume(table, bad)
 
 
 def test_sphere_volume_refuses_overflow_by_name():

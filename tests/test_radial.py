@@ -153,6 +153,79 @@ def test_volterra_apply_is_the_reference_bit_for_bit(n, data, manifold,
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
+def count_picard_work(monkeypatch) -> dict:
+    """Count, from now on, the Picard applications and the window solves,
+    and those of them that fail, in a dict that the caller reads."""
+    counts = {"applications": 0, "windows": 0, "failed": 0}
+    apply, solve = radial.volterra_apply, radial.solve_on_interval
+
+    def counted_apply(*args):
+        counts["applications"] += 1
+        return apply(*args)
+
+    def counted_solve(*args, **kwargs):
+        counts["windows"] += 1
+        try:
+            return solve(*args, **kwargs)
+        except radial.PicardNoConvergence:
+            counts["failed"] += 1
+            raise
+
+    monkeypatch.setattr(radial, "volterra_apply", counted_apply)
+    monkeypatch.setattr(radial, "solve_on_interval", counted_solve)
+    return counts
+
+
+def reference_window(M, op, pot, params, r_end, n_nodes=64):
+    """``solve_on_interval``'s Picard loop and stop rule on the checked
+    per-call oracle ``volterra_apply_reference``: ``(grid, z, zp)`` and the
+    number of applications."""
+    grid = np.linspace(params.R, r_end, n_nodes)
+    u, delta = np.full(n_nodes, params.theta), math.inf
+    for k in range(1, radial.PICARD_MAX_ITER + 1):
+        v, vp = volterra_apply_reference(M, op, pot, params, grid, u)
+        last, delta = delta, float(np.max(np.abs(v - u)))
+        assert math.isfinite(delta)
+        u = v
+        if delta <= radial.PICARD_TOL * np.max(v):
+            return (grid, u, vp), k
+        assert delta <= last, "the reference window does not contract"
+    raise AssertionError("the reference window reached the cap")
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3])
+@pytest.mark.parametrize("table", [False, True], ids=["euclidean m=2",
+                                                      "table g~r^(1/2)"])
+@pytest.mark.parametrize("pot_tag", ["linear-power:p={p:g},lambda=1",
+                                     "plateau:T=1,p={p:g}", "zero"])
+@pytest.mark.parametrize("op_tag", ["p-laplacian:p=2", "p-laplacian:p=3",
+                                    "perturbed:p=2"])
+def test_solve_on_interval_is_the_reference_loop_bit_for_bit(
+        monkeypatch, tmp_path, op_tag, pot_tag, table, theta):
+    # a whole window, phi^-1 solved without its domain check, against the
+    # loop on the application that checks everything in every call
+    op = core.operator_from_tag(op_tag)
+    pot = core.potential_from_tag(pot_tag.format(p=op.p))
+    M = sqrt_table(tmp_path) if table else EUC2
+    params = radial.CauchyParams(R=1.0, theta=theta, mu=2.0, c=1.0)
+    want, applications = reference_window(M, op, pot, params, 1.5)
+    counts = count_picard_work(monkeypatch)
+    got = radial.solve_on_interval(M, op, pot, params, 1.5)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert counts["applications"] == applications
+
+
+@pytest.mark.parametrize("n_nodes", [1, 0])
+def test_solve_on_interval_refuses_fewer_than_two_nodes(n_nodes):
+    # one node used to return the node at R as the "solution" on [R, 5],
+    # and none an IndexError
+    params = radial.CauchyParams(R=1.0, theta=1.0, mu=0.5, c=1.0)
+    with pytest.raises(ValueError, match=f"n_nodes must be >= 2, got "
+                                         f"{n_nodes}$"):
+        radial.solve_on_interval(EUC2, LAP2, ZERO, params, 5.0,
+                                 n_nodes=n_nodes)
+
+
 def test_cauchy_params_validation():
     with pytest.raises(ValueError):
         radial.CauchyParams(R=0.0, theta=0.0, mu=1.0, c=1.0)
@@ -343,6 +416,20 @@ def test_blowup_march_work_counts(monkeypatch, threshold):
     assert sol.status == radial.BLOWUP
     assert sol.blowup_radius == 1.80695616081357
     assert len(sol.grid) == 946
+
+
+@pytest.mark.parametrize("tag,work", [
+    ("linear-power:p=2,lambda=1",
+     {"applications": 306, "windows": 43, "failed": 0}),
+    ("plateau:T=1,p=2", {"applications": 84, "windows": 42, "failed": 0}),
+])
+def test_evans_march_work_counts(monkeypatch, tag, work):
+    # the Picard work of an evans call on the plane, scales and windows
+    # together, so that a faster window is seen to do the same work
+    counts = count_picard_work(monkeypatch)
+    radial.evans_for_triple(EUC2, LAP2, core.potential_from_tag(tag), R=1.0,
+                            R1=2.0, eps=0.1, R_max=40.0)
+    assert counts == work
 
 
 def test_no_blowup_for_subcritical_potential():
@@ -666,6 +753,19 @@ def test_a_march_to_a_non_finite_radius_is_refused(R_max):
     with pytest.raises(core.DomainError, match="R_max must be finite"):
         radial.solve_cauchy(EUC2, LAP2, core.linear_power_potential(2.0, 1.0),
                             params, R_max)
+
+
+def test_constant_flux_profile_names_an_overflowing_weight_ratio():
+    # g = r up to 1, then e^(-300 (r - 1)): at m = 5 the ratio w(R)/w(r)
+    # passes the largest double near r = 1.6; the checked phi^-1 names
+    # the y = inf it makes, with no overflow warning first
+    r = np.linspace(0.01, 2.0, 200)
+    M = core.tabulated_manifold(
+        r, np.where(r <= 1.0, r, np.exp(-300.0 * (r - 1.0))), m=5)
+    params = radial.CauchyParams(R=0.5, theta=0.0, mu=1.0, c=1.0)
+    with pytest.raises(core.DomainError,
+                       match="phi_inverse requires finite y >= 0, got y=inf"):
+        radial.constant_flux_profile(M, LAP2, params, 2.0)
 
 
 def test_constant_flux_profile_validation():
