@@ -280,8 +280,16 @@ def _parse_obstacle_shape(raw, grid):
             raise ConfigError(
                 "obstacle", "bump needs height=..,center=..,width=..") \
                 from None
-        r = grid[1:-1]
-        return height - ((r - center) / width) ** 2
+        if not all(map(math.isfinite, (height, center, width))):
+            raise ConfigError("obstacle", f"bump needs finite height, "
+                              f"center and width: {raw!r}")
+        if width <= 0:
+            raise ConfigError("obstacle",
+                              f"bump width must be positive: {raw!r}")
+        # a square past the largest double is the -inf (no constraint)
+        # that the parabola tends to
+        with np.errstate(over="ignore"):
+            return height - ((grid[1:-1] - center) / width) ** 2
     raise ConfigError("obstacle", f"unknown shape {raw!r}")
 
 

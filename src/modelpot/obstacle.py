@@ -111,25 +111,28 @@ class DiscreteProblem:
 
 def make_problem(M: ModelManifold, p: float, lam: float,
                  grid: Sequence[float]) -> DiscreteProblem:
+    """The discrete energy of ``M`` on the strictly increasing ``grid``:
+    one ``sphere_volume`` pass gives the weights at the nodes and at the
+    edge midpoints together, and the spacings ``h`` serve both the order
+    check and the problem."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 3:
         raise ValueError("grid must be 1-D with at least 3 nodes")
     if not np.isfinite(grid).all():      # a NaN passes the order check
         bad = grid[~np.isfinite(grid)][0]
         raise ValueError(f"grid must be finite, got {bad:g}")
-    if np.any(np.diff(grid) <= 0):
+    h = grid[1:] - grid[:-1]
+    if (h <= 0).any():
         raise ValueError("grid must be strictly increasing")
     if not 1.1 <= p <= 10.0:
         raise ValueError("exponent p must lie in [1.1, 10]; outside this "
                          "band the nodal solves lose conditioning")
     if lam < 0:
         raise ValueError("potential coefficient lambda must be >= 0")
-    mid = 0.5 * (grid[:-1] + grid[1:])
-    wn = sphere_volume(M, grid)
-    we = sphere_volume(M, mid)
-    if np.any(wn <= 0) or np.any(we <= 0):
+    w = sphere_volume(M, np.concatenate((grid, 0.5 * (grid[:-1] + grid[1:]))))
+    if (w <= 0).any():
         raise ValueError("weights must be positive on the annulus")
-    h = np.diff(grid)
+    wn, we = w[:len(grid)], w[len(grid):]
     dr = np.empty_like(grid)
     dr[1:-1] = 0.5 * (grid[2:] - grid[:-2])
     dr[0] = 0.5 * h[0]
@@ -475,13 +478,22 @@ class KhasminskiiReport:
 
 
 def _construct_grid(K_radius, Omega_radius, radii, nodes_per_stage):
-    """Geometric master grid containing every control radius exactly: a
-    ``geomspace`` from each control radius to the next, whose ends are
-    exactly those radii."""
-    ends = [K_radius, Omega_radius] + list(radii)
-    return np.unique(np.concatenate(
-        [np.geomspace(lo, hi, nodes_per_stage)
-         for lo, hi in zip(ends[:-1], ends[1:])]))
+    """Geometric master grid containing every control radius exactly: one
+    ``geomspace`` pass gives every stage, from each control radius to the
+    next, as a row whose ends are exactly those radii (numpy takes array
+    ends elementwise, in the arithmetic of scalar ones).  A stage too short
+    for ``nodes_per_stage`` distinct doubles would lose nodes to
+    ``np.unique``; ``ValueError`` names its two radii."""
+    ends = np.array([K_radius, Omega_radius, *radii], dtype=float)
+    stages = np.geomspace(ends[:-1], ends[1:], nodes_per_stage, axis=1)
+    grid = np.unique(stages)
+    if len(grid) < len(stages) * (nodes_per_stage - 1) + 1:
+        i = int(np.argmax((np.diff(stages, axis=1) <= 0).any(axis=1)))
+        lo, hi = ends[i:i + 2].tolist()
+        raise ValueError(
+            f"the stage from r={lo!r} to r={hi!r} is too short for "
+            f"{nodes_per_stage} distinct nodes")
+    return grid
 
 
 def _forward_sweep(prob: DiscreteProblem) -> np.ndarray:
@@ -510,8 +522,8 @@ def _forward_sweep(prob: DiscreteProblem) -> np.ndarray:
     return np.array(r)
 
 
-def _unit_solutions(prob: DiscreteProblem, idx) -> list:
-    """Stage 0: for each end node ``k`` of ``idx``, the unit solution
+def _unit_solutions(prob: DiscreteProblem, idx) -> np.ndarray:
+    """Stage 0, one row per end node ``k`` of ``idx``: the unit solution
     ``h_j`` (0 at the first node, 1 at node ``k``) of the leading problem
     on nodes ``0..k``, extended by 1 past it.  Its Euler-Lagrange
     equations hold at nodes ``1..k-1`` only, which the forward sweep
@@ -519,8 +531,8 @@ def _unit_solutions(prob: DiscreteProblem, idx) -> list:
     ``h_j`` is the sweep over its value at node ``k``: the products of the
     ratios ``_forward_sweep`` from node ``k`` down.  At lambda = 0 the flux
     is constant and the sweep is the p-harmonic coordinate ``S``, so
-    ``h_j`` is ``S[:k+1] / S[k]`` (``_p_harmonic_coordinate``).  No
-    solve."""
+    ``h_j`` is ``S[:k+1] / S[k]`` (``_p_harmonic_coordinate``), and every
+    row comes from one array pass.  No solve."""
     n = prob.n_nodes
     if prob.lam == 0:
         S = _p_harmonic_coordinate(prob)
@@ -528,10 +540,13 @@ def _unit_solutions(prob: DiscreteProblem, idx) -> list:
             raise NumericError(
                 f"the unit solutions need a positive p-harmonic coordinate "
                 f"at node {idx[0]}, got {S[idx[0]]:.3e}")
-        return [np.append(S[:k + 1] / S[k], np.ones(n - k - 1)) for k in idx]
+        k = idx[:, None]
+        return np.where(np.arange(n) <= k, S / S[k], 1.0)
     r = _forward_sweep(prob)
-    return [np.concatenate((np.cumprod(r[k - 1::-1])[::-1], np.ones(n - k)))
-            for k in idx]
+    H = np.ones((len(idx), n))
+    for row, k in zip(H, idx):
+        row[:k] = np.cumprod(r[k - 1::-1])[::-1]
+    return H
 
 
 def khasminskii_construct(M: ModelManifold, p: float, lam: float,
@@ -596,7 +611,7 @@ def khasminskii_construct(M: ModelManifold, p: float, lam: float,
 
     h_funcs = _unit_solutions(prob, idx)
     idx_rho1 = idx[0]
-    sups = [float(np.max(h[:idx_rho1 + 1])) for h in h_funcs]
+    sups = np.max(h_funcs[:, :idx_rho1 + 1], axis=1).tolist()
 
     # extrapolate the sup of the decreasing limit: for vanishing limits the
     # sups decay linearly in 1/log(rho_j / K), so the fitted intercept

@@ -281,6 +281,17 @@ def random_bump_spec(prob, rng, theta_left=0.0, theta_right=1.0):
                                  theta_right=theta_right)
 
 
+def stage_grid_reference(K_radius, Omega_radius, radii, nodes_per_stage):
+    """The staged pipeline's master grid one stage at a time: a
+    ``geomspace`` from each control radius to the next, concatenated and
+    made unique.  ``obstacle._construct_grid`` builds every stage in one
+    pass, and equals it bit for bit."""
+    ends = [K_radius, Omega_radius] + list(radii)
+    return np.unique(np.concatenate(
+        [np.geomspace(lo, hi, nodes_per_stage)
+         for lo, hi in zip(ends[:-1], ends[1:])]))
+
+
 def unit_solutions(M, p, lam, grid, radii):
     """Stage 0 of the staged pipeline: the unit boundary-value problems on
     ``[K, rho_j]``, each extended by 1 to the whole grid."""

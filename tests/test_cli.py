@@ -407,12 +407,20 @@ def test_obstacle_on_hyperbolic_m3(capsys):
 
 
 def test_obstacle_bad_shape(capsys):
-    for shape in ("spike", "bump:height"):
-        assert cli.main(["obstacle", "--set", "manifold=euclidean",
-                         "--set", "m=3", "--set", "r_min=1",
-                         "--set", "r_max=2",
-                         "--set", f"obstacle={shape}"]) == 1
+    # a bump of width 0 used to divide by zero and solve with no obstacle
+    # (exit 0); the other widths and a nan height are refused as well
+    argv = ["obstacle", "--set", "manifold=euclidean", "--set", "m=3",
+            "--set", "r_min=1", "--set", "r_max=2", "--set"]
+    for shape in ("spike", "bump:height", "bump:height=0.5,center=1.5,width=0",
+                  "bump:height=0.5,center=1.5,width=-0.1",
+                  "bump:height=0.5,center=1.5,width=inf",
+                  "bump:height=nan,center=1.5,width=0.1"):
+        assert cli.main(argv + [f"obstacle={shape}"]) == 1, shape
         assert "config key 'obstacle'" in capsys.readouterr().err
+    # a square past the largest double is the -inf (no constraint) the
+    # parabola tends to: no overflow warning (pytest makes it an error)
+    assert cli.main(argv + ["obstacle=bump:height=1e308,center=1.5,"
+                            "width=1e-308", "--out", os.devnull]) == 0
 
 
 # ---------------------------------------------------------------------------

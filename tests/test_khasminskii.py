@@ -10,7 +10,7 @@ from modelpot import cli, core, criteria, obstacle
 from modelpot.criteria import PropertyTag
 
 from oracles import (KL_WARPINGS, khasminskii_candidate_sweep,
-                     stage_candidates, unit_solutions)
+                     stage_candidates, stage_grid_reference, unit_solutions)
 
 
 EUC2 = core.manifold_from_tag("euclidean", 2)
@@ -73,6 +73,40 @@ def test_space_detects_nonzero_limit():
 UNIT_RADII = [4.0, 6.0, 8.0, 12.0]
 
 
+def grid_pin_failures(build):
+    """The layouts on which ``build`` differs in any bit from the per-stage
+    ``geomspace`` grid: 1000 seeded ones (K, Omega, 1-7 radii, 2-80 nodes
+    per stage, stages from 1e-3 to 10 times their start) and the
+    benchmark's."""
+    rng = np.random.default_rng(32)
+    layouts = []
+    for _ in range(1000):
+        K = 10.0 ** rng.uniform(-3.0, 2.0)
+        Omega = K * (1.0 + 10.0 ** rng.uniform(-3.0, 1.0))
+        steps = 1.0 + 10.0 ** rng.uniform(-3.0, 1.0, rng.integers(1, 8))
+        layouts.append((K, Omega, (Omega * np.cumprod(steps)).tolist(),
+                        int(rng.integers(2, 81))))
+    layouts += [(1.0, 2.0, radii, 48) for radii in (
+        RADII, UNIT_RADII, [4.0, 8.0, 16.0, 32.0, 64.0],
+        [4.0, 8.0, 16.0, 32.0, 64.0, 128.0])] + [(1.0, 2.0, RADII, 5)]
+    return [layout for layout in layouts
+            if build(*layout).tobytes()
+            != stage_grid_reference(*layout).tobytes()]
+
+
+def test_stage_grid_is_the_per_stage_geomspace_bit_for_bit():
+    # one geomspace pass over all stages takes each row's ends elementwise
+    # in the scalar arithmetic; a grid from exp(linspace(log lo, log hi))
+    # rounds differently, and the pin refuses it
+    assert grid_pin_failures(obstacle._construct_grid) == []
+
+    def log_linear(K, Omega, radii, nodes):
+        ends = np.log([K, Omega, *radii])
+        return np.unique(np.exp(np.linspace(ends[:-1], ends[1:], nodes,
+                                            axis=1)))
+    assert len(grid_pin_failures(log_linear)) > 900
+
+
 @pytest.mark.parametrize("tag, m, p, radii", [
     (tag, m, p, UNIT_RADII)
     for tag, m in (("euclidean", 2), ("euclidean", 3), ("hyperbolic", 2))
@@ -92,7 +126,11 @@ def test_zero_lambda_unit_solutions_are_the_newton_solutions(tag, m, p,
     grid = obstacle._construct_grid(1.0, 2.0, radii, 48)
     prob = obstacle.make_problem(M, p, 0.0, grid)
     idx = np.searchsorted(grid, radii)
+    S = obstacle._p_harmonic_coordinate(prob)
     for k, h in zip(idx, obstacle._unit_solutions(prob, idx)):
+        # the one-array pass is the per-k quotient bit for bit
+        assert h.tobytes() == np.append(S[:k + 1] / S[k],
+                                        np.ones(len(grid) - k - 1)).tobytes()
         sub = obstacle.make_problem(M, p, 0.0, grid[:k + 1])
         newton = obstacle._projected_newton(
             sub, obstacle.ObstacleSpec.dirichlet(k + 1, 0.0, 1.0)).values
@@ -134,9 +172,14 @@ def test_sweep_unit_solutions_are_the_newton_solutions(tag, m, p, lam):
     grid = obstacle._construct_grid(1.0, 2.0, UNIT_RADII, 48)
     prob = obstacle.make_problem(M, p, lam, grid)
     idx = np.searchsorted(grid, UNIT_RADII)
-    for h, ref in zip(obstacle._unit_solutions(prob, idx),
-                      unit_solutions(M, p, lam, grid, UNIT_RADII)):
+    r = obstacle._forward_sweep(prob)
+    for k, h, ref in zip(idx, obstacle._unit_solutions(prob, idx),
+                         unit_solutions(M, p, lam, grid, UNIT_RADII)):
         np.testing.assert_allclose(h, ref, rtol=0, atol=1e-10)
+        # each row is its own running product of the sweep, bit for bit
+        assert h.tobytes() == np.concatenate(
+            (np.cumprod(r[k - 1::-1])[::-1], np.ones(len(grid) - k))
+        ).tobytes()
 
 
 def test_scale_free_gate_builds_where_the_absolute_one_failed():
@@ -239,6 +282,12 @@ def test_construct_validation():
                                              f"{bad}"):
             obstacle.khasminskii_construct(EUC2, 2.0, 0.0, 1.0, 2.0, 0.1,
                                            radii)
+    # a stage one ulp long has 2 doubles for its 48 nodes: np.unique used
+    # to merge them, and the final check failed at node 95
+    with pytest.raises(ValueError, match=r"the stage from r=4\.0 to r=4\."
+                                         r"000000000000001 is too short"):
+        obstacle.khasminskii_construct(EUC2, 2.0, 0.0, 1.0, 2.0, 0.1,
+                                       [4.0, 4.000000000000001, 16.0, 32.0])
 
 
 @pytest.mark.parametrize("M, p, lam", [
