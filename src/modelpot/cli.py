@@ -88,14 +88,19 @@ def _get_float(cfg, key, default=None, required=False, positive=False):
     raw = _get(cfg, key, required=required)
     if raw is None:
         return default
+    val = _finite(key, raw)
+    if positive and val <= 0:
+        raise ConfigError(key, "must be positive")
+    return val
+
+
+def _finite(key, raw):
     try:
         val = float(raw)
     except ValueError:
         raise ConfigError(key, f"not a number: {raw!r}") from None
     if not math.isfinite(val):
         raise ConfigError(key, f"not a finite number: {raw!r}")
-    if positive and val <= 0:
-        raise ConfigError(key, "must be positive")
     return val
 
 
@@ -112,8 +117,7 @@ def _get_int(cfg, key, default=None):
 def _split_list(raw):
     """Split at ``,`` or ``;``.  A ``key=value`` segment without ``:``
     continues the previous item when that item is a tag with options, so
-    ``linear-power:p=2,lambda=1`` stays one tag while the bare options
-    ``height=..,center=..`` still split."""
+    ``linear-power:p=2,lambda=1`` stays one tag."""
     items = []
     for seg in raw.replace(";", ",").split(","):
         seg = seg.strip()
@@ -124,12 +128,6 @@ def _split_list(raw):
         else:
             items.append(seg)
     return items
-
-
-def _manifold(tag, m):
-    if tag.startswith("table:"):
-        return core.load_manifold_csv(tag[len("table:"):], m)
-    return core.manifold_from_tag(tag, m)
 
 
 def _write(out_path, text):
@@ -182,7 +180,7 @@ def cmd_classify(cfg, out_path) -> int:
     lines = ["# command=classify", ",".join(CSV_COLUMNS)]
     any_inconclusive = False
     for man_tag in manifolds:
-        M = _manifold(man_tag, m)
+        M = core.manifold_from_tag(man_tag, m)
         for op_tag in operators:
             op = core.operator_from_tag(op_tag)
             for pot_tag in potentials:
@@ -201,7 +199,7 @@ def cmd_classify(cfg, out_path) -> int:
 
 def cmd_evans(cfg, out_path) -> int:
     m = _get_int(cfg, "m", 2)
-    M = _manifold(_get(cfg, "manifold", required=True), m)
+    M = core.manifold_from_tag(_get(cfg, "manifold", required=True), m)
     op = core.operator_from_tag(_get(cfg, "operator", "p-laplacian:p=2"))
     pot = core.potential_from_tag(_get(cfg, "potential", "zero"))
     R = _get_float(cfg, "R", required=True, positive=True)
@@ -237,26 +235,18 @@ def cmd_evans(cfg, out_path) -> int:
 
 def cmd_khasminskii(cfg, out_path) -> int:
     m = _get_int(cfg, "m", 2)
-    M = _manifold(_get(cfg, "manifold", required=True), m)
+    M = core.manifold_from_tag(_get(cfg, "manifold", required=True), m)
     p = _get_float(cfg, "p", 2.0, positive=True)
     lam = _get_float(cfg, "lambda", 0.0)
     K_radius = _get_float(cfg, "K_radius", required=True, positive=True)
     Omega_radius = _get_float(cfg, "Omega_radius", required=True,
                               positive=True)
     eps = _get_float(cfg, "eps", 0.1, positive=True)
-    raw_radii = _get(cfg, "radii", "4,8,16,32")
-    try:
-        radii = [float(s) for s in _split_list(raw_radii)]
-    except ValueError:
-        raise ConfigError("radii", f"not a number list: {raw_radii!r}") \
-            from None
-    if not all(map(math.isfinite, radii)):
-        raise ConfigError("radii", f"not a finite number list: {raw_radii!r}")
-    tol = _get_float(cfg, "tol", 1e-3, positive=True)
+    radii = [_finite("radii", s)
+             for s in _split_list(_get(cfg, "radii", "4,8,16,32"))]
     nodes = _get_int(cfg, "nodes_per_stage", 48)
     report = obstacle.khasminskii_construct(
-        M, p, lam, K_radius, Omega_radius, eps, radii,
-        tol=tol, nodes_per_stage=nodes)
+        M, p, lam, K_radius, Omega_radius, eps, radii, nodes_per_stage=nodes)
     _write(out_path, _profile_csv(
         ["command=khasminskii", f"verdict={report.verdict}",
          f"n_stages={report.n_stages}",
@@ -267,35 +257,27 @@ def cmd_khasminskii(cfg, out_path) -> int:
             "Inconclusive": EXIT_INCONCLUSIVE}.get(report.verdict, EXIT_OK)
 
 
+def _bump(height, center, width, grid):
+    if not width > 0:
+        raise ValueError(f"bump width must be positive, got {width:g}")
+    # a square past the largest double is the -inf (no constraint) that
+    # the parabola tends to
+    with np.errstate(over="ignore"):
+        return height - ((grid[1:-1] - center) / width) ** 2
+
+
 def _parse_obstacle_shape(raw, grid):
-    if raw == "none":
-        return np.full(len(grid) - 2, obstacle.NEG_INF)
-    if raw.startswith("bump:"):
-        try:
-            opts = dict(kv.split("=", 1) for kv in _split_list(raw[5:]))
-            height = float(opts["height"])
-            center = float(opts["center"])
-            width = float(opts["width"])
-        except (KeyError, ValueError):
-            raise ConfigError(
-                "obstacle", "bump needs height=..,center=..,width=..") \
-                from None
-        if not all(map(math.isfinite, (height, center, width))):
-            raise ConfigError("obstacle", f"bump needs finite height, "
-                              f"center and width: {raw!r}")
-        if width <= 0:
-            raise ConfigError("obstacle",
-                              f"bump width must be positive: {raw!r}")
-        # a square past the largest double is the -inf (no constraint)
-        # that the parabola tends to
-        with np.errstate(over="ignore"):
-            return height - ((grid[1:-1] - center) / width) ** 2
-    raise ConfigError("obstacle", f"unknown shape {raw!r}")
+    try:
+        return core.read_tag(raw, {
+            "none": (lambda g: np.full(len(g) - 2, obstacle.NEG_INF), ()),
+            "bump": (_bump, ("height", "center", "width"))}, "obstacle", grid)
+    except ValueError as exc:
+        raise ConfigError("obstacle", str(exc)) from None
 
 
 def cmd_obstacle(cfg, out_path) -> int:
     m = _get_int(cfg, "m", 2)
-    M = _manifold(_get(cfg, "manifold", required=True), m)
+    M = core.manifold_from_tag(_get(cfg, "manifold", required=True), m)
     p = _get_float(cfg, "p", 2.0, positive=True)
     lam = _get_float(cfg, "lambda", 0.0)
     r_min = _get_float(cfg, "r_min", required=True, positive=True)
@@ -326,7 +308,7 @@ COMMANDS = {
     "evans": (cmd_evans, "manifold m operator potential R R1 eps rmax "
               "blowup_threshold nodes_per_window"),
     "khasminskii": (cmd_khasminskii, "manifold m p lambda K_radius "
-                    "Omega_radius eps radii tol nodes_per_stage"),
+                    "Omega_radius eps radii nodes_per_stage"),
     "obstacle": (cmd_obstacle, "manifold m p lambda r_min r_max n_nodes "
                  "theta_left theta_right tol obstacle"),
 }

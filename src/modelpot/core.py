@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import math
-import re
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -187,8 +186,9 @@ def log_sphere_volume(M: ModelManifold, r):
     """``log vol(dB_r) = (m-1) log g(r)`` at a radius or an array of radii,
     safe for warpings that overflow ``g`` itself."""
     radii = np.asarray(r, dtype=float)
-    if (radii <= 0).any():
-        raise DomainError("the sphere volume requires r > 0")
+    if not (radii > 0).all():            # a nan fails it
+        raise DomainError(f"the sphere volume requires r > 0, got "
+                          f"r={radii[~(radii > 0)].flat[0]:g}")
     M._check_radius(radii)
     out = (M.m - 1) * np.asarray(M.log_g(radii), dtype=float)
     return float(out) if out.ndim == 0 else out
@@ -247,9 +247,11 @@ def volume_ratio(M: ModelManifold, r, R: float = 0.0):
     ``u**beta`` singularity at ``u = 0`` that costs four digits on r e^{r^3}.)
     """
     radii = np.asarray(r, dtype=float)
-    if R < 0 or np.any(radii < R):
-        raise DomainError("volume_ratio requires r >= R >= 0")
+    least = float(np.min(radii, initial=R))
     top = float(np.max(radii, initial=R))
+    if not (0 <= R <= least and top < math.inf):     # a nan fails it
+        raise DomainError(f"volume_ratio requires finite r >= R >= 0, got "
+                          f"R={R:g} and r from {least:g} to {top:g}")
     lo = R if R > 0 else float(np.min(radii, where=radii > 0,
                                       initial=_ORIGIN_PANEL))
     # lo is a node anyway; a node of the own grid within relative 1e-9 of
@@ -288,30 +290,53 @@ def _log_sinh(r):
     return r + np.log1p(-np.exp(-2.0 * r)) - math.log(2.0)
 
 
+def read_tag(tag: str, kinds: dict, what: str, *args):
+    """``build(*values, *args)`` for a tag ``name`` or ``name:k1=v1,k2=v2``
+    of a kind with ``(build, keys)`` in ``kinds``: exactly those keys in
+    that order, ``,`` or ``;`` between them, each value a finite ``float``
+    (keys ``None``: the text after ``:`` is the one value)."""
+    name, colon, rest = tag.partition(":")
+    if name not in kinds:
+        raise ValueError(f"unknown {what} tag {tag!r}")
+    build, keys = kinds[name]
+    if keys is None:
+        return build(rest, *args)
+    pairs = [s.partition("=")
+             for s in (rest.replace(";", ",").split(",") if colon else ())]
+    given = tuple(k.strip() for k, _, _ in pairs)
+    if given != keys:
+        raise ValueError(f"{what} tag {tag!r}: {name} takes the keys "
+                         f"{list(keys)} in that order, got {list(given)}")
+    values = []
+    for key, (_, _, raw) in zip(keys, pairs):
+        try:
+            value = float(raw)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValueError(f"{what} tag {tag!r}: key {key!r} needs a "
+                             f"finite number, got {raw.strip()!r}")
+        values.append(value)
+    return build(*values, *args)
+
+
+def _power_exp_manifold(alpha: float, m: int) -> ModelManifold:
+    if not alpha > 0:
+        raise ValueError("power-exp preset requires alpha > 0")
+    return ModelManifold(
+        m, lambda r: np.log(r) + np.asarray(r, dtype=float) ** alpha, True,
+        f"power-exp:alpha={alpha:g}")
+
+
 def manifold_from_tag(tag: str, m: int) -> ModelManifold:
-    """Build a preset manifold from its registry tag.
-
-    Tags: ``euclidean``, ``hyperbolic``, ``power-exp:alpha=A``.
-    """
-    if tag == "euclidean":
-        return ModelManifold(m=m, log_g=np.log, monotone=True,
-                             name="euclidean")
-    if tag == "hyperbolic":
-        return ModelManifold(m=m, log_g=_log_sinh, monotone=True,
-                             name="hyperbolic")
-    mm = re.fullmatch(r"power-exp:alpha=([0-9.eE+-]+)", tag)
-    if mm:
-        alpha = float(mm.group(1))
-        if alpha <= 0:
-            raise ValueError("power-exp preset requires alpha > 0")
-
-        def lg(r):
-            r = np.asarray(r, dtype=float)
-            return np.log(r) + r ** alpha
-
-        return ModelManifold(m=m, log_g=lg, monotone=True,
-                             name=f"power-exp:alpha={alpha:g}")
-    raise ValueError(f"unknown manifold tag {tag!r}")
+    """The preset or table manifold of dimension ``m`` that ``tag`` names."""
+    return read_tag(tag, {
+        "euclidean": (lambda m: ModelManifold(m, np.log, True, "euclidean"),
+                      ()),
+        "hyperbolic": (lambda m: ModelManifold(m, _log_sinh, True,
+                                               "hyperbolic"), ()),
+        "power-exp": (_power_exp_manifold, ("alpha",)),
+        "table": (load_manifold_csv, None)}, "manifold", m)
 
 
 def _pchip_slopes(h, m):
@@ -473,9 +498,9 @@ class PhiOperator:
     name: str = "custom"
 
     def __post_init__(self):
-        if self.p <= 1:
+        if not self.p > 1:
             raise ValueError("exponent p must be > 1")
-        if self.a1 <= 0 or self.a2 <= 0:
+        if not (self.a1 > 0 and self.a2 > 0):
             raise ValueError("ellipticity constants must be positive")
         t = np.logspace(-6, 3, 61)
         ph = _on_samples(self.phi, t, "phi")
@@ -532,13 +557,9 @@ def perturbed_operator(p: float) -> PhiOperator:
 
 
 def operator_from_tag(tag: str) -> PhiOperator:
-    mm = re.fullmatch(r"p-laplacian:p=([0-9.eE+-]+)", tag)
-    if mm:
-        return p_laplacian_operator(float(mm.group(1)))
-    mm = re.fullmatch(r"perturbed:p=([0-9.eE+-]+)", tag)
-    if mm:
-        return perturbed_operator(float(mm.group(1)))
-    raise ValueError(f"unknown operator tag {tag!r}")
+    return read_tag(tag, {"p-laplacian": (p_laplacian_operator, ("p",)),
+                          "perturbed": (perturbed_operator, ("p",))},
+                    "operator")
 
 
 _EPS = np.finfo(float).eps
@@ -644,7 +665,7 @@ class PotentialB:
     def __post_init__(self):
         t = np.linspace(0.0, 10.0, 101)
         vals = _on_samples(self.B, t, "potential")
-        if abs(vals[0]) > 0:
+        if not vals[0] == 0:            # a nan B(0) fails it too
             raise ValueError("potential must satisfy B(0)=0")
         if np.any(np.diff(vals) < -1e-12):
             raise ValueError("potential must be non-decreasing (sampled)")
@@ -659,7 +680,7 @@ def zero_potential() -> PotentialB:
 
 def linear_power_potential(p: float, lam: float) -> PotentialB:
     """``B(t) = lam * t**(p-1)``."""
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError("lambda must be >= 0")
 
     def B(t):
@@ -671,7 +692,7 @@ def linear_power_potential(p: float, lam: float) -> PotentialB:
 
 def plateau_potential(T: float, p: float) -> PotentialB:
     """``B(t) = max(t - T, 0)**(p-1)``; vanishes on ``[0, T]``."""
-    if T <= 0:
+    if not T > 0:
         raise ValueError("plateau width T must be positive")
 
     def B(t):
@@ -683,7 +704,7 @@ def plateau_potential(T: float, p: float) -> PotentialB:
 
 def superlinear_potential(q: float) -> PotentialB:
     """``B(t) = t**q``."""
-    if q <= 0:
+    if not q > 0:
         raise ValueError("superlinear exponent q must be positive")
 
     def B(t):
@@ -693,15 +714,8 @@ def superlinear_potential(q: float) -> PotentialB:
 
 
 def potential_from_tag(tag: str) -> PotentialB:
-    if tag == "zero":
-        return zero_potential()
-    mm = re.fullmatch(r"linear-power:p=([0-9.eE+-]+),lambda=([0-9.eE+-]+)", tag)
-    if mm:
-        return linear_power_potential(float(mm.group(1)), float(mm.group(2)))
-    mm = re.fullmatch(r"plateau:T=([0-9.eE+-]+),p=([0-9.eE+-]+)", tag)
-    if mm:
-        return plateau_potential(float(mm.group(1)), float(mm.group(2)))
-    mm = re.fullmatch(r"superlinear:q=([0-9.eE+-]+)", tag)
-    if mm:
-        return superlinear_potential(float(mm.group(1)))
-    raise ValueError(f"unknown potential tag {tag!r}")
+    return read_tag(tag, {
+        "zero": (zero_potential, ()),
+        "linear-power": (linear_power_potential, ("p", "lambda")),
+        "plateau": (plateau_potential, ("T", "p")),
+        "superlinear": (superlinear_potential, ("q",))}, "potential")

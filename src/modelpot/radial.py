@@ -70,14 +70,15 @@ class CauchyParams:
     c: float
 
     def __post_init__(self):
-        if self.R <= 0:
-            raise ValueError("base radius R must be positive")
-        if self.theta < 0:
-            raise ValueError("initial value theta must be >= 0")
-        if self.mu <= 0:
-            raise ValueError("initial slope mu must be positive")
+        # each check fails on nan
+        if not self.R > 0:
+            raise ValueError(f"base radius R must be positive, got {self.R}")
+        if not self.theta >= 0:
+            raise ValueError(f"initial theta must be >= 0, got {self.theta}")
+        if not self.mu > 0:
+            raise ValueError(f"initial slope mu must be > 0, got {self.mu}")
         if not 0.0 < self.c <= 1.0:
-            raise ValueError("scale c must lie in (0, 1]")
+            raise ValueError(f"scale c must lie in (0, 1], got {self.c:g}")
 
 
 @dataclass(frozen=True)

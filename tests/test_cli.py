@@ -534,6 +534,8 @@ def test_node_counts_below_two_are_refused(argv, message, capsys):
     (["classify", "--set", "manifold=euclidean", "--tol", "1e-3"], "tol"),
     (EVANS_ARGS + ["--tol", "1e-3"], "tol"),
     (KHAS_ARGS + ["--set", "m=2", "--rmax", "50"], "rmax"),
+    (KHAS_ARGS + ["--set", "m=2", "--set", "tol=1e-3"], "tol"),
+    (KHAS_ARGS + ["--set", "m=2", "--tol", "1e-3"], "tol"),
     (OBST_ARGS + ["--rmax", "50"], "rmax"),
 ])
 def test_keys_the_command_does_not_read_are_refused(argv, key, capsys):
@@ -547,9 +549,6 @@ def test_keys_the_command_does_not_read_are_refused(argv, key, capsys):
     # an infinite march, not an error, before the check
     (EVANS_ARGS + ["--rmax", "inf"], "rmax"),
     (EVANS_ARGS + ["--set", "R1=nan"], "R1"),
-    # nan passes every comparison with the limit: PotentialBuilt, exit 0,
-    # where the theory says HLimitNonzero
-    (KHAS_ARGS + ["--set", "m=3", "--set", "tol=nan"], "tol"),
     (KHAS_ARGS + ["--set", "m=2", "--set", "eps=nan"], "eps"),
     (KHAS_ARGS + ["--set", "m=2", "--set", "radii=4,8,16,inf"], "radii"),
     (OBST_ARGS + ["--set", "r_max=inf"], "r_max"),
@@ -559,6 +558,42 @@ def test_non_finite_numbers_are_refused_by_name(argv, key, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"config key '{key}': not a finite number" in captured.err
+
+
+@pytest.mark.parametrize("argv,named", [
+    # each used to run: power-exp:alpha=inf is NonParabolic (exit 0),
+    # superlinear:q=inf KL_Holds (exit 0), lambda=inf an unnamed window
+    # underflow, p=inf "phi must be strictly increasing" after two
+    # RuntimeWarnings, and a bump key the bump does not read was ignored
+    (["classify", "--set", "manifold=power-exp:alpha=1e400"],
+     "manifold tag 'power-exp:alpha=1e400': key 'alpha' needs a finite "
+     "number, got '1e400'"),
+    (["classify", "--set", "manifold=euclidean",
+      "--set", "potential=superlinear:q=1e400"],
+     "potential tag 'superlinear:q=1e400': key 'q' needs a finite number, "
+     "got '1e400'"),
+    (EVANS_ARGS + ["--set", "potential=linear-power:p=2,lambda=1e400"],
+     "potential tag 'linear-power:p=2,lambda=1e400': key 'lambda' needs a "
+     "finite number, got '1e400'"),
+    (["classify", "--set", "manifold=euclidean",
+      "--set", "operator=p-laplacian:p=1e400"],
+     "operator tag 'p-laplacian:p=1e400': key 'p' needs a finite number, "
+     "got '1e400'"),
+    (OBST_ARGS + ["--set", "obstacle=bump:height=0.8,center=1.5,width=0.1,"
+                           "sharpness=3"],
+     "config key 'obstacle': obstacle tag 'bump:height=0.8,center=1.5,"
+     "width=0.1,sharpness=3': bump takes the keys ['height', 'center', "
+     "'width'] in that order, got ['height', 'center', 'width', "
+     "'sharpness']"),
+])
+def test_tags_are_refused_by_key_and_value(argv, named, capsys):
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert named in captured.err
+    assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
 
 
 # ---------------------------------------------------------------------------

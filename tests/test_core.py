@@ -1,6 +1,8 @@
 """Unit and property tests for manifolds, nonlinearities and potentials."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -161,6 +163,8 @@ def test_manifold_validation():
         core.manifold_from_tag("euclidean", 1)
     with pytest.raises(ValueError):
         core.manifold_from_tag("power-exp:alpha=-1", 2)
+    with pytest.raises(ValueError, match="alpha > 0"):
+        core._power_exp_manifold(math.nan, 2)
     with pytest.raises(ValueError):
         core.manifold_from_tag("klein-bottle", 2)
     M = core.manifold_from_tag("euclidean", 2)
@@ -168,6 +172,17 @@ def test_manifold_validation():
         core.sphere_volume(M, -1.0)
     with pytest.raises(core.DomainError):
         core.volume_ratio(M, 1.0, 2.0)
+    # a nan radius used to give nan; an infinite or nan radius or R in
+    # volume_ratio an unnamed ValueError or an OverflowError
+    for volume in (core.sphere_volume, core.log_sphere_volume):
+        for r in (math.nan, np.array([1.0, math.nan])):
+            with pytest.raises(core.DomainError, match="got r=nan"):
+                volume(M, r)
+    for r, R, named in ((math.nan, 0.0, "r from nan"),
+                        (np.array([2.0, math.nan]), 1.0, "r from nan"),
+                        (math.inf, 0.0, "to inf"), (1.0, math.nan, "R=nan")):
+        with pytest.raises(core.DomainError, match=named):
+            core.volume_ratio(M, r, R)
 
 
 def test_tabulated_manifold_matches_source():
@@ -332,14 +347,63 @@ def test_perturbed_operator_domain():
 def test_operator_tag_roundtrip():
     assert core.operator_from_tag("p-laplacian:p=2.5").p == 2.5
     assert core.operator_from_tag("perturbed:p=2").name == "perturbed:p=2"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown operator tag "
+                                         "'bilaplacian'"):
         core.operator_from_tag("bilaplacian")
+
+
+@pytest.mark.parametrize("read,tag,named", [
+    # a number that reads as inf used to build the preset at inf
+    (core.manifold_from_tag, "power-exp:alpha=1e400",
+     "manifold tag 'power-exp:alpha=1e400': key 'alpha' needs a finite "
+     "number, got '1e400'"),
+    (core.operator_from_tag, "p-laplacian:p=1e400",
+     "operator tag 'p-laplacian:p=1e400': key 'p' needs a finite number, "
+     "got '1e400'"),
+    (core.potential_from_tag, "superlinear:q=1e400",
+     "potential tag 'superlinear:q=1e400': key 'q' needs a finite number, "
+     "got '1e400'"),
+    (core.potential_from_tag, "linear-power:p=2,lambda=nan",
+     "key 'lambda' needs a finite number, got 'nan'"),
+    (core.potential_from_tag, "plateau:T=one,p=2",
+     "key 'T' needs a finite number, got 'one'"),
+    # keys are those of the kind, in its order
+    (core.potential_from_tag, "linear-power:lambda=1,p=2",
+     "linear-power takes the keys ['p', 'lambda'] in that order, got "
+     "['lambda', 'p']"),
+    (core.potential_from_tag, "linear-power:p=2", "got ['p']"),
+    (core.potential_from_tag, "superlinear:q=2,r=1", "got ['q', 'r']"),
+    (core.manifold_from_tag, "euclidean:alpha=1",
+     "euclidean takes the keys [] in that order, got ['alpha']"),
+    (core.manifold_from_tag, "klein-bottle", "unknown manifold tag "
+     "'klein-bottle'"),
+])
+def test_tags_are_refused_by_key_and_value(read, tag, named):
+    args = (2,) if read is core.manifold_from_tag else ()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(named)):
+            read(tag, *args)
+
+
+def test_tags_read_either_separator_with_spaces():
+    for tag in ("linear-power:p=2;lambda=3", "linear-power: p=2 , lambda = 3"):
+        pot = core.potential_from_tag(tag)
+        assert pot.name == "linear-power:p=2,lambda=3"
+        assert float(pot.B(2.0)) == 6.0
 
 
 def test_operator_invalid_constants():
     with pytest.raises(ValueError):
         core.PhiOperator(phi=lambda t: t, phi_prime=lambda t: 1.0,
                          p=1.0, a1=1.0, a2=1.0)
+    # a nan used to pass both checks, and p_laplacian_operator(nan) built
+    for p, a1 in ((math.nan, 1.0), (2.0, math.nan)):
+        with pytest.raises(ValueError):
+            core.PhiOperator(phi=lambda t: t, phi_prime=lambda t: 1.0,
+                             p=p, a1=a1, a2=1.0)
+    with pytest.raises(ValueError, match="p must be > 1"):
+        core.p_laplacian_operator(math.nan)
     with pytest.raises(ValueError, match="two-sided"):
         # wrong pinching: phi = t but claimed p = 3
         core.PhiOperator(phi=lambda t: t, phi_prime=lambda t: 1.0,
@@ -536,6 +600,14 @@ def test_potential_validation():
         core.superlinear_potential(0.0)
     with pytest.raises(ValueError):
         core.linear_power_potential(2.0, -1.0)
+    # a nan parameter used to build a potential that is nan everywhere
+    for make, args in ((core.plateau_potential, (math.nan, 2.0)),
+                       (core.plateau_potential, (1.0, math.nan)),
+                       (core.superlinear_potential, (math.nan,)),
+                       (core.linear_power_potential, (2.0, math.nan)),
+                       (core.linear_power_potential, (math.nan, 1.0))):
+        with pytest.raises(ValueError):
+            make(*args)
 
 
 def test_potential_tag_roundtrip():

@@ -35,6 +35,10 @@ def test_make_problem_validation():
         obstacle.make_problem(EUC3, 11.0, 0.0, grid)
     with pytest.raises(ValueError):
         obstacle.make_problem(EUC3, 2.0, -1.0, grid)    # negative lambda
+    for lam in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"lambda must be finite and "
+                                             f">= 0, got {lam:g}"):
+            obstacle.make_problem(EUC3, 2.0, lam, grid)
     with pytest.raises(ValueError):
         obstacle.make_problem(EUC3, 2.0, 0.0, grid[::-1])
     with pytest.raises(ValueError):

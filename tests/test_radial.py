@@ -235,6 +235,12 @@ def test_cauchy_params_validation():
         radial.CauchyParams(R=1.0, theta=0.0, mu=0.0, c=1.0)
     with pytest.raises(ValueError):
         radial.CauchyParams(R=1.0, theta=0.0, mu=1.0, c=2.0)
+    # a nan used to pass every check
+    for key in ("R", "theta", "mu", "c"):
+        kw = dict(R=1.0, theta=0.0, mu=1.0, c=1.0)
+        kw[key] = math.nan
+        with pytest.raises(ValueError, match=f"{key} .*got nan"):
+            radial.CauchyParams(**kw)
 
 
 def test_solve_on_interval_monotone_in_iterates():

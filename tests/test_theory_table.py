@@ -1,7 +1,8 @@
-"""The theory table as a guard on the classifiers and on the staged
-pipeline at lambda > 0: on whole families of manifolds and potentials
-whose answers follow from closed forms (``perfbench/theory.py``), no
-verdict is ever wrong, and the Inconclusive ones stay few.
+"""The theory table as a guard on the classifiers, the radial solver and
+the staged pipeline: on whole families of manifolds and potentials whose
+answers follow from closed forms (``perfbench/theory.py``), the wrong
+verdicts stay within each family's bound (none, but for the two families
+of known defects) and the Inconclusive ones stay few.
 
 The grids cross each critical line and hold both of its sides: the
 parabolicity exponent ``k (m-1)/(p-1) = 1`` of the power tables, ``alpha
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from modelpot import core, criteria, obstacle
+from modelpot import core, criteria, obstacle, radial
 
 
 def _load_theory():
@@ -36,16 +37,26 @@ POWERS_P = (1.5, 2.0, 3.0, 4.0)
 ALPHAS = [round(1.2 + 0.2 * i, 1) for i in range(15)]     # 1.2 .. 4.0
 KO_Q = (0.25, 0.5, 0.75, 0.9, 1.0, 1.1, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
 
-# the staged pipeline at lambda > 0 on the power tables: each family's
-# lambda and exhaustion radii
+# the staged pipeline on the power tables: each family's lambda and
+# exhaustion radii
 KHASMINSKII = {"khasminskii:lambda=1": (1.0, [4.0, 8.0, 16.0, 32.0]),
-               "khasminskii:lambda=0.25": (0.25, [3.0, 4.0, 5.0, 6.0])}
+               "khasminskii:lambda=0.25": (0.25, [3.0, 4.0, 5.0, 6.0]),
+               "khasminskii:lambda=0": (0.0, [4.0, 8.0, 16.0, 32.0])}
 
-# the largest Inconclusive count of each family; a wrong verdict is
-# never allowed
+# the largest Inconclusive count of each family
 INCONCLUSIVE_BOUND = {"power": 14, "power-exp": 4, "hyperbolic": 0, "ko": 2,
-                      "khasminskii:lambda=1": 0,
-                      "khasminskii:lambda=0.25": 73}
+                      "radial": 0, "khasminskii:lambda=1": 0,
+                      "khasminskii:lambda=0.25": 73,
+                      "khasminskii:lambda=0": 0}
+
+# the largest wrong count of each family, 0 where none is named.  radial:
+# solve_cauchy reports blow-up where KO holds (p=1.5 q=0.5; p=2 q=0.9 and
+# q=1; p=3 q=2; p=4 q=3) and ends in NumericError at p=1.5 q=4 (ROADMAP
+# item 2).  khasminskii:lambda=0: the 1/log fit of the stage-0 sups
+# answers HLimitNonzero on four parabolic tables and PotentialBuilt on one
+# non-parabolic table (ROADMAP item 1).  Each goes to 0 when its item
+# lands.
+WRONG_BOUND = {"radial": 6, "khasminskii:lambda=0": 5}
 
 
 def _power_table(k: float, m: int) -> core.ModelManifold:
@@ -73,6 +84,18 @@ def _khasminskii_verdict(M, p, lam, radii) -> str:
         return type(exc).__name__
 
 
+def _cauchy_status(p: float, q: float) -> str:
+    """``solve_cauchy``'s status on the plane under ``B = t^q``, or the
+    name of the error it ends in (which counts as wrong)."""
+    try:
+        return radial.solve_cauchy(
+            core.manifold_from_tag("euclidean", 2),
+            core.p_laplacian_operator(p), core.superlinear_potential(q),
+            radial.CauchyParams(1.0, 1.0, 1.0, 1.0), 50.0).status
+    except (core.NumericError, ValueError) as exc:
+        return type(exc).__name__
+
+
 def theory_cases():
     """``(family, case, expected, got)`` for every case of the table."""
     for k in POWERS_K:
@@ -85,8 +108,9 @@ def theory_cases():
                 yield ("power", f"k={k:g} m={m} p={p:g}",
                        theory.classify_property(truth, p, theory.ZERO),
                        cls.property.value)
-                B = theory.Potential(f"linear-power:p={p:g},lambda=1", p - 1)
                 for family, (lam, radii) in KHASMINSKII.items():
+                    B = theory.Potential(f"linear-power:p={p:g},lambda=1",
+                                         p - 1) if lam else theory.ZERO
                     yield (family, f"k={k:g} m={m} p={p:g}",
                            "PotentialBuilt"
                            if theory.exhaustion_exists(truth, p, B)
@@ -121,17 +145,23 @@ def theory_cases():
             yield ("ko", f"p={p:g} q={q:g}", theory.ko_verdict(p, B),
                    criteria.keller_osserman(
                        op, core.superlinear_potential(q)).verdict)
+            yield ("radial", f"p={p:g} q={q:g}",
+                   radial.BLOWUP if theory.blows_up(p, B)
+                   else radial.COMPLETE, _cauchy_status(p, q))
 
 
 def test_theory_table_has_no_wrong_verdict():
     cases = list(theory_cases())
     assert Counter(family for family, *_ in cases) == {
         "power": 348, "power-exp": 180, "hyperbolic": 24, "ko": 48,
-        "khasminskii:lambda=1": 348, "khasminskii:lambda=0.25": 348}
+        "radial": 48, "khasminskii:lambda=1": 348,
+        "khasminskii:lambda=0.25": 348, "khasminskii:lambda=0": 348}
     wrong = [(family, case, expected, got)
              for family, case, expected, got in cases
              if got != "Inconclusive" and got != expected]
-    assert wrong == []
+    count = Counter(family for family, *_ in wrong)
+    for family in count:
+        assert count[family] <= WRONG_BOUND.get(family, 0), (family, wrong)
     inconclusive = Counter(family for family, _, _, got in cases
                            if got == "Inconclusive")
     for family, bound in INCONCLUSIVE_BOUND.items():
