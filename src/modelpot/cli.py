@@ -6,9 +6,9 @@ exhaustion profile), ``khasminskii`` (staged supersolution pipeline) and
 ``key=value`` text (one pair per line, ``#`` comments) merged with
 repeated ``--set key=value`` command-line overrides; later values win.
 
-Exit codes: 0 success, 1 error, 2 any Inconclusive classification,
-exhaustion test or staged verdict, 4 nonzero limit in the staged pipeline
-or no exhaustion for ``evans``.
+Exit codes: 0 success, 1 error, 2 a usage error (argparse's) or any
+Inconclusive classification, exhaustion test or staged verdict, 4 nonzero
+limit in the staged pipeline or no exhaustion for ``evans``.
 Output is CSV with '#'-prefixed ``key=value`` metadata lines before the
 header; identical configs produce byte-identical output.  ``evans``
 names in ``# reason=`` the branch of the Liouville test that decided.
@@ -69,8 +69,6 @@ def _merge(args) -> dict:
             raise ConfigError(item, "--set needs key=value")
         key, value = item.split("=", 1)
         cfg[key.strip()] = value.strip()
-    if args.tol is not None:
-        cfg["tol"] = repr(args.tol)
     if args.rmax is not None:
         cfg["rmax"] = repr(args.rmax)
     return cfg
@@ -285,13 +283,12 @@ def cmd_obstacle(cfg, out_path) -> int:
     n_nodes = _get_int(cfg, "n_nodes", 101)
     theta_left = _get_float(cfg, "theta_left", 0.0)
     theta_right = _get_float(cfg, "theta_right", 1.0)
-    tol = _get_float(cfg, "tol", 1e-10, positive=True)
     grid = np.geomspace(r_min, r_max, n_nodes)
     prob = obstacle.make_problem(M, p, lam, grid)
     psi = _parse_obstacle_shape(_get(cfg, "obstacle", "none"), grid)
     spec = obstacle.ObstacleSpec(psi=psi, theta_left=theta_left,
                                  theta_right=theta_right)
-    sol = obstacle.solve_obstacle(prob, spec, tol=tol)
+    sol = obstacle.solve_obstacle(prob, spec)
     _write(out_path, _profile_csv(
         ["command=obstacle", f"energy={prob.energy(sol.values):.12g}",
          f"stationarity={sol.stationarity:.6g}",
@@ -302,7 +299,7 @@ def cmd_obstacle(cfg, out_path) -> int:
     return EXIT_OK
 
 
-# each command with the config keys it reads (--tol/--rmax set tol/rmax)
+# each command with the config keys it reads (--rmax sets rmax)
 COMMANDS = {
     "classify": (cmd_classify, "manifold m operator potential rmax"),
     "evans": (cmd_evans, "manifold m operator potential R R1 eps rmax "
@@ -310,7 +307,7 @@ COMMANDS = {
     "khasminskii": (cmd_khasminskii, "manifold m p lambda K_radius "
                     "Omega_radius eps radii nodes_per_stage"),
     "obstacle": (cmd_obstacle, "manifold m p lambda r_min r_max n_nodes "
-                 "theta_left theta_right tol obstacle"),
+                 "theta_left theta_right obstacle"),
 }
 
 
@@ -322,7 +319,6 @@ PARSER = argparse.ArgumentParser(
 PARSER.add_argument("command", choices=tuple(COMMANDS))
 PARSER.add_argument("--config", help="key=value config file")
 PARSER.add_argument("--out", help="output CSV path (default stdout)")
-PARSER.add_argument("--tol", type=float, help="tolerance override")
 PARSER.add_argument("--rmax", type=float,
                     help="outer radius / truncation override")
 PARSER.add_argument("--set", action="append", metavar="KEY=VALUE",

@@ -13,10 +13,12 @@ unique and turns minimality, comparison and pasting into checkable
 node-wise statements.  At lambda = 0 the minimizer is exact: the least
 concave majorant of the obstacle in the p-harmonic coordinate ``S``, one
 hull pass with no iteration.  For lambda > 0 the solver is
-projected Newton with a primal-dual active set: the Hessian of ``J`` is
-tridiagonal and diagonally dominant, so each step is one elimination
-without pivoting, and a backtracking search on ``J`` makes it globally
-convergent for every ``p``.  Both routes end on one scale-free KKT gate.
+projected Newton with a primal-dual active set, started from the forward
+sweep's solution: the Hessian of ``J`` is tridiagonal and diagonally
+dominant, so each step is one elimination without pivoting, and a
+backtracking search on ``J`` makes it globally convergent for every
+``p``.  Both routes end on one scale-free KKT gate, and Newton's stop is
+relative, so scaling the data scales the minimizer.
 
 The staged construction makes no solve: one forward sweep gives its
 unit solutions, and its final check is a componentwise backward error,
@@ -36,6 +38,9 @@ from .core import ModelManifold, NumericError, sphere_volume
 NEG_INF = -math.inf
 # solve_obstacle stops after MAX_NEWTON_STEPS steps with SweepLimitError
 MAX_NEWTON_STEPS = 200
+# Newton stops on an update of at most NEWTON_TOL of max|u|: scale-free,
+# like radial.PICARD_TOL
+NEWTON_TOL = 1e-10
 
 
 class ConstraintError(ValueError):
@@ -240,8 +245,8 @@ def _solve_tridiagonal(off, diag, rhs):
     return np.array(b)
 
 
-def solve_obstacle(prob: DiscreteProblem, spec: ObstacleSpec,
-                   tol: float = 1e-10, initial=None) -> DiscreteFunction:
+def solve_obstacle(prob: DiscreteProblem,
+                   spec: ObstacleSpec) -> DiscreteFunction:
     """Minimize the energy over ``{u >= psi, boundary = theta}``.
 
     At lambda = 0 the minimizer is exact and takes no Newton step: in the
@@ -250,15 +255,18 @@ def solve_obstacle(prob: DiscreteProblem, spec: ObstacleSpec,
     minimizer concave in ``S``, affine off the contact set and equal to
     ``psi`` where its slope drops.  So it is the least concave majorant of
     the boundary points and the points ``(S_i, psi_i)``
-    (``_concave_majorant``), and ``tol`` and ``initial`` act only for
-    lambda > 0, where the minimizer is ``_projected_newton``'s.
+    (``_concave_majorant``).  For lambda > 0 it is ``_projected_newton``'s,
+    started from ``theta_left + (theta_right - theta_left) h_N``, where
+    ``h_N`` is the forward sweep's unit solution on the whole grid
+    (``_unit_solutions``): the exact minimizer when ``theta_left = 0`` and
+    nothing touches ``psi``, so Newton has only the contact set to find.
     """
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol:g}")
     psi = _check_spec(prob, spec)
     if prob.lam == 0:
         return _concave_majorant(prob, spec, psi)
-    return _projected_newton(prob, spec, tol, initial)
+    h = _unit_solutions(prob, [prob.n_nodes - 1])[0]
+    return _projected_newton(prob, spec, spec.theta_left
+                             + (spec.theta_right - spec.theta_left) * h)
 
 
 def _p_harmonic_coordinate(prob: DiscreteProblem) -> np.ndarray:
@@ -273,16 +281,11 @@ def _concave_majorant(prob: DiscreteProblem, spec: ObstacleSpec,
                       psi: np.ndarray) -> DiscreteFunction:
     """The lambda = 0 minimizer: the upper hull of the finite points
     ``(S_i, theta_left | psi_i | theta_right)`` in one monotone-chain pass,
-    then its chords at the nodes.  It passes the Newton solve's KKT gate
-    or is refused."""
-    # the hull divides by the steps of S, which rounding can zero
+    then its chords at the nodes.  Where the weights rise fast, rounding
+    makes steps of ``S`` vanish; a chord is refused only where its two
+    hull vertices share an ``S``, and the Newton solve's KKT gate decides
+    the rest."""
     S = _p_harmonic_coordinate(prob)
-    steps = np.diff(S)
-    if not np.all(steps > 0.0):
-        i = int(np.argmin(steps))
-        raise NumericError(
-            f"the p-harmonic coordinate S must increase strictly, but its "
-            f"step at edge {i} is {steps[i]:.3e} (S = {S[i]:.3e})")
     y = np.concatenate(([spec.theta_left], psi, [spec.theta_right]))
     xs, ys = S.tolist(), y.tolist()
     hull = []
@@ -298,6 +301,10 @@ def _concave_majorant(prob: DiscreteProblem, spec: ObstacleSpec,
         hull.append(i)
     u = np.empty_like(y)
     for a, b in zip(hull[:-1], hull[1:]):
+        if not xs[b] > xs[a]:
+            raise NumericError(
+                f"the concave majorant's hull vertices {a} and {b} share "
+                f"the p-harmonic coordinate S = {xs[a]:.3e}")
         slope = (ys[b] - ys[a]) / (xs[b] - xs[a])
         u[a:b] = ys[a] + slope * (S[a:b] - xs[a])
     u[-1] = spec.theta_right
@@ -311,7 +318,7 @@ def _concave_majorant(prob: DiscreteProblem, spec: ObstacleSpec,
 
 
 def _projected_newton(prob: DiscreteProblem, spec: ObstacleSpec,
-                      tol: float = 1e-10, initial=None) -> DiscreteFunction:
+                      initial=None) -> DiscreteFunction:
     """Projected Newton on the tridiagonal Hessian (Bertsekas, SIAM J.
     Control Optim. 20, 1982) with the primal-dual active-set prediction of
     Hintermueller, Ito & Kunisch (SIAM J. Optim. 13, 2002): a node whose
@@ -320,11 +327,13 @@ def _projected_newton(prob: DiscreteProblem, spec: ObstacleSpec,
     obstacle; the other nodes take the Newton step of the free block.  A
     backtracking search on the energy along the projected arc keeps every
     step a descent step; at p = 2 a fixed active set is solved in one step.
-    It stops on a maximal update within ``tol`` that passes the KKT gate
-    ``_kkt_gate``; ``MAX_NEWTON_STEPS`` bounds the Newton steps.
-    ``initial``, an array of node values, replaces the linear start.  It
-    solves every lambda >= 0, and checks the lambda = 0 majorant by an
-    independent route.
+    It stops on a maximal update of at most ``NEWTON_TOL`` times the
+    largest node value that passes the KKT gate ``_kkt_gate``, so scaling
+    the data scales the answer and its steps stay the same;
+    ``MAX_NEWTON_STEPS`` bounds the Newton steps.  ``initial``, an array of
+    node values, replaces the linear start (``solve_obstacle`` passes the
+    forward sweep's).  It solves every lambda >= 0, and from the linear
+    start checks the majorant and the sweep by an independent route.
     """
     psi = np.asarray(spec.psi, dtype=float)
     if initial is None:
@@ -357,7 +366,7 @@ def _projected_newton(prob: DiscreteProblem, spec: ObstacleSpec,
             alpha *= 0.5
         step = float(np.max(np.abs(trial - u)))
         u, energy = trial, energy_trial
-        if step <= tol:
+        if step <= NEWTON_TOL * np.max(np.abs(u)):
             failure, stat, viol, slack = _kkt_gate(prob, u, psi)
             if not failure:
                 return DiscreteFunction(u, prob, iterations=it,
@@ -372,7 +381,7 @@ def _projected_newton(prob: DiscreteProblem, spec: ObstacleSpec,
 def solve_dirichlet(prob: DiscreteProblem, theta_left: float,
                     theta_right: float) -> DiscreteFunction:
     """Unconstrained boundary-value problem (obstacle disabled), solved by
-    ``solve_obstacle`` with its default tolerance and step budget."""
+    ``solve_obstacle``."""
     spec = ObstacleSpec.dirichlet(prob.n_nodes, theta_left, theta_right)
     return solve_obstacle(prob, spec)
 
@@ -380,19 +389,10 @@ def solve_dirichlet(prob: DiscreteProblem, theta_left: float,
 def residual_complementarity(prob: DiscreteProblem, u, spec: ObstacleSpec):
     """KKT measures of the node values ``u``: (max stationarity defect off
     the contact set, max obstacle violation, min slackness product with
-    capped gap).  A node within 1e-9 of the obstacle is on the contact
-    set."""
-    u = np.asarray(u, dtype=float)
-    psi = np.asarray(spec.psi, dtype=float)
-    res = prob.residual(u)[1:-1]
-    inner = u[1:-1]
-    off_contact = inner > psi + 1e-9
-    stationarity = float(np.max(np.abs(res[off_contact]))) \
-        if np.any(off_contact) else 0.0
-    violation = float(np.max(np.maximum(psi - inner, 0.0)))
-    gap = np.minimum(np.maximum(inner - psi, 0.0), 1.0)
-    slackness = float(np.min(gap * res)) if len(res) else 0.0
-    return stationarity, violation, slackness
+    capped gap), as ``_kkt_gate`` forms them.  A node within 1e-9 of the
+    obstacle, relative to ``max|u|``, is on the contact set."""
+    return _kkt_gate(prob, np.asarray(u, dtype=float),
+                     np.asarray(spec.psi, dtype=float))[1:]
 
 
 def _gradient_ratio(prob: DiscreteProblem, u, nodes: float = 0.0):
@@ -418,18 +418,20 @@ def _gradient_ratio(prob: DiscreteProblem, u, nodes: float = 0.0):
 def _kkt_gate(prob: DiscreteProblem, u, psi):
     """The KKT gate of both obstacle routes: what the node values ``u``
     fail (``""`` if nothing), then the three measures of
-    ``residual_complementarity`` (stationarity, violation, slackness),
-    bit for bit, from the same terms.  ``u`` passes where
+    ``residual_complementarity`` (stationarity, violation, slackness) from
+    the same terms.  ``u`` passes where
     ``_gradient_ratio`` with ``nodes = 1e-3`` (a change of 1e-10 in the
     terms, 1e-13 in the node values) is within 1e-10 in size off the
-    contact set (the nodes within 1e-9 of ``psi``) and above -1e-10 on it,
-    and ``u`` lies at most 1e-12 below ``psi``.  The node values count
-    because their rounding moves a flux by ``(p-1) u / du`` of it, 1.8e11
-    at p = 1.1 on a 1e-9 core; elsewhere a minimizer's ratio is rounding,
-    <= 4.3e-14 on the benchmark's majorants."""
+    contact set (the nodes within ``1e-9 max|u|`` of ``psi``) and above
+    -1e-10 on it, and ``u`` lies at most ``1e-12 max|u|`` below ``psi``,
+    so it reads ``theta u`` against ``theta psi`` as it reads ``u``.  The
+    node values count because their rounding moves a flux by ``(p-1) u /
+    du`` of it, 1.8e11 at p = 1.1 on a 1e-9 core; elsewhere a minimizer's
+    ratio is rounding, <= 4.3e-14 on the benchmark's majorants."""
     inner = u[1:-1]
     grad, ratio = _gradient_ratio(prob, u, nodes=1e-3)
-    off = inner > psi + 1e-9
+    scale = float(np.max(np.abs(u)))
+    off = inner > psi + 1e-9 * scale
     res = grad / prob.dr[1:-1]
     stationarity = float(np.max(np.abs(res[off]), initial=0.0))
     violation = float(np.max(np.maximum(psi - inner, 0.0)))
@@ -440,8 +442,8 @@ def _kkt_gate(prob: DiscreteProblem, u, psi):
     failure = ""
     if not defect[i] <= 1e-10:
         failure = f"KKT defect {defect[i]:.3e} at node {i + 1} (gate 1e-10)"
-    elif not violation <= 1e-12:
-        failure = f"obstacle violation {violation:.3e} (gate 1e-12)"
+    elif not violation <= 1e-12 * scale:
+        failure = f"obstacle violation {violation:.3e} (gate 1e-12 max|u|)"
     return failure, stationarity, violation, slackness
 
 

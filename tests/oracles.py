@@ -294,12 +294,17 @@ def stage_grid_reference(K_radius, Omega_radius, radii, nodes_per_stage):
 
 def unit_solutions(M, p, lam, grid, radii):
     """Stage 0 of the staged pipeline: the unit boundary-value problems on
-    ``[K, rho_j]``, each extended by 1 to the whole grid."""
+    ``[K, rho_j]``, each extended by 1 to the whole grid.  At lambda > 0
+    each is Newton's from its linear start: ``solve_dirichlet`` starts at
+    the forward sweep's answer, which is what this checks."""
     h_funcs = []
     for r in radii:
         k = int(np.searchsorted(grid, r))
         sub = obstacle.make_problem(M, p, lam, grid[:k + 1])
-        hj = obstacle.solve_dirichlet(sub, 0.0, 1.0).values
+        spec = obstacle.ObstacleSpec.dirichlet(k + 1, 0.0, 1.0)
+        solve = obstacle._projected_newton if lam > 0 else \
+            obstacle.solve_obstacle
+        hj = solve(sub, spec).values
         h_funcs.append(np.concatenate([hj, np.ones(len(grid) - k - 1)]))
     return h_funcs
 
@@ -317,8 +322,11 @@ def stage_candidates(M, p, lam, grid, radii, h_funcs, w, n):
         spec = obstacle.ObstacleSpec(psi=(w + h_funcs[j])[1:k],
                                      theta_left=0.0,
                                      theta_right=float(n + 1))
-        s_j = obstacle.solve_obstacle(
-            sub, spec, initial=(n + 1.0) * h_funcs[j + 1][:k + 1]).values
+        if lam == 0:
+            s_j = obstacle.solve_obstacle(sub, spec).values
+        else:
+            s_j = obstacle._projected_newton(
+                sub, spec, initial=(n + 1.0) * h_funcs[j + 1][:k + 1]).values
         full = np.concatenate([s_j, np.full(len(grid) - k - 1, n + 1.0)])
         out.append((float(np.max((full - w)[:idx_n + 1])), full))
     return out

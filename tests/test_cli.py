@@ -406,6 +406,19 @@ def test_obstacle_on_hyperbolic_m3(capsys):
     assert 1 <= int(iters.split("=")[1]) < obstacle.MAX_NEWTON_STEPS
 
 
+def test_obstacle_at_a_large_boundary_value(capsys):
+    # theta_right = 1e6 at lambda = 1: the absolute Newton stop ran this
+    # out of steps (last update 1.164e-10); the sweep start is exact and
+    # the relative stop confirms it in one step, as at theta_right = 1
+    argv = ["obstacle", "--set", "manifold=euclidean", "--set", "m=2",
+            "--set", "p=3", "--set", "lambda=1", "--set", "r_min=1",
+            "--set", "r_max=10"]
+    for theta in ("1", "1e6"):
+        code, out = run_cli(argv + ["--set", f"theta_right={theta}"], capsys)
+        assert code == 0
+        assert "# iterations=1" in out.splitlines()
+
+
 def test_obstacle_bad_shape(capsys):
     # a bump of width 0 used to divide by zero and solve with no obstacle
     # (exit 0); the other widths and a nan height are refused as well
@@ -531,11 +544,11 @@ def test_node_counts_below_two_are_refused(argv, message, capsys):
 @pytest.mark.parametrize("argv,key", [
     (["classify", "--set", "manifold=euclidean",
       "--set", "operater=p-laplacian:p=3"], "operater"),
-    (["classify", "--set", "manifold=euclidean", "--tol", "1e-3"], "tol"),
-    (EVANS_ARGS + ["--tol", "1e-3"], "tol"),
+    (["classify", "--set", "manifold=euclidean", "--set", "tol=1e-3"], "tol"),
+    (EVANS_ARGS + ["--set", "tol=1e-3"], "tol"),
     (KHAS_ARGS + ["--set", "m=2", "--rmax", "50"], "rmax"),
     (KHAS_ARGS + ["--set", "m=2", "--set", "tol=1e-3"], "tol"),
-    (KHAS_ARGS + ["--set", "m=2", "--tol", "1e-3"], "tol"),
+    (OBST_ARGS + ["--set", "tol=1e-3"], "tol"),
     (OBST_ARGS + ["--rmax", "50"], "rmax"),
 ])
 def test_keys_the_command_does_not_read_are_refused(argv, key, capsys):
@@ -641,8 +654,17 @@ def test_one_help_lists_every_command_and_option(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "{" + ",".join(cli.COMMANDS) + "}" in out
-    for option in ("--config", "--out", "--tol", "--rmax", "--set"):
+    for option in ("--config", "--out", "--rmax", "--set"):
         assert option in out
+    assert "--tol" not in out
+
+
+def test_tol_option_is_a_usage_error(capsys):
+    # no command reads a tolerance: --tol is argparse's usage error
+    with pytest.raises(SystemExit) as exc:
+        cli.main(OBST_ARGS + ["--tol", "1e-3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol 1e-3" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -363,9 +363,11 @@ def test_stage_obstacle_is_its_own_solution(tag, m, stages):
                     psi = h_funcs[j_star] + n * h_funcs[-2]
                     assert obstacle.is_supersolution(prob, psi,
                                                      tol=1e-10).ok
+                    # at lambda > 0 Newton starts from max((n + 1) h_N,
+                    # psi), which is psi
                     out = obstacle.solve_obstacle(
-                        prob, obstacle.ObstacleSpec(psi[1:-1], 0.0, n + 1.0),
-                        initial=psi).values
+                        prob, obstacle.ObstacleSpec(psi[1:-1], 0.0, n + 1.0)
+                    ).values
                     np.testing.assert_allclose(out, psi, rtol=1e-15, atol=0)
                     checked += 1
     assert checked >= stages

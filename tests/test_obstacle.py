@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from modelpot import core, obstacle
+from modelpot import cli, core, obstacle
 from oracles import (comparison_check, p_harmonic_profile, pasting_min,
                      qp_obstacle_oracle, random_bump_spec,
                      structural_property_failures)
@@ -204,13 +204,36 @@ def test_majorant_on_tiny_weights():
 
 def test_majorant_refuses_a_repeated_coordinate():
     # edge weights rising by 1e8 a node at p = 1.1 add terms below the
-    # rounding of S: a named error, not NaN node values
+    # rounding of S (S = 0, 99, 99, 99, 99): a named error, not NaN node
+    # values.  With no obstacle the chord S / S_N is flat past node 1,
+    # which the KKT gate refuses; two hull vertices on one S are refused
+    # before any chord divides by their zero step
     M = core.manifold_from_tag("euclidean", 5)
     prob = obstacle.make_problem(M, 1.1, 0.0, np.geomspace(1.0, 1e8, 5))
     spec = obstacle.ObstacleSpec.dirichlet(prob.n_nodes, 0.0, 1.0)
     with pytest.raises(core.NumericError,
-                       match="p-harmonic coordinate S must increase"):
+                       match=r"KKT defect 9\.999e-01 at node 1"):
         obstacle.solve_obstacle(prob, spec)
+    spec = obstacle.ObstacleSpec(np.array([-math.inf, -math.inf, 2.0]),
+                                 0.0, 1.0)
+    with pytest.raises(core.NumericError,
+                       match=r"hull vertices 3 and 4 share the p-harmonic "
+                             r"coordinate S = 9\.900e\+01"):
+        obstacle.solve_obstacle(prob, spec)
+
+
+def test_majorant_on_a_saturated_coordinate():
+    # on hyperbolic m=2 at p = 1.5 the terms sinh(r)^-2 of S fall below
+    # its rounding past r ~ 18: S repeats, the majorant S / S_N is flat
+    # there, and it passes the KKT gate as Newton's minimizer does
+    M = core.manifold_from_tag("hyperbolic", 2)
+    prob = obstacle.make_problem(M, 1.5, 0.0, np.geomspace(1.0, 32.0, 101))
+    assert np.any(np.diff(obstacle._p_harmonic_coordinate(prob)) == 0.0)
+    spec = obstacle.ObstacleSpec.dirichlet(prob.n_nodes, 0.0, 1.0)
+    sol = obstacle.solve_obstacle(prob, spec)
+    ref = obstacle._projected_newton(prob, spec)
+    assert sol.iterations == 0
+    np.testing.assert_allclose(sol.values, ref.values, rtol=0, atol=1e-12)
 
 
 def test_majorant_keeps_the_kkt_gate(monkeypatch):
@@ -282,26 +305,91 @@ def test_obstacle_infeasible_raises():
                                         0.0, 1.0))
 
 
-@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
-def test_solve_obstacle_names_a_bad_tol(tol):
-    # tol=nan used to accept no step (step <= nan is false), and this
-    # converged solve ran out of Newton steps with "last update 0.000e+00"
-    prob = obstacle.make_problem(EUC2, 2.0, 0.0, np.geomspace(1.0, 2.0, 21))
-    spec = obstacle.ObstacleSpec.dirichlet(prob.n_nodes, 0.0, 1.0)
-    with pytest.raises(ValueError,
-                       match=f"tol must be positive and finite, got {tol:g}"):
-        obstacle.solve_obstacle(prob, spec, tol=tol)
-
-
 def test_sweep_limit_raises(monkeypatch):
     # the Newton solve needs two steps here, so a budget of one must trip
-    # (lambda > 0: at lambda = 0 the solve takes no Newton step)
+    # (lambda > 0 and theta_left > 0: at lambda = 0 the solve takes no
+    # Newton step, and from theta_left = 0 the sweep start is exact)
     prob = make_euclidean_problem(lam=1.0, n=101)
-    spec = obstacle.ObstacleSpec.dirichlet(prob.n_nodes, 0.0, 1.0)
+    spec = obstacle.ObstacleSpec.dirichlet(prob.n_nodes, 0.5, 1.0)
+    assert obstacle.solve_obstacle(prob, spec).iterations >= 2
     monkeypatch.setattr(obstacle, "MAX_NEWTON_STEPS", 1)
     with pytest.raises(obstacle.SweepLimitError) as info:
         obstacle.solve_obstacle(prob, spec)
     assert math.isfinite(info.value.residual)
+
+
+SCALED_PROBLEMS = [
+    # the CLI's theta_right=1e6 run, which ran out of Newton steps
+    ("euclidean", 2, 3.0, 1.0, (1.0, 10.0), "none", 0.0),
+    ("euclidean", 3, 2.0, 1.0, (1.0, 2.0),
+     "bump:height=1.5,center=1.5,width=0.3", 0.0),
+    ("hyperbolic", 2, 1.5, 1.0, (1.0, 10.0),
+     "bump:height=0.8,center=5,width=2", 0.0),
+    ("euclidean", 3, 3.0, 0.25, (1.0, 10.0),
+     "bump:height=0.8,center=5,width=2", 0.5),
+]
+
+
+def _cli_problem(tag, m, p, lam, span, shape):
+    """The ``obstacle`` command's problem: 101 geometric nodes on ``span``
+    and the obstacle of the tag ``shape``."""
+    grid = np.geomspace(*span, 101)
+    prob = obstacle.make_problem(core.manifold_from_tag(tag, m), p, lam, grid)
+    return prob, cli._parse_obstacle_shape(shape, grid)
+
+
+@pytest.mark.parametrize("tag, m, p, lam, span, shape, theta_left",
+                         SCALED_PROBLEMS)
+def test_scaled_data_scale_the_newton_solve(tag, m, p, lam, span, shape,
+                                            theta_left):
+    # the energy is p-homogeneous, so the minimizer of theta (psi,
+    # theta_left, theta_right) is theta times that of the data; the
+    # relative Newton stop and contact set take the same steps to it
+    prob, psi = _cli_problem(tag, m, p, lam, span, shape)
+    unit = obstacle.solve_obstacle(
+        prob, obstacle.ObstacleSpec(psi, theta_left, 1.0))
+    assert unit.iterations >= 1
+    for theta in (1e-6, 1e6):
+        sol = obstacle.solve_obstacle(
+            prob, obstacle.ObstacleSpec(theta * psi, theta * theta_left,
+                                        theta))
+        assert sol.iterations == unit.iterations
+        assert np.max(np.abs(sol.values - theta * unit.values)) <= \
+            1e-14 * np.max(np.abs(sol.values))
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_kkt_gate_refuses_a_lifted_contact_node_at_every_scale(lam):
+    # a contact node lifted 5e-4 of max|u| off psi is off the contact set
+    # at every scale, where its stationarity defect is not rounding; an
+    # absolute contact set of 1e-9 took it for contact at theta = 1e-6
+    prob, psi = _cli_problem("euclidean", 3, 2.0, lam, (1.0, 2.0),
+                             "bump:height=1.5,center=1.5,width=0.3")
+    u = obstacle.solve_obstacle(
+        prob, obstacle.ObstacleSpec(psi, 0.0, 1.0)).values
+    contact = np.flatnonzero(u[1:-1] <= psi + 1e-9 * np.max(u)) + 1
+    assert len(contact) >= 3
+    lifted = u.copy()
+    lifted[contact[len(contact) // 2]] += 5e-4 * np.max(u)
+    for theta in (1e-6, 1.0, 1e6):
+        assert obstacle._kkt_gate(prob, theta * u, theta * psi)[0] == ""
+        assert obstacle._kkt_gate(prob, theta * lifted,
+                                  theta * psi)[0].startswith("KKT defect")
+
+
+@pytest.mark.parametrize("tag, m, p, lam", [
+    ("euclidean", 2, 1.5, 10.0), ("euclidean", 3, 1.1, 1.0),
+    ("hyperbolic", 3, 1.5, 10.0)])
+def test_newton_starts_from_the_sweep(tag, m, p, lam):
+    # from theta_left = 0 with no obstacle the sweep's unit solution h_N is
+    # the minimizer, so one Newton step confirms it; from the linear start
+    # these runs ended in SweepLimitError (u_1 is 4e-28, 1.3e-16 and 4e-20)
+    prob, psi = _cli_problem(tag, m, p, lam, (1.0, 10.0), "none")
+    spec = obstacle.ObstacleSpec(psi, 0.0, 1.0)
+    sol = obstacle.solve_obstacle(prob, spec)
+    assert sol.iterations == 1
+    h = obstacle._unit_solutions(prob, [prob.n_nodes - 1])[0]
+    np.testing.assert_allclose(sol.values, h, rtol=0, atol=1e-15)
 
 
 def test_solver_reports_its_work():
