@@ -350,7 +350,8 @@ def _pchip_slopes(h, m):
     w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
     extremum = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) \
         | (m[:-1] == 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a secant slope that underflows to (near) 0 makes the harmonic mean 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
     # both ends at once: (h0, h1, m0, m1) from the first and last intervals
     h0, h1 = h[[0, -1]], h[[1, -2]]

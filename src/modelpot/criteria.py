@@ -20,8 +20,9 @@ import numpy as np
 
 from .core import (_GL_NODES, _GL_WEIGHTS, DEFAULT_QUADRATURE,
                    DomainError, ModelManifold, NumericError, PhiOperator,
-                   PotentialB, _CumulativeSimpson, geometric_grid,
-                   log_sphere_volume, phi_inverse, pchip, volume_ratio)
+                   PotentialB, QuadratureError, _CumulativeSimpson,
+                   geometric_grid, log_sphere_volume, phi_inverse, pchip,
+                   volume_ratio)
 
 
 class Verdict(enum.Enum):
@@ -268,32 +269,50 @@ def classify_KL(M: ModelManifold, op: PhiOperator, pot: PotentialB,
 # power-law tail extrapolation is reliable once the slope clears the margin;
 # the laxer tail fraction lets slowly-converging near-critical cases resolve.
 KO_DIVERGENCE = DivergenceConfig(r_max=1e6, tail_rel_tol=0.5)
+# The growth tests read beta and the kinetic primitive K only below
+# BETA_MAX: K's table then runs to ~4**p a2**2 times that, still a double.
+BETA_MAX = 1e300
 
 
 def _cumulative_table(f, x, kinks=()):
     """``integral_0^x f`` at the nodes ``x`` of a log grid with ``x[0] = 0``.
 
-    ``f`` is called once, on the 8 Gauss-Legendre nodes of every panel after
-    the first, as one array.  The head panel ``[0, x[1]]``, and the panel
-    that starts at each of the ``kinks`` (nodes of ``x``), are
-    ``DEFAULT_QUADRATURE`` calls, graded toward their left end: power
-    integrands such as ``t**0.5`` are singular at 0, where one 8-node panel
-    is off by 2.5e-4 relative, and ``(t - T)**0.5`` at ``T``.
+    ``f`` is called once on the 8 Gauss-Legendre nodes of every panel after
+    the first, as one array, and once on ``x[1]/2`` and ``x[1]``.  The
+    panel that starts at each of the ``kinks`` (nodes of ``x``) is a
+    ``DEFAULT_QUADRATURE`` call, graded toward its left end, where
+    ``(t - T)**0.5`` is singular and one 8-node panel is off by 2.5e-4
+    relative.  The head panel ``[0, x[1]]`` is exact for a power: the
+    tables' integrands, ``B`` and ``s phi'(s)``, vanish at 0 like powers
+    ``t**a`` (``t**0.5`` for ``B``, ``s**(p-1)`` by the pinching), and
+    ``int_0^b t**a = b**(a+1)/(a+1)``, ``a`` read from ``f(b/2)`` and
+    ``f(b)``; an ``a <= -1`` is not integrable and raises
+    ``QuadratureError``.
     """
     a, h = x[1:-1], np.diff(x[1:])
     panels = h * (f(a[:, None] + h[:, None] * _GL_NODES) @ _GL_WEIGHTS)
     for t in kinks:
         i = int(np.searchsorted(a, t))
         panels[i] = DEFAULT_QUADRATURE.integrate(f, t, float(x[i + 2]))
-    head = DEFAULT_QUADRATURE.integrate(f, 0.0, float(x[1]))
+    b = float(x[1])
+    half, whole = np.asarray(f(np.array([0.5 * b, b])), dtype=float)
+    head = 0.0
+    if whole > 0:
+        power = math.log2(whole / half) if half > 0 else math.inf
+        if not power > -1:
+            raise QuadratureError(f"the head panel [0, {b:.3e}] of a table "
+                                  f"grows like t**{power:.3g}, which is "
+                                  "not integrable at 0")
+        head = b * whole / (power + 1.0)
     return np.cumsum(np.concatenate([[0.0, head], panels]))
 
 
 def _beta_interpolant(pot: PotentialB, s_max: float):
     """``beta(s) = integral_0^s B`` on a 400-node log grid to ``s_max``,
     with the potential's kink as one more node: 8-node Gauss-Legendre
-    panels, graded ones at 0 and at the kink, where power potentials such
-    as ``t**0.5`` and ``max(t - T, 0)**0.5`` are not smooth."""
+    panels, a power head panel at 0 and a graded one at the kink, where
+    power potentials such as ``t**0.5`` and ``max(t - T, 0)**0.5`` are not
+    smooth (``_cumulative_table``)."""
     s = np.concatenate([[0.0], np.geomspace(1e-6, s_max, 400)])
     kinks = (pot.kink,) if pot.kink is not None and 0 < pot.kink < s_max \
         else ()
@@ -304,8 +323,8 @@ def _beta_interpolant(pot: PotentialB, s_max: float):
 def _kinetic_inverse(op: PhiOperator, y_max: float):
     """Inverse of ``K(t) = integral_0^t s phi'(s) ds`` via a monotone table
     of ``K`` on a 600-node log grid: 8-node Gauss-Legendre panels, and a
-    graded head panel at 0, where ``s phi'(s) ~ s**(p-1)`` is not smooth
-    for ``p < 2``."""
+    power head panel at 0, where ``s phi'(s) ~ s**(p-1)`` is not smooth
+    for ``p < 2`` (``_cumulative_table``)."""
     # K(t) grows like t**p: size the grid so the table covers y_max
     t_hi = 4.0 * max(1.0, (op.a2 * op.p * y_max) ** (1.0 / op.p))
     t = np.concatenate([[0.0], np.geomspace(1e-8, t_hi, 600)])
@@ -315,8 +334,10 @@ def _kinetic_inverse(op: PhiOperator, y_max: float):
     interp = pchip(np.log(K[1:]), np.log(t[1:]))
 
     def k_inv(y):
-        # below the table: use the power-law behaviour near zero
-        return np.where(y <= K[1], t[1] * (y / K[1]) ** (1.0 / op.p),
+        # below the table: use the power-law behaviour near zero (each
+        # branch clamped to its side, so that neither overflows)
+        return np.where(y <= K[1],
+                        t[1] * (np.minimum(y, K[1]) / K[1]) ** (1.0 / op.p),
                         np.exp(interp(np.log(np.maximum(y, K[1])))))
 
     return k_inv
@@ -330,29 +351,37 @@ def keller_osserman(op: PhiOperator, pot: PotentialB) -> KellerOssermanResult:
     blow-up.  Both the kinetic-primitive form and the ``beta**(-1/p)`` form
     are evaluated on ``[max(1, 2 s_+), KO_DIVERGENCE.r_max]``, ``s_+`` the
     first table node where ``beta > 0``: one divergence rule, and ``beta``
-    interpolated once on its grid, serve both tests.  A hard disagreement
-    raises ``ConsistencyError``.
+    interpolated once on its grid, serve both tests.  Where ``beta``
+    passes ``BETA_MAX`` first (``t**q``, ``q >= 49``), the range ends at
+    the last table node below it.  A hard disagreement raises
+    ``ConsistencyError``.
     """
     if not op.derivative_pinched:
         raise DomainError("keller_osserman requires the derivative-pinched "
                           "operator flag")
-    s_grid, b_vals = _beta_interpolant(pot, KO_DIVERGENCE.r_max)
+    with np.errstate(over="ignore"):
+        s_grid, b_vals = _beta_interpolant(pot, KO_DIVERGENCE.r_max)
     if b_vals[-1] <= 0.0:
         # potential with vanishing antiderivative: both profiles are
         # infinite, trivially non-integrable
         return KellerOssermanResult("NotKO_holds", Verdict.DIVERGES,
                                     Verdict.DIVERGES)
+    cfg = KO_DIVERGENCE
+    if not b_vals[-1] <= BETA_MAX:
+        # the test range ends at the last node where beta is below it
+        n = int(np.searchsorted(b_vals, BETA_MAX, side="right"))
+        s_grid, b_vals = s_grid[:n], b_vals[:n]
+        cfg = DivergenceConfig(float(s_grid[-1]), cfg.tail_rel_tol)
     pos = np.nonzero(b_vals > 0)[0][0]
     R0 = max(1.0, 2.0 * float(s_grid[pos]))
     k_inv = _kinetic_inverse(op, float(b_vals[-1]) * 1.05)
-    rule = _divergence_rule(R0, KO_DIVERGENCE.r_max)
+    rule = _divergence_rule(R0, cfg.r_max)
     beta = pchip(s_grid, b_vals)(rule[0])
     if np.any(beta <= 0.0):
         raise NumericError("antiderivative not positive on the test range")
-    v1 = test_L1_at_infinity(lambda s: 1.0 / k_inv(beta), R0, KO_DIVERGENCE,
+    v1 = test_L1_at_infinity(lambda s: 1.0 / k_inv(beta), R0, cfg, rule)
+    v2 = test_L1_at_infinity(lambda s: beta ** (-1.0 / op.p), R0, cfg,
                              rule)
-    v2 = test_L1_at_infinity(lambda s: beta ** (-1.0 / op.p), R0,
-                             KO_DIVERGENCE, rule)
     if {v1.verdict, v2.verdict} == {Verdict.DIVERGES, Verdict.CONVERGES}:
         raise ConsistencyError(
             "the two growth-condition forms disagree: "

@@ -259,7 +259,8 @@ def solve_obstacle(prob: DiscreteProblem,
     started from ``theta_left + (theta_right - theta_left) h_N``, where
     ``h_N`` is the forward sweep's unit solution on the whole grid
     (``_unit_solutions``): the exact minimizer when ``theta_left = 0`` and
-    nothing touches ``psi``, so Newton has only the contact set to find.
+    nothing touches ``psi``, which it then returns after 0 steps, so
+    Newton has only the contact set to find.
     """
     psi = _check_spec(prob, spec)
     if prob.lam == 0:
@@ -332,8 +333,9 @@ def _projected_newton(prob: DiscreteProblem, spec: ObstacleSpec,
     the data scales the answer and its steps stay the same;
     ``MAX_NEWTON_STEPS`` bounds the Newton steps.  ``initial``, an array of
     node values, replaces the linear start (``solve_obstacle`` passes the
-    forward sweep's).  It solves every lambda >= 0, and from the linear
-    start checks the majorant and the sweep by an independent route.
+    forward sweep's); a start that passes the gate is the result, after 0
+    steps.  It solves every lambda >= 0, and from the linear start checks
+    the majorant and the sweep by an independent route.
     """
     psi = np.asarray(spec.psi, dtype=float)
     if initial is None:
@@ -344,6 +346,11 @@ def _projected_newton(prob: DiscreteProblem, spec: ObstacleSpec,
     u[0] = spec.theta_left
     u[-1] = spec.theta_right
     u[1:-1] = np.maximum(u[1:-1], psi)
+    # an exact start is returned as it is: a Newton step on it can only
+    # move the nodes below the Hessian floor of _floored
+    done = _gated(prob, u, psi, 0)
+    if done is not None:
+        return done
 
     energy = prob.energy(u)
     step = math.inf
@@ -367,15 +374,24 @@ def _projected_newton(prob: DiscreteProblem, spec: ObstacleSpec,
         step = float(np.max(np.abs(trial - u)))
         u, energy = trial, energy_trial
         if step <= NEWTON_TOL * np.max(np.abs(u)):
-            failure, stat, viol, slack = _kkt_gate(prob, u, psi)
-            if not failure:
-                return DiscreteFunction(u, prob, iterations=it,
-                                        stationarity=stat,
-                                        obstacle_violation=viol,
-                                        min_slackness=slack)
+            done = _gated(prob, u, psi, it)
+            if done is not None:
+                return done
     raise SweepLimitError(
         f"no convergence in {MAX_NEWTON_STEPS} Newton steps (last update "
         f"{step:.3e})", _kkt_gate(prob, u, psi)[1])
+
+
+def _gated(prob: DiscreteProblem, u, psi, iterations: int):
+    """The node values ``u`` as the solve's result after ``iterations``
+    Newton steps, with the measures of ``_kkt_gate``, if they pass it;
+    else ``None``."""
+    failure, stat, viol, slack = _kkt_gate(prob, u, psi)
+    if failure:
+        return None
+    return DiscreteFunction(u, prob, iterations=iterations,
+                            stationarity=stat, obstacle_violation=viol,
+                            min_slackness=slack)
 
 
 def solve_dirichlet(prob: DiscreteProblem, theta_left: float,

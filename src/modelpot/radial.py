@@ -4,7 +4,8 @@ The radial problem ``[g^{m-1} phi(c z')]' = g^{m-1} B(c z)`` with
 ``z(R) = theta, z'(R) = mu`` is solved by fixed-point (Picard) iteration of
 its integral reformulation on short windows, continued window by window.
 Solutions either reach the requested radius or blow up at a finite radius,
-which is detected and bracketed.  For ``B = 0`` the flux is constant and
+which is certified and then located with ``z`` as the variable, past the
+last window that converged.  For ``B = 0`` the flux is constant and
 the solution is one integral, built in one pass.  On top of the solvers
 sit the slope selection rules and the small-on-an-annulus construction
 that produce exhaustion potentials for triples of concentric balls.
@@ -18,9 +19,10 @@ from typing import Optional
 
 import numpy as np
 
+from . import criteria
 from .core import (DomainError, ModelManifold, NumericError, PhiOperator,
-                   PotentialB, _CumulativeSimpson, log_sphere_volume,
-                   phi_inverse, sphere_volume)
+                   PotentialB, _CumulativeSimpson, geometric_grid,
+                   log_sphere_volume, phi_inverse, sphere_volume)
 # the phi^-1 of the Picard applications, under a name of their own so that
 # a profile counts them: the solve alone, since an application's finite,
 # clamped flux is in [0, inf).  Every other call here is checked.
@@ -222,14 +224,21 @@ def _base_window(R: float, R_max: float, nodes_per_window: int) -> float:
 
 
 def _march(M: ModelManifold, op: PhiOperator, pot: PotentialB,
-           params: CauchyParams, R_max: float, blowup_threshold: float,
-           nodes_per_window: int):
+           params: CauchyParams, R_max: float, nodes_per_window: int,
+           hand_over: bool = False):
     """``solve_cauchy``'s window continuation, lazily: yields the solution
     in pieces ``(grid, z, zp)``, first the node ``(R, theta, mu)`` and then
     each accepted window without its first node, and returns
-    ``(status, r_reached, blowup_radius, failure)``: ``failure`` is the
-    ``PicardNoConvergence`` of the last window if its halving underflowed,
-    else ``None``."""
+    ``(status, r_reached, blowup_radius, failure)``.
+
+    With ``hand_over``, the first window that fails where ``z > 0`` hands
+    the march over to ``_blowup_tail`` from the last accepted node, once:
+    if it certifies a blow-up radius, its nodes are the last piece and
+    the status is ``BLOWUP``.  Otherwise windows halve, and a width below
+    ``1e-8 R`` raises ``NumericError`` naming the missing certificate.
+    Without it (the ``evans_for_triple`` marches, which never blow up)
+    that underflow returns the status ``None`` and its ``failure``, the
+    last window's ``PicardNoConvergence``."""
     base_window = _base_window(params.R, R_max, nodes_per_window)
     window = base_window
     min_window = 1e-8 * params.R
@@ -238,34 +247,132 @@ def _march(M: ModelManifold, op: PhiOperator, pot: PotentialB,
         np.array([params.mu])
     cur = params
     halved = False
+    missing = None
     while cur.R < R_max:
-        r_end = min(cur.R + window, R_max)
+        # a window that would leave less than min_window, too short a
+        # window to hold distinct nodes, takes the rest as well
+        r_end = cur.R + window
+        if r_end > R_max - min_window:
+            r_end = R_max
         try:
             grid, z, zp = solve_on_interval(M, op, pot, cur, r_end,
                                             n_nodes=nodes_per_window)
         except PicardNoConvergence as failure:
+            if hand_over and missing is None and cur.theta > 0:
+                try:
+                    r, z, zp, radius = _blowup_tail(M, op, pot, cur, R_max)
+                except (DomainError, NumericError) as exc:
+                    missing = str(exc)
+                else:
+                    yield r, z, zp
+                    return BLOWUP, float(r[-1]), radius, None
             window *= 0.5
             halved = True
             if window < min_window:
-                if cur.theta > 1e3 * max(1.0, params.theta + 1.0):
-                    return BLOWUP, cur.R, cur.R + 0.5 * window, failure
-                raise NumericError(
-                    "window underflow without blow-up signature")
+                if hand_over:
+                    raise NumericError(
+                        f"window underflow at radius {cur.R:.6g}, where z = "
+                        f"{cur.theta:.6g}, with no blow-up certificate: "
+                        f"{missing or 'the tail needs z > 0'}")
+                return None, cur.R, None, failure
             continue
-        # no z passes an infinite threshold (every evans march)
-        over = (np.nonzero(z > blowup_threshold)[0]
-                if blowup_threshold < math.inf else ())
-        if len(over) > 0:
-            k = int(over[0])
-            cut = max(k, 1)
-            yield grid[1:cut + 1], z[1:cut + 1], zp[1:cut + 1]
-            return (BLOWUP, grid[cut],
-                    0.5 * (grid[max(k - 1, 0)] + grid[k]), None)
         yield grid[1:], z[1:], zp[1:]
         cur = CauchyParams(r_end, float(z[-1]), float(zp[-1]), params.c)
         window = window if halved else min(window * 2.0, base_window)
         halved = False
     return COMPLETE, R_max, None, None
+
+
+# The blow-up tail runs y = c z over TAIL_SPAN times its first value; the
+# log-derivative of the weight is a centred difference of relative step
+# TAIL_STEP, whose truncation (~1e-11) and rounding (~1e-11) balance.
+TAIL_SPAN = 1e6
+TAIL_STEP = 1e-5
+
+
+def _blowup_tail(M: ModelManifold, op: PhiOperator, pot: PotentialB,
+                 node: CauchyParams, R_max: float):
+    """The solution past ``node`` with ``y = c z`` as the variable, and
+    its certified blow-up radius: ``(r, z, zp, radius)``, the nodes cut
+    where ``r`` stops increasing.  ``NumericError`` names the certificate
+    that is missing.
+
+    The first certificate is ``keller_osserman`` saying ``NotKO_fails``
+    (Keller, CPAM 10, 1957; Osserman, Pacific J. Math. 7, 1957).  Along a
+    solution ``y' > 0``, so ``E = K(y')``, ``K(t) = int_0^t s phi'(s) ds``,
+    obeys ``dE/dy = B(y) - (w'/w)(r) phi(y')`` and ``dr/dy = 1/y'``.  From
+    the node's ``(r*, y*, y'*)`` both are solved on the nodes ``y = y_c +
+    geometric_grid(y* - y_c, TAIL_SPAN y* - y_c)`` by sweeps of the fixed
+    point ``E = K(y'*) + int_{y*}^y B - int_{y*}^y (w'/w)(r) phi(K^-1(E))``,
+    each a ``_CumulativeSimpson`` pass in ``log(y - y_c)`` for ``r`` and
+    one for the damping term, until a sweep moves no ``E`` by more than
+    ``PICARD_TOL`` of itself.  The term's Lipschitz constant in ``E``
+    integrates to ``log(w(rho)/w(r*))``, so the sweeps converge like its
+    powers over factorials.  ``y* - y_c`` is ``K(y'*)/B(y*)``, kept within
+    ``[1e-12 y*, y*]``: ``E`` rises like ``B(y*) (y - y_c)`` from ``y*``,
+    so ``y'`` is a power of ``y - y_c`` there, which the rule in its log
+    resolves however steep the rise.  ``int B`` is
+    ``criteria._cumulative_table`` in ``y - y_c``, ``K^-1`` its
+    ``_kinetic_inverse``; the grid ends where ``E`` would pass
+    ``criteria.BETA_MAX``.  The second certificate is
+    ``test_L1_at_infinity`` on ``1/y'`` in the same variable saying
+    ``Converges``.  The radius is ``r`` at the last node plus the
+    power-law remainder of that test's slope rule, and must lie below
+    ``R_max``."""
+    ko = criteria.keller_osserman(op, pot).verdict
+    if ko != "NotKO_fails":
+        raise NumericError(f"keller_osserman says {ko}")
+    y0, yp0 = node.c * node.theta, node.c * node.mu
+    # K(y'*) by the kinetic table's rule, on 64 panels over 8 decades
+    E_star = float(criteria._cumulative_table(
+        lambda s: s * op.phi_prime(s),
+        yp0 * np.append(0.0, np.geomspace(1e-8, 1.0, 65)))[-1])
+    with np.errstate(divide="ignore"):
+        offset = E_star / float(pot.B(np.array([y0]))[0])
+    y_c = y0 - min(max(offset, 1e-12 * y0), y0)
+    x = geometric_grid(y0 - y_c, TAIL_SPAN * y0 - y_c)
+    y = y_c + x
+    with np.errstate(over="ignore"):
+        beta = criteria._cumulative_table(lambda s: pot.B(y_c + s),
+                                          np.append(0.0, x))
+    E0 = E_star + (beta[1:] - beta[1])
+    n = int(np.searchsorted(E0, criteria.BETA_MAX, side="right"))
+    x, y, E0 = x[:n], y[:n], E0[:n]
+    simpson = _CumulativeSimpson(np.log(x))
+    k_inv = criteria._kinetic_inverse(op, 1.05 * E0[-1])
+    E = E0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(PICARD_MAX_ITER):
+            yp = k_inv(E)
+            r = node.R + simpson(x / yp)
+            dlogw = (log_sphere_volume(M, r * (1.0 + TAIL_STEP))
+                     - log_sphere_volume(M, r * (1.0 - TAIL_STEP))) \
+                / (2.0 * TAIL_STEP * r)
+            last, E = E, E0 - simpson(x * dlogw * op.phi(yp))
+            if not E.min() > 0:
+                raise NumericError("the tail's kinetic energy K(z') left "
+                                   "(0, inf)")
+            if (np.abs(E - last) <= PICARD_TOL * E).all():
+                break
+        else:
+            raise NumericError(f"the tail's sweeps did not converge in "
+                               f"{PICARD_MAX_ITER}")
+        yp = k_inv(E)
+        r = node.R + simpson(x / yp)
+    cfg = criteria.DivergenceConfig(x[-1],
+                                    criteria.KO_DIVERGENCE.tail_rel_tol)
+    dv = criteria.test_L1_at_infinity(lambda _: 1.0 / yp, x[0], cfg,
+                                      (x, simpson))
+    if dv.verdict is not Verdict.CONVERGES:
+        raise NumericError(f"the tail's test of 1/z' says "
+                           f"{dv.verdict.value} ({dv.reason})")
+    radius = float(r[-1] + x[-1] / yp[-1] / (-1.0 - dv.slope_estimate))
+    if not radius < R_max:
+        raise NumericError(f"the tail's blow-up radius {radius:.12g} is "
+                           f"not below R_max = {R_max:.12g}")
+    cut = int(np.argmax(np.append(np.diff(r) <= 0, True)))
+    return (r[1:cut + 1], y[1:cut + 1] / node.c, yp[1:cut + 1] / node.c,
+            radius)
 
 
 def _take(march, pieces: list, until: float = math.inf):
@@ -290,14 +397,24 @@ def solve_cauchy(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     """March the radial problem to ``R_max`` by window continuation.
 
     Each window is solved by fixed-point iteration; the restart state
-    ``(theta, mu)`` is the last node of its value and slope.  Windows halve
-    on non-convergence and double, up to the first width, after one that
-    did not; crossing ``blowup_threshold`` reports a finite blow-up radius
-    bracketed by the last grid cell.
+    ``(theta, mu)`` is the last node of its value and slope.  Windows
+    double, up to the first width, after one that did not halve.  The
+    first window that fails hands over to ``_blowup_tail``, which
+    certifies a blow-up twice (``keller_osserman`` says ``NotKO_fails``,
+    and the tail's own test finds ``int dz/z'`` to converge) and locates
+    its radius in the variable ``z``: the status is then ``BLOWUP``, and
+    the profile the march's nodes followed by the tail's.  Without both
+    certificates windows halve on, and an underflow raises
+    ``NumericError`` naming the missing one.  ``blowup_threshold`` is
+    checked to be positive and otherwise unused: no threshold decides a
+    blow-up.
     """
+    if not blowup_threshold > 0:
+        raise DomainError(f"blowup_threshold must be positive, got "
+                          f"{blowup_threshold:g}")
     pieces = []
-    end = _take(_march(M, op, pot, params, R_max, blowup_threshold,
-                       nodes_per_window), pieces)
+    end = _take(_march(M, op, pot, params, R_max, nodes_per_window,
+                       hand_over=True), pieces)
     return _assemble(pieces, params, end)
 
 
@@ -413,7 +530,7 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     warping and a potential with a ``t**(p-1)`` upper bound, ``p`` the
     operator's, under which no solution blows up.  Each scale runs one
     march, the exact ``_constant_flux_march`` for ``B = 0`` or else the
-    ``solve_cauchy`` march with no threshold: its pieces that cover the
+    ``solve_cauchy`` march with no blow-up tail: its pieces that cover the
     annulus decide the scale (for ``B = 0``, on one grid for all scales,
     only the nodes of the windows that cover it, plus one, are evaluated,
     and the accepted scale then evaluates the others), and only the
@@ -453,8 +570,7 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
         mu = choose_mu(op, c)
         params = CauchyParams(R=R, theta=0.0, mu=mu, c=c)
         if pot.b1 != 0:
-            march = _march(M, op, pot, params, R_max, math.inf,
-                           nodes_per_window)
+            march = _march(M, op, pot, params, R_max, nodes_per_window)
         else:
             march = _constant_flux_march(M, op, params, flux_grid, R1,
                                          nodes_per_window)
@@ -466,7 +582,7 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
         sup = c * _sup_on(grid, z, R, R1)
         if sup < eps:
             end = _take(march, pieces)
-            if end[0] == BLOWUP:
+            if end[0] != COMPLETE:
                 raise _stalled(params, pieces, end)
             sol = _assemble(pieces, params, end)
             if np.any(np.diff(sol.z) <= 0):
@@ -481,8 +597,9 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
 
 def _stalled(params: CauchyParams, pieces: list, end) -> Exception:
     """The error for a march of ``evans_for_triple`` that ended before
-    ``R_max``.  It has no threshold, so its windows underflowed: on a flux
-    past the largest double (``DomainError``), or else (``EvansFailure``).
+    ``R_max``.  It has no blow-up tail, so its windows underflowed: on a
+    flux past the largest double (``DomainError``), or else
+    (``EvansFailure``).
     """
     _, r_reached, _, failure = end
     where = f"radius {r_reached:.6g}, where z = {pieces[-1][1][-1]:.6g}"

@@ -100,8 +100,8 @@ def exhaustion_at_unit_scale(M, op, R):
         lambda r: radial._constant_flux_slope(M, op, params, r), R, cfg)
 
 
-def evans_eager_sweep(M, op, pot, R, R1, eps, R_max, blowup_threshold=1e8,
-                      nodes_per_window=64, c_min=1e-12):
+def evans_eager_sweep(M, op, pot, R, R1, eps, R_max, nodes_per_window=64,
+                      c_min=1e-12):
     """The scale sweep of ``radial.evans_for_triple`` with every scale
     built to ``R_max`` before its sup on the annulus is taken: by
     ``constant_flux_profile`` for ``B = 0``, else by a full
@@ -116,7 +116,6 @@ def evans_eager_sweep(M, op, pot, R, R1, eps, R_max, blowup_threshold=1e8,
                                                nodes_per_window)
         else:
             sol = radial.solve_cauchy(M, op, pot, params, R_max,
-                                      blowup_threshold=blowup_threshold,
                                       nodes_per_window=nodes_per_window)
         if sol.status == radial.BLOWUP:
             raise radial.EvansFailure(

@@ -396,27 +396,29 @@ def test_obstacle_command(capsys):
 def test_obstacle_on_hyperbolic_m3(capsys):
     # weights up to sinh(10)^2: the absolute stationarity gate ended this
     # solve in SweepLimitError after 200 steps at 1.7e-7, with updates of
-    # 1e-16; the scale-free gate stops it as a minimizer
+    # 1e-16; the scale-free gate passes the sweep's exact start (no
+    # obstacle, theta_left = 0) before any Newton step
     code, out = run_cli(["obstacle", "--set", "manifold=hyperbolic",
                          "--set", "m=3", "--set", "lambda=1",
                          "--set", "r_min=1", "--set", "r_max=10"], capsys)
     assert code == 0
     iters = next(ln for ln in out.splitlines()
                  if ln.startswith("# iterations="))
-    assert 1 <= int(iters.split("=")[1]) < obstacle.MAX_NEWTON_STEPS
+    assert iters == "# iterations=0"
 
 
 def test_obstacle_at_a_large_boundary_value(capsys):
     # theta_right = 1e6 at lambda = 1: the absolute Newton stop ran this
     # out of steps (last update 1.164e-10); the sweep start is exact and
-    # the relative stop confirms it in one step, as at theta_right = 1
+    # passes the gate before any step, as at theta_right = 1 (the relative
+    # stop confirmed it in one step)
     argv = ["obstacle", "--set", "manifold=euclidean", "--set", "m=2",
             "--set", "p=3", "--set", "lambda=1", "--set", "r_min=1",
             "--set", "r_max=10"]
     for theta in ("1", "1e6"):
         code, out = run_cli(argv + ["--set", f"theta_right={theta}"], capsys)
         assert code == 0
-        assert "# iterations=1" in out.splitlines()
+        assert "# iterations=0" in out.splitlines()
 
 
 def test_obstacle_bad_shape(capsys):

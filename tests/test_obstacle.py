@@ -348,7 +348,9 @@ def test_scaled_data_scale_the_newton_solve(tag, m, p, lam, span, shape,
     prob, psi = _cli_problem(tag, m, p, lam, span, shape)
     unit = obstacle.solve_obstacle(
         prob, obstacle.ObstacleSpec(psi, theta_left, 1.0))
-    assert unit.iterations >= 1
+    # with no obstacle from theta_left = 0 the sweep's start is exact and
+    # passes the gate in 0 steps; each bump takes Newton steps
+    assert unit.iterations >= (shape != "none")
     for theta in (1e-6, 1e6):
         sol = obstacle.solve_obstacle(
             prob, obstacle.ObstacleSpec(theta * psi, theta * theta_left,
@@ -382,21 +384,24 @@ def test_kkt_gate_refuses_a_lifted_contact_node_at_every_scale(lam):
     ("hyperbolic", 3, 1.5, 10.0)])
 def test_newton_starts_from_the_sweep(tag, m, p, lam):
     # from theta_left = 0 with no obstacle the sweep's unit solution h_N is
-    # the minimizer, so one Newton step confirms it; from the linear start
-    # these runs ended in SweepLimitError (u_1 is 4e-28, 1.3e-16 and 4e-20)
+    # the minimizer, which passes the KKT gate before any Newton step (one
+    # step used to confirm it); from the linear start these runs ended in
+    # SweepLimitError (u_1 is 4e-28, 1.3e-16 and 4e-20)
     prob, psi = _cli_problem(tag, m, p, lam, (1.0, 10.0), "none")
     spec = obstacle.ObstacleSpec(psi, 0.0, 1.0)
     sol = obstacle.solve_obstacle(prob, spec)
-    assert sol.iterations == 1
+    assert sol.iterations == 0
     h = obstacle._unit_solutions(prob, [prob.n_nodes - 1])[0]
     np.testing.assert_allclose(sol.values, h, rtol=0, atol=1e-15)
 
 
 def test_solver_reports_its_work():
-    # Newton steps for lambda > 0; the lambda = 0 majorant takes none
+    # Newton steps for lambda > 0; the lambda = 0 majorant takes none.
+    # From theta_left = 0.5 the sweep's start is not the minimizer (from
+    # theta_left = 0 it is, and takes 0 steps)
     for lam in (0.0, 0.5):
         prob = make_euclidean_problem(m=2, p=3.0, lam=lam, n=101)
-        sol = obstacle.solve_dirichlet(prob, 0.0, 1.0)
+        sol = obstacle.solve_dirichlet(prob, 0.5, 1.0)
         if lam == 0:
             assert sol.iterations == 0
         else:
@@ -406,7 +411,7 @@ def test_solver_reports_its_work():
         assert (sol.stationarity, sol.obstacle_violation,
                 sol.min_slackness) == obstacle.residual_complementarity(
             prob, sol.values,
-            obstacle.ObstacleSpec.dirichlet(prob.n_nodes, 0.0, 1.0))
+            obstacle.ObstacleSpec.dirichlet(prob.n_nodes, 0.5, 1.0))
 
 
 def test_predicates_take_problem_and_values():

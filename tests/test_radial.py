@@ -363,6 +363,20 @@ def test_blowup_detected_for_fast_potential():
     assert sol.z[-1] > 1e3
 
 
+@pytest.mark.parametrize("q", [60.0, 300.0])
+def test_a_fast_potential_blows_up(q):
+    # int B passes a double before z = 1e6: the tail's grid ends where
+    # K(z') passes BETA_MAX, and keller_osserman's range where beta does
+    # (the halving march ended in "window underflow without blow-up
+    # signature"); r stops increasing in doubles after a few nodes
+    params = radial.CauchyParams(R=1.0, theta=1.0, mu=1.0, c=1.0)
+    sol = radial.solve_cauchy(EUC2, LAP2, core.superlinear_potential(q),
+                              params, 100.0)
+    assert sol.status == radial.BLOWUP
+    assert sol.grid[-1] <= sol.blowup_radius < 1.1
+    assert np.all(np.diff(sol.grid) > 0) and np.all(np.diff(sol.z) > 0)
+
+
 def test_blowup_radius_stable_under_grid_halving():
     pot = core.superlinear_potential(5.0)
     params = radial.CauchyParams(R=1.0, theta=1.0, mu=1.0, c=1.0)
@@ -373,6 +387,115 @@ def test_blowup_radius_stable_under_grid_halving():
         assert sol.status == radial.BLOWUP
         rhos.append(sol.blowup_radius)
     assert abs(rhos[1] - rhos[0]) <= 0.02 * rhos[0]
+
+
+def _simpson_error_bound(u, f, h):
+    """At every sample of the fine uniform grid ``u``, a bound on the
+    error of the cumulative Simpson rule of step ``h`` for ``int_u0^u f``:
+    the composite rule's ``h**4 int |f^(4)| / 180`` plus the one unpaired
+    sub-interval's ``h**4 max|f^(3)| / 24``, the derivatives from finite
+    differences of the samples ``f``."""
+    d = [f]
+    for _ in range(4):
+        d.append(np.gradient(d[-1], u, edge_order=2))
+    return h ** 4 * (cumulative_trapezoid(np.abs(d[4]), u, initial=0) / 180
+                     + np.maximum.accumulate(np.abs(d[3])) / 24)
+
+
+@pytest.mark.parametrize("p,q,theta", [(2.0, 5.0, 1.0), (1.5, 4.0, 1.0),
+                                       (2.0, 5.0, 5.0)])
+def test_blowup_profile_matches_an_ode_oracle_in_z(p, q, theta):
+    # each fails its first window [1, 2], so the profile is the node
+    # (1, theta, 1) and then the tail's nodes in z up to 1e6 theta.  Near
+    # the blow-up z(r) has no correct digit (z ~ (rho - r)**(-1/2)), so the
+    # oracle is solve_ivp (DOP853, rtol 1e-13) in the tail's variable v =
+    # log(z - z_c), z_c = theta - K(1)/B(theta), K(t) = (p-1)/p t^p: dr/dv
+    # = e^v/z' and dz'/dv = e^v (z^q - phi(z')/r) / (phi'(z') z').  The
+    # tail's r is the cumulative Simpson rule of e^v/z' in v, and its z'
+    # is K^-1 of E = K(1) + int z^q - int e^v phi(z')/r dv: a node's r is
+    # off by at most that rule's error, O(h^4) in the step h = ln 10 /
+    # POINTS_PER_DECADE, and z' relatively by the damping term's over p E,
+    # plus rounding and the oracle's global error (ten times its rtol).  At
+    # theta = 5, E rises 562-fold over the first step of a grid in log z
+    def rhs(v, state):
+        r, zp = state
+        dz = math.exp(v)
+        return [dz / zp, dz * ((z_c + dz) ** q - zp ** (p - 1.0) / r)
+                / ((p - 1.0) * zp ** (p - 1.0))]
+
+    z_c = theta - (p - 1.0) / p / theta ** q
+    rtol = 1e-13
+    v = np.linspace(math.log(theta - z_c), math.log(1e6 * theta - z_c),
+                    20001)
+    oracle = solve_ivp(rhs, (v[0], v[-1] + math.log(10.0)), [1.0, 1.0],
+                       method="DOP853", rtol=rtol, atol=1e-14,
+                       dense_output=True)
+    assert oracle.success
+    params = radial.CauchyParams(R=1.0, theta=theta, mu=1.0, c=1.0)
+    sol = radial.solve_cauchy(EUC2, core.p_laplacian_operator(p),
+                              core.superlinear_potential(q), params, 100.0)
+    assert sol.status == radial.BLOWUP and sol.grid[0] == 1.0
+    z, r, zp = sol.z[1:], sol.grid[1:], sol.zp[1:]
+    assert z[-1] <= 1e6 * theta
+    h = math.log(10.0) / core.POINTS_PER_DECADE
+    r_v, zp_v = oracle.sol(v)
+    r_bound = _simpson_error_bound(v, np.exp(v) / zp_v, h)
+    zp_bound = _simpson_error_bound(v, np.exp(v) * zp_v ** (p - 1.0) / r_v,
+                                    h) / ((p - 1.0) * zp_v ** p)
+    at = np.log(z - z_c)
+    r_ref, zp_ref = oracle.sol(at)
+    assert np.all(np.abs(r - r_ref) <= np.interp(at, v, r_bound))
+    assert np.all(np.abs(zp / zp_ref - 1.0) <= np.interp(at, v, zp_bound)
+                  + len(z) * np.finfo(float).eps + 10.0 * rtol)
+    # past z = 1e6 theta the remainder is below 1e-12 here
+    assert abs(sol.blowup_radius - oracle.y[0][-1]) <= r_bound[-1]
+
+
+@pytest.mark.parametrize("q,p,message", [
+    (1.1, 2.0, "keller_osserman says Inconclusive"),
+    (1.0, 2.0, "keller_osserman says NotKO_holds"),
+])
+def test_a_window_underflow_names_the_missing_certificate(q, p, message):
+    # B = t^1.1 at p = 2 blows up, but its growth test is Inconclusive (the
+    # slope -1.05 lies in the margin); B = t at p = 2 does not blow up, and
+    # its profile passes a double near r = 705.5.  Either way the windows
+    # halve until they underflow, which no threshold turns into a blow-up
+    params = radial.CauchyParams(R=1.0, theta=1.0, mu=1.0, c=1.0)
+    with pytest.raises(core.NumericError, match=message):
+        radial.solve_cauchy(EUC2, core.p_laplacian_operator(p),
+                            core.superlinear_potential(q), params,
+                            50.0 if q > 1 else 800.0)
+
+
+def test_blowup_threshold_is_checked_and_unused():
+    params = radial.CauchyParams(R=1.0, theta=1.0, mu=1.0, c=1.0)
+    pot = core.superlinear_potential(5.0)
+    for threshold in (0.0, -1.0, math.nan):
+        with pytest.raises(core.DomainError, match="blowup_threshold"):
+            radial.solve_cauchy(EUC2, LAP2, pot, params, 100.0,
+                                blowup_threshold=threshold)
+    sols = [radial.solve_cauchy(EUC2, LAP2, pot, params, 100.0,
+                                blowup_threshold=t)
+            for t in (1e-3, 1e8, math.inf)]
+    for sol in sols[1:]:
+        for name in ("grid", "z", "zp"):
+            assert np.array_equal(getattr(sol, name), getattr(sols[0], name))
+        assert sol.blowup_radius == sols[0].blowup_radius
+
+
+def test_a_blowup_past_R_max_is_no_blowup():
+    # R_max just below the blow-up radius 1.807: a window that fails (none
+    # does at 1.8) hands over to the tail, whose radius is not below R_max,
+    # so the windows halve on and reach R_max.  At 1.8069 the march used
+    # to end a window 4 ulps short of R_max and refuse the next, too short
+    # for distinct nodes, with ValueError "grid must be strictly
+    # increasing"
+    params = radial.CauchyParams(R=1.0, theta=1.0, mu=1.0, c=1.0)
+    pot = core.superlinear_potential(5.0)
+    for R_max in (1.8, 1.8069, 1.806957):
+        sol = radial.solve_cauchy(EUC2, LAP2, pot, params, R_max)
+        assert sol.status == radial.COMPLETE and sol.grid[-1] == R_max
+        assert np.all(np.diff(sol.grid) > 0)
 
 
 def test_window_fails_at_the_first_growing_increment():
@@ -389,12 +512,12 @@ def test_window_fails_at_the_first_growing_increment():
 
 @pytest.mark.parametrize("threshold", [1e8, 1e16, 1e50])
 def test_blowup_march_work_counts(monkeypatch, threshold):
-    # failing windows stop at their first growing increment, a window
-    # accepted right after a halving is not doubled, and the Picard stop
-    # reads the increment relative to the iterate: 199 Picard applications
-    # and 27 failed windows (218 with an absolute stop of 1e-10, 435 and
-    # 42 when windows iterated until the flux overflowed and always
-    # doubled)
+    # the first window [1, 2] reaches past the blow-up radius ~1.807 and
+    # fails at its second application; the march hands over to the tail
+    # in z from R, so no window is accepted: 2 Picard applications and 1
+    # failed window (199 and 27, with 15 accepted, when windows halved
+    # until they underflowed at 1e-8 R; 435 and 42 when they iterated
+    # until the flux overflowed and always doubled)
     counts = {"applications": 0, "failed": 0, "accepted": 0}
     apply, solve = radial.volterra_apply, radial.solve_on_interval
 
@@ -418,10 +541,15 @@ def test_blowup_march_work_counts(monkeypatch, threshold):
     params = radial.CauchyParams(R=1.0, theta=1.0, mu=1.0, c=1.0)
     sol = radial.solve_cauchy(EUC2, LAP2, core.superlinear_potential(5.0),
                               params, 100.0, blowup_threshold=threshold)
-    assert counts == {"applications": 199, "failed": 27, "accepted": 15}
+    assert counts == {"applications": 2, "failed": 1, "accepted": 0}
     assert sol.status == radial.BLOWUP
-    assert sol.blowup_radius == 1.80695616081357
-    assert len(sol.grid) == 946
+    # 1.80695616081357 from the halving march, 9.1e-7 below the ODE
+    # oracle's 1.80695707417; the tail is 1.2e-8 below it
+    assert sol.blowup_radius == 1.8069570626531855
+    assert abs(sol.blowup_radius - 1.80695707415) < 1e-7
+    # the node (R, theta, mu), then the tail's 807 nodes in z from 1 to
+    # 1e6, geometric in z - 1/2 (K(1)/B(1) = 1/2)
+    assert len(sol.grid) == 808
 
 
 @pytest.mark.parametrize("tag,work", [
@@ -557,23 +685,21 @@ def test_evans_names_a_flux_overflow(monkeypatch, p, lam, R_max, message,
 # B != 0: each scale decided on the annulus against the eager sweep
 EAGER_CASES = {
     "plane p=2 linear-power": (EUC2, LAP2,
-                               core.linear_power_potential(2.0, 1.0), 40.0,
-                               1e16),
+                               core.linear_power_potential(2.0, 1.0), 40.0),
     "plane p=2 plateau": (EUC2, LAP2, core.plateau_potential(1.0, 2.0),
-                          40.0, 1e16),
+                          40.0),
     "plane p=3 linear-power": (EUC2, LAP3,
-                               core.linear_power_potential(3.0, 1.0), 20.0,
-                               1e8),
+                               core.linear_power_potential(3.0, 1.0), 20.0),
     "hyperbolic m=2 p=2 linear-power": (
         core.manifold_from_tag("hyperbolic", 2), LAP2,
-        core.linear_power_potential(2.0, 1.0), 20.0, 1e8),
+        core.linear_power_potential(2.0, 1.0), 20.0),
 }
 
 
-@pytest.mark.parametrize("M,op,pot,R_max,threshold", EAGER_CASES.values(),
+@pytest.mark.parametrize("M,op,pot,R_max", EAGER_CASES.values(),
                          ids=EAGER_CASES.keys())
 def test_evans_scale_sweep_is_the_eager_sweep(monkeypatch, M, op, pot,
-                                              R_max, threshold):
+                                              R_max):
     R1 = 2.0
     windows = []       # (c, r_end, converged) of every window solve
     solve = radial.solve_on_interval
@@ -592,7 +718,7 @@ def test_evans_scale_sweep_is_the_eager_sweep(monkeypatch, M, op, pot,
                                   R_max=R_max)
     monkeypatch.undo()
     eager = evans_eager_sweep(M, op, pot, R=1.0, R1=R1, eps=0.1,
-                              R_max=R_max, blowup_threshold=threshold)
+                              R_max=R_max)
     assert res.solution.status == eager.solution.status == radial.COMPLETE
     for name in ("grid", "z", "zp"):
         assert np.array_equal(getattr(res.solution, name),
@@ -614,19 +740,23 @@ def test_evans_scale_sweep_is_the_eager_sweep(monkeypatch, M, op, pot,
 
 
 def test_evans_crossing_past_the_annulus_of_a_rejected_scale():
-    # at threshold 1e8 the rejected scales c = 1, 1/2 of the plateau cross
-    # it only past R1, which fails the eager sweep; the annulus decides
-    # them first, and the accepted c = 1/8 is the eager sweep's at 1e16
+    # the rejected scales c = 1, 1/2 of the plateau pass z = 1e8 only past
+    # R1, which solve_cauchy's threshold used to report as a blow-up that
+    # failed the eager sweep; no threshold decides a blow-up now, and the
+    # annulus decides them first: the accepted c = 1/8 is the eager sweep's
     pot = core.plateau_potential(1.0, 2.0)
-    with pytest.raises(radial.EvansFailure):
-        evans_eager_sweep(EUC2, LAP2, pot, R=1.0, R1=2.0, eps=0.1,
-                          R_max=40.0)
+    for c in (1.0, 0.5):
+        params = radial.CauchyParams(R=1.0, theta=0.0,
+                                     mu=radial.choose_mu(LAP2, c), c=c)
+        sol = radial.solve_cauchy(EUC2, LAP2, pot, params, 40.0)
+        assert sol.status == radial.COMPLETE
+        assert sol.sup_on(1.0, 2.0) < 1e8 < sol.z[-1]
     res = radial.evans_for_triple(EUC2, LAP2, pot, R=1.0, R1=2.0, eps=0.1,
                                   R_max=40.0)
-    high = evans_eager_sweep(EUC2, LAP2, pot, R=1.0, R1=2.0, eps=0.1,
-                             R_max=40.0, blowup_threshold=1e16)
-    assert res.c_final == high.c_final == 0.125
-    assert np.array_equal(res.solution.z, high.solution.z)
+    eager = evans_eager_sweep(EUC2, LAP2, pot, R=1.0, R1=2.0, eps=0.1,
+                              R_max=40.0)
+    assert res.c_final == eager.c_final == 0.125
+    assert np.array_equal(res.solution.z, eager.solution.z)
 
 
 @pytest.mark.parametrize("pot,exponents", [
