@@ -27,11 +27,8 @@ from .core import (
     zero_potential,
 )
 from .criteria import (
-    DEFAULT_DIVERGENCE,
-    KO_DIVERGENCE,
     Classification,
     ConsistencyError,
-    DivergenceConfig,
     DivergenceVerdict,
     KellerOssermanResult,
     OperatorTypeTag,

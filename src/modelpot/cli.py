@@ -11,7 +11,8 @@ Inconclusive classification, exhaustion test or staged verdict, 4 nonzero
 limit in the staged pipeline or no exhaustion for ``evans``.
 Output is CSV with '#'-prefixed ``key=value`` metadata lines before the
 header; identical configs produce byte-identical output.  ``evans``
-names in ``# reason=`` the branch of the Liouville test that decided.
+names in ``# reason=`` the branch of the Liouville test that decided, and
+``classify`` in its ``reason`` column the branch of each row's test.
 This module alone knows that format.
 """
 
@@ -147,7 +148,7 @@ def _profile_csv(meta, column, r=(), values=()) -> str:
 
 
 CSV_COLUMNS = ("manifold", "p", "potential", "property", "verdict",
-               "partial_integral", "slope")
+               "partial_integral", "slope", "reason")
 
 
 def _classification_row(manifold_name, p, potential_name, cls):
@@ -159,7 +160,7 @@ def _classification_row(manifold_name, p, potential_name, cls):
     return ",".join((manifold_name, f"{p:g}",
                      potential_name.replace(",", ";"), cls.property.value,
                      dv.verdict.value, f"{dv.partial_integral:.12g}",
-                     f"{dv.slope_estimate:.6g}"))
+                     f"{dv.slope_estimate:.6g}", dv.reason))
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +171,7 @@ def cmd_classify(cfg, out_path) -> int:
     operators = _split_list(_get(cfg, "operator", "p-laplacian:p=2"))
     potentials = _split_list(_get(cfg, "potential", "zero"))
     m = _get_int(cfg, "m", 2)
-    rmax = _get_float(cfg, "rmax", positive=True)
-    div_cfg = criteria.DEFAULT_DIVERGENCE
-    if rmax is not None:
-        div_cfg = criteria.DivergenceConfig(r_max=rmax)
+    rmax = _get_float(cfg, "rmax", criteria.R_MAX, positive=True)
 
     lines = ["# command=classify", ",".join(CSV_COLUMNS)]
     any_inconclusive = False
@@ -184,9 +182,9 @@ def cmd_classify(cfg, out_path) -> int:
             for pot_tag in potentials:
                 pot = core.potential_from_tag(pot_tag)
                 if pot.name == "zero":
-                    cls = criteria.classify_parabolic(M, op, div_cfg)
+                    cls = criteria.classify_parabolic(M, op, rmax)
                 else:
-                    cls = criteria.classify_KL(M, op, pot, div_cfg)
+                    cls = criteria.classify_KL(M, op, pot, rmax)
                 if cls.property is criteria.PropertyTag.INCONCLUSIVE:
                     any_inconclusive = True
                 lines.append(

@@ -2,11 +2,13 @@
 property on model manifolds, and the blow-up growth condition.
 
 All verdicts reduce to a numerical surrogate for "the integrand is not
-integrable at infinity".  That surrogate is a heuristic (log-log slope fit
-plus tail extrapolation) and owns an explicit ``Inconclusive`` verdict:
-honest reporting beats silent misclassification on integrands like
-``1/(r log^2 r)`` whose slope sits on the critical line.  Profiles and
-integrands take a radius or an array of radii.
+integrable at infinity".  That surrogate is a heuristic (log-log slope fits
+on the last two decades plus tail extrapolation) that decides by the
+tail's shape, not its size, so a constant factor moves no verdict.  It
+owns an explicit ``Inconclusive`` verdict: honest reporting beats silent
+misclassification on integrands like ``1/(r log r)`` whose slope drifts
+toward the critical line.  Profiles and integrands take a radius or an
+array of radii.
 """
 
 from __future__ import annotations
@@ -48,27 +50,19 @@ class ConsistencyError(RuntimeError):
     """Two formulations that must agree produced different verdicts."""
 
 
-# Bounds of the improper-integral heuristic: a partial integral above
-# DIVERGENCE_THRESHOLD diverges; the table nodes of the last decade give
-# the log-log slope; a slope above -1 - SLOPE_BAND counts as critical (pure
-# 1/r-type integrands fit to -1 up to rounding); and slopes within
-# SLOPE_MARGIN below -1 stay inconclusive.
-DIVERGENCE_THRESHOLD = 1e6
+# Bounds of the improper-integral heuristic: the table nodes of a decade
+# give its log-log slope; a slope above -1 - SLOPE_BAND counts as critical
+# (pure 1/r-type integrands fit to -1 up to rounding); slopes within
+# SLOPE_MARGIN below -1 converge only if the last decade's slope is that
+# of the decade before it to STEADY_DRIFT of its distance from -1; and the
+# extrapolated tail may add at most TAIL_REL_TOL of the partial integral.
+# Each is a ratio, so that a constant factor moves no verdict.
 SLOPE_BAND = 0.01
 SLOPE_MARGIN = 0.15
-
-
-@dataclass(frozen=True)
-class DivergenceConfig:
-    """Truncation radius of the improper-integral heuristic, and the
-    largest share of the partial integral its extrapolated tail may add
-    for a ``Converges`` verdict."""
-
-    r_max: float = 1e4
-    tail_rel_tol: float = 0.05
-
-
-DEFAULT_DIVERGENCE = DivergenceConfig()
+STEADY_DRIFT = 0.1
+TAIL_REL_TOL = 0.05
+# the truncation radius of the classifiers
+R_MAX = 1e4
 
 
 @dataclass(frozen=True)
@@ -76,21 +70,21 @@ class DivergenceVerdict:
     """The verdict of ``test_L1_at_infinity``, and ``reason``, the branch
     that gave it:
 
-    * ``partial_above_threshold`` -- Diverges: the partial integral over
-      all of ``[R0, r_max]`` passed ``DIVERGENCE_THRESHOLD`` (the slope is
-      not fitted: NaN);
-    * ``tail_underflow`` -- Converges: the integrand has underflowed by
-      ``r_max``, its last sample (slope ``-inf``);
+    * ``tail_underflow`` -- Converges: the integrand's last sample, at
+      ``r_max``, is 0 (slope ``-inf``);
     * ``few_positive_samples`` -- Inconclusive: fewer than half of the
       last decade's nodes, or than 2, are positive: no slope fit (NaN);
     * ``critical_slope`` -- Diverges: the fitted slope is at or above
       ``-1 - SLOPE_BAND``;
-    * ``tail_above_threshold`` -- Diverges: partial integral plus the
-      extrapolated tail passes ``DIVERGENCE_THRESHOLD``;
     * ``tail_within_tolerance`` -- Converges: the slope clears the margin
-      and the tail is within ``tail_rel_tol``;
-    * ``slope_or_tail_undecided`` -- Inconclusive: the slope lies in the
-      margin, or the tail is too large a share.
+      and the extrapolated tail is within ``TAIL_REL_TOL`` of the partial
+      integral;
+    * ``steady_power_tail`` -- Converges: the slope of the decade before
+      the last is the last decade's to ``STEADY_DRIFT`` of its distance
+      from -1, as for a power, whose extrapolated tail is exact;
+    * ``slope_or_tail_undecided`` -- Inconclusive: the slope drifts toward
+      -1 from decade to decade, as for ``1/(r log r)``, and lies in the
+      margin or leaves too large a tail.
     """
 
     verdict: Verdict
@@ -134,60 +128,63 @@ def _divergence_rule(R0: float, r_max: float):
     return grid, _CumulativeSimpson(np.log(grid))
 
 
-def test_L1_at_infinity(integrand: Callable, R0: float,
-                        cfg: DivergenceConfig = DEFAULT_DIVERGENCE,
+def _slope(rs, vals):
+    """The log-log slope fitted to the positive ``vals`` at ``rs``, or
+    NaN if fewer than half of them, or than 2, are positive."""
+    mask = vals > 0
+    if mask.sum() < max(len(rs) / 2, 2):
+        return math.nan
+    return float(np.polyfit(np.log(rs[mask]), np.log(vals[mask]), 1)[0])
+
+
+def test_L1_at_infinity(integrand: Callable, R0: float, r_max: float = R_MAX,
                         rule=None) -> DivergenceVerdict:
     """Decide whether ``integral_R0^inf integrand`` diverges.
 
     ``integrand`` maps an array of radii to values and is sampled once, on
-    the grid of ``rule``, which is ``_divergence_rule(R0, cfg.r_max)``
-    unless the caller built it.  The partial integral over all of ``[R0,
-    r_max]`` is the last value of the cumulative Simpson rule in ``log r``
-    on the table nodes (``scipy.integrate.cumulative_simpson(r * f, x=log
-    r)``, bit for bit); a log-log slope is fitted on the last decade's
-    nodes, those at or past ``r_max / 10``.  A partial integral past
-    ``DIVERGENCE_THRESHOLD`` diverges.  A fitted slope at or above the
+    the grid of ``rule``, which is ``_divergence_rule(R0, r_max)`` unless
+    the caller built it.  The partial integral over all of ``[R0, r_max]``
+    is the last value of the cumulative Simpson rule in ``log r`` on the
+    table nodes (``scipy.integrate.cumulative_simpson(r * f, x=log r)``,
+    bit for bit); a log-log slope is fitted on the last decade's nodes,
+    those at or past ``r_max / 10``.  A fitted slope at or above the
     critical -1 means the extrapolated tail is unbounded, which is
-    reported as divergence; slopes inside the margin band but below
-    critical stay inconclusive.  The verdict's ``reason`` names the branch
-    that decided.
+    reported as divergence.  Below it the integrand converges if the
+    slope clears the margin and its extrapolated tail is a small share of
+    the partial integral, or if the decade before the last, from the same
+    samples, has the same slope: a steady power.  Slopes that drift
+    toward -1 stay inconclusive.  Every test is of a ratio or of a slope,
+    so ``a * integrand`` has the verdict of ``integrand`` for any ``a >
+    0`` that keeps its samples finite and its last one nonzero.  The
+    verdict's ``reason`` names the branch that decided.
     """
-    grid, simpson = _divergence_rule(R0, cfg.r_max) if rule is None \
-        else rule
+    grid, simpson = _divergence_rule(R0, r_max) if rule is None else rule
     vals = np.zeros_like(grid) + integrand(grid)
-    bad = ~np.isfinite(vals) | (vals < -1e-300)
+    bad = ~np.isfinite(vals) | (vals < 0)
     if np.any(bad):
         raise NumericError("integrand must be finite and nonnegative: "
                            f"f({grid[bad][0]:g}) = {vals[bad][0]:g}")
-    vals = np.maximum(vals, 0.0)
     partial = float(simpson(grid * vals)[-1])
 
     def verdict(v, slope, reason):
-        return DivergenceVerdict(v, partial, slope, cfg.r_max, reason)
+        return DivergenceVerdict(v, partial, slope, r_max, reason)
 
-    if partial > DIVERGENCE_THRESHOLD:
-        return verdict(Verdict.DIVERGES, math.nan, "partial_above_threshold")
-    if vals[-1] < 1e-280:
+    if vals[-1] == 0:
         return verdict(Verdict.CONVERGES, -math.inf, "tail_underflow")
-
-    # slope fit on the last decade, never on a single point
-    decade = grid >= cfg.r_max / 10.0
-    rs, vals = grid[decade], vals[decade]
-    mask = vals > 0
-    if mask.sum() < max(len(rs) / 2, 2):
-        return verdict(Verdict.INCONCLUSIVE, math.nan, "few_positive_samples")
-    slope = float(np.polyfit(np.log(rs[mask]), np.log(vals[mask]), 1)[0])
-    f_end = float(vals[-1])
-
+    last = grid >= r_max / 10.0
+    slope = _slope(grid[last], vals[last])
+    if math.isnan(slope):
+        return verdict(Verdict.INCONCLUSIVE, slope, "few_positive_samples")
     if slope >= -1.0 - SLOPE_BAND:
         # extrapolated power-law tail is not integrable
         return verdict(Verdict.DIVERGES, slope, "critical_slope")
-    tail = f_end * cfg.r_max / (-1.0 - slope)
-    if partial + tail > DIVERGENCE_THRESHOLD:
-        return verdict(Verdict.DIVERGES, slope, "tail_above_threshold")
-    if slope <= -1.0 - SLOPE_MARGIN and \
-            tail <= cfg.tail_rel_tol * (1.0 + partial):
+    tail = vals[-1] * r_max / (-1.0 - slope)
+    if slope <= -1.0 - SLOPE_MARGIN and tail <= TAIL_REL_TOL * partial:
         return verdict(Verdict.CONVERGES, slope, "tail_within_tolerance")
+    before = (grid >= r_max / 100.0) & (grid <= r_max / 10.0)
+    if abs(_slope(grid[before], vals[before]) - slope) <= \
+            STEADY_DRIFT * (-1.0 - slope):
+        return verdict(Verdict.CONVERGES, slope, "steady_power_tail")
     return verdict(Verdict.INCONCLUSIVE, slope, "slope_or_tail_undecided")
 
 
@@ -209,17 +206,6 @@ def v_st(M: ModelManifold, op: PhiOperator, c: float, R: float, r):
     return phi_inverse(op, c * volume_ratio(M, r, R))
 
 
-# The scale c of the comparison profiles.  Pinching puts phi**-1(c y)
-# within constant factors of (c y)**(1/(p-1)), so whether a profile is
-# integrable does not depend on c; the test's absolute slack
-# tail <= tail_rel_tol * (1 + partial) does, and a smaller c is judged
-# more leniently.  The Type 1 profile on r e^{r^2.2} (slope -1.2,
-# tail/partial ~ 0.2) is Inconclusive at c = 1 and Converges at every
-# c <= 1/16; 2**-6 gives the properties of the rule that samples
-# c in {1, 1/4, 1/16, 1/64} (tests/oracles.py).
-PROFILE_C = 2.0 ** -6
-
-
 def _property(dv: DivergenceVerdict, holds: PropertyTag,
               fails: PropertyTag) -> PropertyTag:
     return {Verdict.DIVERGES: holds, Verdict.CONVERGES: fails}.get(
@@ -227,11 +213,13 @@ def _property(dv: DivergenceVerdict, holds: PropertyTag,
 
 
 def classify_parabolic(M: ModelManifold, op: PhiOperator,
-                       cfg: DivergenceConfig = DEFAULT_DIVERGENCE,
+                       r_max: float = R_MAX,
                        R0: float = 1.0) -> Classification:
-    """Parabolic iff the pure-gradient profile ``v_pa`` at ``PROFILE_C`` is
-    not integrable on ``[R0, inf)``."""
-    dv = test_L1_at_infinity(lambda r: v_pa(M, op, PROFILE_C, r), R0, cfg)
+    """Parabolic iff the pure-gradient profile ``v_pa`` at ``c = 1`` is not
+    integrable on ``[R0, inf)``.  The pinching puts ``phi**-1(c y)`` within
+    constant factors of ``(c y)**(1/(p-1))``, so whether a profile is
+    integrable does not depend on ``c``, and neither does the test."""
+    dv = test_L1_at_infinity(lambda r: v_pa(M, op, 1.0, r), R0, r_max)
     return Classification(
         _property(dv, PropertyTag.PARABOLIC, PropertyTag.NON_PARABOLIC), dv)
 
@@ -247,16 +235,16 @@ def classify_operator_type(pot: PotentialB) -> OperatorTypeTag:
 
 
 def classify_KL(M: ModelManifold, op: PhiOperator, pot: PotentialB,
-                cfg: DivergenceConfig = DEFAULT_DIVERGENCE,
+                r_max: float = R_MAX,
                 R0: float = 1.0) -> Classification:
     """Liouville/potential property via the type dispatch: strictly positive
     potentials test the volume-ratio profile, potentials vanishing near zero
     reduce to the parabolicity test."""
     if classify_operator_type(pot) is OperatorTypeTag.TYPE1:
-        dv = test_L1_at_infinity(lambda r: v_st(M, op, PROFILE_C, R0, r),
-                                 R0, cfg)
+        dv = test_L1_at_infinity(lambda r: v_st(M, op, 1.0, R0, r), R0,
+                                 r_max)
     else:
-        dv = classify_parabolic(M, op, cfg, R0).divergence
+        dv = classify_parabolic(M, op, r_max, R0).divergence
     return Classification(
         _property(dv, PropertyTag.KL_HOLDS, PropertyTag.KL_FAILS), dv)
 
@@ -265,10 +253,8 @@ def classify_KL(M: ModelManifold, op: PhiOperator, pot: PotentialB,
 # the growth condition on the potential
 
 
-# Growth-condition integrands are smooth powers of an antiderivative, so a
-# power-law tail extrapolation is reliable once the slope clears the margin;
-# the laxer tail fraction lets slowly-converging near-critical cases resolve.
-KO_DIVERGENCE = DivergenceConfig(r_max=1e6, tail_rel_tol=0.5)
+# The truncation radius of the growth tests, in the variable s of beta(s).
+KO_R_MAX = 1e6
 # The growth tests read beta and the kinetic primitive K only below
 # BETA_MAX: K's table then runs to ~4**p a2**2 times that, still a double.
 BETA_MAX = 1e300
@@ -349,7 +335,7 @@ def keller_osserman(op: PhiOperator, pot: PotentialB) -> KellerOssermanResult:
     ``NotKO_holds`` means the reciprocal profiles are non-integrable, so
     radial solutions exist globally; ``NotKO_fails`` signals finite-radius
     blow-up.  Both the kinetic-primitive form and the ``beta**(-1/p)`` form
-    are evaluated on ``[max(1, 2 s_+), KO_DIVERGENCE.r_max]``, ``s_+`` the
+    are evaluated on ``[max(1, 2 s_+), KO_R_MAX]``, ``s_+`` the
     first table node where ``beta > 0``: one divergence rule, and ``beta``
     interpolated once on its grid, serve both tests.  Where ``beta``
     passes ``BETA_MAX`` first (``t**q``, ``q >= 49``), the range ends at
@@ -360,27 +346,26 @@ def keller_osserman(op: PhiOperator, pot: PotentialB) -> KellerOssermanResult:
         raise DomainError("keller_osserman requires the derivative-pinched "
                           "operator flag")
     with np.errstate(over="ignore"):
-        s_grid, b_vals = _beta_interpolant(pot, KO_DIVERGENCE.r_max)
+        s_grid, b_vals = _beta_interpolant(pot, KO_R_MAX)
     if b_vals[-1] <= 0.0:
         # potential with vanishing antiderivative: both profiles are
         # infinite, trivially non-integrable
         return KellerOssermanResult("NotKO_holds", Verdict.DIVERGES,
                                     Verdict.DIVERGES)
-    cfg = KO_DIVERGENCE
     if not b_vals[-1] <= BETA_MAX:
         # the test range ends at the last node where beta is below it
         n = int(np.searchsorted(b_vals, BETA_MAX, side="right"))
         s_grid, b_vals = s_grid[:n], b_vals[:n]
-        cfg = DivergenceConfig(float(s_grid[-1]), cfg.tail_rel_tol)
+    r_max = float(s_grid[-1])
     pos = np.nonzero(b_vals > 0)[0][0]
     R0 = max(1.0, 2.0 * float(s_grid[pos]))
     k_inv = _kinetic_inverse(op, float(b_vals[-1]) * 1.05)
-    rule = _divergence_rule(R0, cfg.r_max)
+    rule = _divergence_rule(R0, r_max)
     beta = pchip(s_grid, b_vals)(rule[0])
     if np.any(beta <= 0.0):
         raise NumericError("antiderivative not positive on the test range")
-    v1 = test_L1_at_infinity(lambda s: 1.0 / k_inv(beta), R0, cfg, rule)
-    v2 = test_L1_at_infinity(lambda s: beta ** (-1.0 / op.p), R0, cfg,
+    v1 = test_L1_at_infinity(lambda s: 1.0 / k_inv(beta), R0, r_max, rule)
+    v2 = test_L1_at_infinity(lambda s: beta ** (-1.0 / op.p), R0, r_max,
                              rule)
     if {v1.verdict, v2.verdict} == {Verdict.DIVERGES, Verdict.CONVERGES}:
         raise ConsistencyError(

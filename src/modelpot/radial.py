@@ -14,7 +14,7 @@ that produce exhaustion potentials for triples of concentric balls.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -27,8 +27,7 @@ from .core import (DomainError, ModelManifold, NumericError, PhiOperator,
 # a profile counts them: the solve alone, since an application's finite,
 # clamped flux is in [0, inf).  Every other call here is checked.
 from .core import _phi_inverse_in_domain as phi_inverse_array
-from .criteria import (DEFAULT_DIVERGENCE, DivergenceVerdict, Verdict,
-                       classify_KL)
+from .criteria import R_MAX, DivergenceVerdict, Verdict, classify_KL
 
 COMPLETE = "complete"
 BLOWUP = "blowup"
@@ -359,9 +358,7 @@ def _blowup_tail(M: ModelManifold, op: PhiOperator, pot: PotentialB,
                                f"{PICARD_MAX_ITER}")
         yp = k_inv(E)
         r = node.R + simpson(x / yp)
-    cfg = criteria.DivergenceConfig(x[-1],
-                                    criteria.KO_DIVERGENCE.tail_rel_tol)
-    dv = criteria.test_L1_at_infinity(lambda _: 1.0 / yp, x[0], cfg,
+    dv = criteria.test_L1_at_infinity(lambda _: 1.0 / yp, x[0], x[-1],
                                       (x, simpson))
     if dv.verdict is not Verdict.CONVERGES:
         raise NumericError(f"the tail's test of 1/z' says "
@@ -555,9 +552,7 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     if not M.monotone:
         raise DomainError("the construction requires a non-decreasing warping")
     M._check_radius(R_max)           # a short table fails before its tail
-    cfg = replace(DEFAULT_DIVERGENCE,
-                  r_max=min(DEFAULT_DIVERGENCE.r_max, M.r_max_valid))
-    dv = classify_KL(M, op, pot, cfg, R).divergence
+    dv = classify_KL(M, op, pot, min(R_MAX, M.r_max_valid), R).divergence
     if dv.verdict is not Verdict.DIVERGES:
         raise NoExhaustion(
             f"no exhaustion: the Liouville test says {dv.verdict.value} "

@@ -1,7 +1,7 @@
 """Independent oracles shared by the unit and acceptance tests."""
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -50,8 +50,7 @@ KL_WARPINGS = [("euclidean", 2, 40.0), ("euclidean", 3, 40.0),
                ("power-exp:alpha=3", 2, 8.0)]
 
 
-def classify_c_sweep(M, op, pot=None, cfg=criteria.DEFAULT_DIVERGENCE,
-                     R0=1.0):
+def classify_c_sweep(M, op, pot=None, r_max=criteria.R_MAX, R0=1.0):
     """The property by the rule that samples the scale ``c``: the
     divergence test on the comparison profile at every ``c`` of
     ``C_SWEEP``.  It holds if every scale diverges, fails if the smallest
@@ -70,7 +69,7 @@ def classify_c_sweep(M, op, pot=None, cfg=criteria.DEFAULT_DIVERGENCE,
         def profile(c, r):
             return criteria.v_pa(M, op, c, r)
     verdicts = [criteria.test_L1_at_infinity(
-        lambda r, c=c: profile(c, r), R0, cfg).verdict for c in C_SWEEP]
+        lambda r, c=c: profile(c, r), R0, r_max).verdict for c in C_SWEEP]
     if all(v is Verdict.DIVERGES for v in verdicts):
         return holds
     if verdicts[-1] is Verdict.CONVERGES:
@@ -91,13 +90,11 @@ def exhaustion_at_unit_scale(M, op, R):
     slope of ``radial.constant_flux_profile`` at ``c = 1``,
     ``phi^-1(w(R)/w)``: the divergence test up to its ``r_max`` or the
     end of a table."""
-    cfg = replace(criteria.DEFAULT_DIVERGENCE,
-                  r_max=min(criteria.DEFAULT_DIVERGENCE.r_max,
-                            M.r_max_valid))
     params = radial.CauchyParams(R=R, theta=0.0,
                                  mu=radial.choose_mu(op, 1.0), c=1.0)
     return criteria.test_L1_at_infinity(
-        lambda r: radial._constant_flux_slope(M, op, params, r), R, cfg)
+        lambda r: radial._constant_flux_slope(M, op, params, r), R,
+        min(criteria.R_MAX, M.r_max_valid))
 
 
 def evans_eager_sweep(M, op, pot, R, R1, eps, R_max, nodes_per_window=64,
@@ -390,7 +387,7 @@ def khasminskii_candidate_sweep(M, p, lam, K_radius, Omega_radius, eps,
 # cross-checks that no command runs
 
 
-def p_laplacian_criteria(M, p, cfg=criteria.DEFAULT_DIVERGENCE, R0=1.0):
+def p_laplacian_criteria(M, p, r_max=criteria.R_MAX, R0=1.0):
     """Volume-form specializations for ``phi(t) = t**(p-1)``.
 
     Returns ``(stochastic_type, parabolic_type)`` verdicts for the
@@ -407,8 +404,8 @@ def p_laplacian_criteria(M, p, cfg=criteria.DEFAULT_DIVERGENCE, R0=1.0):
     def surface_integrand(r):
         return np.exp(-e * log_sphere_volume(M, r))
 
-    st = criteria.test_L1_at_infinity(ratio_integrand, R0, cfg)
-    pa = criteria.test_L1_at_infinity(surface_integrand, R0, cfg)
+    st = criteria.test_L1_at_infinity(ratio_integrand, R0, r_max)
+    pa = criteria.test_L1_at_infinity(surface_integrand, R0, r_max)
     return st, pa
 
 

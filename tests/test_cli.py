@@ -63,11 +63,13 @@ def test_classify_parabolic_plane(capsys):
     lines = out.splitlines()
     assert lines[0].startswith("#")
     assert lines[1] == "manifold,p,potential,property,verdict," \
-                       "partial_integral,slope"
+                       "partial_integral,slope,reason"
     rows = [ln.split(",") for ln in lines[2:]]
     assert len(rows) == 1
     assert all(len(r) == len(cli.CSV_COLUMNS) for r in rows)
     assert {r[3] for r in rows} == {"Parabolic"}
+    # int_1^1e4 dr/r = log 1e4, by the branch that decided
+    assert rows[0][5:] == ["9.21034037198", "-1", "critical_slope"]
 
 
 def test_classify_inconclusive_exit_code(tmp_path, capsys):
@@ -220,7 +222,8 @@ def test_evans_no_exhaustion_exit_code(capsys):
     assert code == 4
     lines = out.splitlines()
     assert lines[:2] == ["# command=evans", "# status=no_exhaustion"]
-    assert lines[2].startswith("# partial_integral=0.0156234375")
+    # int_1^1e4 r^-2 = 1 - 1e-4, to the Simpson rule's error
+    assert lines[2] == "# partial_integral=0.999900000582"
     assert lines[3:] == ["# slope=-2", "# reason=tail_within_tolerance",
                          "r,w"]
 
@@ -236,20 +239,33 @@ def test_evans_refuses_where_classify_says_kl_fails(capsys):
     assert code == 4
     assert out.splitlines() == [
         "# command=evans", "# status=no_exhaustion",
-        "# partial_integral=0.0156234375091", "# slope=-2",
+        "# partial_integral=0.999900000582", "# slope=-2",
         "# reason=tail_within_tolerance", "r,w"]
     code, row = run_cli(["classify"] + triple, capsys)
     assert code == 0
     assert row.splitlines()[2].endswith(
-        ",KL_Fails,Converges,0.0156234375091,-2")
+        ",KL_Fails,Converges,0.999900000582,-2,tail_within_tolerance")
 
 
-def test_evans_inconclusive_exit_code(capsys):
+def test_evans_inconclusive_exit_code(tmp_path, capsys):
+    # on the warping r log(e + r) the profile 1/(r log(e + r)) drifts
+    # toward the critical slope from decade to decade: Inconclusive
+    r = np.geomspace(1e-3, 2e4, 3000)
+    table = tmp_path / "slowlog.csv"
+    np.savetxt(table, np.column_stack([r, r * np.log(math.e + r)]),
+               delimiter=",", header="r,g", comments="")
     code, out = run_cli(
-        EVANS_ARGS + ["--set", "operator=p-laplacian:p=1.95"], capsys)
+        EVANS_ARGS + ["--set", f"manifold=table:{table}"], capsys)
     assert code == 2
     assert "# status=inconclusive\n" in out
-    assert "# slope=-1.05263\n# reason=slope_or_tail_undecided\n" in out
+    assert "# reason=slope_or_tail_undecided\n" in out
+    # the plane at p = 1.95 is not p-parabolic: its steady profile
+    # r^-1.05 converges, and no exhaustion exists (exit 4)
+    code, out = run_cli(
+        EVANS_ARGS + ["--set", "operator=p-laplacian:p=1.95"], capsys)
+    assert code == 4
+    assert "# status=no_exhaustion\n" in out
+    assert "# slope=-1.05263\n# reason=steady_power_tail\n" in out
 
 
 def test_evans_on_a_table(tmp_path, capsys):

@@ -60,17 +60,18 @@ def test_heuristic_partial_integral_matches_closed_forms():
     assert v.partial_integral == pytest.approx(1.0 - 1e-4, rel=1e-9)
     v = criteria.test_L1_at_infinity(lambda r: np.exp(-r), 1.0)
     assert v.partial_integral == pytest.approx(math.exp(-1.0), rel=1e-9)
-    cfg = criteria.DivergenceConfig(r_max=3e3)      # a partial last decade
-    v = criteria.test_L1_at_infinity(lambda r: r ** -1.5, 2.0, cfg)
+    # a partial last decade
+    v = criteria.test_L1_at_infinity(lambda r: r ** -1.5, 2.0, 3e3)
     exact = 2.0 * (2.0 ** -0.5 - 3e3 ** -0.5)
     assert v.partial_integral == pytest.approx(exact, rel=1e-9)
 
 
-def test_heuristic_threshold_shortcut():
+def test_heuristic_large_constant_diverges_by_its_slope():
+    # no size decides: a constant diverges by its slope 0, as 1 does
     v = criteria.test_L1_at_infinity(lambda r: 1e6, 1.0)
-    assert v.verdict is Verdict.DIVERGES
-    assert v.partial_integral > criteria.DIVERGENCE_THRESHOLD
-    assert math.isnan(v.slope_estimate)
+    assert (v.verdict, v.reason) == (Verdict.DIVERGES, "critical_slope")
+    assert v.partial_integral == pytest.approx(1e6 * (1e4 - 1.0), rel=1e-9)
+    assert v.slope_estimate == pytest.approx(0.0, abs=1e-9)
 
 
 def test_heuristic_validation():
@@ -80,14 +81,12 @@ def test_heuristic_validation():
         criteria.test_L1_at_infinity(lambda r: -1.0, 1.0)
     for r_max in (math.inf, math.nan):
         with pytest.raises(core.DomainError, match="r_max < inf"):
-            criteria.test_L1_at_infinity(
-                lambda r: 1.0 / r, 1.0, criteria.DivergenceConfig(r_max=r_max))
+            criteria.test_L1_at_infinity(lambda r: 1.0 / r, 1.0, r_max)
     # a few ulps hold fewer distinct radii than the rule has nodes, whose
     # spacings would vanish and be divided by
     with pytest.raises(core.DomainError, match="too short to sample"):
-        criteria.test_L1_at_infinity(
-            lambda r: 1.0 / r, 1e3,
-            criteria.DivergenceConfig(r_max=1e3 * (1.0 + 3e-16)))
+        criteria.test_L1_at_infinity(lambda r: 1.0 / r, 1e3,
+                                     1e3 * (1.0 + 3e-16))
 
 
 @pytest.mark.parametrize("r_max", [1e3, 3e3, 1e4, 9999.0])
@@ -101,19 +100,16 @@ def test_decade_rule_is_scipy_simpson(R0, r_max):
     nodes = core.geometric_grid(R0, r_max)
     assert np.array_equal(grid, nodes)
     assert nodes[0] == R0 and nodes[-1] == r_max
-    cfg = criteria.DivergenceConfig(r_max=r_max)
     rng = np.random.default_rng(7)
     for _ in range(3):
         f = rng.uniform(0.0, 1.0, grid.size) * grid ** rng.uniform(-3, -1)
         y = nodes * f
         expected = cumulative_simpson(y, x=np.log(nodes), initial=0.0)[-1]
-        dv = criteria.test_L1_at_infinity(lambda r: f, R0, cfg)
+        dv = criteria.test_L1_at_infinity(lambda r: f, R0, r_max)
         assert dv.partial_integral == expected
 
 
 @pytest.mark.parametrize("f,R0,verdict,reason", [
-    (lambda r: 1e6, 1.0, Verdict.DIVERGES,
-     "partial_above_threshold"),
     (lambda r: np.exp(-r), 1.0, Verdict.CONVERGES, "tail_underflow"),
     # an integrand that reaches zero before r_max has no tail to extrapolate
     (lambda r: np.where(r < 2e3, r ** -2.0, 0.0), 2.0, Verdict.CONVERGES,
@@ -129,9 +125,14 @@ def test_decade_rule_is_scipy_simpson(R0, r_max):
     (lambda r: np.where(r < 1e4, 0.0, r ** -2.0), 9.9e3,
      Verdict.INCONCLUSIVE, "few_positive_samples"),
     (lambda r: 1.0 / r, 1.0, Verdict.DIVERGES, "critical_slope"),
-    # partial 7.2e5 below the threshold, plus a tail of 4.8e5 above it
-    (lambda r: 1.2e5 * r ** -1.1, 1.0, Verdict.DIVERGES,
-     "tail_above_threshold"),
+    # last samples near 1e-294 are no underflow: only an exact 0 is
+    (lambda r: 1e-290 / r, 1.0, Verdict.DIVERGES, "critical_slope"),
+    (lambda r: 1e-290 * r ** -0.9, 1.0, Verdict.DIVERGES, "critical_slope"),
+    # a steady power in the margin: both decades fit the slope -1.1, so
+    # the extrapolated tail (4.8e5, on a partial integral of 7.2e5) is
+    # exact
+    (lambda r: 1.2e5 * r ** -1.1, 1.0, Verdict.CONVERGES,
+     "steady_power_tail"),
     (lambda r: r ** -2.0, 1.0, Verdict.CONVERGES, "tail_within_tolerance"),
     (lambda r: 1.0 / (r * np.log(r)), 2.0, Verdict.INCONCLUSIVE,
      "slope_or_tail_undecided"),
@@ -140,6 +141,21 @@ def test_decade_rule_is_scipy_simpson(R0, r_max):
 def test_divergence_reason_names_the_branch(f, R0, verdict, reason):
     dv = criteria.test_L1_at_infinity(f, R0)
     assert (dv.verdict, dv.reason) == (verdict, reason)
+
+
+@pytest.mark.parametrize("f,verdict", [
+    (lambda r: r ** -1.2, Verdict.CONVERGES),
+    (lambda r: r ** -2.0, Verdict.CONVERGES),
+    (lambda r: 1.0 / r, Verdict.DIVERGES),
+    (lambda r: 1.0 / (r * np.log(r) ** 2), Verdict.CONVERGES),
+    (lambda r: 1.0 / (r * np.log(r)), Verdict.INCONCLUSIVE),
+], ids=["r^-1.2", "r^-2", "1/r", "1/(r log^2 r)", "1/(r log r)"])
+def test_a_constant_factor_moves_no_verdict(f, verdict):
+    # integrability does not see a constant factor, and neither does the
+    # test: at 1e-290 the samples are still normal doubles, far from 0
+    for scale in (1e-290, 1e-12, 1.0, 1e12):
+        dv = criteria.test_L1_at_infinity(lambda r: scale * f(r), 2.0)
+        assert dv.verdict is verdict, (scale, dv)
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +361,8 @@ def test_cross_consistency_stochastic_form(tag, m, p):
 
 def test_one_scale_keeps_the_property_of_the_c_sweep():
     # 7 warpings x 6 operators x 4 potentials, and the benchmark's table
-    # g = r (1 + r^2)^(-1/4) ~ r^(1/2): each property at PROFILE_C is the
-    # one the sweep over four scales gives
+    # g = r (1 + r^2)^(-1/4) ~ r^(1/2): each property at c = 1 is the one
+    # the sweep over four scales gives
     r = np.geomspace(1e-3, 1e4, 400)
     table = core.tabulated_manifold(r, r * (1.0 + r * r) ** -0.25, m=2)
     manifolds = [core.manifold_from_tag(tag, m) for tag, m in WARPINGS]
@@ -365,6 +381,33 @@ def test_one_scale_keeps_the_property_of_the_c_sweep():
                                   cls.property.value, expected.value))
     assert cases == 7 * 6 * 4 + 6 * 4
     assert wrong == []
+
+
+def _dip_table(k: float, m: int, a: float) -> core.ModelManifold:
+    """``g = r`` up to r = 1, then ``log g`` moves by a smoothstep on [1, 2]
+    to ``log(a r^k)``: a legal table (``g'(0) = 1``) whose warping past 2
+    is ``a r^k``, sampled to 1e4."""
+    r = np.geomspace(1e-3, 1e4, 3000)
+    s = np.clip(r - 1.0, 0.0, 1.0)
+    s = s * s * (3.0 - 2.0 * s)
+    return core.tabulated_manifold(
+        r, np.exp((1.0 - s) * np.log(r) + s * np.log(a * r ** k)), m,
+        name=f"dip:k={k:g},a={a:g}")
+
+
+@pytest.mark.parametrize("k,m,p", [(0.5, 2, 2.0), (1.0, 2, 2.0),
+                                   (1.0, 3, 2.0), (1.5, 3, 3.0),
+                                   (1.2, 3, 3.0), (0.4, 4, 2.0)])
+def test_the_dip_depth_moves_no_parabolicity(k, m, p):
+    # past r = 2 the warping is a r^k, and a constant factor does not change
+    # parabolicity: from R0 = 2 it is non-parabolic iff k (m-1)/(p-1) > 1,
+    # at every depth a of the dip
+    op = core.p_laplacian_operator(p)
+    expected = PropertyTag.NON_PARABOLIC if k * (m - 1) / (p - 1) > 1 \
+        else PropertyTag.PARABOLIC
+    for a in (1e6, 1.0, 1e-3, 1e-6, 1e-9):
+        cls = criteria.classify_parabolic(_dip_table(k, m, a), op, R0=2.0)
+        assert cls.property is expected, (a, cls)
 
 
 def test_hyperbolic_volume_ratio_verdicts():

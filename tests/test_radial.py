@@ -451,20 +451,27 @@ def test_blowup_profile_matches_an_ode_oracle_in_z(p, q, theta):
     assert abs(sol.blowup_radius - oracle.y[0][-1]) <= r_bound[-1]
 
 
-@pytest.mark.parametrize("q,p,message", [
-    (1.1, 2.0, "keller_osserman says Inconclusive"),
-    (1.0, 2.0, "keller_osserman says NotKO_holds"),
-])
-def test_a_window_underflow_names_the_missing_certificate(q, p, message):
-    # B = t^1.1 at p = 2 blows up, but its growth test is Inconclusive (the
-    # slope -1.05 lies in the margin); B = t at p = 2 does not blow up, and
+def _log_corrected(t):
+    t = np.asarray(t, dtype=float)
+    return t * np.log(math.e + t) ** 2
+
+
+@pytest.mark.parametrize("pot,R_max,message", [
+    (core.PotentialB(_log_corrected), 50.0,
+     "keller_osserman says Inconclusive"),
+    (core.superlinear_potential(1.0), 800.0,
+     "keller_osserman says NotKO_holds"),
+], ids=["t log^2(e+t)", "t"])
+def test_a_window_underflow_names_the_missing_certificate(pot, R_max,
+                                                          message):
+    # at p = 2, B = t log^2(e + t) has beta^(-1/2) ~ 1/(t log t), whose
+    # slope drifts toward -1: its growth test is Inconclusive, and its
+    # profile passes a double near r = 8.7; B = t does not blow up, and
     # its profile passes a double near r = 705.5.  Either way the windows
     # halve until they underflow, which no threshold turns into a blow-up
     params = radial.CauchyParams(R=1.0, theta=1.0, mu=1.0, c=1.0)
     with pytest.raises(core.NumericError, match=message):
-        radial.solve_cauchy(EUC2, core.p_laplacian_operator(p),
-                            core.superlinear_potential(q), params,
-                            50.0 if q > 1 else 800.0)
+        radial.solve_cauchy(EUC2, LAP2, pot, params, R_max)
 
 
 def test_blowup_threshold_is_checked_and_unused():
@@ -969,12 +976,20 @@ def test_evans_exhaustion_verdict_on_a_short_table(tmp_path):
 
 
 def test_evans_inconclusive_exhaustion_is_not_a_verdict():
-    # int r^(-1/(p-1)) at p = 1.95 decays like r^-1.05, inside the band
-    # around the critical slope -1
+    # on g = r log(e + r) the profile 1/(r log(e + r)) decays with a slope
+    # that drifts toward the critical -1 from decade to decade
+    r = np.geomspace(1e-3, 2e4, 3000)
+    M = core.tabulated_manifold(r, r * np.log(math.e + r), 2)
+    with pytest.raises(radial.NoExhaustion) as info:
+        radial.evans_for_triple(M, LAP2, ZERO, R=1.0, R1=2.0, eps=0.1,
+                                R_max=60.0)
+    assert info.value.divergence.verdict is Verdict.INCONCLUSIVE
+    # int r^(-1/(p-1)) at p = 1.95 decays like the steady power r^-1.05:
+    # it converges, and no exhaustion exists
     with pytest.raises(radial.NoExhaustion) as info:
         radial.evans_for_triple(EUC2, core.p_laplacian_operator(1.95), ZERO,
                                 R=1.0, R1=2.0, eps=0.1, R_max=60.0)
-    assert info.value.divergence.verdict is Verdict.INCONCLUSIVE
+    assert info.value.divergence.verdict is Verdict.CONVERGES
 
 
 # the paper's theorem: an exhaustion exists iff the Liouville property

@@ -43,21 +43,20 @@ KHASMINSKII = {"khasminskii:lambda=1": (1.0, [4.0, 8.0, 16.0, 32.0]),
                "khasminskii:lambda=0.25": (0.25, [3.0, 4.0, 5.0, 6.0]),
                "khasminskii:lambda=0": (0.0, [4.0, 8.0, 16.0, 32.0])}
 
-# the largest Inconclusive count of each family
-INCONCLUSIVE_BOUND = {"power": 14, "power-exp": 4, "hyperbolic": 0, "ko": 2,
+# the largest Inconclusive count of each family.  khasminskii:lambda=0.25:
+# the 1/log fit of the stage-0 sups cannot answer HLimitNonzero at
+# lambda > 0
+INCONCLUSIVE_BOUND = {"power": 0, "power-exp": 0, "hyperbolic": 0, "ko": 0,
                       "radial": 0, "khasminskii:lambda=1": 0,
                       "khasminskii:lambda=0.25": 73,
                       "khasminskii:lambda=0": 0}
 
-# the largest wrong count of each family, 0 where none is named.  radial:
-# at p=2 q=1.1 and p=4 q=3.5 keller_osserman is Inconclusive (the slopes
-# -1.05 and -1.125 lie in the divergence test's margin), so solve_cauchy
-# certifies no blow-up and ends in the NumericError that names the
-# missing certificate; they go when that margin decides (ROADMAP item 7).
+# the largest wrong count of each family, 0 where none is named.
 # khasminskii:lambda=0: the 1/log fit of the stage-0 sups answers
 # HLimitNonzero on four parabolic tables and PotentialBuilt on one
-# non-parabolic table; they go when ROADMAP item 1 lands.
-WRONG_BOUND = {"radial": 2, "khasminskii:lambda=0": 5}
+# non-parabolic table, where classify_parabolic from the last stage
+# radius answers right on all five.
+WRONG_BOUND = {"khasminskii:lambda=0": 5}
 
 
 def _power_table(k: float, m: int) -> core.ModelManifold:
