@@ -264,23 +264,25 @@ def volume_ratio(M: ModelManifold, r, R: float = 0.0):
                      np.abs(asked[np.minimum(i, len(asked) - 1)] - own))
     grid = np.unique(np.concatenate([[lo], own[gap > 1e-9 * own], asked]))
     L = log_sphere_volume(M, grid)
-    rho = np.zeros(len(grid))
+    rho = [0.0]
     if R == 0:
         # g ~ t near the origin: the rule acts on exp(L(t) - L(lo)) directly
-        rho[0] = lo * (_GL_WEIGHTS
-                       @ np.exp(log_sphere_volume(M, lo * _GL_NODES) - L[0]))
-    h = np.diff(grid)
-    x = 0.25 * np.diff(L)                # a * h
+        rho = [float(lo * (_GL_WEIGHTS @ np.exp(
+            log_sphere_volume(M, lo * _GL_NODES) - L[0])))]
+    h, dL = grid[1:] - grid[:-1], L[1:] - L[:-1]
+    x = 0.25 * dL                        # a * h
     x[x == 0.0] = 1e-300                 # the map below tends to t = a + h xi
     u = 1.0 + np.outer(np.expm1(-x), 1.0 - _GL_NODES)
     b, Lb = grid[1:, None], L[1:, None]
     t = b + (h / x)[:, None] * np.log(u)
     log_f = log_sphere_volume(M, t) - Lb + (x / h)[:, None] * (b - t)
     I = h * (-np.expm1(-x) / x) * (np.exp(log_f) @ _GL_WEIGHTS)
-    decay = np.exp(-np.diff(L))
-    for i in range(len(I)):
-        rho[i + 1] = decay[i] * rho[i] + I[i]
-    out = np.where(radii > R, rho[np.searchsorted(grid, radii)], 0.0)
+    # the recurrence over Python floats: the multiply-then-add of numpy
+    # scalars, bit for bit, without their per-element boxing
+    for decay, inc in zip(np.exp(-dL).tolist(), I.tolist()):
+        rho.append(decay * rho[-1] + inc)
+    out = np.where(radii > R, np.array(rho)[np.searchsorted(grid, radii)],
+                   0.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -382,12 +384,12 @@ def pchip(x, y):
         raise ValueError("pchip needs 1-D x and y of equal length")
     if len(x) < 2:
         raise ValueError("pchip needs at least 2 points")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("pchip needs finite x and y")
-    h = np.diff(x)
-    if np.any(h <= 0):
+    h = x[1:] - x[:-1]
+    if (h <= 0).any():
         raise ValueError("pchip needs strictly increasing x")
-    m = np.diff(y) / h
+    m = (y[1:] - y[:-1]) / h
     d = _pchip_slopes(h, m)
     t = (d[:-1] + d[1:] - 2 * m) / h
     c0, c1, c2, c3 = t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]
@@ -468,12 +470,23 @@ def load_manifold_csv(path, m: int) -> ModelManifold:
 # gradient nonlinearities
 
 
+# the samples on which PhiOperator checks phi and phi', and PotentialB
+# checks B: read-only, since every operator and potential shares them
+_PHI_SAMPLES = np.logspace(-6, 3, 61)
+_POTENTIAL_SAMPLES = np.linspace(0.0, 10.0, 101)
+_PHI_SAMPLES.flags.writeable = _POTENTIAL_SAMPLES.flags.writeable = False
+
+
 def _on_samples(f, t, name):
-    """``f`` called once on the sample array ``t``: one value per sample."""
+    """``f`` called once on the sample array ``t``: one value per sample,
+    none of them NaN (``ValueError`` naming the first NaN sample)."""
     vals = np.asarray(f(t), dtype=float)
     if vals.shape != t.shape:
         raise ValueError(f"{name} must give one value per sample of an "
                          f"array argument, got shape {vals.shape}")
+    nan = np.isnan(vals)
+    if nan.any():
+        raise ValueError(f"{name} is NaN at the sample t={t[nan][0]:g}")
     return vals
 
 
@@ -503,20 +516,20 @@ class PhiOperator:
             raise ValueError("exponent p must be > 1")
         if not (self.a1 > 0 and self.a2 > 0):
             raise ValueError("ellipticity constants must be positive")
-        t = np.logspace(-6, 3, 61)
+        t = _PHI_SAMPLES
         ph = _on_samples(self.phi, t, "phi")
         tp = t ** (self.p - 1.0)
-        if np.any(ph < self.a1 * tp * (1 - 1e-9)) or \
-           np.any(ph > self.a2 * tp * (1 + 1e-9)):
+        if (ph < self.a1 * tp * (1 - 1e-9)).any() or \
+           (ph > self.a2 * tp * (1 + 1e-9)).any():
             raise ValueError("phi violates its two-sided t**(p-1) bounds")
-        if np.any(np.diff(ph) <= 0):
+        if (ph[1:] <= ph[:-1]).any():
             raise ValueError("phi must be strictly increasing")
         if self.derivative_pinched:
             dp = _on_samples(self.phi_prime, t, "phi'")
             lo = tp / self.a2
             hi = self.a1 + self.a2 * tp
-            if np.any(t * dp < lo * (1 - 1e-9)) or \
-               np.any(t * dp > hi * (1 + 1e-9)):
+            if (t * dp < lo * (1 - 1e-9)).any() or \
+               (t * dp > hi * (1 + 1e-9)).any():
                 raise ValueError("phi' violates the derivative pinching bounds")
 
 
@@ -599,7 +612,8 @@ def _phi_inverse_in_domain(op: PhiOperator, ys: np.ndarray):
     The bounds are only sampled, so a bracket without the root raises
     ``NumericError``, as does a residual above ``1e-12 * (1 + y)`` (which
     is what a ``phi_prime`` far above ``phi'`` leads to: its short Newton
-    steps stay inside the bracket and use up the steps).  A 0-d ``ys``
+    steps stay inside the bracket and use up the steps); a NaN ``phi`` at
+    the bracket's ends or at the result fails either test.  A 0-d ``ys``
     gives a float.
     """
     if op.phi_inv is not None:
@@ -608,10 +622,15 @@ def _phi_inverse_in_domain(op: PhiOperator, ys: np.ndarray):
     e = 1.0 / (op.p - 1.0)
     lo = 0.25 * (ys / op.a2) ** e
     hi = np.maximum(4.0 * (ys / op.a1) ** e, np.where(ys > 0, _TINY, 0.0))
-    miss = (op.phi(lo) > ys) | (op.phi(hi) < ys)
-    if np.any(miss):
-        raise NumericError("phi_inverse: the pinching bracket misses the "
-                           f"root for y={ys[miss][0]:.6g}")
+    phi_lo, phi_hi = op.phi(lo), op.phi(hi)
+    miss = ~((phi_lo <= ys) & (phi_hi >= ys))       # a NaN phi fails
+    if miss.any():
+        i = np.argmax(miss)
+        raise NumericError(
+            "phi_inverse: the pinching bracket misses the root for "
+            f"y={ys.flat[i]:.6g}: phi({np.ravel(lo)[i]:.6g}) = "
+            f"{np.ravel(phi_lo)[i]:.6g}, phi({np.ravel(hi)[i]:.6g}) = "
+            f"{np.ravel(phi_hi)[i]:.6g}")
     t = (ys / math.sqrt(op.a1 * op.a2)) ** e
     moving = np.ones(ys.shape, dtype=bool)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -630,8 +649,8 @@ def _phi_inverse_in_domain(op: PhiOperator, ys: np.ndarray):
             if not moving.any():
                 break
     resid = np.abs(op.phi(t) - ys)
-    over = resid > 1e-12 * (1.0 + ys)
-    if np.any(over):
+    over = ~(resid <= 1e-12 * (1.0 + ys))       # a NaN residual fails
+    if over.any():
         raise NumericError(f"phi_inverse did not reach its tolerance for "
                            f"y={ys[over][0]:.6g} (residual "
                            f"{resid[over][0]:.3e})")
@@ -664,13 +683,12 @@ class PotentialB:
     kink: Optional[float] = None
 
     def __post_init__(self):
-        t = np.linspace(0.0, 10.0, 101)
-        vals = _on_samples(self.B, t, "potential")
-        if not vals[0] == 0:            # a nan B(0) fails it too
+        vals = _on_samples(self.B, _POTENTIAL_SAMPLES, "potential")
+        if not vals[0] == 0:
             raise ValueError("potential must satisfy B(0)=0")
-        if np.any(np.diff(vals) < -1e-12):
+        if (vals[1:] - vals[:-1] < -1e-12).any():
             raise ValueError("potential must be non-decreasing (sampled)")
-        if np.any(vals < -1e-15):
+        if (vals < -1e-15).any():
             raise ValueError("potential must be nonnegative on [0, inf)")
 
 

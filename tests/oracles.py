@@ -7,7 +7,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from modelpot import criteria, obstacle, radial
-from modelpot.core import (DomainError, log_sphere_volume,
+from modelpot.core import (_GL_NODES, _GL_WEIGHTS, _ORIGIN_PANEL,
+                           DomainError, geometric_grid, log_sphere_volume,
                            manifold_from_tag, phi_inverse, sphere_volume,
                            volume_ratio)
 from modelpot.criteria import OperatorTypeTag, PropertyTag, Verdict
@@ -48,6 +49,23 @@ KL_WARPINGS = [("euclidean", 2, 40.0), ("euclidean", 3, 40.0),
                ("hyperbolic", 2, 40.0), ("hyperbolic", 3, 40.0),
                ("power-exp:alpha=2.2", 2, 18.0),
                ("power-exp:alpha=3", 2, 8.0)]
+
+
+def assert_slope_is_polyfit(rs, vals):
+    """``criteria._slope`` against ``np.polyfit`` on the positive samples,
+    to 1e-12 of the slope's scale: ``1 + |slope|`` plus the largest
+    departure of ``log vals`` from its mean over the span of ``log rs``,
+    which bounds what rounding in either least-squares fit can move.
+    Fewer than half positive, or than 2, give NaN."""
+    got = criteria._slope(rs, vals)
+    mask = vals > 0
+    if mask.sum() < max(len(rs) / 2, 2):
+        assert math.isnan(got)
+        return
+    x, y = np.log(rs[mask]), np.log(vals[mask])
+    expected = np.polyfit(x, y, 1)[0]
+    scale = 1.0 + abs(expected) + np.abs(y - y.mean()).max() / np.ptp(x)
+    assert abs(got - expected) <= 1e-12 * scale, (got, expected)
 
 
 def classify_c_sweep(M, op, pot=None, r_max=criteria.R_MAX, R0=1.0):
@@ -181,6 +199,43 @@ def volterra_apply_reference(M, op, pot, params, grid, u):
         slope = phi_inverse(op, np.maximum(flux, 0.0))
         return (params.theta + np.maximum(cumint(slope), 0.0) / c,
                 slope / c)
+
+
+def volume_ratio_reference(M, r, R=0.0):
+    """``core.volume_ratio`` with its recurrence over numpy scalars, one
+    array element at a time, and its spacings from ``np.diff``: the
+    oracle that the float recurrence must match bit for bit."""
+    radii = np.asarray(r, dtype=float)
+    least = float(np.min(radii, initial=R))
+    top = float(np.max(radii, initial=R))
+    if not (0 <= R <= least and top < math.inf):
+        raise DomainError("volume_ratio requires finite r >= R >= 0")
+    lo = R if R > 0 else float(np.min(radii, where=radii > 0,
+                                      initial=_ORIGIN_PANEL))
+    own = geometric_grid(lo, max(top, lo))[1:]
+    asked = np.unique(radii[radii > 0])
+    i = np.searchsorted(asked, own)
+    gap = np.minimum(np.abs(own - asked[np.maximum(i - 1, 0)]),
+                     np.abs(asked[np.minimum(i, len(asked) - 1)] - own))
+    grid = np.unique(np.concatenate([[lo], own[gap > 1e-9 * own], asked]))
+    L = log_sphere_volume(M, grid)
+    rho = np.zeros(len(grid))
+    if R == 0:
+        rho[0] = lo * (_GL_WEIGHTS
+                       @ np.exp(log_sphere_volume(M, lo * _GL_NODES) - L[0]))
+    h = np.diff(grid)
+    x = 0.25 * np.diff(L)
+    x[x == 0.0] = 1e-300
+    u = 1.0 + np.outer(np.expm1(-x), 1.0 - _GL_NODES)
+    b, Lb = grid[1:, None], L[1:, None]
+    t = b + (h / x)[:, None] * np.log(u)
+    log_f = log_sphere_volume(M, t) - Lb + (x / h)[:, None] * (b - t)
+    I = h * (-np.expm1(-x) / x) * (np.exp(log_f) @ _GL_WEIGHTS)
+    decay = np.exp(-np.diff(L))
+    for i in range(len(I)):
+        rho[i + 1] = decay[i] * rho[i] + I[i]
+    out = np.where(radii > R, rho[np.searchsorted(grid, radii)], 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def qp_obstacle_oracle(prob, spec):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from modelpot import core
-from oracles import phi_inverse_brentq
+from oracles import phi_inverse_brentq, volume_ratio_reference
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +156,43 @@ def test_volume_ratio_nodes_near_requested_radii_give_way(monkeypatch):
     table = core.volume_ratio(M, r, 1.0)
     assert seen[0] == (257,)
     assert np.allclose(table, (r ** 2 - 1.0) / (2.0 * r), rtol=1e-9, atol=0.0)
+
+
+def _power_table(m):
+    t = np.geomspace(1e-3, 1e3, 800)
+    return core.tabulated_manifold(t, t * (1.0 + t * t) ** -0.25, m)
+
+
+@pytest.mark.parametrize("R", [0.0, 1.0])
+@pytest.mark.parametrize("make,r_hi", [
+    (lambda: core.manifold_from_tag("euclidean", 2), 1e4),
+    (lambda: core.manifold_from_tag("euclidean", 3), 1e4),
+    (lambda: core.manifold_from_tag("hyperbolic", 3), 40.0),
+    (lambda: core.manifold_from_tag("power-exp:alpha=3", 2), 20.0),
+    (lambda: _power_table(2), 900.0),
+], ids=["euclidean m=2", "euclidean m=3", "hyperbolic m=3",
+        "power-exp:alpha=3", "table"])
+def test_volume_ratio_is_the_reference_bit_for_bit(make, r_hi, R):
+    # the recurrence over Python floats is the numpy-scalar loop's
+    # multiply-then-add, so no value moves, at an array of radii (with R
+    # itself among them) and at a scalar radius
+    M = make()
+    r = np.concatenate([[R] if R else [], R + np.geomspace(0.01, r_hi, 24)])
+    assert np.array_equal(core.volume_ratio(M, r, R),
+                          volume_ratio_reference(M, r, R))
+    for radius in (float(r[7]), R + r_hi):
+        got = core.volume_ratio(M, radius, R)
+        assert type(got) is float
+        assert got == volume_ratio_reference(M, radius, R)
+
+
+def test_validation_samples_are_read_only():
+    for samples, grid in ((core._PHI_SAMPLES, np.logspace(-6, 3, 61)),
+                          (core._POTENTIAL_SAMPLES,
+                           np.linspace(0.0, 10.0, 101))):
+        assert np.array_equal(samples, grid)
+        with pytest.raises(ValueError, match="read-only"):
+            samples[0] = 1.0
 
 
 def test_manifold_validation():
@@ -410,6 +447,26 @@ def test_operator_invalid_constants():
                          p=3.0, a1=1.0, a2=1.0)
 
 
+@pytest.mark.parametrize("build,named", [
+    (lambda: core.PhiOperator(phi=lambda t: np.where(t > 10, math.nan, t),
+                              phi_prime=lambda t: np.ones_like(t),
+                              p=2.0, a1=1.0, a2=1.0),
+     "phi is NaN at the sample t=11.2202"),
+    (lambda: core.PhiOperator(phi=lambda t: t,
+                              phi_prime=lambda t: np.where(t < 1e-3,
+                                                           math.nan, 1.0),
+                              p=2.0, a1=1.0, a2=1.0,
+                              derivative_pinched=True),
+     "phi' is NaN at the sample t=1e-06"),
+    (lambda: core.PotentialB(B=lambda t: np.where(t > 5, math.nan, t)),
+     "potential is NaN at the sample t=5.1"),
+], ids=["phi", "phi'", "B"])
+def test_validation_refuses_nan_samples(build, named):
+    # each used to construct: a NaN fails no comparison of the checks
+    with pytest.raises(ValueError, match=re.escape(named)):
+        build()
+
+
 def test_operator_validation_calls_phi_once_on_an_array():
     with pytest.raises(ValueError, match="phi must give one value per "
                                          "sample.*shape \\(\\)"):
@@ -536,6 +593,32 @@ def test_phi_inverse_failures_name_y(y, message):
     assert message in str(err.value)
 
 
+def _nan_operator(nan_at):
+    """phi(t) = t, but NaN where ``nan_at(t)``: past the samples (t <= 1e3)
+    that the construction checks."""
+    def phi(t):
+        t = np.asarray(t, dtype=float)
+        return np.where(nan_at(t), math.nan, t)
+
+    return core.PhiOperator(phi=phi, phi_prime=lambda t: np.ones_like(t),
+                            p=2.0, a1=1.0, a2=1.0)
+
+
+@pytest.mark.parametrize("nan_at,message", [
+    # the bracket [1250, 20000] ends where phi is NaN
+    (lambda t: t > 2e3, "bracket misses the root for y=5000: phi(1250) = "
+                        "1250, phi(20000) = nan"),
+    # the bracket holds, and phi is NaN about the root or at it
+    (lambda t: (t > 4e3) & (t < 6e3), "tolerance for y=5000 (residual nan)"),
+    (lambda t: t == 5e3, "tolerance for y=5000 (residual nan)"),
+], ids=["past 2000", "about the root", "at the root"])
+def test_phi_inverse_refuses_a_nan_phi(nan_at, message):
+    # each used to return a number: 10625, 5937.5 and 5000
+    with pytest.raises(core.NumericError) as err:
+        core.phi_inverse(_nan_operator(nan_at), np.array([5000.0]))
+    assert message in str(err.value)
+
+
 def test_phi_inverse_rejects_negative():
     op = core.p_laplacian_operator(2.0)
     with pytest.raises(core.DomainError):
@@ -608,6 +691,11 @@ def test_potential_validation():
                        (core.linear_power_potential, (math.nan, 1.0))):
         with pytest.raises(ValueError):
             make(*args)
+    # an overflow to inf is a value, not a NaN: t**400 passes 1e308 at
+    # t ~ 5.9, within the samples
+    with np.errstate(over="ignore", invalid="ignore"):
+        pot = core.superlinear_potential(400.0)
+        assert pot.B(np.array([10.0]))[0] == math.inf
 
 
 def test_potential_tag_roundtrip():

@@ -5,12 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson
 
 from modelpot import cli, core, criteria, radial
 from modelpot.criteria import OperatorTypeTag, PropertyTag, Verdict
-from oracles import (OPERATOR_TAGS, WARPINGS, classify_c_sweep,
-                     operator_type_scan, p_laplacian_criteria)
+from oracles import (OPERATOR_TAGS, WARPINGS, assert_slope_is_polyfit,
+                     classify_c_sweep, operator_type_scan,
+                     p_laplacian_criteria)
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +110,20 @@ def test_decade_rule_is_scipy_simpson(R0, r_max):
         expected = cumulative_simpson(y, x=np.log(nodes), initial=0.0)[-1]
         dv = criteria.test_L1_at_infinity(lambda r: f, R0, r_max)
         assert dv.partial_integral == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(R0=st.floats(1e-3, 1e3), n=st.integers(2, 129),
+       slope=st.floats(-5.0, 5.0), data=st.data())
+def test_slope_is_the_least_squares_fit_of_polyfit(R0, n, slope, data):
+    # a stretch of table nodes, as the divergence test fits it: a power
+    # times noise, some samples zero and masked out
+    rs = R0 * 10.0 ** (np.arange(n) / core.POINTS_PER_DECADE)
+    noise = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n,
+                               max_size=n))
+    zero = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    vals = np.where(zero, 0.0, rs ** slope * np.exp(noise))
+    assert_slope_is_polyfit(rs, vals)
 
 
 @pytest.mark.parametrize("f,R0,verdict,reason", [

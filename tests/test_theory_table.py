@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from modelpot import core, criteria, obstacle, radial
+from oracles import assert_slope_is_polyfit
 
 
 def _load_theory():
@@ -166,3 +167,22 @@ def test_theory_table_has_no_wrong_verdict():
                            if got == "Inconclusive")
     for family, bound in INCONCLUSIVE_BOUND.items():
         assert inconclusive[family] <= bound, (family, inconclusive)
+
+
+def test_slope_is_polyfit_on_the_theory_table_integrands(monkeypatch):
+    # every log-log fit the table's cases make, from the samples of their
+    # own integrands, against np.polyfit
+    fits = []
+    slope = criteria._slope
+
+    def recorded(rs, vals):
+        fits.append((rs, vals))
+        return slope(rs, vals)
+
+    monkeypatch.setattr(criteria, "_slope", recorded)
+    for _ in theory_cases():
+        pass
+    monkeypatch.undo()
+    assert len(fits) > 700
+    for rs, vals in fits:
+        assert_slope_is_polyfit(rs, vals)
