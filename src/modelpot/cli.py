@@ -10,9 +10,9 @@ Exit codes: 0 success, 1 error, 2 a usage error (argparse's) or any
 Inconclusive classification, exhaustion test or staged verdict, 4 nonzero
 limit in the staged pipeline or no exhaustion for ``evans``.
 Output is CSV with '#'-prefixed ``key=value`` metadata lines before the
-header; identical configs produce byte-identical output.  ``evans``
-names in ``# reason=`` the branch of the Liouville test that decided, and
-``classify`` in its ``reason`` column the branch of each row's test.
+header; identical configs produce byte-identical output.  ``evans`` and
+``khasminskii`` name in ``# reason=`` the deciding branch of the Liouville
+test, ``classify`` in its ``reason`` column that of each row's test.
 This module alone knows that format.
 """
 
@@ -245,7 +245,7 @@ def cmd_khasminskii(cfg, out_path) -> int:
         M, p, lam, K_radius, Omega_radius, eps, radii, nodes_per_stage=nodes)
     _write(out_path, _profile_csv(
         ["command=khasminskii", f"verdict={report.verdict}",
-         f"n_stages={report.n_stages}",
+         f"reason={report.reason}", f"n_stages={report.n_stages}",
          f"h_limit_sup={report.h_limit_sup:.12g}",
          "budget_used=" + ",".join(f"{b:.12g}" for b in report.budget_used)],
         "w", report.w.problem.grid, report.w.values))

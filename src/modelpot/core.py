@@ -524,6 +524,13 @@ class PhiOperator:
             raise ValueError("phi violates its two-sided t**(p-1) bounds")
         if (ph[1:] <= ph[:-1]).any():
             raise ValueError("phi must be strictly increasing")
+        if self.phi_inv is not None:
+            # phi_inverse trusts phi_inv: it must undo a normal phi(t)
+            back = _on_samples(lambda _: self.phi_inv(ph), t, "phi_inv")
+            bad = (ph >= _TINY) & (ph < math.inf) & (abs(back - t) > 1e-9 * t)
+            if bad.any():
+                raise ValueError(f"phi_inv(phi(t)) = {back[bad][0]:g} at the "
+                                 f"sample t={t[bad][0]:g}")
         if self.derivative_pinched:
             dp = _on_samples(self.phi_prime, t, "phi'")
             lo = tp / self.a2

@@ -131,9 +131,8 @@ def _divergence_rule(R0: float, r_max: float):
 def _slope(rs, vals):
     """The log-log slope fitted to the positive ``vals`` at ``rs``, or
     NaN if fewer than half of them, or than 2, are positive: the ordinary
-    least-squares slope in closed form, the estimator of
-    ``np.polyfit(x, y, 1)[0]`` without its SVD, which costs more than the
-    two sums."""
+    least-squares slope in closed form, without the SVD of a library line
+    fit, which costs more than the two sums."""
     mask = vals > 0
     if mask.sum() < max(len(rs) / 2, 2):
         return math.nan

@@ -22,7 +22,7 @@ relative, so scaling the data scales the minimizer.
 
 The staged construction makes no solve: one forward sweep gives its
 unit solutions, and its final check is a componentwise backward error,
-which no weight scale can trip.
+which no weight scale can trip; its verdict is the Liouville classifier's.
 """
 
 from __future__ import annotations
@@ -33,7 +33,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ModelManifold, NumericError, sphere_volume
+from .core import (ModelManifold, NumericError, linear_power_potential,
+                   p_laplacian_operator, sphere_volume)
+from .criteria import R_MAX, PropertyTag, classify_KL
 
 NEG_INF = -math.inf
 # solve_obstacle stops after MAX_NEWTON_STEPS steps with SweepLimitError
@@ -485,18 +487,15 @@ def is_supersolution(prob: DiscreteProblem, u, tol: float = 1e-8
 # ---------------------------------------------------------------------------
 # staged construction of a small exhaustion supersolution
 
-# the largest fitted h-limit read as zero: the plane fits 0 and R^3 0.61,
-# but near the parabolicity line fits of either kind cross it
-H_LIMIT_GATE = 1e-2
-
 
 @dataclass(frozen=True)
 class KhasminskiiReport:
     w: DiscreteFunction
     n_stages: int
     budget_used: tuple
-    h_limit_sup: float
+    h_limit_sup: float    # a bound on the limit: 0, or stage_sups[-1]
     verdict: str          # PotentialBuilt | HLimitNonzero | Inconclusive
+    reason: str           # the DivergenceVerdict.reason that decided it
     stage_sups: tuple = ()
 
 
@@ -581,17 +580,18 @@ def khasminskii_construct(M: ModelManifold, p: float, lam: float,
     It makes no solve: every piece is explicit.  Stage 0 takes the unit
     boundary-value problems ``h_j`` on the annuli ``[K, rho_j]`` (extended
     by 1) from ``_unit_solutions``, ratios of one forward sweep (at lambda =
-    0 the p-harmonic coordinate ``S``), and extrapolates the sup of their
-    decreasing limit near the core.  At lambda = 0 a nonzero limit means
-    the bounded-Liouville property fails at this desk scale
-    (``HLimitNonzero``); the ``1/log`` fit models that decay only, so for
-    lambda > 0 a nonzero fit is ``Inconclusive``.  Otherwise stage
-    ``n`` raises the potential by one level, ``w_n = w_{n-1} + h_{N-1}``
-    from ``w_0 = h_{j*}``, the first ``h_j`` with sup at most ``eps/2`` (or
-    ``h_N``).  This is the obstacle problem's own solution on the whole grid
-    ``[K, rho_N]`` with obstacle ``w_{n-1} + h_{N-1}`` and boundary ``n +
-    1`` (by comparison the least increment among the exhaustion radii),
-    because that obstacle is already a supersolution:
+    0 the p-harmonic coordinate ``S``).  Their decreasing limit vanishes
+    iff the Liouville property holds, which ``classify_KL`` decides from
+    ``rho_N`` to ``max(R_MAX, 100 rho_N)`` under ``B = lambda t**(p-1)``
+    (at lambda = 0 the parabolicity test).  Else the verdict is
+    ``HLimitNonzero`` (``KL_Fails``) or ``Inconclusive``, and
+    ``stage_sups[-1]`` bounds the limit.  Stage ``n`` raises the potential
+    by one level, ``w_n = w_{n-1} + h_{N-1}`` from ``w_0 = h_{j*}``, the
+    first ``h_j`` with sup at most ``eps/2`` (or ``h_N``).  This is the
+    obstacle problem's own solution on the whole grid ``[K, rho_N]`` with
+    obstacle ``w_{n-1} + h_{N-1}`` and boundary ``n + 1`` (by comparison
+    the least increment among the exhaustion radii), because that obstacle
+    is already a supersolution:
 
     - on nodes ``0..k_{j*}``, ``h_{j*} = h_{N-1} / h_{N-1}(rho_{j*})``: the
       leading problem has a unique minimizer and its discrete
@@ -630,31 +630,24 @@ def khasminskii_construct(M: ModelManifold, p: float, lam: float,
     idx_omega = int(np.searchsorted(grid, Omega_radius))
 
     h_funcs = _unit_solutions(prob, idx)
-    idx_rho1 = idx[0]
-    sups = np.max(h_funcs[:, :idx_rho1 + 1], axis=1).tolist()
+    sups = np.max(h_funcs[:, :idx[0] + 1], axis=1).tolist()
 
-    # extrapolate the sup of the decreasing limit: for vanishing limits the
-    # sups decay linearly in 1/log(rho_j / K), so the fitted intercept
-    # separates genuine nonzero limits from discretization noise
-    x = 1.0 / np.log(radii / K_radius)
-    slope, intercept = np.polyfit(x, np.asarray(sups), 1)
-    h_limit_sup = max(float(intercept), 0.0)
-
-    if h_limit_sup > H_LIMIT_GATE:
-        # the 1/log fit models the lambda = 0 decay only
+    top = float(radii[-1])
+    cls = classify_KL(M, p_laplacian_operator(p),
+                      linear_power_potential(p, lam), max(R_MAX, 100.0 * top),
+                      R0=top)
+    if cls.property is not PropertyTag.KL_HOLDS:
         return KhasminskiiReport(
             w=DiscreteFunction(h_funcs[-1], prob), n_stages=0,
-            budget_used=(), h_limit_sup=h_limit_sup,
-            verdict="HLimitNonzero" if lam == 0 else "Inconclusive",
-            stage_sups=tuple(sups))
+            budget_used=(), h_limit_sup=sups[-1], verdict="HLimitNonzero"
+            if cls.property is PropertyTag.KL_FAILS else "Inconclusive",
+            reason=cls.divergence.reason, stage_sups=tuple(sups))
 
     # inductive stages at natural (unit-increment) scale
     n_stages = len(radii) - 1
-    target = eps / 2.0
-    j_star = next((j for j, s in enumerate(sups) if s <= target),
-                  len(radii) - 1)
+    j_star = next((j for j, s in enumerate(sups) if s <= eps / 2), n_stages)
     w_nat = h_funcs[j_star]
-    increments = [float(np.max(w_nat[:idx_rho1 + 1]))]
+    increments = [sups[j_star]]
 
     for n in range(1, n_stages):
         w_next = w_nat + h_funcs[-2]
@@ -684,5 +677,5 @@ def khasminskii_construct(M: ModelManifold, p: float, lam: float,
             f"{check.worst_node} (residual {check.worst_residual:.3e})")
     return KhasminskiiReport(
         w=DiscreteFunction(w_final, prob), n_stages=n_stages,
-        budget_used=budget, h_limit_sup=h_limit_sup,
-        verdict="PotentialBuilt", stage_sups=tuple(sups))
+        budget_used=budget, h_limit_sup=0.0, verdict="PotentialBuilt",
+        reason=cls.divergence.reason, stage_sups=tuple(sups))

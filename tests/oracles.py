@@ -385,7 +385,6 @@ def stage_candidates(M, p, lam, grid, radii, h_funcs, w, n):
 
 @dataclass(frozen=True)
 class CandidateSweep:
-    verdict: str
     n_stages: int
     budget_used: tuple
     h_funcs: list
@@ -393,10 +392,11 @@ class CandidateSweep:
 
 
 def khasminskii_candidate_sweep(M, p, lam, K_radius, Omega_radius, eps,
-                                radii, tol=1e-3, nodes_per_stage=48):
-    """The staged pipeline choosing each stage by sampling: every candidate
-    of ``stage_candidates`` is solved and the first least increment wins
-    (ties within 1e-14).  A reference for ``khasminskii_construct``, whose
+                                radii, nodes_per_stage=48):
+    """The stages of the staged pipeline, each chosen by sampling: every
+    candidate of ``stage_candidates`` is solved and the first least
+    increment wins (ties within 1e-14).  A reference for the stages of
+    ``khasminskii_construct`` where it builds a potential, whose
     closed-form stage ``w + h_{N-1}`` solves the whole-grid candidate, the
     least one by the comparison principle."""
     radii = np.asarray(radii, dtype=float)
@@ -405,13 +405,9 @@ def khasminskii_candidate_sweep(M, p, lam, K_radius, Omega_radius, eps,
     h_funcs = unit_solutions(M, p, lam, grid, radii)
     idx_rho1 = int(np.searchsorted(grid, radii[0]))
     sups = [float(np.max(h[:idx_rho1 + 1])) for h in h_funcs]
-    _, intercept = np.polyfit(1.0 / np.log(radii / K_radius), sups, 1)
     j_star = next((j for j, s in enumerate(sups) if s <= eps / 2.0),
                   len(radii) - 1)
     w0 = h_funcs[j_star]
-    if max(float(intercept), 0.0) > 10.0 * tol:
-        return CandidateSweep("HLimitNonzero", 0, (), h_funcs, w0)
-
     w = w0
     increments = [sups[j_star]]
     for n in range(1, len(radii) - 1):
@@ -433,7 +429,7 @@ def khasminskii_candidate_sweep(M, p, lam, K_radius, Omega_radius, eps,
     w_omega = float(np.max(w[:int(np.searchsorted(grid, Omega_radius)) + 1]))
     if w_omega > 0:
         sigma = min(sigma, eps / w_omega)
-    return CandidateSweep("PotentialBuilt", len(radii) - 1,
+    return CandidateSweep(len(radii) - 1,
                           tuple(sigma * inc for inc in increments), h_funcs,
                           w0)
 

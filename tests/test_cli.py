@@ -333,7 +333,10 @@ def test_khasminskii_plane_exit_zero(capsys):
     code, out = run_cli(KHAS_ARGS + ["--set", "m=2"], capsys)
     assert code == 0
     lines = out.splitlines()
-    assert lines[:2] == ["# command=khasminskii", "# verdict=PotentialBuilt"]
+    # the branch of the classifier's divergence test follows the verdict
+    assert lines[:5] == ["# command=khasminskii", "# verdict=PotentialBuilt",
+                         "# reason=critical_slope", "# n_stages=3",
+                         "# h_limit_sup=0"]
     header = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
     assert lines[header] == "r,w"
     rep = obstacle.khasminskii_construct(
@@ -347,7 +350,11 @@ def test_khasminskii_plane_exit_zero(capsys):
 def test_khasminskii_m3_exit_four(capsys):
     code, out = run_cli(KHAS_ARGS + ["--set", "m=3"], capsys)
     assert code == 4
-    assert "# verdict=HLimitNonzero" in out
+    # h_limit_sup is h_N(rho_1) = S(4) / S(32) = (3/4) / (31/32), above
+    # the limit's sup 3/4
+    assert out.splitlines()[1:5] == [
+        "# verdict=HLimitNonzero", "# reason=tail_within_tolerance",
+        "# n_stages=0", "# h_limit_sup=0.774193548387"]
 
 
 def test_khasminskii_hyperbolic_default_radii_exit_four(capsys):
@@ -360,16 +367,33 @@ def test_khasminskii_hyperbolic_default_radii_exit_four(capsys):
     assert "# verdict=HLimitNonzero" in out.splitlines()
 
 
-def test_khasminskii_positive_lambda_limit_exit_two(capsys):
-    # KL holds on r e^(r^3) at p = 3, but on radii 3..6 the stage-0 sups
-    # fit a limit of 0.187; at lambda > 0 the 1/log fit models no known
-    # decay, so that is Inconclusive (exit 2), not HLimitNonzero
+def test_khasminskii_positive_lambda_builds_on_power_exp(capsys):
+    # KL holds on r e^(r^3) at p = 3, and the classifier says so: a
+    # potential is built on radii 3..6, where a 1/log fit of the stage-0
+    # sups read a limit of 0.187 and the run was Inconclusive
     code, out = run_cli(["khasminskii", "--set", "manifold=power-exp:alpha=3",
                          "--set", "m=2", "--set", "p=3", "--set", "lambda=1",
                          "--set", "K_radius=1", "--set", "Omega_radius=2",
                          "--set", "radii=3,4,5,6"], capsys)
+    assert code == 0
+    assert out.splitlines()[1:4] == [
+        "# verdict=PotentialBuilt", "# reason=critical_slope", "# n_stages=3"]
+
+
+def test_khasminskii_inconclusive_exit_two(tmp_path, capsys):
+    # on the warping r log(e + r) the parabolicity test's profile
+    # 1/(r log(e + r)) drifts toward the critical slope: Inconclusive
+    r = np.geomspace(1e-3, 2e4, 3000)
+    table = tmp_path / "slowlog.csv"
+    np.savetxt(table, np.column_stack([r, r * np.log(math.e + r)]),
+               delimiter=",", header="r,g", comments="")
+    code, out = run_cli(["khasminskii", "--set", f"manifold=table:{table}",
+                         "--set", "m=2", "--set", "K_radius=1",
+                         "--set", "Omega_radius=2"], capsys)
     assert code == 2
-    assert "# verdict=Inconclusive" in out.splitlines()
+    assert out.splitlines()[1:4] == [
+        "# verdict=Inconclusive", "# reason=slope_or_tail_undecided",
+        "# n_stages=0"]
 
 
 def test_khasminskii_bad_radii_order(capsys):
@@ -483,6 +507,9 @@ def test_library_refuses_radii_past_the_table(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["khasminskii", "--set", "K_radius=1", "--set", "Omega_radius=2",
      "--set", "radii=4,8,16,32"],
+    # inside the table, but the classifier reads it to R_MAX
+    ["khasminskii", "--set", "K_radius=1", "--set", "Omega_radius=2",
+     "--set", "radii=4,5,6,8"],
     ["obstacle", "--set", "r_min=1", "--set", "r_max=16"],
 ])
 def test_cli_refuses_radii_past_the_table(argv, tmp_path, capsys):

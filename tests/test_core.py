@@ -447,6 +447,31 @@ def test_operator_invalid_constants():
                          p=3.0, a1=1.0, a2=1.0)
 
 
+def test_operator_refuses_a_wrong_inverse():
+    # phi_inverse returns phi_inv unchecked: with y**2 for the inverse of
+    # t this operator used to construct, and classify_parabolic called the
+    # plane NonParabolic
+    with pytest.raises(ValueError, match=re.escape(
+            "phi_inv(phi(t)) = 1e-12 at the sample t=1e-06")):
+        core.PhiOperator(phi=lambda t: t, phi_prime=np.ones_like, p=2.0,
+                         a1=1.0, a2=1.0, derivative_pinched=True,
+                         phi_inv=lambda y: y ** 2)
+    # one wrong sample is enough, and a NaN one is named too
+    with pytest.raises(ValueError, match=re.escape(
+            "phi_inv(phi(t)) = 1100 at the sample t=1000")):
+        core.PhiOperator(phi=lambda t: t, phi_prime=np.ones_like, p=2.0,
+                         a1=1.0, a2=1.0,
+                         phi_inv=lambda y: np.where(y >= 1e3, 1.1 * y, y))
+    with pytest.raises(ValueError, match="phi_inv is NaN at the sample t=1"):
+        core.PhiOperator(phi=lambda t: t, phi_prime=np.ones_like, p=2.0,
+                         a1=1.0, a2=1.0,
+                         phi_inv=lambda y: np.where(y == 1, math.nan, y))
+    # the analytic inverses of the p-Laplacian give t back to rounding,
+    # and samples where phi(t) leaves the normal doubles are not read
+    for p in (1.0001, 1.1, 2.0, 3.0, 10.0, 55.0):
+        core.p_laplacian_operator(p)
+
+
 @pytest.mark.parametrize("build,named", [
     (lambda: core.PhiOperator(phi=lambda t: np.where(t > 10, math.nan, t),
                               phi_prime=lambda t: np.ones_like(t),
