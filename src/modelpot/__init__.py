@@ -20,7 +20,6 @@ from .core import (
     phi_inverse,
     plateau_potential,
     potential_from_tag,
-    sphere_volume,
     superlinear_potential,
     tabulated_manifold,
     volume_ratio,

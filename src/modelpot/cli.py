@@ -287,8 +287,11 @@ def cmd_obstacle(cfg, out_path) -> int:
     spec = obstacle.ObstacleSpec(psi=psi, theta_left=theta_left,
                                  theta_right=theta_right)
     sol = obstacle.solve_obstacle(prob, spec)
+    # the energy with the absolute weights, inf past the largest double
+    with np.errstate(divide="ignore", over="ignore"):
+        energy = np.exp(np.log(prob.energy(sol.values)) + prob.log_scale)
     _write(out_path, _profile_csv(
-        ["command=obstacle", f"energy={prob.energy(sol.values):.12g}",
+        ["command=obstacle", f"energy={energy:.12g}",
          f"stationarity={sol.stationarity:.6g}",
          f"iterations={sol.iterations}",
          f"obstacle_violation={sol.obstacle_violation:.6g}",

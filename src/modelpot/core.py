@@ -11,8 +11,9 @@ descriptors defined here:
 * ``PotentialB``      -- the non-decreasing zero-order term ``B``.
 
 Every weight comes from ``log g``: ``log_sphere_volume`` gives
-``(m-1) log g`` at any radius, and ``sphere_volume`` is its ``exp``, which
-refuses by name a weight that would overflow a double.
+``L = (m-1) log g`` at any radius.  The equations are homogeneous in the
+weight, so each layer forms only the ratios it needs, ``exp`` of
+differences of ``L``, and no weight ``g**(m-1)`` past a double.
 
 The package runs on numpy alone, so that every command costs little more
 than ``import numpy``: monotone-cubic tables are ``pchip``, and the one
@@ -191,27 +192,6 @@ def log_sphere_volume(M: ModelManifold, r):
                           f"r={radii[~(radii > 0)].flat[0]:g}")
     M._check_radius(radii)
     out = (M.m - 1) * np.asarray(M.log_g(radii), dtype=float)
-    return float(out) if out.ndim == 0 else out
-
-
-# the largest L whose exp(L) is a finite double
-_LOG_DBL_MAX = math.log(np.finfo(float).max)
-
-
-def sphere_volume(M: ModelManifold, r):
-    """Boundary-sphere volume ``g(r)**(m-1) = exp(L)``, ``L`` from
-    ``log_sphere_volume``, at a radius or an array of radii: the weight of
-    every radial flux.  Where ``L`` passes ``log(DBL_MAX)`` the weight would
-    overflow a double; ``DomainError`` then names the largest ``L`` and
-    its radius."""
-    L = np.asarray(log_sphere_volume(M, r))
-    if L.size and L.max() > _LOG_DBL_MAX:
-        i = np.argmax(L)
-        raise DomainError(
-            f"the sphere volume overflows a double: (m-1) log g = "
-            f"{L.flat[i]:.6g} > log(DBL_MAX) = {_LOG_DBL_MAX:.6g} at "
-            f"r={np.asarray(r, dtype=float).flat[i]:.6g}")
-    out = np.exp(L)
     return float(out) if out.ndim == 0 else out
 
 
@@ -449,9 +429,10 @@ def tabulated_manifold(r_samples, g_samples, m: int,
 def load_manifold_csv(path, m: int) -> ModelManifold:
     """Load a two-column ``r, g(r)`` CSV as a ``tabulated_manifold``.  Its
     first line is a header, and is skipped: a first line that reads as two
-    numbers raises ``ValueError`` rather than lose that sample."""
+    numbers raises ``ValueError`` rather than lose that sample, and so
+    does a table with no sample line under its header."""
     with open(path) as fh:
-        first = fh.readline().strip()
+        first, *rows = fh.read().splitlines() or [""]
     try:
         _r, _g = map(float, first.split(","))
     except ValueError:
@@ -459,7 +440,10 @@ def load_manifold_csv(path, m: int) -> ModelManifold:
     else:
         raise ValueError(f"{path}, line 1: {first!r} is a sample; the "
                          "manifold CSV needs a header line")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    rows = [row for row in rows if row.split("#", 1)[0].strip()]
+    if not rows:
+        raise ValueError(f"{path}: the manifold CSV has no samples")
+    data = np.loadtxt(rows, delimiter=",", ndmin=2)
     if data.shape[1] != 2:
         raise ValueError("manifold CSV must have exactly two columns")
     return tabulated_manifold(data[:, 0], data[:, 1], m=m,

@@ -262,6 +262,9 @@ KO_R_MAX = 1e6
 # The growth tests read beta and the kinetic primitive K only below
 # BETA_MAX: K's table then runs to ~4**p a2**2 times that, still a double.
 BETA_MAX = 1e300
+# every beta table's nodes but the potential's kink, shared and read-only
+_BETA_GRID = np.concatenate([[0.0], np.geomspace(1e-6, KO_R_MAX, 400)])
+_BETA_GRID.flags.writeable = False
 
 
 def _cumulative_table(f, x, kinks=()):
@@ -297,16 +300,15 @@ def _cumulative_table(f, x, kinks=()):
     return np.cumsum(np.concatenate([[0.0, head], panels]))
 
 
-def _beta_interpolant(pot: PotentialB, s_max: float):
-    """``beta(s) = integral_0^s B`` on a 400-node log grid to ``s_max``,
-    with the potential's kink as one more node: 8-node Gauss-Legendre
-    panels, a power head panel at 0 and a graded one at the kink, where
-    power potentials such as ``t**0.5`` and ``max(t - T, 0)**0.5`` are not
-    smooth (``_cumulative_table``)."""
-    s = np.concatenate([[0.0], np.geomspace(1e-6, s_max, 400)])
-    kinks = (pot.kink,) if pot.kink is not None and 0 < pot.kink < s_max \
-        else ()
-    s = np.unique(np.concatenate([s, kinks]))
+def _beta_interpolant(pot: PotentialB):
+    """``beta(s) = integral_0^s B`` on ``_BETA_GRID``, 400 log nodes to
+    ``KO_R_MAX``, with the potential's kink as one more node: 8-node
+    Gauss-Legendre panels, a power head panel at 0 and a graded one at the
+    kink, where power potentials such as ``t**0.5`` and ``max(t - T,
+    0)**0.5`` are not smooth (``_cumulative_table``)."""
+    kinks = (pot.kink,) if pot.kink is not None and \
+        0 < pot.kink < KO_R_MAX else ()
+    s = np.unique(np.concatenate([_BETA_GRID, kinks]))
     return s, _cumulative_table(pot.B, s, kinks)
 
 
@@ -350,7 +352,7 @@ def keller_osserman(op: PhiOperator, pot: PotentialB) -> KellerOssermanResult:
         raise DomainError("keller_osserman requires the derivative-pinched "
                           "operator flag")
     with np.errstate(over="ignore"):
-        s_grid, b_vals = _beta_interpolant(pot, KO_R_MAX)
+        s_grid, b_vals = _beta_interpolant(pot)
     if b_vals[-1] <= 0.0:
         # potential with vanishing antiderivative: both profiles are
         # infinite, trivially non-integrable

@@ -18,7 +18,8 @@ sweep's solution: the Hessian of ``J`` is tridiagonal and diagonally
 dominant, so each step is one elimination without pivoting, and a
 backtracking search on ``J`` makes it globally convergent for every
 ``p``.  Both routes end on one scale-free KKT gate, and Newton's stop is
-relative, so scaling the data scales the minimizer.
+relative, so scaling the data scales the minimizer, as scaling the
+weights does: they are relative to the grid's largest.
 
 The staged construction makes no solve: one forward sweep gives its
 unit solutions, and its final check is a componentwise backward error,
@@ -33,8 +34,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (ModelManifold, NumericError, linear_power_potential,
-                   p_laplacian_operator, sphere_volume)
+from .core import (DomainError, ModelManifold, NumericError,
+                   linear_power_potential, log_sphere_volume,
+                   p_laplacian_operator)
 from .criteria import R_MAX, PropertyTag, classify_KL
 
 NEG_INF = -math.inf
@@ -67,13 +69,15 @@ def _signed_power(t, e):
 
 @dataclass(frozen=True)
 class DiscreteProblem:
-    """Weighted finite-difference energy on a radial annulus grid."""
+    """Weighted finite-difference energy on a radial annulus grid, its
+    weights divided by the largest, ``exp(log_scale)``: no minimizer moves."""
 
     grid: np.ndarray
     p: float
     lam: float
-    node_weights: np.ndarray = field(repr=False)   # g(r_i)^(m-1)
-    edge_weights: np.ndarray = field(repr=False)   # g(midpoint)^(m-1)
+    log_scale: float
+    node_weights: np.ndarray = field(repr=False)   # g(r_i)^(m-1), relative
+    edge_weights: np.ndarray = field(repr=False)   # g(midpoint)^(m-1), same
     h: np.ndarray = field(repr=False)              # edge lengths
     dr: np.ndarray = field(repr=False)             # node quadrature weights
 
@@ -119,9 +123,11 @@ class DiscreteProblem:
 def make_problem(M: ModelManifold, p: float, lam: float,
                  grid: Sequence[float]) -> DiscreteProblem:
     """The discrete energy of ``M`` on the strictly increasing ``grid``:
-    one ``sphere_volume`` pass gives the weights at the nodes and at the
-    edge midpoints together, and the spacings ``h`` serve both the order
-    check and the problem."""
+    one ``log_sphere_volume`` pass gives ``L = (m-1) log g`` at the nodes
+    and edge midpoints, and the weights ``exp(L - max L)``.  A grid whose
+    least weight is then no normal double is refused by name (the span
+    of ``L`` and its ends); the spacings ``h`` serve both the order check
+    and the problem."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 3:
         raise ValueError("grid must be 1-D with at least 3 nodes")
@@ -137,16 +143,19 @@ def make_problem(M: ModelManifold, p: float, lam: float,
     if not 0 <= lam < math.inf:
         raise ValueError(f"the potential's lambda must be finite and >= 0, "
                          f"got {lam:g}")
-    w = sphere_volume(M, np.concatenate((grid, 0.5 * (grid[:-1] + grid[1:]))))
-    if (w <= 0).any():
-        raise ValueError("weights must be positive on the annulus")
-    wn, we = w[:len(grid)], w[len(grid):]
-    dr = np.empty_like(grid)
-    dr[1:-1] = 0.5 * (grid[2:] - grid[:-2])
-    dr[0] = 0.5 * h[0]
-    dr[-1] = 0.5 * h[-1]
-    return DiscreteProblem(grid=grid, p=p, lam=lam, node_weights=wn,
-                           edge_weights=we, h=h, dr=dr)
+    r = np.concatenate((grid, 0.5 * (grid[:-1] + grid[1:])))
+    L = log_sphere_volume(M, r)
+    lo, hi = np.argmin(L), np.argmax(L)
+    w = np.exp(L - L[hi])
+    if not w[lo] >= np.finfo(float).tiny:       # a NaN fails it
+        raise DomainError(
+            f"the least weight g^(m-1) underflows against the largest: "
+            f"(m-1) log g spans {L[hi] - L[lo]:.6g}, from {L[lo]:.6g} at "
+            f"r={r[lo]:.6g} to {L[hi]:.6g} at r={r[hi]:.6g}")
+    dr = 0.5 * np.concatenate(([h[0]], grid[2:] - grid[:-2], [h[-1]]))
+    n = len(grid)
+    return DiscreteProblem(grid=grid, p=p, lam=lam, log_scale=float(L[hi]),
+                           node_weights=w[:n], edge_weights=w[n:], h=h, dr=dr)
 
 
 @dataclass(frozen=True)
@@ -405,17 +414,17 @@ def solve_dirichlet(prob: DiscreteProblem, theta_left: float,
 
 
 def residual_complementarity(prob: DiscreteProblem, u, spec: ObstacleSpec):
-    """KKT measures of the node values ``u``: (max stationarity defect off
-    the contact set, max obstacle violation, min slackness product with
-    capped gap), as ``_kkt_gate`` forms them.  A node within 1e-9 of the
-    obstacle, relative to ``max|u|``, is on the contact set."""
+    """Scale-free KKT measures of the node values ``u``, as ``_kkt_gate``
+    forms them in units of ``max|u|``: (max ``_gradient_ratio`` off the
+    contact set, max obstacle violation, min product of the ratio with
+    the gap capped at 1)."""
     return _kkt_gate(prob, np.asarray(u, dtype=float),
                      np.asarray(spec.psi, dtype=float))[1:]
 
 
 def _gradient_ratio(prob: DiscreteProblem, u, nodes: float = 0.0):
-    """``dJ/du_i`` at the interior nodes, and its ratio to the size of its
-    terms, ``|flux_{i-1}| + |flux_i| + lambda w_i dr_i |u_i|^(p-1)`` (0
+    """``dJ/du_i`` at the interior nodes over the size of its terms,
+    ``|flux_{i-1}| + |flux_i| + lambda w_i dr_i |u_i|^(p-1)`` (0
     where that vanishes, and with it the gradient): a componentwise
     backward error (Oettli-Prager), which scaling ``u`` or the weights
     leaves unchanged.  With ``nodes``, each flux counts that many times its
@@ -429,39 +438,38 @@ def _gradient_ratio(prob: DiscreteProblem, u, nodes: float = 0.0):
         edge *= 1.0 + nodes * (prob.p - 1.0) * np.divide(
             au[:-1] + au[1:], du, out=np.zeros_like(du), where=du > 0)
     size = edge[:-1] + edge[1:] + np.abs(pot[1:-1])
-    return grad, np.divide(grad, size, out=np.zeros_like(grad),
-                           where=size > 0)
+    return np.divide(grad, size, out=np.zeros_like(grad), where=size > 0)
 
 
 def _kkt_gate(prob: DiscreteProblem, u, psi):
     """The KKT gate of both obstacle routes: what the node values ``u``
     fail (``""`` if nothing), then the three measures of
     ``residual_complementarity`` (stationarity, violation, slackness) from
-    the same terms.  ``u`` passes where
-    ``_gradient_ratio`` with ``nodes = 1e-3`` (a change of 1e-10 in the
-    terms, 1e-13 in the node values) is within 1e-10 in size off the
-    contact set (the nodes within ``1e-9 max|u|`` of ``psi``) and above
-    -1e-10 on it, and ``u`` lies at most ``1e-12 max|u|`` below ``psi``,
-    so it reads ``theta u`` against ``theta psi`` as it reads ``u``.  The
-    node values count because their rounding moves a flux by ``(p-1) u /
-    du`` of it, 1.8e11 at p = 1.1 on a 1e-9 core; elsewhere a minimizer's
-    ratio is rounding, <= 4.3e-14 on the benchmark's majorants."""
+    the same terms.  It reads ``u`` and ``psi`` in units of ``max|u|``, so
+    ``theta u`` against ``theta psi`` as ``u``, with no flux past a double.
+    ``u`` passes where ``_gradient_ratio`` with ``nodes = 1e-3`` (a change
+    of 1e-10 in the terms, 1e-13 in the node values) is within 1e-10 in
+    size off the contact set (the nodes within 1e-9 of ``psi``) and above
+    -1e-10 on it, and ``u`` lies at most 1e-12 below ``psi``.  The node
+    values count because their rounding moves a flux by ``(p-1) u / du``
+    of it, 1.8e11 at p = 1.1 on a 1e-9 core; elsewhere a minimizer's ratio
+    is rounding, <= 4.3e-14 on the benchmark's majorants."""
+    scale = float(np.max(np.abs(u))) or 1.0
+    u, psi = u / scale, psi / scale
     inner = u[1:-1]
-    grad, ratio = _gradient_ratio(prob, u, nodes=1e-3)
-    scale = float(np.max(np.abs(u)))
-    off = inner > psi + 1e-9 * scale
-    res = grad / prob.dr[1:-1]
-    stationarity = float(np.max(np.abs(res[off]), initial=0.0))
+    ratio = _gradient_ratio(prob, u, nodes=1e-3)
+    off = inner > psi + 1e-9
+    defect = np.where(off, np.abs(ratio), -ratio)
+    stationarity = float(np.max(defect[off], initial=0.0))
     violation = float(np.max(np.maximum(psi - inner, 0.0)))
     gap = np.minimum(np.maximum(inner - psi, 0.0), 1.0)
-    slackness = float(np.min(gap * res))
-    defect = np.where(off, np.abs(ratio), -ratio)
+    slackness = float(np.min(gap * ratio))
     i = int(np.argmax(defect))
     failure = ""
     if not defect[i] <= 1e-10:
         failure = f"KKT defect {defect[i]:.3e} at node {i + 1} (gate 1e-10)"
-    elif not violation <= 1e-12 * scale:
-        failure = f"obstacle violation {violation:.3e} (gate 1e-12 max|u|)"
+    elif not violation <= 1e-12:
+        failure = f"obstacle violation {violation:.3e} max|u| (gate 1e-12)"
     return failure, stationarity, violation, slackness
 
 
@@ -478,7 +486,7 @@ def is_supersolution(prob: DiscreteProblem, u, tol: float = 1e-8
     interior node ``_gradient_ratio >= -tol``, that is ``dJ/du_i >= -tol
     (|flux_{i-1}| + |flux_i| + lambda w_i dr_i |u_i|^(p-1))``.
     ``worst_residual`` is the least ratio."""
-    ratio = _gradient_ratio(prob, u)[1]
+    ratio = _gradient_ratio(prob, u)
     worst = int(np.argmin(ratio))
     return SupersolutionCheck(bool(ratio[worst] >= -tol), worst + 1,
                               float(ratio[worst]))

@@ -22,7 +22,7 @@ import numpy as np
 from . import criteria
 from .core import (DomainError, ModelManifold, NumericError, PhiOperator,
                    PotentialB, _CumulativeSimpson, geometric_grid,
-                   log_sphere_volume, phi_inverse, sphere_volume)
+                   log_sphere_volume, phi_inverse)
 # the phi^-1 of the Picard applications, under a name of their own so that
 # a profile counts them: the solve alone, since an application's finite,
 # clamped flux is in [0, inf).  Every other call here is checked.
@@ -40,7 +40,8 @@ class PicardNoConvergence(NumericError):
 
 
 class FluxOverflow(PicardNoConvergence):
-    """A Picard application's flux overflowed a double."""
+    """A Picard application passed the largest double: in its flux
+    ``phi(c z')``, or in the profile ``z`` itself."""
 
 
 class EvansFailure(NumericError):
@@ -110,24 +111,25 @@ class EvansResult:
 class _Window:
     """Everything the Picard applications on one window share, built once
     per window: the grid, checked to be one-dimensional and strictly
-    increasing; the weights ``w = g**(m-1)`` from ``sphere_volume``, which
-    refuses radii out of range and weights that overflow a double; the
-    head flux ``w(R) phi(c mu)/w``; the ``_CumulativeSimpson`` rule of the
-    grid; and the application's constants ``op``, ``pot``, ``c`` and
-    ``theta``."""
+    increasing; the weights ``w = g**(m-1)`` relative to the first node,
+    ``exp(L - L[0])`` from ``log_sphere_volume``, which refuses radii out
+    of range (a ratio past a double gives a non-finite flux, and the march
+    halves the window); the head flux ``phi(c mu)/w``; the
+    ``_CumulativeSimpson`` rule of the grid; and the application's
+    constants ``op``, ``pot``, ``c`` and ``theta``."""
 
     def __init__(self, M: ModelManifold, op: PhiOperator, pot: PotentialB,
                  params: CauchyParams, grid):
         self.grid = np.asarray(grid, dtype=float)
         if self.grid.ndim != 1:
             raise ValueError("grid must be one-dimensional")
-        self.w = sphere_volume(M, self.grid)
+        L = log_sphere_volume(M, self.grid)
         self.cumint = _CumulativeSimpson(self.grid)
         self.op, self.pot = op, pot
         self.c, self.theta = params.c, params.theta
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.head = (self.w[0] * float(op.phi(params.c * params.mu))
-                         / self.w)
+        with np.errstate(over="ignore", divide="ignore"):
+            self.w = np.exp(L - L[0])
+            self.head = float(op.phi(params.c * params.mu)) / self.w
 
 
 def volterra_apply(window: _Window,
@@ -137,7 +139,7 @@ def volterra_apply(window: _Window,
 
     ``T(u)(t) = theta + (1/c) * int_R^t phi^-1( w(R) phi(c mu)/w(s)
     + int_R^s (w(tau)/w(s)) B(c u(tau)) dtau ) ds`` with
-    ``w = g**(m-1)`` (``sphere_volume``); the slope ``T(u)'`` is the
+    ``w = g**(m-1)``, relative to ``w(R)``; the slope ``T(u)'`` is the
     integrand, ``phi^-1`` of the flux identity divided by ``c``, so it is
     never differentiated numerically.  Both cumulative integrals use the
     window's composite higher-order rule.
@@ -198,8 +200,8 @@ def solve_on_interval(M: ModelManifold, op: PhiOperator, pot: PotentialB,
             d = v - u
             last, delta = delta, float(np.abs(d, out=d).max())
             if not math.isfinite(delta):
-                raise PicardNoConvergence("iteration produced non-finite "
-                                          "values; shrink the interval")
+                raise FluxOverflow("iteration produced non-finite values; "
+                                   "shrink the interval")
             u = v
             if delta <= PICARD_TOL * v.max():
                 return grid, u, vp
@@ -287,6 +289,9 @@ def _march(M: ModelManifold, op: PhiOperator, pot: PotentialB,
 # TAIL_STEP, whose truncation (~1e-11) and rounding (~1e-11) balance.
 TAIL_SPAN = 1e6
 TAIL_STEP = 1e-5
+# K(y'*) is the kinetic table's rule on y'* times these 64 panels, read-only
+_KINETIC_PANEL = np.append(0.0, np.geomspace(1e-8, 1.0, 65))
+_KINETIC_PANEL.flags.writeable = False
 
 
 def _blowup_tail(M: ModelManifold, op: PhiOperator, pot: PotentialB,
@@ -322,10 +327,8 @@ def _blowup_tail(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     if ko != "NotKO_fails":
         raise NumericError(f"keller_osserman says {ko}")
     y0, yp0 = node.c * node.theta, node.c * node.mu
-    # K(y'*) by the kinetic table's rule, on 64 panels over 8 decades
     E_star = float(criteria._cumulative_table(
-        lambda s: s * op.phi_prime(s),
-        yp0 * np.append(0.0, np.geomspace(1e-8, 1.0, 65)))[-1])
+        lambda s: s * op.phi_prime(s), yp0 * _KINETIC_PANEL)[-1])
     with np.errstate(divide="ignore"):
         offset = E_star / float(pot.B(np.array([y0]))[0])
     y_c = y0 - min(max(offset, 1e-12 * y0), y0)
@@ -532,9 +535,8 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     only the nodes of the windows that cover it, plus one, are evaluated,
     and the accepted scale then evaluates the others), and only the
     accepted scale is marched on to ``R_max``.  A march that stalls
-    (window underflow) raises ``DomainError`` naming the flux if its last
-    window failed on a flux that overflowed a double, else
-    ``EvansFailure``.
+    (window underflow) raises ``DomainError`` if its last window passed
+    the largest double (``FluxOverflow``), else ``EvansFailure``.
     """
     if not (0 < R < R1 < R_max):
         raise DomainError("need 0 < R < R1 < R_max")
@@ -593,14 +595,14 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
 def _stalled(params: CauchyParams, pieces: list, end) -> Exception:
     """The error for a march of ``evans_for_triple`` that ended before
     ``R_max``.  It has no blow-up tail, so its windows underflowed: on a
-    flux past the largest double (``DomainError``), or else
+    flux or a profile past the largest double (``DomainError``), or else
     (``EvansFailure``).
     """
     _, r_reached, _, failure = end
     where = f"radius {r_reached:.6g}, where z = {pieces[-1][1][-1]:.6g}"
     if isinstance(failure, FluxOverflow):
         return DomainError(
-            f"the flux w phi(c z') of the march at c={params.c:.6g} "
-            f"overflows a double past {where}; take a smaller R_max")
+            f"the march at c={params.c:.6g} passes the largest double, in "
+            f"phi(c z') or in z, past {where}; take a smaller R_max")
     return EvansFailure(f"the march at c={params.c:.6g} stalled (window "
                         f"underflow) at {where}")

@@ -9,8 +9,7 @@ from scipy.optimize import brentq
 from modelpot import criteria, obstacle, radial
 from modelpot.core import (_GL_NODES, _GL_WEIGHTS, _ORIGIN_PANEL,
                            DomainError, geometric_grid, log_sphere_volume,
-                           manifold_from_tag, phi_inverse, sphere_volume,
-                           volume_ratio)
+                           manifold_from_tag, phi_inverse, volume_ratio)
 from modelpot.criteria import OperatorTypeTag, PropertyTag, Verdict
 
 
@@ -181,10 +180,11 @@ def volterra_apply_reference(M, op, pot, params, grid, u):
     verbatim: the oracle that the lean window pass must match bit for
     bit."""
     grid = np.asarray(grid, dtype=float)
-    w = sphere_volume(M, grid)
+    L = log_sphere_volume(M, grid)
     cumint = _ReferenceSimpson(grid)
-    with np.errstate(over="ignore", invalid="ignore"):
-        head = w[0] * float(op.phi(params.c * params.mu)) / w
+    with np.errstate(over="ignore", divide="ignore"):
+        w = np.exp(L - L[0])        # relative to w(R), as the window's
+        head = float(op.phi(params.c * params.mu)) / w
     u = np.asarray(u, dtype=float)
     if grid.shape != u.shape:
         raise ValueError("grid and samples must have matching shapes")
@@ -250,7 +250,9 @@ def qp_obstacle_oracle(prob, spec):
         raise ValueError("oracle implemented for p=2, lambda=0 only")
     n = prob.n_nodes
     psi = np.asarray(spec.psi, dtype=float)
-    k = prob.edge_weights / prob.h          # spring stiffness per edge
+    # the absolute weights: the problem's are relative to exp(log_scale)
+    scale = math.exp(prob.log_scale)
+    k = scale * prob.edge_weights / prob.h  # spring stiffness per edge
 
     def solve_free(fixed_vals, free_idx):
         """Minimize over the free nodes with all others held fixed."""
@@ -293,10 +295,10 @@ def qp_obstacle_oracle(prob, spec):
         if np.any(viol > 1e-9):
             continue
         # dual feasibility on the contact set
-        grad = prob.gradient(u)
+        grad = scale * prob.gradient(u)
         if any(grad[i] < -1e-9 for i in contact):
             continue
-        energy = prob.energy(u)
+        energy = scale * prob.energy(u)
         if best is None or energy < best[0] - 1e-15:
             best = (energy, u)
     if best is None:
@@ -466,7 +468,7 @@ def ode_residual(M, op, pot, sol):
         raise DomainError("residual is defined for completed solutions")
     r, z, zp = sol.grid, sol.z, sol.zp
     c = sol.params.c
-    w = sphere_volume(M, r)
+    w = np.exp(log_sphere_volume(M, r))
     flux = w * np.asarray(op.phi(c * zp), dtype=float)
     dflux = (flux[2:] - flux[:-2]) / (r[2:] - r[:-2])
     rhs = (w * np.asarray(pot.B(c * z), dtype=float))[1:-1]
@@ -474,7 +476,8 @@ def ode_residual(M, op, pot, sol):
 
 
 def is_subsolution(prob, u, tol=1e-8):
-    res = prob.residual(u)[1:-1]
+    """The absolute residual is at most ``tol`` at every interior node."""
+    res = math.exp(prob.log_scale) * prob.residual(u)[1:-1]
     worst = int(np.argmax(res))
     return obstacle.SupersolutionCheck(bool(res[worst] <= tol), worst + 1,
                                        float(res[worst]))
@@ -565,16 +568,24 @@ def structural_property_failures(seed, lam_scale, n_trials=1000):
         if not comparison_check(prob, sup.values, sub.values, tol=1e-7):
             failures["comparison"] += 1
 
-        # (b) minimality against randomized feasible competitors
+        # (b) minimality against randomized feasible competitors, in the
+        # absolute energy: the problem's weights are relative to its
+        # largest, exp(log_scale)
+        scale = math.exp(prob.log_scale)
         bump = np.abs(rng.standard_normal(prob.n_nodes)) * 0.2
         bump[0] = bump[-1] = 0.0
         competitor = np.maximum(sol.values + bump, sol.values)
-        if prob.energy(sol.values) > prob.energy(competitor) + 1e-12:
+        if scale * prob.energy(sol.values) > \
+                scale * prob.energy(competitor) + 1e-12:
             failures["minimality"] += 1
 
-        # (c) off-contact stationarity
-        stat, viol, _ = obstacle.residual_complementarity(prob, sol.values,
-                                                        spec)
+        # (c) off-contact stationarity of the absolute residual, off the
+        # nodes within 1e-9 max|u| of the obstacle, and no violation
+        inner = sol.values[1:-1]
+        res = scale * prob.residual(sol.values)[1:-1]
+        off = inner > spec.psi + 1e-9 * np.max(np.abs(sol.values))
+        stat = float(np.max(np.abs(res[off]), initial=0.0))
+        viol = float(np.max(spec.psi - inner))
         if stat > 1e-8 or viol > 0.0:
             failures["stationarity"] += 1
 

@@ -107,10 +107,11 @@ def test_acceptance_04_radial_solver_vs_closed_form():
         sol = radial.solve_cauchy(M, op, core.zero_potential(), params, 10.0,
                                   nodes_per_window=251)   # 4001 nodes total
         worst_time = max(worst_time, time.perf_counter() - t0)
-        y0 = core.sphere_volume(M, 1.0) * float(op.phi(1.0))
+        y0 = np.exp(core.log_sphere_volume(M, 1.0)) * float(op.phi(1.0))
         idx = np.linspace(0, len(sol.grid) - 1, 40).astype(int)
         exact = [quad(
-            lambda s: phi_inverse_brentq(op, y0 / core.sphere_volume(M, s)),
+            lambda s: phi_inverse_brentq(
+                op, y0 / np.exp(core.log_sphere_volume(M, s))),
             1.0, r, epsabs=1e-10, epsrel=1e-8, limit=200)[0]
             for r in sol.grid[idx]]
         worst_err = max(worst_err, float(np.max(np.abs(sol.z[idx] - exact))))

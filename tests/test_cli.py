@@ -523,7 +523,7 @@ def test_cli_refuses_radii_past_the_table(argv, tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# weights that overflow a double are refused by name
+# weights whose span passes a double are refused by name
 
 
 EVANS_STEEP = ["evans", "--set", "m=2",
@@ -535,14 +535,18 @@ OBSTACLE_STEEP = ["obstacle", "--set", "m=2", "--set", "r_min=1"]
 
 
 @pytest.mark.parametrize("argv,alpha,where", [
-    (OBSTACLE_STEEP + ["--set", "r_max=12"], "3", "= 1730.48 > .* at r=12"),
-    (OBSTACLE_STEEP + ["--set", "r_max=25"], "2.2", "= 1193 > .* at r=25"),
-    (KHAS_STEEP, "2.2", "= 2051.47 > .* at r=32"),
-    (KHAS_STEEP, "3", "= 32771.5 > .* at r=32"),
+    (OBSTACLE_STEEP + ["--set", "r_max=12"], "3",
+     "spans 1729.48, from 1 at r=1 to 1730.48 at r=12"),
+    (OBSTACLE_STEEP + ["--set", "r_max=25"], "2.2",
+     "spans 1192, from 1 at r=1 to 1193 at r=25"),
+    (KHAS_STEEP, "2.2", "spans 2050.47, from 1 at r=1 to 2051.47 at r=32"),
+    (KHAS_STEEP, "3", "spans 32770.5, from 1 at r=1 to 32771.5 at r=32"),
 ])
 def test_cli_refuses_overflowing_weights(argv, alpha, where, capsys):
-    # g^(m-1) = r e^{r^alpha} passes the largest double inside the run;
-    # the error names (m-1) log g and its radius, and nothing overflows
+    # g^(m-1) = r e^{r^alpha} spans more than a double over the run's
+    # grid, so its least weight underflows against its largest; the error
+    # names the span of (m-1) log g and both its ends, and nothing
+    # overflows
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
         code = cli.main(argv + ["--set",
@@ -567,6 +571,88 @@ def test_cli_evans_on_overflowing_warpings_has_no_exhaustion(alpha, rmax,
     assert out.splitlines()[:2] == ["# command=evans",
                                     "# status=no_exhaustion"]
     assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
+
+
+# ---------------------------------------------------------------------------
+# weights past a double run, since only their ratios are formed
+
+
+def _no_runtime_warning(run):
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        result = run()
+    assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
+    return result
+
+
+def _meta_and_rows(out):
+    lines = out.splitlines()
+    meta = dict(ln[2:].split("=", 1) for ln in lines if ln.startswith("# "))
+    rows = [ln for ln in lines if not ln.startswith("#")][1:]
+    return meta, np.array([[float(x) for x in ln.split(",")] for ln in rows])
+
+
+def test_evans_runs_where_the_weight_passes_a_double(capsys):
+    # (m-1) log g = log r + r^3 passes log(DBL_MAX) near r = 8.9; KL holds
+    # at p = 3, and the windows weigh their nodes against their first, so
+    # the march runs on past it
+    code, out = _no_runtime_warning(lambda: run_cli(
+        ["evans", "--set", "manifold=power-exp:alpha=3", "--set", "m=2",
+         "--set", "operator=p-laplacian:p=3",
+         "--set", "potential=linear-power:p=3,lambda=1", "--set", "R=1",
+         "--set", "R1=2", "--set", "eps=0.1", "--rmax", "20"], capsys))
+    assert code == 0
+    meta, rows = _meta_and_rows(out)
+    assert meta["status"] == "complete"
+    assert rows[0, 0] == 1.0 and rows[-1, 0] == 20.0
+    assert np.all(np.diff(rows[:, 1]) > 0)
+
+
+@pytest.mark.parametrize("lam,exit_code,verdict", [
+    ("0", 4, "HLimitNonzero"), ("1", 0, "PotentialBuilt")])
+def test_khasminskii_runs_where_the_weight_passes_a_double(lam, exit_code,
+                                                          verdict, capsys):
+    # sinh(r)^2 passes the largest double near r = 355; on [390, 400]
+    # hyperbolic m=3 is non-parabolic, and KL holds at lambda = 1
+    code, out = _no_runtime_warning(lambda: run_cli(
+        ["khasminskii", "--set", "manifold=hyperbolic", "--set", "m=3",
+         "--set", "K_radius=390", "--set", "Omega_radius=391",
+         "--set", "radii=392,394,396,400", "--set", f"lambda={lam}"],
+        capsys))
+    assert code == exit_code
+    assert _meta_and_rows(out)[0]["verdict"] == verdict
+
+
+@pytest.mark.parametrize("lam", ["0", "1"])
+def test_obstacle_runs_where_the_weight_passes_a_double(lam, capsys):
+    # the energy with the absolute weights passes a double, and reads inf;
+    # the KKT measures are scale-free
+    code, out = _no_runtime_warning(lambda: run_cli(
+        ["obstacle", "--set", "manifold=hyperbolic", "--set", "m=3",
+         "--set", "r_min=390", "--set", "r_max=400", "--set", f"lambda={lam}",
+         "--set", "obstacle=bump:height=0.8,center=395,width=2"], capsys))
+    assert code == 0
+    meta, rows = _meta_and_rows(out)
+    assert meta["energy"] == "inf"
+    assert float(meta["stationarity"]) <= 1e-10
+    assert np.max(rows[:, 1]) >= 0.8 and rows[-1, 1] == 1.0
+
+
+def test_obstacle_kkt_measures_are_scale_free(capsys):
+    # the measures were absolute: 3.03e-14 at theta_right = 1, 0.0318 at
+    # 1e6, and at 1e300 the fluxes of p = 3 passed a double and the solve
+    # failed on NaN; the gate reads the profile in units of max|u|
+    argv = ["obstacle", "--set", "manifold=euclidean", "--set", "m=2",
+            "--set", "p=3", "--set", "lambda=1", "--set", "r_min=1",
+            "--set", "r_max=10"]
+    for theta in ("1", "1e6", "1e300"):
+        code, out = _no_runtime_warning(lambda: run_cli(
+            argv + ["--set", f"theta_right={theta}"], capsys))
+        assert code == 0
+        meta = _meta_and_rows(out)[0]
+        assert 0.0 <= float(meta["stationarity"]) <= 1e-10
+        assert float(meta["obstacle_violation"]) == 0.0
+        assert abs(float(meta["min_slackness"])) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -542,7 +542,7 @@ def test_keller_osserman_builds_one_rule(monkeypatch):
 def test_plateau_beta_table_has_its_kink_as_a_node(p):
     # beta(s) = (s - T)**p / p past the kink T = 1; the panel that starts
     # there is graded, as the head panel is
-    s, beta = criteria._beta_interpolant(core.plateau_potential(1.0, p), 1e6)
+    s, beta = criteria._beta_interpolant(core.plateau_potential(1.0, p))
     assert 1.0 in s
     far = s >= 2.0
     assert np.allclose(beta[far], (s[far] - 1.0) ** p / p, rtol=1e-12,
@@ -551,8 +551,7 @@ def test_plateau_beta_table_has_its_kink_as_a_node(p):
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_growth_tables_match_closed_forms(p):
-    s, beta = criteria._beta_interpolant(core.linear_power_potential(p, 2.0),
-                                         1e6)
+    s, beta = criteria._beta_interpolant(core.linear_power_potential(p, 2.0))
     assert np.allclose(beta[s >= 1.0], 2.0 * s[s >= 1.0] ** p / p,
                        rtol=1e-12, atol=0.0)
     # K(t) = (p-1) t^p / p is a line in log-log, which the monotone
@@ -560,6 +559,19 @@ def test_growth_tables_match_closed_forms(p):
     k_inv = criteria._kinetic_inverse(core.p_laplacian_operator(p), 1e6)
     t = np.geomspace(1.0, 100.0, 57)
     assert np.allclose(k_inv((p - 1.0) * t ** p / p), t, rtol=1e-12, atol=0.0)
+
+
+def test_growth_grids_are_read_only():
+    # the beta table's nodes and the blow-up tail's kinetic panel are built
+    # once, bit for bit the grids that every call used to build
+    for grid, built in (
+            (criteria._BETA_GRID, np.concatenate(
+                [[0.0], np.geomspace(1e-6, criteria.KO_R_MAX, 400)])),
+            (radial._KINETIC_PANEL,
+             np.append(0.0, np.geomspace(1e-8, 1.0, 65)))):
+        assert grid.tobytes() == built.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            grid[0] = 1.0
 
 
 @pytest.mark.parametrize("a", [0.1, 0.5, 2.0])

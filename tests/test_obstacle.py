@@ -50,17 +50,34 @@ def test_make_problem_validation():
             obstacle.make_problem(EUC3, 2.0, 0.0, np.append(grid, bad))
 
 
+def test_make_problem_weighs_against_its_largest_weight():
+    # (m-1) log g = log r + r^3 passes log(DBL_MAX) ~ 709.78 near r = 8.9:
+    # the weights are relative to the largest, whose log is recorded, and
+    # a span whose least weight would not be a normal double is refused by
+    # its two ends
+    M = core.manifold_from_tag("power-exp:alpha=3", 2)
+    prob = obstacle.make_problem(M, 2.0, 0.0, np.linspace(9.0, 10.0, 11))
+    assert prob.log_scale == core.log_sphere_volume(M, 10.0) > 1000.0
+    assert prob.node_weights[-1] == 1.0
+    assert 0.0 < prob.node_weights[0] < prob.edge_weights.max() < 1.0
+    with pytest.raises(core.DomainError,
+                       match=r"\(m-1\) log g spans 1001\.3.*, from 1 at r=1 "
+                             r"to 1002\.3.* at r=10$"):
+        obstacle.make_problem(M, 2.0, 0.0, np.array([1.0, 8.8, 10.0]))
+
+
 def test_energy_and_gradient_consistent():
     prob = make_euclidean_problem(p=3.0, lam=0.5)
+    scale = math.exp(prob.log_scale)        # the absolute weights
     rng = np.random.default_rng(7)
     u = rng.uniform(0.1, 1.0, prob.n_nodes)
-    g = prob.gradient(u)
+    g = scale * prob.gradient(u)
     for i in (0, 5, 20, prob.n_nodes - 1):
         h = 1e-7
         up, um = u.copy(), u.copy()
         up[i] += h
         um[i] -= h
-        fd = (prob.energy(up) - prob.energy(um)) / (2 * h)
+        fd = scale * (prob.energy(up) - prob.energy(um)) / (2 * h)
         assert g[i] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
@@ -146,10 +163,12 @@ def test_obstacle_matches_bound_constrained_oracle(p, lam):
     def full(x):
         return np.concatenate([[0.0], x, [1.0]])
 
+    # the absolute energy, whose size the optimizer's tolerances assume
+    scale = math.exp(prob.log_scale)
     t = (prob.grid[1:-1] - prob.grid[0]) / (prob.grid[-1] - prob.grid[0])
-    ref = minimize(lambda x: prob.energy(full(x)),
+    ref = minimize(lambda x: scale * prob.energy(full(x)),
                    np.maximum(t, psi),
-                   jac=lambda x: prob.gradient(full(x))[1:-1],
+                   jac=lambda x: scale * prob.gradient(full(x))[1:-1],
                    method="L-BFGS-B", bounds=[(b, None) for b in psi],
                    options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 10000})
     assert ref.success
@@ -244,7 +263,7 @@ def test_majorant_keeps_the_kkt_gate(monkeypatch):
     ratio = np.zeros(prob.n_nodes - 2)
     ratio[2] = 2e-10
     monkeypatch.setattr(obstacle, "_gradient_ratio",
-                        lambda *args, **kwargs: (ratio, ratio))
+                        lambda *args, **kwargs: ratio)
     with pytest.raises(core.NumericError, match=r"KKT defect 2\.000e-10 "
                                                 r"at node 3 \(gate 1e-10\)"):
         obstacle.solve_obstacle(prob, spec)
@@ -252,8 +271,8 @@ def test_majorant_keeps_the_kkt_gate(monkeypatch):
 
 def test_kkt_gate_reads_the_residual_sign_on_the_contact_set():
     # u = psi at every interior node, on a convex obstacle: no node is off
-    # the contact set and none lies below psi, so the absolute measures of
-    # residual_complementarity see nothing, but the gradient pushes every
+    # the contact set and none lies below psi, so the off-contact measures
+    # of residual_complementarity see nothing, but the gradient pushes every
     # node off the obstacle (its ratio is about -0.5 at p = 2)
     prob = make_euclidean_problem(m=2, p=2.0, n=21)
     u = (prob.grid - 1.0) ** 2

@@ -29,11 +29,12 @@ ZERO = core.zero_potential()
 def pure_gradient_profile(M, op, params, r):
     """Closed-form solution for a vanishing potential: the flux is
     conserved, so z(r) = theta + (1/c) int_R^r phi^-1(w(R) phi(c mu)/w)."""
-    wR = core.sphere_volume(M, params.R)
+    wR = np.exp(core.log_sphere_volume(M, params.R))
     y0 = wR * float(op.phi(params.c * params.mu))
 
     def slope(s):
-        return phi_inverse_brentq(op, y0 / core.sphere_volume(M, s))
+        return phi_inverse_brentq(
+            op, y0 / np.exp(core.log_sphere_volume(M, s)))
 
     integral = quad(slope, params.R, r, epsabs=1e-10, epsrel=1e-8,
                     limit=200)[0]
@@ -645,28 +646,31 @@ def test_evans_blowup_names_scale_threshold_and_radius():
 
 
 def test_evans_stall_names_scale_radius_and_value():
-    # z grows like e^r on the plane; near r = 709 the windows underflow
-    # on a flux past the largest double, which is named, not a blow-up
+    # z grows like e^r on the plane; near r = 715 z itself passes the
+    # largest double (the window weights are relative to their first
+    # node, so no flux passes it first) and the windows underflow on it,
+    # which is named, not a blow-up
     with pytest.raises(core.DomainError) as info:
         radial.evans_for_triple(EUC2, LAP2,
                                 core.linear_power_potential(2.0, 1.0),
                                 R=1.0, R1=2.0, eps=0.1, R_max=750.0)
-    assert str(info.value) == ("the flux w phi(c z') of the march at "
-                               "c=0.0625 overflows a double past radius "
-                               "709.185, where z = 6.23968e+305; take a "
+    assert str(info.value) == ("the march at c=0.0625 passes the largest "
+                               "double, in phi(c z') or in z, past radius "
+                               "714.853, where z = 1.79769e+308; take a "
                                "smaller R_max")
 
 
 @pytest.mark.parametrize("p,lam,R_max,message,overflows", [
-    (3.0, 1.0, 700.0, "c=0.0625 overflows a double past radius 448.809, "
-     "where z = 3.97183e+153", 27),
-    (2.0, 10.0, 300.0, "c=0.03125 overflows a double past radius 224.967, "
-     "where z = 3.934e+305", 26),
+    (3.0, 1.0, 700.0, "c=0.0625 passes the largest double, in phi(c z') or "
+     "in z, past radius 452.657, where z = 8.41436e+154", 27),
+    (2.0, 10.0, 300.0, "c=0.03125 passes the largest double, in phi(c z') "
+     "or in z, past radius 226.625, where z = 7.42357e+307", 27),
 ], ids=["p=3 lambda=1", "p=2 lambda=10"])
 def test_evans_names_a_flux_overflow(monkeypatch, p, lam, R_max, message,
                                      overflows):
     # the march of the accepted scale outgrows a double before R_max; its
-    # last windows fail on the flux and halve until they underflow
+    # last windows fail on the flux (at p = 2, lambda = 10 the last on z)
+    # and halve until they underflow
     failures = Counter()
     solve = radial.solve_on_interval
 
@@ -683,8 +687,8 @@ def test_evans_names_a_flux_overflow(monkeypatch, p, lam, R_max, message,
                                 core.linear_power_potential(p, lam), R=1.0,
                                 R1=2.0, eps=0.1, R_max=R_max)
     assert not isinstance(info.value, radial.EvansFailure)
-    assert str(info.value) == (f"the flux w phi(c z') of the march at "
-                               f"{message}; take a smaller R_max")
+    assert str(info.value) == (f"the march at {message}; take a smaller "
+                               f"R_max")
     assert issubclass(radial.FluxOverflow, radial.PicardNoConvergence)
     assert failures[radial.FluxOverflow] == overflows
 
