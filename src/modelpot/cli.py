@@ -12,7 +12,8 @@ limit in the staged pipeline or no exhaustion for ``evans``.
 Output is CSV with '#'-prefixed ``key=value`` metadata lines before the
 header; identical configs produce byte-identical output.  ``evans`` and
 ``khasminskii`` name in ``# reason=`` the deciding branch of the Liouville
-test, ``classify`` in its ``reason`` column that of each row's test.
+test and in ``# r_max=`` the radius it read to, ``classify`` in its
+``reason`` column the branch of each row's test.
 This module alone knows that format.
 """
 
@@ -216,16 +217,17 @@ def cmd_evans(cfg, out_path) -> int:
         _write(out_path, _profile_csv(
             ["command=evans", f"status={status}",
              f"partial_integral={dv.partial_integral:.12g}",
-             f"slope={dv.slope_estimate:.6g}", f"reason={dv.reason}"], "w"))
+             f"slope={dv.slope_estimate:.6g}", f"reason={dv.reason}",
+             f"r_max={dv.r_max:.12g}"], "w"))
         log.info("%s", exc)
         return EXIT_NO_EXHAUSTION if converges else EXIT_INCONCLUSIVE
-    sol = result.solution
+    sol, dv = result.solution, result.exhaustion
     _write(out_path, _profile_csv(
         ["command=evans", f"c={result.c_final:.12g}",
          f"mu={result.mu_final:.12g}",
          f"sup_on_annulus={result.sup_on_annulus:.12g}",
-         f"status={sol.status}", f"reason={result.exhaustion.reason}"], "w",
-        sol.grid, result.c_final * sol.z))
+         f"status={sol.status}", f"reason={dv.reason}",
+         f"r_max={dv.r_max:.12g}"], "w", sol.grid, result.c_final * sol.z))
     return EXIT_OK
 
 
@@ -243,11 +245,13 @@ def cmd_khasminskii(cfg, out_path) -> int:
     nodes = _get_int(cfg, "nodes_per_stage", 48)
     report = obstacle.khasminskii_construct(
         M, p, lam, K_radius, Omega_radius, eps, radii, nodes_per_stage=nodes)
+    dv = report.divergence
     _write(out_path, _profile_csv(
         ["command=khasminskii", f"verdict={report.verdict}",
-         f"reason={report.reason}", f"n_stages={report.n_stages}",
+         f"reason={dv.reason}", f"n_stages={report.n_stages}",
          f"h_limit_sup={report.h_limit_sup:.12g}",
-         "budget_used=" + ",".join(f"{b:.12g}" for b in report.budget_used)],
+         "budget_used=" + ",".join(f"{b:.12g}" for b in report.budget_used),
+         f"r_max={dv.r_max:.12g}"],
         "w", report.w.problem.grid, report.w.values))
     return {"HLimitNonzero": EXIT_H_LIMIT_NONZERO,
             "Inconclusive": EXIT_INCONCLUSIVE}.get(report.verdict, EXIT_OK)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -61,7 +61,7 @@ SLOPE_BAND = 0.01
 SLOPE_MARGIN = 0.15
 STEADY_DRIFT = 0.1
 TAIL_REL_TOL = 0.05
-# the truncation radius of the classifiers
+# the classifiers read from R0 to max(R_MAX, 100 R0) unless told r_max
 R_MAX = 1e4
 
 
@@ -217,12 +217,14 @@ def _property(dv: DivergenceVerdict, holds: PropertyTag,
 
 
 def classify_parabolic(M: ModelManifold, op: PhiOperator,
-                       r_max: float = R_MAX,
+                       r_max: Optional[float] = None,
                        R0: float = 1.0) -> Classification:
     """Parabolic iff the pure-gradient profile ``v_pa`` at ``c = 1`` is not
-    integrable on ``[R0, inf)``.  The pinching puts ``phi**-1(c y)`` within
+    integrable on ``[R0, inf)``, tested to ``r_max``, by default the reach
+    ``max(R_MAX, 100 R0)``.  The pinching puts ``phi**-1(c y)`` within
     constant factors of ``(c y)**(1/(p-1))``, so whether a profile is
     integrable does not depend on ``c``, and neither does the test."""
+    r_max = max(R_MAX, 100.0 * R0) if r_max is None else r_max
     dv = test_L1_at_infinity(lambda r: v_pa(M, op, 1.0, r), R0, r_max)
     return Classification(
         _property(dv, PropertyTag.PARABOLIC, PropertyTag.NON_PARABOLIC), dv)
@@ -239,11 +241,13 @@ def classify_operator_type(pot: PotentialB) -> OperatorTypeTag:
 
 
 def classify_KL(M: ModelManifold, op: PhiOperator, pot: PotentialB,
-                r_max: float = R_MAX,
+                r_max: Optional[float] = None,
                 R0: float = 1.0) -> Classification:
     """Liouville/potential property via the type dispatch: strictly positive
     potentials test the volume-ratio profile, potentials vanishing near zero
-    reduce to the parabolicity test."""
+    reduce to the parabolicity test.  Either test reads from ``R0`` to
+    ``r_max``, by default ``classify_parabolic``'s reach."""
+    r_max = max(R_MAX, 100.0 * R0) if r_max is None else r_max
     if classify_operator_type(pot) is OperatorTypeTag.TYPE1:
         dv = test_L1_at_infinity(lambda r: v_st(M, op, 1.0, R0, r), R0,
                                  r_max)

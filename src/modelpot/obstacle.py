@@ -29,7 +29,7 @@ which no weight scale can trip; its verdict is the Liouville classifier's.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -37,7 +37,7 @@ import numpy as np
 from .core import (DomainError, ModelManifold, NumericError,
                    linear_power_potential, log_sphere_volume,
                    p_laplacian_operator)
-from .criteria import R_MAX, PropertyTag, classify_KL
+from .criteria import DivergenceVerdict, PropertyTag, classify_KL
 
 NEG_INF = -math.inf
 # solve_obstacle stops after MAX_NEWTON_STEPS steps with SweepLimitError
@@ -271,14 +271,23 @@ def solve_obstacle(prob: DiscreteProblem,
     ``h_N`` is the forward sweep's unit solution on the whole grid
     (``_unit_solutions``): the exact minimizer when ``theta_left = 0`` and
     nothing touches ``psi``, which it then returns after 0 steps, so
-    Newton has only the contact set to find.
+    Newton has only the contact set to find.  It solves for the data over
+    ``s``, the power of two within a factor 2 below the largest of
+    ``|theta_left|``, ``|theta_right|`` and the finite ``|psi|``, and
+    multiplies back: the energy is p-homogeneous and ``s`` divides
+    exactly, so no ``|u|^p`` of its steps passes a double.
     """
     psi = _check_spec(prob, spec)
     if prob.lam == 0:
         return _concave_majorant(prob, spec, psi)
+    top = max(abs(spec.theta_left), abs(spec.theta_right),
+              float(np.max(np.abs(psi[np.isfinite(psi)]), initial=0.0)))
+    s = math.ldexp(1.0, math.frexp(top)[1] - 1)
+    left, right = spec.theta_left / s, spec.theta_right / s
     h = _unit_solutions(prob, [prob.n_nodes - 1])[0]
-    return _projected_newton(prob, spec, spec.theta_left
-                             + (spec.theta_right - spec.theta_left) * h)
+    sol = _projected_newton(prob, ObstacleSpec(psi / s, left, right),
+                            left + (right - left) * h)
+    return replace(sol, values=sol.values * s)
 
 
 def _p_harmonic_coordinate(prob: DiscreteProblem) -> np.ndarray:
@@ -503,7 +512,7 @@ class KhasminskiiReport:
     budget_used: tuple
     h_limit_sup: float    # a bound on the limit: 0, or stage_sups[-1]
     verdict: str          # PotentialBuilt | HLimitNonzero | Inconclusive
-    reason: str           # the DivergenceVerdict.reason that decided it
+    divergence: DivergenceVerdict   # the classifier's test that decided it
     stage_sups: tuple = ()
 
 
@@ -590,7 +599,7 @@ def khasminskii_construct(M: ModelManifold, p: float, lam: float,
     by 1) from ``_unit_solutions``, ratios of one forward sweep (at lambda =
     0 the p-harmonic coordinate ``S``).  Their decreasing limit vanishes
     iff the Liouville property holds, which ``classify_KL`` decides from
-    ``rho_N`` to ``max(R_MAX, 100 rho_N)`` under ``B = lambda t**(p-1)``
+    ``rho_N``, to the reach it picks, under ``B = lambda t**(p-1)``
     (at lambda = 0 the parabolicity test).  Else the verdict is
     ``HLimitNonzero`` (``KL_Fails``) or ``Inconclusive``, and
     ``stage_sups[-1]`` bounds the limit.  Stage ``n`` raises the potential
@@ -640,16 +649,14 @@ def khasminskii_construct(M: ModelManifold, p: float, lam: float,
     h_funcs = _unit_solutions(prob, idx)
     sups = np.max(h_funcs[:, :idx[0] + 1], axis=1).tolist()
 
-    top = float(radii[-1])
     cls = classify_KL(M, p_laplacian_operator(p),
-                      linear_power_potential(p, lam), max(R_MAX, 100.0 * top),
-                      R0=top)
+                      linear_power_potential(p, lam), R0=float(radii[-1]))
     if cls.property is not PropertyTag.KL_HOLDS:
         return KhasminskiiReport(
             w=DiscreteFunction(h_funcs[-1], prob), n_stages=0,
             budget_used=(), h_limit_sup=sups[-1], verdict="HLimitNonzero"
             if cls.property is PropertyTag.KL_FAILS else "Inconclusive",
-            reason=cls.divergence.reason, stage_sups=tuple(sups))
+            divergence=cls.divergence, stage_sups=tuple(sups))
 
     # inductive stages at natural (unit-increment) scale
     n_stages = len(radii) - 1
@@ -686,4 +693,4 @@ def khasminskii_construct(M: ModelManifold, p: float, lam: float,
     return KhasminskiiReport(
         w=DiscreteFunction(w_final, prob), n_stages=n_stages,
         budget_used=budget, h_limit_sup=0.0, verdict="PotentialBuilt",
-        reason=cls.divergence.reason, stage_sups=tuple(sups))
+        divergence=cls.divergence, stage_sups=tuple(sups))

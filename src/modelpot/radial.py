@@ -27,7 +27,7 @@ from .core import (DomainError, ModelManifold, NumericError, PhiOperator,
 # a profile counts them: the solve alone, since an application's finite,
 # clamped flux is in [0, inf).  Every other call here is checked.
 from .core import _phi_inverse_in_domain as phi_inverse_array
-from .criteria import R_MAX, DivergenceVerdict, Verdict, classify_KL
+from .criteria import DivergenceVerdict, Verdict, classify_KL
 
 COMPLETE = "complete"
 BLOWUP = "blowup"
@@ -230,7 +230,7 @@ def _march(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     """``solve_cauchy``'s window continuation, lazily: yields the solution
     in pieces ``(grid, z, zp)``, first the node ``(R, theta, mu)`` and then
     each accepted window without its first node, and returns
-    ``(status, r_reached, blowup_radius, failure)``.
+    ``(status, r_reached, blowup_radius)``.
 
     With ``hand_over``, the first window that fails where ``z > 0`` hands
     the march over to ``_blowup_tail`` from the last accepted node, once:
@@ -238,8 +238,9 @@ def _march(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     the status is ``BLOWUP``.  Otherwise windows halve, and a width below
     ``1e-8 R`` raises ``NumericError`` naming the missing certificate.
     Without it (the ``evans_for_triple`` marches, which never blow up)
-    that underflow returns the status ``None`` and its ``failure``, the
-    last window's ``PicardNoConvergence``."""
+    that underflow raises ``DomainError`` if the last window passed the
+    largest double (``FluxOverflow``), else ``EvansFailure``; each names
+    ``c``, the radius and ``z`` there."""
     base_window = _base_window(params.R, R_max, nodes_per_window)
     window = base_window
     min_window = 1e-8 * params.R
@@ -250,11 +251,7 @@ def _march(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     halved = False
     missing = None
     while cur.R < R_max:
-        # a window that would leave less than min_window, too short a
-        # window to hold distinct nodes, takes the rest as well
-        r_end = cur.R + window
-        if r_end > R_max - min_window:
-            r_end = R_max
+        r_end = _window_end(cur.R, window, R_max, min_window)
         try:
             grid, z, zp = solve_on_interval(M, op, pot, cur, r_end,
                                             n_nodes=nodes_per_window)
@@ -266,22 +263,37 @@ def _march(M: ModelManifold, op: PhiOperator, pot: PotentialB,
                     missing = str(exc)
                 else:
                     yield r, z, zp
-                    return BLOWUP, float(r[-1]), radius, None
+                    return BLOWUP, float(r[-1]), radius
             window *= 0.5
             halved = True
             if window < min_window:
+                where = f"radius {cur.R:.6g}, where z = {cur.theta:.6g}"
                 if hand_over:
                     raise NumericError(
-                        f"window underflow at radius {cur.R:.6g}, where z = "
-                        f"{cur.theta:.6g}, with no blow-up certificate: "
-                        f"{missing or 'the tail needs z > 0'}")
-                return None, cur.R, None, failure
+                        f"window underflow at {where}, with no blow-up "
+                        f"certificate: {missing or 'the tail needs z > 0'}")
+                if isinstance(failure, FluxOverflow):
+                    raise DomainError(
+                        f"the march at c={params.c:.6g} passes the largest "
+                        f"double, in phi(c z') or in z, past {where}; take "
+                        "a smaller R_max")
+                raise EvansFailure(f"the march at c={params.c:.6g} stalled "
+                                   f"(window underflow) at {where}")
             continue
         yield grid[1:], z[1:], zp[1:]
         cur = CauchyParams(r_end, float(z[-1]), float(zp[-1]), params.c)
         window = window if halved else min(window * 2.0, base_window)
         halved = False
-    return COMPLETE, R_max, None, None
+    return COMPLETE, R_max, None
+
+
+def _window_end(start: float, width: float, R_max: float,
+                min_window: float) -> float:
+    """Where a window of ``width`` from ``start`` ends: at ``R_max`` if it
+    would leave less than ``min_window`` (``1e-8 R``), too short a window
+    to hold distinct nodes, else at ``start + width``."""
+    end = start + width
+    return R_max if end > R_max - min_window else end
 
 
 # The blow-up tail runs y = c z over TAIL_SPAN times its first value; the
@@ -378,7 +390,7 @@ def _blowup_tail(M: ModelManifold, op: PhiOperator, pot: PotentialB,
 def _take(march, pieces: list, until: float = math.inf):
     """Move the pieces of ``march`` onto ``pieces`` until one ends at or
     past ``until``.  Returns the march's ``(status, r_reached,
-    blowup_radius, failure)`` if it ended, or ``None`` if it stopped at
+    blowup_radius)`` if it ended, or ``None`` if it stopped at
     such a piece and can go on."""
     while True:
         try:
@@ -424,7 +436,7 @@ def _concat(pieces) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _assemble(pieces, params, end) -> RadialSolution:
     grid, z, zp = _concat(pieces)
-    status, r_reached, rho, _ = end
+    status, r_reached, rho = end
     return RadialSolution(
         grid=grid, z=z, zp=zp, params=params, status=status,
         r_max=float(r_reached), blowup_radius=rho)
@@ -453,13 +465,13 @@ def _constant_flux_slope(M: ModelManifold, op: PhiOperator,
 def _constant_flux_grid(R: float, R_max: float,
                         nodes_per_window: int) -> np.ndarray:
     """The nodes that ``solve_cauchy`` uses when no window halves: windows
-    of the ``_base_window`` width from ``R``, the last cut at ``R_max``,
-    ``nodes_per_window`` uniform nodes each.  They depend on ``R`` but not
-    on the scale ``c``."""
+    of the ``_base_window`` width from ``R``, ended by ``_window_end`` as
+    the march ends them, ``nodes_per_window`` uniform nodes each.  They
+    depend on ``R`` but not on the scale ``c``."""
     base = _base_window(R, R_max, nodes_per_window)
     ends = [R]
     while ends[-1] < R_max:
-        ends.append(min(ends[-1] + base, R_max))
+        ends.append(_window_end(ends[-1], base, R_max, 1e-8 * R))
     windows = np.linspace(ends[:-1], ends[1:], nodes_per_window, axis=1)
     return np.concatenate([[R], windows[:, 1:].ravel()])
 
@@ -485,7 +497,7 @@ def _constant_flux_march(M: ModelManifold, op: PhiOperator,
     """``constant_flux_profile`` on its ``grid`` as a march of
     ``(grid, z, zp)`` pieces, like ``_march``: the nodes up to the first
     window end at or past ``R1``, then the rest; returns ``(COMPLETE,
-    R_max, None, None)``.  The first piece is evaluated on its nodes plus
+    R_max, None)``.  The first piece is evaluated on its nodes plus
     the next one, which gives every kept Simpson sub-interval the whole
     grid's triple, so a rejected scale costs only its annulus.  Going on
     evaluates the other nodes (the slope is elementwise) and takes one
@@ -501,7 +513,7 @@ def _constant_flux_march(M: ModelManifold, op: PhiOperator,
             [zp, _constant_flux_slope(M, op, params, grid[cut + 1:])])
         z = params.theta + _CumulativeSimpson(grid)(zp)
         yield grid[cut:], z[cut:], zp[cut:]
-    return COMPLETE, float(grid[-1]), None, None
+    return COMPLETE, float(grid[-1]), None
 
 
 def choose_mu(op: PhiOperator, c: float) -> float:
@@ -521,12 +533,13 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     """Exhaustion solution small on the annulus ``[R, R1]``.
 
     An exhaustion exists iff the Liouville property holds, so
-    ``classify_KL`` from ``R`` (up to its ``r_max`` or the end of a table)
-    decides first: ``NoExhaustion`` unless its profile's integral
-    diverges, a verdict that the pinching of ``phi`` makes the same for
-    every scale.  Then halves the scale ``c`` from 1 (down to
-    ``EVANS_C_MIN``), picking the matched slope each time, until the scaled
-    solution stays below ``eps`` on the annulus.  Requires a monotone
+    ``classify_KL`` from ``R``, to the reach it picks, decides first (a
+    table that ends before the reach is refused by its range):
+    ``NoExhaustion`` unless its profile's integral diverges, a verdict
+    that the pinching of ``phi`` makes the same for every scale.  Then
+    halves the scale ``c`` from 1 (down to ``EVANS_C_MIN``), picking the
+    matched slope each time, until the scaled solution stays below
+    ``eps`` on the annulus.  Requires a monotone
     warping and a potential with a ``t**(p-1)`` upper bound, ``p`` the
     operator's, under which no solution blows up.  Each scale runs one
     march, the exact ``_constant_flux_march`` for ``B = 0`` or else the
@@ -535,8 +548,9 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     only the nodes of the windows that cover it, plus one, are evaluated,
     and the accepted scale then evaluates the others), and only the
     accepted scale is marched on to ``R_max``.  A march that stalls
-    (window underflow) raises ``DomainError`` if its last window passed
-    the largest double (``FluxOverflow``), else ``EvansFailure``.
+    (window underflow) raises from ``_march``: ``DomainError`` if its last
+    window passed the largest double (``FluxOverflow``), else
+    ``EvansFailure``.
     """
     if not (0 < R < R1 < R_max):
         raise DomainError("need 0 < R < R1 < R_max")
@@ -554,7 +568,7 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     if not M.monotone:
         raise DomainError("the construction requires a non-decreasing warping")
     M._check_radius(R_max)           # a short table fails before its tail
-    dv = classify_KL(M, op, pot, min(R_MAX, M.r_max_valid), R).divergence
+    dv = classify_KL(M, op, pot, R0=R).divergence
     if dv.verdict is not Verdict.DIVERGES:
         raise NoExhaustion(
             f"no exhaustion: the Liouville test says {dv.verdict.value} "
@@ -572,16 +586,11 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
             march = _constant_flux_march(M, op, params, flux_grid, R1,
                                          nodes_per_window)
         pieces = []
-        end = _take(march, pieces, R1)
-        if end is not None:
-            raise _stalled(params, pieces, end)
+        _take(march, pieces, R1)
         grid, z, _ = _concat(pieces)
         sup = c * _sup_on(grid, z, R, R1)
         if sup < eps:
-            end = _take(march, pieces)
-            if end[0] != COMPLETE:
-                raise _stalled(params, pieces, end)
-            sol = _assemble(pieces, params, end)
+            sol = _assemble(pieces, params, _take(march, pieces))
             if np.any(np.diff(sol.z) <= 0):
                 raise NumericError("accepted solution is not increasing")
             return EvansResult(solution=sol, c_final=c, mu_final=mu,
@@ -591,18 +600,3 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
         "no admissible scale above the floor; observed annulus bound "
         f"{sup:.6g}", observed_sup=sup)
 
-
-def _stalled(params: CauchyParams, pieces: list, end) -> Exception:
-    """The error for a march of ``evans_for_triple`` that ended before
-    ``R_max``.  It has no blow-up tail, so its windows underflowed: on a
-    flux or a profile past the largest double (``DomainError``), or else
-    (``EvansFailure``).
-    """
-    _, r_reached, _, failure = end
-    where = f"radius {r_reached:.6g}, where z = {pieces[-1][1][-1]:.6g}"
-    if isinstance(failure, FluxOverflow):
-        return DomainError(
-            f"the march at c={params.c:.6g} passes the largest double, in "
-            f"phi(c z') or in z, past {where}; take a smaller R_max")
-    return EvansFailure(f"the march at c={params.c:.6g} stalled (window "
-                        f"underflow) at {where}")

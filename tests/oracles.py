@@ -105,13 +105,13 @@ def operator_type_scan(pot):
 def exhaustion_at_unit_scale(M, op, R):
     """Whether ``B = 0`` profiles from ``R`` are unbounded, decided on the
     slope of ``radial.constant_flux_profile`` at ``c = 1``,
-    ``phi^-1(w(R)/w)``: the divergence test up to its ``r_max`` or the
-    end of a table."""
+    ``phi^-1(w(R)/w)``: the divergence test up to the classifiers' reach
+    from ``R``, ``max(R_MAX, 100 R)``."""
     params = radial.CauchyParams(R=R, theta=0.0,
                                  mu=radial.choose_mu(op, 1.0), c=1.0)
     return criteria.test_L1_at_infinity(
         lambda r: radial._constant_flux_slope(M, op, params, r), R,
-        min(criteria.R_MAX, M.r_max_valid))
+        max(criteria.R_MAX, 100.0 * R))
 
 
 def evans_eager_sweep(M, op, pot, R, R1, eps, R_max, nodes_per_window=64,

@@ -150,8 +150,10 @@ def test_evans_log_profile(capsys):
     lines = out.splitlines()
     meta = [ln for ln in lines if ln.startswith("#")]
     assert any("sup_on_annulus" in ln for ln in meta)
-    # the Liouville test that admitted the profile: c/r, on the critical line
-    assert meta[-2:] == ["# status=complete", "# reason=critical_slope"]
+    # the Liouville test that admitted the profile: c/r, on the critical
+    # line, read to the classifier's reach from R = 1
+    assert meta[-3:] == ["# status=complete", "# reason=critical_slope",
+                         "# r_max=10000"]
     data = np.loadtxt([ln for ln in lines if not ln.startswith("#")][1:],
                       delimiter=",")
     c = float(next(ln for ln in meta if "# c=" in ln).split("=")[1])
@@ -225,7 +227,7 @@ def test_evans_no_exhaustion_exit_code(capsys):
     # int_1^1e4 r^-2 = 1 - 1e-4, to the Simpson rule's error
     assert lines[2] == "# partial_integral=0.999900000582"
     assert lines[3:] == ["# slope=-2", "# reason=tail_within_tolerance",
-                         "r,w"]
+                         "# r_max=10000", "r,w"]
 
 
 def test_evans_refuses_where_classify_says_kl_fails(capsys):
@@ -240,7 +242,7 @@ def test_evans_refuses_where_classify_says_kl_fails(capsys):
     assert out.splitlines() == [
         "# command=evans", "# status=no_exhaustion",
         "# partial_integral=0.999900000582", "# slope=-2",
-        "# reason=tail_within_tolerance", "r,w"]
+        "# reason=tail_within_tolerance", "# r_max=10000", "r,w"]
     code, row = run_cli(["classify"] + triple, capsys)
     assert code == 0
     assert row.splitlines()[2].endswith(
@@ -269,8 +271,9 @@ def test_evans_inconclusive_exit_code(tmp_path, capsys):
 
 
 def test_evans_on_a_table(tmp_path, capsys):
-    # a table of non-decreasing samples loads as monotone
-    r = np.linspace(0.01, 100.0, 400)
+    # a table of non-decreasing samples loads as monotone, and evans
+    # builds on one that reaches the classifier's reach from R = 1
+    r = np.linspace(0.01, 1e4, 4000)
     path = tmp_path / "plane.csv"
     np.savetxt(path, np.column_stack([r, r]), delimiter=",", header="r,g",
                comments="")
@@ -279,6 +282,22 @@ def test_evans_on_a_table(tmp_path, capsys):
     assert code == 0
     assert "# sup_on_annulus=0.0866" in out
     assert "# status=complete" in out
+    assert "# r_max=10000\n" in out
+
+
+def test_evans_refuses_a_table_shorter_than_its_reach(tmp_path, capsys):
+    # a table that ends at r = 100 holds R_max = 60 but not the Liouville
+    # test's reach, 1e4: evans refuses it as classify does (exit 1)
+    r = np.linspace(0.01, 100.0, 400)
+    path = tmp_path / "plane.csv"
+    np.savetxt(path, np.column_stack([r, r]), delimiter=",", header="r,g",
+               comments="")
+    for argv in (EVANS_ARGS, ["classify"]):
+        code = cli.main(argv + ["--set", f"manifold=table:{path}"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "radius beyond tabulated range (max 100.0)" in captured.err
 
 
 def test_classify_refuses_a_table_with_a_negative_radius(tmp_path, capsys):
@@ -337,8 +356,10 @@ def test_khasminskii_plane_exit_zero(capsys):
     assert lines[:5] == ["# command=khasminskii", "# verdict=PotentialBuilt",
                          "# reason=critical_slope", "# n_stages=3",
                          "# h_limit_sup=0"]
-    header = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
-    assert lines[header] == "r,w"
+    # the radius the classifier read to from rho_N = 32 closes the metadata
+    assert lines[5:8] == ["# budget_used=0.005,0.009375,0.0125",
+                          "# r_max=10000", "r,w"]
+    header = 7
     rep = obstacle.khasminskii_construct(
         core.manifold_from_tag("euclidean", 2), 2.0, 0.0, K_radius=1.0,
         Omega_radius=2.0, eps=0.1, exhaustion_radii=[4, 8, 16, 32])
@@ -653,6 +674,26 @@ def test_obstacle_kkt_measures_are_scale_free(capsys):
         assert 0.0 <= float(meta["stationarity"]) <= 1e-10
         assert float(meta["obstacle_violation"]) == 0.0
         assert abs(float(meta["min_slackness"])) <= 1e-10
+
+
+@pytest.mark.parametrize("theta", ["1e103", "1e110", "1e300"])
+def test_obstacle_newton_solves_data_past_a_double(theta, capsys):
+    # theta_right = theta under a bump of height theta/2: Newton formed
+    # |u|^p of the data itself, which warned of overflow at 1e103, ran out
+    # of steps at 1e110 and met a non-finite right-hand side at 1e300; it
+    # solves for the data over a power of two near their largest, in 6
+    # steps at each
+    code, out = _no_runtime_warning(lambda: run_cli(
+        ["obstacle", "--set", "manifold=euclidean", "--set", "m=2",
+         "--set", "p=3", "--set", "lambda=1", "--set", "r_min=1",
+         "--set", "r_max=10", "--set", f"theta_right={theta}",
+         "--set", f"obstacle=bump:height={float(theta) / 2!r},center=5,"
+         "width=2"], capsys))
+    assert code == 0
+    meta, rows = _meta_and_rows(out)
+    assert meta["iterations"] == "6"
+    assert float(meta["stationarity"]) <= 1e-10
+    assert rows[-1, 1] == float(theta)
 
 
 # ---------------------------------------------------------------------------

@@ -94,15 +94,17 @@ def test_space_detects_nonzero_limit(m, p, K, radii):
 
 
 def test_verdict_is_the_classifier_from_the_last_radius(monkeypatch):
-    # one classify_KL call, from R0 = rho_N to max(R_MAX, 100 rho_N): two
-    # decades past rho_N for the slope fits, so radii past R_MAX build
-    # where a range ending at R_MAX would raise DomainError
+    # one classify_KL call from R0 = rho_N, which reads to its reach
+    # max(R_MAX, 100 rho_N): two decades past rho_N for the slope fits, so
+    # radii past R_MAX build where a range ending at R_MAX would raise
+    # DomainError
     calls = []
     classify_KL = obstacle.classify_KL
 
-    def recorded(M, op, pot, r_max, R0):
-        calls.append((op.name, pot.name, r_max, R0))
-        return classify_KL(M, op, pot, r_max, R0)
+    def recorded(M, op, pot, R0):
+        cls = classify_KL(M, op, pot, R0=R0)
+        calls.append((op.name, pot.name, cls.divergence.r_max, R0))
+        return cls
 
     monkeypatch.setattr(obstacle, "classify_KL", recorded)
     for K, radii, lam in ((1.0, RADII, 0.0), (1.0, RADII, 1.0),
@@ -112,7 +114,7 @@ def test_verdict_is_the_classifier_from_the_last_radius(monkeypatch):
                                              radii)
         assert rep.verdict == "PotentialBuilt"
         assert rep.h_limit_sup == 0.0
-        assert rep.reason == "critical_slope"
+        assert rep.divergence.reason == "critical_slope"
         assert obstacle.is_supersolution(rep.w.problem, rep.w.values,
                                          tol=1e-10).ok
     assert calls == [

@@ -363,14 +363,16 @@ def test_scaled_data_scale_the_newton_solve(tag, m, p, lam, span, shape,
                                             theta_left):
     # the energy is p-homogeneous, so the minimizer of theta (psi,
     # theta_left, theta_right) is theta times that of the data; the
-    # relative Newton stop and contact set take the same steps to it
+    # relative Newton stop and contact set take the same steps to it;
+    # Newton solves for the data over a power of two near their largest,
+    # so neither 1e300 nor 1e-300 leaves the doubles in its energy
     prob, psi = _cli_problem(tag, m, p, lam, span, shape)
     unit = obstacle.solve_obstacle(
         prob, obstacle.ObstacleSpec(psi, theta_left, 1.0))
     # with no obstacle from theta_left = 0 the sweep's start is exact and
     # passes the gate in 0 steps; each bump takes Newton steps
     assert unit.iterations >= (shape != "none")
-    for theta in (1e-6, 1e6):
+    for theta in (1e-300, 1e-6, 1e6, 1e110, 1e300):
         sol = obstacle.solve_obstacle(
             prob, obstacle.ObstacleSpec(theta * psi, theta * theta_left,
                                         theta))

@@ -693,6 +693,46 @@ def test_evans_names_a_flux_overflow(monkeypatch, p, lam, R_max, message,
     assert failures[radial.FluxOverflow] == overflows
 
 
+@pytest.mark.parametrize("failure, error, what", [
+    (radial.FluxOverflow, core.DomainError,
+     "passes the largest double, in phi(c z') or in z, past"),
+    (radial.PicardNoConvergence, radial.EvansFailure,
+     "stalled (window underflow) at"),
+], ids=["flux overflow", "no fixed point"])
+def test_the_march_raises_its_own_stall(monkeypatch, failure, error, what):
+    # every window that passes r = 5 fails: the accepted scale's windows
+    # halve there until they underflow, and the evans march raises by the
+    # last failure's type, naming c, the radius and z; solve_cauchy's
+    # march, which hands over to the blow-up tail, names the certificate
+    # that is missing instead
+    solve = radial.solve_on_interval
+    last = {}
+
+    def failing_past_5(M, op, pot, params, r_end, n_nodes):
+        if r_end > 5.0:
+            raise failure("injected")
+        grid, z, zp = solve(M, op, pot, params, r_end, n_nodes=n_nodes)
+        last.update(c=params.c, r=float(grid[-1]), z=float(z[-1]))
+        return grid, z, zp
+
+    monkeypatch.setattr(radial, "solve_on_interval", failing_past_5)
+    pot = core.linear_power_potential(2.0, 1.0)
+    with pytest.raises(error) as info:
+        radial.evans_for_triple(EUC2, LAP2, pot, R=1.0, R1=2.0, eps=0.1,
+                                R_max=40.0)
+    assert type(info.value) is error
+    assert (last["c"], last["r"]) == (0.0625, 5.0)
+    assert str(info.value).startswith(
+        f"the march at c=0.0625 {what} radius 5, where z = {last['z']:.6g}")
+    params = radial.CauchyParams(R=1.0, theta=1.0, mu=1.0, c=1.0)
+    with pytest.raises(core.NumericError) as info:
+        radial.solve_cauchy(EUC2, LAP2, pot, params, 40.0)
+    assert last["r"] == 5.0
+    assert str(info.value) == (
+        f"window underflow at radius 5, where z = {last['z']:.6g}, with no "
+        "blow-up certificate: keller_osserman says NotKO_holds")
+
+
 # B != 0: each scale decided on the annulus against the eager sweep
 EAGER_CASES = {
     "plane p=2 linear-power": (EUC2, LAP2,
@@ -875,6 +915,19 @@ def test_evans_zero_potential_sweep_is_the_eager_sweep(monkeypatch, make, op,
         [annulus_nodes + 1, len(eager.solution.grid) - annulus_nodes - 1]
 
 
+@pytest.mark.parametrize("R_max, nodes", [
+    (60.0, 3718), (60.0 + 5e-9, 3718), (60.0 + 2e-8, 3781)])
+def test_constant_flux_grid_is_the_march_grid(R_max, nodes):
+    # one window-end rule: a window that would leave less than 1e-8 R
+    # takes the rest, so a last 5e-9 joins the window before it, and a
+    # last 2e-8 is a window of its own
+    params = radial.CauchyParams(R=1.0, theta=0.0, mu=1.0, c=1.0)
+    exact = radial.constant_flux_profile(EUC2, LAP2, params, R_max)
+    picard = radial.solve_cauchy(EUC2, LAP2, ZERO, params, R_max)
+    assert np.array_equal(exact.grid, picard.grid)
+    assert len(exact.grid) == nodes and exact.grid[-1] == R_max
+
+
 def test_constant_flux_profile_matches_closed_forms():
     # z = log r on the plane, 1 - 1/r on R^3, 2 (sqrt r - 1) on the plane
     # at p = 3; the error is the cumulative Simpson rule's, as in Picard's
@@ -966,17 +1019,31 @@ def test_evans_exhaustion_matches_the_unit_scale_test(R):
     assert wrong == []
 
 
-def test_evans_exhaustion_verdict_on_a_short_table(tmp_path):
-    # the divergence test stops at the end of the table, r = 100
+def test_evans_refuses_a_table_shorter_than_its_reach(tmp_path):
+    # the Liouville test reads from R = 1 to its reach, 1e4, past the end
+    # of the table at r = 100: evans refuses, as classify does, although
+    # the table holds R_max
     M = plane_table(tmp_path)
     assert M.monotone
-    res = radial.evans_for_triple(M, LAP2, ZERO, R=1.0, R1=2.0, eps=0.1,
-                                  R_max=60.0)
-    dv = res.exhaustion
-    assert dv.verdict is Verdict.DIVERGES and dv.r_max == 100.0
-    assert dv.slope_estimate == pytest.approx(-1.0, abs=1e-12)
-    assert res.sup_on_annulus == pytest.approx(0.0866, abs=1e-4)
-    assert res.c_final == 0.125
+    with pytest.raises(core.DomainError,
+                       match=r"radius beyond tabulated range \(max 100\.0\)"):
+        radial.evans_for_triple(M, LAP2, ZERO, R=1.0, R1=2.0, eps=0.1,
+                                R_max=60.0)
+    with pytest.raises(core.DomainError, match="beyond tabulated range"):
+        criteria.classify_parabolic(M, LAP2)
+
+
+def test_evans_reads_to_the_classifiers_reach():
+    # from R = 2e4 the Liouville test reads to max(R_MAX, 100 R) = 2e6,
+    # two decades past R, as classify_KL does; a reach clipped to R_MAX
+    # lay below R and was refused
+    res = radial.evans_for_triple(EUC2, LAP2, ZERO, R=2e4, R1=4e4, eps=0.1,
+                                  R_max=8e4, nodes_per_window=8)
+    assert res.exhaustion == criteria.classify_KL(EUC2, LAP2, ZERO,
+                                                  R0=2e4).divergence
+    assert res.exhaustion.r_max == 2e6
+    assert res.solution.status == radial.COMPLETE
+    assert res.solution.r_max == 8e4
 
 
 def test_evans_inconclusive_exhaustion_is_not_a_verdict():
