@@ -206,6 +206,9 @@ def cmd_evans(cfg, out_path) -> int:
     # read and checked, with no effect: under B <= b1 t**(p-1) no profile
     # blows up
     _get_float(cfg, "blowup_threshold", positive=True)
+    # read and checked for every potential; it sets the march's nodes only
+    # for B != 0, since a B = 0 profile lies on the table grid (128 nodes
+    # a decade)
     nodes = _get_int(cfg, "nodes_per_window", 64)
     try:
         result = radial.evans_for_triple(M, op, pot, R, R1, eps, rmax,

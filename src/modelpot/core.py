@@ -215,6 +215,21 @@ def geometric_grid(lo: float, hi: float) -> np.ndarray:
     return np.append(nodes[(nodes < hi) & (hi - nodes > 1e-9 * nodes)], hi)
 
 
+def grid_through(lo: float, radii) -> np.ndarray:
+    """``geometric_grid`` from ``lo`` to the largest of ``radii`` (each in
+    ``[lo, inf)``; ``lo`` alone if there are none), with ``lo`` and every
+    radius as nodes, sorted and distinct: the grid of ``volume_ratio`` and
+    of the ``B = 0`` Evans profile.  A table node within relative 1e-9 of
+    a radius gives way to it, rather than leave a sliver panel beside it;
+    ``lo`` is a node anyway."""
+    asked = np.unique(radii)
+    own = geometric_grid(lo, float(np.max(asked, initial=lo)))[1:]
+    i = np.searchsorted(asked, own)
+    gap = np.minimum(np.abs(own - asked[np.maximum(i - 1, 0)]),
+                     np.abs(asked[np.minimum(i, len(asked) - 1)] - own))
+    return np.unique(np.concatenate([[lo], own[gap > 1e-9 * own], asked]))
+
+
 def volume_ratio(M: ModelManifold, r, R: float = 0.0):
     """``rho(r) = g(r)**(1-m) * integral_R^r g(t)**(m-1) dt`` at a radius or
     an array of radii, from one pass of the exact recurrence
@@ -234,15 +249,7 @@ def volume_ratio(M: ModelManifold, r, R: float = 0.0):
                           f"R={R:g} and r from {least:g} to {top:g}")
     lo = R if R > 0 else float(np.min(radii, where=radii > 0,
                                       initial=_ORIGIN_PANEL))
-    # lo is a node anyway; a node of the own grid within relative 1e-9 of
-    # a requested radius gives way to it, rather than leave a sliver
-    # panel beside it
-    own = geometric_grid(lo, max(top, lo))[1:]
-    asked = np.unique(radii[radii > 0])
-    i = np.searchsorted(asked, own)
-    gap = np.minimum(np.abs(own - asked[np.maximum(i - 1, 0)]),
-                     np.abs(asked[np.minimum(i, len(asked) - 1)] - own))
-    grid = np.unique(np.concatenate([[lo], own[gap > 1e-9 * own], asked]))
+    grid = grid_through(lo, radii[radii > 0])
     L = log_sphere_volume(M, grid)
     rho = [0.0]
     if R == 0:

@@ -51,12 +51,14 @@ class ConsistencyError(RuntimeError):
 
 
 # Bounds of the improper-integral heuristic: the table nodes of a decade
-# give its log-log slope; a slope above -1 - SLOPE_BAND counts as critical
-# (pure 1/r-type integrands fit to -1 up to rounding); slopes within
+# give its log-log slope; a slope at or above -1 - SLOPE_ROUNDING is
+# critical (the fit of 1/r returns -1 to ~1e-12), and so is one within
+# SLOPE_BAND below -1 that is not a steady power; slopes within
 # SLOPE_MARGIN below -1 converge only if the last decade's slope is that
 # of the decade before it to STEADY_DRIFT of its distance from -1; and the
 # extrapolated tail may add at most TAIL_REL_TOL of the partial integral.
 # Each is a ratio, so that a constant factor moves no verdict.
+SLOPE_ROUNDING = 1e-9
 SLOPE_BAND = 0.01
 SLOPE_MARGIN = 0.15
 STEADY_DRIFT = 0.1
@@ -75,7 +77,8 @@ class DivergenceVerdict:
     * ``few_positive_samples`` -- Inconclusive: fewer than half of the
       last decade's nodes, or than 2, are positive: no slope fit (NaN);
     * ``critical_slope`` -- Diverges: the fitted slope is at or above
-      ``-1 - SLOPE_BAND``;
+      ``-1 - SLOPE_ROUNDING``, or at or above ``-1 - SLOPE_BAND`` and
+      not a steady power;
     * ``tail_within_tolerance`` -- Converges: the slope clears the margin
       and the extrapolated tail is within ``TAIL_REL_TOL`` of the partial
       integral;
@@ -157,7 +160,8 @@ def test_L1_at_infinity(integrand: Callable, R0: float, r_max: float = R_MAX,
     slope clears the margin and its extrapolated tail is a small share of
     the partial integral, or if the decade before the last, from the same
     samples, has the same slope: a steady power.  Slopes that drift
-    toward -1 stay inconclusive.  Every test is of a ratio or of a slope,
+    toward -1 diverge within ``SLOPE_BAND`` of it, and otherwise stay
+    inconclusive.  Every test is of a ratio or of a slope,
     so ``a * integrand`` has the verdict of ``integrand`` for any ``a >
     0`` that keeps its samples finite and its last one nonzero.  The
     verdict's ``reason`` names the branch that decided.
@@ -179,7 +183,7 @@ def test_L1_at_infinity(integrand: Callable, R0: float, r_max: float = R_MAX,
     slope = _slope(grid[last], vals[last])
     if math.isnan(slope):
         return verdict(Verdict.INCONCLUSIVE, slope, "few_positive_samples")
-    if slope >= -1.0 - SLOPE_BAND:
+    if slope >= -1.0 - SLOPE_ROUNDING:
         # extrapolated power-law tail is not integrable
         return verdict(Verdict.DIVERGES, slope, "critical_slope")
     tail = vals[-1] * r_max / (-1.0 - slope)
@@ -189,6 +193,8 @@ def test_L1_at_infinity(integrand: Callable, R0: float, r_max: float = R_MAX,
     if abs(_slope(grid[before], vals[before]) - slope) <= \
             STEADY_DRIFT * (-1.0 - slope):
         return verdict(Verdict.CONVERGES, slope, "steady_power_tail")
+    if slope >= -1.0 - SLOPE_BAND:
+        return verdict(Verdict.DIVERGES, slope, "critical_slope")
     return verdict(Verdict.INCONCLUSIVE, slope, "slope_or_tail_undecided")
 
 

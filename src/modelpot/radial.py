@@ -6,7 +6,8 @@ its integral reformulation on short windows, continued window by window.
 Solutions either reach the requested radius or blow up at a finite radius,
 which is certified and then located with ``z`` as the variable, past the
 last window that converged.  For ``B = 0`` the flux is constant and
-the solution is one integral, built in one pass.  On top of the solvers
+the solution is one integral, built in one pass on the divergence test's
+geometric grid with its Simpson rule in ``log r``.  On top of the solvers
 sit the slope selection rules and the small-on-an-annulus construction
 that produce exhaustion potentials for triples of concentric balls.
 """
@@ -22,7 +23,7 @@ import numpy as np
 from . import criteria
 from .core import (DomainError, ModelManifold, NumericError, PhiOperator,
                    PotentialB, _CumulativeSimpson, geometric_grid,
-                   log_sphere_volume, phi_inverse)
+                   grid_through, log_sphere_volume, phi_inverse)
 # the phi^-1 of the Picard applications, under a name of their own so that
 # a profile counts them: the solve alone, since an application's finite,
 # clamped flux is in [0, inf).  Every other call here is checked.
@@ -213,7 +214,7 @@ def solve_on_interval(M: ModelManifold, op: PhiOperator, pot: PotentialB,
 
 
 def _base_window(R: float, R_max: float, nodes_per_window: int) -> float:
-    """The march's first window width, ``min(1, (R_max - R)/16)``, once
+    """The march's widest window, ``min(1, (R_max - R)/16)``, once
     ``R < R_max < inf`` and ``nodes_per_window >= 2`` are checked."""
     if not R < R_max < math.inf:
         raise DomainError("R_max must be finite and exceed the base radius, "
@@ -242,7 +243,9 @@ def _march(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     largest double (``FluxOverflow``), else ``EvansFailure``; each names
     ``c``, the radius and ``z`` there."""
     base_window = _base_window(params.R, R_max, nodes_per_window)
-    window = base_window
+    # the first window is at most R wide, so that a march from a small
+    # radius resolves it; the doublings take it up to base_window
+    window = min(params.R, base_window)
     min_window = 1e-8 * params.R
 
     yield np.array([params.R]), np.array([params.theta]), \
@@ -409,8 +412,9 @@ def solve_cauchy(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     """March the radial problem to ``R_max`` by window continuation.
 
     Each window is solved by fixed-point iteration; the restart state
-    ``(theta, mu)`` is the last node of its value and slope.  Windows
-    double, up to the first width, after one that did not halve.  The
+    ``(theta, mu)`` is the last node of its value and slope.  The first
+    window is at most ``R`` wide; windows double, up to
+    ``_base_window``'s width, after one that did not halve.  The
     first window that fails hands over to ``_blowup_tail``, which
     certifies a blow-up twice (``keller_osserman`` says ``NotKO_fails``,
     and the tail's own test finds ``int dz/z'`` to converge) and locates
@@ -462,58 +466,31 @@ def _constant_flux_slope(M: ModelManifold, op: PhiOperator,
     return phi_inverse(op, y) / params.c
 
 
-def _constant_flux_grid(R: float, R_max: float,
-                        nodes_per_window: int) -> np.ndarray:
-    """The nodes that ``solve_cauchy`` uses when no window halves: windows
-    of the ``_base_window`` width from ``R``, ended by ``_window_end`` as
-    the march ends them, ``nodes_per_window`` uniform nodes each.  They
-    depend on ``R`` but not on the scale ``c``."""
-    base = _base_window(R, R_max, nodes_per_window)
-    ends = [R]
-    while ends[-1] < R_max:
-        ends.append(_window_end(ends[-1], base, R_max, 1e-8 * R))
-    windows = np.linspace(ends[:-1], ends[1:], nodes_per_window, axis=1)
-    return np.concatenate([[R], windows[:, 1:].ravel()])
-
-
 def constant_flux_profile(M: ModelManifold, op: PhiOperator,
-                          params: CauchyParams, R_max: float,
-                          nodes_per_window: int = 64) -> RadialSolution:
+                          params: CauchyParams, R_max: float, *,
+                          R1: Optional[float] = None) -> RadialSolution:
     """The radial solution for ``B = 0`` in one pass, with no Picard
-    iteration, on the nodes that ``solve_cauchy`` uses when no window
-    halves (``_constant_flux_grid``), bit for bit.  The flux ``w phi(c
-    z')`` is constant, so the slope is ``_constant_flux_slope`` exactly and
-    ``z = theta + int_R^r z'`` is its cumulative Simpson integral."""
-    grid = _constant_flux_grid(params.R, R_max, nodes_per_window)
+    iteration, on the table grid of the divergence test:
+    ``grid_through(R, (R1, R_max))``, so ``R``, ``R1`` (if given) and
+    ``R_max`` are nodes.  The flux ``w phi(c z')`` is constant, so the
+    slope is ``_constant_flux_slope`` exactly, and ``z = theta + int_R^r
+    z'`` is the cumulative Simpson rule of ``r z'`` in ``log r``, the rule
+    of ``test_L1_at_infinity`` on the integrand it tests."""
+    radii = [R_max] if R1 is None else [R1, R_max]
+    if not params.R < radii[0] <= R_max < math.inf:
+        raise DomainError("R_max must be finite, at least R1 and above the "
+                          f"base radius, got {R_max:g}")
+    grid = grid_through(params.R, radii)
     zp = _constant_flux_slope(M, op, params, grid)
-    z = params.theta + _CumulativeSimpson(grid)(zp)
+    z = params.theta + _CumulativeSimpson(np.log(grid))(grid * zp)
     return RadialSolution(grid=grid, z=z, zp=zp, params=params,
                           status=COMPLETE, r_max=float(R_max))
 
 
-def _constant_flux_march(M: ModelManifold, op: PhiOperator,
-                         params: CauchyParams, grid: np.ndarray, R1: float,
-                         nodes_per_window: int):
-    """``constant_flux_profile`` on its ``grid`` as a march of
-    ``(grid, z, zp)`` pieces, like ``_march``: the nodes up to the first
-    window end at or past ``R1``, then the rest; returns ``(COMPLETE,
-    R_max, None)``.  The first piece is evaluated on its nodes plus
-    the next one, which gives every kept Simpson sub-interval the whole
-    grid's triple, so a rejected scale costs only its annulus.  Going on
-    evaluates the other nodes (the slope is elementwise) and takes one
-    Simpson pass over the grid, the same on the annulus bit for bit."""
-    # window ends are every (nodes_per_window - 1)-th node
-    step = nodes_per_window - 1
-    cut = math.ceil(np.searchsorted(grid, R1) / step) * step + 1
-    zp = _constant_flux_slope(M, op, params, grid[:cut + 1])
-    z = params.theta + _CumulativeSimpson(grid[:cut + 1])(zp)
-    yield grid[:cut], z[:cut], zp[:cut]
-    if cut < len(grid):
-        zp = np.concatenate(
-            [zp, _constant_flux_slope(M, op, params, grid[cut + 1:])])
-        z = params.theta + _CumulativeSimpson(grid)(zp)
-        yield grid[cut:], z[cut:], zp[cut:]
-    return COMPLETE, float(grid[-1]), None
+def _one_piece(sol: RadialSolution):
+    """``sol`` as a march of one ``(grid, z, zp)`` piece, like ``_march``."""
+    yield sol.grid, sol.z, sol.zp
+    return sol.status, sol.r_max, sol.blowup_radius
 
 
 def choose_mu(op: PhiOperator, c: float) -> float:
@@ -542,18 +519,18 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     ``eps`` on the annulus.  Requires a monotone
     warping and a potential with a ``t**(p-1)`` upper bound, ``p`` the
     operator's, under which no solution blows up.  Each scale runs one
-    march, the exact ``_constant_flux_march`` for ``B = 0`` or else the
-    ``solve_cauchy`` march with no blow-up tail: its pieces that cover the
-    annulus decide the scale (for ``B = 0``, on one grid for all scales,
-    only the nodes of the windows that cover it, plus one, are evaluated,
-    and the accepted scale then evaluates the others), and only the
-    accepted scale is marched on to ``R_max``.  A march that stalls
-    (window underflow) raises from ``_march``: ``DomainError`` if its last
-    window passed the largest double (``FluxOverflow``), else
-    ``EvansFailure``.
+    march.  For ``B = 0`` it is one piece, the whole
+    ``constant_flux_profile`` through ``R1``, on the table grid from
+    ``R`` (``nodes_per_window`` is checked and unused).  Otherwise it is
+    the ``solve_cauchy`` march with no blow-up tail: its pieces that
+    cover the annulus decide the scale, and only the accepted scale is
+    marched on to ``R_max``.  A march that stalls (window underflow)
+    raises from ``_march``: ``DomainError`` if its last window passed the
+    largest double (``FluxOverflow``), else ``EvansFailure``.
     """
     if not (0 < R < R1 < R_max):
         raise DomainError("need 0 < R < R1 < R_max")
+    _base_window(R, R_max, nodes_per_window)     # the march's checks
     if not 0 < eps < math.inf:
         raise DomainError(f"eps must be positive and finite, got {eps:g}")
     if pot.b1 is None:
@@ -574,8 +551,6 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
             f"no exhaustion: the Liouville test says {dv.verdict.value} "
             f"(partial integral {dv.partial_integral:.6g}, slope "
             f"{dv.slope_estimate:.6g})", dv)
-    if pot.b1 == 0:
-        flux_grid = _constant_flux_grid(R, R_max, nodes_per_window)
     c = 1.0
     while c >= EVANS_C_MIN:
         mu = choose_mu(op, c)
@@ -583,8 +558,8 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
         if pot.b1 != 0:
             march = _march(M, op, pot, params, R_max, nodes_per_window)
         else:
-            march = _constant_flux_march(M, op, params, flux_grid, R1,
-                                         nodes_per_window)
+            march = _one_piece(constant_flux_profile(M, op, params, R_max,
+                                                     R1=R1))
         pieces = []
         _take(march, pieces, R1)
         grid, z, _ = _concat(pieces)

@@ -118,7 +118,7 @@ def evans_eager_sweep(M, op, pot, R, R1, eps, R_max, nodes_per_window=64,
                       c_min=1e-12):
     """The scale sweep of ``radial.evans_for_triple`` with every scale
     built to ``R_max`` before its sup on the annulus is taken: by
-    ``constant_flux_profile`` for ``B = 0``, else by a full
+    ``constant_flux_profile`` through ``R1`` for ``B = 0``, else by a full
     ``solve_cauchy``.  Any blow-up status fails the sweep.  It asks no
     Liouville test, so its ``exhaustion`` is ``None``."""
     c = 1.0
@@ -126,8 +126,7 @@ def evans_eager_sweep(M, op, pot, R, R1, eps, R_max, nodes_per_window=64,
         mu = radial.choose_mu(op, c)
         params = radial.CauchyParams(R=R, theta=0.0, mu=mu, c=c)
         if pot.b1 == 0:
-            sol = radial.constant_flux_profile(M, op, params, R_max,
-                                               nodes_per_window)
+            sol = radial.constant_flux_profile(M, op, params, R_max, R1=R1)
         else:
             sol = radial.solve_cauchy(M, op, pot, params, R_max,
                                       nodes_per_window=nodes_per_window)

@@ -150,6 +150,16 @@ def test_slope_is_the_least_squares_fit_of_polyfit(R0, n, slope, data):
     # exact
     (lambda r: 1.2e5 * r ** -1.1, 1.0, Verdict.CONVERGES,
      "steady_power_tail"),
+    # steady powers within SLOPE_BAND of -1 converge too: only rounding
+    # (the fit of 1/r returns -1 to ~1e-12) makes a slope critical there
+    (lambda r: r ** -1.002, 1.0, Verdict.CONVERGES, "steady_power_tail"),
+    (lambda r: r ** -1.005, 1.0, Verdict.CONVERGES, "steady_power_tail"),
+    (lambda r: r ** -1.009, 1.0, Verdict.CONVERGES, "steady_power_tail"),
+    # a slope in the band that drifts toward -1 stays critical
+    (lambda r: 1.0 / (r * np.log(math.e + r) ** 0.01), 1.0,
+     Verdict.DIVERGES, "critical_slope"),
+    (lambda r: 1.0 / (r * np.log(math.e + r) ** 0.05), 1.0,
+     Verdict.DIVERGES, "critical_slope"),
     (lambda r: r ** -2.0, 1.0, Verdict.CONVERGES, "tail_within_tolerance"),
     (lambda r: 1.0 / (r * np.log(r)), 2.0, Verdict.INCONCLUSIVE,
      "slope_or_tail_undecided"),

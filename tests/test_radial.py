@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 from scipy.integrate import (cumulative_simpson, cumulative_trapezoid, quad,
                              solve_ivp)
 
@@ -289,6 +290,20 @@ def test_solve_cauchy_vs_adaptive_ode_oracle(m):
     assert ivp.success
     err = np.max(np.abs(sol.z - ivp.sol(sol.grid)[0]))
     assert err < 1e-5
+
+
+def test_solve_cauchy_matches_the_bessel_closed_form():
+    # on the plane at p = 2, (r z')' = r z: z = a I0(r) + b K0(r), with
+    # z(1) = 0 and z'(1) = 1 (I0' = I1, K0' = -K1); 5.463e-8 on r > 2
+    pot = core.potential_from_tag("linear-power:p=2,lambda=1")
+    params = radial.CauchyParams(R=1.0, theta=0.0, mu=1.0, c=1.0)
+    sol = radial.solve_cauchy(EUC2, LAP2, pot, params, 40.0)
+    assert sol.status == radial.COMPLETE
+    a, b = np.linalg.solve([[special.i0(1.0), special.k0(1.0)],
+                            [special.i1(1.0), -special.k1(1.0)]], [0.0, 1.0])
+    r = sol.grid[sol.grid > 2.0]
+    exact = a * special.i0(r) + b * special.k0(r)
+    assert np.max(np.abs(sol.z[sol.grid > 2.0] / exact - 1.0)) <= 5.5e-8
 
 
 def test_solve_cauchy_value_is_the_integral_of_its_slope():
@@ -859,15 +874,20 @@ EXACT_SWEEP = ("euclidean m=2", "euclidean m=3", "table g~r^(1/2)")
 @pytest.mark.parametrize("op", OPERATORS.values(), ids=OPERATORS.keys())
 @pytest.mark.parametrize("make", MANIFOLDS.values(), ids=MANIFOLDS.keys())
 def test_constant_flux_profile_is_the_picard_solution(make, op, tmp_path):
+    # the geometric grid and the march's unit windows share R, R1 = 5,
+    # 10 = 10**(128/128) and R_max; there the two rules agree
     M = make(tmp_path)
     params = radial.CauchyParams(R=1.0, theta=0.2, mu=0.7, c=0.5)
-    exact = radial.constant_flux_profile(M, op, params, 30.0)
+    exact = radial.constant_flux_profile(M, op, params, 30.0, R1=5.0)
     picard = radial.solve_cauchy(M, op, ZERO, params, 30.0)
     assert exact.status == picard.status == radial.COMPLETE
     assert exact.r_max == picard.r_max == 30.0
-    assert np.array_equal(exact.grid, picard.grid)
-    np.testing.assert_allclose(exact.zp, picard.zp, rtol=1e-13, atol=0.0)
-    np.testing.assert_allclose(exact.z, picard.z, rtol=2e-8, atol=0.0)
+    shared, i, j = np.intersect1d(exact.grid, picard.grid,
+                                  return_indices=True)
+    assert shared.tolist() == [1.0, 5.0, 10.0, 30.0]
+    np.testing.assert_allclose(exact.zp[i], picard.zp[j], rtol=1e-13,
+                               atol=0.0)
+    np.testing.assert_allclose(exact.z[i], picard.z[j], rtol=2e-8, atol=0.0)
 
 
 @pytest.mark.parametrize("R1", [2.0, 5.0])
@@ -876,11 +896,9 @@ def test_constant_flux_profile_is_the_picard_solution(make, op, tmp_path):
                          ids=EXACT_SWEEP)
 def test_evans_zero_potential_sweep_is_the_eager_sweep(monkeypatch, make, op,
                                                        R1, tmp_path):
-    # the B = 0 twin of test_evans_scale_sweep_is_the_eager_sweep: a
-    # rejected scale evaluates the slope on the nodes of the windows that
-    # cover [R, R1] plus one; with R_max = 60 each window is 1 wide
-    M, R, R_max, n = make(tmp_path), 1.0, 60.0, 64
-    annulus_nodes = math.ceil(R1 - R) * (n - 1) + 1
+    # the B = 0 twin of test_evans_scale_sweep_is_the_eager_sweep: each
+    # scale evaluates the slope once, on the whole table grid through R1
+    M, R, R_max = make(tmp_path), 1.0, 60.0
     evaluated = []          # (c, nodes) of every slope evaluation
     slope = radial._constant_flux_slope
 
@@ -891,56 +909,82 @@ def test_evans_zero_potential_sweep_is_the_eager_sweep(monkeypatch, make, op,
     monkeypatch.setattr(radial, "_constant_flux_slope", recording)
     try:
         res = radial.evans_for_triple(M, op, ZERO, R=R, R1=R1, eps=0.1,
-                                      R_max=R_max, nodes_per_window=n)
+                                      R_max=R_max)
     except radial.NoExhaustion:
         # R^3 at p = 2: the Liouville test refuses before any build
         assert M is EUC3 and op.p == 2.0
         assert evaluated == []
         return
     monkeypatch.undo()
-    eager = evans_eager_sweep(M, op, ZERO, R=R, R1=R1, eps=0.1, R_max=R_max,
-                              nodes_per_window=n)
+    eager = evans_eager_sweep(M, op, ZERO, R=R, R1=R1, eps=0.1, R_max=R_max)
     assert res.solution.status == eager.solution.status == radial.COMPLETE
     for name in ("grid", "z", "zp"):
         assert np.array_equal(getattr(res.solution, name),
                               getattr(eager.solution, name)), name
     assert (res.c_final, res.mu_final, res.sup_on_annulus) == \
         (eager.c_final, eager.mu_final, eager.sup_on_annulus)
-    rejected = [nodes for c, nodes in evaluated if c > res.c_final]
-    assert rejected and all(nodes <= annulus_nodes + 1 for nodes in rejected)
-    assert len(rejected) == round(math.log2(1.0 / res.c_final))
-    # the accepted scale: its annulus plus one, then the other nodes, so
-    # each node once
-    assert [nodes for c, nodes in evaluated if c == res.c_final] == \
-        [annulus_nodes + 1, len(eager.solution.grid) - annulus_nodes - 1]
+    grid = res.solution.grid
+    assert R1 in grid and grid[-1] == R_max
+    assert res.sup_on_annulus == res.c_final * res.solution.z[
+        np.searchsorted(grid, R1)]
+    assert [c for c, _ in evaluated] == \
+        [2.0 ** -k for k in range(round(math.log2(1.0 / res.c_final)) + 1)]
+    assert all(nodes == len(grid) for _, nodes in evaluated)
 
 
 @pytest.mark.parametrize("R_max, nodes", [
     (60.0, 3718), (60.0 + 5e-9, 3718), (60.0 + 2e-8, 3781)])
-def test_constant_flux_grid_is_the_march_grid(R_max, nodes):
-    # one window-end rule: a window that would leave less than 1e-8 R
-    # takes the rest, so a last 5e-9 joins the window before it, and a
-    # last 2e-8 is a window of its own
+def test_a_window_that_would_leave_a_sliver_takes_the_rest(R_max, nodes):
+    # a window that would leave less than 1e-8 R takes the rest, so a last
+    # 5e-9 joins the window before it, and a last 2e-8 is a window of its
+    # own
     params = radial.CauchyParams(R=1.0, theta=0.0, mu=1.0, c=1.0)
-    exact = radial.constant_flux_profile(EUC2, LAP2, params, R_max)
-    picard = radial.solve_cauchy(EUC2, LAP2, ZERO, params, R_max)
-    assert np.array_equal(exact.grid, picard.grid)
-    assert len(exact.grid) == nodes and exact.grid[-1] == R_max
+    grid = radial.solve_cauchy(EUC2, LAP2, ZERO, params, R_max).grid
+    assert len(grid) == nodes and grid[-1] == R_max
 
 
-def test_constant_flux_profile_matches_closed_forms():
+# the table node 10**(38/128) = 1.98... next to R1 = 2
+NODE = 10.0 ** (38 / 128)
+
+
+@pytest.mark.parametrize("R1, R_max, nodes", [
+    (2.0, 60.0, 230),
+    # a table node within relative 1e-9 of R1 or of R_max gives way to it
+    (NODE * (1.0 + 5e-10), 60.0, 229),
+    (2.0, 10.0 * (1.0 + 5e-10), 130),
+    # R1 within relative 1e-9 of R_max: both stay nodes
+    (60.0 * (1.0 - 5e-10), 60.0, 230),
+    (60.0 - 1e-12, 60.0, 230),
+])
+def test_constant_flux_grid_is_the_table_grid_through_R1(R1, R_max, nodes):
+    params = radial.CauchyParams(R=1.0, theta=0.0, mu=1.0, c=1.0)
+    grid = radial.constant_flux_profile(EUC2, LAP2, params, R_max, R1=R1).grid
+    assert (np.diff(grid) > 0).all() and len(grid) == nodes
+    assert grid[0] == 1.0 and R1 in grid and grid[-1] == R_max
+    # the other nodes are the divergence test's, more than 1e-9 from both
+    table = core.geometric_grid(1.0, R_max)[:-1]
+    keep = np.abs(table / R1 - 1.0) > 1e-9
+    assert np.array_equal(np.setdiff1d(grid, [R1, R_max]), table[keep])
+    # and the profile stays increasing, its sup on [R, R1] at R1
+    res = radial.evans_for_triple(EUC2, LAP2, ZERO, R=1.0, R1=R1, eps=0.1,
+                                  R_max=R_max)
+    assert np.all(np.diff(res.solution.z) > 0)
+    assert res.sup_on_annulus == pytest.approx(
+        res.c_final * math.log(R1), rel=1e-12)
+
+
+@pytest.mark.parametrize("M,op,exact,bound", [
+    # r z' = 1 is constant in log r, where Simpson's rule is exact
+    (EUC2, LAP2, np.log, 1e-14),
+    (EUC3, LAP2, lambda r: 1.0 - 1.0 / r, 5e-9),
+    (EUC2, LAP3, lambda r: 2.0 * (np.sqrt(r) - 1.0), 5e-9),
+], ids=["plane p=2", "R^3 p=2", "plane p=3"])
+def test_constant_flux_profile_matches_closed_forms(M, op, exact, bound):
     # z = log r on the plane, 1 - 1/r on R^3, 2 (sqrt r - 1) on the plane
-    # at p = 3; the error is the cumulative Simpson rule's, as in Picard's
+    # at p = 3; the error is the cumulative Simpson rule's in log r
     params = radial.CauchyParams(R=1.0, theta=0.0, mu=1.0, c=1.0)
-    for M, op, exact in ((EUC2, LAP2, np.log),
-                         (EUC3, LAP2, lambda r: 1.0 - 1.0 / r),
-                         (EUC2, LAP3, lambda r: 2.0 * (np.sqrt(r) - 1.0))):
-        sol = radial.constant_flux_profile(M, op, params, 60.0)
-        picard = radial.solve_cauchy(M, op, ZERO, params, 60.0)
-        err = np.max(np.abs(sol.z - exact(sol.grid)))
-        assert err < 1e-7
-        assert err == pytest.approx(
-            np.max(np.abs(picard.z - exact(sol.grid))), rel=1e-3)
+    sol = radial.constant_flux_profile(M, op, params, 60.0)
+    assert np.max(np.abs(sol.z - exact(sol.grid))) <= bound
 
 
 @pytest.mark.parametrize("R_max", [math.inf, math.nan])
@@ -968,13 +1012,20 @@ def test_constant_flux_profile_names_an_overflowing_weight_ratio():
         radial.constant_flux_profile(M, LAP2, params, 2.0)
 
 
-def test_constant_flux_profile_validation():
+@pytest.mark.parametrize("R_max,R1", [
+    (1.0, None), (math.inf, None), (math.nan, None), (10.0, 1.0),
+    (10.0, 0.5), (10.0, 11.0), (10.0, math.nan)])
+def test_constant_flux_profile_validation(R_max, R1):
     params = radial.CauchyParams(R=1.0, theta=0.0, mu=1.0, c=1.0)
-    with pytest.raises(core.DomainError):
-        radial.constant_flux_profile(EUC2, LAP2, params, 1.0)
-    with pytest.raises(ValueError, match="nodes_per_window must be >= 2"):
-        radial.constant_flux_profile(EUC2, LAP2, params, 10.0,
-                                     nodes_per_window=1)
+    with pytest.raises(core.DomainError, match="R_max must be finite"):
+        radial.constant_flux_profile(EUC2, LAP2, params, R_max, R1=R1)
+
+
+def test_constant_flux_profile_takes_R1_by_keyword():
+    # a fifth positional argument is refused, not read as R1
+    params = radial.CauchyParams(R=1.0, theta=0.0, mu=1.0, c=1.0)
+    with pytest.raises(TypeError):
+        radial.constant_flux_profile(EUC2, LAP2, params, 100.0, 64)
 
 
 # the 12 manifold cases of the benchmark: B = 0 profiles are unbounded
@@ -1033,17 +1084,41 @@ def test_evans_refuses_a_table_shorter_than_its_reach(tmp_path):
         criteria.classify_parabolic(M, LAP2)
 
 
+@pytest.mark.parametrize("tag", ["zero", "linear-power:p=2,lambda=1",
+                                 "plateau:T=1,p=2"])
+@pytest.mark.parametrize("R", [1e-3, 1e-2])
+def test_evans_builds_from_a_small_radius(tag, R):
+    # the march's first window is at most R wide and the B = 0 grid is
+    # geometric from R, so [R, 2R] holds nodes of its own and the profile
+    # increases from R
+    pot = core.potential_from_tag(tag)
+    res = radial.evans_for_triple(EUC2, LAP2, pot, R=R, R1=2.0 * R, eps=0.1,
+                                  R_max=60.0)
+    sol = res.solution
+    assert sol.status == radial.COMPLETE and sol.r_max == 60.0
+    assert np.all(np.diff(sol.z) > 0)
+    assert np.count_nonzero((sol.grid >= R) & (sol.grid <= 2.0 * R)) >= 2
+    # the profile is c mu R log(r/R) near R, exactly for B = 0
+    log_profile = res.c_final * res.mu_final * R * math.log(2.0)
+    if pot.b1 == 0:
+        assert res.sup_on_annulus == pytest.approx(log_profile, rel=1e-9)
+    else:
+        assert res.sup_on_annulus == pytest.approx(log_profile, rel=1e-4)
+
+
 def test_evans_reads_to_the_classifiers_reach():
     # from R = 2e4 the Liouville test reads to max(R_MAX, 100 R) = 2e6,
     # two decades past R, as classify_KL does; a reach clipped to R_MAX
     # lay below R and was refused
     res = radial.evans_for_triple(EUC2, LAP2, ZERO, R=2e4, R1=4e4, eps=0.1,
-                                  R_max=8e4, nodes_per_window=8)
+                                  R_max=8e4)
     assert res.exhaustion == criteria.classify_KL(EUC2, LAP2, ZERO,
                                                   R0=2e4).divergence
     assert res.exhaustion.r_max == 2e6
     assert res.solution.status == radial.COMPLETE
     assert res.solution.r_max == 8e4
+    # the table grid spans 0.6 decades here: 80 nodes
+    assert len(res.solution.grid) < 100
 
 
 def test_evans_inconclusive_exhaustion_is_not_a_verdict():
