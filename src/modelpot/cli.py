@@ -204,15 +204,11 @@ def cmd_evans(cfg, out_path) -> int:
     eps = _get_float(cfg, "eps", required=True, positive=True)
     rmax = _get_float(cfg, "rmax", 100.0, positive=True)
     # read and checked, with no effect: under B <= b1 t**(p-1) no profile
-    # blows up
+    # blows up.  The key stays while the benchmark's threshold jobs send
+    # it; it goes with them, in one change to the benchmark
     _get_float(cfg, "blowup_threshold", positive=True)
-    # read and checked for every potential; it sets the march's nodes only
-    # for B != 0, since a B = 0 profile lies on the table grid (128 nodes
-    # a decade)
-    nodes = _get_int(cfg, "nodes_per_window", 64)
     try:
-        result = radial.evans_for_triple(M, op, pot, R, R1, eps, rmax,
-                                         nodes_per_window=nodes)
+        result = radial.evans_for_triple(M, op, pot, R, R1, eps, rmax)
     except radial.NoExhaustion as exc:
         dv = exc.divergence
         converges = dv.verdict is criteria.Verdict.CONVERGES
@@ -311,7 +307,7 @@ def cmd_obstacle(cfg, out_path) -> int:
 COMMANDS = {
     "classify": (cmd_classify, "manifold m operator potential rmax"),
     "evans": (cmd_evans, "manifold m operator potential R R1 eps rmax "
-              "blowup_threshold nodes_per_window"),
+              "blowup_threshold"),
     "khasminskii": (cmd_khasminskii, "manifold m p lambda K_radius "
                     "Omega_radius eps radii nodes_per_stage"),
     "obstacle": (cmd_obstacle, "manifold m p lambda r_min r_max n_nodes "

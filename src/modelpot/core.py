@@ -118,9 +118,9 @@ class _CumulativeSimpson:
     ``r31 = h1/(h1 + h2)``, ``r32 = r31 (h1/h2)``, ``a = h1/6``,
     ``p = 3 - r31``, ``q = 3 + r32 + r31``, ``s = r32`` and ``y0, y1, y2``
     the triple's samples from node ``j`` outwards: scipy's arithmetic, in
-    its order.  Two-node grids (``nodes_per_window=2``, or a divergence
-    test on an interval shorter than one table step) take the trapezoid
-    rule.
+    its order.  Two-node grids (``solve_cauchy`` with
+    ``nodes_per_window=2``, or a divergence test on an interval shorter
+    than one table step) take the trapezoid rule.
     """
 
     def __init__(self, x):

@@ -174,6 +174,9 @@ def volterra_apply(window: _Window,
 # window fails at a growing increment or PICARD_MAX_ITER.
 PICARD_TOL = 1e-10
 PICARD_MAX_ITER = 200
+# the uniform nodes of each window of an evans march, and solve_cauchy's
+# default, which the tests refine
+NODES_PER_WINDOW = 64
 
 
 def solve_on_interval(M: ModelManifold, op: PhiOperator, pot: PotentialB,
@@ -213,25 +216,20 @@ def solve_on_interval(M: ModelManifold, op: PhiOperator, pot: PotentialB,
         f"application {k}; shrink the interval")
 
 
-def _base_window(R: float, R_max: float, nodes_per_window: int) -> float:
-    """The march's widest window, ``min(1, (R_max - R)/16)``, once
-    ``R < R_max < inf`` and ``nodes_per_window >= 2`` are checked."""
-    if not R < R_max < math.inf:
-        raise DomainError("R_max must be finite and exceed the base radius, "
-                          f"got {R_max:g}")
-    if nodes_per_window < 2:
-        raise ValueError(
-            f"nodes_per_window must be >= 2, got {nodes_per_window}")
-    return min(1.0, (R_max - R) / 16.0)
-
-
 def _march(M: ModelManifold, op: PhiOperator, pot: PotentialB,
            params: CauchyParams, R_max: float, nodes_per_window: int,
            hand_over: bool = False):
     """``solve_cauchy``'s window continuation, lazily: yields the solution
     in pieces ``(grid, z, zp)``, first the node ``(R, theta, mu)`` and then
-    each accepted window without its first node, and returns
-    ``(status, r_reached, blowup_radius)``.
+    each accepted window of ``nodes_per_window`` uniform nodes without its
+    first node, and returns ``(status, r_reached, blowup_radius)``.
+
+    The width rule: ``R < R_max < inf`` is checked; no window is wider
+    than ``min(1, (R_max - R)/16)``, the first no wider than ``R``, so
+    that a march from a small radius resolves it; a window doubles, up to
+    that cap, after one that did not halve; and a window that would leave
+    less than ``1e-8 R`` before ``R_max``, too short to hold distinct
+    nodes, ends at ``R_max``.
 
     With ``hand_over``, the first window that fails where ``z > 0`` hands
     the march over to ``_blowup_tail`` from the last accepted node, once:
@@ -242,10 +240,11 @@ def _march(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     that underflow raises ``DomainError`` if the last window passed the
     largest double (``FluxOverflow``), else ``EvansFailure``; each names
     ``c``, the radius and ``z`` there."""
-    base_window = _base_window(params.R, R_max, nodes_per_window)
-    # the first window is at most R wide, so that a march from a small
-    # radius resolves it; the doublings take it up to base_window
-    window = min(params.R, base_window)
+    if not params.R < R_max < math.inf:
+        raise DomainError("R_max must be finite and exceed the base radius, "
+                          f"got {R_max:g}")
+    cap = min(1.0, (R_max - params.R) / 16.0)
+    window = min(params.R, cap)
     min_window = 1e-8 * params.R
 
     yield np.array([params.R]), np.array([params.theta]), \
@@ -254,7 +253,9 @@ def _march(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     halved = False
     missing = None
     while cur.R < R_max:
-        r_end = _window_end(cur.R, window, R_max, min_window)
+        r_end = cur.R + window
+        if r_end > R_max - min_window:
+            r_end = R_max
         try:
             grid, z, zp = solve_on_interval(M, op, pot, cur, r_end,
                                             n_nodes=nodes_per_window)
@@ -285,18 +286,9 @@ def _march(M: ModelManifold, op: PhiOperator, pot: PotentialB,
             continue
         yield grid[1:], z[1:], zp[1:]
         cur = CauchyParams(r_end, float(z[-1]), float(zp[-1]), params.c)
-        window = window if halved else min(window * 2.0, base_window)
+        window = window if halved else min(window * 2.0, cap)
         halved = False
     return COMPLETE, R_max, None
-
-
-def _window_end(start: float, width: float, R_max: float,
-                min_window: float) -> float:
-    """Where a window of ``width`` from ``start`` ends: at ``R_max`` if it
-    would leave less than ``min_window`` (``1e-8 R``), too short a window
-    to hold distinct nodes, else at ``start + width``."""
-    end = start + width
-    return R_max if end > R_max - min_window else end
 
 
 # The blow-up tail runs y = c z over TAIL_SPAN times its first value; the
@@ -408,26 +400,28 @@ def _take(march, pieces: list, until: float = math.inf):
 def solve_cauchy(M: ModelManifold, op: PhiOperator, pot: PotentialB,
                  params: CauchyParams, R_max: float,
                  blowup_threshold: float = 1e8,
-                 nodes_per_window: int = 64) -> RadialSolution:
+                 nodes_per_window: int = NODES_PER_WINDOW) -> RadialSolution:
     """March the radial problem to ``R_max`` by window continuation.
 
-    Each window is solved by fixed-point iteration; the restart state
-    ``(theta, mu)`` is the last node of its value and slope.  The first
-    window is at most ``R`` wide; windows double, up to
-    ``_base_window``'s width, after one that did not halve.  The
-    first window that fails hands over to ``_blowup_tail``, which
-    certifies a blow-up twice (``keller_osserman`` says ``NotKO_fails``,
-    and the tail's own test finds ``int dz/z'`` to converge) and locates
-    its radius in the variable ``z``: the status is then ``BLOWUP``, and
-    the profile the march's nodes followed by the tail's.  Without both
-    certificates windows halve on, and an underflow raises
-    ``NumericError`` naming the missing one.  ``blowup_threshold`` is
+    Each window of ``nodes_per_window`` uniform nodes (at least 2) is
+    solved by fixed-point iteration; the restart state ``(theta, mu)`` is
+    the last node of its value and slope.  The widths follow ``_march``'s
+    rule.  The first window that fails hands over to ``_blowup_tail``,
+    which certifies a blow-up twice (``keller_osserman`` says
+    ``NotKO_fails``, and the tail's own test finds ``int dz/z'`` to
+    converge) and locates its radius in the variable ``z``: the status is
+    then ``BLOWUP``, and the profile the march's nodes followed by the
+    tail's.  Without both certificates windows halve on, and an underflow
+    raises ``NumericError`` naming the missing one.  ``blowup_threshold`` is
     checked to be positive and otherwise unused: no threshold decides a
     blow-up.
     """
     if not blowup_threshold > 0:
         raise DomainError(f"blowup_threshold must be positive, got "
                           f"{blowup_threshold:g}")
+    if nodes_per_window < 2:
+        raise ValueError(
+            f"nodes_per_window must be >= 2, got {nodes_per_window}")
     pieces = []
     end = _take(_march(M, op, pot, params, R_max, nodes_per_window,
                        hand_over=True), pieces)
@@ -505,8 +499,8 @@ def choose_mu(op: PhiOperator, c: float) -> float:
 
 
 def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
-                     R: float, R1: float, eps: float, R_max: float,
-                     nodes_per_window: int = 64) -> EvansResult:
+                     R: float, R1: float, eps: float, R_max: float
+                     ) -> EvansResult:
     """Exhaustion solution small on the annulus ``[R, R1]``.
 
     An exhaustion exists iff the Liouville property holds, so
@@ -521,16 +515,15 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     operator's, under which no solution blows up.  Each scale runs one
     march.  For ``B = 0`` it is one piece, the whole
     ``constant_flux_profile`` through ``R1``, on the table grid from
-    ``R`` (``nodes_per_window`` is checked and unused).  Otherwise it is
-    the ``solve_cauchy`` march with no blow-up tail: its pieces that
+    ``R``.  Otherwise it is the ``solve_cauchy`` march, on windows of
+    ``NODES_PER_WINDOW`` nodes, with no blow-up tail: its pieces that
     cover the annulus decide the scale, and only the accepted scale is
     marched on to ``R_max``.  A march that stalls (window underflow)
     raises from ``_march``: ``DomainError`` if its last window passed the
     largest double (``FluxOverflow``), else ``EvansFailure``.
     """
-    if not (0 < R < R1 < R_max):
-        raise DomainError("need 0 < R < R1 < R_max")
-    _base_window(R, R_max, nodes_per_window)     # the march's checks
+    if not 0 < R < R1 < R_max < math.inf:
+        raise DomainError("need 0 < R < R1 < R_max < inf")
     if not 0 < eps < math.inf:
         raise DomainError(f"eps must be positive and finite, got {eps:g}")
     if pot.b1 is None:
@@ -556,7 +549,7 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
         mu = choose_mu(op, c)
         params = CauchyParams(R=R, theta=0.0, mu=mu, c=c)
         if pot.b1 != 0:
-            march = _march(M, op, pot, params, R_max, nodes_per_window)
+            march = _march(M, op, pot, params, R_max, NODES_PER_WINDOW)
         else:
             march = _one_piece(constant_flux_profile(M, op, params, R_max,
                                                      R1=R1))

@@ -701,10 +701,6 @@ def test_obstacle_newton_solves_data_past_a_double(theta, capsys):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (EVANS_ARGS + ["--set", "nodes_per_window=1"],
-     "nodes_per_window must be >= 2, got 1"),
-    (EVANS_ARGS + ["--set", "nodes_per_window=0"],
-     "nodes_per_window must be >= 2, got 0"),
     (KHAS_ARGS + ["--set", "m=2", "--set", "nodes_per_stage=1"],
      "nodes_per_stage must be >= 2, got 1"),
 ])
@@ -722,6 +718,9 @@ def test_node_counts_below_two_are_refused(argv, message, capsys):
     (KHAS_ARGS + ["--set", "m=2", "--set", "tol=1e-3"], "tol"),
     (OBST_ARGS + ["--set", "tol=1e-3"], "tol"),
     (OBST_ARGS + ["--rmax", "50"], "rmax"),
+    # evans has no resolution knob: its march lays NODES_PER_WINDOW nodes
+    (EVANS_ARGS + ["--set", "nodes_per_window=64"], "nodes_per_window"),
+    (EVANS_ARGS + ["--set", "nodes_per_window=1"], "nodes_per_window"),
 ])
 def test_keys_the_command_does_not_read_are_refused(argv, key, capsys):
     assert cli.main(argv) == 1

@@ -13,7 +13,7 @@ from scipy import special
 from scipy.integrate import (cumulative_simpson, cumulative_trapezoid, quad,
                              solve_ivp)
 
-from modelpot import core, criteria, radial
+from modelpot import core, criteria, obstacle, radial
 from modelpot.criteria import Verdict
 from oracles import (KL_WARPINGS, OPERATOR_TAGS, WARPINGS, evans_eager_sweep,
                      exhaustion_at_unit_scale, ode_residual,
@@ -228,6 +228,21 @@ def test_solve_on_interval_refuses_fewer_than_two_nodes(n_nodes):
                                  n_nodes=n_nodes)
 
 
+@pytest.mark.parametrize("nodes", [1, 0])
+def test_solve_cauchy_refuses_fewer_than_two_nodes_per_window(nodes,
+                                                              monkeypatch):
+    # refused by the parameter's own name, before any window is solved
+    def no_window(*args, **kwargs):
+        raise AssertionError("a window was solved")
+
+    monkeypatch.setattr(radial, "solve_on_interval", no_window)
+    params = radial.CauchyParams(R=1.0, theta=1.0, mu=0.5, c=1.0)
+    with pytest.raises(ValueError, match=f"nodes_per_window must be >= 2, "
+                                         f"got {nodes}$"):
+        radial.solve_cauchy(EUC2, LAP2, core.linear_power_potential(2.0, 1.0),
+                            params, 5.0, nodes_per_window=nodes)
+
+
 def test_cauchy_params_validation():
     with pytest.raises(ValueError):
         radial.CauchyParams(R=0.0, theta=0.0, mu=1.0, c=1.0)
@@ -321,6 +336,75 @@ def test_solve_cauchy_value_is_the_integral_of_its_slope():
         z, zp = sol.z[window], sol.zp[window]
         integral = cumulative_simpson(zp, x=sol.grid[window], initial=0.0)
         np.testing.assert_allclose(z - z[0], integral, rtol=1e-13, atol=0.0)
+
+
+def test_two_routes_to_one_radial_function():
+    # at lambda > 0 the staged pipeline's unit solution h_N (0 at K = 1, 1
+    # at 32) and the march from K (theta = 0, normalized at 32) solve one
+    # equation, (w phi(u'))' = lambda w phi(u); the forward sweep is second
+    # order, so their largest relative gap on r >= 2 falls about 4x per
+    # doubling of the nodes per stage (4.02 to 4.37 here)
+    radii = [4.0, 8.0, 16.0, 32.0]
+    start = radial.CauchyParams(R=1.0, theta=0.0, mu=1.0, c=1.0)
+    for tag, m, p, lam in [("euclidean", 2, 2.0, 1.0),
+                           ("euclidean", 3, 2.0, 1.0),
+                           ("hyperbolic", 2, 2.0, 0.25),
+                           ("euclidean", 2, 3.0, 1.0),
+                           ("euclidean", 2, 1.5, 1.0)]:
+        M = core.manifold_from_tag(tag, m)
+        sol = radial.solve_cauchy(M, core.p_laplacian_operator(p),
+                                  core.linear_power_potential(p, lam),
+                                  start, 32.0)
+        assert sol.status == radial.COMPLETE and sol.grid[-1] == 32.0
+        gaps = []
+        for nodes in (48, 96, 192):
+            grid = obstacle._construct_grid(1.0, 2.0, radii, nodes)
+            prob = obstacle.make_problem(M, p, lam, grid)
+            h_N = obstacle._unit_solutions(
+                prob, np.searchsorted(grid, radii))[-1]
+            far = grid >= 2.0
+            z = np.interp(grid[far], sol.grid, sol.z / sol.z[-1])
+            gaps.append(np.max(np.abs(h_N[far] - z) / z))
+        ratios = np.divide(gaps[:-1], gaps[1:])
+        assert ((3.8 <= ratios) & (ratios <= 4.5)).all(), (tag, m, p, ratios)
+    # at B = 0 the Evans profile at c = 1 integrates, on the divergence
+    # test's grid and with its rule, the integrand that the test samples,
+    # v_pa = w^(-1/(p-1)), times w(R)^(1/(p-1)) = g(R)^((m-1)/(p-1))
+    for tag, m, p in [("euclidean", 2, 2.0), ("euclidean", 2, 3.0),
+                      ("euclidean", 3, 3.0), ("hyperbolic", 2, 2.0)]:
+        M = core.manifold_from_tag(tag, m)
+        op = core.p_laplacian_operator(p)
+        dv = criteria.classify_parabolic(M, op, R0=1.0).divergence
+        assert dv.r_max == 1e4
+        prof = radial.constant_flux_profile(M, op, start, dv.r_max, R1=10.0)
+        assert np.array_equal(prof.grid, core.geometric_grid(1.0, 1e4))
+        want = math.exp((m - 1) * M.log_g(1.0) / (p - 1.0)) \
+            * dv.partial_integral
+        assert abs(prof.z[-1] / want - 1.0) <= 1e-13, (tag, m, p)
+
+
+@pytest.mark.parametrize("tag", ["p-laplacian:p=2", "p-laplacian:p=3",
+                                 "perturbed:p=2"])
+@pytest.mark.parametrize("potential", [
+    "zero", "linear-power:p=2,lambda=1", "plateau:T=1,p=2",
+    "superlinear:q=5"])
+@pytest.mark.parametrize("k", [1, 4, 20])
+def test_the_scale_is_a_change_of_variable(tag, potential, k):
+    # the march at scale c from (theta, mu) is c z = y, the march at c = 1
+    # from (c theta, c mu): with c a power of two every product by c is
+    # exact, so the two agree bit for bit, blow-ups included
+    op = core.operator_from_tag(tag)
+    pot = core.potential_from_tag(potential)
+    c = 2.0 ** -k
+    scaled = radial.solve_cauchy(
+        EUC2, op, pot, radial.CauchyParams(1.0, 0.3, 0.7, c), 20.0)
+    unit = radial.solve_cauchy(
+        EUC2, op, pot, radial.CauchyParams(1.0, c * 0.3, c * 0.7, 1.0), 20.0)
+    assert np.array_equal(scaled.grid, unit.grid)
+    assert np.array_equal(c * scaled.z, unit.z)
+    assert np.array_equal(c * scaled.zp, unit.zp)
+    assert (scaled.status, scaled.r_max, scaled.blowup_radius) \
+        == (unit.status, unit.r_max, unit.blowup_radius)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -992,11 +1076,11 @@ def test_a_march_to_a_non_finite_radius_is_refused(R_max):
     # an infinite R_max used to march forever with B = 0, and to stop at
     # the blow-up threshold, reported as a blow-up, with B != 0
     params = radial.CauchyParams(R=1.0, theta=1.0, mu=1.0, c=1.0)
+    pot = core.linear_power_potential(2.0, 1.0)
     with pytest.raises(core.DomainError, match="R_max must be finite"):
-        radial._base_window(params.R, R_max, 64)
-    with pytest.raises(core.DomainError, match="R_max must be finite"):
-        radial.solve_cauchy(EUC2, LAP2, core.linear_power_potential(2.0, 1.0),
-                            params, R_max)
+        radial.solve_cauchy(EUC2, LAP2, pot, params, R_max)
+    with pytest.raises(core.DomainError, match="R1 < R_max < inf"):
+        radial.evans_for_triple(EUC2, LAP2, pot, 1.0, 2.0, 0.1, R_max)
 
 
 def test_constant_flux_profile_names_an_overflowing_weight_ratio():
