@@ -533,6 +533,8 @@ class PhiOperator:
 
 def p_laplacian_operator(p: float) -> PhiOperator:
     """``phi(t) = t**(p-1)``."""
+    if not p > 1:
+        raise ValueError(f"exponent p must be > 1, got p={p:g}")
 
     def phi(t):
         return np.asarray(t, dtype=float) ** (p - 1.0)

@@ -547,7 +547,13 @@ def _forward_sweep(prob: DiscreteProblem) -> np.ndarray:
     h, w = prob.h.tolist(), prob.edge_weights.tolist()
     lam_w = (prob.lam * prob.node_weights * prob.dr).tolist()
     r = [0.0]
-    t = w[0] / h[0] ** (p - 1.0)
+    try:
+        t = w[0] / h[0] ** (p - 1.0)     # flux_0 / u_1^(p-1), u_1 = h_0
+    except (OverflowError, ZeroDivisionError):
+        t = math.inf
+    if t == math.inf:
+        raise NumericError(f"the forward sweep overflows at node 0: w_0 / "
+                           f"h_0^(p-1) with h_0 = {h[0]:.3e}")
     for i in range(1, len(h)):
         f = t + lam_w[i]                 # flux_i / u_i^(p-1)
         try:
@@ -620,10 +626,18 @@ def khasminskii_construct(M: ModelManifold, p: float, lam: float,
     - the default ``j* = N`` is the same argument with the roles of
       ``h_{N-1}`` and ``h_N`` swapped.
 
-    The whole profile is rescaled at the end so that the per-stage
-    increments fit the geometric budget (the operator and potential are
-    both (p-1)-homogeneous, so scaling preserves the supersolution property
-    exactly), and the scale-free ``is_supersolution`` checks it.
+    So the last stage is one expression, ``w = h_{j*} + (N-1) h_{N-1}``.
+    Every ``h_j`` is nondecreasing (ratios at most 1 multiplied down from
+    node ``k``, or ``S / S[k]``), so each sup is a value: ``stage_sups``
+    holds the ``h_j(rho_1)``, stage 1 rises by ``h_{j*}(rho_1)`` and stage
+    ``n >= 2`` by ``h_{N-1}(rho_n)`` on ``[K, rho_n]``.
+
+    The whole profile is rescaled at the end by the largest ``sigma <= 1``
+    that fits each rise into ``eps / 2^n`` and the profile into ``eps`` on
+    the control annulus (the operator and potential are both
+    (p-1)-homogeneous, so scaling preserves the supersolution property
+    exactly); ``budget_used`` is ``sigma`` times each rise, and the
+    scale-free ``is_supersolution`` checks the result.
     """
     radii = np.asarray(exhaustion_radii, dtype=float)
     if len(radii) < 4:
@@ -647,7 +661,7 @@ def khasminskii_construct(M: ModelManifold, p: float, lam: float,
     idx_omega = int(np.searchsorted(grid, Omega_radius))
 
     h_funcs = _unit_solutions(prob, idx)
-    sups = np.max(h_funcs[:, :idx[0] + 1], axis=1).tolist()
+    sups = h_funcs[:, idx[0]].tolist()
 
     cls = classify_KL(M, p_laplacian_operator(p),
                       linear_power_potential(p, lam), R0=float(radii[-1]))
@@ -658,26 +672,18 @@ def khasminskii_construct(M: ModelManifold, p: float, lam: float,
             if cls.property is PropertyTag.KL_FAILS else "Inconclusive",
             divergence=cls.divergence, stage_sups=tuple(sups))
 
-    # inductive stages at natural (unit-increment) scale
+    # the last stage at natural (unit-increment) scale, and each stage's
+    # rise on [K, rho_n]: every row is nondecreasing, so a sup is a value
     n_stages = len(radii) - 1
     j_star = next((j for j, s in enumerate(sups) if s <= eps / 2), n_stages)
-    w_nat = h_funcs[j_star]
-    increments = [sups[j_star]]
-
-    for n in range(1, n_stages):
-        w_next = w_nat + h_funcs[-2]
-        increments.append(float(np.max((w_next - w_nat)[:idx[n] + 1])))
-        w_nat = w_next
+    w_nat = h_funcs[j_star] + (n_stages - 1) * h_funcs[-2]
+    increments = [sups[j_star], *h_funcs[-2][idx[1:n_stages]].tolist()]
 
     # rescale so every stage increment fits its geometric budget and the
     # profile is below eps on the control annulus
-    sigma = 1.0
-    for n, inc in enumerate(increments, start=1):
-        if inc > 0:
-            sigma = min(sigma, (eps / 2.0 ** n) / inc)
-    w_omega = float(np.max(w_nat[:idx_omega + 1]))
-    if w_omega > 0:
-        sigma = min(sigma, eps / w_omega)
+    caps = [(eps / 2.0 ** n, inc) for n, inc in enumerate(increments, 1)]
+    caps.append((eps, float(w_nat[idx_omega])))
+    sigma = min([1.0, *(cap / x for cap, x in caps if x > 0)])
     w_final = sigma * w_nat
     budget = tuple(sigma * inc for inc in increments)
 

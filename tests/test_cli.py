@@ -763,6 +763,10 @@ def test_non_finite_numbers_are_refused_by_name(argv, key, capsys):
       "--set", "operator=p-laplacian:p=1e400"],
      "operator tag 'p-laplacian:p=1e400': key 'p' needs a finite number, "
      "got '1e400'"),
+    # p = 1 used to divide by zero in the operator's constants
+    (["classify", "--set", "manifold=euclidean",
+      "--set", "operator=p-laplacian:p=1"],
+     "exponent p must be > 1, got p=1"),
     (OBST_ARGS + ["--set", "obstacle=bump:height=0.8,center=1.5,width=0.1,"
                            "sharpness=3"],
      "config key 'obstacle': obstacle tag 'bump:height=0.8,center=1.5,"

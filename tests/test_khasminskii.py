@@ -273,11 +273,59 @@ def test_sweep_stays_in_range():
     with pytest.raises(core.NumericError,
                        match="the forward sweep overflows at node 1"):
         obstacle.khasminskii_construct(EUC2, 1.1, 1e35, 1.0, 2.0, 0.1, RADII)
+    # its start w_0 / h_0^(p-1) at p = 10: h_0^(p-1) underflows to 0 at
+    # radii near 1e-40 and overflows near 1e40; both used to raise a bare
+    # ZeroDivisionError or OverflowError.  The obstacle solve starts from
+    # the same sweep
+    for scale in (1e-40, 1e40):
+        with pytest.raises(core.NumericError,
+                           match=r"overflows at node 0: w_0 / h_0\^\(p-1\) "
+                                 r"with h_0 = "):
+            obstacle.khasminskii_construct(
+                EUC2, 10.0, 1.0, 1.0 * scale, 2.0 * scale, 0.1,
+                [r * scale for r in RADII])
+        prob = obstacle.make_problem(
+            EUC2, 10.0, 1.0, np.geomspace(scale, 2.0 * scale, 101))
+        with pytest.raises(core.NumericError, match="overflows at node 0"):
+            obstacle.solve_obstacle(prob, obstacle.ObstacleSpec.dirichlet(
+                prob.n_nodes, 0.0, 1.0))
 
 
 def test_stage_zero_solutions_decrease(plane_report):
     sups = plane_report.stage_sups
     assert all(sups[i + 1] <= sups[i] + 1e-9 for i in range(len(sups) - 1))
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_stage_sups_are_values_at_the_first_radius(lam):
+    # every unit solution is nondecreasing bit for bit (ratios <= 1
+    # multiplied down from node k, or S / S[k]), so its sup on [K, rho_1]
+    # is its value at rho_1
+    rep = obstacle.khasminskii_construct(EUC2, 2.0, lam, 1.0, 2.0, 0.1, RADII)
+    prob = rep.w.problem
+    idx = np.searchsorted(prob.grid, RADII)
+    H = obstacle._unit_solutions(prob, idx)
+    assert np.all(np.diff(H, axis=1) >= 0.0)
+    assert rep.stage_sups == tuple(H[:, idx[0]].tolist())
+
+
+def test_budget_entries_are_the_rises_of_the_last_unit_solution():
+    # stage n >= 2 raises the profile by h_{N-1}, whose sup on [K, rho_n]
+    # is h_{N-1}(rho_n): the budget is sigma times that value, even where
+    # it lies far below an ulp of the profile (6e-40 at rho_2 here)
+    radii = [4.0, 8.0, 16.0, 32.0, 64.0, 128.0]
+    rep = obstacle.khasminskii_construct(EUC2, 1.5, 1.0, 1.0, 2.0, 0.1, radii)
+    assert rep.verdict == "PotentialBuilt" and rep.n_stages == 5
+    prob = rep.w.problem
+    idx = np.searchsorted(prob.grid, radii)
+    h_last = obstacle._unit_solutions(prob, idx)[-2]
+    # the profile is sigma (h_{j*} + (N - 1) h_{N-1}), both 1 at rho_N
+    sigma = rep.w.values[-1] / rep.n_stages
+    assert all(b > 0 for b in rep.budget_used)
+    for n in range(1, rep.n_stages):
+        assert rep.budget_used[n] == pytest.approx(sigma * h_last[idx[n]],
+                                                   rel=1e-12, abs=0.0)
+    assert rep.budget_used[1] < 1e-38
 
 
 def test_report_csv_shape(plane_report, monkeypatch, capsys):
