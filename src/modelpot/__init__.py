@@ -51,7 +51,6 @@ from .obstacle import (
     is_supersolution,
     khasminskii_construct,
     make_problem,
-    residual_complementarity,
     solve_dirichlet,
     solve_obstacle,
 )

@@ -123,7 +123,9 @@ def _divergence_rule(R0: float, r_max: float):
     ``R0``, where the grid is one node.
     """
     if not 0 < R0 < r_max < math.inf:
-        raise DomainError("test_L1_at_infinity requires 0 < R0 < r_max < inf")
+        raise DomainError(f"test_L1_at_infinity requires 0 < R0 < r_max < "
+                          f"inf, got R0={float(R0)!r}, "
+                          f"r_max={float(r_max)!r}")
     grid = geometric_grid(R0, r_max)
     if len(grid) < 2:
         raise DomainError(f"[{R0:.17g}, {r_max:.17g}] is too short to "

@@ -136,10 +136,12 @@ def make_problem(M: ModelManifold, p: float, lam: float,
         raise ValueError(f"grid must be finite, got {bad:g}")
     h = grid[1:] - grid[:-1]
     if (h <= 0).any():
-        raise ValueError("grid must be strictly increasing")
+        i = int(np.argmax(h <= 0))
+        lo, hi = grid[i:i + 2].tolist()
+        raise ValueError(f"grid must be strictly increasing: node {i} at "
+                         f"r={lo!r}, node {i + 1} at r={hi!r}")
     if not 1.1 <= p <= 10.0:
-        raise ValueError("exponent p must lie in [1.1, 10]; outside this "
-                         "band the nodal solves lose conditioning")
+        raise ValueError(f"exponent p must lie in [1.1, 10], got p={p:g}")
     if not 0 <= lam < math.inf:
         raise ValueError(f"the potential's lambda must be finite and >= 0, "
                          f"got {lam:g}")
@@ -163,7 +165,7 @@ class DiscreteFunction:
     values: np.ndarray
     problem: DiscreteProblem
     iterations: int = 0              # Newton steps of the solve
-    # the final KKT measures of residual_complementarity, from the gate
+    # the final KKT measures of _kkt_gate
     stationarity: float = math.nan
     obstacle_violation: float = math.nan
     min_slackness: float = math.nan
@@ -330,12 +332,11 @@ def _concave_majorant(prob: DiscreteProblem, spec: ObstacleSpec,
         u[a:b] = ys[a] + slope * (S[a:b] - xs[a])
     u[-1] = spec.theta_right
     u[1:-1] = np.maximum(u[1:-1], psi)
-    failure, stat, viol, slack = _kkt_gate(prob, u, psi)
+    failure, sol = _kkt_gate(prob, u, psi)
     if failure:
         raise NumericError(f"the concave majorant fails the KKT gate: "
                            f"{failure}")
-    return DiscreteFunction(u, prob, iterations=0, stationarity=stat,
-                            obstacle_violation=viol, min_slackness=slack)
+    return sol
 
 
 def _projected_newton(prob: DiscreteProblem, spec: ObstacleSpec,
@@ -368,9 +369,9 @@ def _projected_newton(prob: DiscreteProblem, spec: ObstacleSpec,
     u[1:-1] = np.maximum(u[1:-1], psi)
     # an exact start is returned as it is: a Newton step on it can only
     # move the nodes below the Hessian floor of _floored
-    done = _gated(prob, u, psi, 0)
-    if done is not None:
-        return done
+    failure, sol = _kkt_gate(prob, u, psi)
+    if not failure:
+        return sol
 
     energy = prob.energy(u)
     step = math.inf
@@ -394,24 +395,12 @@ def _projected_newton(prob: DiscreteProblem, spec: ObstacleSpec,
         step = float(np.max(np.abs(trial - u)))
         u, energy = trial, energy_trial
         if step <= NEWTON_TOL * np.max(np.abs(u)):
-            done = _gated(prob, u, psi, it)
-            if done is not None:
-                return done
+            failure, sol = _kkt_gate(prob, u, psi, it)
+            if not failure:
+                return sol
     raise SweepLimitError(
         f"no convergence in {MAX_NEWTON_STEPS} Newton steps (last update "
-        f"{step:.3e})", _kkt_gate(prob, u, psi)[1])
-
-
-def _gated(prob: DiscreteProblem, u, psi, iterations: int):
-    """The node values ``u`` as the solve's result after ``iterations``
-    Newton steps, with the measures of ``_kkt_gate``, if they pass it;
-    else ``None``."""
-    failure, stat, viol, slack = _kkt_gate(prob, u, psi)
-    if failure:
-        return None
-    return DiscreteFunction(u, prob, iterations=iterations,
-                            stationarity=stat, obstacle_violation=viol,
-                            min_slackness=slack)
+        f"{step:.3e})", _kkt_gate(prob, u, psi)[1].stationarity)
 
 
 def solve_dirichlet(prob: DiscreteProblem, theta_left: float,
@@ -420,15 +409,6 @@ def solve_dirichlet(prob: DiscreteProblem, theta_left: float,
     ``solve_obstacle``."""
     spec = ObstacleSpec.dirichlet(prob.n_nodes, theta_left, theta_right)
     return solve_obstacle(prob, spec)
-
-
-def residual_complementarity(prob: DiscreteProblem, u, spec: ObstacleSpec):
-    """Scale-free KKT measures of the node values ``u``, as ``_kkt_gate``
-    forms them in units of ``max|u|``: (max ``_gradient_ratio`` off the
-    contact set, max obstacle violation, min product of the ratio with
-    the gap capped at 1)."""
-    return _kkt_gate(prob, np.asarray(u, dtype=float),
-                     np.asarray(spec.psi, dtype=float))[1:]
 
 
 def _gradient_ratio(prob: DiscreteProblem, u, nodes: float = 0.0):
@@ -450,23 +430,26 @@ def _gradient_ratio(prob: DiscreteProblem, u, nodes: float = 0.0):
     return np.divide(grad, size, out=np.zeros_like(grad), where=size > 0)
 
 
-def _kkt_gate(prob: DiscreteProblem, u, psi):
+def _kkt_gate(prob: DiscreteProblem, u, psi, iterations: int = 0):
     """The KKT gate of both obstacle routes: what the node values ``u``
-    fail (``""`` if nothing), then the three measures of
-    ``residual_complementarity`` (stationarity, violation, slackness) from
-    the same terms.  It reads ``u`` and ``psi`` in units of ``max|u|``, so
-    ``theta u`` against ``theta psi`` as ``u``, with no flux past a double.
-    ``u`` passes where ``_gradient_ratio`` with ``nodes = 1e-3`` (a change
-    of 1e-10 in the terms, 1e-13 in the node values) is within 1e-10 in
-    size off the contact set (the nodes within 1e-9 of ``psi``) and above
-    -1e-10 on it, and ``u`` lies at most 1e-12 below ``psi``.  The node
-    values count because their rounding moves a flux by ``(p-1) u / du``
-    of it, 1.8e11 at p = 1.1 on a 1e-9 core; elsewhere a minimizer's ratio
-    is rounding, <= 4.3e-14 on the benchmark's majorants."""
+    fail (``""`` if nothing), and ``u`` as the solve's result after
+    ``iterations`` Newton steps, with three measures from the same terms:
+    the largest ``_gradient_ratio`` off the contact set (stationarity),
+    the largest obstacle violation, and the least product of the ratio
+    with the gap capped at 1 (slackness).  It reads ``u`` and ``psi`` in
+    units of ``max|u|``, so ``theta u`` against ``theta psi`` as ``u``,
+    with no flux past a double.  ``u`` passes where ``_gradient_ratio``
+    with ``nodes = 1e-3`` (a change of 1e-10 in the terms, 1e-13 in the
+    node values) is within 1e-10 in size off the contact set (the nodes
+    within 1e-9 of ``psi``) and above -1e-10 on it, and ``u`` lies at
+    most 1e-12 below ``psi``.  The node values count because their
+    rounding moves a flux by ``(p-1) u / du`` of it, 1.8e11 at p = 1.1 on
+    a 1e-9 core; elsewhere a minimizer's ratio is rounding, <= 4.3e-14 on
+    the benchmark's majorants."""
     scale = float(np.max(np.abs(u))) or 1.0
-    u, psi = u / scale, psi / scale
-    inner = u[1:-1]
-    ratio = _gradient_ratio(prob, u, nodes=1e-3)
+    x, psi = u / scale, psi / scale
+    inner = x[1:-1]
+    ratio = _gradient_ratio(prob, x, nodes=1e-3)
     off = inner > psi + 1e-9
     defect = np.where(off, np.abs(ratio), -ratio)
     stationarity = float(np.max(defect[off], initial=0.0))
@@ -479,7 +462,9 @@ def _kkt_gate(prob: DiscreteProblem, u, psi):
         failure = f"KKT defect {defect[i]:.3e} at node {i + 1} (gate 1e-10)"
     elif not violation <= 1e-12:
         failure = f"obstacle violation {violation:.3e} max|u| (gate 1e-12)"
-    return failure, stationarity, violation, slackness
+    return failure, DiscreteFunction(
+        u, prob, iterations=iterations, stationarity=stationarity,
+        obstacle_violation=violation, min_slackness=slackness)
 
 
 @dataclass(frozen=True)
@@ -520,19 +505,21 @@ def _construct_grid(K_radius, Omega_radius, radii, nodes_per_stage):
     """Geometric master grid containing every control radius exactly: one
     ``geomspace`` pass gives every stage, from each control radius to the
     next, as a row whose ends are exactly those radii (numpy takes array
-    ends elementwise, in the arithmetic of scalar ones).  A stage too short
-    for ``nodes_per_stage`` distinct doubles would lose nodes to
-    ``np.unique``; ``ValueError`` names its two radii."""
+    ends elementwise, in the arithmetic of scalar ones), and the grid is
+    the rows laid end to end, so control radius ``j`` is node ``j
+    (nodes_per_stage - 1)``.  A row that does not strictly increase, a
+    stage too short for ``nodes_per_stage`` distinct doubles, is refused:
+    ``ValueError`` names its two radii."""
     ends = np.array([K_radius, Omega_radius, *radii], dtype=float)
     stages = np.geomspace(ends[:-1], ends[1:], nodes_per_stage, axis=1)
-    grid = np.unique(stages)
-    if len(grid) < len(stages) * (nodes_per_stage - 1) + 1:
-        i = int(np.argmax((np.diff(stages, axis=1) <= 0).any(axis=1)))
+    flat = (np.diff(stages, axis=1) <= 0).any(axis=1)
+    if flat.any():
+        i = int(np.argmax(flat))
         lo, hi = ends[i:i + 2].tolist()
         raise ValueError(
             f"the stage from r={lo!r} to r={hi!r} is too short for "
             f"{nodes_per_stage} distinct nodes")
-    return grid
+    return np.append(stages[:, :-1], ends[-1])
 
 
 def _forward_sweep(prob: DiscreteProblem) -> np.ndarray:
@@ -657,8 +644,9 @@ def khasminskii_construct(M: ModelManifold, p: float, lam: float,
 
     grid = _construct_grid(K_radius, Omega_radius, radii, nodes_per_stage)
     prob = make_problem(M, p, lam, grid)
-    idx = np.searchsorted(grid, radii)
-    idx_omega = int(np.searchsorted(grid, Omega_radius))
+    # the grid's rows share their ends: control radius j is node j (n - 1)
+    idx_omega = nodes_per_stage - 1
+    idx = idx_omega * np.arange(2, len(radii) + 2)
 
     h_funcs = _unit_solutions(prob, idx)
     sups = h_funcs[:, idx[0]].tolist()

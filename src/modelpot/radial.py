@@ -218,7 +218,7 @@ def solve_on_interval(M: ModelManifold, op: PhiOperator, pot: PotentialB,
 
 def _march(M: ModelManifold, op: PhiOperator, pot: PotentialB,
            params: CauchyParams, R_max: float, nodes_per_window: int,
-           hand_over: bool = False):
+           hand_over: bool = False, R1: float = math.inf):
     """``solve_cauchy``'s window continuation, lazily: yields the solution
     in pieces ``(grid, z, zp)``, first the node ``(R, theta, mu)`` and then
     each accepted window of ``nodes_per_window`` uniform nodes without its
@@ -229,7 +229,9 @@ def _march(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     that a march from a small radius resolves it; a window doubles, up to
     that cap, after one that did not halve; and a window that would leave
     less than ``1e-8 R`` before ``R_max``, too short to hold distinct
-    nodes, ends at ``R_max``.
+    nodes, ends at ``R_max``.  ``R1``, the outer radius of an
+    ``evans_for_triple`` annulus, is a stop by the same rule, so that the
+    march holds it as a node; an ``R1`` within ``1e-8 R`` of ``R`` is none.
 
     With ``hand_over``, the first window that fails where ``z > 0`` hands
     the march over to ``_blowup_tail`` from the last accepted node, once:
@@ -253,9 +255,10 @@ def _march(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     halved = False
     missing = None
     while cur.R < R_max:
+        stop = R1 if cur.R + min_window < R1 < R_max else R_max
         r_end = cur.R + window
-        if r_end > R_max - min_window:
-            r_end = R_max
+        if r_end > stop - min_window:
+            r_end = stop
         try:
             grid, z, zp = solve_on_interval(M, op, pot, cur, r_end,
                                             n_nodes=nodes_per_window)
@@ -516,8 +519,9 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     march.  For ``B = 0`` it is one piece, the whole
     ``constant_flux_profile`` through ``R1``, on the table grid from
     ``R``.  Otherwise it is the ``solve_cauchy`` march, on windows of
-    ``NODES_PER_WINDOW`` nodes, with no blow-up tail: its pieces that
-    cover the annulus decide the scale, and only the accepted scale is
+    ``NODES_PER_WINDOW`` nodes, with no blow-up tail and a window end at
+    ``R1``: its pieces up to ``R1`` decide the scale by their sup, which
+    the increasing profile takes at ``R1``, and only the accepted scale is
     marched on to ``R_max``.  A march that stalls (window underflow)
     raises from ``_march``: ``DomainError`` if its last window passed the
     largest double (``FluxOverflow``), else ``EvansFailure``.
@@ -549,7 +553,8 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
         mu = choose_mu(op, c)
         params = CauchyParams(R=R, theta=0.0, mu=mu, c=c)
         if pot.b1 != 0:
-            march = _march(M, op, pot, params, R_max, NODES_PER_WINDOW)
+            march = _march(M, op, pot, params, R_max, NODES_PER_WINDOW,
+                           R1=R1)
         else:
             march = _one_piece(constant_flux_profile(M, op, params, R_max,
                                                      R1=R1))

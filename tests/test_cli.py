@@ -773,6 +773,22 @@ def test_non_finite_numbers_are_refused_by_name(argv, key, capsys):
      "width=0.1,sharpness=3': bump takes the keys ['height', 'center', "
      "'width'] in that order, got ['height', 'center', 'width', "
      "'sharpness']"),
+    # a --set item, a number and an integer that do not read
+    (["classify", "--set", "manifold"],
+     "config key 'manifold': --set needs key=value"),
+    (EVANS_ARGS + ["--set", "eps=small"],
+     "config key 'eps': not a number: 'small'"),
+    (["classify", "--set", "manifold=euclidean", "--set", "m=2.5"],
+     "config key 'm': not an integer: '2.5'"),
+    # refusals that name the values they refuse
+    (["classify", "--set", "manifold=euclidean", "--set", "rmax=1e-3"],
+     "test_L1_at_infinity requires 0 < R0 < r_max < inf, got R0=1.0, "
+     "r_max=0.001"),
+    (KHAS_ARGS + ["--set", "m=2", "--set", "p=1.05"],
+     "exponent p must lie in [1.1, 10], got p=1.05"),
+    (OBST_ARGS + ["--set", "r_min=2", "--set", "r_max=1"],
+     "grid must be strictly increasing: node 0 at r=2.0, node 1 at "
+     "r=1.977"),
 ])
 def test_tags_are_refused_by_key_and_value(argv, named, capsys):
     with warnings.catch_warnings(record=True) as seen:

@@ -310,6 +310,30 @@ def test_tabulated_manifold_refuses_a_negative_first_radius():
         core.tabulated_manifold(r, [0.0, 0.5, 1.0, 2.0, 5.0], m=2)
 
 
+@pytest.mark.parametrize("r,g,named", [
+    ([0.5, 1.0, 2.0], [0.5, 1.0], "r and g samples must be 1-D arrays of "
+                                  "equal length"),
+    ([0.5, 2.0, 1.0], [0.5, 2.0, 1.0], "r samples must be strictly "
+                                       "increasing"),
+    ([0.0, 0.5, 1.0], [0.1, 0.5, 1.0], "tabulated warping must satisfy "
+                                       "g(0)=0"),
+    ([0.5, 1.0, 2.0], [0.5, 0.0, 2.0], "tabulated warping must be positive "
+                                       "for r > 0"),
+], ids=["shape", "order", "g(0)", "positive"])
+def test_tabulated_manifold_refuses_its_samples_by_check(r, g, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        core.tabulated_manifold(r, g, m=2)
+
+
+def test_load_manifold_csv_refuses_a_third_column(tmp_path):
+    r = np.linspace(0.01, 5.0, 30)
+    path = tmp_path / "warp.csv"
+    np.savetxt(path, np.column_stack([r, r, r]), delimiter=",",
+               header="r,g,h", comments="")
+    with pytest.raises(ValueError, match="exactly two columns"):
+        core.load_manifold_csv(path, m=2)
+
+
 def test_load_manifold_csv(tmp_path):
     r = np.linspace(0.01, 5.0, 300)
     path = tmp_path / "warp.csv"
@@ -442,6 +466,10 @@ def test_operator_invalid_constants():
         # wrong pinching: phi = t but claimed p = 3
         core.PhiOperator(phi=lambda t: t, phi_prime=lambda t: 1.0,
                          p=3.0, a1=1.0, a2=1.0)
+    with pytest.raises(ValueError, match="phi must be strictly increasing"):
+        # within t <= phi <= 2 t, but it drops from 2 t to t at t = 1
+        core.PhiOperator(phi=lambda t: np.where(t < 1.0, 2.0 * t, t),
+                         phi_prime=lambda t: 1.0, p=2.0, a1=1.0, a2=2.0)
 
 
 def test_operator_refuses_a_wrong_inverse():

@@ -18,6 +18,18 @@ EUC2 = core.manifold_from_tag("euclidean", 2)
 EUC3 = core.manifold_from_tag("euclidean", 3)
 
 
+def gate_measures(prob, u, psi):
+    """The gate's verdict on ``u`` and its three KKT measures, read off the
+    result ``_kkt_gate`` builds."""
+    failure, res = obstacle._kkt_gate(prob, u, psi)
+    return failure, (res.stationarity, res.obstacle_violation,
+                     res.min_slackness)
+
+
+def measures(sol):
+    return sol.stationarity, sol.obstacle_violation, sol.min_slackness
+
+
 def make_euclidean_problem(m=3, p=2.0, lam=0.0, n=41, lo=1.0, hi=2.0):
     M = core.manifold_from_tag("euclidean", m)
     return obstacle.make_problem(M, p, lam, np.linspace(lo, hi, n))
@@ -29,18 +41,23 @@ def make_euclidean_problem(m=3, p=2.0, lam=0.0, n=41, lo=1.0, hi=2.0):
 
 def test_make_problem_validation():
     grid = np.linspace(1.0, 2.0, 11)
-    with pytest.raises(ValueError):
-        obstacle.make_problem(EUC3, 1.05, 0.0, grid)    # p out of range
-    with pytest.raises(ValueError):
-        obstacle.make_problem(EUC3, 11.0, 0.0, grid)
+    for p in (1.05, 11.0, math.nan):                   # p out of range
+        with pytest.raises(ValueError, match=re.escape(
+                f"exponent p must lie in [1.1, 10], got p={p:g}")):
+            obstacle.make_problem(EUC3, p, 0.0, grid)
     with pytest.raises(ValueError):
         obstacle.make_problem(EUC3, 2.0, -1.0, grid)    # negative lambda
     for lam in (math.nan, math.inf):
         with pytest.raises(ValueError, match=f"lambda must be finite and "
                                              f">= 0, got {lam:g}"):
             obstacle.make_problem(EUC3, 2.0, lam, grid)
-    with pytest.raises(ValueError):
+    # the first pair that does not increase is named
+    with pytest.raises(ValueError, match=r"strictly increasing: node 0 at "
+                                         r"r=2\.0, node 1 at r=1\.9$"):
         obstacle.make_problem(EUC3, 2.0, 0.0, grid[::-1])
+    with pytest.raises(ValueError, match=r"node 4 at r=1\.4, node 5 at "
+                                         r"r=1\.4$"):
+        obstacle.make_problem(EUC3, 2.0, 0.0, np.insert(grid, 4, grid[4]))
     with pytest.raises(ValueError):
         obstacle.make_problem(EUC3, 2.0, 0.0, np.array([1.0, 2.0]))
     # a nan passes the ordering check
@@ -271,23 +288,23 @@ def test_majorant_keeps_the_kkt_gate(monkeypatch):
 
 def test_kkt_gate_reads_the_residual_sign_on_the_contact_set():
     # u = psi at every interior node, on a convex obstacle: no node is off
-    # the contact set and none lies below psi, so the off-contact measures
-    # of residual_complementarity see nothing, but the gradient pushes every
-    # node off the obstacle (its ratio is about -0.5 at p = 2)
+    # the contact set and none lies below psi, so the gate's off-contact
+    # measures see nothing, but the gradient pushes every node off the
+    # obstacle (its ratio is about -0.5 at p = 2)
     prob = make_euclidean_problem(m=2, p=2.0, n=21)
     u = (prob.grid - 1.0) ** 2
     spec = obstacle.ObstacleSpec(u[1:-1], u[0], u[-1])
-    stat, viol, _ = obstacle.residual_complementarity(prob, u, spec)
+    failure, (stat, viol, _) = gate_measures(prob, u, spec.psi)
     assert stat == 0.0 and viol == 0.0
     assert re.fullmatch(r"KKT defect 5\.\d\d\de-01 at node 1 \(gate 1e-10\)",
-                        obstacle._kkt_gate(prob, u, spec.psi)[0])
+                        failure)
     # the minimizer clears psi and passes, with the reported measures
     for lam in (0.0, 1.0):
         prob = make_euclidean_problem(m=2, p=2.0, lam=lam, n=21)
         sol = obstacle.solve_obstacle(prob, spec)
         assert np.all(sol.values[1:-1] > spec.psi)
-        assert obstacle._kkt_gate(prob, sol.values, spec.psi) == (
-            "", sol.stationarity, sol.obstacle_violation, sol.min_slackness)
+        assert gate_measures(prob, sol.values, spec.psi) == ("",
+                                                             measures(sol))
 
 
 def test_obstacle_inactive_when_below_solution():
@@ -304,8 +321,7 @@ def test_obstacle_solution_above_obstacle_and_stationary():
     rng = np.random.default_rng(3)
     spec = random_bump_spec(prob, rng)
     sol = obstacle.solve_obstacle(prob, spec)
-    stat, viol, slack = obstacle.residual_complementarity(prob, sol.values,
-                                                          spec)
+    _, (stat, viol, slack) = gate_measures(prob, sol.values, spec.psi)
     assert viol == 0.0
     assert stat <= 1e-8
     assert slack >= -1e-6
@@ -322,6 +338,22 @@ def test_obstacle_infeasible_raises():
         obstacle.solve_obstacle(
             prob, obstacle.ObstacleSpec(np.full(prob.n_nodes - 2, math.nan),
                                         0.0, 1.0))
+
+
+@pytest.mark.parametrize("psi_len,left,right,error,named", [
+    (10, 0.0, 1.0, ValueError, "obstacle must be given at the interior "
+                               "nodes"),
+    (9, math.nan, 1.0, obstacle.ConstraintError,
+     "boundary values must be finite"),
+    (9, 0.0, math.inf, obstacle.ConstraintError,
+     "boundary values must be finite"),
+], ids=["length", "nan left", "inf right"])
+def test_obstacle_specs_are_refused_by_name(psi_len, left, right, error,
+                                            named):
+    prob = make_euclidean_problem(n=11)
+    spec = obstacle.ObstacleSpec(np.zeros(psi_len), left, right)
+    with pytest.raises(error, match=named):
+        obstacle.solve_obstacle(prob, spec)
 
 
 def test_sweep_limit_raises(monkeypatch):
@@ -385,7 +417,8 @@ def test_scaled_data_scale_the_newton_solve(tag, m, p, lam, span, shape,
 def test_kkt_gate_refuses_a_lifted_contact_node_at_every_scale(lam):
     # a contact node lifted 5e-4 of max|u| off psi is off the contact set
     # at every scale, where its stationarity defect is not rounding; an
-    # absolute contact set of 1e-9 took it for contact at theta = 1e-6
+    # absolute contact set of 1e-9 took it for contact at theta = 1e-6.
+    # An obstacle raised as far over a contact node is violated there
     prob, psi = _cli_problem("euclidean", 3, 2.0, lam, (1.0, 2.0),
                              "bump:height=1.5,center=1.5,width=0.3")
     u = obstacle.solve_obstacle(
@@ -394,10 +427,15 @@ def test_kkt_gate_refuses_a_lifted_contact_node_at_every_scale(lam):
     assert len(contact) >= 3
     lifted = u.copy()
     lifted[contact[len(contact) // 2]] += 5e-4 * np.max(u)
+    raised = psi.copy()
+    raised[contact[len(contact) // 2] - 1] += 5e-4 * np.max(u)
     for theta in (1e-6, 1.0, 1e6):
         assert obstacle._kkt_gate(prob, theta * u, theta * psi)[0] == ""
         assert obstacle._kkt_gate(prob, theta * lifted,
                                   theta * psi)[0].startswith("KKT defect")
+        assert re.fullmatch(r"obstacle violation 5\.000e-04 max\|u\| "
+                            r"\(gate 1e-12\)", obstacle._kkt_gate(
+                                prob, theta * u, theta * raised)[0])
 
 
 @pytest.mark.parametrize("tag, m, p, lam", [
@@ -428,11 +466,10 @@ def test_solver_reports_its_work():
         else:
             assert 1 <= sol.iterations <= 20
         assert 0.0 <= sol.stationarity <= 1e-8
-        # the gate's measures are residual_complementarity's, bit for bit
-        assert (sol.stationarity, sol.obstacle_violation,
-                sol.min_slackness) == obstacle.residual_complementarity(
-            prob, sol.values,
-            obstacle.ObstacleSpec.dirichlet(prob.n_nodes, 0.5, 1.0))
+        # the solve's measures are the gate's on the values it returned,
+        # bit for bit: at lambda > 0 those are Newton's times s
+        psi = np.full(prob.n_nodes - 2, -math.inf)
+        assert gate_measures(prob, sol.values, psi) == ("", measures(sol))
 
 
 def test_predicates_take_problem_and_values():
@@ -441,10 +478,8 @@ def test_predicates_take_problem_and_values():
     prob = make_euclidean_problem(m=2, p=3.0, n=81)
     spec = random_bump_spec(prob, np.random.default_rng(11))
     sol = obstacle.solve_obstacle(prob, spec)
-    stat, viol, slack = obstacle.residual_complementarity(prob, sol.values,
-                                                          spec)
-    assert (stat, viol, slack) == (sol.stationarity, sol.obstacle_violation,
-                                   sol.min_slackness)
+    failure, (stat, viol, slack) = gate_measures(prob, sol.values, spec.psi)
+    assert (failure, (stat, viol, slack)) == ("", measures(sol))
     assert viol == 0.0 and slack >= -1e-6
     check = obstacle.is_supersolution(prob, sol.values, tol=1e-10)
     assert check.ok and 1 <= check.worst_node <= prob.n_nodes - 2

@@ -2,7 +2,9 @@
 construction: closed forms, an independent adaptive-ODE oracle, blow-up
 detection and the slope-selection rules."""
 
+import dataclasses
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -556,22 +558,29 @@ def _log_corrected(t):
     return t * np.log(math.e + t) ** 2
 
 
-@pytest.mark.parametrize("pot,R_max,message", [
-    (core.PotentialB(_log_corrected), 50.0,
+@pytest.mark.parametrize("op,pot,R_max,message", [
+    (LAP2, core.PotentialB(_log_corrected), 50.0,
      "keller_osserman says Inconclusive"),
-    (core.superlinear_potential(1.0), 800.0,
+    (LAP2, core.superlinear_potential(1.0), 800.0,
      "keller_osserman says NotKO_holds"),
-], ids=["t log^2(e+t)", "t"])
-def test_a_window_underflow_names_the_missing_certificate(pot, R_max,
+    (dataclasses.replace(LAP2, derivative_pinched=False),
+     core.superlinear_potential(5.0), 100.0,
+     "window underflow at radius 1.80696, where z = 7905.46, with no "
+     "blow-up certificate: keller_osserman requires the derivative-pinched "
+     "operator flag"),
+], ids=["t log^2(e+t)", "t", "t^5 unpinched"])
+def test_a_window_underflow_names_the_missing_certificate(op, pot, R_max,
                                                           message):
     # at p = 2, B = t log^2(e + t) has beta^(-1/2) ~ 1/(t log t), whose
     # slope drifts toward -1: its growth test is Inconclusive, and its
     # profile passes a double near r = 8.7; B = t does not blow up, and
-    # its profile passes a double near r = 705.5.  Either way the windows
+    # its profile passes a double near r = 705.5.  B = t^5 blows up near
+    # r = 1.807, but the growth test needs the derivative-pinched flag,
+    # which this copy of the p-Laplacian drops.  Each way the windows
     # halve until they underflow, which no threshold turns into a blow-up
     params = radial.CauchyParams(R=1.0, theta=1.0, mu=1.0, c=1.0)
-    with pytest.raises(core.NumericError, match=message):
-        radial.solve_cauchy(EUC2, LAP2, pot, params, R_max)
+    with pytest.raises(core.NumericError, match=re.escape(message)):
+        radial.solve_cauchy(EUC2, op, pot, params, R_max)
 
 
 def test_blowup_threshold_is_checked_and_unused():
@@ -907,6 +916,57 @@ def test_evans_crossing_past_the_annulus_of_a_rejected_scale():
                               R_max=40.0)
     assert res.c_final == eager.c_final == 0.125
     assert np.array_equal(res.solution.z, eager.solution.z)
+
+
+@pytest.mark.parametrize("R_max", [12.0, 40.0])
+def test_evans_reads_the_annulus_up_to_R1(R_max):
+    # the c = 1/16 profile on the plane is 0.0509727 at R1 = 2 (solve_cauchy
+    # to R1), above eps = 0.0509.  At R_max = 12 no window of the march
+    # used to end at R1, and the sup was read at the last node below it,
+    # 0.0506058, which accepted c = 1/16; at R_max = 40, [1, 2] is the
+    # first window, and c = 1/32 was accepted
+    pot = core.linear_power_potential(2.0, 1.0)
+    c = 1.0 / 16.0
+    to_R1 = radial.solve_cauchy(
+        EUC2, LAP2, pot,
+        radial.CauchyParams(1.0, 0.0, radial.choose_mu(LAP2, c), c), 2.0)
+    assert c * to_R1.z[-1] > 0.0509
+    res = radial.evans_for_triple(EUC2, LAP2, pot, R=1.0, R1=2.0,
+                                  eps=0.0509, R_max=R_max)
+    assert res.c_final == 1.0 / 32.0
+
+
+R1_OFF_WINDOW_ENDS = {
+    "plane p=2 R_max=12": (EUC2, LAP2, "linear-power:p=2,lambda=1", 1.0,
+                           2.0, 12.0),
+    "plane p=2 R1=1.7": (EUC2, LAP2, "linear-power:p=2,lambda=1", 1.0, 1.7,
+                         40.0),
+    "plane m=3 p=3 R1=1.7": (EUC3, LAP3, "linear-power:p=3,lambda=1", 1.0,
+                             1.7, 12.0),
+    "hyperbolic m=2 p=2 R=0.5 R1=3": (
+        core.manifold_from_tag("hyperbolic", 2), LAP2,
+        "linear-power:p=2,lambda=1", 0.5, 3.0, 12.0),
+    "hyperbolic m=3 perturbed R1=1.7": (
+        core.manifold_from_tag("hyperbolic", 3),
+        core.operator_from_tag("perturbed:p=2"),
+        "linear-power:p=2,lambda=1", 1.0, 1.7, 12.0),
+}
+
+
+@pytest.mark.parametrize("M,op,tag,R,R1,R_max", R1_OFF_WINDOW_ENDS.values(),
+                         ids=R1_OFF_WINDOW_ENDS.keys())
+def test_evans_march_ends_a_window_at_R1(M, op, tag, R, R1, R_max):
+    # R1 is no window end of solve_cauchy's march, but the evans march
+    # ends one there, so the increasing profile's sup on [R, R1] is its
+    # value at R1
+    pot = core.potential_from_tag(tag)
+    res = radial.evans_for_triple(M, op, pot, R=R, R1=R1, eps=0.1,
+                                  R_max=R_max)
+    params = radial.CauchyParams(R, 0.0, res.mu_final, res.c_final)
+    assert R1 not in radial.solve_cauchy(M, op, pot, params, R_max).grid
+    at_R1 = np.flatnonzero(res.solution.grid == R1)
+    assert len(at_R1) == 1
+    assert res.sup_on_annulus == res.c_final * res.solution.z[at_R1[0]]
 
 
 @pytest.mark.parametrize("pot,exponents", [
