@@ -172,7 +172,7 @@ class ModelManifold:
 
     def __post_init__(self):
         if self.m < 2:
-            raise ValueError("dimension m must be >= 2")
+            raise ValueError(f"dimension m must be >= 2, got m={self.m}")
 
     def _check_radius(self, r):
         # no radius passes an infinite table end, so only a table scans
@@ -311,7 +311,8 @@ def read_tag(tag: str, kinds: dict, what: str, *args):
 
 def _power_exp_manifold(alpha: float, m: int) -> ModelManifold:
     if not alpha > 0:
-        raise ValueError("power-exp preset requires alpha > 0")
+        raise ValueError(f"power-exp preset requires alpha > 0, got "
+                         f"alpha={alpha:g}")
     return ModelManifold(
         m, lambda r: np.log(r) + np.asarray(r, dtype=float) ** alpha, True,
         f"power-exp:alpha={alpha:g}")
@@ -554,7 +555,8 @@ def p_laplacian_operator(p: float) -> PhiOperator:
 def perturbed_operator(p: float) -> PhiOperator:
     """``phi(t) = t**(p-1) * (1 + 1/(1+t))``, a non-homogeneous exemplar."""
     if not 1.25 < p <= 5:
-        raise ValueError("perturbed preset supported for p in (1.25, 5]")
+        raise ValueError(f"perturbed preset supported for p in (1.25, 5], "
+                         f"got p={p:g}")
 
     def phi(t):
         t = np.asarray(t, dtype=float)
@@ -700,7 +702,7 @@ def zero_potential() -> PotentialB:
 def linear_power_potential(p: float, lam: float) -> PotentialB:
     """``B(t) = lam * t**(p-1)``."""
     if not lam >= 0:
-        raise ValueError("lambda must be >= 0")
+        raise ValueError(f"lambda must be >= 0, got lambda={lam:g}")
 
     def B(t):
         return lam * np.asarray(t, dtype=float) ** (p - 1.0)
@@ -712,7 +714,7 @@ def linear_power_potential(p: float, lam: float) -> PotentialB:
 def plateau_potential(T: float, p: float) -> PotentialB:
     """``B(t) = max(t - T, 0)**(p-1)``; vanishes on ``[0, T]``."""
     if not T > 0:
-        raise ValueError("plateau width T must be positive")
+        raise ValueError(f"plateau width T must be positive, got T={T:g}")
 
     def B(t):
         return np.maximum(np.asarray(t, dtype=float) - T, 0.0) ** (p - 1.0)
@@ -724,7 +726,8 @@ def plateau_potential(T: float, p: float) -> PotentialB:
 def superlinear_potential(q: float) -> PotentialB:
     """``B(t) = t**q``."""
     if not q > 0:
-        raise ValueError("superlinear exponent q must be positive")
+        raise ValueError(f"superlinear exponent q must be positive, got "
+                         f"q={q:g}")
 
     def B(t):
         return np.asarray(t, dtype=float) ** q

@@ -22,8 +22,9 @@ relative, so scaling the data scales the minimizer, as scaling the
 weights does: they are relative to the grid's largest.
 
 The staged construction makes no solve: one forward sweep gives its
-unit solutions, and its final check is a componentwise backward error,
-which no weight scale can trip; its verdict is the Liouville classifier's.
+unit solutions, and its final check is the KKT gate's componentwise
+backward error, which no weight scale can trip; its verdict is the
+Liouville classifier's.
 """
 
 from __future__ import annotations
@@ -45,6 +46,9 @@ MAX_NEWTON_STEPS = 200
 # Newton stops on an update of at most NEWTON_TOL of max|u|: scale-free,
 # like radial.PICARD_TOL
 NEWTON_TOL = 1e-10
+# the backward error _gradient_ratio that both gates forgive: off the contact
+# set in size (_kkt_gate), and from below at every node (is_supersolution)
+GATE = 1e-10
 
 
 class ConstraintError(ValueError):
@@ -130,7 +134,8 @@ def make_problem(M: ModelManifold, p: float, lam: float,
     and the problem."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 3:
-        raise ValueError("grid must be 1-D with at least 3 nodes")
+        raise ValueError(f"grid must be 1-D with at least 3 nodes, got shape "
+                         f"{grid.shape}")
     if not np.isfinite(grid).all():      # a NaN passes the order check
         bad = grid[~np.isfinite(grid)][0]
         raise ValueError(f"grid must be finite, got {bad:g}")
@@ -411,21 +416,23 @@ def solve_dirichlet(prob: DiscreteProblem, theta_left: float,
     return solve_obstacle(prob, spec)
 
 
-def _gradient_ratio(prob: DiscreteProblem, u, nodes: float = 0.0):
+def _gradient_ratio(prob: DiscreteProblem, u):
     """``dJ/du_i`` at the interior nodes over the size of its terms,
-    ``|flux_{i-1}| + |flux_i| + lambda w_i dr_i |u_i|^(p-1)`` (0
-    where that vanishes, and with it the gradient): a componentwise
-    backward error (Oettli-Prager), which scaling ``u`` or the weights
-    leaves unchanged.  With ``nodes``, each flux counts that many times its
-    change under a unit relative change of its node values as well,
-    ``(p-1) (|u_i| + |u_{i+1}|) / |u_{i+1} - u_i|`` times the flux."""
+    ``|flux_{i-1}| + |flux_i| + lambda w_i dr_i |u_i|^(p-1)`` (0 where that
+    vanishes, and with it the gradient), where each flux counts 1e-3 times
+    its change under a unit relative change of its node values as well,
+    ``(p-1) (|u_i| + |u_{i+1}|) / |u_{i+1} - u_i|`` times the flux: a
+    componentwise backward error (Oettli-Prager), which scaling ``u`` or
+    the weights leaves unchanged.  A ratio within ``GATE`` is a change of
+    1e-10 in the terms or 1e-13 in the node values.  The node values count
+    because their rounding moves a flux by ``(p-1) u / du`` of it, 1.8e11
+    at p = 1.1 on a 1e-9 core; elsewhere a minimizer's ratio is rounding,
+    <= 4.3e-14 on the benchmark's majorants."""
     flux, pot = prob._terms(u)
     grad = (flux[:-1] - flux[1:]) + pot[1:-1]
-    edge = np.abs(flux)
-    if nodes:
-        du, au = np.abs(np.diff(u)), np.abs(u)
-        edge *= 1.0 + nodes * (prob.p - 1.0) * np.divide(
-            au[:-1] + au[1:], du, out=np.zeros_like(du), where=du > 0)
+    du, au = np.abs(np.diff(u)), np.abs(u)
+    edge = np.abs(flux) * (1.0 + 1e-3 * (prob.p - 1.0) * np.divide(
+        au[:-1] + au[1:], du, out=np.zeros_like(du), where=du > 0))
     size = edge[:-1] + edge[1:] + np.abs(pot[1:-1])
     return np.divide(grad, size, out=np.zeros_like(grad), where=size > 0)
 
@@ -438,18 +445,14 @@ def _kkt_gate(prob: DiscreteProblem, u, psi, iterations: int = 0):
     the largest obstacle violation, and the least product of the ratio
     with the gap capped at 1 (slackness).  It reads ``u`` and ``psi`` in
     units of ``max|u|``, so ``theta u`` against ``theta psi`` as ``u``,
-    with no flux past a double.  ``u`` passes where ``_gradient_ratio``
-    with ``nodes = 1e-3`` (a change of 1e-10 in the terms, 1e-13 in the
-    node values) is within 1e-10 in size off the contact set (the nodes
-    within 1e-9 of ``psi``) and above -1e-10 on it, and ``u`` lies at
-    most 1e-12 below ``psi``.  The node values count because their
-    rounding moves a flux by ``(p-1) u / du`` of it, 1.8e11 at p = 1.1 on
-    a 1e-9 core; elsewhere a minimizer's ratio is rounding, <= 4.3e-14 on
-    the benchmark's majorants."""
+    with no flux past a double.  ``u`` passes where ``_gradient_ratio`` is
+    within ``GATE`` in size off the contact set (the nodes within 1e-9 of
+    ``psi``) and at least ``-GATE`` on it, as ``is_supersolution`` asks at
+    every node, and ``u`` lies at most 1e-12 below ``psi``."""
     scale = float(np.max(np.abs(u))) or 1.0
     x, psi = u / scale, psi / scale
     inner = x[1:-1]
-    ratio = _gradient_ratio(prob, x, nodes=1e-3)
+    ratio = _gradient_ratio(prob, x)
     off = inner > psi + 1e-9
     defect = np.where(off, np.abs(ratio), -ratio)
     stationarity = float(np.max(defect[off], initial=0.0))
@@ -458,8 +461,8 @@ def _kkt_gate(prob: DiscreteProblem, u, psi, iterations: int = 0):
     slackness = float(np.min(gap * ratio))
     i = int(np.argmax(defect))
     failure = ""
-    if not defect[i] <= 1e-10:
-        failure = f"KKT defect {defect[i]:.3e} at node {i + 1} (gate 1e-10)"
+    if not defect[i] <= GATE:
+        failure = f"KKT defect {defect[i]:.3e} at node {i + 1} (gate {GATE:g})"
     elif not violation <= 1e-12:
         failure = f"obstacle violation {violation:.3e} max|u| (gate 1e-12)"
     return failure, DiscreteFunction(
@@ -474,15 +477,13 @@ class SupersolutionCheck:
     worst_residual: float
 
 
-def is_supersolution(prob: DiscreteProblem, u, tol: float = 1e-8
-                     ) -> SupersolutionCheck:
+def is_supersolution(prob: DiscreteProblem, u) -> SupersolutionCheck:
     """Discrete supersolution test of the node values ``u``: at every
-    interior node ``_gradient_ratio >= -tol``, that is ``dJ/du_i >= -tol
-    (|flux_{i-1}| + |flux_i| + lambda w_i dr_i |u_i|^(p-1))``.
-    ``worst_residual`` is the least ratio."""
+    interior node ``_gradient_ratio >= -GATE``, the bound the KKT gate puts
+    on its contact set.  ``worst_residual`` is the least ratio."""
     ratio = _gradient_ratio(prob, u)
     worst = int(np.argmin(ratio))
-    return SupersolutionCheck(bool(ratio[worst] >= -tol), worst + 1,
+    return SupersolutionCheck(bool(ratio[worst] >= -GATE), worst + 1,
                               float(ratio[worst]))
 
 
@@ -623,19 +624,24 @@ def khasminskii_construct(M: ModelManifold, p: float, lam: float,
     that fits each rise into ``eps / 2^n`` and the profile into ``eps`` on
     the control annulus (the operator and potential are both
     (p-1)-homogeneous, so scaling preserves the supersolution property
-    exactly); ``budget_used`` is ``sigma`` times each rise, and the
-    scale-free ``is_supersolution`` checks the result.
+    exactly); ``budget_used`` is ``sigma`` times each rise, and
+    ``is_supersolution``, the KKT gate's backward error, checks the result.
     """
     radii = np.asarray(exhaustion_radii, dtype=float)
     if len(radii) < 4:
-        raise ValueError("need at least 4 exhaustion radii")
+        raise ValueError(f"need at least 4 exhaustion radii, got {len(radii)}")
     if not np.isfinite(radii).all():
         bad = radii[~np.isfinite(radii)][0]
         raise ValueError(f"exhaustion radii must be finite, got {bad:g}")
     if np.any(np.diff(radii) <= 0):
-        raise ValueError("exhaustion radii must be increasing")
+        i = int(np.argmax(np.diff(radii) <= 0))
+        raise ValueError(f"exhaustion radii must be increasing: radius {i} "
+                         f"is {radii[i]:g}, radius {i + 1} is "
+                         f"{radii[i + 1]:g}")
     if not (0 < K_radius < Omega_radius < radii[0]):
-        raise ValueError("need K_radius < Omega_radius < first radius")
+        raise ValueError(f"need 0 < K_radius < Omega_radius < first radius, "
+                         f"got K_radius={K_radius:g}, Omega_radius="
+                         f"{Omega_radius:g}, first radius {radii[0]:g}")
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps:g}")
     if nodes_per_stage < 2:
@@ -675,11 +681,9 @@ def khasminskii_construct(M: ModelManifold, p: float, lam: float,
     w_final = sigma * w_nat
     budget = tuple(sigma * inc for inc in increments)
 
-    # the stages are supersolutions in exact arithmetic, so the defect is
-    # rounding: node values carry up to n ulps from the sweep's running
-    # products (n <~ 400 nodes: ~1e-13 relative), which a flux magnifies by
-    # (p - 1) u / du <~ 1e3 on these geometric grids
-    check = is_supersolution(prob, w_final, tol=1e-10)
+    # the stages are supersolutions in exact arithmetic: the defect is the
+    # rounding of the sweep's running products, which the gate counts
+    check = is_supersolution(prob, w_final)
     if not check.ok:
         raise NumericError(
             f"final profile fails the supersolution check at node "

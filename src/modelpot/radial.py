@@ -515,7 +515,10 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     matched slope each time, until the scaled solution stays below
     ``eps`` on the annulus.  Requires a monotone
     warping and a potential with a ``t**(p-1)`` upper bound, ``p`` the
-    operator's, under which no solution blows up.  Each scale runs one
+    operator's, under which no solution blows up: a growth exponent above
+    ``p - 1`` breaks it for large ``t``, and a pure power ``lambda t**q``
+    with ``lambda > 0`` and ``q < p - 1`` near 0, and both are refused by
+    their exponents before the classifier runs.  Each scale runs one
     march.  For ``B = 0`` it is one piece, the whole
     ``constant_flux_profile`` through ``R1``, on the table grid from
     ``R``.  Otherwise it is the ``solve_cauchy`` march, on windows of
@@ -538,6 +541,14 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
         raise DomainError(
             f"potential {pot.name} grows like t**{pot.homogeneity:g}, "
             f"faster than t**(p-1) = t**{op.p - 1.0:g} of the operator "
+            f"{op.name}; its bound b1 t**(p-1) does not hold")
+    # a pure power lambda t**q; plateau, the preset with a kink, vanishes
+    # on [0, T], where its bound holds
+    if (pot.homogeneity is not None and pot.homogeneity < op.p - 1.0
+            and pot.b1 and pot.kink is None):
+        raise DomainError(
+            f"potential {pot.name} grows like t**{pot.homogeneity:g} near 0, "
+            f"slower than t**(p-1) = t**{op.p - 1.0:g} of the operator "
             f"{op.name}; its bound b1 t**(p-1) does not hold")
     if not M.monotone:
         raise DomainError("the construction requires a non-decreasing warping")

@@ -488,7 +488,7 @@ def comparison_check(prob, w, s, tol=1e-8):
 
     A failure indicates a solver bug, not an unfortunate input.
     """
-    cw = obstacle.is_supersolution(prob, w, tol=max(tol, 1e-6))
+    cw = obstacle.is_supersolution(prob, w)
     cs = is_subsolution(prob, s, tol=max(tol, 1e-6))
     if not cw.ok:
         raise DomainError(
@@ -509,8 +509,8 @@ def pasting_min(prob, w1, w2, start):
     global one: node value arrays in, node value array out.
 
     Junction values must agree to 1e-8; the kinks introduced by the min
-    keep the supersolution sign of the defect, which callers verify with a
-    relaxed tolerance.
+    keep the supersolution sign of the defect, which callers verify with
+    ``is_supersolution``.
     """
     stop = start + len(w2)
     if start < 0 or stop > prob.n_nodes:
@@ -599,6 +599,6 @@ def structural_property_failures(seed, lam_scale, n_trials=1000):
                                       theta_right=float(sol.values[j]))
         w2 = obstacle.solve_obstacle(subp, spec2)
         pasted = pasting_min(prob, sol.values, w2.values, i)
-        if not obstacle.is_supersolution(prob, pasted, tol=1e-6).ok:
+        if not obstacle.is_supersolution(prob, pasted).ok:
             failures["pasting"] += 1
     return failures

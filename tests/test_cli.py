@@ -332,6 +332,19 @@ def test_evans_refuses_a_potential_faster_than_the_operator(capsys):
     assert "grows like t**2, faster than t**(p-1) = t**1" in captured.err
 
 
+def test_evans_refuses_a_potential_slower_than_the_operator(capsys):
+    code = cli.main(
+        ["evans", "--set", "manifold=euclidean", "--set", "m=2",
+         "--set", "operator=p-laplacian:p=3",
+         "--set", "potential=linear-power:p=2,lambda=1", "--set", "R=0.5",
+         "--set", "R1=3", "--set", "eps=0.1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert ("grows like t**1 near 0, slower than t**(p-1) = t**2"
+            in captured.err)
+
+
 def test_evans_invalid_eps(capsys):
     code, _ = run_cli(
         ["evans", "--set", "manifold=euclidean", "--set", "m=2",
@@ -789,6 +802,28 @@ def test_non_finite_numbers_are_refused_by_name(argv, key, capsys):
     (OBST_ARGS + ["--set", "r_min=2", "--set", "r_max=1"],
      "grid must be strictly increasing: node 0 at r=2.0, node 1 at "
      "r=1.977"),
+    (["classify", "--set", "manifold=euclidean", "--set", "m=1"],
+     "dimension m must be >= 2, got m=1"),
+    (["classify", "--set", "manifold=power-exp:alpha=0"],
+     "power-exp preset requires alpha > 0, got alpha=0"),
+    (["classify", "--set", "manifold=euclidean",
+      "--set", "operator=perturbed:p=6"],
+     "perturbed preset supported for p in (1.25, 5], got p=6"),
+    (EVANS_ARGS + ["--set", "potential=linear-power:p=2,lambda=-1"],
+     "lambda must be >= 0, got lambda=-1"),
+    (EVANS_ARGS + ["--set", "potential=plateau:T=0,p=2"],
+     "plateau width T must be positive, got T=0"),
+    (EVANS_ARGS + ["--set", "potential=superlinear:q=0"],
+     "superlinear exponent q must be positive, got q=0"),
+    (KHAS_ARGS + ["--set", "m=2", "--set", "radii=4,8,16"],
+     "need at least 4 exhaustion radii, got 3"),
+    (KHAS_ARGS + ["--set", "m=2", "--set", "radii=4,8,8,32"],
+     "exhaustion radii must be increasing: radius 1 is 8, radius 2 is 8"),
+    (KHAS_ARGS + ["--set", "m=2", "--set", "K_radius=3"],
+     "need 0 < K_radius < Omega_radius < first radius, got K_radius=3, "
+     "Omega_radius=2, first radius 4"),
+    (OBST_ARGS + ["--set", "n_nodes=2"],
+     "grid must be 1-D with at least 3 nodes, got shape (2,)"),
 ])
 def test_tags_are_refused_by_key_and_value(argv, named, capsys):
     with warnings.catch_warnings(record=True) as seen:

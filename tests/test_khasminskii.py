@@ -48,7 +48,7 @@ def test_plane_budget_and_smallness(plane_report):
 def test_plane_profile_is_supersolution_and_monotone(plane_report):
     rep = plane_report
     prob = rep.w.problem
-    assert obstacle.is_supersolution(prob, rep.w.values, tol=1e-10).ok
+    assert obstacle.is_supersolution(prob, rep.w.values).ok
     assert np.all(np.diff(rep.w.values) >= -1e-12)
 
 
@@ -115,8 +115,7 @@ def test_verdict_is_the_classifier_from_the_last_radius(monkeypatch):
         assert rep.verdict == "PotentialBuilt"
         assert rep.h_limit_sup == 0.0
         assert rep.divergence.reason == "critical_slope"
-        assert obstacle.is_supersolution(rep.w.problem, rep.w.values,
-                                         tol=1e-10).ok
+        assert obstacle.is_supersolution(rep.w.problem, rep.w.values).ok
     assert calls == [
         ("p-laplacian:p=2", "linear-power:p=2,lambda=0", criteria.R_MAX, 32.0),
         ("p-laplacian:p=2", "linear-power:p=2,lambda=1", criteria.R_MAX, 32.0),
@@ -246,17 +245,58 @@ def test_scale_free_gate_builds_where_the_absolute_one_failed():
     prob, w = rep.w.problem, rep.w.values
     # the problem's weights are relative to exp(log_scale)
     assert math.exp(prob.log_scale) * prob.residual(w)[187] < -1e-3
-    check = obstacle.is_supersolution(prob, w, tol=1e-10)
+    check = obstacle.is_supersolution(prob, w)
     assert check.ok and check.worst_residual > -1e-12
     # scaling by a power of two is exact at p = 2, and leaves the ratio
-    assert obstacle.is_supersolution(prob, 2.0 ** 300 * w,
-                                     tol=1e-10) == check
+    assert obstacle.is_supersolution(prob, 2.0 ** 300 * w) == check
     # a dip of 1e-8 relative at that node is not rounding, and is refused
     dipped = w.copy()
     dipped[187] *= 1.0 - 1e-8
-    check = obstacle.is_supersolution(prob, dipped, tol=1e-10)
+    check = obstacle.is_supersolution(prob, dipped)
     assert not check.ok
     assert check.worst_node == 187 and check.worst_residual < -1e-8
+
+
+@pytest.mark.parametrize("delta", [54 * 2.0 ** -52, 1e-12, 1e-9, 1e-6],
+                         ids=["54ulps", "1e-12", "1e-9", "1e-6"])
+@pytest.mark.parametrize("p, lam", [(2.0, 0.0), (2.0, 1.0), (3.0, 0.0),
+                                    (3.0, 1.0)])
+def test_short_stage_builds_its_exact_supersolution(p, lam, delta):
+    # a stage from 4 to 4 (1 + delta) (54 ulps is the shortest with 48
+    # distinct nodes) makes du tiny against u there, so the rounding of the
+    # node values moves a flux by (p-1) u / du of it: the final gate counts
+    # that, as the KKT gate does, and passes the profile, a supersolution in
+    # exact arithmetic.  A measure of the fluxes alone refused it (-1.4e-5
+    # at node 117 for p = 2, lambda = 0, delta = 1e-9)
+    radii = [4.0, 4.0 * (1.0 + delta), 16.0, 32.0]
+    rep = obstacle.khasminskii_construct(EUC2, p, lam, 1.0, 2.0, 0.1, radii)
+    assert rep.verdict == "PotentialBuilt"
+    prob, w = rep.w.problem, rep.w.values
+    assert obstacle.is_supersolution(prob, w).worst_residual > -1e-12
+    # the profile is its own obstacle solution, after 0 steps; at p = 3,
+    # lambda = 0 on 54 ulps the hull refuses its own majorant at rho_2
+    # (KKT defect 0.88 at node 141), on values the gate does not make
+    if (p, lam) != (3.0, 0.0) or delta >= 1e-12:
+        sol = obstacle.solve_obstacle(
+            prob, obstacle.ObstacleSpec(w[1:-1], w[0], w[-1]))
+        assert sol.iterations == 0
+        assert np.max(np.abs(sol.values - w)) <= 4e-16 * np.max(w)
+    # a dip of 1e-8 relative inside the short stage (nodes 94..141) is not
+    # rounding, and is refused at its node
+    for i in (100, 115, 130):
+        dipped = w.copy()
+        dipped[i] *= 1.0 - 1e-8
+        check = obstacle.is_supersolution(prob, dipped)
+        assert not check.ok and check.worst_node == i
+
+
+def test_p_near_one_gate_counts_the_node_values():
+    # at p = 1.1 on hyperbolic m=3 the final gate refused the built profile
+    # by fluxes alone; counting the node values' rounding it builds
+    M = core.manifold_from_tag("hyperbolic", 3)
+    rep = obstacle.khasminskii_construct(M, 1.1, 0.25, 1.0, 2.0, 0.1, RADII)
+    assert rep.verdict == "PotentialBuilt"
+    assert obstacle.is_supersolution(rep.w.problem, rep.w.values).ok
 
 
 def test_sweep_stays_in_range():
@@ -268,8 +308,7 @@ def test_sweep_stays_in_range():
         rep = obstacle.khasminskii_construct(EUC2, p, lam, 1.0, 2.0, 0.1,
                                              RADII)
         assert rep.verdict == "PotentialBuilt", (p, lam)
-        assert obstacle.is_supersolution(rep.w.problem, rep.w.values,
-                                         tol=1e-10).ok
+        assert obstacle.is_supersolution(rep.w.problem, rep.w.values).ok
     with pytest.raises(core.NumericError,
                        match="the forward sweep overflows at node 1"):
         obstacle.khasminskii_construct(EUC2, 1.1, 1e35, 1.0, 2.0, 0.1, RADII)
@@ -347,7 +386,7 @@ def test_positive_lambda_pipeline_runs():
         EUC2, 2.0, 0.5, K_radius=1.0, Omega_radius=2.0, eps=0.1,
         exhaustion_radii=RADII)
     assert rep.verdict == "PotentialBuilt"
-    assert obstacle.is_supersolution(rep.w.problem, rep.w.values, tol=1e-10).ok
+    assert obstacle.is_supersolution(rep.w.problem, rep.w.values).ok
 
 
 def test_plane_pipeline_at_p3():
@@ -357,7 +396,7 @@ def test_plane_pipeline_at_p3():
         exhaustion_radii=RADII)
     assert rep.verdict == "PotentialBuilt"
     assert sum(rep.budget_used) <= eps + 1e-12
-    assert obstacle.is_supersolution(rep.w.problem, rep.w.values, tol=1e-10).ok
+    assert obstacle.is_supersolution(rep.w.problem, rep.w.values).ok
     assert np.all(np.diff(rep.w.values) >= -1e-12)
 
 
@@ -464,8 +503,7 @@ def test_stage_obstacle_is_its_own_solution(tag, m, stages):
                                if s <= 0.05), len(radii) - 1)
                 for n in range(1, len(radii) - 1):
                     psi = h_funcs[j_star] + n * h_funcs[-2]
-                    assert obstacle.is_supersolution(prob, psi,
-                                                     tol=1e-10).ok
+                    assert obstacle.is_supersolution(prob, psi).ok
                     # at lambda > 0 Newton starts from max((n + 1) h_N,
                     # psi), which is psi
                     out = obstacle.solve_obstacle(

@@ -325,7 +325,7 @@ def test_obstacle_solution_above_obstacle_and_stationary():
     assert viol == 0.0
     assert stat <= 1e-8
     assert slack >= -1e-6
-    assert obstacle.is_supersolution(prob, sol.values, tol=1e-10).ok
+    assert obstacle.is_supersolution(prob, sol.values).ok
 
 
 def test_obstacle_infeasible_raises():
@@ -481,7 +481,7 @@ def test_predicates_take_problem_and_values():
     failure, (stat, viol, slack) = gate_measures(prob, sol.values, spec.psi)
     assert (failure, (stat, viol, slack)) == ("", measures(sol))
     assert viol == 0.0 and slack >= -1e-6
-    check = obstacle.is_supersolution(prob, sol.values, tol=1e-10)
+    check = obstacle.is_supersolution(prob, sol.values)
     assert check.ok and 1 <= check.worst_node <= prob.n_nodes - 2
 
 
@@ -633,7 +633,7 @@ def test_pasting_min_supersolution():
                                  theta_right=w1.values[j])
     w2 = obstacle.solve_obstacle(sub, spec)
     pasted = pasting_min(prob, w1.values, w2.values, i)
-    assert obstacle.is_supersolution(prob, pasted, tol=1e-10).ok
+    assert obstacle.is_supersolution(prob, pasted).ok
 
 
 def test_pasting_min_junction_mismatch():

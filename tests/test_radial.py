@@ -982,6 +982,32 @@ def test_evans_refuses_potentials_growing_faster_than_the_operator(
                                 R_max=10.0)
 
 
+def test_evans_refuses_a_pure_power_slower_than_the_operator(monkeypatch):
+    # a p = 3 operator needs B <= b1 t^2, which lambda t fails near 0: the
+    # refusal names both exponents before any classifier call or march
+    # (from R = 0.5 the scales used to halve to the floor, "no admissible
+    # scale", and from R = 1 a scale was accepted)
+    op = core.p_laplacian_operator(3.0)
+    calls = []
+    monkeypatch.setattr(radial, "classify_KL",
+                        lambda *args, **kw: calls.append(args))
+    for M in (EUC2, core.manifold_from_tag("hyperbolic", 3)):
+        for R, R1 in ((1.0, 2.0), (0.5, 3.0)):
+            with pytest.raises(core.DomainError,
+                               match=r"t\*\*1 near 0, slower than "
+                                     r"t\*\*\(p-1\) = t\*\*2 "):
+                radial.evans_for_triple(M, op, core.linear_power_potential(
+                    2.0, 1.0), R=R, R1=R1, eps=0.1, R_max=12.0)
+    assert calls == []
+    monkeypatch.undo()
+    # B = 0 and a potential that vanishes on [0, T] keep their bound
+    for pot in (core.linear_power_potential(2.0, 0.0),
+                core.plateau_potential(1.0, 2.0)):
+        res = radial.evans_for_triple(EUC2, op, pot, R=1.0, R1=2.0, eps=0.1,
+                                      R_max=12.0)
+        assert res.solution.status == radial.COMPLETE
+
+
 # ---------------------------------------------------------------------------
 # B = 0: the constant-flux closed form against the Picard march
 
