@@ -13,7 +13,9 @@ Output is CSV with '#'-prefixed ``key=value`` metadata lines before the
 header; identical configs produce byte-identical output.  ``evans`` and
 ``khasminskii`` name in ``# reason=`` the deciding branch of the Liouville
 test and in ``# r_max=`` the radius it read to, ``classify`` in its
-``reason`` column the branch of each row's test.
+``reason`` column the branch of each row's test.  ``evans`` counts in
+``# picard_applications=`` and ``# failed_windows=`` the Picard work of
+its marches, every scale tried (0 for ``B = 0``, which takes none).
 This module alone knows that format.
 """
 
@@ -225,6 +227,8 @@ def cmd_evans(cfg, out_path) -> int:
         ["command=evans", f"c={result.c_final:.12g}",
          f"mu={result.mu_final:.12g}",
          f"sup_on_annulus={result.sup_on_annulus:.12g}",
+         f"picard_applications={sol.applications}",
+         f"failed_windows={sol.failed_windows}",
          f"status={sol.status}", f"reason={dv.reason}",
          f"r_max={dv.r_max:.12g}"], "w", sol.grid, result.c_final * sol.z))
     return EXIT_OK

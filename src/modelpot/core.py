@@ -99,10 +99,36 @@ def _simpson_indices(n_sub: int) -> tuple[np.ndarray, np.ndarray]:
     return other, nodes
 
 
+@functools.lru_cache(maxsize=32)
+def _uniform_simpson(n: int) -> np.ndarray:
+    """``K_n/12``, where ``h K_n/12`` applied to samples on ``n >= 2``
+    uniform nodes of spacing ``h`` is ``_CumulativeSimpson``'s rule on
+    them, up to rounding: the lower-triangular matrix of the radial
+    windows.  Row ``i`` of the integer matrix ``K_n`` is the running sum
+    over the sub-intervals ``j < i`` of the weights ``5, 8, -1`` of their
+    triples from node ``j`` outwards (``_simpson_indices(n - 1)``), and
+    ``6, 6`` for the trapezoid of two nodes.  Built on first use and
+    read-only, since every uniform grid of ``n`` nodes shares it."""
+    sub = np.zeros((n - 1, n))
+    if n == 2:
+        sub[0] = 6.0
+    else:
+        j = np.arange(n - 1)
+        for nodes, weight in zip(_simpson_indices(n - 1)[1], (5, 8, -1)):
+            sub[j, nodes] += weight
+    rule = np.zeros((n, n))
+    np.cumsum(sub, axis=0, out=rule[1:])
+    rule /= 12.0
+    rule.flags.writeable = False
+    return rule
+
+
 class _CumulativeSimpson:
     """Cumulative integral from 0 on a strictly increasing grid ``x``
-    (``ValueError`` otherwise), the one Simpson rule of the package: the
-    radial windows and the divergence test both use it.
+    (``ValueError`` otherwise), the Simpson rule of the divergence test,
+    the blow-up tail and the ``B = 0`` profile; the radial windows, whose
+    grids are uniform, take the same rule as the matrix
+    ``_uniform_simpson``.
     ``_CumulativeSimpson(x)(y)`` is
     ``scipy.integrate.cumulative_simpson(y, x=x, initial=0)``, bit for bit,
     without its array-API dispatch, which costs more than the rule on a
@@ -118,8 +144,7 @@ class _CumulativeSimpson:
     ``r31 = h1/(h1 + h2)``, ``r32 = r31 (h1/h2)``, ``a = h1/6``,
     ``p = 3 - r31``, ``q = 3 + r32 + r31``, ``s = r32`` and ``y0, y1, y2``
     the triple's samples from node ``j`` outwards: scipy's arithmetic, in
-    its order.  Two-node grids (``solve_cauchy`` with
-    ``nodes_per_window=2``, or a divergence test on an interval shorter
+    its order.  Two-node grids (a divergence test on an interval shorter
     than one table step) take the trapezoid rule.
     """
 
@@ -215,6 +240,16 @@ def geometric_grid(lo: float, hi: float) -> np.ndarray:
     return np.append(nodes[(nodes < hi) & (hi - nodes > 1e-9 * nodes)], hi)
 
 
+def distinct(values) -> np.ndarray:
+    """The numbers of the 1-D ``values``, sorted, each once: ``np.unique``
+    without its first call's import of ``numpy.ma``, which costs a
+    command more than its own arithmetic."""
+    out = np.sort(np.asarray(values, dtype=float))
+    keep = np.ones(len(out), dtype=bool)
+    keep[1:] = out[1:] != out[:-1]
+    return out[keep]
+
+
 def grid_through(lo: float, radii) -> np.ndarray:
     """``geometric_grid`` from ``lo`` to the largest of ``radii`` (each in
     ``[lo, inf)``; ``lo`` alone if there are none), with ``lo`` and every
@@ -222,12 +257,12 @@ def grid_through(lo: float, radii) -> np.ndarray:
     of the ``B = 0`` Evans profile.  A table node within relative 1e-9 of
     a radius gives way to it, rather than leave a sliver panel beside it;
     ``lo`` is a node anyway."""
-    asked = np.unique(radii)
+    asked = distinct(radii)
     own = geometric_grid(lo, float(np.max(asked, initial=lo)))[1:]
     i = np.searchsorted(asked, own)
     gap = np.minimum(np.abs(own - asked[np.maximum(i - 1, 0)]),
                      np.abs(asked[np.minimum(i, len(asked) - 1)] - own))
-    return np.unique(np.concatenate([[lo], own[gap > 1e-9 * own], asked]))
+    return distinct(np.concatenate([[lo], own[gap > 1e-9 * own], asked]))
 
 
 def volume_ratio(M: ModelManifold, r, R: float = 0.0):

@@ -23,8 +23,8 @@ import numpy as np
 from .core import (_GL_NODES, _GL_WEIGHTS, DEFAULT_QUADRATURE,
                    DomainError, ModelManifold, NumericError, PhiOperator,
                    PotentialB, QuadratureError, _CumulativeSimpson,
-                   geometric_grid, log_sphere_volume, phi_inverse, pchip,
-                   volume_ratio)
+                   distinct, geometric_grid, log_sphere_volume, phi_inverse,
+                   pchip, volume_ratio)
 
 
 class Verdict(enum.Enum):
@@ -320,7 +320,7 @@ def _beta_interpolant(pot: PotentialB):
     0)**0.5`` are not smooth (``_cumulative_table``)."""
     kinks = (pot.kink,) if pot.kink is not None and \
         0 < pot.kink < KO_R_MAX else ()
-    s = np.unique(np.concatenate([_BETA_GRID, kinks]))
+    s = distinct(np.concatenate([_BETA_GRID, kinks]))
     return s, _cumulative_table(pot.B, s, kinks)
 
 

@@ -15,6 +15,7 @@ that produce exhaustion potentials for triples of concentric balls.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,8 +23,9 @@ import numpy as np
 
 from . import criteria
 from .core import (DomainError, ModelManifold, NumericError, PhiOperator,
-                   PotentialB, _CumulativeSimpson, geometric_grid,
-                   grid_through, log_sphere_volume, phi_inverse)
+                   PotentialB, _CumulativeSimpson, _uniform_simpson,
+                   geometric_grid, grid_through, log_sphere_volume,
+                   phi_inverse)
 # the phi^-1 of the Picard applications, under a name of their own so that
 # a profile counts them: the solve alone, since an application's finite,
 # clamped flux is in [0, inf).  Every other call here is checked.
@@ -93,6 +95,11 @@ class RadialSolution:
     status: str                      # COMPLETE or BLOWUP
     r_max: float                     # reached radius (COMPLETE)
     blowup_radius: Optional[float] = None
+    # the Picard work of the march: every application, and the windows
+    # that failed (an evans_for_triple profile counts every scale it
+    # tried); a B = 0 profile takes none
+    applications: int = 0
+    failed_windows: int = 0
 
     def sup_on(self, a: float, b: float) -> float:
         return _sup_on(self.grid, self.z, a, b)
@@ -111,21 +118,22 @@ class EvansResult:
 
 class _Window:
     """Everything the Picard applications on one window share, built once
-    per window: the grid, checked to be one-dimensional and strictly
-    increasing; the weights ``w = g**(m-1)`` relative to the first node,
-    ``exp(L - L[0])`` from ``log_sphere_volume``, which refuses radii out
-    of range (a ratio past a double gives a non-finite flux, and the march
-    halves the window); the head flux ``phi(c mu)/w``; the
-    ``_CumulativeSimpson`` rule of the grid; and the application's
-    constants ``op``, ``pot``, ``c`` and ``theta``."""
+    per window: the grid ``np.linspace(R, r_end, n_nodes)``, laid here so
+    that every window is uniform; the weights ``w = g**(m-1)`` relative to
+    the first node, ``exp(L - L[0])`` from ``log_sphere_volume``, which
+    refuses radii out of range (a ratio past a double gives a non-finite
+    flux, and the march halves the window); the head flux ``phi(c
+    mu)/w``; the cumulative Simpson rule of the grid as one matrix,
+    ``simpson = h K_n/12`` (``core._uniform_simpson``), with the spacing
+    ``h`` inside it, so that no product is scaled after it is summed; and
+    the application's constants ``op``, ``pot``, ``c`` and ``theta``."""
 
     def __init__(self, M: ModelManifold, op: PhiOperator, pot: PotentialB,
-                 params: CauchyParams, grid):
-        self.grid = np.asarray(grid, dtype=float)
-        if self.grid.ndim != 1:
-            raise ValueError("grid must be one-dimensional")
+                 params: CauchyParams, r_end: float, n_nodes: int):
+        self.grid = np.linspace(params.R, r_end, n_nodes)
         L = log_sphere_volume(M, self.grid)
-        self.cumint = _CumulativeSimpson(self.grid)
+        self.simpson = ((r_end - params.R) / (n_nodes - 1)
+                        * _uniform_simpson(n_nodes))
         self.op, self.pot = op, pot
         self.c, self.theta = params.c, params.theta
         with np.errstate(over="ignore", divide="ignore"):
@@ -142,8 +150,9 @@ def volterra_apply(window: _Window,
     + int_R^s (w(tau)/w(s)) B(c u(tau)) dtau ) ds`` with
     ``w = g**(m-1)``, relative to ``w(R)``; the slope ``T(u)'`` is the
     integrand, ``phi^-1`` of the flux identity divided by ``c``, so it is
-    never differentiated numerically.  Both cumulative integrals use the
-    window's composite higher-order rule.
+    never differentiated numerically.  Both cumulative integrals are one
+    product with the window's matrix ``simpson``, the cumulative Simpson
+    rule of its uniform grid.
 
     ``u`` is a float array on the window's grid; the caller holds
     ``np.errstate(over="ignore", invalid="ignore")``, as
@@ -158,13 +167,13 @@ def volterra_apply(window: _Window,
         raise DomainError("samples must be nonnegative")
     w, c = window.w, window.c
     # c > 0 and u >= 0: the samples need no clamp at zero
-    flux = window.head + window.cumint(w * window.pot.B(c * u)) / w
+    flux = window.head + (window.simpson @ (w * window.pot.B(c * u))) / w
     if not np.isfinite(flux).all():
         raise FluxOverflow("flux overflow; shrink the interval")
     # the composite rule can undershoot on steep data; the true flux
     # of a nonnegative source never drops below zero
     slope = phi_inverse_array(window.op, np.maximum(flux, 0.0))
-    return (window.theta + np.maximum(window.cumint(slope), 0.0) / c,
+    return (window.theta + np.maximum(window.simpson @ slope, 0.0) / c,
             slope / c)
 
 
@@ -180,7 +189,8 @@ NODES_PER_WINDOW = 64
 
 
 def solve_on_interval(M: ModelManifold, op: PhiOperator, pot: PotentialB,
-                      params: CauchyParams, r_end: float, n_nodes: int = 64
+                      params: CauchyParams, r_end: float, n_nodes: int = 64,
+                      work: Optional[Counter] = None
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fixed point ``(grid, z, zp)`` on ``n_nodes`` uniform nodes of
     ``[R, r_end]``: the first Picard application, value and slope, whose
@@ -190,27 +200,32 @@ def solve_on_interval(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     not contract, or at the cap.  The increment is also the finiteness
     check: ``u`` is finite, so it is finite exactly when ``v`` is.  The
     window is built once and the whole iteration runs under one
-    ``np.errstate``; each application goes through ``volterra_apply``."""
-    if r_end <= params.R:
+    ``np.errstate``; each application goes through ``volterra_apply``.
+    With ``work``, the window adds its applications to
+    ``work["applications"]``, whether it converges or raises."""
+    if not r_end > params.R:        # a nan fails it
         raise DomainError("r_end must exceed the base radius")
     if n_nodes < 2:
         raise ValueError(f"n_nodes must be >= 2, got {n_nodes}")
-    grid = np.linspace(params.R, r_end, n_nodes)
-    window = _Window(M, op, pot, params, grid)
-    u, delta = np.full(n_nodes, params.theta), math.inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, PICARD_MAX_ITER + 1):
-            v, vp = volterra_apply(window, u)
-            d = v - u
-            last, delta = delta, float(np.abs(d, out=d).max())
-            if not math.isfinite(delta):
-                raise FluxOverflow("iteration produced non-finite values; "
-                                   "shrink the interval")
-            u = v
-            if delta <= PICARD_TOL * v.max():
-                return grid, u, vp
-            if delta > last:
-                break
+    window = _Window(M, op, pot, params, r_end, n_nodes)
+    u, delta, k = np.full(n_nodes, params.theta), math.inf, 0
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(1, PICARD_MAX_ITER + 1):
+                v, vp = volterra_apply(window, u)
+                d = v - u
+                last, delta = delta, float(np.abs(d, out=d).max())
+                if not math.isfinite(delta):
+                    raise FluxOverflow("iteration produced non-finite "
+                                       "values; shrink the interval")
+                u = v
+                if delta <= PICARD_TOL * v.max():
+                    return window.grid, u, vp
+                if delta > last:
+                    break
+    finally:
+        if work is not None:
+            work["applications"] += k
     raise PicardNoConvergence(
         f"no fixed point: Picard increment {last:.3e}, then {delta:.3e} at "
         f"application {k}; shrink the interval")
@@ -218,11 +233,14 @@ def solve_on_interval(M: ModelManifold, op: PhiOperator, pot: PotentialB,
 
 def _march(M: ModelManifold, op: PhiOperator, pot: PotentialB,
            params: CauchyParams, R_max: float, nodes_per_window: int,
-           hand_over: bool = False, R1: float = math.inf):
+           work: Counter, hand_over: bool = False, R1: float = math.inf):
     """``solve_cauchy``'s window continuation, lazily: yields the solution
     in pieces ``(grid, z, zp)``, first the node ``(R, theta, mu)`` and then
     each accepted window of ``nodes_per_window`` uniform nodes without its
-    first node, and returns ``(status, r_reached, blowup_radius)``.
+    first node, and returns ``(status, r_reached, blowup_radius)``.  It
+    counts its Picard work in ``work`` as it goes, under the names of
+    ``RadialSolution``'s fields ``applications`` and ``failed_windows``,
+    so that a march dropped before its end has counted its work too.
 
     The width rule: ``R < R_max < inf`` is checked; no window is wider
     than ``min(1, (R_max - R)/16)``, the first no wider than ``R``, so
@@ -261,8 +279,10 @@ def _march(M: ModelManifold, op: PhiOperator, pot: PotentialB,
             r_end = stop
         try:
             grid, z, zp = solve_on_interval(M, op, pot, cur, r_end,
-                                            n_nodes=nodes_per_window)
+                                            n_nodes=nodes_per_window,
+                                            work=work)
         except PicardNoConvergence as failure:
+            work["failed_windows"] += 1
             if hand_over and missing is None and cur.theta > 0:
                 try:
                     r, z, zp, radius = _blowup_tail(M, op, pot, cur, R_max)
@@ -425,22 +445,22 @@ def solve_cauchy(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     if nodes_per_window < 2:
         raise ValueError(
             f"nodes_per_window must be >= 2, got {nodes_per_window}")
-    pieces = []
-    end = _take(_march(M, op, pot, params, R_max, nodes_per_window,
+    pieces, work = [], Counter()
+    end = _take(_march(M, op, pot, params, R_max, nodes_per_window, work,
                        hand_over=True), pieces)
-    return _assemble(pieces, params, end)
+    return _assemble(pieces, params, end, work)
 
 
 def _concat(pieces) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(np.concatenate(a) for a in zip(*pieces))
 
 
-def _assemble(pieces, params, end) -> RadialSolution:
+def _assemble(pieces, params, end, work: Counter) -> RadialSolution:
     grid, z, zp = _concat(pieces)
     status, r_reached, rho = end
     return RadialSolution(
         grid=grid, z=z, zp=zp, params=params, status=status,
-        r_max=float(r_reached), blowup_radius=rho)
+        r_max=float(r_reached), blowup_radius=rho, **work)
 
 
 def _sup_on(grid: np.ndarray, z: np.ndarray, a: float, b: float) -> float:
@@ -559,12 +579,12 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
             f"no exhaustion: the Liouville test says {dv.verdict.value} "
             f"(partial integral {dv.partial_integral:.6g}, slope "
             f"{dv.slope_estimate:.6g})", dv)
-    c = 1.0
+    c, work = 1.0, Counter()
     while c >= EVANS_C_MIN:
         mu = choose_mu(op, c)
         params = CauchyParams(R=R, theta=0.0, mu=mu, c=c)
         if pot.b1 != 0:
-            march = _march(M, op, pot, params, R_max, NODES_PER_WINDOW,
+            march = _march(M, op, pot, params, R_max, NODES_PER_WINDOW, work,
                            R1=R1)
         else:
             march = _one_piece(constant_flux_profile(M, op, params, R_max,
@@ -574,7 +594,7 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
         grid, z, _ = _concat(pieces)
         sup = c * _sup_on(grid, z, R, R1)
         if sup < eps:
-            sol = _assemble(pieces, params, _take(march, pieces))
+            sol = _assemble(pieces, params, _take(march, pieces), work)
             if np.any(np.diff(sol.z) <= 0):
                 raise NumericError("accepted solution is not increasing")
             return EvansResult(solution=sol, c_final=c, mu_final=mu,

@@ -142,62 +142,81 @@ def evans_eager_sweep(M, op, pot, R, R1, eps, R_max, nodes_per_window=64,
     raise radial.EvansFailure("no admissible scale above the floor")
 
 
-class _ReferenceSimpson:
-    """The cumulative Simpson rule of ``radial`` before its index arrays
-    were cached per node count, verbatim."""
-
-    def __init__(self, x):
-        h = np.diff(x)
-        if not (h > 0).all():
-            raise ValueError("grid must be strictly increasing")
-        self.h = h
-        if len(h) < 2:
-            return
-        j = np.arange(len(h))
-        fwd = np.zeros(len(h), dtype=bool)
-        fwd[:-1:2] = True
-        h1, h2 = h, h[np.where(fwd, j + 1, j - 1)]
-        r31 = h1 / (h1 + h2)
-        r32 = r31 * (h1 / h2)
-        self.a, self.p, self.q, self.s = h1 / 6, 3 - r31, 3 + r32 + r31, r32
-        self.nodes = j + np.where(fwd, [[0], [1], [2]], [[1], [0], [-1]])
-
-    def __call__(self, y):
-        out = np.zeros(len(self.h) + 1)
-        if len(self.h) < 2:
-            sub = self.h * (y[1:] + y[:-1]) / 2.0
+def uniform_simpson_reference(n):
+    """``K_n/12`` by explicit loops over Python integers: sub-interval
+    ``j`` of ``n - 1`` weighs its triple's samples ``5, 8, -1`` from node
+    ``j`` outwards, forward ``(j, j+1, j+2)`` if ``j`` is even and not the
+    last, else backward ``(j+1, j, j-1)`` (scipy's cumulative Simpson rule
+    on a uniform grid, over ``h/12``); two nodes are the trapezoid ``6,
+    6``.  Row ``i`` sums the sub-intervals ``j < i``."""
+    subs = []
+    for j in range(n - 1):
+        if n == 2:
+            triple = {0: 6, 1: 6}
+        elif j % 2 == 0 and j < n - 2:
+            triple = {j: 5, j + 1: 8, j + 2: -1}
         else:
-            y0, y1, y2 = y[self.nodes]
-            sub = self.a * ((self.p * y0 + self.q * y1) - self.s * y2)
-        np.cumsum(sub, out=out[1:])
-        return out
+            triple = {j + 1: 5, j: 8, j - 1: -1}
+        subs.append(triple)
+    rows = []
+    for i in range(n):
+        row = [0] * n
+        for triple in subs[:i]:
+            for node, weight in triple.items():
+                row[node] += weight
+        rows.append(row)
+    return np.array(rows, dtype=float) / 12.0
 
 
-def volterra_apply_reference(M, op, pot, params, grid, u):
-    """One Picard application ``(T(u), T(u)')`` as ``radial.volterra_apply``
-    computed it with every check and ``np.errstate`` inside each call,
-    verbatim: the oracle that the lean window pass must match bit for
-    bit."""
-    grid = np.asarray(grid, dtype=float)
+def volterra_apply_reference(M, op, pot, params, r_end, u):
+    """One Picard application ``(T(u), T(u)')`` on the window
+    ``np.linspace(R, r_end, len(u))``, as ``radial.volterra_apply``
+    computes it, with every check and ``np.errstate`` inside each call and
+    the rule ``h K_n/12`` from ``uniform_simpson_reference``: the oracle
+    that the lean window pass must match bit for bit."""
+    u = np.asarray(u, dtype=float)
+    n = len(u)
+    grid = np.linspace(params.R, r_end, n)
     L = log_sphere_volume(M, grid)
-    cumint = _ReferenceSimpson(grid)
+    simpson = (r_end - params.R) / (n - 1) * uniform_simpson_reference(n)
     with np.errstate(over="ignore", divide="ignore"):
         w = np.exp(L - L[0])        # relative to w(R), as the window's
         head = float(op.phi(params.c * params.mu)) / w
-    u = np.asarray(u, dtype=float)
-    if grid.shape != u.shape:
-        raise ValueError("grid and samples must have matching shapes")
     if np.any(u < 0):
         raise DomainError("samples must be nonnegative")
     c = params.c
     with np.errstate(over="ignore", invalid="ignore"):
-        flux = head + cumint(w * np.asarray(pot.B(c * u), dtype=float)) / w
+        flux = head + np.matmul(
+            simpson, w * np.asarray(pot.B(c * u), dtype=float)) / w
         if not np.all(np.isfinite(flux)):
             raise radial.PicardNoConvergence(
                 "flux overflow; shrink the interval")
         slope = phi_inverse(op, np.maximum(flux, 0.0))
-        return (params.theta + np.maximum(cumint(slope), 0.0) / c,
+        return (params.theta + np.maximum(np.matmul(simpson, slope), 0.0) / c,
                 slope / c)
+
+
+def count_picard_work(monkeypatch) -> dict:
+    """Count, from now on, the Picard applications and the window solves,
+    and those of them that fail, in a dict that the caller reads."""
+    counts = {"applications": 0, "windows": 0, "failed": 0}
+    apply, solve = radial.volterra_apply, radial.solve_on_interval
+
+    def counted_apply(*args):
+        counts["applications"] += 1
+        return apply(*args)
+
+    def counted_solve(*args, **kwargs):
+        counts["windows"] += 1
+        try:
+            return solve(*args, **kwargs)
+        except radial.PicardNoConvergence:
+            counts["failed"] += 1
+            raise
+
+    monkeypatch.setattr(radial, "volterra_apply", counted_apply)
+    monkeypatch.setattr(radial, "solve_on_interval", counted_solve)
+    return counts
 
 
 def volume_ratio_reference(M, r, R=0.0):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from modelpot import cli, core, obstacle, radial
+from oracles import count_picard_work
 
 
 def run_cli(argv, capsys):
@@ -150,6 +151,8 @@ def test_evans_log_profile(capsys):
     lines = out.splitlines()
     meta = [ln for ln in lines if ln.startswith("#")]
     assert any("sup_on_annulus" in ln for ln in meta)
+    # B = 0: the profile is one pass, with no Picard work
+    assert {"# picard_applications=0", "# failed_windows=0"} <= set(meta)
     # the Liouville test that admitted the profile: c/r, on the critical
     # line, read to the classifier's reach from R = 1
     assert meta[-3:] == ["# status=complete", "# reason=critical_slope",
@@ -195,6 +198,27 @@ def test_evans_blowup_threshold_has_no_effect(capsys):
     assert outs[0][0] == 0 and "# status=complete\n" in outs[0][1]
     code, out = run_cli(args + ["--set", "blowup_threshold=-1"], capsys)
     assert code == 1 and out == ""
+
+
+@pytest.mark.parametrize("tag", ["linear-power:p=2,lambda=1",
+                                 "plateau:T=1,p=2"])
+def test_evans_prints_the_picard_work_it_did(capsys, monkeypatch, tag):
+    # CI's B != 0 config: the counters that the march sums and evans
+    # prints are the applications and failed windows counted call by call
+    # (306 and 0 on linear-power, 84 and 0 on plateau), every scale tried
+    counts = count_picard_work(monkeypatch)
+    code, out = run_cli(
+        ["evans", "--set", "manifold=euclidean", "--set", "m=2",
+         "--set", f"potential={tag}", "--set", "R=1", "--set", "R1=2",
+         "--set", "eps=0.1", "--set", "blowup_threshold=1e16",
+         "--rmax", "40"], capsys)
+    assert code == 0
+    meta = [ln for ln in out.splitlines() if ln.startswith("#")]
+    assert f"# picard_applications={counts['applications']}" in meta
+    assert f"# failed_windows={counts['failed']}" in meta
+    assert counts["applications"] == (306 if tag.startswith("linear")
+                                      else 84)
+    assert counts["failed"] == 0
 
 
 def test_evans_rejected_scales_are_decided_on_the_annulus(capsys):

@@ -75,6 +75,8 @@ for argv in (['classify', *plane], ['classify', *plane, *linear],
              ['evans', *plane, *linear, '--set', 'R=1', '--set', 'R1=2',
               '--set', 'eps=0.1', '--rmax', '40']):
     assert cli.main(argv + ['--out', os.devnull]) == 0, argv
+# no call imports numpy.ma, whose import np.unique's first call pays
+assert 'numpy.ma' not in sys.modules
 """
 
 

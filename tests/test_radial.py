@@ -17,9 +17,10 @@ from scipy.integrate import (cumulative_simpson, cumulative_trapezoid, quad,
 
 from modelpot import core, criteria, obstacle, radial
 from modelpot.criteria import Verdict
-from oracles import (KL_WARPINGS, OPERATOR_TAGS, WARPINGS, evans_eager_sweep,
-                     exhaustion_at_unit_scale, ode_residual,
-                     phi_inverse_brentq, volterra_apply_reference)
+from oracles import (KL_WARPINGS, OPERATOR_TAGS, WARPINGS, count_picard_work,
+                     evans_eager_sweep, exhaustion_at_unit_scale,
+                     ode_residual, phi_inverse_brentq,
+                     uniform_simpson_reference, volterra_apply_reference)
 
 
 EUC2 = core.manifold_from_tag("euclidean", 2)
@@ -48,10 +49,11 @@ def pure_gradient_profile(M, op, params, r):
 # the integral operator and single-window iteration
 
 
-def window_apply(M, op, pot, params, grid, u):
-    """``volterra_apply`` on a window built from ``grid``, under the
+def window_apply(M, op, pot, params, r_end, u, n_nodes=None):
+    """``volterra_apply`` on the window of ``n_nodes`` (by default
+    ``len(u)``) uniform nodes from ``R`` to ``r_end``, under the
     ``np.errstate`` that ``solve_on_interval`` holds."""
-    window = radial._Window(M, op, pot, params, grid)
+    window = radial._Window(M, op, pot, params, r_end, n_nodes or len(u))
     with np.errstate(over="ignore", invalid="ignore"):
         return radial.volterra_apply(window, u)
 
@@ -60,7 +62,7 @@ def test_volterra_apply_zero_potential_one_step():
     # with B = 0 one application from any iterate is already the solution
     params = radial.CauchyParams(R=1.0, theta=0.0, mu=1.0, c=1.0)
     grid = np.linspace(1.0, 2.0, 400)
-    out, slope = window_apply(EUC2, LAP2, ZERO, params, grid,
+    out, slope = window_apply(EUC2, LAP2, ZERO, params, 2.0,
                               np.zeros_like(grid))
     assert np.max(np.abs(out - np.log(grid))) < 1e-6
     # the flux R mu / r is conserved, so the slope needs no quadrature
@@ -70,23 +72,24 @@ def test_volterra_apply_zero_potential_one_step():
 
 def test_volterra_apply_validation():
     params = radial.CauchyParams(R=1.0, theta=0.0, mu=1.0, c=1.0)
-    grid = np.linspace(1.0, 2.0, 8)
-    with pytest.raises(ValueError):
-        window_apply(EUC2, LAP2, ZERO, params, grid, np.zeros(5))
+    with pytest.raises(ValueError, match="matching shapes"):
+        window_apply(EUC2, LAP2, ZERO, params, 2.0, np.zeros(5), n_nodes=8)
+    with pytest.raises(ValueError, match="matching shapes"):
+        window_apply(EUC2, LAP2, ZERO, params, 2.0, np.zeros((2, 4)),
+                     n_nodes=8)
     with pytest.raises(core.DomainError):
-        window_apply(EUC2, LAP2, ZERO, params, grid, -np.ones_like(grid))
-    # a window refuses a grid that is not one-dimensional when it is built
-    with pytest.raises(ValueError, match="one-dimensional"):
-        radial._Window(EUC2, LAP2, ZERO, params, grid.reshape(2, 4))
+        window_apply(EUC2, LAP2, ZERO, params, 2.0, -np.ones(8))
 
 
-@pytest.mark.parametrize("grid", [[1.0, 1.5, 1.5, 2.0], [1.0, 2.0, 1.5, 2.5],
-                                  [2.0, 1.0]])
-def test_volterra_apply_rejects_unsorted_grid(grid):
-    # the window's Simpson rule refuses the grid when the window is built
+@pytest.mark.parametrize("r_end", [1.0, 0.5, math.nan])
+def test_solve_on_interval_refuses_a_window_that_does_not_rise(r_end):
+    # a window lays its own uniform grid from R to r_end, so the only grid
+    # that is not strictly increasing is one whose end is not past R (a
+    # nan end used to pass the check and fail in the sphere volume)
     params = radial.CauchyParams(R=1.0, theta=0.0, mu=1.0, c=1.0)
-    with pytest.raises(ValueError, match="strictly increasing"):
-        radial._Window(EUC2, LAP2, ZERO, params, np.array(grid))
+    with pytest.raises(core.DomainError,
+                       match="r_end must exceed the base radius"):
+        radial.solve_on_interval(EUC2, LAP2, ZERO, params, r_end)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 64, 65, 400])
@@ -121,6 +124,53 @@ def test_cumint_two_nodes_is_trapezoid():
                           cumulative_trapezoid(y, x, initial=0.0))
 
 
+WINDOW_SIZES = [2, 3, 4, 5, 8, 17, 64, 65]
+
+
+@pytest.mark.parametrize("n", WINDOW_SIZES)
+def test_uniform_simpson_is_the_loop_oracle_and_read_only(n):
+    rule = core._uniform_simpson(n)
+    assert np.array_equal(rule, uniform_simpson_reference(n))
+    assert core._uniform_simpson(n) is rule
+    assert not rule.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        rule[-1, 0] = 0.0
+
+
+@pytest.mark.parametrize("n", WINDOW_SIZES)
+def test_window_rule_is_scipy_cumulative_simpson(n):
+    # h K_n/12 on a window's linspace grid is scipy's rule to rounding:
+    # within 1e-14 of the largest partial sum (5e-16 measured).  The
+    # spacings are powers of two, so the nodes are exact: a spacing that
+    # is no double rounds the nodes, and scipy's rule on their rounded
+    # spacings then departs from h by ulp(R)/h, which is no error of h
+    rng = np.random.default_rng(n)
+    for R, h in ((1.0, 1.0), (1.5, 2.0 ** -3), (3.0, 2.0 ** -7)):
+        params = radial.CauchyParams(R=R, theta=0.0, mu=1.0, c=1.0)
+        window = radial._Window(EUC2, LAP2, ZERO, params, R + h * (n - 1), n)
+        assert (np.diff(window.grid) == h).all()
+        for y in (np.exp(-window.grid), np.sin(3.0 * window.grid),
+                  rng.normal(size=n)):
+            want = cumulative_simpson(y, x=window.grid, initial=0.0)
+            got = window.simpson @ y
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_volterra_apply_is_bytewise_the_same_on_an_offset_view():
+    # the product's kernel may take another path for an unaligned vector;
+    # the bytes of the application do not depend on where u sits
+    params = radial.CauchyParams(R=1.0, theta=0.3, mu=2.0, c=0.5)
+    pot = core.potential_from_tag("linear-power:p=2,lambda=1")
+    u = np.linspace(0.3, 1.7, 64) ** 1.5
+    want = window_apply(EUC3, LAP2, pot, params, 1.5, u)
+    for offset in range(1, 8):
+        buf = np.zeros(64 * 8 + offset + 1, dtype=np.uint8)
+        view = buf[offset:offset + 64 * 8].view(np.float64)
+        view[:] = u
+        got = window_apply(EUC3, LAP2, pot, params, 1.5, view)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 _ORACLE_OPERATORS = {tag: core.operator_from_tag(tag) for tag in (
     "p-laplacian:p=1.5", "p-laplacian:p=2", "p-laplacian:p=3",
     "perturbed:p=2")}
@@ -130,7 +180,8 @@ _ORACLE_POTENTIALS = {tag: core.potential_from_tag(tag) for tag in (
 
 
 @settings(deadline=None, max_examples=200)
-@given(n=st.sampled_from([2, 3, 4, 5, 8, 17, 64, 65]),
+@given(n=st.sampled_from(WINDOW_SIZES),
+       width=st.floats(0.01, 40.0),
        data=st.data(),
        manifold=st.sampled_from([("euclidean", 2), ("euclidean", 3),
                                  ("hyperbolic", 2)]),
@@ -139,45 +190,21 @@ _ORACLE_POTENTIALS = {tag: core.potential_from_tag(tag) for tag in (
        c=st.sampled_from([1.0, 2.0 ** -4, 0.3]),
        R=st.floats(0.5, 3.0), theta=st.floats(0.0, 2.0),
        mu=st.floats(0.01, 3.0))
-def test_volterra_apply_is_the_reference_bit_for_bit(n, data, manifold,
-                                                     op_tag, pot_tag, c, R,
-                                                     theta, mu):
+def test_volterra_apply_is_the_reference_bit_for_bit(n, width, data,
+                                                     manifold, op_tag,
+                                                     pot_tag, c, R, theta,
+                                                     mu):
     # the lean window pass against the application with its checks and
-    # errstate inside every call
-    spacing = data.draw(st.lists(st.floats(0.01, 1.0), min_size=n - 1,
-                                 max_size=n - 1))
-    grid = R + np.concatenate([[0.0], np.cumsum(spacing)])
+    # errstate inside every call, on the uniform window (R, R + width) of
+    # n nodes
     u = np.array(data.draw(st.lists(st.floats(0.0, 5.0), min_size=n,
                                     max_size=n)))
     M = core.manifold_from_tag(*manifold)
     op, pot = _ORACLE_OPERATORS[op_tag], _ORACLE_POTENTIALS[pot_tag]
     params = radial.CauchyParams(R=R, theta=theta, mu=mu, c=c)
-    want = volterra_apply_reference(M, op, pot, params, grid, u)
-    got = window_apply(M, op, pot, params, grid, u)
+    want = volterra_apply_reference(M, op, pot, params, R + width, u)
+    got = window_apply(M, op, pot, params, R + width, u)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
-
-
-def count_picard_work(monkeypatch) -> dict:
-    """Count, from now on, the Picard applications and the window solves,
-    and those of them that fail, in a dict that the caller reads."""
-    counts = {"applications": 0, "windows": 0, "failed": 0}
-    apply, solve = radial.volterra_apply, radial.solve_on_interval
-
-    def counted_apply(*args):
-        counts["applications"] += 1
-        return apply(*args)
-
-    def counted_solve(*args, **kwargs):
-        counts["windows"] += 1
-        try:
-            return solve(*args, **kwargs)
-        except radial.PicardNoConvergence:
-            counts["failed"] += 1
-            raise
-
-    monkeypatch.setattr(radial, "volterra_apply", counted_apply)
-    monkeypatch.setattr(radial, "solve_on_interval", counted_solve)
-    return counts
 
 
 def reference_window(M, op, pot, params, r_end, n_nodes=64):
@@ -187,7 +214,7 @@ def reference_window(M, op, pot, params, r_end, n_nodes=64):
     grid = np.linspace(params.R, r_end, n_nodes)
     u, delta = np.full(n_nodes, params.theta), math.inf
     for k in range(1, radial.PICARD_MAX_ITER + 1):
-        v, vp = volterra_apply_reference(M, op, pot, params, grid, u)
+        v, vp = volterra_apply_reference(M, op, pot, params, r_end, u)
         last, delta = delta, float(np.max(np.abs(v - u)))
         assert math.isfinite(delta)
         u = v
@@ -658,6 +685,7 @@ def test_blowup_march_work_counts(monkeypatch, threshold):
     sol = radial.solve_cauchy(EUC2, LAP2, core.superlinear_potential(5.0),
                               params, 100.0, blowup_threshold=threshold)
     assert counts == {"applications": 2, "failed": 1, "accepted": 0}
+    assert (sol.applications, sol.failed_windows) == (2, 1)
     assert sol.status == radial.BLOWUP
     # 1.80695616081357 from the halving march, 9.1e-7 below the ODE
     # oracle's 1.80695707417; the tail is 1.2e-8 below it
@@ -675,11 +703,14 @@ def test_blowup_march_work_counts(monkeypatch, threshold):
 ])
 def test_evans_march_work_counts(monkeypatch, tag, work):
     # the Picard work of an evans call on the plane, scales and windows
-    # together, so that a faster window is seen to do the same work
+    # together, so that a faster window is seen to do the same work; the
+    # profile carries the same counts, which its march summed
     counts = count_picard_work(monkeypatch)
-    radial.evans_for_triple(EUC2, LAP2, core.potential_from_tag(tag), R=1.0,
-                            R1=2.0, eps=0.1, R_max=40.0)
+    res = radial.evans_for_triple(EUC2, LAP2, core.potential_from_tag(tag),
+                                  R=1.0, R1=2.0, eps=0.1, R_max=40.0)
     assert counts == work
+    assert (res.solution.applications, res.solution.failed_windows) == \
+        (work["applications"], work["failed"])
 
 
 def test_no_blowup_for_subcritical_potential():
@@ -770,15 +801,19 @@ def test_evans_stall_names_scale_radius_and_value():
 
 @pytest.mark.parametrize("p,lam,R_max,message,overflows", [
     (3.0, 1.0, 700.0, "c=0.0625 passes the largest double, in phi(c z') or "
-     "in z, past radius 452.657, where z = 8.41436e+154", 27),
+     "in z, past radius 453.837, where z = 2.14525e+155", 27),
     (2.0, 10.0, 300.0, "c=0.03125 passes the largest double, in phi(c z') "
-     "or in z, past radius 226.625, where z = 7.42357e+307", 27),
+     "or in z, past radius 226.75, where z = 1.10195e+308", 27),
 ], ids=["p=3 lambda=1", "p=2 lambda=10"])
 def test_evans_names_a_flux_overflow(monkeypatch, p, lam, R_max, message,
                                      overflows):
     # the march of the accepted scale outgrows a double before R_max; its
     # last windows fail on the flux (at p = 2, lambda = 10 the last on z)
-    # and halve until they underflow
+    # and halve until they underflow.  The window's rule h K_n/12 scales
+    # each sample by h before it sums them, so a window overflows where its
+    # integrand or integral passes a double: at p = 3 where (c z)**2 does,
+    # c z = 1.34e154.  The per-spacing rule formed 2.5 y0 + 4 y1 before its
+    # factor h/6 and passed a double 6.5x sooner, at 452.657 and 226.625
     failures = Counter()
     solve = radial.solve_on_interval
 
@@ -816,10 +851,11 @@ def test_the_march_raises_its_own_stall(monkeypatch, failure, error, what):
     solve = radial.solve_on_interval
     last = {}
 
-    def failing_past_5(M, op, pot, params, r_end, n_nodes):
+    def failing_past_5(M, op, pot, params, r_end, n_nodes, work):
         if r_end > 5.0:
             raise failure("injected")
-        grid, z, zp = solve(M, op, pot, params, r_end, n_nodes=n_nodes)
+        grid, z, zp = solve(M, op, pot, params, r_end, n_nodes=n_nodes,
+                            work=work)
         last.update(c=params.c, r=float(grid[-1]), z=float(z[-1]))
         return grid, z, zp
 
