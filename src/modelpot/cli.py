@@ -286,6 +286,8 @@ def cmd_obstacle(cfg, out_path) -> int:
     r_min = _get_float(cfg, "r_min", required=True, positive=True)
     r_max = _get_float(cfg, "r_max", required=True, positive=True)
     n_nodes = _get_int(cfg, "n_nodes", 101)
+    if n_nodes < 3:
+        raise ConfigError("n_nodes", f"must be >= 3, got {n_nodes}")
     theta_left = _get_float(cfg, "theta_left", 0.0)
     theta_right = _get_float(cfg, "theta_right", 1.0)
     grid = np.geomspace(r_min, r_max, n_nodes)

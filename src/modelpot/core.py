@@ -16,9 +16,9 @@ weight, so each layer forms only the ratios it needs, ``exp`` of
 differences of ``L``, and no weight ``g**(m-1)`` past a double.
 
 The package runs on numpy alone, so that every command costs little more
-than ``import numpy``: monotone-cubic tables are ``pchip``, and the one
-quadrature of non-smooth integrands, ``Quadrature``, is Gauss-Legendre on
-panels graded toward the singular end.
+than ``import numpy``: monotone-cubic tables are ``pchip``, and a table's
+panels at 0 and at a kink, where its integrand is a power, take one rule,
+``_power_panel``.
 """
 
 from __future__ import annotations
@@ -40,42 +40,38 @@ class NumericError(RuntimeError):
 
 
 class QuadratureError(NumericError):
-    """Quadrature of a non-smooth integrand did not reach its tolerance."""
+    """A table panel's integrand is not integrable at its left end."""
 
 
 # ---------------------------------------------------------------------------
 # quadrature
 
 
-# the graded rule's panels: [a + L 2^(-k-1), a + L 2^(-k)], k < GRADED_PANELS
-GRADED_PANELS = 48
+def _power_panel(f, a: float, b: float) -> float:
+    """``integral_a^b f`` as ``(b - a) f(b)/(k + 1)``, ``k =
+    log2(f(b)/f(a + (b - a)/2))``, from one call of ``f`` on those two
+    points: exact for ``(t - a)**k``, 0 where ``f(b)`` is not positive,
+    and ``QuadratureError`` for a ``k <= -1``, not integrable at ``a``."""
+    mid = a + 0.5 * (b - a)
+    half, whole = np.asarray(f(np.array([mid, b])), dtype=float)
+    if not whole > 0:
+        return 0.0
+    power = math.log2(whole / half) if half > 0 else math.inf
+    if not power > -1:
+        raise QuadratureError(f"the panel [{a:g}, {b:.3e}] grows like (t - "
+                              f"{a:g})**{power:.3g}, not integrable at {a:g}")
+    return (b - a) * whole / (power + 1.0)
 
 
 class Quadrature:
-    """Quadrature graded toward the left end of a finite interval, for
-    integrands that are powers of the distance to it.  A class, not a
-    function, so that a tracer can wrap ``Quadrature.integrate``."""
+    """``_power_panel`` on the panel of a table of ``B`` at its kink, as a
+    class, so that a tracer can wrap ``Quadrature.integrate``."""
 
     def integrate(self, f, a: float, b: float, points=None) -> float:
-        """``integral_a^b f`` by the 8-node Gauss-Legendre rule on the
-        panels ``[a + L 2^(-k-1), a + L 2^(-k)]``, ``L = b - a``, ``k <
-        GRADED_PANELS``, from one call of ``f``.  ``QuadratureError`` unless
-        the innermost panel is within 1e-14 of the total (``1/(t - a)``,
-        whose panels are all ``log 2``, is not); no split ``points``."""
+        """``_power_panel(f, a, b)``; no split ``points``."""
         if points is not None:
             raise ValueError("Quadrature.integrate takes no split points")
-        if a == b:
-            return 0.0
-        width = (b - a) * 0.5 ** np.arange(1, GRADED_PANELS + 1)
-        nodes = a + width[:, None] * (1.0 + _GL_NODES)
-        panels = width * (np.asarray(f(nodes), dtype=float) @ _GL_WEIGHTS)
-        total = math.fsum(panels)
-        if not (math.isfinite(total)
-                and abs(panels[-1]) <= 1e-14 * abs(total)):
-            raise QuadratureError(
-                f"the innermost graded panel, {panels[-1]:.3e}, is not "
-                f"within 1e-14 of the total, {total:.3e}")
-        return total
+        return _power_panel(f, a, b)
 
 
 DEFAULT_QUADRATURE = Quadrature()
@@ -221,10 +217,16 @@ def log_sphere_volume(M: ModelManifold, r):
 
 
 # Grid tables are geometric, with this many points per decade; their panel
-# rule is 8-node Gauss-Legendre, mapped to [0, 1].
+# rule is 8-node Gauss-Legendre on [0, 1], (x + 1)/2 and w/2 of leggauss(8)
+# bit for bit, written out so that no command imports numpy.polynomial.
 POINTS_PER_DECADE = 128
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-_GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS
+_GL_NODES, _GL_WEIGHTS = np.array([
+    [0.019855071751231912, 0.10166676129318664, 0.2372337950418355,
+     0.4082826787521751, 0.5917173212478248, 0.7627662049581645,
+     0.8983332387068134, 0.9801449282487681],
+    [0.05061426814518853, 0.11119051722668721, 0.15685332293894344,
+     0.18134189168918083, 0.18134189168918083, 0.15685332293894344,
+     0.11119051722668721, 0.05061426814518853]])
 # a table from the origin starts its geometric grid here at the latest
 _ORIGIN_PANEL = 1e-3
 
@@ -441,6 +443,14 @@ def tabulated_manifold(r_samples, g_samples, m: int,
     g_samples = np.asarray(g_samples, dtype=float)
     if r_samples.ndim != 1 or r_samples.shape != g_samples.shape:
         raise ValueError("r and g samples must be 1-D arrays of equal length")
+    bad = ~(np.isfinite(r_samples) & np.isfinite(g_samples))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"sample {i} is (r, g) = ({r_samples[i]:g}, "
+                         f"{g_samples[i]:g}); samples must be finite")
+    if not (r_samples > 0).any():
+        raise ValueError("tabulated warping has no sample at r > 0 "
+                         f"(sample count {len(r_samples)})")
     if not np.all(np.diff(r_samples) > 0):
         raise ValueError("r samples must be strictly increasing")
     if r_samples[0] < 0:
@@ -460,11 +470,7 @@ def tabulated_manifold(r_samples, g_samples, m: int,
         raise ValueError(
             f"tabulated warping has g'(0) ~= {slope0:.4f}, expected 1 (5% tol)")
     interp = pchip(r_samples, g_samples)
-
-    def lg(r):
-        return np.log(interp(r))
-
-    return ModelManifold(m=m, log_g=lg,
+    return ModelManifold(m=m, log_g=lambda r: np.log(interp(r)),
                          monotone=bool(np.all(np.diff(g_samples) >= 0)),
                          name=name, r_max_valid=float(r_samples[-1]))
 
@@ -709,8 +715,9 @@ class PotentialB:
     ``b1`` bounds ``B(t) <= b1 * t**(p-1)`` when the potential admits one
     (required by the uniform-bound step of the radial construction);
     ``homogeneity`` records the growth exponent for presets that have one;
-    ``kink`` a point ``t > 0`` where ``B`` is not smooth, which tables of
-    ``B`` take as a node.
+    ``kink`` a point ``T > 0`` where ``B`` is not smooth, which tables of
+    ``B`` take as a node: past it ``B`` is a power of ``t - T``, as it is
+    of ``t`` past 0, on the table's panel that starts there.
     """
 
     B: Callable[[float], float]

@@ -22,9 +22,9 @@ import numpy as np
 
 from .core import (_GL_NODES, _GL_WEIGHTS, DEFAULT_QUADRATURE,
                    DomainError, ModelManifold, NumericError, PhiOperator,
-                   PotentialB, QuadratureError, _CumulativeSimpson,
-                   distinct, geometric_grid, log_sphere_volume, phi_inverse,
-                   pchip, volume_ratio)
+                   PotentialB, _CumulativeSimpson, _power_panel, distinct,
+                   geometric_grid, log_sphere_volume, phi_inverse, pchip,
+                   volume_ratio)
 
 
 class Verdict(enum.Enum):
@@ -283,41 +283,29 @@ def _cumulative_table(f, x, kinks=()):
     """``integral_0^x f`` at the nodes ``x`` of a log grid with ``x[0] = 0``.
 
     ``f`` is called once on the 8 Gauss-Legendre nodes of every panel after
-    the first, as one array, and once on ``x[1]/2`` and ``x[1]``.  The
-    panel that starts at each of the ``kinks`` (nodes of ``x``) is a
-    ``DEFAULT_QUADRATURE`` call, graded toward its left end, where
-    ``(t - T)**0.5`` is singular and one 8-node panel is off by 2.5e-4
-    relative.  The head panel ``[0, x[1]]`` is exact for a power: the
-    tables' integrands, ``B`` and ``s phi'(s)``, vanish at 0 like powers
-    ``t**a`` (``t**0.5`` for ``B``, ``s**(p-1)`` by the pinching), and
-    ``int_0^b t**a = b**(a+1)/(a+1)``, ``a`` read from ``f(b/2)`` and
-    ``f(b)``; an ``a <= -1`` is not integrable and raises
-    ``QuadratureError``.
+    the first, as one array.  The head panel ``[0, x[1]]`` and the panel
+    from each of the ``kinks`` (nodes of ``x``) take the power rule
+    ``_power_panel``: ``B`` and ``s phi'(s)`` vanish at 0 like powers
+    (``t**0.5``, ``s**(p-1)`` by the pinching), and ``B`` is a power of
+    ``t - T`` past a kink ``T``, where one 8-node panel of ``(t - T)**0.5``
+    is off by 2.5e-4 relative.  Only the kink panels go through
+    ``DEFAULT_QUADRATURE``, so a table with no kink makes no call of it.
     """
     a, h = x[1:-1], x[2:] - x[1:-1]
     panels = h * (f(a[:, None] + h[:, None] * _GL_NODES) @ _GL_WEIGHTS)
     for t in kinks:
         i = int(np.searchsorted(a, t))
         panels[i] = DEFAULT_QUADRATURE.integrate(f, t, float(x[i + 2]))
-    b = float(x[1])
-    half, whole = np.asarray(f(np.array([0.5 * b, b])), dtype=float)
-    head = 0.0
-    if whole > 0:
-        power = math.log2(whole / half) if half > 0 else math.inf
-        if not power > -1:
-            raise QuadratureError(f"the head panel [0, {b:.3e}] of a table "
-                                  f"grows like t**{power:.3g}, which is "
-                                  "not integrable at 0")
-        head = b * whole / (power + 1.0)
+    head = _power_panel(f, 0.0, float(x[1]))
     return np.cumsum(np.concatenate([[0.0, head], panels]))
 
 
 def _beta_interpolant(pot: PotentialB):
     """``beta(s) = integral_0^s B`` on ``_BETA_GRID``, 400 log nodes to
     ``KO_R_MAX``, with the potential's kink as one more node: 8-node
-    Gauss-Legendre panels, a power head panel at 0 and a graded one at the
-    kink, where power potentials such as ``t**0.5`` and ``max(t - T,
-    0)**0.5`` are not smooth (``_cumulative_table``)."""
+    Gauss-Legendre panels, and power panels at 0 and at the kink, where
+    power potentials such as ``t**0.5`` and ``max(t - T, 0)**0.5`` are not
+    smooth (``_cumulative_table``)."""
     kinks = (pot.kink,) if pot.kink is not None and \
         0 < pot.kink < KO_R_MAX else ()
     s = distinct(np.concatenate([_BETA_GRID, kinks]))

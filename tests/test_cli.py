@@ -337,6 +337,23 @@ def test_classify_refuses_a_table_with_a_negative_radius(tmp_path, capsys):
     assert "r sample 0 is -1;" in captured.err
 
 
+@pytest.mark.parametrize("rows,named", [
+    # one row 0,0 raised IndexError, and a NaN g reached pchip unnamed
+    ("0,0\n", "tabulated warping has no sample at r > 0 (sample count 1)"),
+    ("0.5,0.5\n1,nan\n2,2\n",
+     "sample 1 is (r, g) = (1, nan); samples must be finite"),
+], ids=["one-row", "nan-g"])
+def test_classify_refuses_a_table_by_its_samples(rows, named, tmp_path,
+                                                 capsys):
+    path = tmp_path / "warp.csv"
+    path.write_text("r,g\n" + rows)
+    code = cli.main(["classify", "--set", f"manifold=table:{path}"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert f"error: {named}\n" in captured.err
+
+
 def test_classify_refuses_an_interval_of_a_few_ulps(capsys):
     # the plane is parabolic; on [1, 1 + 1 ulp] no verdict can be sampled
     code = cli.main(["classify", "--set", "manifold=euclidean",
@@ -846,8 +863,12 @@ def test_non_finite_numbers_are_refused_by_name(argv, key, capsys):
     (KHAS_ARGS + ["--set", "m=2", "--set", "K_radius=3"],
      "need 0 < K_radius < Omega_radius < first radius, got K_radius=3, "
      "Omega_radius=2, first radius 4"),
+    # n_nodes is refused by its key: -5 used to exit with numpy's "Number
+    # of samples, -5, must be non-negative."
     (OBST_ARGS + ["--set", "n_nodes=2"],
-     "grid must be 1-D with at least 3 nodes, got shape (2,)"),
+     "config key 'n_nodes': must be >= 3, got 2"),
+    (OBST_ARGS + ["--set", "n_nodes=-5"],
+     "config key 'n_nodes': must be >= 3, got -5"),
 ])
 def test_tags_are_refused_by_key_and_value(argv, named, capsys):
     with warnings.catch_warnings(record=True) as seen:

@@ -36,7 +36,7 @@ def test_quadrature_nonfinite_raises():
 @pytest.mark.parametrize("q", [0.05, 0.1, 0.25, 0.5, 1.0, 4.5])
 def test_quadrature_power_head_panel(x, q):
     # the head panels of keller_osserman's tables: t**q on [0, x], which
-    # the graded panels integrate to rounding (measured <= 5.4e-15)
+    # the power rule integrates in closed form, to rounding
     exact = x ** (q + 1.0) / (q + 1.0)
     got = core.Quadrature().integrate(lambda t: t ** q, 0.0, x)
     assert abs(got - exact) <= 1e-14 * exact
@@ -64,7 +64,15 @@ def test_quadrature_calls_the_integrand_once():
         return t
 
     assert core.Quadrature().integrate(f, 0.0, 2.0) == pytest.approx(2.0)
-    assert calls == [(core.GRADED_PANELS, 8)]
+    assert calls == [(2,)]
+
+
+def test_gauss_legendre_literals_are_leggauss():
+    # the table panels' rule, written out so that no command imports
+    # numpy.polynomial: leggauss(8) mapped to [0, 1], bit for bit
+    x, w = np.polynomial.legendre.leggauss(8)
+    assert core._GL_NODES.tobytes() == (0.5 * (x + 1.0)).tobytes()
+    assert core._GL_WEIGHTS.tobytes() == (0.5 * w).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +327,16 @@ def test_tabulated_manifold_refuses_a_negative_first_radius():
                                        "g(0)=0"),
     ([0.5, 1.0, 2.0], [0.5, 0.0, 2.0], "tabulated warping must be positive "
                                        "for r > 0"),
-], ids=["shape", "order", "g(0)", "positive"])
+    # one row 0,0 raised IndexError, and a NaN g reached pchip unnamed
+    ([0.0], [0.0], "tabulated warping has no sample at r > 0 (sample "
+                   "count 1)"),
+    ([], [], "tabulated warping has no sample at r > 0 (sample count 0)"),
+    ([0.5, 1.0, 2.0], [0.5, np.nan, 2.0], "sample 1 is (r, g) = (1, nan); "
+                                          "samples must be finite"),
+    ([0.5, 1.0, np.inf], [0.5, 1.0, 2.0], "sample 2 is (r, g) = (inf, 2); "
+                                          "samples must be finite"),
+], ids=["shape", "order", "g(0)", "positive", "one-sample", "no-sample",
+        "nan-g", "inf-r"])
 def test_tabulated_manifold_refuses_its_samples_by_check(r, g, named):
     with pytest.raises(ValueError, match=re.escape(named)):
         core.tabulated_manifold(r, g, m=2)

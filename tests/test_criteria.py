@@ -551,12 +551,24 @@ def test_keller_osserman_builds_one_rule(monkeypatch):
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_plateau_beta_table_has_its_kink_as_a_node(p):
     # beta(s) = (s - T)**p / p past the kink T = 1; the panel that starts
-    # there is graded, as the head panel is
+    # there takes the power rule, as the head panel does
     s, beta = criteria._beta_interpolant(core.plateau_potential(1.0, p))
     assert 1.0 in s
     far = s >= 2.0
     assert np.allclose(beta[far], (s[far] - 1.0) ** p / p, rtol=1e-12,
                        atol=0.0)
+
+
+@pytest.mark.parametrize("T", [0.01, 1.0, 7.3, 1e3])
+@pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0, 6.0])
+def test_plateau_beta_table_is_the_closed_form_past_its_kink(p, T):
+    # every node past the kink, the first (the power rule's panel) too, is
+    # (s - T)**p / p to 1e-11 (worst measured 7.3e-12); beta is 0 up to T
+    s, beta = criteria._beta_interpolant(core.plateau_potential(T, p))
+    past = s > T
+    exact = (s[past] - T) ** p / p
+    assert (np.abs(beta[past] - exact) / exact).max() <= 1e-11
+    assert (beta[~past] == 0.0).all()
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -598,9 +610,9 @@ def test_table_head_panel_is_exact_for_a_power(a):
 
 
 def test_keller_osserman_integrates_only_its_head_panels(monkeypatch):
-    # the one graded panel is the plateau's at its kink T = 1; the head
-    # panels at 0 of the beta and kinetic tables are powers, integrated
-    # in closed form (they were graded quadratures too)
+    # the one quadrature call is the plateau's panel at its kink T = 1;
+    # the head panels at 0 of the beta and kinetic tables take the same
+    # power rule, but not through Quadrature
     calls = []
     integrate = core.Quadrature.integrate
 

@@ -2,8 +2,8 @@
 
 With scipy unimportable, every command runs, at lambda = 0 and 1, as do a
 classification on a tabulated warping (a numpy monotone cubic),
-``keller_osserman`` on a plateau potential, whose beta table has a graded
-kink panel, and the blow-up tail of ``solve_cauchy``, whose radius no
+``keller_osserman`` on a plateau potential, whose beta table has a power
+panel at its kink, and the blow-up tail of ``solve_cauchy``, whose radius no
 threshold moves.  The checks run in a fresh interpreter, so that no
 module the test suite has loaded (its oracles import scipy) hides a
 scipy import at load.
@@ -75,8 +75,10 @@ for argv in (['classify', *plane], ['classify', *plane, *linear],
              ['evans', *plane, *linear, '--set', 'R=1', '--set', 'R1=2',
               '--set', 'eps=0.1', '--rmax', '40']):
     assert cli.main(argv + ['--out', os.devnull]) == 0, argv
-# no call imports numpy.ma, whose import np.unique's first call pays
+# no call imports numpy.ma, whose import np.unique's first call pays,
+# nor numpy.polynomial, whose leggauss(8) the tables' panel rule writes out
 assert 'numpy.ma' not in sys.modules
+assert 'numpy.polynomial' not in sys.modules
 """
 
 
