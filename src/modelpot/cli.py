@@ -13,10 +13,14 @@ Output is CSV with '#'-prefixed ``key=value`` metadata lines before the
 header; identical configs produce byte-identical output.  ``evans`` and
 ``khasminskii`` name in ``# reason=`` the deciding branch of the Liouville
 test and in ``# r_max=`` the radius it read to, ``classify`` in its
-``reason`` column the branch of each row's test.  ``evans`` counts in
+``reason`` column the branch of each row's test.  ``evans`` names in
+``# constant_flux_to=`` the last radius of its profile's constant-flux
+part, up to which ``B(c z)`` vanishes and no Picard window is laid (``R``
+when ``B`` vanishes only at 0, ``R_max`` when ``B = 0`` or the profile
+stays below the potential's kink), and counts in
 ``# picard_applications=`` and ``# failed_windows=`` the Picard work of
-its marches, every scale tried (0 for ``B = 0``, which takes none).
-This module alone knows that format.
+its marches past it, every scale tried.  This module alone knows that
+format.
 """
 
 from __future__ import annotations
@@ -227,6 +231,7 @@ def cmd_evans(cfg, out_path) -> int:
         ["command=evans", f"c={result.c_final:.12g}",
          f"mu={result.mu_final:.12g}",
          f"sup_on_annulus={result.sup_on_annulus:.12g}",
+         f"constant_flux_to={result.constant_flux_to:.12g}",
          f"picard_applications={sol.applications}",
          f"failed_windows={sol.failed_windows}",
          f"status={sol.status}", f"reason={dv.reason}",
@@ -248,13 +253,15 @@ def cmd_khasminskii(cfg, out_path) -> int:
     nodes = _get_int(cfg, "nodes_per_stage", 48)
     report = obstacle.khasminskii_construct(
         M, p, lam, K_radius, Omega_radius, eps, radii, nodes_per_stage=nodes)
-    dv = report.divergence
+    dv, gate = report.divergence, report.gate
     _write(out_path, _profile_csv(
         ["command=khasminskii", f"verdict={report.verdict}",
          f"reason={dv.reason}", f"n_stages={report.n_stages}",
          f"h_limit_sup={report.h_limit_sup:.12g}",
          "budget_used=" + ",".join(f"{b:.12g}" for b in report.budget_used),
-         f"r_max={dv.r_max:.12g}"],
+         f"r_max={dv.r_max:.12g}"]
+        + ([] if gate is None else [f"gate_ratio={gate.worst_residual:.6g}",
+                                    f"gate_node={gate.worst_node}"]),
         "w", report.w.problem.grid, report.w.values))
     return {"HLimitNonzero": EXIT_H_LIMIT_NONZERO,
             "Inconclusive": EXIT_INCONCLUSIVE}.get(report.verdict, EXIT_OK)
@@ -349,7 +356,6 @@ def main(argv=None) -> int:
         return run(cfg, args.out)
     except (ConfigError, ValueError, core.NumericError, OSError,
             criteria.ConsistencyError) as exc:
-        log.error("%s", exc)
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
 

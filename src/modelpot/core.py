@@ -40,7 +40,8 @@ class NumericError(RuntimeError):
 
 
 class QuadratureError(NumericError):
-    """A table panel's integrand is not integrable at its left end."""
+    """A table panel's integrand is not integrable at its left end, or is
+    no power of the distance to it."""
 
 
 # ---------------------------------------------------------------------------
@@ -51,12 +52,22 @@ def _power_panel(f, a: float, b: float) -> float:
     """``integral_a^b f`` as ``(b - a) f(b)/(k + 1)``, ``k =
     log2(f(b)/f(a + (b - a)/2))``, from one call of ``f`` on those two
     points: exact for ``(t - a)**k``, 0 where ``f(b)`` is not positive,
-    and ``QuadratureError`` for a ``k <= -1``, not integrable at ``a``."""
+    and ``QuadratureError`` for a ``k <= -1``, not integrable at ``a``, or
+    for ``f`` 0 in the middle under a normal ``f(b)``, which no power with
+    ``k`` below 52 gives (the rule's ``k = inf`` would make the panel 0).
+    Under a subnormal ``f(b)`` a zero middle is a power's underflow, and
+    the panel, below ``(b - a) f(b)``, is 0."""
     mid = a + 0.5 * (b - a)
     half, whole = np.asarray(f(np.array([mid, b])), dtype=float)
     if not whole > 0:
         return 0.0
-    power = math.log2(whole / half) if half > 0 else math.inf
+    if not half > 0:
+        if whole < np.finfo(float).tiny:
+            return 0.0
+        raise QuadratureError(
+            f"the panel [{a:g}, {b:.3e}] is no power of (t - {a:g}): its "
+            f"integrand is {half:g} at {mid:.3e} and {whole:g} at {b:.3e}")
+    power = math.log2(whole / half)
     if not power > -1:
         raise QuadratureError(f"the panel [{a:g}, {b:.3e}] grows like (t - "
                               f"{a:g})**{power:.3g}, not integrable at {a:g}")
@@ -717,7 +728,10 @@ class PotentialB:
     ``homogeneity`` records the growth exponent for presets that have one;
     ``kink`` a point ``T > 0`` where ``B`` is not smooth, which tables of
     ``B`` take as a node: past it ``B`` is a power of ``t - T``, as it is
-    of ``t`` past 0, on the table's panel that starts there.
+    of ``t`` past 0, on the table's panel that starts there.  So ``B(T)``
+    is 0, and ``B``, nonnegative and non-decreasing, vanishes on ``[0,
+    T]`` (refused otherwise, at 101 samples): an Evans profile is the
+    constant-flux one while ``c z <= T``.
     """
 
     B: Callable[[float], float]
@@ -734,6 +748,18 @@ class PotentialB:
             raise ValueError("potential must be non-decreasing (sampled)")
         if (vals < -1e-15).any():
             raise ValueError("potential must be nonnegative on [0, inf)")
+        if self.kink is not None:
+            if not self.kink > 0:
+                raise ValueError(f"kink must be positive, got "
+                                 f"T={self.kink:g}")
+            # evans takes B = 0 up to the kink: sampled there, T included
+            t = np.linspace(0.0, self.kink, 101)
+            below = _on_samples(self.B, t, "potential")
+            if below.any():
+                i = int(np.argmax(below != 0))
+                raise ValueError(
+                    f"potential must vanish up to its kink T={self.kink:g}, "
+                    f"got B({t[i]:g})={below[i]:g} and B(T)={below[-1]:g}")
 
 
 def zero_potential() -> PotentialB:

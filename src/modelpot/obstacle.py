@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -500,6 +500,8 @@ class KhasminskiiReport:
     verdict: str          # PotentialBuilt | HLimitNonzero | Inconclusive
     divergence: DivergenceVerdict   # the classifier's test that decided it
     stage_sups: tuple = ()
+    # the final gate on the built profile (None when none was built)
+    gate: Optional[SupersolutionCheck] = None
 
 
 def _construct_grid(K_radius, Omega_radius, radii, nodes_per_stage):
@@ -691,4 +693,4 @@ def khasminskii_construct(M: ModelManifold, p: float, lam: float,
     return KhasminskiiReport(
         w=DiscreteFunction(w_final, prob), n_stages=n_stages,
         budget_used=budget, h_limit_sup=0.0, verdict="PotentialBuilt",
-        divergence=cls.divergence, stage_sups=tuple(sups))
+        divergence=cls.divergence, stage_sups=tuple(sups), gate=check)

@@ -5,9 +5,11 @@ The radial problem ``[g^{m-1} phi(c z')]' = g^{m-1} B(c z)`` with
 its integral reformulation on short windows, continued window by window.
 Solutions either reach the requested radius or blow up at a finite radius,
 which is certified and then located with ``z`` as the variable, past the
-last window that converged.  For ``B = 0`` the flux is constant and
-the solution is one integral, built in one pass on the divergence test's
-geometric grid with its Simpson rule in ``log r``.  On top of the solvers
+last window that converged.  Where ``B(c z) = 0`` the flux is constant
+and the solution is one integral, built in one pass on the divergence
+test's geometric grid with its Simpson rule in ``log r``; an Evans profile
+takes it up to the level below which ``B`` vanishes, and Picard windows
+only past it.  On top of the solvers
 sit the slope selection rules and the small-on-an-annulus construction
 that produce exhaustion potentials for triples of concentric balls.
 """
@@ -97,7 +99,7 @@ class RadialSolution:
     blowup_radius: Optional[float] = None
     # the Picard work of the march: every application, and the windows
     # that failed (an evans_for_triple profile counts every scale it
-    # tried); a B = 0 profile takes none
+    # tried); a constant-flux profile takes none
     applications: int = 0
     failed_windows: int = 0
 
@@ -114,6 +116,8 @@ class EvansResult:
     mu_final: float
     sup_on_annulus: float
     exhaustion: DivergenceVerdict
+    # the last node of the profile's constant-flux part (R if it has none)
+    constant_flux_to: float
 
 
 class _Window:
@@ -504,10 +508,32 @@ def constant_flux_profile(M: ModelManifold, op: PhiOperator,
                           status=COMPLETE, r_max=float(R_max))
 
 
-def _one_piece(sol: RadialSolution):
-    """``sol`` as a march of one ``(grid, z, zp)`` piece, like ``_march``."""
-    yield sol.grid, sol.z, sol.zp
-    return sol.status, sol.r_max, sol.blowup_radius
+def _evans_march(M: ModelManifold, op: PhiOperator, pot: PotentialB,
+                 params: CauchyParams, R_max: float, R1: float,
+                 work: Counter):
+    """One ``evans_for_triple`` scale as a march, like ``_march``.  Where
+    ``B(c z)`` vanishes the flux is constant, so its first piece is
+    ``constant_flux_profile`` through ``R1`` up to the last node where
+    ``c z <= T0``, the level below which ``B`` vanishes: ``inf`` for
+    ``b1 == 0``, the ``kink`` where one is set, else 0, which builds no
+    table and leaves the node at ``R``.  From that node on it is
+    ``_march``, with ``R1`` as a stop."""
+    level = math.inf if pot.b1 == 0 else pot.kink or 0.0
+    if level == 0:
+        return (yield from _march(M, op, pot, params, R_max,
+                                  NODES_PER_WINDOW, work, R1=R1))
+    table = constant_flux_profile(M, op, params, R_max, R1=R1)
+    # the profile increases: c z <= T0 on its first k nodes, R among them
+    k = int(np.searchsorted(params.c * table.z, level, side="right"))
+    yield table.grid[:k], table.z[:k], table.zp[:k]
+    if k == len(table.grid):
+        return COMPLETE, R_max, None
+    march = _march(M, op, pot, CauchyParams(
+        float(table.grid[k - 1]), float(table.z[k - 1]),
+        float(table.zp[k - 1]), params.c), R_max, NODES_PER_WINDOW, work,
+        R1=R1)
+    next(march)                      # the node it starts from
+    return (yield from march)
 
 
 def choose_mu(op: PhiOperator, c: float) -> float:
@@ -539,15 +565,17 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     ``p - 1`` breaks it for large ``t``, and a pure power ``lambda t**q``
     with ``lambda > 0`` and ``q < p - 1`` near 0, and both are refused by
     their exponents before the classifier runs.  Each scale runs one
-    march.  For ``B = 0`` it is one piece, the whole
-    ``constant_flux_profile`` through ``R1``, on the table grid from
-    ``R``.  Otherwise it is the ``solve_cauchy`` march, on windows of
+    march, ``_evans_march``: the constant-flux profile on the table grid
+    from ``R`` as far as ``B(c z)`` vanishes (for ``B = 0`` the whole
+    profile), then the ``solve_cauchy`` march on windows of
     ``NODES_PER_WINDOW`` nodes, with no blow-up tail and a window end at
-    ``R1``: its pieces up to ``R1`` decide the scale by their sup, which
+    ``R1``.  The pieces up to ``R1`` decide the scale by their sup, which
     the increasing profile takes at ``R1``, and only the accepted scale is
-    marched on to ``R_max``.  A march that stalls (window underflow)
-    raises from ``_march``: ``DomainError`` if its last window passed the
-    largest double (``FluxOverflow``), else ``EvansFailure``.
+    marched on to ``R_max``; its ``constant_flux_to`` is the last node of
+    the table (``R`` with none).
+    A march that stalls (window underflow) raises from ``_march``:
+    ``DomainError`` if its last window passed the largest double
+    (``FluxOverflow``), else ``EvansFailure``.
     """
     if not 0 < R < R1 < R_max < math.inf:
         raise DomainError("need 0 < R < R1 < R_max < inf")
@@ -583,12 +611,7 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     while c >= EVANS_C_MIN:
         mu = choose_mu(op, c)
         params = CauchyParams(R=R, theta=0.0, mu=mu, c=c)
-        if pot.b1 != 0:
-            march = _march(M, op, pot, params, R_max, NODES_PER_WINDOW, work,
-                           R1=R1)
-        else:
-            march = _one_piece(constant_flux_profile(M, op, params, R_max,
-                                                     R1=R1))
+        march = _evans_march(M, op, pot, params, R_max, R1, work)
         pieces = []
         _take(march, pieces, R1)
         grid, z, _ = _concat(pieces)
@@ -598,7 +621,8 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
             if np.any(np.diff(sol.z) <= 0):
                 raise NumericError("accepted solution is not increasing")
             return EvansResult(solution=sol, c_final=c, mu_final=mu,
-                               sup_on_annulus=sup, exhaustion=dv)
+                               sup_on_annulus=sup, exhaustion=dv,
+                               constant_flux_to=float(pieces[0][0][-1]))
         c *= 0.5
     raise EvansFailure(
         "no admissible scale above the floor; observed annulus bound "

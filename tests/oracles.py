@@ -1,7 +1,7 @@
 """Independent oracles shared by the unit and acceptance tests."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -118,18 +118,32 @@ def evans_eager_sweep(M, op, pot, R, R1, eps, R_max, nodes_per_window=64,
                       c_min=1e-12):
     """The scale sweep of ``radial.evans_for_triple`` with every scale
     built to ``R_max`` before its sup on the annulus is taken: by
-    ``constant_flux_profile`` through ``R1`` for ``B = 0``, else by a full
-    ``solve_cauchy``.  Any blow-up status fails the sweep.  It asks no
-    Liouville test, so its ``exhaustion`` is ``None``."""
+    ``constant_flux_profile`` through ``R1`` at every node where ``c z``
+    is at most ``T0``, the level below which ``B`` vanishes (``inf`` for
+    ``b1 == 0``, the kink where one is set, else 0, with no table), and
+    past the last of them by a full ``solve_cauchy`` from it, whose first
+    node is the table's last.  Any blow-up status fails the sweep.  It
+    asks no Liouville test, so its ``exhaustion`` is ``None``."""
+    level = math.inf if pot.b1 == 0 else pot.kink or 0.0
     c = 1.0
     while c >= c_min:
         mu = radial.choose_mu(op, c)
         params = radial.CauchyParams(R=R, theta=0.0, mu=mu, c=c)
-        if pot.b1 == 0:
-            sol = radial.constant_flux_profile(M, op, params, R_max, R1=R1)
-        else:
-            sol = radial.solve_cauchy(M, op, pot, params, R_max,
-                                      nodes_per_window=nodes_per_window)
+        start, sol = params, None
+        if level > 0:
+            table = radial.constant_flux_profile(M, op, params, R_max, R1=R1)
+            keep = c * table.z <= level
+            sol = replace(table, grid=table.grid[keep], z=table.z[keep],
+                          zp=table.zp[keep])
+            start = radial.CauchyParams(float(sol.grid[-1]), float(sol.z[-1]),
+                                        float(sol.zp[-1]), c)
+        if start.R < R_max:
+            tail = radial.solve_cauchy(M, op, pot, start, R_max,
+                                       nodes_per_window=nodes_per_window)
+            sol = tail if sol is None else replace(
+                tail, params=params, grid=np.append(sol.grid, tail.grid[1:]),
+                z=np.append(sol.z, tail.z[1:]),
+                zp=np.append(sol.zp, tail.zp[1:]))
         if sol.status == radial.BLOWUP:
             raise radial.EvansFailure(
                 f"blow-up at c={c:g}, radius {sol.blowup_radius:g}")
@@ -137,7 +151,8 @@ def evans_eager_sweep(M, op, pot, R, R1, eps, R_max, nodes_per_window=64,
         if c * K_obs < eps:
             return radial.EvansResult(solution=sol, c_final=c, mu_final=mu,
                                       sup_on_annulus=c * K_obs,
-                                      exhaustion=None)
+                                      exhaustion=None,
+                                      constant_flux_to=start.R)
         c *= 0.5
     raise radial.EvansFailure("no admissible scale above the floor")
 

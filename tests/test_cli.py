@@ -205,7 +205,9 @@ def test_evans_blowup_threshold_has_no_effect(capsys):
 def test_evans_prints_the_picard_work_it_did(capsys, monkeypatch, tag):
     # CI's B != 0 config: the counters that the march sums and evans
     # prints are the applications and failed windows counted call by call
-    # (306 and 0 on linear-power, 84 and 0 on plateau), every scale tried
+    # (306 and 0 on linear-power, every scale tried; 0 and 0 on plateau,
+    # whose profile stays below its kink T = 1 at every scale on [1, 2],
+    # and at the accepted c = 1/8 up to R_max = 40: c z = log(r)/8 there)
     counts = count_picard_work(monkeypatch)
     code, out = run_cli(
         ["evans", "--set", "manifold=euclidean", "--set", "m=2",
@@ -217,8 +219,10 @@ def test_evans_prints_the_picard_work_it_did(capsys, monkeypatch, tag):
     assert f"# picard_applications={counts['applications']}" in meta
     assert f"# failed_windows={counts['failed']}" in meta
     assert counts["applications"] == (306 if tag.startswith("linear")
-                                      else 84)
+                                      else 0)
     assert counts["failed"] == 0
+    reach = "1" if tag.startswith("linear") else "40"
+    assert f"# constant_flux_to={reach}" in meta
 
 
 def test_evans_rejected_scales_are_decided_on_the_annulus(capsys):
@@ -354,6 +358,23 @@ def test_classify_refuses_a_table_by_its_samples(rows, named, tmp_path,
     assert f"error: {named}\n" in captured.err
 
 
+def test_an_error_is_one_stderr_line_in_a_fresh_process(tmp_path):
+    # at the default MODELPOT_LOG=WARNING the logging handler used to print
+    # "ERROR modelpot: ..." above the "error: ..." line
+    path = tmp_path / "warp.csv"
+    path.write_text("r,g\n0,0\n")
+    src = str(Path(cli.__file__).parents[1])
+    env = {key: value for key, value in os.environ.items()
+           if key != "MODELPOT_LOG"}
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-m", "modelpot.cli", "classify", "--set",
+         f"manifold=table:{path}"], env=env, capture_output=True, text=True)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == ("error: tabulated warping has no sample at r > 0 "
+                           "(sample count 1)\n")
+
+
 def test_classify_refuses_an_interval_of_a_few_ulps(capsys):
     # the plane is parabolic; on [1, 1 + 1 ulp] no verdict can be sampled
     code = cli.main(["classify", "--set", "manifold=euclidean",
@@ -410,13 +431,18 @@ def test_khasminskii_plane_exit_zero(capsys):
     assert lines[:5] == ["# command=khasminskii", "# verdict=PotentialBuilt",
                          "# reason=critical_slope", "# n_stages=3",
                          "# h_limit_sup=0"]
-    # the radius the classifier read to from rho_N = 32 closes the metadata
-    assert lines[5:8] == ["# budget_used=0.005,0.009375,0.0125",
-                          "# r_max=10000", "r,w"]
-    header = 7
+    # the radius the classifier read to from rho_N = 32, then the least
+    # ratio of the final gate and its node, which the report carries
     rep = obstacle.khasminskii_construct(
         core.manifold_from_tag("euclidean", 2), 2.0, 0.0, K_radius=1.0,
         Omega_radius=2.0, eps=0.1, exhaustion_radii=[4, 8, 16, 32])
+    assert rep.gate == obstacle.is_supersolution(rep.w.problem, rep.w.values)
+    assert rep.gate.ok
+    assert lines[5:10] == ["# budget_used=0.005,0.009375,0.0125",
+                           "# r_max=10000",
+                           f"# gate_ratio={rep.gate.worst_residual:.6g}",
+                           f"# gate_node={rep.gate.worst_node}", "r,w"]
+    header = 9
     data = np.loadtxt(lines[header + 1:], delimiter=",")
     assert np.allclose(data[:, 0], rep.w.problem.grid, rtol=1e-11, atol=0.0)
     assert np.allclose(data[:, 1], rep.w.values, rtol=1e-11, atol=1e-300)
@@ -430,6 +456,8 @@ def test_khasminskii_m3_exit_four(capsys):
     assert out.splitlines()[1:5] == [
         "# verdict=HLimitNonzero", "# reason=tail_within_tolerance",
         "# n_stages=0", "# h_limit_sup=0.774193548387"]
+    # no profile is built, so no final gate runs or prints
+    assert "# gate_" not in out
 
 
 def test_khasminskii_hyperbolic_default_radii_exit_four(capsys):

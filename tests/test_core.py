@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from modelpot import core
+from modelpot import core, criteria
 from oracles import phi_inverse_brentq, volume_ratio_reference
 
 
@@ -49,6 +49,70 @@ def test_quadrature_kink_panel(T, p):
     exact = 0.7 ** p / p
     got = core.Quadrature().integrate(f, T, T + 0.7)
     assert abs(got - exact) <= 1e-14 * exact
+
+
+def test_power_panel_refuses_a_zero_middle_below_a_positive_end():
+    # a custom kink whose potential is 0 up to 60% of the beta table's
+    # kink panel and a square root past it: no power of t - T is 0 at the
+    # middle and positive at the end, and the rule's k = inf used to give
+    # the panel 0 (its integral is 1.1e-3); the panel and both values are
+    # named
+    grid = criteria._BETA_GRID
+    end = float(grid[np.searchsorted(grid, 1.0, side="right")])
+    start = 1.0 + 0.6 * (end - 1.0)
+    pot = core.PotentialB(
+        B=lambda t: np.sqrt(np.maximum(np.asarray(t, float) - start, 0.0)),
+        kink=1.0)
+    whole = math.sqrt(end - start)
+    message = re.escape(
+        f"the panel [1, {end:.3e}] is no power of (t - 1): its integrand is "
+        f"0 at {1.0 + 0.5 * (end - 1.0):.3e} and {whole:g} at {end:.3e}")
+    with pytest.raises(core.QuadratureError, match=message):
+        core.Quadrature().integrate(pot.B, 1.0, end)
+    with pytest.raises(core.QuadratureError, match=message):
+        criteria._beta_interpolant(pot)
+    # a panel on which the integrand is 0 at its end stays 0, and so does
+    # one whose middle underflows below a subnormal end: t**52 on the
+    # beta table's head panel [0, 1e-6] is 1e-312 at its end, and
+    # superlinear:q=52 keeps its verdict
+    assert core.Quadrature().integrate(pot.B, 1.0, start) == 0.0
+    assert core.Quadrature().integrate(lambda t: t ** 52, 0.0, 1e-6) == 0.0
+    assert criteria.keller_osserman(
+        core.p_laplacian_operator(2.0),
+        core.superlinear_potential(52.0)).verdict == "NotKO_fails"
+
+
+def half_t(t):
+    return 0.5 * np.asarray(t, dtype=float)
+
+
+def bump_past_the_samples(t):
+    """0 up to 11, a bump of 5 on (11, 12), then ``max(t - 30, 0)``: its
+    kink T = 30 has B(T) = 0, and it is non-decreasing on the samples
+    [0, 10] of every potential."""
+    t = np.asarray(t, dtype=float)
+    return 5.0 * ((t > 11.0) & (t < 12.0)) + np.maximum(t - 30.0, 0.0)
+
+
+@pytest.mark.parametrize("B,kink,message", [
+    (half_t, 1.0, r"potential must vanish up to its kink T=1, got "
+                  r"B\(0\.01\)=0\.005 and B\(T\)=0\.5"),
+    (half_t, 0.0, r"kink must be positive, got T=0"),
+    (half_t, -1.0, r"kink must be positive, got T=-1"),
+    (bump_past_the_samples, 30.0, r"potential must vanish up to its kink "
+                                  r"T=30, got B\(11\.1\)=5 and B\(T\)=0"),
+])
+def test_potential_refuses_a_kink_where_it_does_not_vanish(B, kink, message):
+    # past a kink B is a power of t - T, so B(T) = 0, and B, nonnegative
+    # and non-decreasing, vanishes on [0, T]: evans takes the constant-flux
+    # profile there, which would hide the bump from an evans run whose c z
+    # crosses (11, 12)
+    with pytest.raises(ValueError, match=message):
+        core.PotentialB(B=B, kink=kink)
+    # the plateau vanishes at its kink, and a kink where B = 0 is kept
+    assert core.plateau_potential(1.0, 2.0).kink == 1.0
+    assert core.PotentialB(B=lambda t: 0.5 * np.maximum(
+        np.asarray(t, dtype=float) - 2.0, 0.0), kink=2.0).kink == 2.0
 
 
 def test_quadrature_refuses_split_points():

@@ -699,7 +699,8 @@ def test_blowup_march_work_counts(monkeypatch, threshold):
 @pytest.mark.parametrize("tag,work", [
     ("linear-power:p=2,lambda=1",
      {"applications": 306, "windows": 43, "failed": 0}),
-    ("plateau:T=1,p=2", {"applications": 84, "windows": 42, "failed": 0}),
+    # the plateau profile stays below its kink: the constant-flux table
+    ("plateau:T=1,p=2", {"applications": 0, "windows": 0, "failed": 0}),
 ])
 def test_evans_march_work_counts(monkeypatch, tag, work):
     # the Picard work of an evans call on the plane, scales and windows
@@ -918,8 +919,15 @@ def test_evans_scale_sweep_is_the_eager_sweep(monkeypatch, M, op, pot,
     for name in ("grid", "z", "zp"):
         assert np.array_equal(getattr(res.solution, name),
                               getattr(eager.solution, name)), name
-    assert (res.c_final, res.mu_final, res.sup_on_annulus) == \
-        (eager.c_final, eager.mu_final, eager.sup_on_annulus)
+    assert (res.c_final, res.mu_final, res.sup_on_annulus,
+            res.constant_flux_to) == \
+        (eager.c_final, eager.mu_final, eager.sup_on_annulus,
+         eager.constant_flux_to)
+    if pot.kink is not None:
+        # c z stays below the plateau's kink on [1, R1] at every scale and
+        # up to R_max at the accepted one: no scale lays a window
+        assert windows == [] and res.constant_flux_to == R_max
+        return
     # every rejected scale stops at its first window ending at or past R1
     scales = sorted({c for c, _, _ in windows}, reverse=True)
     assert scales[-1] == res.c_final and len(scales) > 1
@@ -938,7 +946,9 @@ def test_evans_crossing_past_the_annulus_of_a_rejected_scale():
     # the rejected scales c = 1, 1/2 of the plateau pass z = 1e8 only past
     # R1, which solve_cauchy's threshold used to report as a blow-up that
     # failed the eager sweep; no threshold decides a blow-up now, and the
-    # annulus decides them first: the accepted c = 1/8 is the eager sweep's
+    # annulus decides them first, below the kink, where B(c z) = 0 and each
+    # scale is its constant-flux table: the accepted c = 1/8 is the eager
+    # sweep's, the table up to R_max, where c z = log(40)/8 < 1
     pot = core.plateau_potential(1.0, 2.0)
     for c in (1.0, 0.5):
         params = radial.CauchyParams(R=1.0, theta=0.0,
@@ -952,6 +962,79 @@ def test_evans_crossing_past_the_annulus_of_a_rejected_scale():
                               R_max=40.0)
     assert res.c_final == eager.c_final == 0.125
     assert np.array_equal(res.solution.z, eager.solution.z)
+    assert res.constant_flux_to == 40.0 and res.solution.applications == 0
+
+
+def test_plateau_evans_profile_is_the_picard_solution():
+    # B(c z) vanishes below the plateau's kink, and at the accepted
+    # c = 1/8 c z = log(r)/8 stays below T = 1 up to R_max = 40: the
+    # profile is the constant-flux table, which agrees with solve_cauchy's
+    # pure Picard march where the table grid and the unit windows share
+    # nodes, with the tolerances of the B = 0 check
+    pot = core.plateau_potential(1.0, 2.0)
+    res = radial.evans_for_triple(EUC2, LAP2, pot, R=1.0, R1=2.0, eps=0.1,
+                                  R_max=40.0)
+    sol = res.solution
+    assert (res.c_final, res.constant_flux_to, sol.applications) == \
+        (0.125, 40.0, 0)
+    params = radial.CauchyParams(1.0, 0.0, res.mu_final, res.c_final)
+    picard = radial.solve_cauchy(EUC2, LAP2, pot, params, 40.0)
+    assert picard.applications > 0
+    shared, i, j = np.intersect1d(sol.grid, picard.grid, return_indices=True)
+    assert shared.tolist() == [1.0, 2.0, 10.0, 40.0]
+    np.testing.assert_allclose(sol.zp[i], picard.zp[j], rtol=1e-13,
+                               atol=0.0)
+    np.testing.assert_allclose(sol.z[i], picard.z[j], rtol=2e-8, atol=0.0)
+
+
+# (operator, kink T, eps, R_max) of accepted profiles that pass their kink
+HAND_OVER_CASES = {
+    "plane p=2 T=1 eps=1": (LAP2, 1.0, 1.0, 40.0),
+    "plane p=3 T=0.3 eps=0.5": (LAP3, 0.3, 0.5, 20.0),
+}
+
+
+@pytest.mark.parametrize("op,T,eps,R_max", HAND_OVER_CASES.values(),
+                         ids=HAND_OVER_CASES.keys())
+def test_evans_hands_the_plateau_profile_over_past_its_kink(op, T, eps,
+                                                            R_max):
+    # the accepted profile is the constant-flux table up to its last node
+    # where c z <= T, then the Picard march from that node, with R1 a
+    # node; at R_max it is within 2e-5 of a DOP853 oracle that restarts
+    # at the kink (measured 1.15e-5 at p = 2 and 1.0e-8 at p = 3; the pure
+    # Picard march is 7.8e-6 and 1.0e-7 off)
+    pot = core.plateau_potential(T, op.p)
+    res = radial.evans_for_triple(EUC2, op, pot, R=1.0, R1=2.0, eps=eps,
+                                  R_max=R_max)
+    sol, c, mu = res.solution, res.c_final, res.mu_final
+    table = radial.constant_flux_profile(
+        EUC2, op, radial.CauchyParams(1.0, 0.0, mu, c), R_max, R1=2.0)
+    k = int(np.searchsorted(table.grid, res.constant_flux_to))
+    assert table.grid[k] == res.constant_flux_to
+    assert c * table.z[k] <= T < c * table.z[k + 1]
+    for name in ("grid", "z", "zp"):
+        assert np.array_equal(getattr(sol, name)[:k + 1],
+                              getattr(table, name)[:k + 1]), name
+    assert sol.grid[k + 1] > sol.grid[k]
+    assert sol.applications > 0 and sol.failed_windows == 0
+    assert 2.0 in sol.grid and sol.grid[-1] == R_max
+
+    def rhs(r, y):
+        # (r phi(c z'))' = r B(c z) on the plane, phi(t) = t^(p-1)
+        z, flux = y
+        return [(max(flux, 0.0) / r) ** (1.0 / (op.p - 1.0)) / c,
+                r * max(c * z - T, 0.0) ** (op.p - 1.0)]
+
+    def kink(r, y):
+        return c * y[0] - T
+
+    kink.terminal = True
+    below = solve_ivp(rhs, (1.0, R_max), [0.0, (c * mu) ** (op.p - 1.0)],
+                      method="DOP853", rtol=1e-13, atol=1e-14, events=kink)
+    past = solve_ivp(rhs, (below.t[-1], R_max), below.y[:, -1],
+                     method="DOP853", rtol=1e-13, atol=1e-14)
+    assert below.status == 1 and past.success
+    assert abs(sol.z[-1] / past.y[0, -1] - 1.0) < 2e-5
 
 
 @pytest.mark.parametrize("R_max", [12.0, 40.0])
