@@ -343,9 +343,14 @@ PARSER.add_argument("--set", action="append", metavar="KEY=VALUE",
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("MODELPOT_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s")
+    level = os.environ.get("MODELPOT_LOG", "WARNING")
+    # a known name maps to its number, and any other text to a string
+    if not isinstance(logging.getLevelName(level.upper()), int):
+        sys.stderr.write(f"error: MODELPOT_LOG={level!r} is no log level; "
+                         "use DEBUG, INFO, WARNING, ERROR or CRITICAL\n")
+        return EXIT_ERROR
+    logging.basicConfig(level=level.upper(),
+                        format="%(levelname)s %(name)s: %(message)s")
     args = PARSER.parse_args(argv)
     try:
         cfg = _merge(args)

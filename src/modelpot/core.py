@@ -299,6 +299,10 @@ def volume_ratio(M: ModelManifold, r, R: float = 0.0):
                                       initial=_ORIGIN_PANEL))
     grid = grid_through(lo, radii[radii > 0])
     L = log_sphere_volume(M, grid)
+    if not np.isfinite(L).all():
+        i = int(np.argmax(~np.isfinite(L)))
+        raise DomainError(f"the volume ratio needs a finite (m-1) log g, "
+                          f"got {L[i]:g} at r={grid[i]:.6g}")
     rho = [0.0]
     if R == 0:
         # g ~ t near the origin: the rule acts on exp(L(t) - L(lo)) directly
@@ -361,9 +365,11 @@ def _power_exp_manifold(alpha: float, m: int) -> ModelManifold:
     if not alpha > 0:
         raise ValueError(f"power-exp preset requires alpha > 0, got "
                          f"alpha={alpha:g}")
-    return ModelManifold(
-        m, lambda r: np.log(r) + np.asarray(r, dtype=float) ** alpha, True,
-        f"power-exp:alpha={alpha:g}")
+    def log_g(r):
+        with np.errstate(over="ignore"):    # inf is the value of r**alpha
+            return np.log(r) + np.asarray(r, dtype=float) ** alpha
+
+    return ModelManifold(m, log_g, True, f"power-exp:alpha={alpha:g}")
 
 
 def manifold_from_tag(tag: str, m: int) -> ModelManifold:
@@ -515,9 +521,11 @@ def load_manifold_csv(path, m: int) -> ModelManifold:
 
 
 # the samples on which PhiOperator checks phi and phi', and PotentialB
-# checks B: read-only, since every operator and potential shares them
+# checks B, on to 1e6, where every beta table ends, at the table density:
+# read-only, since every operator and potential shares them
 _PHI_SAMPLES = np.logspace(-6, 3, 61)
-_POTENTIAL_SAMPLES = np.linspace(0.0, 10.0, 101)
+_POTENTIAL_SAMPLES = np.concatenate([np.linspace(0.0, 10.0, 101),
+                                     geometric_grid(10.0, 1e6)[1:]])
 _PHI_SAMPLES.flags.writeable = _POTENTIAL_SAMPLES.flags.writeable = False
 
 
@@ -721,7 +729,8 @@ class PotentialB:
 
     ``B`` is read for ``t >= 0`` only, and the package calls it only there:
     at ``c z`` for a profile ``z >= 0``, at the nodes of the table of
-    ``integral_0^s B``, and at the one probe of the operator type.
+    ``integral_0^s B``, and at the one probe of the operator type.  Its
+    sign and monotonicity are sampled on ``[0, 1e6]``, where tables end.
 
     ``b1`` bounds ``B(t) <= b1 * t**(p-1)`` when the potential admits one
     (required by the uniform-bound step of the radial construction);
@@ -741,11 +750,17 @@ class PotentialB:
     kink: Optional[float] = None
 
     def __post_init__(self):
-        vals = _on_samples(self.B, _POTENTIAL_SAMPLES, "potential")
+        t = _POTENTIAL_SAMPLES
+        with np.errstate(over="ignore"):     # inf is the value of t**52
+            vals = _on_samples(self.B, t, "potential")
         if not vals[0] == 0:
             raise ValueError("potential must satisfy B(0)=0")
-        if (vals[1:] - vals[:-1] < -1e-12).any():
-            raise ValueError("potential must be non-decreasing (sampled)")
+        drop = vals[1:] < vals[:-1] - 1e-12
+        if drop.any():
+            i = int(np.argmax(drop))
+            raise ValueError(
+                f"potential must be non-decreasing, got B({t[i]:.4g})="
+                f"{vals[i]:g} > B({t[i + 1]:.4g})={vals[i + 1]:g}")
         if (vals < -1e-15).any():
             raise ValueError("potential must be nonnegative on [0, inf)")
         if self.kink is not None:
@@ -773,7 +788,9 @@ def linear_power_potential(p: float, lam: float) -> PotentialB:
         raise ValueError(f"lambda must be >= 0, got lambda={lam:g}")
 
     def B(t):
-        return lam * np.asarray(t, dtype=float) ** (p - 1.0)
+        t = np.asarray(t, dtype=float)
+        # at lambda = 0, B is 0 also where t**(p-1) passes the largest double
+        return lam * t ** (p - 1.0) if lam else 0.0 * t
 
     return PotentialB(B=B, b1=lam, homogeneity=p - 1.0,
                       name=f"linear-power:p={p:g},lambda={lam:g}")

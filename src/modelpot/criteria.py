@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -63,7 +63,7 @@ SLOPE_BAND = 0.01
 SLOPE_MARGIN = 0.15
 STEADY_DRIFT = 0.1
 TAIL_REL_TOL = 0.05
-# the classifiers read from R0 to max(R_MAX, 100 R0) unless told r_max
+# the classifiers read from 1 to R_MAX unless told r_max
 R_MAX = 1e4
 
 
@@ -225,15 +225,14 @@ def _property(dv: DivergenceVerdict, holds: PropertyTag,
 
 
 def classify_parabolic(M: ModelManifold, op: PhiOperator,
-                       r_max: Optional[float] = None,
-                       R0: float = 1.0) -> Classification:
+                       r_max: float = R_MAX) -> Classification:
     """Parabolic iff the pure-gradient profile ``v_pa`` at ``c = 1`` is not
-    integrable on ``[R0, inf)``, tested to ``r_max``, by default the reach
-    ``max(R_MAX, 100 R0)``.  The pinching puts ``phi**-1(c y)`` within
-    constant factors of ``(c y)**(1/(p-1))``, so whether a profile is
-    integrable does not depend on ``c``, and neither does the test."""
-    r_max = max(R_MAX, 100.0 * R0) if r_max is None else r_max
-    dv = test_L1_at_infinity(lambda r: v_pa(M, op, 1.0, r), R0, r_max)
+    integrable on ``[1, inf)``, tested to ``r_max``.  Whether it is does not
+    depend on the compact set the test starts past, so every command tests
+    from 1.  The pinching puts ``phi**-1(c y)`` within constant factors of
+    ``(c y)**(1/(p-1))``, so whether a profile is integrable does not
+    depend on ``c``, and neither does the test."""
+    dv = test_L1_at_infinity(lambda r: v_pa(M, op, 1.0, r), 1.0, r_max)
     return Classification(
         _property(dv, PropertyTag.PARABOLIC, PropertyTag.NON_PARABOLIC), dv)
 
@@ -249,18 +248,16 @@ def classify_operator_type(pot: PotentialB) -> OperatorTypeTag:
 
 
 def classify_KL(M: ModelManifold, op: PhiOperator, pot: PotentialB,
-                r_max: Optional[float] = None,
-                R0: float = 1.0) -> Classification:
+                r_max: float = R_MAX) -> Classification:
     """Liouville/potential property via the type dispatch: strictly positive
-    potentials test the volume-ratio profile, potentials vanishing near zero
-    reduce to the parabolicity test.  Either test reads from ``R0`` to
-    ``r_max``, by default ``classify_parabolic``'s reach."""
-    r_max = max(R_MAX, 100.0 * R0) if r_max is None else r_max
+    potentials test the volume-ratio profile from 1, potentials vanishing
+    near zero reduce to the parabolicity test.  Either test reads
+    ``[1, r_max]``, the range of every command's verdict."""
     if classify_operator_type(pot) is OperatorTypeTag.TYPE1:
-        dv = test_L1_at_infinity(lambda r: v_st(M, op, 1.0, R0, r), R0,
+        dv = test_L1_at_infinity(lambda r: v_st(M, op, 1.0, 1.0, r), 1.0,
                                  r_max)
     else:
-        dv = classify_parabolic(M, op, r_max, R0).divergence
+        dv = classify_parabolic(M, op, r_max).divergence
     return Classification(
         _property(dv, PropertyTag.KL_HOLDS, PropertyTag.KL_FAILS), dv)
 

@@ -594,8 +594,8 @@ def khasminskii_construct(M: ModelManifold, p: float, lam: float,
     boundary-value problems ``h_j`` on the annuli ``[K, rho_j]`` (extended
     by 1) from ``_unit_solutions``, ratios of one forward sweep (at lambda =
     0 the p-harmonic coordinate ``S``).  Their decreasing limit vanishes
-    iff the Liouville property holds, which ``classify_KL`` decides from
-    ``rho_N``, to the reach it picks, under ``B = lambda t**(p-1)``
+    iff the Liouville property holds, which ``classify_KL`` decides on
+    ``[1, R_MAX]``, whatever the radii, under ``B = lambda t**(p-1)``
     (at lambda = 0 the parabolicity test).  Else the verdict is
     ``HLimitNonzero`` (``KL_Fails``) or ``Inconclusive``, and
     ``stage_sups[-1]`` bounds the limit.  Stage ``n`` raises the potential
@@ -660,7 +660,7 @@ def khasminskii_construct(M: ModelManifold, p: float, lam: float,
     sups = h_funcs[:, idx[0]].tolist()
 
     cls = classify_KL(M, p_laplacian_operator(p),
-                      linear_power_potential(p, lam), R0=float(radii[-1]))
+                      linear_power_potential(p, lam))
     if cls.property is not PropertyTag.KL_HOLDS:
         return KhasminskiiReport(
             w=DiscreteFunction(h_funcs[-1], prob), n_stages=0,

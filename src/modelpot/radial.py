@@ -59,8 +59,8 @@ class EvansFailure(NumericError):
 
 
 class NoExhaustion(EvansFailure):
-    """The Liouville test (``classify_KL``) from ``R`` did not find its
-    profile's integral to diverge, so no scale gives an exhaustion.
+    """The Liouville test (``classify_KL`` on ``[1, R_MAX]``) did not find
+    its profile's integral to diverge, so no scale gives an exhaustion.
     ``divergence`` is the verdict of the test: ``Converges`` (no
     exhaustion exists) or ``Inconclusive`` (the test cannot tell)."""
 
@@ -552,9 +552,9 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
                      ) -> EvansResult:
     """Exhaustion solution small on the annulus ``[R, R1]``.
 
-    An exhaustion exists iff the Liouville property holds, so
-    ``classify_KL`` from ``R``, to the reach it picks, decides first (a
-    table that ends before the reach is refused by its range):
+    An exhaustion exists iff the Liouville property holds, a property of
+    the whole manifold, so ``classify_KL`` on ``[1, R_MAX]`` decides first
+    whatever ``R`` is (a table that ends before ``R_MAX`` is refused):
     ``NoExhaustion`` unless its profile's integral diverges, a verdict
     that the pinching of ``phi`` makes the same for every scale.  Then
     halves the scale ``c`` from 1 (down to ``EVANS_C_MIN``), picking the
@@ -601,7 +601,7 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     if not M.monotone:
         raise DomainError("the construction requires a non-decreasing warping")
     M._check_radius(R_max)           # a short table fails before its tail
-    dv = classify_KL(M, op, pot, R0=R).divergence
+    dv = classify_KL(M, op, pot).divergence
     if dv.verdict is not Verdict.DIVERGES:
         raise NoExhaustion(
             f"no exhaustion: the Liouville test says {dv.verdict.value} "

@@ -67,7 +67,7 @@ def assert_slope_is_polyfit(rs, vals):
     assert abs(got - expected) <= 1e-12 * scale, (got, expected)
 
 
-def classify_c_sweep(M, op, pot=None, r_max=criteria.R_MAX, R0=1.0):
+def classify_c_sweep(M, op, pot=None, r_max=criteria.R_MAX):
     """The property by the rule that samples the scale ``c``: the
     divergence test on the comparison profile at every ``c`` of
     ``C_SWEEP``.  It holds if every scale diverges, fails if the smallest
@@ -81,12 +81,12 @@ def classify_c_sweep(M, op, pot=None, r_max=criteria.R_MAX, R0=1.0):
     if pot is not None and \
             criteria.classify_operator_type(pot) is OperatorTypeTag.TYPE1:
         def profile(c, r):
-            return criteria.v_st(M, op, c, R0, r)
+            return criteria.v_st(M, op, c, 1.0, r)
     else:
         def profile(c, r):
             return criteria.v_pa(M, op, c, r)
     verdicts = [criteria.test_L1_at_infinity(
-        lambda r, c=c: profile(c, r), R0, r_max).verdict for c in C_SWEEP]
+        lambda r, c=c: profile(c, r), 1.0, r_max).verdict for c in C_SWEEP]
     if all(v is Verdict.DIVERGES for v in verdicts):
         return holds
     if verdicts[-1] is Verdict.CONVERGES:
@@ -105,13 +105,12 @@ def operator_type_scan(pot):
 def exhaustion_at_unit_scale(M, op, R):
     """Whether ``B = 0`` profiles from ``R`` are unbounded, decided on the
     slope of ``radial.constant_flux_profile`` at ``c = 1``,
-    ``phi^-1(w(R)/w)``: the divergence test up to the classifiers' reach
-    from ``R``, ``max(R_MAX, 100 R)``."""
+    ``phi^-1(w(R)/w)``: the divergence test from ``R`` to ``R_MAX``,
+    whose verdict is that of the classifiers' test from 1."""
     params = radial.CauchyParams(R=R, theta=0.0,
                                  mu=radial.choose_mu(op, 1.0), c=1.0)
     return criteria.test_L1_at_infinity(
-        lambda r: radial._constant_flux_slope(M, op, params, r), R,
-        max(criteria.R_MAX, 100.0 * R))
+        lambda r: radial._constant_flux_slope(M, op, params, r), R)
 
 
 def evans_eager_sweep(M, op, pot, R, R1, eps, R_max, nodes_per_window=64,
@@ -473,7 +472,7 @@ def khasminskii_candidate_sweep(M, p, lam, K_radius, Omega_radius, eps,
 # cross-checks that no command runs
 
 
-def p_laplacian_criteria(M, p, r_max=criteria.R_MAX, R0=1.0):
+def p_laplacian_criteria(M, p, r_max=criteria.R_MAX):
     """Volume-form specializations for ``phi(t) = t**(p-1)``.
 
     Returns ``(stochastic_type, parabolic_type)`` verdicts for the
@@ -490,8 +489,8 @@ def p_laplacian_criteria(M, p, r_max=criteria.R_MAX, R0=1.0):
     def surface_integrand(r):
         return np.exp(-e * log_sphere_volume(M, r))
 
-    st = criteria.test_L1_at_infinity(ratio_integrand, R0, r_max)
-    pa = criteria.test_L1_at_infinity(surface_integrand, R0, r_max)
+    st = criteria.test_L1_at_infinity(ratio_integrand, 1.0, r_max)
+    pa = criteria.test_L1_at_infinity(surface_integrand, 1.0, r_max)
     return st, pa
 
 

@@ -375,6 +375,19 @@ def test_an_error_is_one_stderr_line_in_a_fresh_process(tmp_path):
                            "(sample count 1)\n")
 
 
+def test_an_unknown_log_level_is_one_stderr_line_in_a_fresh_process():
+    # logging.basicConfig ran outside main's try and raised a traceback
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, MODELPOT_LOG="verbose", PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "modelpot.cli", "classify", "--set",
+         "manifold=euclidean"], env=env, capture_output=True, text=True)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == ("error: MODELPOT_LOG='verbose' is no log level; "
+                           "use DEBUG, INFO, WARNING, ERROR or CRITICAL\n")
+
+
 def test_classify_refuses_an_interval_of_a_few_ulps(capsys):
     # the plane is parabolic; on [1, 1 + 1 ulp] no verdict can be sampled
     code = cli.main(["classify", "--set", "manifold=euclidean",
@@ -674,6 +687,29 @@ def test_cli_evans_on_overflowing_warpings_has_no_exhaustion(alpha, rmax,
     assert out.splitlines()[:2] == ["# command=evans",
                                     "# status=no_exhaustion"]
     assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
+
+
+def test_a_log_weight_past_a_double_is_refused_by_name(capsys):
+    # log g = log r + r^1000 is inf past r ~ 2.03: the volume ratio of a
+    # Type 1 potential names it (exit 1), where it subtracted inf from inf
+    # and refused r=nan; at B = 0 the profile's last sample underflows,
+    # as before, and no overflow warns
+    manifold = ["--set", "manifold=power-exp:alpha=1e3"]
+    code = _no_runtime_warning(lambda: cli.main(
+        ["classify", *manifold,
+         "--set", "potential=linear-power:p=2,lambda=1"]))
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == ("error: the volume ratio needs a finite (m-1) "
+                            "log g, got inf at r=2.05353\n")
+    for argv, exit_code in ((["classify"], 0),
+                            (["evans", "--set", "R=1", "--set", "R1=2",
+                              "--set", "eps=0.1"], 4)):
+        code = _no_runtime_warning(lambda: cli.main(argv + manifold))
+        captured = capsys.readouterr()
+        assert code == exit_code
+        assert "tail_underflow" in captured.out
+        assert captured.err == ""
 
 
 # ---------------------------------------------------------------------------

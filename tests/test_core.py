@@ -88,10 +88,17 @@ def half_t(t):
 
 def bump_past_the_samples(t):
     """0 up to 11, a bump of 5 on (11, 12), then ``max(t - 30, 0)``: its
-    kink T = 30 has B(T) = 0, and it is non-decreasing on the samples
-    [0, 10] of every potential."""
+    kink T = 30 has B(T) = 0, and it is non-decreasing on [0, 10], where
+    every potential was sampled before the samples ran on to 1e6."""
     t = np.asarray(t, dtype=float)
     return 5.0 * ((t > 11.0) & (t < 12.0)) + np.maximum(t - 30.0, 0.0)
+
+
+def bump_between_the_samples(t):
+    """A bump of 5 on (11.05, 11.13), between the potential samples 10.94
+    and 11.14 but over the kink sample 11.1, then ``max(t - 30, 0)``."""
+    t = np.asarray(t, dtype=float)
+    return 5.0 * ((t > 11.05) & (t < 11.13)) + np.maximum(t - 30.0, 0.0)
 
 
 @pytest.mark.parametrize("B,kink,message", [
@@ -99,14 +106,17 @@ def bump_past_the_samples(t):
                   r"B\(0\.01\)=0\.005 and B\(T\)=0\.5"),
     (half_t, 0.0, r"kink must be positive, got T=0"),
     (half_t, -1.0, r"kink must be positive, got T=-1"),
-    (bump_past_the_samples, 30.0, r"potential must vanish up to its kink "
-                                  r"T=30, got B\(11\.1\)=5 and B\(T\)=0"),
+    (bump_past_the_samples, 30.0, r"potential must be non-decreasing, got "
+                                  r"B\(11\.97\)=5 > B\(12\.19\)=0"),
+    (bump_between_the_samples, 30.0, r"potential must vanish up to its kink "
+                                     r"T=30, got B\(11\.1\)=5 and B\(T\)=0"),
 ])
 def test_potential_refuses_a_kink_where_it_does_not_vanish(B, kink, message):
     # past a kink B is a power of t - T, so B(T) = 0, and B, nonnegative
     # and non-decreasing, vanishes on [0, T]: evans takes the constant-flux
     # profile there, which would hide the bump from an evans run whose c z
-    # crosses (11, 12)
+    # crosses (11, 12); the samples to 1e6 see the bump fall first, and
+    # the kink's own samples see one that falls between them
     with pytest.raises(ValueError, match=message):
         core.PotentialB(B=B, kink=kink)
     # the plateau vanishes at its kink, and a kink where B = 0 is kept
@@ -260,10 +270,14 @@ def test_volume_ratio_is_the_reference_bit_for_bit(make, r_hi, R):
 
 
 def test_validation_samples_are_read_only():
-    for samples, grid in ((core._PHI_SAMPLES, np.logspace(-6, 3, 61)),
-                          (core._POTENTIAL_SAMPLES,
-                           np.linspace(0.0, 10.0, 101))):
-        assert np.array_equal(samples, grid)
+    # B is sampled on [0, 10], then at 128 nodes a decade to 1e6: the
+    # table nodes, which may differ from logspace's in the last bit
+    assert np.array_equal(core._PHI_SAMPLES, np.logspace(-6, 3, 61))
+    B_samples = core._POTENTIAL_SAMPLES
+    assert np.array_equal(B_samples[:101], np.linspace(0.0, 10.0, 101))
+    assert np.allclose(B_samples[101:], np.logspace(1.0, 6.0, 641)[1:],
+                       rtol=1e-14, atol=0.0)
+    for samples in (core._PHI_SAMPLES, B_samples):
         with pytest.raises(ValueError, match="read-only"):
             samples[0] = 1.0
 
@@ -827,6 +841,21 @@ def test_potential_validation():
     with np.errstate(over="ignore", invalid="ignore"):
         pot = core.superlinear_potential(400.0)
         assert pot.B(np.array([10.0]))[0] == math.inf
+
+
+def test_potential_is_sampled_to_the_end_of_its_tables():
+    # B is read on [0, 1e6], where the beta tables end: a dip past 10 used
+    # to pass the samples on [0, 10]; the first falling pair is named
+    with pytest.raises(ValueError, match=re.escape(
+            "non-decreasing, got B(11.97)=5 > B(12.19)=0")):
+        core.PotentialB(B=bump_past_the_samples)
+    # every preset builds, with no warning: t**52 passes the largest
+    # double below 1e6, and 0 t**59 is 0 there
+    for tag in ("zero", "linear-power:p=2,lambda=1",
+                "linear-power:p=60,lambda=0", "plateau:T=1,p=2",
+                "plateau:T=1,p=1.5", "superlinear:q=2",
+                "superlinear:q=52"):
+        assert core.potential_from_tag(tag).name == tag
 
 
 def test_potential_tag_roundtrip():

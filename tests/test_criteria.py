@@ -426,14 +426,14 @@ def _dip_table(k: float, m: int, a: float) -> core.ModelManifold:
                                    (1.0, 3, 2.0), (1.5, 3, 3.0),
                                    (1.2, 3, 3.0), (0.4, 4, 2.0)])
 def test_the_dip_depth_moves_no_parabolicity(k, m, p):
-    # past r = 2 the warping is a r^k, and a constant factor does not change
-    # parabolicity: from R0 = 2 it is non-parabolic iff k (m-1)/(p-1) > 1,
-    # at every depth a of the dip
+    # past r = 2 the warping is a r^k, and neither a constant factor nor
+    # the dip on [1, 2] changes parabolicity: the test from 1 says
+    # non-parabolic iff k (m-1)/(p-1) > 1, at every depth a of the dip
     op = core.p_laplacian_operator(p)
     expected = PropertyTag.NON_PARABOLIC if k * (m - 1) / (p - 1) > 1 \
         else PropertyTag.PARABOLIC
     for a in (1e6, 1.0, 1e-3, 1e-6, 1e-9):
-        cls = criteria.classify_parabolic(_dip_table(k, m, a), op, R0=2.0)
+        cls = criteria.classify_parabolic(_dip_table(k, m, a), op)
         assert cls.property is expected, (a, cls)
 
 
@@ -481,12 +481,11 @@ def test_classifier_volume_ratio_node_counts(monkeypatch):
     M = core.manifold_from_tag("euclidean", 2)
     op = core.p_laplacian_operator(2.0)
     pot = core.linear_power_potential(2.0, 1.0)
-    p_laplacian_criteria(M, 2.0, R0=1.0)
+    p_laplacian_criteria(M, 2.0)
     assert seen[0] == (897,)
-    for R0, nodes in ((1.0, 513), (2.0, 475)):
-        seen.clear()
-        criteria.classify_KL(M, op, pot, R0=R0)
-        assert [s for s in seen if len(s) == 1] == [(nodes,)]
+    seen.clear()
+    criteria.classify_KL(M, op, pot)
+    assert [s for s in seen if len(s) == 1] == [(513,)]
 
 
 # ---------------------------------------------------------------------------

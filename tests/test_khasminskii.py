@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from modelpot import cli, core, criteria, obstacle
+from modelpot import cli, core, criteria, obstacle, radial
 from modelpot.criteria import PropertyTag
 
 from oracles import (KL_WARPINGS, khasminskii_candidate_sweep,
@@ -94,16 +94,14 @@ def test_space_detects_nonzero_limit(m, p, K, radii):
 
 
 def test_verdict_is_the_classifier_from_the_last_radius(monkeypatch):
-    # one classify_KL call from R0 = rho_N, which reads to its reach
-    # max(R_MAX, 100 rho_N): two decades past rho_N for the slope fits, so
-    # radii past R_MAX build where a range ending at R_MAX would raise
-    # DomainError
+    # one classify_KL call on classify's range [1, R_MAX], whatever the
+    # radii: radii past R_MAX build, and their verdict is the manifold's
     calls = []
     classify_KL = obstacle.classify_KL
 
-    def recorded(M, op, pot, R0):
-        cls = classify_KL(M, op, pot, R0=R0)
-        calls.append((op.name, pot.name, cls.divergence.r_max, R0))
+    def recorded(M, op, pot):
+        cls = classify_KL(M, op, pot)
+        calls.append((op.name, pot.name, cls.divergence.r_max))
         return cls
 
     monkeypatch.setattr(obstacle, "classify_KL", recorded)
@@ -117,10 +115,49 @@ def test_verdict_is_the_classifier_from_the_last_radius(monkeypatch):
         assert rep.divergence.reason == "critical_slope"
         assert obstacle.is_supersolution(rep.w.problem, rep.w.values).ok
     assert calls == [
-        ("p-laplacian:p=2", "linear-power:p=2,lambda=0", criteria.R_MAX, 32.0),
-        ("p-laplacian:p=2", "linear-power:p=2,lambda=1", criteria.R_MAX, 32.0),
-        ("p-laplacian:p=2", "linear-power:p=2,lambda=1", 1e6, 1e4),
-        ("p-laplacian:p=2", "linear-power:p=2,lambda=0", 3.2e7, 3.2e5)]
+        ("p-laplacian:p=2", "linear-power:p=2,lambda=0", criteria.R_MAX),
+        ("p-laplacian:p=2", "linear-power:p=2,lambda=1", criteria.R_MAX),
+        ("p-laplacian:p=2", "linear-power:p=2,lambda=1", criteria.R_MAX),
+        ("p-laplacian:p=2", "linear-power:p=2,lambda=0", criteria.R_MAX)]
+
+
+
+def _log_family(a, closed_form):
+    """``g = r log(e + r)^a`` on the plane (m = 2): in closed form, or as
+    400 samples on ``geomspace(1e-3, 1e7)``."""
+    if closed_form:
+        return core.ModelManifold(
+            2, lambda r: np.log(r) + a * np.log(np.log(math.e + r)), True)
+    r = np.geomspace(1e-3, 1e7, 400)
+    return core.tabulated_manifold(r, r * np.log(math.e + r) ** a, 2)
+
+
+@pytest.mark.parametrize("closed_form,p", [(True, 2.0), (False, 2.0),
+                                           (False, 3.0)])
+@pytest.mark.parametrize("a", [0.5, 1.0, 1.2, 1.5, 2.0, 2.5, 3.0, 5.0])
+def test_every_command_tests_liouville_on_one_range(a, closed_form, p):
+    # the Liouville property is the whole manifold's, so evans from R = 4
+    # and khasminskii on radii 4..32 give classify's verdict: at p = 2 the
+    # family is non-parabolic iff a > 1, at p = 3 it is parabolic, and
+    # the test may only fail to tell
+    M = _log_family(a, closed_form)
+    op = core.p_laplacian_operator(p)
+    cls = criteria.classify_parabolic(M, op)
+    theory = PropertyTag.NON_PARABOLIC if p == 2.0 and a > 1.0 \
+        else PropertyTag.PARABOLIC
+    assert cls.property in (theory, PropertyTag.INCONCLUSIVE)
+    try:
+        exhaustion = radial.evans_for_triple(
+            M, op, core.zero_potential(), R=4.0, R1=8.0, eps=0.1,
+            R_max=60.0).exhaustion
+    except radial.NoExhaustion as exc:
+        exhaustion = exc.divergence
+    assert exhaustion.verdict is cls.divergence.verdict
+    rep = obstacle.khasminskii_construct(M, p, 0.0, 1.0, 2.0, 0.1, RADII)
+    assert rep.verdict == {PropertyTag.PARABOLIC: "PotentialBuilt",
+                           PropertyTag.NON_PARABOLIC: "HLimitNonzero",
+                           PropertyTag.INCONCLUSIVE: "Inconclusive"}[
+                               cls.property]
 
 
 UNIT_RADII = [4.0, 6.0, 8.0, 12.0]

@@ -46,7 +46,7 @@ else:
 r = np.geomspace(1e-3, 1e4, 3000)
 t = np.clip(r - 1.0, 0.0, 1.0)
 M = core.tabulated_manifold(r, r * 1e-9 ** (t * t * (3.0 - 2.0 * t)), m=3)
-cls = criteria.classify_parabolic(M, core.p_laplacian_operator(2.0), R0=2.0)
+cls = criteria.classify_parabolic(M, core.p_laplacian_operator(2.0))
 assert cls.property is criteria.PropertyTag.NON_PARABOLIC, cls
 ko = criteria.keller_osserman(core.p_laplacian_operator(1.5),
                               core.plateau_potential(1.0, 1.5))

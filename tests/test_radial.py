@@ -403,7 +403,7 @@ def test_two_routes_to_one_radial_function():
                       ("euclidean", 3, 3.0), ("hyperbolic", 2, 2.0)]:
         M = core.manifold_from_tag(tag, m)
         op = core.p_laplacian_operator(p)
-        dv = criteria.classify_parabolic(M, op, R0=1.0).divergence
+        dv = criteria.classify_parabolic(M, op).divergence
         assert dv.r_max == 1e4
         prof = radial.constant_flux_profile(M, op, start, dv.r_max, R1=10.0)
         assert np.array_equal(prof.grid, core.geometric_grid(1.0, 1e4))
@@ -1396,14 +1396,13 @@ def test_evans_builds_from_a_small_radius(tag, R):
 
 
 def test_evans_reads_to_the_classifiers_reach():
-    # from R = 2e4 the Liouville test reads to max(R_MAX, 100 R) = 2e6,
-    # two decades past R, as classify_KL does; a reach clipped to R_MAX
-    # lay below R and was refused
+    # from R = 2e4 the Liouville test is classify's, on [1, R_MAX]: the
+    # property is the whole manifold's, so a base radius past R_MAX
+    # moves neither its range nor its verdict
     res = radial.evans_for_triple(EUC2, LAP2, ZERO, R=2e4, R1=4e4, eps=0.1,
                                   R_max=8e4)
-    assert res.exhaustion == criteria.classify_KL(EUC2, LAP2, ZERO,
-                                                  R0=2e4).divergence
-    assert res.exhaustion.r_max == 2e6
+    assert res.exhaustion == criteria.classify_KL(EUC2, LAP2, ZERO).divergence
+    assert res.exhaustion.r_max == criteria.R_MAX
     assert res.solution.status == radial.COMPLETE
     assert res.solution.r_max == 8e4
     # the table grid spans 0.6 decades here: 80 nodes
