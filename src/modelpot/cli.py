@@ -209,7 +209,7 @@ def cmd_evans(cfg, out_path) -> int:
     R1 = _get_float(cfg, "R1", required=True, positive=True)
     eps = _get_float(cfg, "eps", required=True, positive=True)
     rmax = _get_float(cfg, "rmax", 100.0, positive=True)
-    # read and checked, with no effect: under B <= b1 t**(p-1) no profile
+    # read and checked, with no effect: under B <= b t**(p-1) no profile
     # blows up.  The key stays while the benchmark's threshold jobs send
     # it; it goes with them, in one change to the benchmark
     _get_float(cfg, "blowup_threshold", positive=True)

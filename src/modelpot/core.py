@@ -211,8 +211,8 @@ class ModelManifold:
         if self.r_max_valid < math.inf and \
                 (np.asarray(r) > self.r_max_valid).any():
             raise DomainError(
-                f"radius beyond tabulated range (max {self.r_max_valid})"
-            )
+                f"radius beyond tabulated range (max {self.r_max_valid}), "
+                f"got r={np.max(r):.6g}")
 
 
 def log_sphere_volume(M: ModelManifold, r):
@@ -469,17 +469,25 @@ def tabulated_manifold(r_samples, g_samples, m: int,
         raise ValueError("tabulated warping has no sample at r > 0 "
                          f"(sample count {len(r_samples)})")
     if not np.all(np.diff(r_samples) > 0):
-        raise ValueError("r samples must be strictly increasing")
+        i = int(np.argmax(np.diff(r_samples) <= 0))
+        raise ValueError(f"r samples must be strictly increasing, got "
+                         f"sample {i} at r={r_samples[i]:g} and sample "
+                         f"{i + 1} at r={r_samples[i + 1]:g}")
     if r_samples[0] < 0:
         raise ValueError(f"r sample 0 is {r_samples[0]:g}; the warping is "
                          "tabulated on r >= 0")
+    if r_samples[0] == 0 and g_samples[0] != 0:
+        raise ValueError(f"tabulated warping must satisfy g(0)=0, got "
+                         f"sample 0 (r, g) = (0, {g_samples[0]:g})")
+    bad = (r_samples > 0) & (g_samples <= 0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"tabulated warping must be positive for r > 0, "
+                         f"got sample {i} (r, g) = ({r_samples[i]:g}, "
+                         f"{g_samples[i]:g})")
     if r_samples[0] > 0:
         r_samples = np.concatenate([[0.0], r_samples])
         g_samples = np.concatenate([[0.0], g_samples])
-    if g_samples[0] != 0.0:
-        raise ValueError("tabulated warping must satisfy g(0)=0")
-    if np.any(g_samples[1:] <= 0):
-        raise ValueError("tabulated warping must be positive for r > 0")
     # g'(0)=1 checked at the smallest sample to 5% only; higher-order
     # smoothness at the origin is trusted, not verified.
     slope0 = g_samples[1] / r_samples[1]
@@ -520,12 +528,13 @@ def load_manifold_csv(path, m: int) -> ModelManifold:
 # gradient nonlinearities
 
 
+KO_R_MAX = 1e6      # where the growth tests' tables of beta(s) end
 # the samples on which PhiOperator checks phi and phi', and PotentialB
-# checks B, on to 1e6, where every beta table ends, at the table density:
-# read-only, since every operator and potential shares them
+# checks B, on to KO_R_MAX at the table density: read-only, since every
+# operator and potential shares them
 _PHI_SAMPLES = np.logspace(-6, 3, 61)
 _POTENTIAL_SAMPLES = np.concatenate([np.linspace(0.0, 10.0, 101),
-                                     geometric_grid(10.0, 1e6)[1:]])
+                                     geometric_grid(10.0, KO_R_MAX)[1:]])
 _PHI_SAMPLES.flags.writeable = _POTENTIAL_SAMPLES.flags.writeable = False
 
 
@@ -730,21 +739,19 @@ class PotentialB:
     ``B`` is read for ``t >= 0`` only, and the package calls it only there:
     at ``c z`` for a profile ``z >= 0``, at the nodes of the table of
     ``integral_0^s B``, and at the one probe of the operator type.  Its
-    sign and monotonicity are sampled on ``[0, 1e6]``, where tables end.
+    sign and monotonicity are sampled on ``[0, KO_R_MAX]``.
 
-    ``b1`` bounds ``B(t) <= b1 * t**(p-1)`` when the potential admits one
-    (required by the uniform-bound step of the radial construction);
     ``homogeneity`` records the growth exponent for presets that have one;
     ``kink`` a point ``T > 0`` where ``B`` is not smooth, which tables of
     ``B`` take as a node: past it ``B`` is a power of ``t - T``, as it is
     of ``t`` past 0, on the table's panel that starts there.  So ``B(T)``
     is 0, and ``B``, nonnegative and non-decreasing, vanishes on ``[0,
     T]`` (refused otherwise, at 101 samples): an Evans profile is the
-    constant-flux one while ``c z <= T``.
+    constant-flux one while ``c z <= T``; ``kink = inf`` says ``B = 0``.
+    The two decide the Evans bound ``B(t) <= b t**(p-1)``.
     """
 
     B: Callable[[float], float]
-    b1: Optional[float] = None
     homogeneity: Optional[float] = None
     name: str = "custom"
     kink: Optional[float] = None
@@ -767,19 +774,23 @@ class PotentialB:
             if not self.kink > 0:
                 raise ValueError(f"kink must be positive, got "
                                  f"T={self.kink:g}")
-            # evans takes B = 0 up to the kink: sampled there, T included
-            t = np.linspace(0.0, self.kink, 101)
-            below = _on_samples(self.B, t, "potential")
-            if below.any():
-                i = int(np.argmax(below != 0))
+            # evans takes B = 0 up to the kink: sampled there, T included,
+            # and for T = inf on the potential's own samples
+            end = ""
+            if self.kink < math.inf:
+                t = np.linspace(0.0, self.kink, 101)
+                vals = _on_samples(self.B, t, "potential")
+                end = f" and B(T)={vals[-1]:g}"
+            if vals.any():
+                i = int(np.argmax(vals != 0))
                 raise ValueError(
                     f"potential must vanish up to its kink T={self.kink:g}, "
-                    f"got B({t[i]:g})={below[i]:g} and B(T)={below[-1]:g}")
+                    f"got B({t[i]:g})={vals[i]:g}{end}")
 
 
 def zero_potential() -> PotentialB:
     return PotentialB(B=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-                      b1=0.0, homogeneity=None, name="zero")
+                      name="zero", kink=math.inf)
 
 
 def linear_power_potential(p: float, lam: float) -> PotentialB:
@@ -792,7 +803,7 @@ def linear_power_potential(p: float, lam: float) -> PotentialB:
         # at lambda = 0, B is 0 also where t**(p-1) passes the largest double
         return lam * t ** (p - 1.0) if lam else 0.0 * t
 
-    return PotentialB(B=B, b1=lam, homogeneity=p - 1.0,
+    return PotentialB(B=B, homogeneity=p - 1.0, kink=None if lam else math.inf,
                       name=f"linear-power:p={p:g},lambda={lam:g}")
 
 
@@ -804,7 +815,7 @@ def plateau_potential(T: float, p: float) -> PotentialB:
     def B(t):
         return np.maximum(np.asarray(t, dtype=float) - T, 0.0) ** (p - 1.0)
 
-    return PotentialB(B=B, b1=1.0, homogeneity=p - 1.0,
+    return PotentialB(B=B, homogeneity=p - 1.0,
                       name=f"plateau:T={T:g},p={p:g}", kink=T)
 
 
@@ -817,7 +828,7 @@ def superlinear_potential(q: float) -> PotentialB:
     def B(t):
         return np.asarray(t, dtype=float) ** q
 
-    return PotentialB(B=B, b1=None, homogeneity=q, name=f"superlinear:q={q:g}")
+    return PotentialB(B=B, homogeneity=q, name=f"superlinear:q={q:g}")
 
 
 def potential_from_tag(tag: str) -> PotentialB:

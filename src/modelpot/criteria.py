@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (_GL_NODES, _GL_WEIGHTS, DEFAULT_QUADRATURE,
+from .core import (_GL_NODES, _GL_WEIGHTS, DEFAULT_QUADRATURE, KO_R_MAX,
                    DomainError, ModelManifold, NumericError, PhiOperator,
                    PotentialB, _CumulativeSimpson, _power_panel, distinct,
                    geometric_grid, log_sphere_volume, phi_inverse, pchip,
@@ -266,8 +266,6 @@ def classify_KL(M: ModelManifold, op: PhiOperator, pot: PotentialB,
 # the growth condition on the potential
 
 
-# The truncation radius of the growth tests, in the variable s of beta(s).
-KO_R_MAX = 1e6
 # The growth tests read beta and the kinetic primitive K only below
 # BETA_MAX: K's table then runs to ~4**p a2**2 times that, still a double.
 BETA_MAX = 1e300
@@ -303,8 +301,7 @@ def _beta_interpolant(pot: PotentialB):
     Gauss-Legendre panels, and power panels at 0 and at the kink, where
     power potentials such as ``t**0.5`` and ``max(t - T, 0)**0.5`` are not
     smooth (``_cumulative_table``)."""
-    kinks = (pot.kink,) if pot.kink is not None and \
-        0 < pot.kink < KO_R_MAX else ()
+    kinks = (pot.kink,) if pot.kink and pot.kink < KO_R_MAX else ()
     s = distinct(np.concatenate([_BETA_GRID, kinks]))
     return s, _cumulative_table(pot.B, s, kinks)
 

@@ -128,10 +128,10 @@ def make_problem(M: ModelManifold, p: float, lam: float,
                  grid: Sequence[float]) -> DiscreteProblem:
     """The discrete energy of ``M`` on the strictly increasing ``grid``:
     one ``log_sphere_volume`` pass gives ``L = (m-1) log g`` at the nodes
-    and edge midpoints, and the weights ``exp(L - max L)``.  A grid whose
-    least weight is then no normal double is refused by name (the span
-    of ``L`` and its ends); the spacings ``h`` serve both the order check
-    and the problem."""
+    and edge midpoints, and the weights ``exp(L - max L)``.  A non-finite
+    ``L``, and a grid whose least weight is no normal double, are refused
+    by name; the spacings ``h`` serve both the order check and the
+    problem."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 3:
         raise ValueError(f"grid must be 1-D with at least 3 nodes, got shape "
@@ -152,6 +152,10 @@ def make_problem(M: ModelManifold, p: float, lam: float,
                          f"got {lam:g}")
     r = np.concatenate((grid, 0.5 * (grid[:-1] + grid[1:])))
     L = log_sphere_volume(M, r)
+    if not np.isfinite(L).all():
+        i = int(np.argmin(np.where(np.isfinite(L), np.inf, r)))
+        raise DomainError(f"the weights need a finite (m-1) log g, got "
+                          f"{L[i]:g} at r={r[i]:.6g}")
     lo, hi = np.argmin(L), np.argmax(L)
     w = np.exp(L - L[hi])
     if not w[lo] >= np.finfo(float).tiny:       # a NaN fails it

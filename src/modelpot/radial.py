@@ -514,17 +514,16 @@ def _evans_march(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     """One ``evans_for_triple`` scale as a march, like ``_march``.  Where
     ``B(c z)`` vanishes the flux is constant, so its first piece is
     ``constant_flux_profile`` through ``R1`` up to the last node where
-    ``c z <= T0``, the level below which ``B`` vanishes: ``inf`` for
-    ``b1 == 0``, the ``kink`` where one is set, else 0, which builds no
-    table and leaves the node at ``R``.  From that node on it is
-    ``_march``, with ``R1`` as a stop."""
-    level = math.inf if pot.b1 == 0 else pot.kink or 0.0
-    if level == 0:
+    ``c z <= T0``, the level below which ``B`` vanishes: the potential's
+    ``kink`` (``inf`` for ``B = 0``); with none it builds no table and
+    leaves the node at ``R``.  From that node on it is ``_march``, with
+    ``R1`` as a stop."""
+    if pot.kink is None:
         return (yield from _march(M, op, pot, params, R_max,
                                   NODES_PER_WINDOW, work, R1=R1))
     table = constant_flux_profile(M, op, params, R_max, R1=R1)
     # the profile increases: c z <= T0 on its first k nodes, R among them
-    k = int(np.searchsorted(params.c * table.z, level, side="right"))
+    k = int(np.searchsorted(params.c * table.z, pot.kink, side="right"))
     yield table.grid[:k], table.z[:k], table.zp[:k]
     if k == len(table.grid):
         return COMPLETE, R_max, None
@@ -559,13 +558,12 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     that the pinching of ``phi`` makes the same for every scale.  Then
     halves the scale ``c`` from 1 (down to ``EVANS_C_MIN``), picking the
     matched slope each time, until the scaled solution stays below
-    ``eps`` on the annulus.  Requires a monotone
-    warping and a potential with a ``t**(p-1)`` upper bound, ``p`` the
-    operator's, under which no solution blows up: a growth exponent above
-    ``p - 1`` breaks it for large ``t``, and a pure power ``lambda t**q``
-    with ``lambda > 0`` and ``q < p - 1`` near 0, and both are refused by
-    their exponents before the classifier runs.  Each scale runs one
-    march, ``_evans_march``: the constant-flux profile on the table grid
+    ``eps`` on the annulus.  Requires a monotone warping and ``B(t) <= b
+    t**(p-1)``, ``p`` the operator's, under which no solution blows up: it
+    holds for ``kink = inf`` (``B = 0``), a growth exponent ``p - 1``, or
+    one below it with a kink; any other exponent, or none, is refused
+    before the classifier runs.  Each scale runs one march,
+    ``_evans_march``: the constant-flux profile on the table grid
     from ``R`` as far as ``B(c z)`` vanishes (for ``B = 0`` the whole
     profile), then the ``solve_cauchy`` march on windows of
     ``NODES_PER_WINDOW`` nodes, with no blow-up tail and a window end at
@@ -578,26 +576,23 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     (``FluxOverflow``), else ``EvansFailure``.
     """
     if not 0 < R < R1 < R_max < math.inf:
-        raise DomainError("need 0 < R < R1 < R_max < inf")
+        raise DomainError(f"need 0 < R < R1 < R_max < inf, got R={R:g}, "
+                          f"R1={R1:g} and R_max={R_max:g}")
     if not 0 < eps < math.inf:
         raise DomainError(f"eps must be positive and finite, got {eps:g}")
-    if pot.b1 is None:
+    h, q = pot.homogeneity, op.p - 1.0
+    # B <= b t**(p-1) holds for B = 0, for h = p - 1, and for h < p - 1
+    # where B vanishes up to a kink
+    if pot.kink != math.inf and h is None:
+        raise DomainError(f"potential {pot.name} declares no growth exponent, "
+                          f"so its bound b t**(p-1) = b t**{q:g} of the "
+                          f"operator {op.name} is unknown")
+    if pot.kink != math.inf and (h > q or (h < q and pot.kink is None)):
+        side = ", faster" if h > q else " near 0, slower"
         raise DomainError(
-            "potential lacks a t**(p-1) upper bound; the uniform sup bound "
-            "does not apply")
-    if pot.homogeneity is not None and pot.homogeneity > op.p - 1.0:
-        raise DomainError(
-            f"potential {pot.name} grows like t**{pot.homogeneity:g}, "
-            f"faster than t**(p-1) = t**{op.p - 1.0:g} of the operator "
-            f"{op.name}; its bound b1 t**(p-1) does not hold")
-    # a pure power lambda t**q; plateau, the preset with a kink, vanishes
-    # on [0, T], where its bound holds
-    if (pot.homogeneity is not None and pot.homogeneity < op.p - 1.0
-            and pot.b1 and pot.kink is None):
-        raise DomainError(
-            f"potential {pot.name} grows like t**{pot.homogeneity:g} near 0, "
-            f"slower than t**(p-1) = t**{op.p - 1.0:g} of the operator "
-            f"{op.name}; its bound b1 t**(p-1) does not hold")
+            f"potential {pot.name} grows like t**{h:g}{side} than t**(p-1) "
+            f"= t**{q:g} of the operator {op.name}; its bound b t**(p-1) "
+            "does not hold")
     if not M.monotone:
         raise DomainError("the construction requires a non-decreasing warping")
     M._check_radius(R_max)           # a short table fails before its tail

@@ -118,12 +118,12 @@ def evans_eager_sweep(M, op, pot, R, R1, eps, R_max, nodes_per_window=64,
     """The scale sweep of ``radial.evans_for_triple`` with every scale
     built to ``R_max`` before its sup on the annulus is taken: by
     ``constant_flux_profile`` through ``R1`` at every node where ``c z``
-    is at most ``T0``, the level below which ``B`` vanishes (``inf`` for
-    ``b1 == 0``, the kink where one is set, else 0, with no table), and
+    is at most ``T0``, the level below which ``B`` vanishes (the kink,
+    ``inf`` for ``B = 0``, where one is set, else 0, with no table), and
     past the last of them by a full ``solve_cauchy`` from it, whose first
     node is the table's last.  Any blow-up status fails the sweep.  It
     asks no Liouville test, so its ``exhaustion`` is ``None``."""
-    level = math.inf if pot.b1 == 0 else pot.kink or 0.0
+    level = pot.kink or 0.0
     c = 1.0
     while c >= c_min:
         mu = radial.choose_mu(op, c)

@@ -23,6 +23,17 @@ def run_cli(argv, capsys):
     return code, out
 
 
+def run_fresh(args, **env):
+    """``python args`` in a fresh process that imports this checkout's
+    ``modelpot``, with ``env`` over the environment less MODELPOT_LOG."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**{key: value for key, value in os.environ.items()
+              if key != "MODELPOT_LOG"}, **env}
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True)
+
+
 def write_cfg(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -188,7 +199,7 @@ def test_evans_blowup_reported(capsys):
 
 def test_evans_blowup_threshold_has_no_effect(capsys):
     # the benchmark's linear-power plane job: its march crosses 1e8 at
-    # r ~ 21.7, which is no blow-up under B <= b1 t**(p-1)
+    # r ~ 21.7, which is no blow-up under B <= b t**(p-1)
     args = ["evans", "--set", "manifold=euclidean", "--set", "m=2",
             "--set", "potential=linear-power:p=2,lambda=1", "--set", "R=1",
             "--set", "R1=2", "--set", "eps=0.1", "--rmax", "40"]
@@ -325,7 +336,8 @@ def test_evans_refuses_a_table_shorter_than_its_reach(tmp_path, capsys):
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert "radius beyond tabulated range (max 100.0)" in captured.err
+        assert captured.err == ("error: radius beyond tabulated range (max "
+                                "100.0), got r=10000\n")
 
 
 def test_classify_refuses_a_table_with_a_negative_radius(tmp_path, capsys):
@@ -363,13 +375,8 @@ def test_an_error_is_one_stderr_line_in_a_fresh_process(tmp_path):
     # "ERROR modelpot: ..." above the "error: ..." line
     path = tmp_path / "warp.csv"
     path.write_text("r,g\n0,0\n")
-    src = str(Path(cli.__file__).parents[1])
-    env = {key: value for key, value in os.environ.items()
-           if key != "MODELPOT_LOG"}
-    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
-    proc = subprocess.run(
-        [sys.executable, "-m", "modelpot.cli", "classify", "--set",
-         f"manifold=table:{path}"], env=env, capture_output=True, text=True)
+    proc = run_fresh(["-m", "modelpot.cli", "classify", "--set",
+                      f"manifold=table:{path}"])
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr == ("error: tabulated warping has no sample at r > 0 "
                            "(sample count 1)\n")
@@ -377,12 +384,8 @@ def test_an_error_is_one_stderr_line_in_a_fresh_process(tmp_path):
 
 def test_an_unknown_log_level_is_one_stderr_line_in_a_fresh_process():
     # logging.basicConfig ran outside main's try and raised a traceback
-    src = str(Path(cli.__file__).parents[1])
-    env = dict(os.environ, MODELPOT_LOG="verbose", PYTHONPATH=os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "modelpot.cli", "classify", "--set",
-         "manifold=euclidean"], env=env, capture_output=True, text=True)
+    proc = run_fresh(["-m", "modelpot.cli", "classify", "--set",
+                      "manifold=euclidean"], MODELPOT_LOG="verbose")
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr == ("error: MODELPOT_LOG='verbose' is no log level; "
                            "use DEBUG, INFO, WARNING, ERROR or CRITICAL\n")
@@ -418,6 +421,25 @@ def test_evans_refuses_a_potential_slower_than_the_operator(capsys):
     assert captured.out == ""
     assert ("grows like t**1 near 0, slower than t**(p-1) = t**2"
             in captured.err)
+
+
+@pytest.mark.parametrize("operator,tag,twin", [
+    ("p-laplacian:p=2", "linear-power:p=3,lambda=0", "zero"),
+    ("p-laplacian:p=2", "superlinear:q=1", "linear-power:p=2,lambda=1"),
+    ("p-laplacian:p=3", "superlinear:q=2", "linear-power:p=3,lambda=1"),
+])
+def test_evans_admits_a_potential_by_its_kink_and_exponent(operator, tag,
+                                                           twin, capsys):
+    # B <= b t**(p-1) holds for B = 0 (kink = inf), whatever its own p,
+    # and for t**q with q = p - 1: each is its twin potential, byte for
+    # byte
+    args = ["evans", "--set", "manifold=euclidean", "--set", "m=2",
+            "--set", f"operator={operator}", "--set", "R=1",
+            "--set", "R1=2", "--set", "eps=0.1", "--rmax", "12"]
+    code, out = run_cli(args + ["--set", f"potential={tag}"], capsys)
+    assert code == 0 and "# status=complete\n" in out
+    assert (code, out) == run_cli(args + ["--set", f"potential={twin}"],
+                                  capsys)
 
 
 def test_evans_invalid_eps(capsys):
@@ -612,9 +634,11 @@ def write_short_table(tmp_path):
 
 def test_library_refuses_radii_past_the_table(tmp_path):
     M = core.load_manifold_csv(write_short_table(tmp_path), m=2)
-    with pytest.raises(core.DomainError, match=SHORT_TABLE_ERROR):
+    with pytest.raises(core.DomainError,
+                       match=SHORT_TABLE_ERROR + ", got r=16$"):
         obstacle.make_problem(M, 2.0, 0.0, np.linspace(1.0, 16.0, 31))
-    with pytest.raises(core.DomainError, match=SHORT_TABLE_ERROR):
+    with pytest.raises(core.DomainError,
+                       match=SHORT_TABLE_ERROR + ", got r=20$"):
         radial.evans_for_triple(M, core.p_laplacian_operator(2.0),
                                 core.zero_potential(), R=1.0, R1=2.0,
                                 eps=0.1, R_max=20.0)
@@ -710,6 +734,23 @@ def test_a_log_weight_past_a_double_is_refused_by_name(capsys):
         assert code == exit_code
         assert "tail_underflow" in captured.out
         assert captured.err == ""
+
+
+@pytest.mark.parametrize("argv,where", [
+    (["khasminskii", "--set", "K_radius=1", "--set", "Omega_radius=2"],
+     "2.04479"),
+    (["obstacle", "--set", "r_min=1", "--set", "r_max=3"], "2.04234"),
+], ids=["khasminskii", "obstacle"])
+def test_a_log_weight_past_a_double_is_one_stderr_line_under_w_error(
+        argv, where):
+    # the discrete problem names the least radius of a non-finite L
+    # before it forms L - max L, which would be inf - inf: under -W error
+    # a warning there would be the error
+    proc = run_fresh(["-W", "error", "-m", "modelpot.cli", *argv,
+                      "--set", "manifold=power-exp:alpha=1e3"])
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == (f"error: the weights need a finite (m-1) log g, "
+                           f"got inf at r={where}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -933,6 +974,9 @@ def test_non_finite_numbers_are_refused_by_name(argv, key, capsys):
      "config key 'n_nodes': must be >= 3, got 2"),
     (OBST_ARGS + ["--set", "n_nodes=-5"],
      "config key 'n_nodes': must be >= 3, got -5"),
+    (["evans", "--set", "manifold=euclidean", "--set", "R=1",
+      "--set", "R1=2", "--set", "eps=0.1", "--rmax", "2"],
+     "need 0 < R < R1 < R_max < inf, got R=1, R1=2 and R_max=2"),
 ])
 def test_tags_are_refused_by_key_and_value(argv, named, capsys):
     with warnings.catch_warnings(record=True) as seen:

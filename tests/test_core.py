@@ -101,6 +101,11 @@ def bump_between_the_samples(t):
     return 5.0 * ((t > 11.05) & (t < 11.13)) + np.maximum(t - 30.0, 0.0)
 
 
+def past_thirty(t):
+    """``max(t - 30, 0)``: 0 on every sample up to 30, and on [0, 10]."""
+    return np.maximum(np.asarray(t, dtype=float) - 30.0, 0.0)
+
+
 @pytest.mark.parametrize("B,kink,message", [
     (half_t, 1.0, r"potential must vanish up to its kink T=1, got "
                   r"B\(0\.01\)=0\.005 and B\(T\)=0\.5"),
@@ -110,6 +115,11 @@ def bump_between_the_samples(t):
                                   r"B\(11\.97\)=5 > B\(12\.19\)=0"),
     (bump_between_the_samples, 30.0, r"potential must vanish up to its kink "
                                      r"T=30, got B\(11\.1\)=5 and B\(T\)=0"),
+    # T = inf says B = 0: any sample where B is not 0 is named
+    (half_t, math.inf, r"potential must vanish up to its kink T=inf, got "
+                       r"B\(0\.1\)=0\.05$"),
+    (past_thirty, math.inf, r"potential must vanish up to its kink T=inf, "
+                            r"got B\(30\.5053\)=0\.505279$"),
 ])
 def test_potential_refuses_a_kink_where_it_does_not_vanish(B, kink, message):
     # past a kink B is a power of t - T, so B(T) = 0, and B, nonnegative
@@ -119,8 +129,11 @@ def test_potential_refuses_a_kink_where_it_does_not_vanish(B, kink, message):
     # the kink's own samples see one that falls between them
     with pytest.raises(ValueError, match=message):
         core.PotentialB(B=B, kink=kink)
-    # the plateau vanishes at its kink, and a kink where B = 0 is kept
+    # the plateau vanishes at its kink, and a kink where B = 0 is kept,
+    # at infinity too
     assert core.plateau_potential(1.0, 2.0).kink == 1.0
+    assert core.PotentialB(B=lambda t: 0.0 * np.asarray(t, dtype=float),
+                           kink=math.inf).kink == math.inf
     assert core.PotentialB(B=lambda t: 0.5 * np.maximum(
         np.asarray(t, dtype=float) - 2.0, 0.0), kink=2.0).kink == 2.0
 
@@ -400,11 +413,14 @@ def test_tabulated_manifold_refuses_a_negative_first_radius():
     ([0.5, 1.0, 2.0], [0.5, 1.0], "r and g samples must be 1-D arrays of "
                                   "equal length"),
     ([0.5, 2.0, 1.0], [0.5, 2.0, 1.0], "r samples must be strictly "
-                                       "increasing"),
+                                       "increasing, got sample 1 at r=2 and "
+                                       "sample 2 at r=1"),
     ([0.0, 0.5, 1.0], [0.1, 0.5, 1.0], "tabulated warping must satisfy "
-                                       "g(0)=0"),
+                                       "g(0)=0, got sample 0 (r, g) = "
+                                       "(0, 0.1)"),
     ([0.5, 1.0, 2.0], [0.5, 0.0, 2.0], "tabulated warping must be positive "
-                                       "for r > 0"),
+                                       "for r > 0, got sample 1 (r, g) = "
+                                       "(1, 0)"),
     # one row 0,0 raised IndexError, and a NaN g reached pchip unnamed
     ([0.0], [0.0], "tabulated warping has no sample at r > 0 (sample "
                    "count 1)"),
@@ -810,9 +826,12 @@ def test_potential_presets():
     assert float(plat.B(2.5)) == pytest.approx(1.5)
     sup = core.superlinear_potential(5.0)
     assert float(sup.B(2.0)) == pytest.approx(32.0)
-    assert sup.b1 is None
+    assert (sup.homogeneity, sup.kink) == (5.0, None)
     zero = core.zero_potential()
     assert float(zero.B(3.0)) == 0.0
+    # B = 0 is the kink at infinity, for lambda = 0 too
+    assert zero.kink == core.linear_power_potential(3.0, 0.0).kink == math.inf
+    assert lin.kink is None and plat.kink == 1.0
 
 
 def test_potential_validation():

@@ -83,6 +83,17 @@ def test_make_problem_weighs_against_its_largest_weight():
         obstacle.make_problem(M, 2.0, 0.0, np.array([1.0, 8.8, 10.0]))
 
 
+def test_make_problem_refuses_a_log_weight_past_a_double():
+    # log g = log r + r^1000 is inf past r ~ 2.035: the least radius of a
+    # non-finite L, the midpoint 2.05, is named before L - max L would
+    # be inf - inf, whose RuntimeWarning is an error here
+    M = core.manifold_from_tag("power-exp:alpha=1e3", 2)
+    with pytest.raises(core.DomainError,
+                       match=r"^the weights need a finite \(m-1\) log g, "
+                             r"got inf at r=2\.05$"):
+        obstacle.make_problem(M, 2.0, 0.0, np.linspace(1.0, 3.0, 21))
+
+
 def test_energy_and_gradient_consistent():
     prob = make_euclidean_problem(p=3.0, lam=0.5)
     scale = math.exp(prob.log_scale)        # the absolute weights

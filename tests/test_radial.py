@@ -1094,15 +1094,15 @@ def test_evans_march_ends_a_window_at_R1(M, op, tag, R, R1, R_max):
 ])
 def test_evans_refuses_potentials_growing_faster_than_the_operator(
         pot, exponents):
-    # b1 bounds B by t^(p-1) for the potential's own p; a p = 2 operator
-    # needs B <= b1 t, and these potentials genuinely blow up
+    # each grows like t^(p-1) for its own p; a p = 2 operator needs
+    # B <= b t, and these potentials genuinely blow up
     with pytest.raises(core.DomainError, match=exponents):
         radial.evans_for_triple(EUC2, LAP2, pot, R=1.0, R1=2.0, eps=0.1,
                                 R_max=10.0)
 
 
 def test_evans_refuses_a_pure_power_slower_than_the_operator(monkeypatch):
-    # a p = 3 operator needs B <= b1 t^2, which lambda t fails near 0: the
+    # a p = 3 operator needs B <= b t^2, which lambda t fails near 0: the
     # refusal names both exponents before any classifier call or march
     # (from R = 0.5 the scales used to halve to the floor, "no admissible
     # scale", and from R = 1 a scale was accepted)
@@ -1125,6 +1125,28 @@ def test_evans_refuses_a_pure_power_slower_than_the_operator(monkeypatch):
         res = radial.evans_for_triple(EUC2, op, pot, R=1.0, R1=2.0, eps=0.1,
                                       R_max=12.0)
         assert res.solution.status == radial.COMPLETE
+
+
+@pytest.mark.parametrize("pot", [
+    core.PotentialB(B=lambda t: np.asarray(t, dtype=float)),
+    core.PotentialB(B=lambda t: np.maximum(np.asarray(t, dtype=float) - 1.0,
+                                           0.0), kink=1.0),
+], ids=["no-kink", "kink"])
+def test_evans_refuses_a_potential_that_declares_no_exponent(pot,
+                                                             monkeypatch):
+    # the bound B <= b t**(p-1) is read from the growth exponent: with no
+    # exponent and B != 0 it is unknown, and the refusal says so before
+    # any classifier call
+    calls = []
+    monkeypatch.setattr(radial, "classify_KL",
+                        lambda *args, **kw: calls.append(args))
+    with pytest.raises(core.DomainError,
+                       match=r"^potential custom declares no growth exponent, "
+                             r"so its bound b t\*\*\(p-1\) = b t\*\*1 of the "
+                             r"operator p-laplacian:p=2 is unknown$"):
+        radial.evans_for_triple(EUC2, LAP2, pot, R=1.0, R1=2.0, eps=0.1,
+                                R_max=12.0)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -1389,7 +1411,7 @@ def test_evans_builds_from_a_small_radius(tag, R):
     assert np.count_nonzero((sol.grid >= R) & (sol.grid <= 2.0 * R)) >= 2
     # the profile is c mu R log(r/R) near R, exactly for B = 0
     log_profile = res.c_final * res.mu_final * R * math.log(2.0)
-    if pot.b1 == 0:
+    if pot.kink == math.inf:
         assert res.sup_on_annulus == pytest.approx(log_profile, rel=1e-9)
     else:
         assert res.sup_on_annulus == pytest.approx(log_profile, rel=1e-4)
