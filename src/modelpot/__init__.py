@@ -30,11 +30,9 @@ from .criteria import (
     ConsistencyError,
     DivergenceVerdict,
     KellerOssermanResult,
-    OperatorTypeTag,
     PropertyTag,
     Verdict,
     classify_KL,
-    classify_operator_type,
     classify_parabolic,
     keller_osserman,
     test_L1_at_infinity,

@@ -530,11 +530,10 @@ def load_manifold_csv(path, m: int) -> ModelManifold:
 
 KO_R_MAX = 1e6      # where the growth tests' tables of beta(s) end
 # the samples on which PhiOperator checks phi and phi', and PotentialB
-# checks B, on to KO_R_MAX at the table density: read-only, since every
-# operator and potential shares them
+# checks B, at 0 and from 1e-6 on to KO_R_MAX at the table density:
+# read-only, since every operator and potential shares them
 _PHI_SAMPLES = np.logspace(-6, 3, 61)
-_POTENTIAL_SAMPLES = np.concatenate([np.linspace(0.0, 10.0, 101),
-                                     geometric_grid(10.0, KO_R_MAX)[1:]])
+_POTENTIAL_SAMPLES = np.append(0.0, geometric_grid(1e-6, KO_R_MAX))
 _PHI_SAMPLES.flags.writeable = _POTENTIAL_SAMPLES.flags.writeable = False
 
 
@@ -737,18 +736,21 @@ class PotentialB:
     """Non-decreasing zero-order term ``B`` on ``[0, inf)``, ``B(0) = 0``.
 
     ``B`` is read for ``t >= 0`` only, and the package calls it only there:
-    at ``c z`` for a profile ``z >= 0``, at the nodes of the table of
-    ``integral_0^s B``, and at the one probe of the operator type.  Its
-    sign and monotonicity are sampled on ``[0, KO_R_MAX]``.
+    at ``c z`` for a profile ``z >= 0`` and at the nodes of the table of
+    ``integral_0^s B``.  It is sampled at 0 and on ``[1e-6, KO_R_MAX]``.
 
-    ``homogeneity`` records the growth exponent for presets that have one;
-    ``kink`` a point ``T > 0`` where ``B`` is not smooth, which tables of
-    ``B`` take as a node: past it ``B`` is a power of ``t - T``, as it is
-    of ``t`` past 0, on the table's panel that starts there.  So ``B(T)``
-    is 0, and ``B``, nonnegative and non-decreasing, vanishes on ``[0,
-    T]`` (refused otherwise, at 101 samples): an Evans profile is the
-    constant-flux one while ``c z <= T``; ``kink = inf`` says ``B = 0``.
-    The two decide the Evans bound ``B(t) <= b t**(p-1)``.
+    ``kink`` types ``B``.  Without one ``B`` is positive on ``(0, inf)``
+    (a zero below 1e-6 is not seen): a zero sample past 0 is refused,
+    asking for a kink, unless it is a power's underflow, under a subnormal
+    ``B(t_{i+1})`` or one with ``B(t_{i+1}) (t_i/t_{i+1})**h`` below the
+    least subnormal.  ``kink = T > 0`` is a node of the tables of ``B``,
+    past which ``B`` is a power of ``t - T``, so ``B`` vanishes on ``[0,
+    T]`` (refused otherwise, at 101 samples): KL is parabolicity, and an
+    Evans profile is the constant-flux one while ``c z <= T``; ``kink =
+    inf`` says ``B = 0``.  ``homogeneity`` is ``h``, the growth exponent:
+    without a kink the log-log slope of ``B`` at its first and last normal
+    samples (past a kink ``plateau``'s is ``h t/(t - T)``).  The two decide
+    the Evans bound ``B(t) <= b t**(p-1)``.
     """
 
     B: Callable[[float], float]
@@ -770,7 +772,30 @@ class PotentialB:
                 f"{vals[i]:g} > B({t[i + 1]:.4g})={vals[i + 1]:g}")
         if (vals < -1e-15).any():
             raise ValueError("potential must be nonnegative on [0, inf)")
-        if self.kink is not None:
+        if self.kink is None:
+            h = self.homogeneity
+            i = int(np.argmax(vals > 0))        # the first positive sample
+            if not i:
+                raise ValueError("potential is 0 at every sample: B = 0 "
+                                 "needs kink=inf")
+            # a power's underflow, below 2**-1074, the least subnormal
+            if i > 1 and not (vals[i] < _TINY or h is not None and math.log2(
+                    vals[i]) + h * math.log2(t[i - 1] / t[i]) < -1074):
+                raise ValueError(
+                    f"potential without a kink is 0 at the sample "
+                    f"t={t[i - 1]:g} under B({t[i]:g})={vals[i]:g}: one "
+                    "that vanishes on [0, T] needs kink=T")
+            normal = (vals >= _TINY) & (vals < math.inf)
+            ts, bs = t[normal], vals[normal]
+            for j in (0, -2) if h is not None and len(ts) > 1 else ():
+                slope = (math.log(bs[j + 1]) - math.log(bs[j])) / math.log(
+                    ts[j + 1] / ts[j])
+                if not abs(slope - h) <= 1e-6 * max(1.0, h):
+                    raise ValueError(
+                        f"potential declares the exponent {h:g}, but its "
+                        f"log-log slope from B({ts[j]:g})={bs[j]:g} to "
+                        f"B({ts[j + 1]:g})={bs[j + 1]:g} is {slope:.6g}")
+        else:
             if not self.kink > 0:
                 raise ValueError(f"kink must be positive, got "
                                  f"T={self.kink:g}")

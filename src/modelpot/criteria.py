@@ -41,11 +41,6 @@ class PropertyTag(enum.Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-class OperatorTypeTag(enum.Enum):
-    TYPE1 = "Type1"
-    TYPE2 = "Type2"
-
-
 class ConsistencyError(RuntimeError):
     """Two formulations that must agree produced different verdicts."""
 
@@ -237,23 +232,13 @@ def classify_parabolic(M: ModelManifold, op: PhiOperator,
         _property(dv, PropertyTag.PARABOLIC, PropertyTag.NON_PARABOLIC), dv)
 
 
-def classify_operator_type(pot: PotentialB) -> OperatorTypeTag:
-    """Type1 iff ``B(1e-6) > 0``, from one call of ``B`` on a one-element
-    array; otherwise Type2: ``B`` vanishes on ``[0, 1e-6]``.  ``B`` does not
-    decrease, so this is the verdict of any probe grid that starts at
-    ``1e-6``."""
-    if pot.B(np.array([1e-6]))[0] > 0:
-        return OperatorTypeTag.TYPE1
-    return OperatorTypeTag.TYPE2
-
-
 def classify_KL(M: ModelManifold, op: PhiOperator, pot: PotentialB,
                 r_max: float = R_MAX) -> Classification:
-    """Liouville/potential property via the type dispatch: strictly positive
-    potentials test the volume-ratio profile from 1, potentials vanishing
-    near zero reduce to the parabolicity test.  Either test reads
-    ``[1, r_max]``, the range of every command's verdict."""
-    if classify_operator_type(pot) is OperatorTypeTag.TYPE1:
+    """Liouville/potential property by the potential's declared type:
+    without a kink the volume-ratio profile's test from 1, and with one
+    (``B = 0`` at ``inf``) the parabolicity test.  Either test reads
+    ``[1, r_max]``, the range of every command's verdict, and no ``B``."""
+    if pot.kink is None:
         dv = test_L1_at_infinity(lambda r: v_st(M, op, 1.0, 1.0, r), 1.0,
                                  r_max)
     else:

@@ -1,7 +1,10 @@
 """Independent oracles shared by the unit and acceptance tests."""
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 from scipy.optimize import brentq
@@ -10,7 +13,20 @@ from modelpot import criteria, obstacle, radial
 from modelpot.core import (_GL_NODES, _GL_WEIGHTS, _ORIGIN_PANEL,
                            DomainError, geometric_grid, log_sphere_volume,
                            manifold_from_tag, phi_inverse, volume_ratio)
-from modelpot.criteria import OperatorTypeTag, PropertyTag, Verdict
+from modelpot.criteria import PropertyTag, Verdict
+
+
+def _load_theory():
+    """``perfbench/theory.py``, read-only: the facts live in one place."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "theory.py"
+    spec = importlib.util.spec_from_file_location("theory", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules.setdefault("theory", module)
+    spec.loader.exec_module(module)
+    return module
+
+
+theory = _load_theory()
 
 
 def phi_inverse_brentq(op, y):
@@ -73,13 +89,13 @@ def classify_c_sweep(M, op, pot=None, r_max=criteria.R_MAX):
     ``C_SWEEP``.  It holds if every scale diverges, fails if the smallest
     converges, and is Inconclusive otherwise.  ``pot=None`` asks for
     parabolicity (``v_pa``); a potential asks for the Liouville property,
-    which tests ``v_st`` for a Type 1 potential and ``v_pa`` otherwise."""
+    which tests ``v_st`` for a potential without a kink and ``v_pa``
+    for one that vanishes up to its kink."""
     if pot is None:
         holds, fails = PropertyTag.PARABOLIC, PropertyTag.NON_PARABOLIC
     else:
         holds, fails = PropertyTag.KL_HOLDS, PropertyTag.KL_FAILS
-    if pot is not None and \
-            criteria.classify_operator_type(pot) is OperatorTypeTag.TYPE1:
+    if pot is not None and pot.kink is None:
         def profile(c, r):
             return criteria.v_st(M, op, c, 1.0, r)
     else:
@@ -92,14 +108,6 @@ def classify_c_sweep(M, op, pot=None, r_max=criteria.R_MAX):
     if verdicts[-1] is Verdict.CONVERGES:
         return fails
     return PropertyTag.INCONCLUSIVE
-
-
-def operator_type_scan(pot):
-    """The operator type by a scan: Type1 iff ``B`` is positive at all 200
-    points of ``geomspace(1e-6, 10, 200)``, evaluated as one array."""
-    if np.all(pot.B(np.geomspace(1e-6, 10.0, 200)) > 0):
-        return OperatorTypeTag.TYPE1
-    return OperatorTypeTag.TYPE2
 
 
 def exhaustion_at_unit_scale(M, op, R):

@@ -288,6 +288,27 @@ def test_evans_refuses_where_classify_says_kl_fails(capsys):
         ",KL_Fails,Converges,0.999900000582,-2,tail_within_tolerance")
 
 
+@pytest.mark.parametrize("T", ["1e-07", "5e-07"])
+def test_a_kink_below_the_samples_types_the_plateau(capsys, T):
+    # plateau:T=1e-07 vanishes on [0, T], below B's first sample 1e-6: its
+    # declared kink still types it, so on R^3 evans and classify say what
+    # they say for T = 1, where they used to build a witness for KL
+    triple = ["--set", "manifold=euclidean", "--set", "m=3",
+              "--set", f"potential=plateau:T={T},p=2"]
+    code, out = run_cli(["evans"] + triple + [
+        "--set", "R=1", "--set", "R1=2", "--set", "eps=0.1", "--rmax", "40"],
+        capsys)
+    assert code == 4
+    assert out.splitlines() == [
+        "# command=evans", "# status=no_exhaustion",
+        "# partial_integral=0.999900000582", "# slope=-2",
+        "# reason=tail_within_tolerance", "# r_max=10000", "r,w"]
+    code, row = run_cli(["classify"] + triple, capsys)
+    assert code == 0
+    assert row.splitlines()[2].endswith(
+        ",KL_Fails,Converges,0.999900000582,-2,tail_within_tolerance")
+
+
 def test_evans_inconclusive_exit_code(tmp_path, capsys):
     # on the warping r log(e + r) the profile 1/(r log(e + r)) drifts
     # toward the critical slope from decade to decade: Inconclusive
@@ -715,9 +736,9 @@ def test_cli_evans_on_overflowing_warpings_has_no_exhaustion(alpha, rmax,
 
 def test_a_log_weight_past_a_double_is_refused_by_name(capsys):
     # log g = log r + r^1000 is inf past r ~ 2.03: the volume ratio of a
-    # Type 1 potential names it (exit 1), where it subtracted inf from inf
-    # and refused r=nan; at B = 0 the profile's last sample underflows,
-    # as before, and no overflow warns
+    # potential without a kink names it (exit 1), where it subtracted inf
+    # from inf and refused r=nan; at B = 0 the profile's last sample
+    # underflows, as before, and no overflow warns
     manifold = ["--set", "manifold=power-exp:alpha=1e3"]
     code = _no_runtime_warning(lambda: cli.main(
         ["classify", *manifold,

@@ -117,7 +117,7 @@ def past_thirty(t):
                                      r"T=30, got B\(11\.1\)=5 and B\(T\)=0"),
     # T = inf says B = 0: any sample where B is not 0 is named
     (half_t, math.inf, r"potential must vanish up to its kink T=inf, got "
-                       r"B\(0\.1\)=0\.05$"),
+                       r"B\(1e-06\)=5e-07$"),
     (past_thirty, math.inf, r"potential must vanish up to its kink T=inf, "
                             r"got B\(30\.5053\)=0\.505279$"),
 ])
@@ -283,12 +283,12 @@ def test_volume_ratio_is_the_reference_bit_for_bit(make, r_hi, R):
 
 
 def test_validation_samples_are_read_only():
-    # B is sampled on [0, 10], then at 128 nodes a decade to 1e6: the
+    # B is sampled at 0, then at 128 nodes a decade from 1e-6 to 1e6: the
     # table nodes, which may differ from logspace's in the last bit
     assert np.array_equal(core._PHI_SAMPLES, np.logspace(-6, 3, 61))
     B_samples = core._POTENTIAL_SAMPLES
-    assert np.array_equal(B_samples[:101], np.linspace(0.0, 10.0, 101))
-    assert np.allclose(B_samples[101:], np.logspace(1.0, 6.0, 641)[1:],
+    assert B_samples[0] == 0.0 and B_samples[1] == 1e-6
+    assert np.allclose(B_samples[1:], np.logspace(-6.0, 6.0, 1537),
                        rtol=1e-14, atol=0.0)
     for samples in (core._PHI_SAMPLES, B_samples):
         with pytest.raises(ValueError, match="read-only"):
@@ -620,7 +620,7 @@ def test_operator_refuses_a_wrong_inverse():
                               derivative_pinched=True),
      "phi' is NaN at the sample t=1e-06"),
     (lambda: core.PotentialB(B=lambda t: np.where(t > 5, math.nan, t)),
-     "potential is NaN at the sample t=5.1"),
+     "potential is NaN at the sample t=5.04807"),
 ], ids=["phi", "phi'", "B"])
 def test_validation_refuses_nan_samples(build, named):
     # each used to construct: a NaN fails no comparison of the checks
@@ -869,12 +869,58 @@ def test_potential_is_sampled_to_the_end_of_its_tables():
             "non-decreasing, got B(11.97)=5 > B(12.19)=0")):
         core.PotentialB(B=bump_past_the_samples)
     # every preset builds, with no warning: t**52 passes the largest
-    # double below 1e6, and 0 t**59 is 0 there
+    # double below 1e6, and 0 t**59 is 0 there; the powers, at the
+    # extremes of their parameters, have their declared exponent as slope
+    # (t**1e5 has one normal sample and no slope to check, and past a
+    # kink the exponent is not checked: plateau's slope is h t/(t - T))
     for tag in ("zero", "linear-power:p=2,lambda=1",
                 "linear-power:p=60,lambda=0", "plateau:T=1,p=2",
                 "plateau:T=1,p=1.5", "superlinear:q=2",
-                "superlinear:q=52"):
+                "superlinear:q=52", "linear-power:p=2,lambda=1e-300",
+                "linear-power:p=2,lambda=1e+300",
+                "linear-power:p=3,lambda=1e+300", "superlinear:q=0.5",
+                "superlinear:q=60", "superlinear:q=400",
+                "superlinear:q=1000", "superlinear:q=100000",
+                "plateau:T=10000,p=3"):
         assert core.potential_from_tag(tag).name == tag
+
+
+def test_a_potential_without_a_kink_is_positive_at_its_samples():
+    # B = 0 without a kink, or 0 at a sample under a normal value, would
+    # be typed by v_st as positive on (0, inf): refused, and asked for
+    # the kink that types it
+    with pytest.raises(ValueError, match=r"^potential is 0 at every sample: "
+                                         r"B = 0 needs kink=inf$"):
+        core.PotentialB(B=lambda t: 0.0 * np.asarray(t, dtype=float))
+    # t**3000 falls from 2e-305 to 0 in one sample, which no undeclared
+    # power is known to do ...
+    with pytest.raises(ValueError, match=re.escape(
+            "potential without a kink is 0 at the sample t=0.777365 under "
+            "B(0.791476)=2.05353e-305: one that vanishes on [0, T] needs "
+            "kink=T")):
+        core.PotentialB(B=lambda t: np.asarray(t, dtype=float) ** 3000)
+    # ... but with its exponent declared, B(0.791) (0.777/0.791)**3000 is
+    # below the least subnormal: the zero is the power's underflow
+    assert core.superlinear_potential(3000.0).kink is None
+
+
+@pytest.mark.parametrize("B,message", [
+    (lambda t: np.asarray(t, dtype=float) ** 5,
+     "from B(1e-06)=1e-30 to B(1.01815e-06)=1.09411e-30 is 5"),
+    (lambda t: 1e-3 * np.sqrt(np.asarray(t, dtype=float)),
+     "from B(1e-06)=1e-06 to B(1.01815e-06)=1.00904e-06 is 0.5"),
+    (lambda t: np.asarray(t, dtype=float) + np.asarray(t, dtype=float) ** 3,
+     "from B(982172)=9.47464e+17 to B(1e+06)=1e+18 is 3"),
+], ids=["t**5", "1e-3 sqrt(t)", "t + t**3"])
+def test_potential_checks_its_declared_exponent(B, message):
+    # evans admits a potential by its exponent: t**5 declared as 1 used to
+    # pass it and fail in the march, and 1e-3 sqrt(t) to claim B <= b t
+    # near 0; the first or last normal pair whose slope is not the
+    # declared exponent is named
+    with pytest.raises(ValueError, match=re.escape(
+            "potential declares the exponent 1, but its log-log slope "
+            + message)):
+        core.PotentialB(B=B, homogeneity=1.0)
 
 
 def test_potential_tag_roundtrip():

@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson
 
 from modelpot import cli, core, criteria, radial
-from modelpot.criteria import OperatorTypeTag, PropertyTag, Verdict
+from modelpot.criteria import PropertyTag, Verdict
 from oracles import (OPERATOR_TAGS, WARPINGS, assert_slope_is_polyfit,
-                     classify_c_sweep, operator_type_scan,
-                     p_laplacian_criteria)
+                     classify_c_sweep, p_laplacian_criteria, theory)
 
 
 # ---------------------------------------------------------------------------
@@ -272,21 +271,13 @@ def test_classify_inconclusive_on_tabulated_blind_spot():
 
 def test_classify_KL_on_tabulated_warping():
     # g = r (1 + r^2)^(1/2) ~ r^2 at m=2: vol(B_r)/vol(dB_r) ~ r/3, so the
-    # Type 1 profile is not integrable for any c
+    # v_st profile of a potential without a kink is not integrable for
+    # any c
     r = np.geomspace(1e-3, 2e4, 4000)
     M = core.tabulated_manifold(r, r * np.sqrt(1.0 + r ** 2), m=2)
     cls = criteria.classify_KL(M, core.p_laplacian_operator(2.0),
                                core.potential_from_tag("superlinear:q=1"))
     assert cls.property is PropertyTag.KL_HOLDS
-
-
-def test_operator_type_classification():
-    t1 = criteria.classify_operator_type(core.linear_power_potential(2.0, 1.0))
-    assert t1 is OperatorTypeTag.TYPE1
-    t2 = criteria.classify_operator_type(core.plateau_potential(1.0, 2.0))
-    assert t2 is OperatorTypeTag.TYPE2
-    tz = criteria.classify_operator_type(core.zero_potential())
-    assert tz is OperatorTypeTag.TYPE2
 
 
 def _recording(base):
@@ -303,36 +294,85 @@ def _recording(base):
     return pot, args
 
 
-@pytest.mark.parametrize("T", [1.0, 1e-3])
-def test_operator_type_probes_in_one_call(T):
-    # one call of B, on one probe, with the verdict of the 200-probe scan
-    pot, args = _recording(core.plateau_potential(T, 2.0))
-    res = criteria.classify_operator_type(pot)
-    assert [a.shape for a in args] == [(1,)]
-    assert res is OperatorTypeTag.TYPE2 is operator_type_scan(pot)
+# every preset family, with its growth exponent and whether it vanishes
+# near 0, as the theory table names them; kinks below 1e-6 and powers
+# that underflow there among them
+PRESETS = tuple(theory.Potential(tag, q, vanishes) for tag, q, vanishes in (
+    ("zero", None, False), ("linear-power:p=3,lambda=0", None, False),
+    ("linear-power:p=2,lambda=1", 1.0, False),
+    ("linear-power:p=1.5,lambda=0.01", 0.5, False),
+    ("linear-power:p=3,lambda=2", 2.0, False),
+    ("linear-power:p=2,lambda=1e-300", 1.0, False),
+    ("plateau:T=1,p=2", 1.0, True), ("plateau:T=0.001,p=6", 5.0, True),
+    ("plateau:T=1e-07,p=2", 1.0, True), ("plateau:T=5e-07,p=2", 1.0, True),
+    ("plateau:T=10000,p=3", 2.0, True)) + tuple(
+    (f"superlinear:q={q:g}", q, False)
+    for q in (0.5, 5.0, 54.0, 60.0, 100.0, 400.0, 1000.0, 3000.0)))
 
 
-PRESET_TAGS = ("zero", "linear-power:p=2,lambda=1",
-               "linear-power:p=1.5,lambda=0.01", "linear-power:p=3,lambda=2",
-               "plateau:T=1,p=2", "plateau:T=0.001,p=6",
-               "plateau:T=1e-07,p=2", "superlinear:q=5",
-               "superlinear:q=0.5")
-CUSTOM = tuple(
-    core.PotentialB(B=lambda t, T=T: np.maximum(t - T, 0.0),
-                    name=f"zero on [0, {T:g}]")
-    for T in (1e-7, 5e-7, 1e-3, 1.0, 20.0)) + (
-    core.PotentialB(B=lambda t: t ** 60, name="t**60"),  # 0 at 1e-6
-    core.PotentialB(B=lambda t: t ** 0.1, name="t**0.1"))
+@pytest.mark.parametrize("truth", PRESETS, ids=lambda truth: truth.tag)
+def test_a_preset_declares_a_kink_iff_it_vanishes_near_zero(truth):
+    # a potential positive on (0, inf) is typed by v_st, one that vanishes
+    # near 0 (B = 0 too) by parabolicity: the declared kink is the type,
+    # and classify_KL reads it without a call of B
+    pot, args = _recording(core.potential_from_tag(truth.tag))
+    assert (pot.kink is not None) == (truth.vanishes_near_zero
+                                      or truth.q is None)
+    M, op = core.manifold_from_tag("euclidean", 3), \
+        core.p_laplacian_operator(2.0)
+    cls = criteria.classify_KL(M, op, pot)
+    assert args == []
+    holds = theory.kl_holds(theory.Manifold("euclidean", 3, "power"), 2.0,
+                            truth)
+    assert cls.property is (PropertyTag.KL_HOLDS if holds
+                            else PropertyTag.KL_FAILS)
 
 
-@pytest.mark.parametrize("pot", [core.potential_from_tag(tag)
-                                 for tag in PRESET_TAGS] + list(CUSTOM),
-                         ids=lambda pot: pot.name)
-def test_one_probe_type_is_the_scan(pot):
-    recorded, args = _recording(pot)
-    assert criteria.classify_operator_type(recorded) \
-        is operator_type_scan(pot)
-    assert [a.shape for a in args] == [(1,)]
+@pytest.mark.parametrize("T", [1e-3, 1.0, 20.0])
+def test_a_potential_that_vanishes_near_zero_declares_its_kink(T):
+    # max(t - T, 0) is 0 at the samples up to T: without a kink it would
+    # be typed by v_st, as if positive, and is refused; with kink=T it
+    # takes the parabolicity test, KL_Fails on R^3 at p = 2
+    def B(t):
+        return np.maximum(np.asarray(t, dtype=float) - T, 0.0)
+
+    with pytest.raises(ValueError, match=r"^potential without a kink is 0 "
+                       r"at the sample t=\S+ under B\(\S+\)=\S+: one that "
+                       r"vanishes on \[0, T\] needs kink=T$"):
+        core.PotentialB(B=B)
+    M, op = core.manifold_from_tag("euclidean", 3), \
+        core.p_laplacian_operator(2.0)
+    cls = criteria.classify_KL(M, op, core.PotentialB(B=B, kink=T))
+    assert cls.property is PropertyTag.KL_FAILS
+    assert cls.divergence == criteria.classify_parabolic(M, op).divergence
+
+
+@pytest.mark.parametrize("B", [
+    lambda t: np.asarray(t, dtype=float) ** 60,
+    lambda t: np.exp(-1.0 / np.maximum(np.asarray(t, dtype=float), 1e-300)),
+    lambda t: np.asarray(t, dtype=float) ** 0.1,
+], ids=["t**60", "exp(-1/t)", "t**0.1"])
+def test_a_power_that_underflows_is_typed_by_v_st(B):
+    # positive on (0, inf), though t**60 and exp(-1/t) are 0 in doubles at
+    # 1e-6 and below: each zero sample is under a subnormal one, a power's
+    # underflow, so each builds without a kink, and KL holds on R^3 at
+    # p = 2, where the v_st integral diverges
+    pot = core.PotentialB(B=B)
+    assert pot.kink is None
+    M, op = core.manifold_from_tag("euclidean", 3), \
+        core.p_laplacian_operator(2.0)
+    assert criteria.classify_KL(M, op, pot).property is PropertyTag.KL_HOLDS
+
+
+@pytest.mark.parametrize("T", [1e-7, 5e-7])
+def test_a_zero_below_the_samples_is_not_seen(T):
+    # the samples start at 1e-6: a potential 0 on [0, T] below it builds
+    # without a kink and is taken as positive on (0, inf), as its
+    # docstring says; the plateau preset declares its kink
+    pot = core.PotentialB(B=lambda t: np.maximum(
+        np.asarray(t, dtype=float) - T, 0.0))
+    assert pot.kink is None
+    assert core.plateau_potential(T, 2.0).kink == T
 
 
 @pytest.mark.parametrize("tag", ["zero", "linear-power:p=2,lambda=1",
@@ -353,7 +393,7 @@ def test_the_potential_is_read_at_nonnegative_arguments(tag):
         radial.evans_for_triple(M, op, pot, R=1.0, R1=2.0, eps=0.1,
                                 R_max=40.0)
     seen = np.concatenate([a.ravel() for a in args])
-    assert len(args) > 2 and seen.size > 1000
+    assert len(args) > 1 and seen.size > 1000
     assert np.all(np.isfinite(seen)) and seen.min() >= 0.0
 
 
@@ -381,7 +421,7 @@ def test_cross_consistency_stochastic_form(tag, m, p):
     M = core.manifold_from_tag(tag, m)
     op = core.p_laplacian_operator(p)
     st, _ = p_laplacian_criteria(M, p)
-    pot = core.linear_power_potential(p, 1.0)   # strictly positive: Type1
+    pot = core.linear_power_potential(p, 1.0)   # positive: no kink
     generic = criteria.classify_KL(M, op, pot).divergence.verdict
     assert generic is st.verdict
 
@@ -468,8 +508,8 @@ def test_classifiers_sample_without_quadrature(monkeypatch):
 
 def test_classifier_volume_ratio_node_counts(monkeypatch):
     # nodes of the volume-ratio table: the test's radii, whose grid is the
-    # table's own, so that no node is added; Type 1 classify_KL builds one
-    # table
+    # table's own, so that no node is added; classify_KL on a potential
+    # without a kink builds one table
     seen = []
     log_sphere_volume = core.log_sphere_volume
 

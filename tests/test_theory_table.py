@@ -9,33 +9,23 @@ parabolicity exponent ``k (m-1)/(p-1) = 1`` of the power tables, ``alpha
 condition.  A grid is never thinned where a defect shows.
 """
 
-import importlib.util
-import sys
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 
 from modelpot import core, criteria, obstacle, radial
-from oracles import assert_slope_is_polyfit
-
-
-def _load_theory():
-    """``perfbench/theory.py``, read-only: the facts live in one place."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "theory.py"
-    spec = importlib.util.spec_from_file_location("theory", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules.setdefault("theory", module)
-    spec.loader.exec_module(module)
-    return module
-
-
-theory = _load_theory()
+from oracles import assert_slope_is_polyfit, theory
 
 POWERS_K = [round(0.1 * i, 1) for i in range(2, 31)]      # 0.2 .. 3.0
 POWERS_P = (1.5, 2.0, 3.0, 4.0)
 ALPHAS = [round(1.2 + 0.2 * i, 1) for i in range(15)]     # 1.2 .. 4.0
 KO_Q = (0.25, 0.5, 0.75, 0.9, 1.0, 1.1, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
+# presets that vanish below 1e-6, or are powers that underflow there: a
+# potential is typed by its kink, not by its value at one point
+TYPED_BY_KINK = tuple(
+    theory.Potential(f"plateau:T={T:g},p=2", 1.0, True)
+    for T in (1e-7, 5e-7)) + tuple(
+    theory.Potential(f"superlinear:q={q:g}", q) for q in (54, 60, 100, 400))
 
 # the staged pipeline on the power tables: each family's lambda and
 # exhaustion radii
@@ -123,6 +113,15 @@ def theory_cases():
                 yield ("hyperbolic", f"m={m} {pot.name}",
                        theory.classify_property(truth, p, B),
                        criteria.classify_KL(M, op, pot).property.value)
+    for truth in (theory.Manifold("euclidean", 3, "power"),
+                  theory.Manifold("hyperbolic", 2, "exp")):
+        M = core.manifold_from_tag(truth.tag, truth.m)
+        for B in TYPED_BY_KINK:
+            yield ("type", f"{truth.tag} m={truth.m} {B.tag}",
+                   theory.classify_property(truth, 2.0, B),
+                   criteria.classify_KL(M, core.p_laplacian_operator(2.0),
+                                        core.potential_from_tag(B.tag))
+                   .property.value)
     for p in POWERS_P:
         op = core.p_laplacian_operator(p)
         for q in KO_Q:
@@ -138,8 +137,8 @@ def theory_cases():
 def test_theory_table_has_no_wrong_verdict():
     cases = list(theory_cases())
     assert Counter(family for family, *_ in cases) == {
-        "power": 348, "power-exp": 180, "hyperbolic": 24, "ko": 48,
-        "radial": 48, "khasminskii:lambda=1": 348,
+        "power": 348, "power-exp": 180, "hyperbolic": 24, "type": 12,
+        "ko": 48, "radial": 48, "khasminskii:lambda=1": 348,
         "khasminskii:lambda=0.25": 348, "khasminskii:lambda=0": 348}
     # the staged families read their verdict from the classifiers, so
     # they answer as those do
