@@ -142,7 +142,10 @@ class _CumulativeSimpson:
     window.  Building it takes the spacings, their check and the
     coefficient arithmetic; the index arrays come from
     ``_simpson_indices``, cached per node count.  Applying it to samples
-    ``y`` is one gather, five array operations and one cumulative sum.
+    ``y`` is one gather, five array operations and one cumulative sum,
+    along the last axis: a 2-D ``y`` is a stack of rows, each integrated
+    as it would be alone, bit for bit (the ``B = 0`` rows of several Evans
+    scales).
 
     Even sub-intervals (but the last) integrate the quadratic through the
     triple they start, odd ones and the last the triple they end.  Either
@@ -170,14 +173,16 @@ class _CumulativeSimpson:
         self.a, self.p, self.q, self.s = h1 / 6, 3 - r31, 3 + r32 + r31, r32
 
     def __call__(self, y):
-        out = np.zeros(len(self.h) + 1)
+        out = np.zeros(y.shape)
         if len(self.h) < 2:
-            sub = self.h * (y[1:] + y[:-1]) / 2.0
+            sub = self.h * (y[..., 1:] + y[..., :-1]) / 2.0
         else:
-            y0, y1, y2 = y[self.nodes]
+            # a leading axis of rows goes behind the triple's
+            y0, y1, y2 = (y[self.nodes] if y.ndim == 1 else
+                          np.moveaxis(y[..., self.nodes], -2, 0))
             sub = self.a * ((self.p * y0 + self.q * y1) - self.s * y2)
         # the ufunc loop of np.cumsum, without its dispatch
-        np.add.accumulate(sub, out=out[1:])
+        np.add.accumulate(sub, axis=-1, out=out[..., 1:])
         return out
 
 

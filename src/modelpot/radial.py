@@ -7,9 +7,10 @@ Solutions either reach the requested radius or blow up at a finite radius,
 which is certified and then located with ``z`` as the variable, past the
 last window that converged.  Where ``B(c z) = 0`` the flux is constant
 and the solution is one integral, built in one pass on the divergence
-test's geometric grid with its Simpson rule in ``log r``; an Evans profile
-takes it up to the level below which ``B`` vanishes, and Picard windows
-only past it.  On top of the solvers
+test's geometric grid with its Simpson rule in ``log r``, for a block of
+scales at once as rows of one table; an Evans profile takes it up to the
+level below which ``B`` vanishes, and Picard windows only past it.  On
+top of the solvers
 sit the slope selection rules and the small-on-an-annulus construction
 that produce exhaustion potentials for triples of concentric balls.
 """
@@ -36,8 +37,10 @@ from .criteria import DivergenceVerdict, Verdict, classify_KL
 
 COMPLETE = "complete"
 BLOWUP = "blowup"
-# evans_for_triple halves the scale c from 1 while c >= EVANS_C_MIN
+# evans_for_triple halves the scale c from 1 while c >= EVANS_C_MIN; where
+# B has a kink it builds the constant-flux rows of EVANS_BLOCK scales at once
 EVANS_C_MIN = 1e-12
+EVANS_BLOCK = 8
 
 
 class PicardNoConvergence(NumericError):
@@ -474,63 +477,70 @@ def _sup_on(grid: np.ndarray, z: np.ndarray, a: float, b: float) -> float:
     return float(np.max(z[mask]))
 
 
-def _constant_flux_slope(M: ModelManifold, op: PhiOperator,
-                         params: CauchyParams, r) -> np.ndarray:
-    """``z' = phi^-1(phi(c mu) w(R)/w(r))/c``, the slope of the ``B = 0``
-    solution, with the weight ratio taken in log form so that no weight
-    overflows.  The ratio itself can, where ``w`` decreases: the checked
-    ``phi_inverse`` then refuses its ``y = inf`` with ``DomainError``."""
-    with np.errstate(over="ignore"):
-        ratio = np.exp(log_sphere_volume(M, params.R)
-                       - log_sphere_volume(M, r))
-        y = float(op.phi(params.c * params.mu)) * ratio
-    return phi_inverse(op, y) / params.c
+class _ConstantFluxTable:
+    """The geometry of the ``B = 0`` profile from ``R``, built once for
+    any number of scales: the table grid of the divergence test,
+    ``grid_through(R, radii)``, so ``R`` and every radius are nodes; the
+    weight ratio ``w(R)/w(r)``, taken in log form so that no weight
+    overflows; and the cumulative Simpson rule in ``log r``.  The ratio
+    itself can overflow, where ``w`` decreases: the checked
+    ``phi_inverse`` of ``rows`` then refuses its ``y = inf`` with
+    ``DomainError``."""
+
+    def __init__(self, M: ModelManifold, R: float, radii):
+        self.grid = grid_through(R, radii)
+        with np.errstate(over="ignore"):
+            self.ratio = np.exp(log_sphere_volume(M, R)
+                                - log_sphere_volume(M, self.grid))
+        self.simpson = _CumulativeSimpson(np.log(self.grid))
+
+    def rows(self, op: PhiOperator, c: np.ndarray, mu: np.ndarray,
+             theta: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+        """``(z, zp)`` on the grid, one row per scale of the 1-D ``c``
+        with its slope in ``mu``.  The flux ``w phi(c z')`` is constant,
+        so ``z' = phi^-1(phi(c mu) w(R)/w(r))/c`` exactly, one
+        ``phi_inverse`` over all rows, and ``z = theta + int_R^r z'`` is
+        the cumulative Simpson rule of ``r z'`` in ``log r``, the rule of
+        ``test_L1_at_infinity`` on the integrand it tests.  ``phi^-1`` is
+        elementwise and the rule runs along each row, so a row has the
+        same bits alone or among others."""
+        with np.errstate(over="ignore"):
+            y = op.phi(c * mu)[:, None] * self.ratio
+        zp = phi_inverse(op, y) / c[:, None]
+        return theta + self.simpson(self.grid * zp), zp
 
 
 def constant_flux_profile(M: ModelManifold, op: PhiOperator,
                           params: CauchyParams, R_max: float, *,
                           R1: Optional[float] = None) -> RadialSolution:
     """The radial solution for ``B = 0`` in one pass, with no Picard
-    iteration, on the table grid of the divergence test:
-    ``grid_through(R, (R1, R_max))``, so ``R``, ``R1`` (if given) and
-    ``R_max`` are nodes.  The flux ``w phi(c z')`` is constant, so the
-    slope is ``_constant_flux_slope`` exactly, and ``z = theta + int_R^r
-    z'`` is the cumulative Simpson rule of ``r z'`` in ``log r``, the rule
-    of ``test_L1_at_infinity`` on the integrand it tests."""
+    iteration: the one row of ``params`` of the ``_ConstantFluxTable``
+    from ``R`` through ``R1`` (if given) and ``R_max``."""
     radii = [R_max] if R1 is None else [R1, R_max]
     if not params.R < radii[0] <= R_max < math.inf:
         raise DomainError("R_max must be finite, at least R1 and above the "
                           f"base radius, got {R_max:g}")
-    grid = grid_through(params.R, radii)
-    zp = _constant_flux_slope(M, op, params, grid)
-    z = params.theta + _CumulativeSimpson(np.log(grid))(grid * zp)
-    return RadialSolution(grid=grid, z=z, zp=zp, params=params,
+    table = _ConstantFluxTable(M, params.R, radii)
+    (z,), (zp,) = table.rows(op, np.array([params.c]),
+                             np.array([params.mu]), params.theta)
+    return RadialSolution(grid=table.grid, z=z, zp=zp, params=params,
                           status=COMPLETE, r_max=float(R_max))
 
 
 def _evans_march(M: ModelManifold, op: PhiOperator, pot: PotentialB,
-                 params: CauchyParams, R_max: float, R1: float,
-                 work: Counter):
-    """One ``evans_for_triple`` scale as a march, like ``_march``.  Where
-    ``B(c z)`` vanishes the flux is constant, so its first piece is
-    ``constant_flux_profile`` through ``R1`` up to the last node where
-    ``c z <= T0``, the level below which ``B`` vanishes: the potential's
-    ``kink`` (``inf`` for ``B = 0``); with none it builds no table and
-    leaves the node at ``R``.  From that node on it is ``_march``, with
-    ``R1`` as a stop."""
-    if pot.kink is None:
-        return (yield from _march(M, op, pot, params, R_max,
-                                  NODES_PER_WINDOW, work, R1=R1))
-    table = constant_flux_profile(M, op, params, R_max, R1=R1)
-    # the profile increases: c z <= T0 on its first k nodes, R among them
-    k = int(np.searchsorted(params.c * table.z, pot.kink, side="right"))
-    yield table.grid[:k], table.z[:k], table.zp[:k]
-    if k == len(table.grid):
+                 c: float, head, R_max: float, R1: float, work: Counter):
+    """The ``evans_for_triple`` scale ``c`` as a march, like ``_march``:
+    its first piece is ``head``, the scale's profile as far as
+    ``_evans_heads`` built it, and from the last node of ``head`` on it
+    is ``_march``, with ``R1`` as a stop, unless that node is
+    ``R_max``."""
+    grid, z, zp = head
+    yield head
+    if grid[-1] == R_max:
         return COMPLETE, R_max, None
     march = _march(M, op, pot, CauchyParams(
-        float(table.grid[k - 1]), float(table.z[k - 1]),
-        float(table.zp[k - 1]), params.c), R_max, NODES_PER_WINDOW, work,
-        R1=R1)
+        float(grid[-1]), float(z[-1]), float(zp[-1]), c), R_max,
+        NODES_PER_WINDOW, work, R1=R1)
     next(march)                      # the node it starts from
     return (yield from march)
 
@@ -544,6 +554,47 @@ def choose_mu(op: PhiOperator, c: float) -> float:
     if not 0.0 < c <= 1.0:
         raise DomainError("choose_mu requires c in (0, 1]")
     return phi_inverse(op, c ** (op.p - 1.0)) / c
+
+
+def _evans_heads(M: ModelManifold, op: PhiOperator, pot: PotentialB,
+                 R: float, R1: float, R_max: float):
+    """The scales ``c = 2**-k`` of ``evans_for_triple``'s sweep, from 1
+    down to ``EVANS_C_MIN`` in order, each as ``(c, mu, head)``:
+    ``choose_mu``'s slope and the first piece of the profile, from which
+    ``_evans_march`` goes on.  Without a kink ``head`` is the node ``(R,
+    0, mu)``.  With one it is the scale's row of one ``_ConstantFluxTable``
+    through ``R1`` and ``R_max``, up to its last node where ``c z <=
+    kink``; the rows come ``EVANS_BLOCK`` scales at a time, after one
+    ``phi_inverse`` of their ``c**(p-1)``, Python floats as in
+    ``choose_mu``.  A block whose ``phi_inverse`` raises is built again
+    one row at a time as the sweep reaches each, so that an error
+    surfaces only at a scale the sweep reaches."""
+    scales, c = [], 1.0
+    while c >= EVANS_C_MIN:
+        scales.append(c)
+        c *= 0.5
+    if pot.kink is None:
+        for c in scales:
+            mu = choose_mu(op, c)
+            yield c, mu, (np.array([R]), np.array([0.0]), np.array([mu]))
+        return
+    table = _ConstantFluxTable(M, R, (R1, R_max))
+
+    def build(block):
+        c = np.array(block)
+        mu = phi_inverse(op, np.array([s ** (op.p - 1.0) for s in block])) / c
+        return zip(block, mu.tolist(), *table.rows(op, c, mu))
+
+    for i in range(0, len(scales), EVANS_BLOCK):
+        block = scales[i:i + EVANS_BLOCK]
+        try:
+            rows = build(block)
+        except (DomainError, NumericError):
+            rows = (row for c in block for row in build([c]))
+        for c, mu, z, zp in rows:
+            # the profile increases: c z <= kink on its first k nodes
+            k = int(np.searchsorted(c * z, pot.kink, side="right"))
+            yield c, mu, (table.grid[:k], z[:k], zp[:k])
 
 
 def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
@@ -567,10 +618,15 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     from ``R`` as far as ``B(c z)`` vanishes (for ``B = 0`` the whole
     profile), then the ``solve_cauchy`` march on windows of
     ``NODES_PER_WINDOW`` nodes, with no blow-up tail and a window end at
-    ``R1``.  The pieces up to ``R1`` decide the scale by their sup, which
-    the increasing profile takes at ``R1``, and only the accepted scale is
-    marched on to ``R_max``; its ``constant_flux_to`` is the last node of
-    the table (``R`` with none).
+    ``R1``.  ``_evans_heads`` builds the table's geometry once and the
+    constant-flux rows of ``EVANS_BLOCK`` scales at a time, each with the
+    bits it has alone, and the scales are decided in order of ``c``, as
+    one at a time.  The pieces up to ``R1`` decide the scale by their
+    sup, which the increasing profile takes at ``R1`` (a row that stays
+    below the kink through ``R1`` is decided by the table alone), and
+    only the accepted scale is marched on to ``R_max``; its
+    ``constant_flux_to`` is the last node of the table (``R`` with
+    none).
     A march that stalls (window underflow) raises from ``_march``:
     ``DomainError`` if its last window passed the largest double
     (``FluxOverflow``), else ``EvansFailure``.
@@ -602,23 +658,21 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
             f"no exhaustion: the Liouville test says {dv.verdict.value} "
             f"(partial integral {dv.partial_integral:.6g}, slope "
             f"{dv.slope_estimate:.6g})", dv)
-    c, work = 1.0, Counter()
-    while c >= EVANS_C_MIN:
-        mu = choose_mu(op, c)
-        params = CauchyParams(R=R, theta=0.0, mu=mu, c=c)
-        march = _evans_march(M, op, pot, params, R_max, R1, work)
+    work = Counter()
+    for c, mu, head in _evans_heads(M, op, pot, R, R1, R_max):
+        march = _evans_march(M, op, pot, c, head, R_max, R1, work)
         pieces = []
         _take(march, pieces, R1)
         grid, z, _ = _concat(pieces)
         sup = c * _sup_on(grid, z, R, R1)
         if sup < eps:
+            params = CauchyParams(R=R, theta=0.0, mu=mu, c=c)
             sol = _assemble(pieces, params, _take(march, pieces), work)
             if np.any(np.diff(sol.z) <= 0):
                 raise NumericError("accepted solution is not increasing")
             return EvansResult(solution=sol, c_final=c, mu_final=mu,
                                sup_on_annulus=sup, exhaustion=dv,
                                constant_flux_to=float(pieces[0][0][-1]))
-        c *= 0.5
     raise EvansFailure(
         "no admissible scale above the floor; observed annulus bound "
         f"{sup:.6g}", observed_sup=sup)

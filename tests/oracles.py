@@ -112,13 +112,18 @@ def classify_c_sweep(M, op, pot=None, r_max=criteria.R_MAX):
 
 def exhaustion_at_unit_scale(M, op, R):
     """Whether ``B = 0`` profiles from ``R`` are unbounded, decided on the
-    slope of ``radial.constant_flux_profile`` at ``c = 1``,
-    ``phi^-1(w(R)/w)``: the divergence test from ``R`` to ``R_MAX``,
-    whose verdict is that of the classifiers' test from 1."""
-    params = radial.CauchyParams(R=R, theta=0.0,
-                                 mu=radial.choose_mu(op, 1.0), c=1.0)
-    return criteria.test_L1_at_infinity(
-        lambda r: radial._constant_flux_slope(M, op, params, r), R)
+    constant-flux slope at ``c = 1``, ``phi^-1(phi(mu) w(R)/w)``: the
+    divergence test from ``R`` to ``R_MAX``, whose verdict is that of the
+    classifiers' test from 1."""
+    flux = float(op.phi(radial.choose_mu(op, 1.0)))
+
+    def slope(r):
+        with np.errstate(over="ignore"):
+            y = flux * np.exp(log_sphere_volume(M, R)
+                              - log_sphere_volume(M, r))
+        return phi_inverse(op, y)
+
+    return criteria.test_L1_at_infinity(slope, R)
 
 
 def evans_eager_sweep(M, op, pot, R, R1, eps, R_max, nodes_per_window=64,

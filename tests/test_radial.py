@@ -104,8 +104,12 @@ def test_cumint_is_scipy_cumulative_simpson(n, spacing):
         else:
             x = np.cumsum(rng.uniform(0.01, 1.0, size))
         y = np.exp(-x) + rng.normal(size=size)
-        assert np.array_equal(core._CumulativeSimpson(x)(y),
-                              cumulative_simpson(y, x=x, initial=0.0))
+        rule = core._CumulativeSimpson(x)
+        assert np.array_equal(rule(y), cumulative_simpson(y, x=x,
+                                                          initial=0.0))
+        # rows of samples: each row integrated as it is alone
+        rows = np.stack([y, np.cos(x), 1e300 * y])
+        assert np.array_equal(rule(rows), np.stack([rule(r) for r in rows]))
 
 
 def test_simpson_index_cache_is_read_only():
@@ -122,6 +126,9 @@ def test_cumint_two_nodes_is_trapezoid():
     x, y = np.array([1.0, 1.7]), np.array([0.3, -2.0])
     assert np.array_equal(core._CumulativeSimpson(x)(y),
                           cumulative_trapezoid(y, x, initial=0.0))
+    assert np.array_equal(core._CumulativeSimpson(x)(np.stack([y, -y])),
+                          np.stack([cumulative_trapezoid(r, x, initial=0.0)
+                                    for r in (y, -y)]))
 
 
 WINDOW_SIZES = [2, 3, 4, 5, 8, 17, 64, 65]
@@ -1201,25 +1208,57 @@ def test_constant_flux_profile_is_the_picard_solution(make, op, tmp_path):
     np.testing.assert_allclose(exact.z[i], picard.z[j], rtol=2e-8, atol=0.0)
 
 
-@pytest.mark.parametrize("R1", [2.0, 5.0])
-@pytest.mark.parametrize("op", OPERATORS.values(), ids=OPERATORS.keys())
-@pytest.mark.parametrize("make", [MANIFOLDS[k] for k in EXACT_SWEEP],
-                         ids=EXACT_SWEEP)
+# (warping, operator, R1, eps) of the B = 0 sweeps: every warping,
+# operator and R1 at eps = 0.1, and on the plane three whose accepted scale
+# is past the first block, c = 2**-10, 2**-9 and 2**-17
+ZERO_SWEEPS = {f"{m}-{o}-{R1}": (m, o, R1, 0.1) for m in EXACT_SWEEP
+               for o in OPERATORS for R1 in (2.0, 5.0)} | {
+    f"euclidean m=2-{o}-2.0-eps={eps:g}": ("euclidean m=2", o, 2.0, eps)
+    for o, eps in (("p=2", 1e-3), ("perturbed:p=2", 1e-3), ("p=3", 1e-5))}
+
+
+def scale_blocks(c_final):
+    """The blocks of the sweep's scales up to the one holding ``c_final``."""
+    k = round(math.log2(1.0 / c_final))
+    scales = [2.0 ** -j for j in range(k + radial.EVANS_BLOCK)]
+    return [scales[i:i + radial.EVANS_BLOCK]
+            for i in range(0, k + 1, radial.EVANS_BLOCK)]
+
+
+def recording_rows(monkeypatch):
+    """Record ``(scales, nodes)`` of every constant-flux rows evaluation."""
+    evaluated = []
+    rows = radial._ConstantFluxTable.rows
+
+    def recording(table, op, c, mu, theta=0.0):
+        evaluated.append((c.tolist(), len(table.grid)))
+        return rows(table, op, c, mu, theta)
+
+    monkeypatch.setattr(radial._ConstantFluxTable, "rows", recording)
+    return evaluated
+
+
+def assert_is_the_eager_sweep(res, eager):
+    for name in ("grid", "z", "zp"):
+        assert np.array_equal(getattr(res.solution, name),
+                              getattr(eager.solution, name)), name
+    assert (res.c_final, res.mu_final, res.sup_on_annulus,
+            res.constant_flux_to) == \
+        (eager.c_final, eager.mu_final, eager.sup_on_annulus,
+         eager.constant_flux_to)
+
+
+@pytest.mark.parametrize("make, op, R1, eps", ZERO_SWEEPS.values(),
+                         ids=ZERO_SWEEPS.keys())
 def test_evans_zero_potential_sweep_is_the_eager_sweep(monkeypatch, make, op,
-                                                       R1, tmp_path):
-    # the B = 0 twin of test_evans_scale_sweep_is_the_eager_sweep: each
-    # scale evaluates the slope once, on the whole table grid through R1
-    M, R, R_max = make(tmp_path), 1.0, 60.0
-    evaluated = []          # (c, nodes) of every slope evaluation
-    slope = radial._constant_flux_slope
-
-    def recording(M_, op_, params, r):
-        evaluated.append((params.c, len(r)))
-        return slope(M_, op_, params, r)
-
-    monkeypatch.setattr(radial, "_constant_flux_slope", recording)
+                                                       R1, eps, tmp_path):
+    # the B = 0 twin of test_evans_scale_sweep_is_the_eager_sweep: the
+    # table is evaluated once per block of scales up to the accepted one,
+    # each time on the whole table grid through R1
+    M, op, R, R_max = MANIFOLDS[make](tmp_path), OPERATORS[op], 1.0, 60.0
+    evaluated = recording_rows(monkeypatch)
     try:
-        res = radial.evans_for_triple(M, op, ZERO, R=R, R1=R1, eps=0.1,
+        res = radial.evans_for_triple(M, op, ZERO, R=R, R1=R1, eps=eps,
                                       R_max=R_max)
     except radial.NoExhaustion:
         # R^3 at p = 2: the Liouville test refuses before any build
@@ -1227,7 +1266,7 @@ def test_evans_zero_potential_sweep_is_the_eager_sweep(monkeypatch, make, op,
         assert evaluated == []
         return
     monkeypatch.undo()
-    eager = evans_eager_sweep(M, op, ZERO, R=R, R1=R1, eps=0.1, R_max=R_max)
+    eager = evans_eager_sweep(M, op, ZERO, R=R, R1=R1, eps=eps, R_max=R_max)
     assert res.solution.status == eager.solution.status == radial.COMPLETE
     for name in ("grid", "z", "zp"):
         assert np.array_equal(getattr(res.solution, name),
@@ -1238,9 +1277,62 @@ def test_evans_zero_potential_sweep_is_the_eager_sweep(monkeypatch, make, op,
     assert R1 in grid and grid[-1] == R_max
     assert res.sup_on_annulus == res.c_final * res.solution.z[
         np.searchsorted(grid, R1)]
-    assert [c for c, _ in evaluated] == \
-        [2.0 ** -k for k in range(round(math.log2(1.0 / res.c_final)) + 1)]
+    assert [c for c, _ in evaluated] == scale_blocks(res.c_final)
     assert all(nodes == len(grid) for _, nodes in evaluated)
+
+
+@pytest.mark.parametrize("eps, c, constant_flux_to, applications", [
+    # the scales down to 1/8 pass the kink inside [1, 2] and march; the
+    # accepted 1/16 passes it at r ~ 4.9 and hands over there
+    (0.05, 2.0 ** -4, 4.86967525166, 410),
+    # past the first block, below the kink up to R_max
+    (1e-3, 2.0 ** -10, 60.0, 20),
+])
+def test_evans_plateau_block_that_marches_is_the_eager_sweep(
+        monkeypatch, eps, c, constant_flux_to, applications):
+    # a block whose first rows pass the kink T = 0.1 on the annulus, each
+    # marching from its own row, and the rows after them decided by the
+    # table alone
+    pot = core.plateau_potential(0.1, 2.0)
+    evaluated = recording_rows(monkeypatch)
+    res = radial.evans_for_triple(EUC2, LAP2, pot, R=1.0, R1=2.0, eps=eps,
+                                  R_max=60.0)
+    monkeypatch.undo()
+    eager = evans_eager_sweep(EUC2, LAP2, pot, R=1.0, R1=2.0, eps=eps,
+                              R_max=60.0)
+    assert_is_the_eager_sweep(res, eager)
+    assert res.c_final == c and res.solution.applications == applications
+    assert f"{res.constant_flux_to:.12g}" == f"{constant_flux_to:.12g}"
+    assert [c for c, _ in evaluated] == scale_blocks(c)
+
+
+@pytest.mark.parametrize("op, c", [(LAP2, 2.0 ** -10),
+                                   (core.perturbed_operator(2.0), 2.0 ** -9)],
+                         ids=["p=2", "perturbed:p=2"])
+def test_evans_phi_inverse_error_past_the_accepted_row(monkeypatch, op, c):
+    # a phi^-1 that fails on every y below those of the accepted row: the
+    # block holding it is built again one row at a time, which stops at
+    # the accepted row, so the error of the rows past it never surfaces
+    eager = evans_eager_sweep(EUC2, op, ZERO, R=1.0, R1=2.0, eps=1e-3,
+                              R_max=60.0)
+    assert eager.c_final == c
+    least = float(op.phi(c * eager.mu_final)) / 60.0   # w(1)/w(60) = 1/60
+    phi_inverse, refused = radial.phi_inverse, []
+
+    def failing(op_, y):
+        if np.min(y) < least * (1.0 - 1e-9):
+            refused.append(np.size(y))
+            raise core.NumericError("phi_inverse: y below the accepted row")
+        return phi_inverse(op_, y)
+
+    monkeypatch.setattr(radial, "phi_inverse", failing)
+    res = radial.evans_for_triple(EUC2, op, ZERO, R=1.0, R1=2.0, eps=1e-3,
+                                  R_max=60.0)
+    assert_is_the_eager_sweep(res, eager)
+    # a batched call of the second block failed (its slopes' or its
+    # rows'), and no call of a single row did
+    block = radial.EVANS_BLOCK
+    assert refused == [block] or refused == [block * len(res.solution.grid)]
 
 
 @pytest.mark.parametrize("R_max, nodes", [
