@@ -174,20 +174,24 @@ def _classification_row(manifold_name, p, potential_name, cls):
 
 
 def cmd_classify(cfg, out_path) -> int:
-    manifolds = _split_list(_get(cfg, "manifold", required=True))
-    operators = _split_list(_get(cfg, "operator", "p-laplacian:p=2"))
-    potentials = _split_list(_get(cfg, "potential", "zero"))
+    """One row per manifold, operator and potential of the lists, nested in
+    that order.  Each tag is built, and checked, once per command, before
+    the first test: the manifolds, then the operators, then the
+    potentials."""
+    man_tags = _split_list(_get(cfg, "manifold", required=True))
+    op_tags = _split_list(_get(cfg, "operator", "p-laplacian:p=2"))
+    pot_tags = _split_list(_get(cfg, "potential", "zero"))
     m = _get_int(cfg, "m", 2)
     rmax = _get_float(cfg, "rmax", criteria.R_MAX, positive=True)
+    manifolds = [core.manifold_from_tag(tag, m) for tag in man_tags]
+    operators = [core.operator_from_tag(tag) for tag in op_tags]
+    potentials = [core.potential_from_tag(tag) for tag in pot_tags]
 
     lines = ["# command=classify", ",".join(CSV_COLUMNS)]
     any_inconclusive = False
-    for man_tag in manifolds:
-        M = core.manifold_from_tag(man_tag, m)
-        for op_tag in operators:
-            op = core.operator_from_tag(op_tag)
-            for pot_tag in potentials:
-                pot = core.potential_from_tag(pot_tag)
+    for M in manifolds:
+        for op in operators:
+            for pot in potentials:
                 if pot.name == "zero":
                     cls = criteria.classify_parabolic(M, op, rmax)
                 else:

@@ -285,14 +285,10 @@ def grid_through(lo: float, radii) -> np.ndarray:
 
 def volume_ratio(M: ModelManifold, r, R: float = 0.0):
     """``rho(r) = g(r)**(1-m) * integral_R^r g(t)**(m-1) dt`` at a radius or
-    an array of radii, from one pass of the exact recurrence
-    ``rho_{i+1} = exp(-dL_i) rho_i + I_i``, ``L = (m-1) log g``, on a
-    geometric grid.  ``I_i = integral exp(L(t) - L(r_{i+1})) dt`` is taken in
-    ``u = exp(-a (r_{i+1} - t))``, ``a = dL_i / (4 h_i)``, where it is the
-    integral of ``u**3`` times the exponential of the departure of ``L`` from
-    its secant: the rule is exact for linear ``L``, and ``g**(m-1)``, which
-    may overflow, is never formed.  (The full secant slope would leave a
-    ``u**beta`` singularity at ``u = 0`` that costs four digits on r e^{r^3}.)
+    an array of radii: ``_volume_ratio_table`` on ``grid_through(lo,
+    radii)``, ``lo = R``, or the least positive radius (at most
+    ``_ORIGIN_PANEL``) if ``R = 0``, read back at the radii (0 at ``r =
+    R``).
     """
     radii = np.asarray(r, dtype=float)
     least = float(np.min(radii, initial=R))
@@ -303,14 +299,35 @@ def volume_ratio(M: ModelManifold, r, R: float = 0.0):
     lo = R if R > 0 else float(np.min(radii, where=radii > 0,
                                       initial=_ORIGIN_PANEL))
     grid = grid_through(lo, radii[radii > 0])
+    rho = _volume_ratio_table(M, grid, from_origin=R == 0)
+    out = np.where(radii > R, rho[np.searchsorted(grid, radii)], 0.0)
+    return float(out) if out.ndim == 0 else out
+
+
+def _volume_ratio_table(M: ModelManifold, grid, from_origin=False):
+    """The volume ratio from ``R = grid[0]`` (from 0 if ``from_origin``) at
+    the nodes of the strictly increasing ``grid``, as one array: one pass
+    of the exact recurrence ``rho_{i+1} = exp(-dL_i) rho_i + I_i``, ``L =
+    (m-1) log g``, with ``rho_0 = 0`` (the origin panel's integral if
+    ``from_origin``).  ``volume_ratio`` merges its radii into a table grid
+    and reads this pass back at them; the Liouville test runs it on its
+    own rule's grid, which has no node to add.
+    ``I_i = integral exp(L(t) - L(r_{i+1})) dt`` is taken in
+    ``u = exp(-a (r_{i+1} - t))``, ``a = dL_i / (4 h_i)``, where it is the
+    integral of ``u**3`` times the exponential of the departure of ``L`` from
+    its secant: the rule is exact for linear ``L``, and ``g**(m-1)``, which
+    may overflow, is never formed.  (The full secant slope would leave a
+    ``u**beta`` singularity at ``u = 0`` that costs four digits on r e^{r^3}.)
+    """
     L = log_sphere_volume(M, grid)
     if not np.isfinite(L).all():
         i = int(np.argmax(~np.isfinite(L)))
         raise DomainError(f"the volume ratio needs a finite (m-1) log g, "
                           f"got {L[i]:g} at r={grid[i]:.6g}")
     rho = [0.0]
-    if R == 0:
+    if from_origin:
         # g ~ t near the origin: the rule acts on exp(L(t) - L(lo)) directly
+        lo = float(grid[0])
         rho = [float(lo * (_GL_WEIGHTS @ np.exp(
             log_sphere_volume(M, lo * _GL_NODES) - L[0])))]
     h, dL = grid[1:] - grid[:-1], L[1:] - L[:-1]
@@ -325,9 +342,7 @@ def volume_ratio(M: ModelManifold, r, R: float = 0.0):
     # scalars, bit for bit, without their per-element boxing
     for decay, inc in zip(np.exp(-dL).tolist(), I.tolist()):
         rho.append(decay * rho[-1] + inc)
-    out = np.where(radii > R, np.array(rho)[np.searchsorted(grid, radii)],
-                   0.0)
-    return float(out) if out.ndim == 0 else out
+    return np.array(rho)
 
 
 def _log_sinh(r):

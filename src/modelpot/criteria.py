@@ -14,6 +14,7 @@ array of radii.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -22,9 +23,9 @@ import numpy as np
 
 from .core import (_GL_NODES, _GL_WEIGHTS, DEFAULT_QUADRATURE, KO_R_MAX,
                    DomainError, ModelManifold, NumericError, PhiOperator,
-                   PotentialB, _CumulativeSimpson, _power_panel, distinct,
-                   geometric_grid, log_sphere_volume, phi_inverse, pchip,
-                   volume_ratio)
+                   PotentialB, _CumulativeSimpson, _power_panel,
+                   _volume_ratio_table, distinct, geometric_grid,
+                   log_sphere_volume, phi_inverse, pchip, volume_ratio)
 
 
 class Verdict(enum.Enum):
@@ -107,15 +108,19 @@ class KellerOssermanResult:
     form_simple: Verdict      # via beta(s)**(-1/p)
 
 
+@functools.lru_cache(maxsize=32)
 def _divergence_rule(R0: float, r_max: float):
     """The sampling grid of ``test_L1_at_infinity`` on ``[R0, r_max]`` and
     its Simpson rule in ``log r``, which depend on nothing else.
 
     Returns ``(grid, simpson)``: ``grid`` is ``geometric_grid(R0, r_max)``,
     which the volume-ratio table from ``R0`` shares, and ``simpson`` the
-    ``_CumulativeSimpson`` rule on its ``log r``.  ``DomainError`` unless
-    ``0 < R0 < r_max < inf``, or if ``r_max`` lies within relative 1e-9 of
-    ``R0``, where the grid is one node.
+    ``_CumulativeSimpson`` rule on its ``log r``.  Built on first use and
+    cached per range, so a process builds the rule of ``[1, R_MAX]`` once;
+    its arrays are read-only, since the test hands ``grid`` to caller
+    integrands, and one that writes into it raises ``ValueError``.
+    ``DomainError`` unless ``0 < R0 < r_max < inf``, or if ``r_max`` lies
+    within relative 1e-9 of ``R0``, where the grid is one node.
     """
     if not 0 < R0 < r_max < math.inf:
         raise DomainError(f"test_L1_at_infinity requires 0 < R0 < r_max < "
@@ -125,7 +130,10 @@ def _divergence_rule(R0: float, r_max: float):
     if len(grid) < 2:
         raise DomainError(f"[{R0:.17g}, {r_max:.17g}] is too short to "
                           "sample: its ends are within relative 1e-9")
-    return grid, _CumulativeSimpson(np.log(grid))
+    simpson = _CumulativeSimpson(np.log(grid))
+    for array in (grid, *vars(simpson).values()):
+        array.flags.writeable = False
+    return grid, simpson
 
 
 def _slope(rs, vals):
@@ -147,7 +155,8 @@ def test_L1_at_infinity(integrand: Callable, R0: float, r_max: float = R_MAX,
 
     ``integrand`` maps an array of radii to values and is sampled once, on
     the grid of ``rule``, which is ``_divergence_rule(R0, r_max)`` unless
-    the caller built it.  The partial integral over all of ``[R0, r_max]``
+    the caller built it: a read-only array, shared by every test of the
+    range in a process.  The partial integral over all of ``[R0, r_max]``
     is the last value of the cumulative Simpson rule in ``log r`` on the
     table nodes (``scipy.integrate.cumulative_simpson(r * f, x=log r)``,
     bit for bit); a log-log slope is fitted on the last decade's nodes,
@@ -207,7 +216,10 @@ def v_pa(M: ModelManifold, op: PhiOperator, c: float, r):
 
 
 def v_st(M: ModelManifold, op: PhiOperator, c: float, R: float, r):
-    """``phi**-1(c * g(r)**(1-m) * integral_R^r g**(m-1))``."""
+    """``phi**-1(c * g(r)**(1-m) * integral_R^r g**(m-1))`` at radii at or
+    past ``R``, through ``volume_ratio``.  ``classify_KL`` tests it at
+    ``c = 1`` from 1 on its rule's grid, where it reads the same table
+    pass without ``volume_ratio``'s merge."""
     if R <= 0 or c < 0:
         raise DomainError("v_st requires R > 0 and c >= 0")
     return phi_inverse(op, c * volume_ratio(M, r, R))
@@ -237,10 +249,13 @@ def classify_KL(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     """Liouville/potential property by the potential's declared type:
     without a kink the volume-ratio profile's test from 1, and with one
     (``B = 0`` at ``inf``) the parabolicity test.  Either test reads
-    ``[1, r_max]``, the range of every command's verdict, and no ``B``."""
+    ``[1, r_max]``, the range of every command's verdict, and no ``B``.
+    The profile is ``v_st`` at ``c = 1`` from 1, bit for bit, with its
+    volume ratio from one table pass on the test's own grid, which holds
+    every node the table needs: no grid to merge and no map back."""
     if pot.kink is None:
-        dv = test_L1_at_infinity(lambda r: v_st(M, op, 1.0, 1.0, r), 1.0,
-                                 r_max)
+        dv = test_L1_at_infinity(
+            lambda r: phi_inverse(op, _volume_ratio_table(M, r)), 1.0, r_max)
     else:
         dv = classify_parabolic(M, op, r_max).divergence
     return Classification(

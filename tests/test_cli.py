@@ -135,6 +135,47 @@ def test_classify_with_an_underflowing_phi_inverse_bracket(capsys):
     assert "# status=no_exhaustion\n" in out
 
 
+CLASSIFY_LISTS = [("manifold", ["euclidean", "hyperbolic"]),
+                  ("operator", ["p-laplacian:p=2", "perturbed:p=2"]),
+                  ("potential", ["zero", "superlinear:q=1"])]
+
+
+def test_classify_builds_each_tag_once(capsys, monkeypatch):
+    # a 2x2x2 list builds 2 manifolds, 2 operators and 2 potentials, and
+    # its 8 rows are the 8 single-tag runs', in the lists' nesting order
+    built = []
+    for name in ("manifold_from_tag", "operator_from_tag",
+                 "potential_from_tag"):
+        def spy(tag, *args, build=getattr(core, name)):
+            built.append(tag)
+            return build(tag, *args)
+
+        monkeypatch.setattr(core, name, spy)
+    argv = ["classify", "--set", "m=3"] + [
+        arg for key, tags in CLASSIFY_LISTS
+        for arg in ("--set", f"{key}={';'.join(tags)}")]
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    assert built == [tag for _, tags in CLASSIFY_LISTS for tag in tags]
+    rows = out.splitlines()[2:]
+    single = []
+    for man in CLASSIFY_LISTS[0][1]:
+        for op in CLASSIFY_LISTS[1][1]:
+            for pot in CLASSIFY_LISTS[2][1]:
+                code, one = run_cli(
+                    ["classify", "--set", "m=3", "--set", f"manifold={man}",
+                     "--set", f"operator={op}", "--set", f"potential={pot}"],
+                    capsys)
+                assert code == 0
+                single += one.splitlines()[2:]
+    assert rows == single and len(rows) == 8
+    # the v_st rows the console-script step pins
+    assert rows[1] == ("euclidean,2,superlinear:q=1,KL_Holds,Diverges,"
+                       "16666666.3218,1,critical_slope")
+    assert rows[7] == ("hyperbolic,2,superlinear:q=1,KL_Holds,Diverges,"
+                       "2807.31505863,-8.25107e-14,critical_slope")
+
+
 def test_classify_bad_tag_exit_code(capsys):
     code, _ = run_cli(["classify", "--set", "manifold=moebius",
                        "--set", "m=2"], capsys)

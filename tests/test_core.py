@@ -282,6 +282,30 @@ def test_volume_ratio_is_the_reference_bit_for_bit(make, r_hi, R):
         assert got == volume_ratio_reference(M, radius, R)
 
 
+@pytest.mark.parametrize("make,r_hi", [
+    (lambda: core.manifold_from_tag("euclidean", 2), 1e4),
+    (lambda: core.manifold_from_tag("euclidean", 3), 1e4),
+    (lambda: core.manifold_from_tag("hyperbolic", 3), 1e4),
+    (lambda: core.manifold_from_tag("power-exp:alpha=2.2", 2), 1e4),
+    (lambda: _power_table(2), 900.0),
+], ids=["euclidean m=2", "euclidean m=3", "hyperbolic m=3",
+        "power-exp:alpha=2.2", "table"])
+def test_the_table_pass_on_its_own_grid_is_volume_ratio(make, r_hi):
+    # on a table grid the pass needs no merge: from its first node it is
+    # volume_ratio at the grid's radii, and from the origin volume_ratio
+    # from 0, both bit for bit, and both the reference's
+    M = make()
+    grid = core.geometric_grid(1.0, r_hi)
+    table = core._volume_ratio_table(M, grid)
+    assert table[0] == 0.0
+    assert np.array_equal(table, core.volume_ratio(M, grid, 1.0))
+    assert np.array_equal(table, volume_ratio_reference(M, grid, 1.0))
+    grid = core.geometric_grid(core._ORIGIN_PANEL, r_hi)
+    table = core._volume_ratio_table(M, grid, from_origin=True)
+    assert np.array_equal(table, core.volume_ratio(M, grid, 0.0))
+    assert np.array_equal(table, volume_ratio_reference(M, grid, 0.0))
+
+
 def test_validation_samples_are_read_only():
     # B is sampled at 0, then at 128 nodes a decade from 1e-6 to 1e6: the
     # table nodes, which may differ from logspace's in the last bit

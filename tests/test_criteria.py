@@ -111,6 +111,59 @@ def test_decade_rule_is_scipy_simpson(R0, r_max):
         assert dv.partial_integral == expected
 
 
+@pytest.mark.parametrize("r_max", [criteria.R_MAX, core.KO_R_MAX])
+def test_divergence_rule_is_built_once_and_read_only(r_max):
+    # the Liouville test's range and the growth tests' one: a second call
+    # returns the same arrays, none of which can be written
+    grid, simpson = criteria._divergence_rule(1.0, r_max)
+    again = criteria._divergence_rule(1.0, r_max)
+    assert again[0] is grid and again[1] is simpson
+    assert np.array_equal(grid, core.geometric_grid(1.0, r_max))
+    arrays = [grid, *vars(simpson).values()]
+    assert len(arrays) == 7
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+def test_an_integrand_cannot_write_into_the_shared_grid():
+    # the test hands its rule's grid to the integrand: a write raises, and
+    # a test run after it reads the grid it read before, bit for bit
+    before = criteria.test_L1_at_infinity(lambda r: r ** -1.5, 1.0)
+
+    def writes(r):
+        r *= 2.0
+        return r ** -1.5
+
+    with pytest.raises(ValueError, match="read-only"):
+        criteria.test_L1_at_infinity(writes, 1.0)
+    after = criteria.test_L1_at_infinity(lambda r: r ** -1.5, 1.0)
+    assert after == before
+    assert after.partial_integral.hex() == before.partial_integral.hex()
+    assert np.array_equal(criteria._divergence_rule(1.0, criteria.R_MAX)[0],
+                          core.geometric_grid(1.0, criteria.R_MAX))
+
+
+@pytest.mark.parametrize("tag,m,op_tag,pot_tag", [
+    ("euclidean", 2, "p-laplacian:p=2", "superlinear:q=1"),
+    ("euclidean", 3, "p-laplacian:p=3", "linear-power:p=3,lambda=1"),
+    ("hyperbolic", 3, "perturbed:p=2", "superlinear:q=1"),
+    ("power-exp:alpha=2.2", 2, "p-laplacian:p=2", "superlinear:q=1"),
+    ("euclidean", 3, "p-laplacian:p=2", "plateau:T=1,p=2"),
+])
+def test_classify_kl_twice_is_bitwise_equal(tag, m, op_tag, pot_tag):
+    # the second call reads the cached rule: its verdict is the first's
+    M = core.manifold_from_tag(tag, m)
+    op = core.operator_from_tag(op_tag)
+    pot = core.potential_from_tag(pot_tag)
+    first = criteria.classify_KL(M, op, pot).divergence
+    second = criteria.classify_KL(M, op, pot).divergence
+    assert second == first
+    for name in ("partial_integral", "slope_estimate", "r_max"):
+        assert getattr(second, name).hex() == getattr(first, name).hex()
+
+
 @settings(max_examples=300, deadline=None)
 @given(R0=st.floats(1e-3, 1e3), n=st.integers(2, 129),
        slope=st.floats(-5.0, 5.0), data=st.data())
