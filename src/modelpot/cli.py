@@ -192,7 +192,7 @@ def cmd_classify(cfg, out_path) -> int:
     for M in manifolds:
         for op in operators:
             for pot in potentials:
-                if pot.name == "zero":
+                if pot.kink == math.inf:         # B = 0
                     cls = criteria.classify_parabolic(M, op, rmax)
                 else:
                     cls = criteria.classify_KL(M, op, pot, rmax)
@@ -353,8 +353,10 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: MODELPOT_LOG={level!r} is no log level; "
                          "use DEBUG, INFO, WARNING, ERROR or CRITICAL\n")
         return EXIT_ERROR
-    logging.basicConfig(level=level.upper(),
-                        format="%(levelname)s %(name)s: %(message)s")
+    # basicConfig adds the stderr handler on the first call in a process
+    # and does nothing after; the level is set on every call
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    log.setLevel(level.upper())
     args = PARSER.parse_args(argv)
     try:
         cfg = _merge(args)

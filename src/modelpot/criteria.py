@@ -149,20 +149,20 @@ def _slope(rs, vals):
     return float((xc * (y - y.mean())).sum() / (xc * xc).sum())
 
 
-def test_L1_at_infinity(integrand: Callable, R0: float, r_max: float = R_MAX,
-                        rule=None) -> DivergenceVerdict:
+def test_L1_at_infinity(integrand: Callable, R0: float,
+                        r_max: float = R_MAX) -> DivergenceVerdict:
     """Decide whether ``integral_R0^inf integrand`` diverges.
 
     ``integrand`` maps an array of radii to values and is sampled once, on
-    the grid of ``rule``, which is ``_divergence_rule(R0, r_max)`` unless
-    the caller built it: a read-only array, shared by every test of the
-    range in a process.  The partial integral over all of ``[R0, r_max]``
-    is the last value of the cumulative Simpson rule in ``log r`` on the
-    table nodes (``scipy.integrate.cumulative_simpson(r * f, x=log r)``,
-    bit for bit); a log-log slope is fitted on the last decade's nodes,
-    those at or past ``r_max / 10``.  A fitted slope at or above the
-    critical -1 means the extrapolated tail is unbounded, which is
-    reported as divergence.  Below it the integrand converges if the
+    the grid of ``_divergence_rule(R0, r_max)``: a read-only array, shared
+    by every test of the range in a process, so a caller that needs the
+    grid reads it from that rule.  The partial integral over all of
+    ``[R0, r_max]`` is the last value of the cumulative Simpson rule in
+    ``log r`` on the table nodes (``scipy.integrate.cumulative_simpson(r
+    * f, x=log r)``, bit for bit); a log-log slope is fitted on the last
+    decade's nodes, those at or past ``r_max / 10``.  A fitted slope at
+    or above the critical -1 means the extrapolated tail is unbounded,
+    which is reported as divergence.  Below it the integrand converges if the
     slope clears the margin and its extrapolated tail is a small share of
     the partial integral, or if the decade before the last, from the same
     samples, has the same slope: a steady power.  Slopes that drift
@@ -172,7 +172,7 @@ def test_L1_at_infinity(integrand: Callable, R0: float, r_max: float = R_MAX,
     0`` that keeps its samples finite and its last one nonzero.  The
     verdict's ``reason`` names the branch that decided.
     """
-    grid, simpson = _divergence_rule(R0, r_max) if rule is None else rule
+    grid, simpson = _divergence_rule(R0, r_max)
     vals = np.zeros_like(grid) + integrand(grid)
     bad = ~np.isfinite(vals) | (vals < 0)
     if bad.any():
@@ -360,13 +360,11 @@ def keller_osserman(op: PhiOperator, pot: PotentialB) -> KellerOssermanResult:
     pos = np.nonzero(b_vals > 0)[0][0]
     R0 = max(1.0, 2.0 * float(s_grid[pos]))
     k_inv = _kinetic_inverse(op, float(b_vals[-1]) * 1.05)
-    rule = _divergence_rule(R0, r_max)
-    beta = pchip(s_grid, b_vals)(rule[0])
+    beta = pchip(s_grid, b_vals)(_divergence_rule(R0, r_max)[0])
     if (beta <= 0.0).any():
         raise NumericError("antiderivative not positive on the test range")
-    v1 = test_L1_at_infinity(lambda s: 1.0 / k_inv(beta), R0, r_max, rule)
-    v2 = test_L1_at_infinity(lambda s: beta ** (-1.0 / op.p), R0, r_max,
-                             rule)
+    v1 = test_L1_at_infinity(lambda s: 1.0 / k_inv(beta), R0, r_max)
+    v2 = test_L1_at_infinity(lambda s: beta ** (-1.0 / op.p), R0, r_max)
     if {v1.verdict, v2.verdict} == {Verdict.DIVERGES, Verdict.CONVERGES}:
         raise ConsistencyError(
             "the two growth-condition forms disagree: "

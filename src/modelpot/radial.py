@@ -8,11 +8,11 @@ which is certified and then located with ``z`` as the variable, past the
 last window that converged.  Where ``B(c z) = 0`` the flux is constant
 and the solution is one integral, built in one pass on the divergence
 test's geometric grid with its Simpson rule in ``log r``, for a block of
-scales at once as rows of one table; an Evans profile takes it up to the
-level below which ``B`` vanishes, and Picard windows only past it.  On
-top of the solvers
-sit the slope selection rules and the small-on-an-annulus construction
-that produce exhaustion potentials for triples of concentric balls.
+scales at once as rows of one table.  Every march starts from a head: a
+Cauchy node, or an Evans scale's constant-flux profile up to the level
+below which ``B`` vanishes.  On top of the solvers sit the slope
+selection rules and the small-on-an-annulus construction that produce
+exhaustion potentials for triples of concentric balls.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from .criteria import DivergenceVerdict, Verdict, classify_KL
 
 COMPLETE = "complete"
 BLOWUP = "blowup"
-# evans_for_triple halves the scale c from 1 while c >= EVANS_C_MIN; where
-# B has a kink it builds the constant-flux rows of EVANS_BLOCK scales at once
+# evans_for_triple halves the scale c from 1 while c >= EVANS_C_MIN, and
+# builds the slopes and heads of EVANS_BLOCK scales at once
 EVANS_C_MIN = 1e-12
 EVANS_BLOCK = 8
 
@@ -238,18 +238,21 @@ def solve_on_interval(M: ModelManifold, op: PhiOperator, pot: PotentialB,
         f"application {k}; shrink the interval")
 
 
-def _march(M: ModelManifold, op: PhiOperator, pot: PotentialB,
-           params: CauchyParams, R_max: float, nodes_per_window: int,
-           work: Counter, hand_over: bool = False, R1: float = math.inf):
-    """``solve_cauchy``'s window continuation, lazily: yields the solution
-    in pieces ``(grid, z, zp)``, first the node ``(R, theta, mu)`` and then
-    each accepted window of ``nodes_per_window`` uniform nodes without its
-    first node, and returns ``(status, r_reached, blowup_radius)``.  It
-    counts its Picard work in ``work`` as it goes, under the names of
-    ``RadialSolution``'s fields ``applications`` and ``failed_windows``,
-    so that a march dropped before its end has counted its work too.
+def _march(M: ModelManifold, op: PhiOperator, pot: PotentialB, c: float,
+           head, R_max: float, nodes_per_window: int, work: Counter,
+           hand_over: bool = False, R1: float = math.inf):
+    """The march of scale ``c``, lazily: yields the solution in pieces
+    ``(grid, z, zp)``, first ``head`` (``solve_cauchy``'s node, or an
+    Evans scale's constant-flux head), then each accepted window of
+    ``nodes_per_window`` uniform nodes without its first node, and
+    returns ``(status, r_reached, blowup_radius)``, ``COMPLETE`` at once
+    if ``head`` ends at ``R_max``.  It counts its Picard work in ``work``
+    as it goes, under the names of ``RadialSolution``'s fields
+    ``applications`` and ``failed_windows``, so that a march dropped
+    before its end has counted its work too.
 
-    The width rule: ``R < R_max < inf`` is checked; no window is wider
+    The width rule, with ``R`` the last node of ``head``: ``R_max`` is
+    checked to be finite and past its first node; no window is wider
     than ``min(1, (R_max - R)/16)``, the first no wider than ``R``, so
     that a march from a small radius resolves it; a window doubles, up to
     that cap, after one that did not halve; and a window that would leave
@@ -267,16 +270,17 @@ def _march(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     that underflow raises ``DomainError`` if the last window passed the
     largest double (``FluxOverflow``), else ``EvansFailure``; each names
     ``c``, the radius and ``z`` there."""
-    if not params.R < R_max < math.inf:
+    grid, z, zp = head
+    if not grid[0] < R_max < math.inf:
         raise DomainError("R_max must be finite and exceed the base radius, "
                           f"got {R_max:g}")
-    cap = min(1.0, (R_max - params.R) / 16.0)
-    window = min(params.R, cap)
-    min_window = 1e-8 * params.R
-
-    yield np.array([params.R]), np.array([params.theta]), \
-        np.array([params.mu])
-    cur = params
+    yield head
+    if grid[-1] == R_max:
+        return COMPLETE, R_max, None
+    cur = CauchyParams(float(grid[-1]), float(z[-1]), float(zp[-1]), c)
+    cap = min(1.0, (R_max - cur.R) / 16.0)
+    window = min(cur.R, cap)
+    min_window = 1e-8 * cur.R
     halved = False
     missing = None
     while cur.R < R_max:
@@ -308,14 +312,14 @@ def _march(M: ModelManifold, op: PhiOperator, pot: PotentialB,
                         f"certificate: {missing or 'the tail needs z > 0'}")
                 if isinstance(failure, FluxOverflow):
                     raise DomainError(
-                        f"the march at c={params.c:.6g} passes the largest "
+                        f"the march at c={c:.6g} passes the largest "
                         f"double, in phi(c z') or in z, past {where}; take "
                         "a smaller R_max")
-                raise EvansFailure(f"the march at c={params.c:.6g} stalled "
+                raise EvansFailure(f"the march at c={c:.6g} stalled "
                                    f"(window underflow) at {where}")
             continue
         yield grid[1:], z[1:], zp[1:]
-        cur = CauchyParams(r_end, float(z[-1]), float(zp[-1]), params.c)
+        cur = CauchyParams(r_end, float(z[-1]), float(zp[-1]), c)
         window = window if halved else min(window * 2.0, cap)
         halved = False
     return COMPLETE, R_max, None
@@ -355,11 +359,12 @@ def _blowup_tail(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     resolves however steep the rise.  ``int B`` is
     ``criteria._cumulative_table`` in ``y - y_c``, ``K^-1`` its
     ``_kinetic_inverse``; the grid ends where ``E`` would pass
-    ``criteria.BETA_MAX``.  The second certificate is
-    ``test_L1_at_infinity`` on ``1/y'`` in the same variable saying
-    ``Converges``.  The radius is ``r`` at the last node plus the
-    power-law remainder of that test's slope rule, and must lie below
-    ``R_max``."""
+    ``criteria.BETA_MAX``, and the nodes left are, bit for bit, the grid
+    of the divergence rule of their range, whose cached rule the sweeps
+    read.  The second certificate is ``test_L1_at_infinity`` on ``1/y'``
+    in the same variable saying ``Converges``.  The radius is ``r`` at
+    the last node plus the power-law remainder of that test's slope
+    rule, and must lie below ``R_max``."""
     ko = criteria.keller_osserman(op, pot).verdict
     if ko != "NotKO_fails":
         raise NumericError(f"keller_osserman says {ko}")
@@ -376,8 +381,8 @@ def _blowup_tail(M: ModelManifold, op: PhiOperator, pot: PotentialB,
                                           np.append(0.0, x))
     E0 = E_star + (beta[1:] - beta[1])
     n = int(np.searchsorted(E0, criteria.BETA_MAX, side="right"))
-    x, y, E0 = x[:n], y[:n], E0[:n]
-    simpson = _CumulativeSimpson(np.log(x))
+    x, simpson = criteria._divergence_rule(float(x[0]), float(x[n - 1]))
+    y, E0 = y[:n], E0[:n]
     k_inv = criteria._kinetic_inverse(op, 1.05 * E0[-1])
     E = E0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -398,8 +403,8 @@ def _blowup_tail(M: ModelManifold, op: PhiOperator, pot: PotentialB,
                                f"{PICARD_MAX_ITER}")
         yp = k_inv(E)
         r = node.R + simpson(x / yp)
-    dv = criteria.test_L1_at_infinity(lambda _: 1.0 / yp, x[0], x[-1],
-                                      (x, simpson))
+    dv = criteria.test_L1_at_infinity(lambda _: 1.0 / yp, float(x[0]),
+                                      float(x[-1]))
     if dv.verdict is not Verdict.CONVERGES:
         raise NumericError(f"the tail's test of 1/z' says "
                            f"{dv.verdict.value} ({dv.reason})")
@@ -435,8 +440,9 @@ def solve_cauchy(M: ModelManifold, op: PhiOperator, pot: PotentialB,
 
     Each window of ``nodes_per_window`` uniform nodes (at least 2) is
     solved by fixed-point iteration; the restart state ``(theta, mu)`` is
-    the last node of its value and slope.  The widths follow ``_march``'s
-    rule.  The first window that fails hands over to ``_blowup_tail``,
+    the last node of its value and slope.  It is ``_march`` from the node
+    ``(R, theta, mu)``, with its width rule and its range check.  The
+    first window that fails hands over to ``_blowup_tail``,
     which certifies a blow-up twice (``keller_osserman`` says
     ``NotKO_fails``, and the tail's own test finds ``int dz/z'`` to
     converge) and locates its radius in the variable ``z``: the status is
@@ -452,9 +458,10 @@ def solve_cauchy(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     if nodes_per_window < 2:
         raise ValueError(
             f"nodes_per_window must be >= 2, got {nodes_per_window}")
+    node = np.array([[params.R], [params.theta], [params.mu]])
     pieces, work = [], Counter()
-    end = _take(_march(M, op, pot, params, R_max, nodes_per_window, work,
-                       hand_over=True), pieces)
+    end = _take(_march(M, op, pot, params.c, node, R_max, nodes_per_window,
+                       work, hand_over=True), pieces)
     return _assemble(pieces, params, end, work)
 
 
@@ -527,24 +534,6 @@ def constant_flux_profile(M: ModelManifold, op: PhiOperator,
                           status=COMPLETE, r_max=float(R_max))
 
 
-def _evans_march(M: ModelManifold, op: PhiOperator, pot: PotentialB,
-                 c: float, head, R_max: float, R1: float, work: Counter):
-    """The ``evans_for_triple`` scale ``c`` as a march, like ``_march``:
-    its first piece is ``head``, the scale's profile as far as
-    ``_evans_heads`` built it, and from the last node of ``head`` on it
-    is ``_march``, with ``R1`` as a stop, unless that node is
-    ``R_max``."""
-    grid, z, zp = head
-    yield head
-    if grid[-1] == R_max:
-        return COMPLETE, R_max, None
-    march = _march(M, op, pot, CauchyParams(
-        float(grid[-1]), float(z[-1]), float(zp[-1]), c), R_max,
-        NODES_PER_WINDOW, work, R1=R1)
-    next(march)                      # the node it starts from
-    return (yield from march)
-
-
 def choose_mu(op: PhiOperator, c: float) -> float:
     """Largest slope keeping the scaled initial flux below ``c**(p-1)``.
 
@@ -560,30 +549,32 @@ def _evans_heads(M: ModelManifold, op: PhiOperator, pot: PotentialB,
                  R: float, R1: float, R_max: float):
     """The scales ``c = 2**-k`` of ``evans_for_triple``'s sweep, from 1
     down to ``EVANS_C_MIN`` in order, each as ``(c, mu, head)``:
-    ``choose_mu``'s slope and the first piece of the profile, from which
-    ``_evans_march`` goes on.  Without a kink ``head`` is the node ``(R,
-    0, mu)``.  With one it is the scale's row of one ``_ConstantFluxTable``
-    through ``R1`` and ``R_max``, up to its last node where ``c z <=
-    kink``; the rows come ``EVANS_BLOCK`` scales at a time, after one
-    ``phi_inverse`` of their ``c**(p-1)``, Python floats as in
-    ``choose_mu``.  A block whose ``phi_inverse`` raises is built again
-    one row at a time as the sweep reaches each, so that an error
-    surfaces only at a scale the sweep reaches."""
+    ``choose_mu``'s slope, from one ``phi_inverse`` of the ``c**(p-1)``
+    of ``EVANS_BLOCK`` scales at a time (Python floats, as in
+    ``choose_mu``), and the first piece of the profile, from which
+    ``_march`` goes on: the first nodes of the scale's row where ``c z``
+    is at most the kink.  The rows are those of one ``_ConstantFluxTable``
+    through ``R1`` and ``R_max``; without a kink the level is 0 and the
+    "table" is the node ``R``, with ``z = 0`` and ``zp = mu``.  A block
+    whose ``phi_inverse`` raises is built again one row at a time as the
+    sweep reaches each, so that an error surfaces only at a scale the
+    sweep reaches."""
     scales, c = [], 1.0
     while c >= EVANS_C_MIN:
         scales.append(c)
         c *= 0.5
     if pot.kink is None:
-        for c in scales:
-            mu = choose_mu(op, c)
-            yield c, mu, (np.array([R]), np.array([0.0]), np.array([mu]))
-        return
-    table = _ConstantFluxTable(M, R, (R1, R_max))
+        table, grid = None, np.array([R])
+    else:
+        table = _ConstantFluxTable(M, R, (R1, R_max))
+        grid = table.grid
 
     def build(block):
         c = np.array(block)
         mu = phi_inverse(op, np.array([s ** (op.p - 1.0) for s in block])) / c
-        return zip(block, mu.tolist(), *table.rows(op, c, mu))
+        z, zp = (table.rows(op, c, mu) if table else
+                 (np.zeros((len(block), 1)), mu[:, None]))
+        return zip(block, mu.tolist(), z, zp)
 
     for i in range(0, len(scales), EVANS_BLOCK):
         block = scales[i:i + EVANS_BLOCK]
@@ -593,8 +584,8 @@ def _evans_heads(M: ModelManifold, op: PhiOperator, pot: PotentialB,
             rows = (row for c in block for row in build([c]))
         for c, mu, z, zp in rows:
             # the profile increases: c z <= kink on its first k nodes
-            k = int(np.searchsorted(c * z, pot.kink, side="right"))
-            yield c, mu, (table.grid[:k], z[:k], zp[:k])
+            k = int(np.searchsorted(c * z, pot.kink or 0.0, side="right"))
+            yield c, mu, (grid[:k], z[:k], zp[:k])
 
 
 def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
@@ -613,15 +604,15 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
     t**(p-1)``, ``p`` the operator's, under which no solution blows up: it
     holds for ``kink = inf`` (``B = 0``), a growth exponent ``p - 1``, or
     one below it with a kink; any other exponent, or none, is refused
-    before the classifier runs.  Each scale runs one march,
-    ``_evans_march``: the constant-flux profile on the table grid
-    from ``R`` as far as ``B(c z)`` vanishes (for ``B = 0`` the whole
-    profile), then the ``solve_cauchy`` march on windows of
-    ``NODES_PER_WINDOW`` nodes, with no blow-up tail and a window end at
-    ``R1``.  ``_evans_heads`` builds the table's geometry once and the
-    constant-flux rows of ``EVANS_BLOCK`` scales at a time, each with the
-    bits it has alone, and the scales are decided in order of ``c``, as
-    one at a time.  The pieces up to ``R1`` decide the scale by their
+    before the classifier runs.  Each scale runs one ``_march`` from its
+    head: the constant-flux profile on the table grid from ``R`` as far
+    as ``B(c z)`` vanishes (for ``B = 0`` the whole profile, without a
+    kink the node ``(R, 0, mu)``), then windows of ``NODES_PER_WINDOW``
+    nodes, with no blow-up tail and a window end at ``R1``.
+    ``_evans_heads`` builds the table's geometry once and the slopes and
+    heads of ``EVANS_BLOCK`` scales at a time, each with the bits it has
+    alone, and the scales are decided in order of ``c``, as one at a
+    time.  The pieces up to ``R1`` decide the scale by their
     sup, which the increasing profile takes at ``R1`` (a row that stays
     below the kink through ``R1`` is decided by the table alone), and
     only the accepted scale is marched on to ``R_max``; its
@@ -660,7 +651,8 @@ def evans_for_triple(M: ModelManifold, op: PhiOperator, pot: PotentialB,
             f"{dv.slope_estimate:.6g})", dv)
     work = Counter()
     for c, mu, head in _evans_heads(M, op, pot, R, R1, R_max):
-        march = _evans_march(M, op, pot, c, head, R_max, R1, work)
+        march = _march(M, op, pot, c, head, R_max, NODES_PER_WINDOW, work,
+                       R1=R1)
         pieces = []
         _take(march, pieces, R1)
         grid, z, _ = _concat(pieces)

@@ -84,6 +84,23 @@ def test_classify_parabolic_plane(capsys):
     assert rows[0][5:] == ["9.21034037198", "-1", "critical_slope"]
 
 
+@pytest.mark.parametrize("man, m, prop", [
+    ("euclidean", 2, "Parabolic"), ("euclidean", 3, "NonParabolic"),
+    ("hyperbolic", 2, "NonParabolic")])
+def test_classify_reads_B_zero_from_the_kink(capsys, man, m, prop):
+    # linear-power at lambda = 0 is B = 0 (kink = inf), as zero is: its
+    # row is the parabolicity test's, with zero's bytes past its name
+    # (it printed KL_Holds/KL_Fails from the same test)
+    code, out = run_cli(["classify", "--set", f"manifold={man}", "--set",
+                         f"m={m}", "--set", "potential=zero,linear-power:"
+                         "p=3;lambda=0,linear-power:p=2;lambda=0"], capsys)
+    assert code == 0
+    zero, *lam0 = [row.split(",") for row in out.splitlines()[2:]]
+    assert zero[2:4] == ["zero", prop] and len(lam0) == 2
+    for row in lam0:
+        assert row[:2] + row[3:] == zero[:2] + zero[3:]
+
+
 def test_classify_inconclusive_exit_code(tmp_path, capsys):
     # tabulated warping r*log(e+r) puts the integrand in the heuristic's
     # critical band
@@ -442,6 +459,29 @@ def test_an_error_is_one_stderr_line_in_a_fresh_process(tmp_path):
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr == ("error: tabulated warping has no sample at r > 0 "
                            "(sample count 1)\n")
+
+
+def test_the_log_level_holds_on_every_call_in_a_process():
+    # logging.basicConfig sets nothing once the root logger has a handler,
+    # so a second main() under MODELPOT_LOG=INFO kept the first's WARNING
+    # and printed no INFO line: the level is set on every call
+    script = (
+        "import os, sys\n"
+        "from modelpot import cli\n"
+        "argv = ['evans', '--set', 'manifold=euclidean', '--set', 'm=3',\n"
+        "        '--set', 'R=1', '--set', 'R1=2', '--set', 'eps=0.1',\n"
+        "        '--out', os.devnull]\n"
+        "for level in sys.argv[1:]:\n"
+        "    os.environ['MODELPOT_LOG'] = level\n"
+        "    assert cli.main(argv) == 4\n"
+        "    sys.stderr.write(f'-- {level}\\n')\n")
+    proc = run_fresh(["-c", script, "WARNING", "INFO", "WARNING"])
+    assert proc.returncode == 0 and proc.stdout == ""
+    # the INFO line, and under WARNING before and after it nothing
+    lines = proc.stderr.splitlines()
+    assert lines[0] == "-- WARNING" and lines[2:] == ["-- INFO", "-- WARNING"]
+    assert lines[1].startswith("INFO modelpot: no exhaustion: the Liouville "
+                               "test says Converges")
 
 
 def test_an_unknown_log_level_is_one_stderr_line_in_a_fresh_process():

@@ -622,22 +622,27 @@ def test_keller_osserman_analytic_oracle():
 
 
 def test_keller_osserman_builds_one_rule(monkeypatch):
-    # both forms share one divergence rule, and the test still runs twice
-    built, tested = [], []
-    rule, test = criteria._divergence_rule, criteria.test_L1_at_infinity
-    monkeypatch.setattr(criteria, "_divergence_rule",
-                        lambda *a: built.append(a) or rule(*a))
-    monkeypatch.setattr(criteria, "test_L1_at_infinity",
-                        lambda *a: tested.append(a) or test(*a))
+    # both forms read one cached divergence rule: each call builds it once
+    # and looks it up twice more, and the two tests sample one grid
+    tested, grids = [], []
+    test = criteria.test_L1_at_infinity
+
+    def recording(f, *args):
+        tested.append(args)
+        return test(lambda r: grids.append(r) or f(r), *args)
+
+    monkeypatch.setattr(criteria, "test_L1_at_infinity", recording)
     op = core.p_laplacian_operator(2.0)
     for pot in (core.linear_power_potential(2.0, 1.0),
                 core.superlinear_potential(1.5),
                 core.plateau_potential(1.0, 2.0)):
-        built.clear()
         tested.clear()
+        grids.clear()
+        criteria._divergence_rule.cache_clear()
         criteria.keller_osserman(op, pot)
-        assert len(built) == 1 and len(tested) == 2
-        assert all(args[3] is tested[0][3] for args in tested)
+        info = criteria._divergence_rule.cache_info()
+        assert (info.misses, info.hits, len(tested)) == (1, 2, 2)
+        assert grids[0] is grids[1] is criteria._divergence_rule(*tested[0])[0]
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])

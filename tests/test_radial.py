@@ -1306,17 +1306,24 @@ def test_evans_plateau_block_that_marches_is_the_eager_sweep(
     assert [c for c, _ in evaluated] == scale_blocks(c)
 
 
-@pytest.mark.parametrize("op, c", [(LAP2, 2.0 ** -10),
-                                   (core.perturbed_operator(2.0), 2.0 ** -9)],
-                         ids=["p=2", "perturbed:p=2"])
-def test_evans_phi_inverse_error_past_the_accepted_row(monkeypatch, op, c):
-    # a phi^-1 that fails on every y below those of the accepted row: the
-    # block holding it is built again one row at a time, which stops at
-    # the accepted row, so the error of the rows past it never surfaces
-    eager = evans_eager_sweep(EUC2, op, ZERO, R=1.0, R1=2.0, eps=1e-3,
+@pytest.mark.parametrize("op, tag, c", [
+    (LAP2, "zero", 2.0 ** -10),
+    (core.perturbed_operator(2.0), "zero", 2.0 ** -9),
+    (LAP2, "linear-power:p=2,lambda=1", 2.0 ** -10)],
+    ids=["p=2", "perturbed:p=2", "p=2-linear-power"])
+def test_evans_phi_inverse_error_past_the_accepted_row(monkeypatch, op, tag,
+                                                       c):
+    # a phi^-1 that fails on every y below those of the accepted row (B = 0)
+    # or slope (no kink): the block holding it is built again one row at a
+    # time, which stops at the accepted row, so the error of the rows past
+    # it never surfaces
+    pot = core.potential_from_tag(tag)
+    eager = evans_eager_sweep(EUC2, op, pot, R=1.0, R1=2.0, eps=1e-3,
                               R_max=60.0)
     assert eager.c_final == c
-    least = float(op.phi(c * eager.mu_final)) / 60.0   # w(1)/w(60) = 1/60
+    # the row's least flux, at w(1)/w(60) = 1/60, or the slope's c**(p-1)
+    least = (c ** (op.p - 1.0) if pot.kink is None
+             else float(op.phi(c * eager.mu_final)) / 60.0)
     phi_inverse, refused = radial.phi_inverse, []
 
     def failing(op_, y):
@@ -1326,7 +1333,7 @@ def test_evans_phi_inverse_error_past_the_accepted_row(monkeypatch, op, c):
         return phi_inverse(op_, y)
 
     monkeypatch.setattr(radial, "phi_inverse", failing)
-    res = radial.evans_for_triple(EUC2, op, ZERO, R=1.0, R1=2.0, eps=1e-3,
+    res = radial.evans_for_triple(EUC2, op, pot, R=1.0, R1=2.0, eps=1e-3,
                                   R_max=60.0)
     assert_is_the_eager_sweep(res, eager)
     # a batched call of the second block failed (its slopes' or its
@@ -1388,6 +1395,55 @@ def test_constant_flux_profile_matches_closed_forms(M, op, exact, bound):
     params = radial.CauchyParams(R=1.0, theta=0.0, mu=1.0, c=1.0)
     sol = radial.constant_flux_profile(M, op, params, 60.0)
     assert np.max(np.abs(sol.z - exact(sol.grid))) <= bound
+
+
+@pytest.mark.parametrize("tag", ["linear-power:p={p},lambda=1",
+                                 "plateau:T=0.5,p={p}", "zero"])
+@pytest.mark.parametrize("op", [core.p_laplacian_operator(1.5), LAP2, LAP3,
+                                core.perturbed_operator(2.0)],
+                         ids=["p=1.5", "p=2", "p=3", "perturbed:p=2"])
+def test_evans_slopes_are_choose_mu(monkeypatch, tmp_path, op, tag):
+    # every potential takes its slopes from one phi^-1 per block of
+    # scales: each scale the sweep tries, past the first block too, has
+    # choose_mu's slope bit for bit
+    pot = core.potential_from_tag(tag.format(p=f"{op.p:g}"))
+    tried, heads = [], radial._evans_heads
+
+    def recording(*args):
+        for c, mu, head in heads(*args):
+            tried.append((c, mu))
+            yield c, mu, head
+
+    monkeypatch.setattr(radial, "_evans_heads", recording)
+    res = radial.evans_for_triple(sqrt_table(tmp_path), op, pot, R=1.0,
+                                  R1=2.0, eps=1e-3, R_max=20.0)
+    assert [c for c, _ in tried] == [2.0 ** -k for k in range(len(tried))]
+    assert tried[-1] == (res.c_final, res.mu_final)
+    assert len(tried) > radial.EVANS_BLOCK
+    for c, mu in tried:
+        assert mu == radial.choose_mu(op, c)
+
+
+def test_a_head_that_ends_at_R_max_is_the_whole_march():
+    # the march returns at once: no window, no Picard work, and no
+    # CauchyParams from the head's last node, whose slope 0 it refuses
+    head = (np.array([1.0, 2.0]), np.array([0.0, 0.5]), np.array([1.0, 0.0]))
+    pieces, work = [], Counter()
+    end = radial._take(radial._march(EUC2, LAP2, ZERO, 0.5, head, 2.0,
+                                     radial.NODES_PER_WINDOW, work), pieces)
+    assert end == (radial.COMPLETE, 2.0, None)
+    assert len(pieces) == 1 and pieces[0] is head
+    assert work == Counter()
+
+
+@pytest.mark.parametrize("R_max", [1.0, 0.5])
+def test_a_march_to_the_base_radius_or_below_is_refused(R_max):
+    # the range check reads the first node of the march's head
+    params = radial.CauchyParams(R=1.0, theta=1.0, mu=1.0, c=1.0)
+    with pytest.raises(core.DomainError) as info:
+        radial.solve_cauchy(EUC2, LAP2, ZERO, params, R_max)
+    assert str(info.value) == ("R_max must be finite and exceed the base "
+                               f"radius, got {R_max:g}")
 
 
 @pytest.mark.parametrize("R_max", [math.inf, math.nan])
