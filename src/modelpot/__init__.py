@@ -61,8 +61,6 @@ from .radial import (
     NoExhaustion,
     PicardNoConvergence,
     RadialSolution,
-    choose_mu,
-    constant_flux_profile,
     evans_for_triple,
     solve_cauchy,
     solve_on_interval,

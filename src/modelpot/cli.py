@@ -332,11 +332,22 @@ COMMANDS = {
 }
 
 
-# built once: each option's help formatter asks for the terminal size
+def _keys(command) -> str:
+    """The config keys that ``command`` reads, as its error and ``--help``
+    name them."""
+    return ", ".join(COMMANDS[command][1].split())
+
+
+# built once: each option's help formatter asks for the terminal size.
+# The raw formatter keeps the epilog's one line per command
 PARSER = argparse.ArgumentParser(
     prog="modelpot",
     description="Classification and potential construction on "
-                "rotationally symmetric manifolds.")
+                "rotationally symmetric manifolds.",
+    epilog="config keys (--set KEY=VALUE or --config PATH; --rmax sets "
+           "rmax) by command:\n"
+           + "\n".join(f"  {name}: {_keys(name)}" for name in COMMANDS),
+    formatter_class=argparse.RawDescriptionHelpFormatter)
 PARSER.add_argument("command", choices=tuple(COMMANDS))
 PARSER.add_argument("--config", help="key=value config file")
 PARSER.add_argument("--out", help="output CSV path (default stdout)")
@@ -363,7 +374,8 @@ def main(argv=None) -> int:
         run, keys = COMMANDS[args.command]
         unread = [key for key in cfg if key not in keys.split()]
         if unread:
-            raise ConfigError(unread[0], f"not read by {args.command}")
+            raise ConfigError(unread[0], f"not read by {args.command}, "
+                              f"which reads {_keys(args.command)}")
         return run(cfg, args.out)
     except (ConfigError, ValueError, core.NumericError, OSError,
             criteria.ConsistencyError) as exc:

@@ -10,8 +10,9 @@ and the solution is one integral, built in one pass on the divergence
 test's geometric grid with its Simpson rule in ``log r``, for a block of
 scales at once as rows of one table.  Every march starts from a head: a
 Cauchy node, or an Evans scale's constant-flux profile up to the level
-below which ``B`` vanishes.  On top of the solvers sit the slope
-selection rules and the small-on-an-annulus construction that produce
+below which ``B`` vanishes.  On top of the solvers sits the scale sweep
+of ``evans_for_triple``, the one home of the matched slope and of the
+constant-flux table, whose small-on-an-annulus construction produces
 exhaustion potentials for triples of concentric balls.
 """
 
@@ -105,9 +106,6 @@ class RadialSolution:
     # tried); a constant-flux profile takes none
     applications: int = 0
     failed_windows: int = 0
-
-    def sup_on(self, a: float, b: float) -> float:
-        return _sup_on(self.grid, self.z, a, b)
 
 
 @dataclass(frozen=True)
@@ -485,14 +483,14 @@ def _sup_on(grid: np.ndarray, z: np.ndarray, a: float, b: float) -> float:
 
 
 class _ConstantFluxTable:
-    """The geometry of the ``B = 0`` profile from ``R``, built once for
-    any number of scales: the table grid of the divergence test,
-    ``grid_through(R, radii)``, so ``R`` and every radius are nodes; the
-    weight ratio ``w(R)/w(r)``, taken in log form so that no weight
-    overflows; and the cumulative Simpson rule in ``log r``.  The ratio
-    itself can overflow, where ``w`` decreases: the checked
-    ``phi_inverse`` of ``rows`` then refuses its ``y = inf`` with
-    ``DomainError``."""
+    """The geometry of the ``B = 0`` profile from ``R``, built once per
+    ``evans_for_triple`` call for all of its scales (``_evans_heads``):
+    the table grid of the divergence test, ``grid_through(R, radii)``, so
+    ``R`` and every radius are nodes; the weight ratio ``w(R)/w(r)``,
+    taken in log form so that no weight overflows; and the cumulative
+    Simpson rule in ``log r``.  The ratio itself can overflow, where
+    ``w`` decreases: the checked ``phi_inverse`` of ``rows`` then refuses
+    its ``y = inf`` with ``DomainError``."""
 
     def __init__(self, M: ModelManifold, R: float, radii):
         self.grid = grid_through(R, radii)
@@ -501,64 +499,38 @@ class _ConstantFluxTable:
                                 - log_sphere_volume(M, self.grid))
         self.simpson = _CumulativeSimpson(np.log(self.grid))
 
-    def rows(self, op: PhiOperator, c: np.ndarray, mu: np.ndarray,
-             theta: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    def rows(self, op: PhiOperator, c: np.ndarray,
+             mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(z, zp)`` on the grid, one row per scale of the 1-D ``c``
-        with its slope in ``mu``.  The flux ``w phi(c z')`` is constant,
-        so ``z' = phi^-1(phi(c mu) w(R)/w(r))/c`` exactly, one
-        ``phi_inverse`` over all rows, and ``z = theta + int_R^r z'`` is
-        the cumulative Simpson rule of ``r z'`` in ``log r``, the rule of
-        ``test_L1_at_infinity`` on the integrand it tests.  ``phi^-1`` is
-        elementwise and the rule runs along each row, so a row has the
-        same bits alone or among others."""
+        with its slope in ``mu``, from ``z(R) = 0``.  The flux ``w phi(c
+        z')`` is constant, so ``z' = phi^-1(phi(c mu) w(R)/w(r))/c``
+        exactly, one ``phi_inverse`` over all rows, and ``z = int_R^r
+        z'`` is the cumulative Simpson rule of ``r z'`` in ``log r``, the
+        rule of ``test_L1_at_infinity`` on the integrand it tests.
+        ``phi^-1`` is elementwise and the rule runs along each row, so a
+        row has the same bits alone or among others."""
         with np.errstate(over="ignore"):
             y = op.phi(c * mu)[:, None] * self.ratio
         zp = phi_inverse(op, y) / c[:, None]
-        return theta + self.simpson(self.grid * zp), zp
-
-
-def constant_flux_profile(M: ModelManifold, op: PhiOperator,
-                          params: CauchyParams, R_max: float, *,
-                          R1: Optional[float] = None) -> RadialSolution:
-    """The radial solution for ``B = 0`` in one pass, with no Picard
-    iteration: the one row of ``params`` of the ``_ConstantFluxTable``
-    from ``R`` through ``R1`` (if given) and ``R_max``."""
-    radii = [R_max] if R1 is None else [R1, R_max]
-    if not params.R < radii[0] <= R_max < math.inf:
-        raise DomainError("R_max must be finite, at least R1 and above the "
-                          f"base radius, got {R_max:g}")
-    table = _ConstantFluxTable(M, params.R, radii)
-    (z,), (zp,) = table.rows(op, np.array([params.c]),
-                             np.array([params.mu]), params.theta)
-    return RadialSolution(grid=table.grid, z=z, zp=zp, params=params,
-                          status=COMPLETE, r_max=float(R_max))
-
-
-def choose_mu(op: PhiOperator, c: float) -> float:
-    """Largest slope keeping the scaled initial flux below ``c**(p-1)``.
-
-    This is the choice that makes the sup of the solution on a fixed
-    annulus uniformly bounded in ``c``.
-    """
-    if not 0.0 < c <= 1.0:
-        raise DomainError("choose_mu requires c in (0, 1]")
-    return phi_inverse(op, c ** (op.p - 1.0)) / c
+        return self.simpson(self.grid * zp), zp
 
 
 def _evans_heads(M: ModelManifold, op: PhiOperator, pot: PotentialB,
                  R: float, R1: float, R_max: float):
     """The scales ``c = 2**-k`` of ``evans_for_triple``'s sweep, from 1
-    down to ``EVANS_C_MIN`` in order, each as ``(c, mu, head)``:
-    ``choose_mu``'s slope, from one ``phi_inverse`` of the ``c**(p-1)``
-    of ``EVANS_BLOCK`` scales at a time (Python floats, as in
-    ``choose_mu``), and the first piece of the profile, from which
-    ``_march`` goes on: the first nodes of the scale's row where ``c z``
-    is at most the kink.  The rows are those of one ``_ConstantFluxTable``
-    through ``R1`` and ``R_max``; without a kink the level is 0 and the
-    "table" is the node ``R``, with ``z = 0`` and ``zp = mu``.  A block
-    whose ``phi_inverse`` raises is built again one row at a time as the
-    sweep reaches each, so that an error surfaces only at a scale the
-    sweep reaches."""
+    down to ``EVANS_C_MIN`` in order, each as ``(c, mu, head)``.  ``mu``
+    is the matched slope ``phi^-1(c**(p-1))/c``, the largest that keeps
+    the scaled initial flux ``phi(c mu)`` at ``c**(p-1)``, so that the
+    sup on a fixed annulus is bounded uniformly in ``c``; it comes from
+    one ``phi_inverse`` of the ``c**(p-1)`` of ``EVANS_BLOCK`` scales at
+    a time, each a Python float.  ``head`` is the first piece of the
+    profile, from which ``_march`` goes on: the first nodes of the
+    scale's row where ``c z`` is at most the kink.  The rows are those of
+    one ``_ConstantFluxTable`` through ``R1`` and ``R_max``; without a
+    kink the level is 0 and the "table" is the node ``R``, with ``z = 0``
+    and ``zp = mu``.  A block whose ``phi_inverse`` raises is built again
+    one row at a time as the sweep reaches each, so that an error
+    surfaces only at a scale the sweep reaches."""
     scales, c = [], 1.0
     while c >= EVANS_C_MIN:
         scales.append(c)

@@ -110,12 +110,34 @@ def classify_c_sweep(M, op, pot=None, r_max=criteria.R_MAX):
     return PropertyTag.INCONCLUSIVE
 
 
+def choose_mu(op, c):
+    """The matched slope of the Evans sweep at scale ``c``, the largest
+    that keeps the scaled initial flux ``phi(c mu)`` at ``c**(p-1)``:
+    ``phi^-1(c**(p-1))/c`` from a Python float, the arithmetic of each
+    row of ``radial._evans_heads``' block ``phi_inverse``."""
+    return phi_inverse(op, c ** (op.p - 1.0)) / c
+
+
+def constant_flux_profile(M, op, params, R_max, R1=None):
+    """The ``B = 0`` radial solution from ``params`` in one pass, with no
+    Picard iteration: the one row of ``(c, mu)`` of the Evans sweep's
+    ``radial._ConstantFluxTable`` from ``R`` through ``R1`` (if given)
+    and ``R_max``, plus ``theta``."""
+    table = radial._ConstantFluxTable(
+        M, params.R, [R_max] if R1 is None else [R1, R_max])
+    (z,), (zp,) = table.rows(op, np.array([params.c]),
+                             np.array([params.mu]))
+    return radial.RadialSolution(grid=table.grid, z=params.theta + z, zp=zp,
+                                 params=params, status=radial.COMPLETE,
+                                 r_max=float(R_max))
+
+
 def exhaustion_at_unit_scale(M, op, R):
     """Whether ``B = 0`` profiles from ``R`` are unbounded, decided on the
     constant-flux slope at ``c = 1``, ``phi^-1(phi(mu) w(R)/w)``: the
     divergence test from ``R`` to ``R_MAX``, whose verdict is that of the
     classifiers' test from 1."""
-    flux = float(op.phi(radial.choose_mu(op, 1.0)))
+    flux = float(op.phi(choose_mu(op, 1.0)))
 
     def slope(r):
         with np.errstate(over="ignore"):
@@ -139,11 +161,11 @@ def evans_eager_sweep(M, op, pot, R, R1, eps, R_max, nodes_per_window=64,
     level = pot.kink or 0.0
     c = 1.0
     while c >= c_min:
-        mu = radial.choose_mu(op, c)
+        mu = choose_mu(op, c)
         params = radial.CauchyParams(R=R, theta=0.0, mu=mu, c=c)
         start, sol = params, None
         if level > 0:
-            table = radial.constant_flux_profile(M, op, params, R_max, R1=R1)
+            table = constant_flux_profile(M, op, params, R_max, R1=R1)
             keep = c * table.z <= level
             sol = replace(table, grid=table.grid[keep], z=table.z[keep],
                           zp=table.zp[keep])
@@ -159,7 +181,7 @@ def evans_eager_sweep(M, op, pot, R, R1, eps, R_max, nodes_per_window=64,
         if sol.status == radial.BLOWUP:
             raise radial.EvansFailure(
                 f"blow-up at c={c:g}, radius {sol.blowup_radius:g}")
-        K_obs = sol.sup_on(R, R1)
+        K_obs = radial._sup_on(sol.grid, sol.z, R, R1)
         if c * K_obs < eps:
             return radial.EvansResult(solution=sol, c_final=c, mu_final=mu,
                                       sup_on_annulus=c * K_obs,

@@ -985,7 +985,11 @@ def test_node_counts_below_two_are_refused(argv, message, capsys):
 ])
 def test_keys_the_command_does_not_read_are_refused(argv, key, capsys):
     assert cli.main(argv) == 1
-    assert f"config key '{key}'" in capsys.readouterr().err
+    # the error names the keys that the command reads, from COMMANDS
+    _, keys = cli.COMMANDS[argv[0]]
+    assert capsys.readouterr().err == (
+        f"error: config key '{key}': not read by {argv[0]}, which reads "
+        + ", ".join(keys.split()) + "\n")
 
 
 @pytest.mark.parametrize("argv,key", [
@@ -1138,6 +1142,12 @@ def test_one_help_lists_every_command_and_option(capsys):
     for option in ("--config", "--out", "--rmax", "--set"):
         assert option in out
     assert "--tol" not in out
+    # it ends with the keys that each command reads, one line each
+    assert out.endswith("".join(
+        f"  {name}: {', '.join(keys.split())}\n"
+        for name, (_, keys) in cli.COMMANDS.items()))
+    assert "  evans: manifold, m, operator, potential, R, R1, eps, rmax, " \
+        "blowup_threshold\n" in out
 
 
 def test_tol_option_is_a_usage_error(capsys):

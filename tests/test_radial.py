@@ -17,7 +17,8 @@ from scipy.integrate import (cumulative_simpson, cumulative_trapezoid, quad,
 
 from modelpot import core, criteria, obstacle, radial
 from modelpot.criteria import Verdict
-from oracles import (KL_WARPINGS, OPERATOR_TAGS, WARPINGS, count_picard_work,
+from oracles import (KL_WARPINGS, OPERATOR_TAGS, WARPINGS, choose_mu,
+                     constant_flux_profile, count_picard_work,
                      evans_eager_sweep, exhaustion_at_unit_scale,
                      ode_residual, phi_inverse_brentq,
                      uniform_simpson_reference, volterra_apply_reference)
@@ -412,7 +413,7 @@ def test_two_routes_to_one_radial_function():
         op = core.p_laplacian_operator(p)
         dv = criteria.classify_parabolic(M, op).divergence
         assert dv.r_max == 1e4
-        prof = radial.constant_flux_profile(M, op, start, dv.r_max, R1=10.0)
+        prof = constant_flux_profile(M, op, start, dv.r_max, R1=10.0)
         assert np.array_equal(prof.grid, core.geometric_grid(1.0, 1e4))
         want = math.exp((m - 1) * M.log_g(1.0) / (p - 1.0)) \
             * dv.partial_integral
@@ -735,17 +736,29 @@ def test_no_blowup_for_subcritical_potential():
 # slope selection and the triple construction
 
 
+def evans_slopes(op):
+    """``(c, mu)`` of every scale of the Evans sweep on the plane from
+    ``R = 1`` through ``R1 = 2`` and ``R_max = 60``, for ``B = 0``, whose
+    slopes come with table rows, and for ``B = t**(p-1)``, which has no
+    kink and whose slopes come with the node ``R``."""
+    slopes = []
+    for pot in (ZERO, core.linear_power_potential(op.p, 1.0)):
+        heads = radial._evans_heads(EUC2, op, pot, 1.0, 2.0, 60.0)
+        slopes.append([(c, mu) for c, mu, _ in heads])
+    assert slopes[0] == slopes[1]
+    assert [c for c, _ in slopes[0]] == [2.0 ** -k for k in range(40)]
+    return slopes[0]
+
+
 def test_choose_mu_p_laplacian_is_unity():
     for p in (1.5, 2.0, 3.0):
-        op = core.p_laplacian_operator(p)
-        for c in (1.0, 0.5, 0.01):
-            assert radial.choose_mu(op, c) == pytest.approx(1.0)
+        for _, mu in evans_slopes(core.p_laplacian_operator(p)):
+            assert mu == pytest.approx(1.0)
 
 
 def test_choose_mu_flux_bound():
     op = core.perturbed_operator(2.0)
-    for c in (1.0, 0.25, 1e-3):
-        mu = radial.choose_mu(op, c)
+    for c, mu in evans_slopes(op):
         assert float(op.phi(c * mu)) == pytest.approx(c ** (op.p - 1.0),
                                                       rel=1e-9)
 
@@ -959,10 +972,10 @@ def test_evans_crossing_past_the_annulus_of_a_rejected_scale():
     pot = core.plateau_potential(1.0, 2.0)
     for c in (1.0, 0.5):
         params = radial.CauchyParams(R=1.0, theta=0.0,
-                                     mu=radial.choose_mu(LAP2, c), c=c)
+                                     mu=choose_mu(LAP2, c), c=c)
         sol = radial.solve_cauchy(EUC2, LAP2, pot, params, 40.0)
         assert sol.status == radial.COMPLETE
-        assert sol.sup_on(1.0, 2.0) < 1e8 < sol.z[-1]
+        assert radial._sup_on(sol.grid, sol.z, 1.0, 2.0) < 1e8 < sol.z[-1]
     res = radial.evans_for_triple(EUC2, LAP2, pot, R=1.0, R1=2.0, eps=0.1,
                                   R_max=40.0)
     eager = evans_eager_sweep(EUC2, LAP2, pot, R=1.0, R1=2.0, eps=0.1,
@@ -1014,7 +1027,7 @@ def test_evans_hands_the_plateau_profile_over_past_its_kink(op, T, eps,
     res = radial.evans_for_triple(EUC2, op, pot, R=1.0, R1=2.0, eps=eps,
                                   R_max=R_max)
     sol, c, mu = res.solution, res.c_final, res.mu_final
-    table = radial.constant_flux_profile(
+    table = constant_flux_profile(
         EUC2, op, radial.CauchyParams(1.0, 0.0, mu, c), R_max, R1=2.0)
     k = int(np.searchsorted(table.grid, res.constant_flux_to))
     assert table.grid[k] == res.constant_flux_to
@@ -1055,7 +1068,7 @@ def test_evans_reads_the_annulus_up_to_R1(R_max):
     c = 1.0 / 16.0
     to_R1 = radial.solve_cauchy(
         EUC2, LAP2, pot,
-        radial.CauchyParams(1.0, 0.0, radial.choose_mu(LAP2, c), c), 2.0)
+        radial.CauchyParams(1.0, 0.0, choose_mu(LAP2, c), c), 2.0)
     assert c * to_R1.z[-1] > 0.0509
     res = radial.evans_for_triple(EUC2, LAP2, pot, R=1.0, R1=2.0,
                                   eps=0.0509, R_max=R_max)
@@ -1196,7 +1209,7 @@ def test_constant_flux_profile_is_the_picard_solution(make, op, tmp_path):
     # 10 = 10**(128/128) and R_max; there the two rules agree
     M = make(tmp_path)
     params = radial.CauchyParams(R=1.0, theta=0.2, mu=0.7, c=0.5)
-    exact = radial.constant_flux_profile(M, op, params, 30.0, R1=5.0)
+    exact = constant_flux_profile(M, op, params, 30.0, R1=5.0)
     picard = radial.solve_cauchy(M, op, ZERO, params, 30.0)
     assert exact.status == picard.status == radial.COMPLETE
     assert exact.r_max == picard.r_max == 30.0
@@ -1230,9 +1243,9 @@ def recording_rows(monkeypatch):
     evaluated = []
     rows = radial._ConstantFluxTable.rows
 
-    def recording(table, op, c, mu, theta=0.0):
+    def recording(table, op, c, mu):
         evaluated.append((c.tolist(), len(table.grid)))
-        return rows(table, op, c, mu, theta)
+        return rows(table, op, c, mu)
 
     monkeypatch.setattr(radial._ConstantFluxTable, "rows", recording)
     return evaluated
@@ -1368,7 +1381,7 @@ NODE = 10.0 ** (38 / 128)
 ])
 def test_constant_flux_grid_is_the_table_grid_through_R1(R1, R_max, nodes):
     params = radial.CauchyParams(R=1.0, theta=0.0, mu=1.0, c=1.0)
-    grid = radial.constant_flux_profile(EUC2, LAP2, params, R_max, R1=R1).grid
+    grid = constant_flux_profile(EUC2, LAP2, params, R_max, R1=R1).grid
     assert (np.diff(grid) > 0).all() and len(grid) == nodes
     assert grid[0] == 1.0 and R1 in grid and grid[-1] == R_max
     # the other nodes are the divergence test's, more than 1e-9 from both
@@ -1393,7 +1406,7 @@ def test_constant_flux_profile_matches_closed_forms(M, op, exact, bound):
     # z = log r on the plane, 1 - 1/r on R^3, 2 (sqrt r - 1) on the plane
     # at p = 3; the error is the cumulative Simpson rule's in log r
     params = radial.CauchyParams(R=1.0, theta=0.0, mu=1.0, c=1.0)
-    sol = radial.constant_flux_profile(M, op, params, 60.0)
+    sol = constant_flux_profile(M, op, params, 60.0)
     assert np.max(np.abs(sol.z - exact(sol.grid))) <= bound
 
 
@@ -1421,7 +1434,7 @@ def test_evans_slopes_are_choose_mu(monkeypatch, tmp_path, op, tag):
     assert tried[-1] == (res.c_final, res.mu_final)
     assert len(tried) > radial.EVANS_BLOCK
     for c, mu in tried:
-        assert mu == radial.choose_mu(op, c)
+        assert mu == choose_mu(op, c)
 
 
 def test_a_head_that_ends_at_R_max_is_the_whole_march():
@@ -1468,23 +1481,20 @@ def test_constant_flux_profile_names_an_overflowing_weight_ratio():
     params = radial.CauchyParams(R=0.5, theta=0.0, mu=1.0, c=1.0)
     with pytest.raises(core.DomainError,
                        match="phi_inverse requires finite y >= 0, got y=inf"):
-        radial.constant_flux_profile(M, LAP2, params, 2.0)
+        constant_flux_profile(M, LAP2, params, 2.0)
 
 
 @pytest.mark.parametrize("R_max,R1", [
-    (1.0, None), (math.inf, None), (math.nan, None), (10.0, 1.0),
+    (1.0, 2.0), (math.inf, 2.0), (math.nan, 2.0), (10.0, 1.0),
     (10.0, 0.5), (10.0, 11.0), (10.0, math.nan)])
-def test_constant_flux_profile_validation(R_max, R1):
-    params = radial.CauchyParams(R=1.0, theta=0.0, mu=1.0, c=1.0)
-    with pytest.raises(core.DomainError, match="R_max must be finite"):
-        radial.constant_flux_profile(EUC2, LAP2, params, R_max, R1=R1)
-
-
-def test_constant_flux_profile_takes_R1_by_keyword():
-    # a fifth positional argument is refused, not read as R1
-    params = radial.CauchyParams(R=1.0, theta=0.0, mu=1.0, c=1.0)
-    with pytest.raises(TypeError):
-        radial.constant_flux_profile(EUC2, LAP2, params, 100.0, 64)
+def test_evans_radii_that_cannot_hold_the_table_are_refused(R_max, R1):
+    # the constant-flux table is built from R through R1 and R_max only
+    # inside evans_for_triple, so its guard is the table's range check:
+    # each case breaks one side of 0 < R < R1 < R_max < inf
+    with pytest.raises(core.DomainError) as info:
+        radial.evans_for_triple(EUC2, LAP2, ZERO, 1.0, R1, 0.1, R_max)
+    assert str(info.value) == ("need 0 < R < R1 < R_max < inf, got R=1, "
+                               f"R1={R1:g} and R_max={R_max:g}")
 
 
 # the 12 manifold cases of the benchmark: B = 0 profiles are unbounded
